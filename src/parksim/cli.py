@@ -53,7 +53,12 @@ from .offstreet_sim import (
     estimate_offstreet_time,
     initial_occupancy,
 )
-from .onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
+from .onstreet_sim import (
+    OnstreetConfig,
+    PolicyWeights,
+    _destination_context,
+    estimate_onstreet_time,
+)
 from .road_graph import load_graph
 
 SAMPLES_FILE = "samples.csv"
@@ -235,6 +240,8 @@ def stage_ingest(cfg: RunConfig) -> None:
 
     lots = read_lots(_require(cfg.lots, "lots"))
     events = read_lot_events(_require(cfg.lot_events, "lot_events"))
+    if not events:
+        raise DataError(f"no lot event records in {cfg.lot_events}")
     unknown_lots = sorted({e.lot_id for e in events} - {l.id for l in lots})
     if unknown_lots:
         raise DataError(f"lot events reference unknown lots: {unknown_lots}")
@@ -324,16 +331,21 @@ def _read_availability(path: Path) -> dict[int, dict[str, float]]:
 def stage_sim_on(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
     probs_by_hour = _read_availability(cfg.out_dir / AVAILABILITY_FILE)
-    rows = []
     for hour in cfg.hours:
-        probs = probs_by_hour.get(hour)
-        if probs is None:
+        if hour not in probs_by_hour:
             raise DataError(f"availability table has no rows for hour {hour}")
-        for block_id in sorted(g.edges):
-            est = estimate_onstreet_time(g, probs, block_id, cfg.onstreet,
-                                         cfg.policy, hour)
-            rows.append([block_id, hour, _fmt(est.mean_s), _fmt(est.std_s),
-                         _fmt(est.censored_fraction), est.n_samples])
+    # Destination-outer so each destination's hour-independent tables are
+    # built once and dropped before the next; rows are written hour-outer.
+    rows_by_hour: dict[int, list[list]] = {hour: [] for hour in cfg.hours}
+    for block_id in sorted(g.edges):
+        ctx = _destination_context(g, block_id)
+        for hour in cfg.hours:
+            est = estimate_onstreet_time(g, probs_by_hour[hour], block_id,
+                                         cfg.onstreet, cfg.policy, hour, _ctx=ctx)
+            rows_by_hour[hour].append([block_id, hour, _fmt(est.mean_s),
+                                       _fmt(est.std_s),
+                                       _fmt(est.censored_fraction), est.n_samples])
+    rows = [row for hour in cfg.hours for row in rows_by_hour[hour]]
     _write_csv(cfg.out_dir / ONSTREET_FILE,
                ["block_id", "hour", "mean_onstreet_s", "std_onstreet_s",
                 "censored_fraction", "n_samples"], rows)
@@ -361,7 +373,7 @@ def stage_sim_off(cfg: RunConfig) -> None:
             est = estimate_offstreet_time(g, lots, table, block_id,
                                           cfg.day_of_week, hour, cfg.offstreet,
                                           occupancy_by_lot=occupancy,
-                                          _lot_stats_cache=cache)
+                                          _cache=cache)
             rows.append([block_id, hour, _fmt(est.total_s), _fmt(est.std_s),
                          est.lot_id, _fmt(est.drive_s), _fmt(est.lot_s),
                          _fmt(est.walk_s)])

@@ -32,6 +32,9 @@ from .offstreet_sim import LotRateTable, LotSpec
 from .road_graph import BlockFace, Intersection, RoadGraph, build_graph, save_graph
 
 HOUR = timedelta(hours=1)
+# Synthetic session times are seconds since this naive instant; naive
+# datetime arithmetic never consults the machine's time zone.
+_EPOCH = datetime(1970, 1, 1)
 SURVEY_WINDOW = timedelta(minutes=30)
 
 
@@ -492,6 +495,10 @@ def _grid_faces(cfg: SynthConfig, rng: np.random.Generator):
     return nodes, plans
 
 
+def _seconds(dt: datetime) -> float:
+    return (dt - _EPOCH).total_seconds()
+
+
 class _SessionTimeline:
     """Admitted paid sessions of one block, queryable by time."""
 
@@ -512,7 +519,7 @@ def _generate_sessions(plan: _FacePlan, cfg: SynthConfig,
                        rng: np.random.Generator) -> list[tuple[float, float]]:
     """Admitted (start_epoch, duration) pairs, capped at the meter count."""
     candidates: list[tuple[float, float]] = []
-    day0 = datetime.combine(cfg.start_date, time(0, 0)).timestamp()
+    day0 = _seconds(datetime.combine(cfg.start_date, time(0, 0)))
     pressure_base = 0.25 + 1.15 * plan.centrality
     for day in range(cfg.days):
         for h in range(24):
@@ -561,7 +568,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
         for start, duration in sessions:
             if rng.random() < cfg.observed_fraction:
                 payments.append(PaymentRecord(block_id=plan.face.id,
-                                              start=datetime.fromtimestamp(start),
+                                              start=_EPOCH + timedelta(seconds=start),
                                               duration_s=duration))
 
     # meter-level surveys, some with missing timestamps
@@ -587,7 +594,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
                     break
             else:
                 raise DataError("could not place survey visit in a fresh window")
-            active = timeline.active_at(ts.timestamp())
+            active = timeline.active_at(_seconds(ts))
             missing = rng.random() < cfg.survey_missing_fraction
             for i in range(face.meter_count):
                 surveys.append(SurveyRecord(
@@ -600,7 +607,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
 
     # ground truth availability at half past each hour, averaged over days
     hourly: dict[str, list[float]] = {}
-    day0 = datetime.combine(cfg.start_date, time(0, 0)).timestamp()
+    day0 = _seconds(datetime.combine(cfg.start_date, time(0, 0)))
     for plan in plans:
         face = plan.face
         if face.meter_count == 0:

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .road_graph import RoadGraph, drive_time_to_node, walk_time_from_node
+from .road_graph import RoadGraph, drive_times_to_node, walk_times_from_node
 from .seeding import derived_stream
 
 logger = logging.getLogger(__name__)
@@ -71,7 +71,6 @@ class LotRateTable:
 @dataclass
 class LotState:
     occupied: np.ndarray  # bool per stall, index 0 nearest the entrance
-    clock_s: float = 0.0
 
     @classmethod
     def fresh(cls, capacity: int, initially_occupied: int = 0) -> "LotState":
@@ -140,7 +139,6 @@ def sample_tick(state: LotState, arrivals_per_hour: float,
     parked = min(n_arrive, free_idx.size)
     taken = free_idx[:parked]
     state.occupied[taken] = True
-    state.clock_s += cfg.tick_s
     return TickResult(arrivals=n_arrive, departures=n_depart, departed=departed,
                       stall_indices=tuple(int(i) for i in taken),
                       overflow=n_arrive - parked)
@@ -236,35 +234,50 @@ def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec],
                             rates: LotRateTable, dest: str, day: int, hour: int,
                             cfg: LotSimConfig,
                             occupancy_by_lot: Mapping[str, int] | None = None,
-                            _lot_stats_cache: dict | None = None) -> OffstreetEstimate:
+                            _cache: dict | None = None) -> OffstreetEstimate:
     """Total off-street time for a destination block: drive to the lot with
-    the smallest drive time, queue and park inside it, walk back.
+    the smallest drive time (ties go to the smallest lot id), queue and
+    park inside it, walk back.
 
     The in-lot stream derives from (seed, lot, day, hour), so estimates for
     different destination blocks share identical lot outcomes. If the
     simulated hour sees no arrival at all, the wait of a single probe car
     entering the initial state is used instead of an undefined mean.
+
+    Drive times come from one reverse search per (lot entrance, hour) and
+    walk times from one table per lot entrance. ``_cache`` is a dict the
+    caller keeps for one run over a single graph, lot set, rate table and
+    config; it shares these tables and the lot statistics between calls.
+    Without it every call builds its own.
     """
     if not lots:
         raise DataError("no lots configured")
     if not 0 <= day < DAYS_PER_WEEK:
         raise DataError(f"day must be in 0..6, got {day!r}")
+    g.edge(dest)
+    cache = {} if _cache is None else _cache
+
+    def cached(key, build):
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     drive_options = []
     for lot in sorted(lots, key=lambda l: l.id):
-        drive_options.append((drive_time_to_node(g, dest, lot.node, hour), lot))
+        table = cached(("drive", lot.node, hour),
+                       lambda: drive_times_to_node(g, lot.node, hour))
+        if dest not in table:
+            raise DataError(f"no drive path from {dest!r} to node {lot.node!r}")
+        drive_options.append((table[dest], lot))
     drive_s, lot = min(drive_options, key=lambda pair: pair[0])
 
     occupancy = 0
     if occupancy_by_lot is not None:
         occupancy = min(max(int(occupancy_by_lot.get(lot.id, 0)), 0), lot.capacity)
 
-    cache_key = (lot.id, day, hour, occupancy)
-    stats = None if _lot_stats_cache is None else _lot_stats_cache.get(cache_key)
-    if stats is None:
-        rng = derived_stream(cfg.seed, lot.id, day, hour)
-        stats = simulate_lot_hour(lot, rates, day, hour, cfg, occupancy, rng)
-        if _lot_stats_cache is not None:
-            _lot_stats_cache[cache_key] = stats
+    stats = cached(("lot", lot.id, day, hour, occupancy), lambda: simulate_lot_hour(
+        lot, rates, day, hour, cfg, occupancy,
+        derived_stream(cfg.seed, lot.id, day, hour)))
     if stats.mean_s is None:
         # quiet lot: one probe car drives past the initially occupied stalls
         stalls_passed = min(occupancy, lot.capacity - 1)
@@ -274,7 +287,7 @@ def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec],
         lot_s = stats.mean_s
         std_s = stats.std_s if stats.std_s is not None else 0.0
 
-    walk_s = walk_time_from_node(g, lot.node, dest)
+    walk_s = cached(("walk", lot.node), lambda: walk_times_from_node(g, lot.node))[dest]
     return OffstreetEstimate(total_s=drive_s + lot_s + walk_s, lot_id=lot.id,
                              drive_s=drive_s, lot_s=lot_s, walk_s=walk_s,
                              std_s=std_s)

@@ -193,13 +193,17 @@ def simulate_single(g: RoadGraph, probs: Mapping[str, float], dest: str,
 
 def estimate_onstreet_time(g: RoadGraph, probs: Mapping[str, float], dest: str,
                            cfg: OnstreetConfig, weights: PolicyWeights,
-                           hour: int) -> OnstreetEstimate:
+                           hour: int,
+                           _ctx: _DestContext | None = None) -> OnstreetEstimate:
     """Mean and spread of total on-street time over seeded search samples.
 
     The random stream derives from (seed, destination block, hour), so
     per-block tasks can run in any order and still reproduce exactly.
+    ``_ctx`` holds the destination's walk and distance tables, which do not
+    depend on the hour; a caller covering several hours builds it once with
+    ``_destination_context``.
     """
-    ctx = _destination_context(g, dest)
+    ctx = _ctx if _ctx is not None else _destination_context(g, dest)
     rng = derived_stream(cfg.seed, dest, hour)
     totals = np.empty(cfg.n_samples)
     censored = 0

@@ -316,7 +316,10 @@ def drive_time_to_node(g: RoadGraph, src_block: str, node: str, hour: int) -> fl
 def drive_times_to_node(g: RoadGraph, node: str, hour: int) -> dict[str, float]:
     """Drive seconds from every block midpoint to one intersection.
 
-    Single reverse-graph search; equals drive_time_to_node for each block.
+    Single reverse-graph search. Each entry equals drive_time_to_node for
+    that block up to float summation order: the reverse search adds the
+    same edge times starting from the node end, so the last digits can
+    differ. Blocks that cannot reach the node are left out of the table.
     """
     _check_hour(hour)
     if node not in g.nodes:

@@ -1,0 +1,116 @@
+"""End-to-end CLI runs on a tiny synthetic city."""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+
+import pytest
+
+from parksim.cli import main
+from parksim.data_ingest import SynthConfig, read_lots, synth_generate
+from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
+from parksim.road_graph import drive_time_to_node, load_graph, walk_time_from_node
+
+SEED = 5
+HOURS = (8, 13)
+N_SAMPLES = 10
+PER_CELL_FILES = ("availability.csv", "onstreet.csv", "offstreet.csv", "diff.csv")
+
+
+def write_config(path, city):
+    raw = {
+        "seed": SEED,
+        "hours": list(HOURS),
+        "graph": f"{city}/graph.json",
+        "payments": f"{city}/payments.csv",
+        "surveys": f"{city}/surveys.csv",
+        "lots": f"{city}/lots.json",
+        "lot_events": f"{city}/lot_events.csv",
+        "out_dir": "out",
+        "train": {"splits": 1, "epochs": 2},
+        "onstreet": {"n_samples": N_SAMPLES},
+        "offstreet": {"reps": 2},
+    }
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def read_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """A 3x3 city put through the whole pipeline once."""
+    root = tmp_path_factory.mktemp("cli")
+    synth_generate(SynthConfig(grid_n=3, days=7), SEED, root / "city")
+    config = write_config(root / "config.json", "city")
+    code = main(["pipeline", "--config", str(config)])
+    return {"code": code, "city": root / "city", "out": root / "out",
+            "graph": load_graph(root / "city" / "graph.json")}
+
+
+class TestPipeline:
+    def test_exit_code_and_files(self, run):
+        assert run["code"] == 0
+        geojson = {f"{layer}_h{hour:02d}.geojson"
+                   for layer in ("onstreet", "offstreet", "diff") for hour in HOURS}
+        expected = {"samples.csv", "rates.csv", "ingest.json", "model.json",
+                    "train_report.json", *PER_CELL_FILES, *geojson}
+        assert {p.name for p in run["out"].iterdir()} == expected
+
+    def test_one_row_per_block_and_hour(self, run):
+        cells = [(block, str(hour)) for hour in HOURS for block in sorted(run["graph"].edges)]
+        for name in PER_CELL_FILES:
+            rows = read_rows(run["out"] / name)
+            assert [(r["block_id"], r["hour"]) for r in rows] == cells, name
+
+    def test_onstreet_time_at_least_parking_minimum(self, run):
+        floor = OnstreetConfig().min_park_s
+        for row in read_rows(run["out"] / "onstreet.csv"):
+            assert float(row["mean_onstreet_s"]) >= floor
+
+    def test_onstreet_equals_hour_outer_direct_calls(self, run):
+        g = run["graph"]
+        probs: dict[int, dict[str, float]] = {}
+        for row in read_rows(run["out"] / "availability.csv"):
+            probs.setdefault(int(row["hour"]), {})[row["block_id"]] = float(row["p_available"])
+        cfg = OnstreetConfig(n_samples=N_SAMPLES, seed=SEED)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["block_id", "hour", "mean_onstreet_s", "std_onstreet_s",
+                         "censored_fraction", "n_samples"])
+        for hour in HOURS:
+            for block in sorted(g.edges):
+                est = estimate_onstreet_time(g, probs[hour], block, cfg, PolicyWeights(), hour)
+                writer.writerow([block, hour, repr(est.mean_s), repr(est.std_s),
+                                 repr(est.censored_fraction), est.n_samples])
+        assert (run["out"] / "onstreet.csv").read_bytes() == buf.getvalue().encode()
+
+    def test_offstreet_matches_forward_search_reference(self, run):
+        g = run["graph"]
+        lots = {lot.id: lot for lot in read_lots(run["city"] / "lots.json")}
+        for row in read_rows(run["out"] / "offstreet.csv"):
+            block, hour = row["block_id"], int(row["hour"])
+            # smallest drive time first, then smallest lot id
+            drive, lot_id = min((drive_time_to_node(g, block, lot.node, hour), lot.id)
+                                for lot in lots.values())
+            walk = walk_time_from_node(g, lots[lot_id].node, block)
+            assert row["lot_id"] == lot_id
+            assert abs(float(row["drive_s"]) - drive) <= 1e-9
+            assert abs(float(row["walk_s"]) - walk) <= 1e-9
+            total = drive + float(row["lot_s"]) + walk
+            assert abs(float(row["mean_offstreet_s"]) - total) <= 1e-9
+
+
+def test_header_only_lot_events_is_a_data_error(tmp_path, capsys):
+    synth_generate(SynthConfig(grid_n=3, days=7), SEED, tmp_path / "city")
+    events = tmp_path / "city" / "lot_events.csv"
+    events.write_text(events.read_text().splitlines()[0] + "\n")
+    config = write_config(tmp_path / "config.json", "city")
+    assert main(["ingest", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "lot event" in err and "Traceback" not in err

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +234,27 @@ class TestSynthGenerate:
         from parksim.data_ingest import BUNDLE_FILES
         for name in BUNDLE_FILES:
             assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes(), name
+
+    def test_bundle_independent_of_time_zone(self, tmp_path):
+        # the default 14-day window crosses the 2026-03-08 DST switch
+        import parksim
+        from parksim.data_ingest import BUNDLE_FILES
+        script = ("import sys, time\n"
+                  "from parksim.data_ingest import SynthConfig, synth_generate\n"
+                  "synth_generate(SynthConfig(grid_n=3), 1, sys.argv[1])\n"
+                  "print(time.timezone)\n")
+        src = str(Path(parksim.__file__).resolve().parents[1])
+        offsets = []
+        for tz in ("UTC", "America/Vancouver"):
+            env = {**os.environ, "TZ": tz, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", script, str(tmp_path / tz)],
+                                  env=env, capture_output=True, text=True, check=True)
+            offsets.append(done.stdout.strip())
+        if offsets[0] == offsets[1]:
+            pytest.skip("no time zone database for America/Vancouver")
+        for name in BUNDLE_FILES:
+            assert ((tmp_path / "UTC" / name).read_bytes()
+                    == (tmp_path / "America/Vancouver" / name).read_bytes()), name
 
     def test_full_observation_is_superset_of_partial(self, tmp_path):
         partial = synth_generate(SynthConfig(grid_n=3, days=7, observed_fraction=0.6),

@@ -21,8 +21,9 @@ from parksim.offstreet_sim import (
     sample_tick,
     simulate_lot_hour,
 )
+from parksim.road_graph import Intersection, build_graph
 
-from conftest import grid_graph
+from conftest import grid_graph, make_edge
 from oracles import lot_wait_time
 
 CFG = LotSimConfig()
@@ -263,6 +264,29 @@ class TestEstimateOffstreet:
         a = estimate_offstreet_time(g, lots, rates, "h0_0E", 2, 9, CFG)
         b = estimate_offstreet_time(g, lots, rates, "v1_1S", 2, 9, CFG)
         assert a.lot_s == b.lot_s  # same derived stream per (lot, day, hour)
+
+    def test_exact_tie_goes_to_smallest_lot_id(self):
+        # integer drive times: both lots sit exactly 6 + 12 s from h1_0E
+        g = grid_graph(3)
+        lots = [LotSpec("lotB", "n1_2", 20), LotSpec("lotA", "n0_1", 20)]
+        rates = LotRateTable({**flat_rates("lotA", 0.0, 0.0).rates,
+                              **flat_rates("lotB", 0.0, 0.0).rates})
+        for order in (lots, lots[::-1]):
+            est = estimate_offstreet_time(g, order, rates, "h1_0E", 4, 12, CFG)
+            assert est.lot_id == "lotA" and est.drive_s == 18.0
+
+    def test_unreachable_lot_rejected(self):
+        # one-way A -> B into the sink cycle B <-> C: nothing drives back to A
+        nodes = [Intersection(n, 49.0, -123.0 + i * 1e-3)
+                 for i, n in enumerate("ABC")]
+        g = build_graph(nodes, [make_edge("ab", "A", "B"), make_edge("bc", "B", "C"),
+                                make_edge("cb", "C", "B")])
+        lots = [LotSpec("lot0", "A", 20)]
+        rates = flat_rates("lot0", 1.0, 1.0)
+        cache: dict = {}
+        for dest in ("ab", "bc", "cb", "bc"):  # the repeat reads the cached table
+            with pytest.raises(DataError, match=f"no drive path from '{dest}' to node 'A'"):
+                estimate_offstreet_time(g, lots, rates, dest, 0, 8, CFG, _cache=cache)
 
     def test_no_lots_rejected(self):
         g = grid_graph(3)
