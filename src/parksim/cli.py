@@ -134,39 +134,40 @@ def load_run_config(path: str, *, seed_override: int | None = None,
         value = raw.get(key)
         return None if value is None else (base / str(value))
 
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-
-    hours_raw = raw.get("hours", list(range(24)))
-    hours = hours_override if hours_override is not None else tuple(hours_raw)
-    hours = tuple(dict.fromkeys(int(h) for h in hours))
-    if not hours or any(not 0 <= h <= 23 for h in hours):
-        raise ConfigError(f"hours must be within 0..23, got {hours}")
-
-    day = int(raw.get("day_of_week", 4))
-    if not 0 <= day <= 6:
-        raise ConfigError(f"day_of_week must be in 0..6, got {day}")
-
     try:
-        predict_date = date.fromisoformat(str(raw.get("predict_date", "2026-03-13")))
-    except ValueError as exc:
-        raise ConfigError(f"bad predict_date: {exc}") from exc
+        seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
 
-    out_dir = Path(out_override) if out_override is not None else (base / str(raw.get("out_dir", "out")))
+        hours_raw = raw.get("hours", list(range(24)))
+        hours = hours_override if hours_override is not None else tuple(hours_raw)
+        hours = tuple(dict.fromkeys(int(h) for h in hours))
+        if not hours or any(not 0 <= h <= 23 for h in hours):
+            raise ConfigError(f"hours must be within 0..23, got {hours}")
 
-    synth_raw = dict(raw.get("synth", {}))
-    if "start_date" in synth_raw:
+        day = int(raw.get("day_of_week", 4))
+        if not 0 <= day <= 6:
+            raise ConfigError(f"day_of_week must be in 0..6, got {day}")
+
         try:
-            synth_raw["start_date"] = date.fromisoformat(str(synth_raw["start_date"]))
+            predict_date = date.fromisoformat(str(raw.get("predict_date", "2026-03-13")))
         except ValueError as exc:
-            raise ConfigError(f"bad synth.start_date: {exc}") from exc
-    if "lot_nodes" in synth_raw:
-        synth_raw["lot_nodes"] = tuple(str(x) for x in synth_raw["lot_nodes"])
+            raise ConfigError(f"bad predict_date: {exc}") from exc
 
-    smoothing_raw = dict(raw.get("smoothing", {}))
-    if "peak_hours" in smoothing_raw:
-        smoothing_raw["peak_hours"] = tuple(int(h) for h in smoothing_raw["peak_hours"])
+        out_dir = (Path(out_override) if out_override is not None
+                   else base / str(raw.get("out_dir", "out")))
 
-    try:
+        synth_raw = dict(raw.get("synth", {}))
+        if "start_date" in synth_raw:
+            try:
+                synth_raw["start_date"] = date.fromisoformat(str(synth_raw["start_date"]))
+            except ValueError as exc:
+                raise ConfigError(f"bad synth.start_date: {exc}") from exc
+        if "lot_nodes" in synth_raw:
+            synth_raw["lot_nodes"] = tuple(str(x) for x in synth_raw["lot_nodes"])
+
+        smoothing_raw = dict(raw.get("smoothing", {}))
+        if "peak_hours" in smoothing_raw:
+            smoothing_raw["peak_hours"] = tuple(int(h) for h in smoothing_raw["peak_hours"])
+
         return RunConfig(
             out_dir=out_dir,
             graph=path_of("graph"),
@@ -192,6 +193,9 @@ def load_run_config(path: str, *, seed_override: int | None = None,
     except DataError as exc:
         # section validation failures are configuration mistakes here
         raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a value of the wrong type for its key
+        raise ConfigError(f"bad config value: {exc}") from exc
 
 
 def _require(value: Path | None, key: str) -> Path:
@@ -289,17 +293,23 @@ def stage_train(cfg: RunConfig) -> None:
 
 
 def stage_eval(cfg: RunConfig) -> None:
+    """Compare the trained network's report with a freshly fitted baseline."""
+    report_path = cfg.out_dir / TRAIN_REPORT_FILE
+    if not report_path.exists():
+        raise ConfigError(f"training report not found: {report_path} (run train first)")
+    try:
+        network = json.loads(report_path.read_text())
+        network_ce = float(network["mean_val_cross_entropy"])
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed training report {report_path}: {exc!r}") from exc
     g = load_graph(_require(cfg.graph, "graph"))
     samples = read_samples_csv(cfg.out_dir / SAMPLES_FILE)
     payments = read_payments(_require(cfg.payments, "payments"))
-    _, mlp_report = train(samples, payments, g, cfg.train)
     _, base_report = train_baseline(samples, payments, g, cfg.train)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(cfg.out_dir / EVAL_FILE, json.dumps({
-        "network": _report_dict(mlp_report),
+        "network": network,
         "baseline": _report_dict(base_report),
-        "cross_entropy_improvement": (base_report.mean_val_cross_entropy
-                                      - mlp_report.mean_val_cross_entropy),
+        "cross_entropy_improvement": base_report.mean_val_cross_entropy - network_ce,
     }, sort_keys=True))
 
 

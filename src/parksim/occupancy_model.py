@@ -1,11 +1,14 @@
 """Block availability prediction from partial meter payments.
 
-A small feed-forward network (4 inputs, two hidden layers of 30 ReLU units,
-2-way softmax output) maps payment-derived and block-level features to the
-probability that at least one curbside spot is free. Training runs repeated
-random train/validation splits of survey-derived availability labels and
-reports validation cross-entropy and accuracy; a single-layer logistic
-model trained under the identical protocol serves as the baseline.
+One ``Network`` type holds a list of affine layers with ReLU between them
+and a 2-way softmax output. The availability model is NETWORK_DIMS (4
+inputs, two hidden layers of 30 units); the baseline is BASELINE_DIMS,
+logistic regression on the same features, which is the same network with
+no hidden layer. Both share one forward pass, one gradient, one
+initialization and one model file format. Training runs repeated random
+train/validation splits of survey-derived availability labels and reports
+validation cross-entropy and accuracy; the baseline is trained under the
+identical protocol.
 
 Feature order is fixed: active paid sessions at the query time, paid
 sessions started in the preceding 3 hours, block length in meters, and
@@ -21,7 +24,7 @@ import os
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,8 +36,12 @@ FEATURE_NAMES = ("active_sessions", "popularity_3h", "block_length_m",
 N_FEATURES = 4
 HIDDEN = 30
 N_CLASSES = 2  # output unit 0: no free spot, unit 1: spot available
+NETWORK_DIMS = (N_FEATURES, HIDDEN, HIDDEN, N_CLASSES)  # 1,142 parameters
+BASELINE_DIMS = (N_FEATURES, N_CLASSES)
 POPULARITY_WINDOW = timedelta(hours=3)
 MODEL_FORMAT_VERSION = 1
+# model file "kind" -> layer widths
+MODEL_KINDS = {"mlp": NETWORK_DIMS, "logistic": BASELINE_DIMS}
 
 
 @dataclass(frozen=True)
@@ -64,41 +71,22 @@ class FeatureVector:
 
 
 @dataclass
-class MlpModel:
-    """4 -> 30 -> 30 -> 2 network plus the feature standardization used
-    at training time. 1,142 trainable parameters in total."""
+class Network:
+    """Affine layers (W, b) with ReLU between them and a softmax output,
+    plus the feature standardization used at training time."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+    layers: list[tuple[np.ndarray, np.ndarray]]
     feature_mean: np.ndarray
     feature_std: np.ndarray
 
-    PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """Layer widths from input to output, as in NETWORK_DIMS."""
+        return (self.layers[0][0].shape[0],) + tuple(w.shape[1] for w, _ in self.layers)
 
     @property
     def parameter_count(self) -> int:
-        return sum(getattr(self, f).size for f in self.PARAM_FIELDS)
-
-
-@dataclass
-class LogisticModel:
-    """Single affine layer 4 -> 2 with softmax: logistic regression on the
-    same standardized features."""
-
-    w: np.ndarray
-    b: np.ndarray
-    feature_mean: np.ndarray
-    feature_std: np.ndarray
-
-    PARAM_FIELDS = ("w", "b")
-
-    @property
-    def parameter_count(self) -> int:
-        return sum(getattr(self, f).size for f in self.PARAM_FIELDS)
+        return sum(w.size + b.size for w, b in self.layers)
 
 
 @dataclass(frozen=True)
@@ -192,20 +180,15 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _mlp_logits(model: MlpModel, X: np.ndarray):
-    a0 = _standardize(model, X)
-    z1 = a0 @ model.w1 + model.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ model.w2 + model.b2
-    a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ model.w3 + model.b3
-    return z3, (a0, z1, a1, z2, a2)
-
-def _logits(model, X: np.ndarray):
-    if isinstance(model, MlpModel):
-        return _mlp_logits(model, X)
-    a0 = _standardize(model, X)
-    return a0 @ model.w + model.b, (a0,)
+def _logits(model: Network, X: np.ndarray):
+    """Output logits and the input of every layer, for the backward pass."""
+    a = _standardize(model, X)
+    inputs = [a]
+    for w, b in model.layers[:-1]:
+        a = np.maximum(a @ w + b, 0.0)
+        inputs.append(a)
+    w, b = model.layers[-1]
+    return a @ w + b, inputs
 
 
 def forward(model, x) -> tuple[float, float]:
@@ -245,29 +228,24 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(log_norm - true_logit))
 
 
-def gradient(model, features, labels) -> dict[str, np.ndarray]:
-    """Exact gradient of the mean cross-entropy for every parameter.
+def gradient(model, features, labels) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact gradient of the mean cross-entropy: one (dW, db) per layer.
 
-    ReLU takes derivative 0 at 0. Keys match the model's parameter fields.
+    ReLU takes derivative 0 at 0, so a unit passes gradient back exactly
+    where its ReLU output, the next layer's input, is positive.
     """
     X, y = _as_batch(features, labels)
     n = len(y)
-    logits, cache = _logits(model, X)
+    logits, inputs = _logits(model, X)
     delta = _softmax(logits)
     delta[np.arange(n), y] -= 1.0
     delta /= n
-    if isinstance(model, MlpModel):
-        a0, z1, a1, z2, a2 = cache
-        grads = {"w3": a2.T @ delta, "b3": delta.sum(axis=0)}
-        d2 = (delta @ model.w3.T) * (z2 > 0.0)
-        grads["w2"] = a1.T @ d2
-        grads["b2"] = d2.sum(axis=0)
-        d1 = (d2 @ model.w2.T) * (z1 > 0.0)
-        grads["w1"] = a0.T @ d1
-        grads["b1"] = d1.sum(axis=0)
-        return grads
-    (a0,) = cache
-    return {"w": a0.T @ delta, "b": delta.sum(axis=0)}
+    grads = []
+    for i in reversed(range(len(model.layers))):
+        grads.append((inputs[i].T @ delta, delta.sum(axis=0)))
+        if i:
+            delta = (delta @ model.layers[i][0].T) * (inputs[i] > 0.0)
+    return grads[::-1]
 
 
 # -- training ------------------------------------------------------------------
@@ -277,21 +255,16 @@ def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _init_model(kind: str, rng: np.random.Generator,
-                mean: np.ndarray, std: np.ndarray):
-    if kind == "mlp":
-        return MlpModel(
-            w1=_glorot_uniform(rng, N_FEATURES, HIDDEN), b1=np.zeros(HIDDEN),
-            w2=_glorot_uniform(rng, HIDDEN, HIDDEN), b2=np.zeros(HIDDEN),
-            w3=_glorot_uniform(rng, HIDDEN, N_CLASSES), b3=np.zeros(N_CLASSES),
-            feature_mean=mean, feature_std=std,
-        )
-    # the logistic loss is convex, so there is no symmetry to break;
-    # zero init also makes an untrained baseline output exactly (0.5, 0.5)
-    return LogisticModel(
-        w=np.zeros((N_FEATURES, N_CLASSES)), b=np.zeros(N_CLASSES),
-        feature_mean=mean, feature_std=std,
-    )
+def _init_model(dims: tuple[int, ...], rng: np.random.Generator,
+                mean: np.ndarray, std: np.ndarray) -> Network:
+    if len(dims) == 2:
+        # the logistic loss is convex, so there is no symmetry to break;
+        # zero init also makes an untrained baseline output exactly (0.5, 0.5)
+        layers = [(np.zeros(dims), np.zeros(dims[1]))]
+    else:
+        layers = [(_glorot_uniform(rng, fan_in, fan_out), np.zeros(fan_out))
+                  for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+    return Network(layers, feature_mean=mean, feature_std=std)
 
 
 def _accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
@@ -302,7 +275,7 @@ def _accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def _fit_split(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-               split_index: int, kind: str):
+               split_index: int, dims: tuple[int, ...]):
     """Train one fresh model on one seeded 80/20 split.
 
     The per-split generator drives, in order: the split permutation, weight
@@ -322,7 +295,7 @@ def _fit_split(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     mean = X_train.mean(axis=0)
     std = X_train.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)  # constant features pass through
-    model = _init_model(kind, rng, mean, std)
+    model = _init_model(dims, rng, mean, std)
 
     n_train = len(y_train)
     for _ in range(cfg.epochs):
@@ -330,9 +303,9 @@ def _fit_split(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
         for start in range(0, n_train, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             grads = gradient(model, X_train[batch], y_train[batch])
-            for name, grad in grads.items():
-                param = getattr(model, name)
-                param -= cfg.learning_rate * grad
+            for (w, b), (dw, db) in zip(model.layers, grads):
+                w -= cfg.learning_rate * dw
+                b -= cfg.learning_rate * db
 
     X_val, y_val = X[val_idx], y[val_idx]
     score = SplitScore(cross_entropy=loss(model, X_val, y_val),
@@ -340,7 +313,8 @@ def _fit_split(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     return model, score
 
 
-def _train_protocol(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, kind: str):
+def _train_protocol(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
+                    dims: tuple[int, ...]):
     if len(y) < 50:
         raise DataError(f"need at least 50 samples, got {len(y)}")
     if len(np.unique(y)) < 2:
@@ -349,7 +323,7 @@ def _train_protocol(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, kind: str):
     best_ce = math.inf
     scores = []
     for i in range(cfg.splits):
-        model, score = _fit_split(X, y, cfg, i, kind)
+        model, score = _fit_split(X, y, cfg, i, dims)
         scores.append(score)
         if score.cross_entropy < best_ce:
             best_ce = score.cross_entropy
@@ -363,19 +337,19 @@ def _train_protocol(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, kind: str):
 
 
 def train(samples: Sequence[OccupancySample], payments: Iterable[PaymentRecord],
-          g: RoadGraph, cfg: TrainConfig) -> tuple[MlpModel, EvalReport]:
+          g: RoadGraph, cfg: TrainConfig) -> tuple[Network, EvalReport]:
     """Train the network over repeated splits; return the best model (by
     validation cross-entropy) and the aggregate report."""
     X, y = build_dataset(samples, payments, g)
-    return _train_protocol(X, y, cfg, "mlp")
+    return _train_protocol(X, y, cfg, NETWORK_DIMS)
 
 
 def train_baseline(samples: Sequence[OccupancySample],
                    payments: Iterable[PaymentRecord],
-                   g: RoadGraph, cfg: TrainConfig) -> tuple[LogisticModel, EvalReport]:
+                   g: RoadGraph, cfg: TrainConfig) -> tuple[Network, EvalReport]:
     """Logistic-regression baseline under the identical split protocol."""
     X, y = build_dataset(samples, payments, g)
-    return _train_protocol(X, y, cfg, "logistic")
+    return _train_protocol(X, y, cfg, BASELINE_DIMS)
 
 
 # -- prediction ------------------------------------------------------------------
@@ -405,15 +379,26 @@ def predict_block_probabilities(model, payments: Iterable[PaymentRecord],
 
 # -- model persistence ------------------------------------------------------------
 
-def save_model(model, path: str | os.PathLike) -> None:
+def _param_names(kind: str) -> list[tuple[str, str]]:
+    """Model-file names of each layer's (W, b): w1, b1, w2, ... for a
+    network with hidden layers, w and b for the baseline."""
+    n_layers = len(MODEL_KINDS[kind]) - 1
+    if n_layers == 1:
+        return [("w", "b")]
+    return [(f"w{i}", f"b{i}") for i in range(1, n_layers + 1)]
+
+
+def save_model(model: Network, path: str | os.PathLike) -> None:
     """Write model weights as JSON (row-major arrays plus feature norm)."""
-    kind = "mlp" if isinstance(model, MlpModel) else "logistic"
+    kind = {dims: kind for kind, dims in MODEL_KINDS.items()}[model.dims]
+    params = {}
+    for names, layer in zip(_param_names(kind), model.layers):
+        params.update(zip(names, layer))
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": kind,
-        "shapes": {f: list(getattr(model, f).shape) for f in model.PARAM_FIELDS},
-        "weights": {f: getattr(model, f).reshape(-1).tolist()
-                    for f in model.PARAM_FIELDS},
+        "shapes": {name: list(a.shape) for name, a in params.items()},
+        "weights": {name: a.reshape(-1).tolist() for name, a in params.items()},
         "feature_norm": {"mean": model.feature_mean.tolist(),
                          "std": model.feature_std.tolist()},
     }
@@ -422,44 +407,47 @@ def save_model(model, path: str | os.PathLike) -> None:
     os.replace(tmp, path)
 
 
-def load_model(path: str | os.PathLike):
+def load_model(path: str | os.PathLike) -> Network:
+    """Read a model file written by save_model.
+
+    A file that is not a well-formed model of a known kind raises
+    DataError; non-finite values raise NumericError.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"model file {path} is not a JSON object")
     if raw.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {raw.get('format_version')!r}")
     kind = raw.get("kind")
-    if kind not in ("mlp", "logistic"):
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise DataError(f"unknown model kind {kind!r}")
-    norm = raw["feature_norm"]
-    mean = np.asarray(norm["mean"], dtype=float)
-    std = np.asarray(norm["std"], dtype=float)
+    dims = MODEL_KINDS[kind]
 
-    def arr(name: str) -> np.ndarray:
-        shape = tuple(raw["shapes"][name])
-        values = np.asarray(raw["weights"][name], dtype=float)
-        if values.size != int(np.prod(shape)):
-            raise DataError(f"model weight {name!r} does not match its shape")
+    def arr(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        if values.size != math.prod(shape):
+            raise DataError(f"model {what} does not have shape {shape}")
+        if not np.all(np.isfinite(values)):
+            raise NumericError(f"model {what} contains non-finite values")
         return values.reshape(shape)
 
-    try:
-        if kind == "mlp":
-            model = MlpModel(w1=arr("w1"), b1=arr("b1"), w2=arr("w2"), b2=arr("b2"),
-                             w3=arr("w3"), b3=arr("b3"),
-                             feature_mean=mean, feature_std=std)
-            expected = {"w1": (N_FEATURES, HIDDEN), "w2": (HIDDEN, HIDDEN),
-                        "w3": (HIDDEN, N_CLASSES)}
-        else:
-            model = LogisticModel(w=arr("w"), b=arr("b"),
-                                  feature_mean=mean, feature_std=std)
-            expected = {"w": (N_FEATURES, N_CLASSES)}
-    except KeyError as exc:
-        raise DataError(f"model file missing field: {exc}") from exc
-    for name, shape in expected.items():
-        if getattr(model, name).shape != shape:
+    def param(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if tuple(raw["shapes"][name]) != shape:
             raise DataError(f"model weight {name!r} has unexpected shape")
-    for f in model.PARAM_FIELDS:
-        if not np.all(np.isfinite(getattr(model, f))):
-            raise NumericError(f"model weight {f!r} contains non-finite values")
-    return model
+        return arr(raw["weights"][name], shape, f"weight {name!r}")
+
+    try:
+        norm = raw["feature_norm"]
+        mean = arr(norm["mean"], (N_FEATURES,), "feature mean")
+        std = arr(norm["std"], (N_FEATURES,), "feature std")
+        layers = [(param(w_name, (fan_in, fan_out)), param(b_name, (fan_out,)))
+                  for (w_name, b_name), fan_in, fan_out
+                  in zip(_param_names(kind), dims[:-1], dims[1:])]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed model file {path}: {exc!r}") from exc
+    if not np.all(std > 0):
+        raise DataError("model feature std must be positive")
+    return Network(layers, feature_mean=mean, feature_std=std)

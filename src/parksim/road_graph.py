@@ -19,14 +19,11 @@ import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable
 
 from .errors import DataError
 
 HOURS = 24
-
-MODE_DRIVE = "drive"
-MODE_WALK = "walk"
 
 
 @dataclass(frozen=True)
@@ -258,22 +255,6 @@ def shortest_drive_time(g: RoadGraph, src_block: str, dst_block: str, hour: int)
     return dist[dst.from_node] + dst.drive_time_s[hour] / 2.0
 
 
-def shortest_walk_time(g: RoadGraph, src_block: str, dst_block: str) -> float:
-    """Minimal midpoint-to-midpoint walk seconds, ignoring edge direction."""
-    if src_block == dst_block:
-        g.edge(src_block)
-        return 0.0
-    return walk_times_to_block(g, dst_block)[src_block]
-
-
-def block_distance_m(g: RoadGraph, block: str, dest_block: str) -> float:
-    """Midpoint-to-midpoint walking-network distance in meters."""
-    if block == dest_block:
-        g.edge(block)
-        return 0.0
-    return block_distances_to_block(g, dest_block)[block]
-
-
 def walk_times_to_block(g: RoadGraph, dest_block: str) -> dict[str, float]:
     """Walk seconds from every block midpoint to the destination midpoint."""
     return _to_block_table(g, dest_block, lambda e: e.walk_time_s)
@@ -351,144 +332,3 @@ def walk_times_from_node(g: RoadGraph, node: str) -> dict[str, float]:
         eid: e.walk_time_s / 2.0 + min(dist[e.from_node], dist[e.to_node])
         for eid, e in g.edges.items()
     }
-
-
-# ---------------------------------------------------------------------------
-# Travel-time provider: populating drive/walk tables from a directions
-# service, with a mandatory local response cache for offline determinism.
-# ---------------------------------------------------------------------------
-
-CACHE_ENV_VAR = "PARKSIM_DIRECTIONS_CACHE"
-DEFAULT_CACHE_PATH = "directions_cache.json"
-
-
-@dataclass(frozen=True)
-class RouteRequest:
-    origin_lat: float
-    origin_lon: float
-    dest_lat: float
-    dest_lon: float
-    mode: str  # MODE_DRIVE or MODE_WALK
-    hour: int
-
-    def cache_key(self) -> str:
-        return "|".join([
-            f"{self.origin_lat:.7f},{self.origin_lon:.7f}",
-            f"{self.dest_lat:.7f},{self.dest_lon:.7f}",
-            self.mode,
-            str(self.hour),
-        ])
-
-
-class DirectionsProvider(Protocol):
-    """Anything that can answer a routing request with travel seconds."""
-
-    def route_seconds(self, request: RouteRequest) -> float: ...
-
-
-class CachedDirectionsClient:
-    """File-backed cache in front of a directions provider.
-
-    Every response is persisted keyed by the full request, so later runs
-    are offline and deterministic. If the provider fails (or none is
-    configured), the cache is the only source; a miss is an error. Values
-    are never invented.
-    """
-
-    def __init__(self, provider: DirectionsProvider | None = None,
-                 cache_path: str | os.PathLike | None = None) -> None:
-        if cache_path is None:
-            cache_path = os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_PATH)
-        self.cache_path = Path(cache_path)
-        self.provider = provider
-        self._entries: dict[str, float] = {}
-        if self.cache_path.exists():
-            try:
-                raw = json.loads(self.cache_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise DataError(f"unreadable directions cache {self.cache_path}: {exc}") from exc
-            self._entries = {str(k): float(v) for k, v in raw.get("entries", {}).items()}
-
-    def route_seconds(self, request: RouteRequest) -> float:
-        if request.mode not in (MODE_DRIVE, MODE_WALK):
-            raise DataError(f"unknown travel mode: {request.mode!r}")
-        _check_hour(request.hour)
-        key = request.cache_key()
-        if key in self._entries:
-            return self._entries[key]
-        if self.provider is None:
-            raise DataError(f"directions cache miss and no provider configured: {key}")
-        try:
-            seconds = float(self.provider.route_seconds(request))
-        except Exception as exc:
-            raise DataError(f"directions provider failed and no cached value: {key}") from exc
-        if not (math.isfinite(seconds) and seconds > 0):
-            raise DataError(f"provider returned invalid travel time {seconds!r} for {key}")
-        self._entries[key] = seconds
-        self._persist()
-        return seconds
-
-    def _persist(self) -> None:
-        payload = {"format_version": 1,
-                   "entries": dict(sorted(self._entries.items()))}
-        tmp = Path(str(self.cache_path) + ".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, self.cache_path)
-
-
-@dataclass(frozen=True)
-class TravelTimeTable:
-    """Stored directions results: (edge, hour) drive seconds + walk seconds."""
-
-    drive_s: dict[tuple[str, int], float]
-    walk_s: dict[str, float]
-
-    def validate_for(self, g: RoadGraph) -> None:
-        for eid in g.edges:
-            if eid not in self.walk_s:
-                raise DataError(f"travel-time table missing walk entry for {eid!r}")
-            for hour in range(HOURS):
-                if (eid, hour) not in self.drive_s:
-                    raise DataError(f"travel-time table missing ({eid!r}, {hour})")
-        for v in list(self.walk_s.values()) + list(self.drive_s.values()):
-            if not (math.isfinite(v) and v > 0):
-                raise DataError(f"travel-time table has invalid value {v!r}")
-
-
-def fetch_travel_times(g: RoadGraph, client: CachedDirectionsClient,
-                       hours: Iterable[int] = range(HOURS)) -> TravelTimeTable:
-    """Query the provider (through its cache) for every edge of a graph.
-
-    Requests run intersection to intersection, matching how a directions
-    service is normally queried when per-route calls are rate limited.
-    """
-    drive: dict[tuple[str, int], float] = {}
-    walk: dict[str, float] = {}
-    hour_list = [_check_hour(h) for h in hours]
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
-        a, b = g.nodes[e.from_node], g.nodes[e.to_node]
-        walk[eid] = client.route_seconds(
-            RouteRequest(a.lat, a.lon, b.lat, b.lon, MODE_WALK, 0))
-        for hour in hour_list:
-            drive[(eid, hour)] = client.route_seconds(
-                RouteRequest(a.lat, a.lon, b.lat, b.lon, MODE_DRIVE, hour))
-    return TravelTimeTable(drive_s=drive, walk_s=walk)
-
-
-def with_travel_times(g: RoadGraph, table: TravelTimeTable) -> RoadGraph:
-    """Return a copy of the graph annotated with fetched travel times."""
-    table.validate_for(g)
-    edges = [
-        BlockFace(
-            id=e.id,
-            from_node=e.from_node,
-            to_node=e.to_node,
-            length_m=e.length_m,
-            meter_count=e.meter_count,
-            walk_time_s=table.walk_s[e.id],
-            drive_time_s=tuple(table.drive_s[(e.id, h)] for h in range(HOURS)),
-        )
-        for e in g.edges.values()
-    ]
-    return build_graph(g.nodes.values(), edges)

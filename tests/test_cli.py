@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shutil
 
 import pytest
 
+from parksim import cli, occupancy_model
 from parksim.cli import main
 from parksim.data_ingest import SynthConfig, read_lots, synth_generate
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
@@ -49,7 +51,7 @@ def run(tmp_path_factory):
     synth_generate(SynthConfig(grid_n=3, days=7), SEED, root / "city")
     config = write_config(root / "config.json", "city")
     code = main(["pipeline", "--config", str(config)])
-    return {"code": code, "city": root / "city", "out": root / "out",
+    return {"code": code, "city": root / "city", "out": root / "out", "config": config,
             "graph": load_graph(root / "city" / "graph.json")}
 
 
@@ -114,3 +116,46 @@ def test_header_only_lot_events_is_a_data_error(tmp_path, capsys):
     assert main(["ingest", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "lot event" in err and "Traceback" not in err
+
+
+def test_eval_reuses_the_train_report(run, tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("eval must not train the network again")
+
+    monkeypatch.setattr(occupancy_model, "train", no_training)
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "out"
+    shutil.copytree(run["out"], out)
+    assert main(["eval", "--config", str(run["config"]), "--out", str(out)]) == 0
+    report = json.loads((out / "eval.json").read_text())
+    assert report["network"] == json.loads((out / "train_report.json").read_text())
+    assert report["cross_entropy_improvement"] == (
+        report["baseline"]["mean_val_cross_entropy"]
+        - report["network"]["mean_val_cross_entropy"])
+
+
+def test_eval_without_train_report_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json", "city")
+    code = main(["eval", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "run train first" in err
+
+
+@pytest.mark.parametrize("raw", [
+    {"hours": 5},
+    {"seed": "abc"},
+    {"seed": 1e400},
+    {"hours": ["x"]},
+    {"day_of_week": "x"},
+    {"train": [1]},
+    {"synth": {"lot_nodes": 5}},
+    {"smoothing": {"peak_hours": ["x"]}},
+], ids=["hours_int", "seed_string", "seed_inf", "hours_string", "day_string",
+        "train_list", "lot_nodes_int", "peak_hours_string"])
+def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, raw):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["predict", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 from datetime import date, datetime, timedelta
@@ -9,12 +10,13 @@ from datetime import date, datetime, timedelta
 import numpy as np
 import pytest
 
-from parksim.errors import DataError
+from parksim.errors import DataError, NumericError
 from parksim.occupancy_model import (
+    BASELINE_DIMS,
+    NETWORK_DIMS,
     EvalReport,
     FeatureVector,
-    LogisticModel,
-    MlpModel,
+    Network,
     OccupancySample,
     PaymentRecord,
     TrainConfig,
@@ -36,23 +38,19 @@ from oracles import finite_difference_gradient, plain_forward
 T0 = datetime(2026, 3, 4, 10, 0)
 
 
-def zero_model(mean=None, std=None) -> MlpModel:
-    return MlpModel(
-        w1=np.zeros((4, 30)), b1=np.zeros(30),
-        w2=np.zeros((30, 30)), b2=np.zeros(30),
-        w3=np.zeros((30, 2)), b3=np.zeros(2),
+def zero_model(mean=None, std=None, dims=NETWORK_DIMS) -> Network:
+    return Network(
+        [(np.zeros((n_in, n_out)), np.zeros(n_out)) for n_in, n_out in zip(dims, dims[1:])],
         feature_mean=np.zeros(4) if mean is None else np.asarray(mean, float),
         feature_std=np.ones(4) if std is None else np.asarray(std, float),
     )
 
 
-def random_model(rng: np.random.Generator, scale=0.7) -> MlpModel:
-    return MlpModel(
-        w1=rng.normal(0, scale, (4, 30)), b1=rng.normal(0, scale, 30),
-        w2=rng.normal(0, scale, (30, 30)), b2=rng.normal(0, scale, 30),
-        w3=rng.normal(0, scale, (30, 2)), b3=rng.normal(0, scale, 2),
-        feature_mean=rng.normal(0, 1, 4), feature_std=rng.uniform(0.5, 2.0, 4),
-    )
+def random_model(rng: np.random.Generator, scale=0.7, dims=NETWORK_DIMS) -> Network:
+    layers = [(rng.normal(0, scale, (n_in, n_out)), rng.normal(0, scale, n_out))
+              for n_in, n_out in zip(dims, dims[1:])]
+    return Network(layers, feature_mean=rng.normal(0, 1, 4),
+                   feature_std=rng.uniform(0.5, 2.0, 4))
 
 
 class TestExtractFeatures:
@@ -98,7 +96,8 @@ class TestForward:
     def test_swapping_output_units_swaps_probabilities(self):
         rng = np.random.default_rng(0)
         m = random_model(rng)
-        swapped = replace(m, w3=m.w3[:, ::-1].copy(), b3=m.b3[::-1].copy())
+        w3, b3 = m.layers[-1]
+        swapped = replace(m, layers=m.layers[:-1] + [(w3[:, ::-1].copy(), b3[::-1].copy())])
         x = [1.0, 2.0, 80.0, 0.1]
         assert forward(m, x) == pytest.approx(forward(swapped, x)[::-1], abs=1e-15)
 
@@ -108,8 +107,8 @@ class TestForward:
             m = random_model(rng)
             x = rng.normal(0, 2, 4)
             expected = plain_forward(
-                [m.w1.tolist(), m.w2.tolist(), m.w3.tolist()],
-                [m.b1.tolist(), m.b2.tolist(), m.b3.tolist()],
+                [w.tolist() for w, _ in m.layers],
+                [b.tolist() for _, b in m.layers],
                 (m.feature_mean.tolist(), m.feature_std.tolist()),
                 x.tolist(),
             )
@@ -136,7 +135,6 @@ class TestForward:
             assert 0.0 < p[1] < 1.0
 
     def test_non_finite_input_rejected(self):
-        from parksim.errors import NumericError
         with pytest.raises(NumericError):
             forward(zero_model(), [np.nan, 0, 0, 0])
 
@@ -149,7 +147,7 @@ class TestLoss:
 
     def test_perfect_prediction_limit(self):
         m = zero_model()
-        m.b3 = np.array([0.0, 40.0])  # huge margin for class 1
+        m.layers[-1][1][:] = [0.0, 40.0]  # huge margin for class 1
         X = np.zeros((4, 4))
         y = np.ones(4, dtype=int)
         assert loss(m, X, y) < 1e-12
@@ -158,11 +156,12 @@ class TestLoss:
         # only the first unit of each layer is wired through; value frozen
         # from an independent straight-line evaluation
         m = zero_model()
-        m.w1[0, 0] = 1.0
-        m.w2[0, 0] = 1.0
-        m.w3[0, 0] = 1.0
-        m.w3[0, 1] = -1.0
-        m.b3 = np.array([0.1, -0.2])
+        (w1, _), (w2, _), (w3, b3) = m.layers
+        w1[0, 0] = 1.0
+        w2[0, 0] = 1.0
+        w3[0, 0] = 1.0
+        w3[0, 1] = -1.0
+        b3[:] = [0.1, -0.2]
         X = np.array([[1.0, 0, 0, 0], [-2.0, 0, 0, 0], [0.5, 0, 0, 0]])
         y = np.array([1, 0, 1])
         assert loss(m, X, y) == pytest.approx(1.4969697209664938, abs=1e-12)
@@ -180,20 +179,21 @@ class TestGradient:
             X = rng.normal(0, 1.5, (6, 4))
             y = rng.integers(0, 2, 6)
             grads = gradient(m, X, y)
-            params = {f: getattr(m, f) for f in m.PARAM_FIELDS}
+            params = {(i, j): p for i, layer in enumerate(m.layers)
+                      for j, p in enumerate(layer)}
             fd = finite_difference_gradient(lambda: loss(m, X, y), params)
-            for name in params:
-                err = np.abs(grads[name] - fd[name])
-                rel = err / np.maximum(1.0, np.abs(fd[name]))
-                assert rel.max() <= 1e-4, name
+            for (i, j), expected in fd.items():
+                err = np.abs(grads[i][j] - expected)
+                rel = err / np.maximum(1.0, np.abs(expected))
+                assert rel.max() <= 1e-4, (i, j)
 
     def test_zero_input_zero_weights_first_layer_gradient_zero(self):
         m = zero_model()
         X = np.zeros((4, 4))
         y = np.array([0, 1, 0, 1])
-        grads = gradient(m, X, y)
-        assert np.all(grads["w1"] == 0.0)
-        assert np.all(grads["b1"] == 0.0)
+        dw1, db1 = gradient(m, X, y)[0]
+        assert np.all(dw1 == 0.0)
+        assert np.all(db1 == 0.0)
 
     def test_duplicated_batch_same_gradient(self):
         rng = np.random.default_rng(5)
@@ -202,8 +202,9 @@ class TestGradient:
         y = np.array([1, 0, 1])
         g1 = gradient(m, X, y)
         g2 = gradient(m, np.vstack([X, X]), np.concatenate([y, y]))
-        for name in g1:
-            assert g1[name] == pytest.approx(g2[name], abs=1e-14)
+        for layer1, layer2 in zip(g1, g2):
+            for p1, p2 in zip(layer1, layer2):
+                assert p1 == pytest.approx(p2, abs=1e-14)
 
 
 class TestParameterCount:
@@ -280,7 +281,7 @@ class TestTrain:
         cfg = TrainConfig(splits=2, epochs=60, seed=3)
         model, report = train(samples, payments, g, cfg)
         assert report.mean_val_accuracy >= 0.95
-        assert isinstance(model, MlpModel)
+        assert model.dims == NETWORK_DIMS
 
     def test_zero_epochs_near_ln2(self):
         rng = np.random.default_rng(8)
@@ -361,7 +362,7 @@ class TestBaseline:
         g, payments, samples = build_city_samples(rng, 120, linear_rule)
         model, report = train_baseline(samples, payments, g,
                                        TrainConfig(splits=2, epochs=0, seed=4))
-        assert isinstance(model, LogisticModel)
+        assert model.dims == BASELINE_DIMS
         assert report.mean_val_cross_entropy == pytest.approx(math.log(2.0), abs=0.05)
 
     def test_same_splits_as_network(self):
@@ -413,16 +414,71 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(m, path)
         m2 = load_model(path)
-        for f in m.PARAM_FIELDS:
-            assert np.array_equal(getattr(m, f), getattr(m2, f))
+        for (w, b), (w2, b2) in zip(m.layers, m2.layers, strict=True):
+            assert np.array_equal(w, w2) and np.array_equal(b, b2)
         assert np.array_equal(m.feature_mean, m2.feature_mean)
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(zero_model(), path)
-        import json
         raw = json.loads(path.read_text())
         raw["format_version"] = 99
         path.write_text(json.dumps(raw))
         with pytest.raises(DataError):
+            load_model(path)
+
+    @pytest.mark.parametrize("dims,names", [
+        (NETWORK_DIMS, {"w1", "b1", "w2", "b2", "w3", "b3"}),
+        (BASELINE_DIMS, {"w", "b"}),
+    ], ids=["network", "baseline"])
+    def test_each_kind_keeps_its_parameter_names(self, tmp_path, dims, names):
+        m = random_model(np.random.default_rng(20), dims=dims)
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        raw = json.loads(path.read_text())
+        assert set(raw["weights"]) == set(raw["shapes"]) == names
+        m2 = load_model(path)
+        assert m2.dims == dims
+        for (w, b), (w2, b2) in zip(m.layers, m2.layers, strict=True):
+            assert np.array_equal(w, w2) and np.array_equal(b, b2)
+
+    @pytest.mark.parametrize("edits,error", [
+        ({(): [1, 2]}, DataError),
+        ({("kind",): ["mlp"]}, DataError),
+        ({("feature_norm",): None}, DataError),
+        ({("feature_norm",): [0.0, 1.0]}, DataError),
+        ({("feature_norm", "std"): "wide"}, DataError),
+        ({("feature_norm", "mean"): [0.0, 0.0, 0.0]}, DataError),
+        ({("shapes",): None}, DataError),
+        ({("shapes",): [4, 30]}, DataError),
+        ({("weights",): None}, DataError),
+        ({("weights", "w1"): {"a": 1.0}}, DataError),
+        ({("shapes", "b3"): [3], ("weights", "b3"): [0.0, 0.0, 0.0]}, DataError),
+        ({("feature_norm", "std"): [0.0, 1.0, 1.0, 1.0]}, DataError),
+        ({("feature_norm", "std"): [-1.0, 1.0, 1.0, 1.0]}, DataError),
+        ({("feature_norm", "mean"): [math.nan, 0.0, 0.0, 0.0]}, NumericError),
+        ({("feature_norm", "std"): [math.inf, 1.0, 1.0, 1.0]}, NumericError),
+        ({("weights", "b2"): [math.nan] * 30}, NumericError),
+    ], ids=["json_list", "kind_list", "no_feature_norm", "feature_norm_list", "std_string",
+            "mean_too_short", "no_shapes", "shapes_list", "no_weights",
+            "weight_object", "bias_wrong_shape", "std_zero", "std_negative",
+            "mean_nan", "std_inf", "weight_nan"])
+    def test_malformed_file_rejected(self, tmp_path, edits, error):
+        # a None value deletes the key; the empty key path replaces the file
+        path = tmp_path / "model.json"
+        save_model(zero_model(), path)
+        raw = json.loads(path.read_text())
+        for keys, value in edits.items():
+            if not keys:
+                raw = value
+                continue
+            parent = raw
+            for key in keys[:-1]:
+                parent = parent[key]
+            if value is None:
+                del parent[keys[-1]]
+            else:
+                parent[keys[-1]] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(error):
             load_model(path)

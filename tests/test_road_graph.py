@@ -9,24 +9,17 @@ import pytest
 
 from parksim.errors import DataError
 from parksim.road_graph import (
-    CACHE_ENV_VAR,
     BlockFace,
-    CachedDirectionsClient,
     Intersection,
-    RouteRequest,
-    block_distance_m,
     block_distances_to_block,
     build_graph,
     drive_time_to_node,
     drive_times_to_node,
-    fetch_travel_times,
     load_graph,
     save_graph,
     shortest_drive_time,
-    shortest_walk_time,
     walk_time_from_node,
     walk_times_to_block,
-    with_travel_times,
 )
 
 from conftest import flat24, grid_graph, line_graph, make_edge, random_graph
@@ -199,11 +192,11 @@ class TestDriveTime:
 
 class TestWalkTime:
     def test_same_block_is_zero(self, small_grid):
-        assert shortest_walk_time(small_grid, "v0_0S", "v0_0S") == 0.0
+        assert walk_times_to_block(small_grid, "v0_0S")["v0_0S"] == 0.0
 
     def test_three_edge_line(self):
         g = line_graph(walk_times=(60.0, 80.0, 100.0))
-        assert shortest_walk_time(g, "e0", "e2") == 60.0 / 2 + 80.0 + 100.0 / 2
+        assert walk_times_to_block(g, "e2")["e0"] == 60.0 / 2 + 80.0 + 100.0 / 2
 
     def test_walk_uses_contraflow_shortcut_drive_does_not(self):
         # square a->b->c->d->a (one-way ring) plus a lone reverse edge c->b;
@@ -222,7 +215,7 @@ class TestWalkTime:
         # drive cd -> bc must loop via d -> a -> b: 5 + 10 + 10 + 5
         assert shortest_drive_time(g, "cd", "bc", 9) == 30.0
         # walking can go straight back across cd's own from-node: 5 + 5
-        assert shortest_walk_time(g, "cd", "bc") == 10.0
+        assert walk_times_to_block(g, "bc")["cd"] == 10.0
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(11)
@@ -231,23 +224,23 @@ class TestWalkTime:
             ids = sorted(g.edges)
             src = ids[int(rng.integers(len(ids)))]
             dst = ids[int(rng.integers(len(ids)))]
-            assert shortest_walk_time(g, src, dst) == brute_walk_time(g, src, dst)
+            assert walk_times_to_block(g, dst)[src] == brute_walk_time(g, src, dst)
 
     def test_bulk_table_matches_single_queries(self, small_grid):
         dest = "h1_0E"
         table = walk_times_to_block(small_grid, dest)
         assert set(table) == set(small_grid.edges)
-        for eid in list(small_grid.edges)[:10]:
-            assert table[eid] == shortest_walk_time(small_grid, eid, dest)
+        for eid in small_grid.edges:
+            assert table[eid] == brute_walk_time(small_grid, eid, dest)
 
 
 class TestBlockDistance:
     def test_same_block_zero(self, small_grid):
-        assert block_distance_m(small_grid, "h0_0E", "h0_0E") == 0.0
+        assert block_distances_to_block(small_grid, "h0_0E")["h0_0E"] == 0.0
 
     def test_line_of_three_blocks(self):
         g = line_graph(lengths=(100.0, 100.0, 100.0))
-        assert block_distance_m(g, "e0", "e2") == 200.0
+        assert block_distances_to_block(g, "e2")["e0"] == 200.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -256,7 +249,7 @@ class TestBlockDistance:
             ids = sorted(g.edges)
             src = ids[int(rng.integers(len(ids)))]
             dst = ids[int(rng.integers(len(ids)))]
-            assert block_distance_m(g, src, dst) == brute_distance_m(g, src, dst)
+            assert block_distances_to_block(g, dst)[src] == brute_distance_m(g, src, dst)
 
     def test_bulk_table(self, small_grid):
         table = block_distances_to_block(small_grid, "h0_0E")
@@ -278,59 +271,3 @@ class TestNodeAnchoredQueries:
     def test_walk_from_node_half_term_on_block_side_only(self, small_grid):
         e = small_grid.edges["h0_0E"]
         assert walk_time_from_node(small_grid, e.from_node, "h0_0E") == e.walk_time_s / 2
-
-
-class FixedProvider:
-    def __init__(self, seconds=33.0):
-        self.seconds = seconds
-        self.calls = 0
-
-    def route_seconds(self, request):
-        self.calls += 1
-        return self.seconds
-
-
-class FailingProvider:
-    def route_seconds(self, request):
-        raise RuntimeError("remote unavailable")
-
-
-class TestDirectionsCache:
-    def test_caches_to_file_and_replays_offline(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        provider = FixedProvider(45.0)
-        client = CachedDirectionsClient(provider, cache)
-        req = RouteRequest(49.0, -123.0, 49.001, -123.0, "drive", 9)
-        assert client.route_seconds(req) == 45.0
-        assert client.route_seconds(req) == 45.0
-        assert provider.calls == 1
-        offline = CachedDirectionsClient(None, cache)
-        assert offline.route_seconds(req) == 45.0
-
-    def test_provider_failure_without_cache_errors(self, tmp_path):
-        client = CachedDirectionsClient(FailingProvider(), tmp_path / "c.json")
-        with pytest.raises(DataError):
-            client.route_seconds(RouteRequest(0, 0, 1, 1, "walk", 0))
-
-    def test_provider_failure_with_cache_falls_back(self, tmp_path):
-        cache = tmp_path / "c.json"
-        req = RouteRequest(0.0, 0.0, 1.0, 1.0, "walk", 0)
-        CachedDirectionsClient(FixedProvider(12.0), cache).route_seconds(req)
-        fallback = CachedDirectionsClient(FailingProvider(), cache)
-        assert fallback.route_seconds(req) == 12.0
-
-    def test_env_var_selects_cache_path(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_cache.json"
-        monkeypatch.setenv(CACHE_ENV_VAR, str(target))
-        client = CachedDirectionsClient(FixedProvider(5.0))
-        client.route_seconds(RouteRequest(0, 0, 1, 1, "drive", 1))
-        assert target.exists()
-
-    def test_fetch_and_apply_travel_times(self, tmp_path):
-        g = grid_graph(2)
-        client = CachedDirectionsClient(FixedProvider(21.0), tmp_path / "c.json")
-        table = fetch_travel_times(g, client, hours=range(24))
-        table.validate_for(g)
-        g2 = with_travel_times(g, table)
-        assert all(e.walk_time_s == 21.0 for e in g2.edges.values())
-        assert all(t == 21.0 for e in g2.edges.values() for t in e.drive_time_s)
