@@ -3,18 +3,20 @@
 One JSON config fully specifies a run; --seed, --hours, and --out override
 it for quick experiments. Stages communicate through files in the output
 directory, so each subcommand can also be run alone against intermediate
-results. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
-failure.
+results.
+
+Exit codes, with a one-line message on stderr for every failure:
+0 success; 2 when a config key, an input file or an earlier stage's output
+is missing (or the config itself is invalid); 3 when a file is present but
+malformed; 4 on a numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import date, datetime
 from pathlib import Path
 
@@ -33,10 +35,12 @@ from .data_ingest import (
     read_rates_csv,
     read_samples_csv,
     read_surveys,
+    read_table,
     smooth_departures,
     synth_generate,
     write_rates_csv,
     write_samples_csv,
+    write_table,
 )
 from .errors import ConfigError, DataError, NumericError, ParksimError
 from .occupancy_model import (
@@ -71,6 +75,12 @@ AVAILABILITY_FILE = "availability.csv"
 ONSTREET_FILE = "onstreet.csv"
 OFFSTREET_FILE = "offstreet.csv"
 DIFF_FILE = "diff.csv"
+AVAILABILITY_COLUMNS = ("block_id", "hour", "p_available")
+ONSTREET_COLUMNS = ("block_id", "hour", "mean_onstreet_s", "std_onstreet_s",
+                    "censored_fraction", "n_samples")
+OFFSTREET_COLUMNS = ("block_id", "hour", "mean_offstreet_s", "std_offstreet_s",
+                     "lot_id", "drive_s", "lot_s", "walk_s")
+DIFF_COLUMNS = ("block_id", "hour", "mean_onstreet_s", "mean_offstreet_s", "delta_s")
 
 
 @dataclass(frozen=True)
@@ -206,12 +216,12 @@ def _require(value: Path | None, key: str) -> Path:
     return value
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+def _stage_file(cfg: RunConfig, name: str, producer: str) -> Path:
+    """An earlier stage's output; missing is a config error, like an input."""
+    path = cfg.out_dir / name
+    if not path.exists():
+        raise ConfigError(f"{path} not found (run {producer} first)")
+    return path
 
 
 def _fmt(x: float) -> str:
@@ -283,27 +293,28 @@ def stage_ingest(cfg: RunConfig) -> None:
 
 def stage_train(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
-    samples = read_samples_csv(cfg.out_dir / SAMPLES_FILE)
+    samples = read_samples_csv(_stage_file(cfg, SAMPLES_FILE, "ingest"))
     payments = read_payments(_require(cfg.payments, "payments"))
     model, report = train(samples, payments, g, cfg.train)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, cfg.out_dir / MODEL_FILE)
-    _atomic_write(cfg.out_dir / TRAIN_REPORT_FILE,
-                  json.dumps(_report_dict(report), sort_keys=True))
+    _atomic_write(cfg.out_dir / TRAIN_REPORT_FILE, json.dumps(
+        {**_report_dict(report), "train_config": asdict(cfg.train)}, sort_keys=True))
 
 
 def stage_eval(cfg: RunConfig) -> None:
     """Compare the trained network's report with a freshly fitted baseline."""
-    report_path = cfg.out_dir / TRAIN_REPORT_FILE
-    if not report_path.exists():
-        raise ConfigError(f"training report not found: {report_path} (run train first)")
+    report_path = _stage_file(cfg, TRAIN_REPORT_FILE, "train")
     try:
         network = json.loads(report_path.read_text())
         network_ce = float(network["mean_val_cross_entropy"])
+        trained_under = network.get("train_config")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed training report {report_path}: {exc!r}") from exc
+    if trained_under != asdict(cfg.train):
+        raise ConfigError(f"{report_path} was made under another train config "
+                          "(run train first)")
     g = load_graph(_require(cfg.graph, "graph"))
-    samples = read_samples_csv(cfg.out_dir / SAMPLES_FILE)
+    samples = read_samples_csv(_stage_file(cfg, SAMPLES_FILE, "ingest"))
     payments = read_payments(_require(cfg.payments, "payments"))
     _, base_report = train_baseline(samples, payments, g, cfg.train)
     _atomic_write(cfg.out_dir / EVAL_FILE, json.dumps({
@@ -315,32 +326,23 @@ def stage_eval(cfg: RunConfig) -> None:
 
 def stage_predict(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
-    model = load_model(cfg.out_dir / MODEL_FILE)
+    model = load_model(_stage_file(cfg, MODEL_FILE, "train"))
     payments = read_payments(_require(cfg.payments, "payments"))
     rows = []
     for hour in cfg.hours:
         table = predict_block_probabilities(model, payments, g, hour, cfg.predict_date)
         for block_id in sorted(table):
             rows.append([block_id, hour, _fmt(table[block_id])])
-    _write_csv(cfg.out_dir / AVAILABILITY_FILE,
-               ["block_id", "hour", "p_available"], rows)
-
-
-def _read_availability(path: Path) -> dict[int, dict[str, float]]:
-    if not path.exists():
-        raise ConfigError(f"availability table not found: {path} (run predict first)")
-    by_hour: dict[int, dict[str, float]] = {}
-    with path.open() as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            by_hour.setdefault(int(row["hour"]), {})[row["block_id"]] = \
-                float(row["p_available"])
-    return by_hour
+    write_table(cfg.out_dir / AVAILABILITY_FILE, AVAILABILITY_COLUMNS, rows)
 
 
 def stage_sim_on(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
-    probs_by_hour = _read_availability(cfg.out_dir / AVAILABILITY_FILE)
+    probs_by_hour: dict[int, dict[str, float]] = {}
+    for block_id, hour, p in read_table(
+            _stage_file(cfg, AVAILABILITY_FILE, "predict"), AVAILABILITY_COLUMNS,
+            lambda row: (row["block_id"], int(row["hour"]), float(row["p_available"]))):
+        probs_by_hour.setdefault(hour, {})[block_id] = p
     for hour in cfg.hours:
         if hour not in probs_by_hour:
             raise DataError(f"availability table has no rows for hour {hour}")
@@ -356,15 +358,13 @@ def stage_sim_on(cfg: RunConfig) -> None:
                                        _fmt(est.std_s),
                                        _fmt(est.censored_fraction), est.n_samples])
     rows = [row for hour in cfg.hours for row in rows_by_hour[hour]]
-    _write_csv(cfg.out_dir / ONSTREET_FILE,
-               ["block_id", "hour", "mean_onstreet_s", "std_onstreet_s",
-                "censored_fraction", "n_samples"], rows)
+    write_table(cfg.out_dir / ONSTREET_FILE, ONSTREET_COLUMNS, rows)
 
 
 def stage_sim_off(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
     lots = read_lots(_require(cfg.lots, "lots"))
-    table = read_rates_csv(cfg.out_dir / RATES_FILE)
+    table = read_rates_csv(_stage_file(cfg, RATES_FILE, "ingest"))
     entries = {}
     departures = {}
     for (lot_id, dow, hour), (lam_a, lam_d) in table.rates.items():
@@ -387,31 +387,24 @@ def stage_sim_off(cfg: RunConfig) -> None:
             rows.append([block_id, hour, _fmt(est.total_s), _fmt(est.std_s),
                          est.lot_id, _fmt(est.drive_s), _fmt(est.lot_s),
                          _fmt(est.walk_s)])
-    _write_csv(cfg.out_dir / OFFSTREET_FILE,
-               ["block_id", "hour", "mean_offstreet_s", "std_offstreet_s",
-                "lot_id", "drive_s", "lot_s", "walk_s"], rows)
-
-
-def _read_time_column(path: Path, column: str) -> dict[tuple[str, int], float]:
-    if not path.exists():
-        raise ConfigError(f"missing simulation output: {path}")
-    out: dict[tuple[str, int], float] = {}
-    with path.open() as fh:
-        for row in csv.DictReader(fh):
-            out[(row["block_id"], int(row["hour"]))] = float(row[column])
-    return out
+    write_table(cfg.out_dir / OFFSTREET_FILE, OFFSTREET_COLUMNS, rows)
 
 
 def stage_diff(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
-    on_times = _read_time_column(cfg.out_dir / ONSTREET_FILE, "mean_onstreet_s")
-    off_times = _read_time_column(cfg.out_dir / OFFSTREET_FILE, "mean_offstreet_s")
     expected = {(block_id, hour) for hour in cfg.hours for block_id in g.edges}
-    for name, table in (("onstreet", on_times), ("offstreet", off_times)):
+    times = []
+    for name, producer, columns, mean in (
+            (ONSTREET_FILE, "sim-on", ONSTREET_COLUMNS, "mean_onstreet_s"),
+            (OFFSTREET_FILE, "sim-off", OFFSTREET_COLUMNS, "mean_offstreet_s")):
+        table = dict(read_table(_stage_file(cfg, name, producer), columns, lambda row: (
+            (row["block_id"], int(row["hour"])), float(row[mean]))))
         missing = expected - set(table)
         if missing:
-            raise DataError(f"{name} results missing {len(missing)} (block, hour) "
+            raise DataError(f"{name} is missing {len(missing)} (block, hour) "
                             f"rows, e.g. {sorted(missing)[:3]}")
+        times.append(table)
+    on_times, off_times = times
 
     rows = []
     for hour in cfg.hours:
@@ -419,29 +412,25 @@ def stage_diff(cfg: RunConfig) -> None:
             t_on = on_times[(block_id, hour)]
             t_off = off_times[(block_id, hour)]
             rows.append([block_id, hour, _fmt(t_on), _fmt(t_off), _fmt(t_off - t_on)])
-    _write_csv(cfg.out_dir / DIFF_FILE,
-               ["block_id", "hour", "mean_onstreet_s", "mean_offstreet_s",
-                "delta_s"], rows)
+    write_table(cfg.out_dir / DIFF_FILE, DIFF_COLUMNS, rows)
 
     for hour in cfg.hours:
-        for layer in ("onstreet", "offstreet", "diff"):
-            features = []
-            for block_id in sorted(g.edges):
-                e = g.edges[block_id]
-                a, b = g.nodes[e.from_node], g.nodes[e.to_node]
-                t_on = on_times[(block_id, hour)]
-                t_off = off_times[(block_id, hour)]
-                features.append({
-                    "type": "Feature",
-                    "geometry": {"type": "LineString",
-                                 "coordinates": [[a.lon, a.lat], [b.lon, b.lat]]},
-                    "properties": {"block_id": block_id, "hour": hour,
-                                   "t_on_s": t_on, "t_off_s": t_off,
-                                   "delta_s": t_off - t_on, "layer": layer},
-                })
-            collection = {"type": "FeatureCollection", "features": features}
-            _atomic_write(cfg.out_dir / f"{layer}_h{hour:02d}.geojson",
-                          json.dumps(collection, sort_keys=True))
+        features = []
+        for block_id in sorted(g.edges):
+            e = g.edges[block_id]
+            a, b = g.nodes[e.from_node], g.nodes[e.to_node]
+            t_on = on_times[(block_id, hour)]
+            t_off = off_times[(block_id, hour)]
+            features.append({
+                "type": "Feature",
+                "geometry": {"type": "LineString",
+                             "coordinates": [[a.lon, a.lat], [b.lon, b.lat]]},
+                "properties": {"block_id": block_id, "hour": hour, "t_on_s": t_on,
+                               "t_off_s": t_off, "delta_s": t_off - t_on},
+            })
+        collection = {"type": "FeatureCollection", "features": features}
+        _atomic_write(cfg.out_dir / f"diff_h{hour:02d}.geojson",
+                      json.dumps(collection, sort_keys=True))
 
 
 PIPELINE = (("ingest", stage_ingest), ("train", stage_train),

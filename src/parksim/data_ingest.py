@@ -22,7 +22,7 @@ import statistics
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -235,60 +235,97 @@ def align_series(series: Mapping[datetime, float], start: datetime,
 
 # -- file I/O ---------------------------------------------------------------------
 
+PAYMENT_COLUMNS = ("block_id", "start_iso8601", "duration_s")
+SURVEY_COLUMNS = ("meter_id", "block_id", "timestamp_iso8601", "free_spots")
+LOT_EVENT_COLUMNS = ("lot_id", "hour_iso8601", "entries", "paid_durations_s")
+RATE_COLUMNS = ("lot_id", "day_of_week", "hour", "lambda_a_per_hour", "lambda_d_per_hour")
+SAMPLE_COLUMNS = ("block_id", "time_iso8601", "available")
+T = TypeVar("T")
+
+
 def _atomic_write(path: str | os.PathLike, text: str) -> None:
     tmp = Path(str(path) + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
 
 
-def _parse_dt(raw: str, where: str) -> datetime:
+def write_table(path: str | os.PathLike, columns: Sequence[str],
+                rows: Iterable[Sequence]) -> None:
+    """Write ``columns`` as the header, then ``rows``, as one CSV file."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
+def read_table(path: str | os.PathLike, columns: Sequence[str],
+               parse: Callable[[dict[str, str]], T]) -> Iterator[T]:
+    """Yield ``parse(row)`` for each data row of a CSV file, as it is read.
+
+    The header must be exactly ``columns``. An unreadable file, a wrong
+    header or field count, malformed CSV, and a KeyError, ValueError,
+    TypeError or DataError from ``parse`` all become one DataError that
+    names the file and the line.
+    """
     try:
-        return datetime.fromisoformat(raw)
-    except ValueError as exc:
-        raise DataError(f"bad timestamp {raw!r} in {where}") from exc
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.DictReader(fh)
+        try:
+            if reader.fieldnames != list(columns):
+                raise ValueError(f"expected header {','.join(columns)}, "
+                                 f"got {','.join(reader.fieldnames or ())}")
+            for row in reader:
+                if len(row) != len(columns) or None in row.values():
+                    raise ValueError(f"expected {len(columns)} fields")
+                yield parse(row)
+        except (csv.Error, DataError, KeyError, ValueError, TypeError) as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+
+
+def _positive(raw: str) -> float:
+    value = float(raw)
+    if not value > 0:
+        raise ValueError(f"duration must be positive, got {raw!r}")
+    return value
+
+
+def _label(raw: str) -> int:
+    value = int(raw)
+    if value not in (0, 1):
+        raise ValueError(f"available must be 0 or 1, got {raw!r}")
+    return value
 
 
 def read_payments(path: str | os.PathLike) -> list[PaymentRecord]:
-    rows = _read_csv(path, ("block_id", "start_iso8601", "duration_s"))
-    records = []
-    for row in rows:
-        duration = float(row["duration_s"])
-        if duration <= 0:
-            raise DataError(f"nonpositive payment duration in {path}")
-        records.append(PaymentRecord(block_id=row["block_id"],
-                                     start=_parse_dt(row["start_iso8601"], str(path)),
-                                     duration_s=duration))
-    return records
+    return list(read_table(path, PAYMENT_COLUMNS, lambda row: PaymentRecord(
+        block_id=row["block_id"], start=datetime.fromisoformat(row["start_iso8601"]),
+        duration_s=_positive(row["duration_s"]))))
 
 
 def write_payments(records: Sequence[PaymentRecord], path: str | os.PathLike) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["block_id", "start_iso8601", "duration_s"])
-    for r in sorted(records, key=lambda r: (r.block_id, r.start, r.duration_s)):
-        writer.writerow([r.block_id, r.start.isoformat(), int(r.duration_s)])
-    _atomic_write(path, buf.getvalue())
+    write_table(path, PAYMENT_COLUMNS,
+                ([r.block_id, r.start.isoformat(), int(r.duration_s)] for r in
+                 sorted(records, key=lambda r: (r.block_id, r.start, r.duration_s))))
 
 
 def read_surveys(path: str | os.PathLike) -> list[SurveyRecord]:
-    rows = _read_csv(path, ("meter_id", "block_id", "timestamp_iso8601", "free_spots"))
-    records = []
-    for row in rows:
+    def parse(row: dict[str, str]) -> SurveyRecord:
         raw_ts = row["timestamp_iso8601"].strip()
-        ts = _parse_dt(raw_ts, str(path)) if raw_ts else None
-        records.append(SurveyRecord(meter_id=row["meter_id"], block_id=row["block_id"],
-                                    timestamp=ts, free=int(row["free_spots"]) > 0))
-    return records
+        return SurveyRecord(meter_id=row["meter_id"], block_id=row["block_id"],
+                            timestamp=datetime.fromisoformat(raw_ts) if raw_ts else None,
+                            free=int(row["free_spots"]) > 0)
+    return list(read_table(path, SURVEY_COLUMNS, parse))
 
 
 def write_surveys(records: Sequence[SurveyRecord], path: str | os.PathLike) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["meter_id", "block_id", "timestamp_iso8601", "free_spots"])
-    for r in records:
-        ts = r.timestamp.isoformat() if r.timestamp is not None else ""
-        writer.writerow([r.meter_id, r.block_id, ts, int(r.free)])
-    _atomic_write(path, buf.getvalue())
+    write_table(path, SURVEY_COLUMNS,
+                ([r.meter_id, r.block_id,
+                  r.timestamp.isoformat() if r.timestamp is not None else "", int(r.free)]
+                 for r in records))
 
 
 def read_lots(path: str | os.PathLike) -> list[LotSpec]:
@@ -310,82 +347,51 @@ def write_lots(lots: Sequence[LotSpec], path: str | os.PathLike) -> None:
 
 
 def read_lot_events(path: str | os.PathLike) -> list[LotEventRecord]:
-    rows = _read_csv(path, ("lot_id", "hour_iso8601", "entries", "paid_durations_s"))
-    events = []
-    for row in rows:
+    def parse(row: dict[str, str]) -> LotEventRecord:
         blob = row["paid_durations_s"].strip()
-        durations = tuple(float(x) for x in blob.split(";")) if blob else ()
-        events.append(LotEventRecord(lot_id=row["lot_id"],
-                                     hour=_parse_dt(row["hour_iso8601"], str(path)),
-                                     entries=int(row["entries"]),
-                                     paid_durations_s=durations))
-    return events
+        return LotEventRecord(
+            lot_id=row["lot_id"], hour=datetime.fromisoformat(row["hour_iso8601"]),
+            entries=int(row["entries"]),
+            paid_durations_s=tuple(float(x) for x in blob.split(";")) if blob else ())
+    return list(read_table(path, LOT_EVENT_COLUMNS, parse))
 
 
 def write_lot_events(events: Sequence[LotEventRecord], path: str | os.PathLike) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["lot_id", "hour_iso8601", "entries", "paid_durations_s"])
-    for ev in sorted(events, key=lambda e: (e.lot_id, e.hour)):
-        blob = ";".join(str(int(d)) for d in ev.paid_durations_s)
-        writer.writerow([ev.lot_id, ev.hour.isoformat(), ev.entries, blob])
-    _atomic_write(path, buf.getvalue())
+    write_table(path, LOT_EVENT_COLUMNS,
+                ([ev.lot_id, ev.hour.isoformat(), ev.entries,
+                  ";".join(str(int(d)) for d in ev.paid_durations_s)]
+                 for ev in sorted(events, key=lambda e: (e.lot_id, e.hour))))
 
 
 def read_rates_csv(path: str | os.PathLike) -> LotRateTable:
-    rows = _read_csv(path, ("lot_id", "day_of_week", "hour",
-                            "lambda_a_per_hour", "lambda_d_per_hour"))
     rates = {}
-    for row in rows:
-        key = (row["lot_id"], int(row["day_of_week"]), int(row["hour"]))
+    for key, lams in read_table(path, RATE_COLUMNS, lambda row: (
+            (row["lot_id"], int(row["day_of_week"]), int(row["hour"])),
+            (float(row["lambda_a_per_hour"]), float(row["lambda_d_per_hour"])))):
         if key in rates:
             raise DataError(f"duplicate rate row for {key} in {path}")
-        rates[key] = (float(row["lambda_a_per_hour"]), float(row["lambda_d_per_hour"]))
+        rates[key] = lams
     table = LotRateTable(rates)
     table.validate()
     return table
 
 
 def write_rates_csv(table: LotRateTable, path: str | os.PathLike) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["lot_id", "day_of_week", "hour",
-                     "lambda_a_per_hour", "lambda_d_per_hour"])
-    for (lot_id, dow, hour), (lam_a, lam_d) in sorted(table.rates.items()):
-        writer.writerow([lot_id, dow, hour, repr(float(lam_a)), repr(float(lam_d))])
-    _atomic_write(path, buf.getvalue())
+    write_table(path, RATE_COLUMNS,
+                ([lot_id, dow, hour, repr(float(lam_a)), repr(float(lam_d))]
+                 for (lot_id, dow, hour), (lam_a, lam_d) in sorted(table.rates.items())))
 
 
 def read_samples_csv(path: str | os.PathLike) -> list[OccupancySample]:
-    rows = _read_csv(path, ("block_id", "time_iso8601", "available"))
-    return [OccupancySample(block_id=row["block_id"],
-                            time=_parse_dt(row["time_iso8601"], str(path)),
-                            available=int(row["available"]))
-            for row in rows]
+    return list(read_table(path, SAMPLE_COLUMNS, lambda row: OccupancySample(
+        block_id=row["block_id"], time=datetime.fromisoformat(row["time_iso8601"]),
+        available=_label(row["available"]))))
 
 
 def write_samples_csv(samples: Sequence[OccupancySample], path: str | os.PathLike) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["block_id", "time_iso8601", "available"])
-    for s in sorted(samples, key=lambda s: (s.block_id, s.time)):
-        writer.writerow([s.block_id, s.time.isoformat(), s.available])
-    _atomic_write(path, buf.getvalue())
-
-
-def _read_csv(path: str | os.PathLike, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != list(columns):
-        raise DataError(f"{path}: expected header {','.join(columns)}, "
-                        f"got {reader.fieldnames}")
-    try:
-        return list(reader)
-    except csv.Error as exc:
-        raise DataError(f"malformed CSV {path}: {exc}") from exc
+    write_table(path, SAMPLE_COLUMNS,
+                ([s.block_id, s.time.isoformat(), s.available]
+                 for s in sorted(samples, key=lambda s: (s.block_id, s.time))))
 
 
 # -- synthetic city ------------------------------------------------------------------

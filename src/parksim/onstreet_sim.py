@@ -109,18 +109,16 @@ def choose_block(scores: Sequence[float], rng: np.random.Generator) -> int:
 
 
 def block_scores(state: SearchState, candidates: Sequence[str],
-                 probs: Mapping[str, float], dest: str, weights: PolicyWeights,
-                 g: RoadGraph, cfg: OnstreetConfig,
-                 distances_m: Mapping[str, float] | None = None) -> list[float]:
+                 probs: Mapping[str, float], weights: PolicyWeights,
+                 cfg: OnstreetConfig, distances_m: Mapping[str, float]) -> list[float]:
     """Choice score for each candidate block at the current intersection.
 
+    ``distances_m`` maps each block to its distance from the destination.
     Blocks never checked before get the full elapsed credit, so they are
     not penalized relative to blocks checked long ago.
     """
     if not candidates:
         raise DataError("no candidate blocks at current intersection")
-    if distances_m is None:
-        distances_m = block_distances_to_block(g, dest)
     scores = []
     for eid in candidates:
         hundreds_m = distances_m[eid] / 100.0
@@ -186,8 +184,7 @@ def simulate_single(g: RoadGraph, probs: Mapping[str, float], dest: str,
                 censored=True, trace=tuple(trace))
         state.current_node = g.edges[block].to_node
         candidates = g.adjacency[state.current_node]
-        scores = block_scores(state, candidates, probs, dest, weights, g, cfg,
-                              distances_m=ctx.dist_m)
+        scores = block_scores(state, candidates, probs, weights, cfg, ctx.dist_m)
         trace.append(candidates[choose_block(scores, rng)])
 
 

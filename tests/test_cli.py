@@ -58,8 +58,7 @@ def run(tmp_path_factory):
 class TestPipeline:
     def test_exit_code_and_files(self, run):
         assert run["code"] == 0
-        geojson = {f"{layer}_h{hour:02d}.geojson"
-                   for layer in ("onstreet", "offstreet", "diff") for hour in HOURS}
+        geojson = {f"diff_h{hour:02d}.geojson" for hour in HOURS}
         expected = {"samples.csv", "rates.csv", "ingest.json", "model.json",
                     "train_report.json", *PER_CELL_FILES, *geojson}
         assert {p.name for p in run["out"].iterdir()} == expected
@@ -159,3 +158,120 @@ def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, raw):
     assert main(["predict", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eval_under_another_train_config_is_a_config_error(run, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run["out"], out)
+    config = write_config(tmp_path / "config.json", run["city"])
+    raw = json.loads(config.read_text())
+    raw["train"]["splits"] = 2
+    config.write_text(json.dumps(raw))
+    assert main(["eval", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "run train first" in err
+
+
+# -- the CLI contract on stage files: exit 2 or 3 and one line, never a traceback
+
+# Each CSV a stage reads: the stage, where the file lives, and its columns.
+STAGE_CSVS = {
+    "payments.csv": ("train", "city", ("block_id", "start_iso8601", "duration_s")),
+    "surveys.csv": ("ingest", "city",
+                    ("meter_id", "block_id", "timestamp_iso8601", "free_spots")),
+    "lot_events.csv": ("ingest", "city",
+                       ("lot_id", "hour_iso8601", "entries", "paid_durations_s")),
+    "samples.csv": ("train", "out", ("block_id", "time_iso8601", "available")),
+    "rates.csv": ("sim-off", "out", ("lot_id", "day_of_week", "hour",
+                                     "lambda_a_per_hour", "lambda_d_per_hour")),
+    "availability.csv": ("sim-on", "out", ("block_id", "hour", "p_available")),
+    "onstreet.csv": ("diff", "out", ("block_id", "hour", "mean_onstreet_s",
+                                     "std_onstreet_s", "censored_fraction", "n_samples")),
+    "offstreet.csv": ("diff", "out", ("block_id", "hour", "mean_offstreet_s",
+                                      "std_offstreet_s", "lot_id", "drive_s", "lot_s",
+                                      "walk_s")),
+}
+
+
+@pytest.fixture
+def copied(run, tmp_path):
+    """A private copy of the pipeline's city and outputs, and its config."""
+    shutil.copytree(run["city"], tmp_path / "city")
+    shutil.copytree(run["out"], tmp_path / "out")
+    return tmp_path
+
+
+def edit_csv(path, edit):
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def run_stage(root, name, capsys):
+    """Run the stage that reads ``name``; return its exit code and stderr."""
+    stage = STAGE_CSVS[name][0]
+    code = main([stage, "--config", str(write_config(root / "config.json", "city"))])
+    return code, capsys.readouterr().err
+
+
+def assert_one_line(err):
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("name,column", [
+    (name, column) for name, (_, _, columns) in STAGE_CSVS.items() for column in columns])
+def test_bad_cell_exits_0_or_3_with_one_line(copied, capsys, name, column):
+    def set_cell(rows):
+        rows[1][rows[0].index(column)] = "x"
+
+    edit_csv(copied / STAGE_CSVS[name][1] / name, set_cell)
+    code, err = run_stage(copied, name, capsys)
+    assert code in (0, 3)
+    if code:
+        assert_one_line(err)
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("name", STAGE_CSVS)
+def test_renamed_header_is_a_data_error(copied, capsys, name):
+    def rename(rows):
+        rows[0][-1] += "_renamed"
+
+    edit_csv(copied / STAGE_CSVS[name][1] / name, rename)
+    code, err = run_stage(copied, name, capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert name in err
+
+
+def test_sample_label_outside_0_1_is_a_data_error(copied, capsys):
+    def set_label(rows):
+        rows[1][rows[0].index("available")] = "2"
+
+    edit_csv(copied / "out" / "samples.csv", set_label)
+    code, err = run_stage(copied, "samples.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert "samples.csv, line 2" in err
+
+
+@pytest.mark.parametrize("stage,name,producer", [
+    ("train", "samples.csv", "ingest"),
+    ("eval", "train_report.json", "train"),
+    ("eval", "samples.csv", "ingest"),
+    ("predict", "model.json", "train"),
+    ("sim-on", "availability.csv", "predict"),
+    ("sim-off", "rates.csv", "ingest"),
+    ("diff", "onstreet.csv", "sim-on"),
+    ("diff", "offstreet.csv", "sim-off"),
+])
+def test_missing_stage_output_is_a_config_error(copied, capsys, stage, name, producer):
+    (copied / "out" / name).unlink()
+    config = write_config(copied / "config.json", "city")
+    assert main([stage, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert f"run {producer} first" in err

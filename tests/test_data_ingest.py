@@ -29,10 +29,12 @@ from parksim.data_ingest import (
     read_rates_csv,
     read_samples_csv,
     read_surveys,
+    read_table,
     smooth_departures,
     synth_generate,
     write_rates_csv,
     write_samples_csv,
+    write_table,
 )
 from parksim.errors import DataError
 from parksim.road_graph import load_graph
@@ -323,3 +325,32 @@ class TestSynthGenerate:
         path = tmp_path / "samples.csv"
         write_samples_csv(list(combined.samples), path)
         assert tuple(read_samples_csv(path)) == combined.samples
+
+
+class TestTable:
+    COLUMNS = ("name", "count")
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, self.COLUMNS, [["a", 1], ["b,c", 2]])
+        rows = read_table(path, self.COLUMNS, lambda row: (row["name"], int(row["count"])))
+        assert list(rows) == [("a", 1), ("b,c", 2)]
+
+    @pytest.mark.parametrize("text,line", [
+        ("name,counts\na,1\n", 1),
+        ("", 0),
+        ("name,count\na,1\nb\n", 3),
+        ("name,count\na,1,2\n", 2),
+        ("name,count\na,x\n", 2),
+        ('name,count\n"a,1\n', 2),
+    ], ids=["header", "empty", "short_row", "long_row", "bad_cell", "open_quote"])
+    def test_malformed_file_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        rows = read_table(path, self.COLUMNS, lambda row: (row["name"], int(row["count"])))
+        with pytest.raises(DataError, match=f"t.csv, line {line}: "):
+            list(rows)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            list(read_table(tmp_path / "none.csv", self.COLUMNS, dict))

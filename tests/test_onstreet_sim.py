@@ -27,10 +27,9 @@ W = PolicyWeights()
 
 class TestBlockScores:
     def test_unvisited_adjacent_full_probability(self):
-        g = line_graph()
         state = SearchState(current_node="n1")
         cfg = OnstreetConfig()
-        scores = block_scores(state, ["e0"], {"e0": 1.0}, "e0", W, g, cfg,
+        scores = block_scores(state, ["e0"], {"e0": 1.0}, W, cfg,
                               distances_m={"e0": 0.0})
         # 0 distance, 0 visits, full elapsed credit (30 min), 1/P = 1
         assert scores == [15.0 * 30.0 - 1.0]
@@ -42,28 +41,26 @@ class TestBlockScores:
         cfg = OnstreetConfig()
         probs = {eid: 0.4 for eid in g.edges}
         dist = {eid: 250.0 for eid in g.edges}
-        scores = block_scores(state, ["h1_1E", "v1_1S"], probs, "h0_0E", W, g,
-                              cfg, distances_m=dist)
+        scores = block_scores(state, ["h1_1E", "v1_1S"], probs, W, cfg,
+                              distances_m=dist)
         assert scores[0] == scores[1]
 
     def test_each_visit_costs_revisit_weight(self):
-        g = line_graph()
         cfg = OnstreetConfig()
         base = SearchState(current_node="n1")
         once = SearchState(current_node="n1", visits={"e0": 1},
                            last_check_s={"e0": 0.0}, elapsed_s=0.0)
         d = {"e0": 0.0}
         p = {"e0": 1.0}
-        s0 = block_scores(base, ["e0"], p, "e0", W, g, cfg, distances_m=d)[0]
-        s1 = block_scores(once, ["e0"], p, "e0", W, g, cfg, distances_m=d)[0]
+        s0 = block_scores(base, ["e0"], p, W, cfg, distances_m=d)[0]
+        s1 = block_scores(once, ["e0"], p, W, cfg, distances_m=d)[0]
         # one extra visit and zero elapsed-since-check both apply
         assert s1 == s0 - 15.0 - 15.0 * 30.0
 
     def test_probability_floor_bounds_scarcity_term(self):
-        g = line_graph()
         cfg = OnstreetConfig(p_floor=0.05)
         state = SearchState(current_node="n1")
-        s = block_scores(state, ["e0"], {"e0": 0.0}, "e0", W, g, cfg,
+        s = block_scores(state, ["e0"], {"e0": 0.0}, W, cfg,
                          distances_m={"e0": 0.0})[0]
         assert s == 15.0 * 30.0 - 1.0 / 0.05
 
