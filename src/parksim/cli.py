@@ -21,6 +21,7 @@ from datetime import date, datetime
 from pathlib import Path
 
 from .data_ingest import (
+    PaymentRecord,
     SmoothingConfig,
     SynthConfig,
     _atomic_write,
@@ -62,8 +63,10 @@ from .onstreet_sim import (
     PolicyWeights,
     _destination_context,
     estimate_onstreet_time,
+    probability_vector,
+    search_index,
 )
-from .road_graph import load_graph
+from .road_graph import RoadGraph, load_graph
 
 SAMPLES_FILE = "samples.csv"
 RATES_FILE = "rates.csv"
@@ -224,6 +227,20 @@ def _stage_file(cfg: RunConfig, name: str, producer: str) -> Path:
     return path
 
 
+def _check_known(path: Path, kind: str, ids, known) -> None:
+    """Reject a file whose records name a block or lot the run does not have."""
+    unknown = sorted(set(ids) - set(known))
+    if unknown:
+        raise DataError(f"{path} references unknown {kind}: {unknown[:5]}")
+
+
+def _read_known_payments(cfg: RunConfig, g: RoadGraph) -> list[PaymentRecord]:
+    path = _require(cfg.payments, "payments")
+    payments = read_payments(path)
+    _check_known(path, "blocks", (r.block_id for r in payments), g.edges)
+    return payments
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -246,19 +263,16 @@ def stage_synth(cfg: RunConfig) -> None:
 
 def stage_ingest(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
-    surveys = read_surveys(_require(cfg.surveys, "surveys"))
-    unknown_blocks = sorted({r.block_id for r in surveys} - set(g.edges))
-    if unknown_blocks:
-        raise DataError(f"surveys reference unknown blocks: {unknown_blocks[:5]}")
+    surveys_path = _require(cfg.surveys, "surveys")
+    surveys = read_surveys(surveys_path)
+    _check_known(surveys_path, "blocks", (r.block_id for r in surveys), g.edges)
     combined = combine_surveys(surveys)
 
     lots = read_lots(_require(cfg.lots, "lots"))
     events = read_lot_events(_require(cfg.lot_events, "lot_events"))
     if not events:
         raise DataError(f"no lot event records in {cfg.lot_events}")
-    unknown_lots = sorted({e.lot_id for e in events} - {l.id for l in lots})
-    if unknown_lots:
-        raise DataError(f"lot events reference unknown lots: {unknown_lots}")
+    _check_known(cfg.lot_events, "lots", (e.lot_id for e in events), (l.id for l in lots))
 
     entries = entries_series(events)
     departures = derive_departures(events)
@@ -294,7 +308,7 @@ def stage_ingest(cfg: RunConfig) -> None:
 def stage_train(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
     samples = read_samples_csv(_stage_file(cfg, SAMPLES_FILE, "ingest"))
-    payments = read_payments(_require(cfg.payments, "payments"))
+    payments = _read_known_payments(cfg, g)
     model, report = train(samples, payments, g, cfg.train)
     save_model(model, cfg.out_dir / MODEL_FILE)
     _atomic_write(cfg.out_dir / TRAIN_REPORT_FILE, json.dumps(
@@ -315,7 +329,7 @@ def stage_eval(cfg: RunConfig) -> None:
                           "(run train first)")
     g = load_graph(_require(cfg.graph, "graph"))
     samples = read_samples_csv(_stage_file(cfg, SAMPLES_FILE, "ingest"))
-    payments = read_payments(_require(cfg.payments, "payments"))
+    payments = _read_known_payments(cfg, g)
     _, base_report = train_baseline(samples, payments, g, cfg.train)
     _atomic_write(cfg.out_dir / EVAL_FILE, json.dumps({
         "network": network,
@@ -327,7 +341,7 @@ def stage_eval(cfg: RunConfig) -> None:
 def stage_predict(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
     model = load_model(_stage_file(cfg, MODEL_FILE, "train"))
-    payments = read_payments(_require(cfg.payments, "payments"))
+    payments = _read_known_payments(cfg, g)
     rows = []
     for hour in cfg.hours:
         table = predict_block_probabilities(model, payments, g, hour, cfg.predict_date)
@@ -338,21 +352,25 @@ def stage_predict(cfg: RunConfig) -> None:
 
 def stage_sim_on(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
+    index = search_index(g)
+    path = _stage_file(cfg, AVAILABILITY_FILE, "predict")
     probs_by_hour: dict[int, dict[str, float]] = {}
-    for block_id, hour, p in read_table(
-            _stage_file(cfg, AVAILABILITY_FILE, "predict"), AVAILABILITY_COLUMNS,
-            lambda row: (row["block_id"], int(row["hour"]), float(row["p_available"]))):
+    for block_id, hour, p in read_table(path, AVAILABILITY_COLUMNS, lambda row: (
+            row["block_id"], int(row["hour"]), float(row["p_available"]))):
         probs_by_hour.setdefault(hour, {})[block_id] = p
+    p_by_hour = {}
     for hour in cfg.hours:
-        if hour not in probs_by_hour:
-            raise DataError(f"availability table has no rows for hour {hour}")
+        try:
+            p_by_hour[hour] = probability_vector(index, probs_by_hour.get(hour, {}))
+        except DataError as exc:
+            raise DataError(f"{path}, hour {hour}: {exc}") from exc
     # Destination-outer so each destination's hour-independent tables are
     # built once and dropped before the next; rows are written hour-outer.
     rows_by_hour: dict[int, list[list]] = {hour: [] for hour in cfg.hours}
-    for block_id in sorted(g.edges):
-        ctx = _destination_context(g, block_id)
+    for block_id in index.block_ids:
+        ctx = _destination_context(g, block_id, index)
         for hour in cfg.hours:
-            est = estimate_onstreet_time(g, probs_by_hour[hour], block_id,
+            est = estimate_onstreet_time(g, p_by_hour[hour], block_id,
                                          cfg.onstreet, cfg.policy, hour, _ctx=ctx)
             rows_by_hour[hour].append([block_id, hour, _fmt(est.mean_s),
                                        _fmt(est.std_s),
@@ -364,7 +382,10 @@ def stage_sim_on(cfg: RunConfig) -> None:
 def stage_sim_off(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
     lots = read_lots(_require(cfg.lots, "lots"))
-    table = read_rates_csv(_stage_file(cfg, RATES_FILE, "ingest"))
+    rates_path = _stage_file(cfg, RATES_FILE, "ingest")
+    table = read_rates_csv(rates_path)
+    _check_known(rates_path, "lots", (lot_id for lot_id, _, _ in table.rates),
+                 (lot.id for lot in lots))
     entries = {}
     departures = {}
     for (lot_id, dow, hour), (lam_a, lam_d) in table.rates.items():

@@ -16,19 +16,43 @@ meters, elapsed-since-checked in minutes capped at elapsed_cap_s, visit
 counts raw, and the availability probability is floored at p_floor before
 taking its reciprocal. These choices keep the four terms at comparable
 magnitude under the default weights.
+
+All ``n_samples`` searches of one (destination, hour) advance in lockstep
+over a dense integer block index (``SearchIndex``: the graph's block ids in
+sorted order). Each step, for the searches still active, in sample order:
+
+1. one ``rng.random(n_active)`` draws the parking checks on the blocks
+   the searches stand on;
+2. searches that parked drop out, then those whose cruising time has
+   passed ``max_search_s`` (censored);
+3. the four policy terms are scored for every (search, candidate) pair,
+   with per-search visit counts and last-check times held as arrays;
+4. one masked softmax per search and one ``rng.random(n_active)`` pick
+   each search's next block by inverse CDF over its candidates in id order.
+
+This draw order is on-street stream version 2. The stream derives from
+(seed, destination, hour), so estimates do not depend on task order. The
+scalar reference for one search is ``simulate_single`` in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields
+from numbers import Real
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .road_graph import RoadGraph, block_distances_to_block, walk_times_to_block
+from .road_graph import (RoadGraph, _check_hour, block_distances_to_block,
+                         walk_times_to_block)
 from .seeding import derived_stream
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -39,6 +63,11 @@ class PolicyWeights:
     revisit_weight: float = -15.0   # per previous check of the block
     elapsed_weight: float = 15.0    # per minute since the block was checked
     scarcity_weight: float = -1.0   # on 1 / availability probability
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not _finite_real(getattr(self, f.name)):
+                raise DataError(f"{f.name} must be a finite number")
 
 
 @dataclass(frozen=True)
@@ -51,30 +80,16 @@ class OnstreetConfig:
     p_floor: float = 0.05           # floor on P before taking 1/P
 
     def __post_init__(self):
-        for name in ("min_park_s", "max_search_s", "n_samples",
-                     "elapsed_cap_s", "p_floor"):
-            if not getattr(self, name) > 0:
-                raise DataError(f"{name} must be positive")
-
-
-@dataclass
-class SearchState:
-    """Mutable per-search bookkeeping for the choice policy."""
-
-    current_node: str
-    elapsed_s: float = 0.0
-    visits: dict[str, int] = field(default_factory=dict)
-    last_check_s: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
-    parked_block: str
-    drive_s: float
-    walk_s: float
-    total_s: float
-    censored: bool
-    trace: tuple[str, ...]
+        for name in ("n_samples", "seed"):
+            if not isinstance(getattr(self, name), int) or isinstance(getattr(self, name), bool):
+                raise DataError(f"{name} must be an integer")
+        if self.n_samples < 1:
+            raise DataError("n_samples must be at least 1")
+        for name in ("min_park_s", "max_search_s", "elapsed_cap_s"):
+            if not (_finite_real(getattr(self, name)) and getattr(self, name) > 0):
+                raise DataError(f"{name} must be finite and positive")
+        if not (_finite_real(self.p_floor) and 0 < self.p_floor <= 1):
+            raise DataError("p_floor must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -85,129 +100,172 @@ class OnstreetEstimate:
     n_samples: int
 
 
-def softmax_probabilities(scores: Sequence[float]) -> np.ndarray:
-    """Softmax with max-shift; same distribution, no overflow."""
-    z = np.asarray(scores, dtype=float)
-    if z.size == 0:
-        raise DataError("empty score list")
-    if not np.all(np.isfinite(z)):
-        raise NumericError("non-finite block score")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+@dataclass(frozen=True)
+class SearchIndex:
+    """The graph's blocks as dense integers: block ``i`` is ``block_ids[i]``.
 
-
-def choose_block(scores: Sequence[float], rng: np.random.Generator) -> int:
-    """Sample a candidate index with softmax probabilities."""
-    p = softmax_probabilities(scores)
-    r = rng.random()
-    acc = 0.0
-    for i, pi in enumerate(p):
-        acc += pi
-        if r < acc:
-            return i
-    return len(p) - 1  # guard against cumulative rounding
-
-
-def block_scores(state: SearchState, candidates: Sequence[str],
-                 probs: Mapping[str, float], weights: PolicyWeights,
-                 cfg: OnstreetConfig, distances_m: Mapping[str, float]) -> list[float]:
-    """Choice score for each candidate block at the current intersection.
-
-    ``distances_m`` maps each block to its distance from the destination.
-    Blocks never checked before get the full elapsed credit, so they are
-    not penalized relative to blocks checked long ago.
+    Column ``i`` of ``next_blocks`` holds the out-blocks at block ``i``'s
+    to-node in id order, padded to a common height by repeating the first;
+    ``next_valid`` masks the padding and ``out_degree`` counts the real
+    entries. Candidates run along axis 0 because the search reduces over
+    them every step, and numpy reduces a short axis 0 several times faster
+    than a short axis 1.
+    ``drive_s[hour, i]`` is the drive time of block ``i``.
     """
-    if not candidates:
-        raise DataError("no candidate blocks at current intersection")
-    scores = []
-    for eid in candidates:
-        hundreds_m = distances_m[eid] / 100.0
-        checks = state.visits.get(eid, 0)
-        last = state.last_check_s.get(eid)
-        if last is None:
-            since_check_s = cfg.elapsed_cap_s
-        else:
-            since_check_s = min(state.elapsed_s - last, cfg.elapsed_cap_s)
-        inv_p = 1.0 / max(probs.get(eid, 0.0), cfg.p_floor)
-        scores.append(weights.distance_weight * hundreds_m
-                      + weights.revisit_weight * checks
-                      + weights.elapsed_weight * (since_check_s / 60.0)
-                      + weights.scarcity_weight * inv_p)
-    return scores
+
+    block_ids: tuple[str, ...]
+    position: dict[str, int]
+    next_blocks: np.ndarray
+    next_valid: np.ndarray
+    out_degree: np.ndarray
+    drive_s: np.ndarray
+
+
+def search_index(g: RoadGraph) -> SearchIndex:
+    """Build the integer block index of a graph; one per graph suffices."""
+    block_ids = tuple(sorted(g.edges))
+    position = {block: i for i, block in enumerate(block_ids)}
+    outs = []
+    for block in block_ids:
+        node = g.edges[block].to_node
+        candidates = g.adjacency.get(node, ())
+        if not candidates:
+            raise DataError(f"no out-block at node {node!r} after block {block!r}")
+        outs.append([position[c] for c in candidates])
+    height = max(len(out) for out in outs)
+    out_degree = np.array([len(out) for out in outs])
+    return SearchIndex(
+        block_ids=block_ids, position=position,
+        next_blocks=np.array([out + out[:1] * (height - len(out)) for out in outs]).T.copy(),
+        next_valid=np.arange(height)[:, None] < out_degree,
+        out_degree=out_degree,
+        drive_s=np.array([g.edges[b].drive_time_s for b in block_ids]).T.copy())
+
+
+def probability_vector(index: SearchIndex, probs: Mapping[str, float]) -> np.ndarray:
+    """Availability per block in index order.
+
+    Every block of the index needs a probability in [0, 1], and every key
+    of ``probs`` must be a block of the index.
+    """
+    unknown = sorted(set(probs) - index.position.keys())
+    if unknown:
+        raise DataError(f"availability for unknown blocks {unknown[:3]}")
+    missing = [block for block in index.block_ids if block not in probs]
+    if missing:
+        raise DataError(f"no availability for {len(missing)} blocks, e.g. {missing[:3]}")
+    p = np.array([probs[block] for block in index.block_ids], dtype=float)
+    outside = ~((p >= 0.0) & (p <= 1.0))
+    if outside.any():
+        block = index.block_ids[int(np.argmax(outside))]
+        raise DataError(f"availability of block {block!r} is {probs[block]!r}, "
+                        "outside [0, 1]")
+    return p
 
 
 @dataclass(frozen=True)
 class _DestContext:
-    walk_s: Mapping[str, float]
-    dist_m: Mapping[str, float]
+    """One destination's hour-independent vectors over the block index."""
+
+    index: SearchIndex
+    dest: int
+    walk_s: np.ndarray   # walk seconds from each block back to the destination
+    dist_m: np.ndarray   # walking-network meters from each block
 
 
-def _destination_context(g: RoadGraph, dest: str) -> _DestContext:
-    return _DestContext(walk_s=walk_times_to_block(g, dest),
-                        dist_m=block_distances_to_block(g, dest))
+def _destination_context(g: RoadGraph, dest: str,
+                         index: SearchIndex | None = None) -> _DestContext:
+    walk_s = walk_times_to_block(g, dest)
+    dist_m = block_distances_to_block(g, dest)
+    index = index if index is not None else search_index(g)
+    return _DestContext(
+        index=index, dest=index.position[dest],
+        walk_s=np.array([walk_s[block] for block in index.block_ids]),
+        dist_m=np.array([dist_m[block] for block in index.block_ids]))
 
 
-def _trace_drive_seconds(g: RoadGraph, trace: Sequence[str], hour: int) -> float:
-    """Cruising drive time along a trace: half first, interior, half last."""
-    if len(trace) == 1:
-        return 0.0
-    d = [g.edges[eid].drive_time_s[hour] for eid in trace]
-    return d[0] / 2.0 + sum(d[1:]) - d[-1] / 2.0
-
-
-def simulate_single(g: RoadGraph, probs: Mapping[str, float], dest: str,
-                    cfg: OnstreetConfig, weights: PolicyWeights, hour: int,
-                    rng: np.random.Generator,
-                    _ctx: _DestContext | None = None) -> SearchOutcome:
-    """One complete search starting mid-block on the destination block."""
-    g.edge(dest)
-    ctx = _ctx if _ctx is not None else _destination_context(g, dest)
-    state = SearchState(current_node=g.edges[dest].to_node)
-    trace = [dest]
+def _lockstep(ctx: _DestContext, p: np.ndarray, cfg: OnstreetConfig,
+              weights: PolicyWeights, hour: int,
+              rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Total time of every search, and the number censored."""
+    index = ctx.index
+    drive_s = index.drive_s[hour]
+    # The distance and scarcity terms depend only on the candidate block.
+    fixed = (weights.distance_weight * (ctx.dist_m / 100.0)
+             + weights.scarcity_weight / np.maximum(p, cfg.p_floor))
+    half_first_s = drive_s[ctx.dest] / 2.0
+    n = cfg.n_samples
+    totals = np.empty(n)
+    censored = 0
+    visits = np.zeros((n, len(p)), dtype=np.int64)
+    last_check_s = np.full((n, len(p)), -np.inf)   # never checked: full credit
+    live = np.arange(n)                             # sample ids still searching
+    block = np.full(n, ctx.dest)
+    elapsed_s = np.zeros(n)
     while True:
-        block = trace[-1]
-        state.visits[block] = state.visits.get(block, 0) + 1
-        if rng.random() < probs.get(block, 0.0):
-            drive_s = _trace_drive_seconds(g, trace, hour)
-            walk_s = 0.0 if block == dest else ctx.walk_s[block]
-            return SearchOutcome(
-                parked_block=block, drive_s=drive_s, walk_s=walk_s,
-                total_s=cfg.min_park_s + drive_s + walk_s,
-                censored=False, trace=tuple(trace))
-        state.elapsed_s += g.edges[block].drive_time_s[hour]
-        state.last_check_s[block] = state.elapsed_s
-        if state.elapsed_s > cfg.max_search_s:
-            walk_s = 0.0 if block == dest else ctx.walk_s[block]
-            return SearchOutcome(
-                parked_block=block, drive_s=cfg.max_search_s, walk_s=walk_s,
-                total_s=cfg.min_park_s + cfg.max_search_s + walk_s,
-                censored=True, trace=tuple(trace))
-        state.current_node = g.edges[block].to_node
-        candidates = g.adjacency[state.current_node]
-        scores = block_scores(state, candidates, probs, weights, cfg, ctx.dist_m)
-        trace.append(candidates[choose_block(scores, rng)])
+        visits[live, block] += 1
+        parked = rng.random(live.size) < p[block]
+        if parked.any():
+            at = block[parked]
+            drive = elapsed_s[parked] - half_first_s + drive_s[at] / 2.0
+            totals[live[parked]] = cfg.min_park_s + drive + ctx.walk_s[at]
+            stay = ~parked
+            live, block, elapsed_s = live[stay], block[stay], elapsed_s[stay]
+        elapsed_s = elapsed_s + drive_s[block]
+        last_check_s[live, block] = elapsed_s
+        over = elapsed_s > cfg.max_search_s
+        if over.any():
+            totals[live[over]] = (cfg.min_park_s + cfg.max_search_s
+                                  + ctx.walk_s[block[over]])
+            censored += int(over.sum())
+            stay = ~over
+            live, block, elapsed_s = live[stay], block[stay], elapsed_s[stay]
+        if not live.size:
+            return totals, censored
+        candidates = index.next_blocks[:, block]       # (candidate, search)
+        cells = candidates + live * len(p)
+        since_s = np.minimum(elapsed_s - last_check_s.take(cells), cfg.elapsed_cap_s)
+        scores = (fixed[candidates]
+                  + weights.revisit_weight * visits.take(cells)
+                  + weights.elapsed_weight * (since_s / 60.0))
+        # Padding repeats a search's first candidate, so checks and maxima
+        # over all rows see only real candidates' values.
+        if not np.isfinite(scores).all():
+            raise NumericError("non-finite block score")
+        weight = np.exp(scores - scores.max(axis=0))
+        weight *= index.next_valid[:, block]
+        cdf = weight.cumsum(axis=0)
+        k = np.minimum((cdf <= rng.random(live.size) * cdf[-1]).sum(axis=0),
+                       index.out_degree[block] - 1)
+        block = candidates[k, np.arange(live.size)]
 
 
-def estimate_onstreet_time(g: RoadGraph, probs: Mapping[str, float], dest: str,
-                           cfg: OnstreetConfig, weights: PolicyWeights,
+def estimate_onstreet_time(g: RoadGraph, probs: Mapping[str, float] | np.ndarray,
+                           dest: str, cfg: OnstreetConfig, weights: PolicyWeights,
                            hour: int,
                            _ctx: _DestContext | None = None) -> OnstreetEstimate:
     """Mean and spread of total on-street time over seeded search samples.
 
-    The random stream derives from (seed, destination block, hour), so
-    per-block tasks can run in any order and still reproduce exactly.
-    ``_ctx`` holds the destination's walk and distance tables, which do not
+    ``probs`` maps every block id to its availability probability, or is
+    that mapping already turned into a vector by ``probability_vector``,
+    which a caller covering many blocks does once per hour. The random stream
+    derives from (seed, destination block, hour), so per-block tasks can
+    run in any order and still reproduce exactly. ``_ctx`` holds the block
+    index and the destination's walk and distance vectors, which do not
     depend on the hour; a caller covering several hours builds it once with
     ``_destination_context``.
     """
+    _check_hour(hour)
+    g.edge(dest)
     ctx = _ctx if _ctx is not None else _destination_context(g, dest)
-    rng = derived_stream(cfg.seed, dest, hour)
-    totals = np.empty(cfg.n_samples)
-    censored = 0
-    for i in range(cfg.n_samples):
-        outcome = simulate_single(g, probs, dest, cfg, weights, hour, rng, _ctx=ctx)
-        totals[i] = outcome.total_s
-        censored += outcome.censored
+    p = probs if isinstance(probs, np.ndarray) else probability_vector(ctx.index, probs)
+    if p.shape != (len(ctx.index.block_ids),):
+        raise DataError(f"availability vector has shape {p.shape}, "
+                        f"expected ({len(ctx.index.block_ids)},)")
+    # an overflowing score is reported as a NumericError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals, censored = _lockstep(ctx, p, cfg, weights, hour,
+                                     derived_stream(cfg.seed, dest, hour))
     std = float(totals.std(ddof=1)) if cfg.n_samples > 1 else 0.0
     return OnstreetEstimate(mean_s=float(totals.mean()), std_s=std,
                             censored_fraction=censored / cfg.n_samples,

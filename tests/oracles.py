@@ -1,13 +1,20 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately naive: exhaustive enumeration, straight-line
-formula evaluation, finite differences. None of it shares code with the
-package, so agreement is meaningful.
+formula evaluation, finite differences, one search at a time. None of it
+shares code with the package (only its exception types), so agreement is
+meaningful.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from parksim.errors import DataError, NumericError
 
 
 # -- shortest paths by exhaustive simple-path enumeration -------------------
@@ -103,6 +110,145 @@ def trace_total_time(min_park_s, drive_times, walk_times):
             walk += w
         walk -= walk_times[-1] / 2.0
     return min_park_s + drive + walk
+
+
+# -- one on-street search, scalar -------------------------------------------
+
+def midpoint_table(g, dst_block, weight):
+    """Undirected midpoint-to-midpoint cost from every block to dst_block.
+
+    Floyd-Warshall over the intersections, then half of each end block.
+    """
+    nodes = sorted(g.nodes)
+    dist = {(a, b): 0.0 if a == b else math.inf for a in nodes for b in nodes}
+    for e in g.edges.values():
+        w = weight(e)
+        for a, b in ((e.from_node, e.to_node), (e.to_node, e.from_node)):
+            dist[(a, b)] = min(dist[(a, b)], w)
+    for k in nodes:
+        for a in nodes:
+            for b in nodes:
+                if dist[(a, k)] + dist[(k, b)] < dist[(a, b)]:
+                    dist[(a, b)] = dist[(a, k)] + dist[(k, b)]
+    dst = g.edges[dst_block]
+    table = {}
+    for eid, e in g.edges.items():
+        if eid == dst_block:
+            table[eid] = 0.0
+            continue
+        gap = min(dist[(a, b)] for a in (e.from_node, e.to_node)
+                  for b in (dst.from_node, dst.to_node))
+        table[eid] = weight(e) / 2.0 + gap + weight(dst) / 2.0
+    return table
+
+
+@dataclass
+class SearchState:
+    """Mutable per-search bookkeeping for the choice policy."""
+
+    current_node: str
+    elapsed_s: float = 0.0
+    visits: dict[str, int] = field(default_factory=dict)
+    last_check_s: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    parked_block: str
+    drive_s: float
+    walk_s: float
+    total_s: float
+    censored: bool
+    trace: tuple[str, ...]
+
+
+def softmax_probabilities(scores: Sequence[float]) -> np.ndarray:
+    """Softmax with max-shift; same distribution, no overflow."""
+    z = np.asarray(scores, dtype=float)
+    if z.size == 0:
+        raise DataError("empty score list")
+    if not np.all(np.isfinite(z)):
+        raise NumericError("non-finite block score")
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def choose_block(scores: Sequence[float], rng: np.random.Generator) -> int:
+    """Sample a candidate index with softmax probabilities."""
+    p = softmax_probabilities(scores)
+    r = rng.random()
+    acc = 0.0
+    for i, pi in enumerate(p):
+        acc += pi
+        if r < acc:
+            return i
+    return len(p) - 1  # guard against cumulative rounding
+
+
+def block_scores(state: SearchState, candidates: Sequence[str],
+                 probs: Mapping[str, float], weights, cfg,
+                 distances_m: Mapping[str, float]) -> list[float]:
+    """Choice score for each candidate block at the current intersection.
+
+    ``distances_m`` maps each block to its distance from the destination.
+    Blocks never checked before get the full elapsed credit, so they are
+    not penalized relative to blocks checked long ago.
+    """
+    if not candidates:
+        raise DataError("no candidate blocks at current intersection")
+    scores = []
+    for eid in candidates:
+        hundreds_m = distances_m[eid] / 100.0
+        checks = state.visits.get(eid, 0)
+        last = state.last_check_s.get(eid)
+        if last is None:
+            since_check_s = cfg.elapsed_cap_s
+        else:
+            since_check_s = min(state.elapsed_s - last, cfg.elapsed_cap_s)
+        inv_p = 1.0 / max(probs.get(eid, 0.0), cfg.p_floor)
+        scores.append(weights.distance_weight * hundreds_m
+                      + weights.revisit_weight * checks
+                      + weights.elapsed_weight * (since_check_s / 60.0)
+                      + weights.scarcity_weight * inv_p)
+    return scores
+
+
+def simulate_single(g, probs: Mapping[str, float], dest: str, cfg, weights,
+                    hour: int, rng: np.random.Generator, *,
+                    walk_s=None, dist_m=None) -> SearchOutcome:
+    """One complete search starting mid-block on the destination block.
+
+    One parking draw per checked block, then one choice draw per step.
+    ``walk_s`` and ``dist_m`` are the destination's ``midpoint_table``s
+    by walk time and by length, computed here when not given.
+    """
+    if walk_s is None:
+        walk_s = midpoint_table(g, dest, lambda e: e.walk_time_s)
+    if dist_m is None:
+        dist_m = midpoint_table(g, dest, lambda e: e.length_m)
+    state = SearchState(current_node=g.edges[dest].to_node)
+    trace = [dest]
+    while True:
+        block = trace[-1]
+        state.visits[block] = state.visits.get(block, 0) + 1
+        if rng.random() < probs.get(block, 0.0):
+            d = [g.edges[eid].drive_time_s[hour] for eid in trace]
+            drive_s = 0.0 if len(d) == 1 else d[0] / 2.0 + sum(d[1:]) - d[-1] / 2.0
+            return SearchOutcome(
+                parked_block=block, drive_s=drive_s, walk_s=walk_s[block],
+                total_s=cfg.min_park_s + drive_s + walk_s[block],
+                censored=False, trace=tuple(trace))
+        state.elapsed_s += g.edges[block].drive_time_s[hour]
+        state.last_check_s[block] = state.elapsed_s
+        if state.elapsed_s > cfg.max_search_s:
+            return SearchOutcome(
+                parked_block=block, drive_s=cfg.max_search_s, walk_s=walk_s[block],
+                total_s=cfg.min_park_s + cfg.max_search_s + walk_s[block],
+                censored=True, trace=tuple(trace))
+        state.current_node = g.edges[block].to_node
+        candidates = g.adjacency[state.current_node]
+        scores = block_scores(state, candidates, probs, weights, cfg, dist_m)
+        trace.append(candidates[choose_block(scores, rng)])
 
 
 # -- in-lot wait time, straight-line ------------------------------------------

@@ -150,14 +150,30 @@ def test_eval_without_train_report_is_a_config_error(tmp_path, capsys):
     {"train": [1]},
     {"synth": {"lot_nodes": 5}},
     {"smoothing": {"peak_hours": ["x"]}},
+    {"onstreet": {"n_samples": 2.5}},
+    {"onstreet": {"n_samples": True}},
+    {"onstreet": {"n_samples": 0}},
+    {"onstreet": {"seed": "x"}},
+    {"onstreet": {"max_search_s": 1e400}},
+    {"onstreet": {"elapsed_cap_s": -1.0}},
+    {"onstreet": {"p_floor": 0.0}},
+    {"onstreet": {"p_floor": 2.0}},
+    {"policy": {"distance_weight": "x"}},
+    {"policy": {"revisit_weight": 1e400}},
+    {"policy": {"scarcity_weight": None}},
 ], ids=["hours_int", "seed_string", "seed_inf", "hours_string", "day_string",
-        "train_list", "lot_nodes_int", "peak_hours_string"])
+        "train_list", "lot_nodes_int", "peak_hours_string", "n_samples_float",
+        "n_samples_bool", "n_samples_zero", "onstreet_seed_string", "max_search_inf", "elapsed_cap_negative",
+        "p_floor_zero", "p_floor_above_one", "distance_weight_string",
+        "revisit_weight_inf", "scarcity_weight_null"])
 def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, raw):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     assert main(["predict", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    # rejected while loading the config, not for the missing graph key
+    assert "required for this stage" not in err
 
 
 def test_eval_under_another_train_config_is_a_config_error(run, tmp_path, capsys):
@@ -275,3 +291,35 @@ def test_missing_stage_output_is_a_config_error(copied, capsys, stage, name, pro
     err = capsys.readouterr().err
     assert_one_line(err)
     assert f"run {producer} first" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows.pop(1),
+    lambda rows: rows.append(["x", str(HOURS[0]), "0.5"]),
+    lambda rows: rows[1].__setitem__(2, "1.5"),
+    lambda rows: rows[1].__setitem__(2, "nan"),
+], ids=["missing_row", "unknown_block", "above_one", "nan"])
+def test_bad_availability_table_is_a_data_error(copied, capsys, edit):
+    edit_csv(copied / "out" / "availability.csv", edit)
+    code, err = run_stage(copied, "availability.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert "availability.csv" in err
+
+
+@pytest.mark.parametrize("stage", ["train", "eval", "predict"])
+def test_payment_on_unknown_block_is_a_data_error(copied, capsys, stage):
+    edit_csv(copied / "city" / "payments.csv", lambda rows: rows[1].__setitem__(0, "x"))
+    config = write_config(copied / "config.json", "city")
+    assert main([stage, "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "payments.csv references unknown blocks: ['x']" in err
+
+
+def test_rate_for_unknown_lot_is_a_data_error(copied, capsys):
+    edit_csv(copied / "out" / "rates.csv", lambda rows: rows[1].__setitem__(0, "x"))
+    code, err = run_stage(copied, "rates.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert "rates.csv references unknown lots: ['x']" in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,16 +12,22 @@ from parksim.errors import DataError, NumericError
 from parksim.onstreet_sim import (
     OnstreetConfig,
     PolicyWeights,
-    SearchState,
-    block_scores,
-    choose_block,
+    _destination_context,
     estimate_onstreet_time,
-    simulate_single,
-    softmax_probabilities,
+    probability_vector,
+    search_index,
 )
 
 from conftest import grid_graph, line_graph
-from oracles import trace_total_time
+from oracles import (
+    SearchState,
+    block_scores,
+    choose_block,
+    midpoint_table,
+    simulate_single,
+    softmax_probabilities,
+    trace_total_time,
+)
 
 W = PolicyWeights()
 
@@ -231,3 +238,143 @@ class TestEstimate:
         fast = estimate_onstreet_time(g, boosted, "h1_1E", cfg, W, 12)
         se = math.hypot(slow.std_s, fast.std_s) / math.sqrt(cfg.n_samples)
         assert fast.mean_s <= slow.mean_s + 3 * se
+
+
+class TestLockstep:
+    def test_single_parkable_neighbour_every_sample_exact(self):
+        g = line_graph(drive_times=(10.0, 20.0, 30.0), walk_times=(30.0, 30.0, 30.0))
+        probs = {eid: 0.0 for eid in g.edges}
+        probs["e1"] = 1.0
+        est = estimate_onstreet_time(g, probs, "e0", OnstreetConfig(n_samples=200),
+                                     W, 12)
+        # every search drives 10/2 + 20/2 and walks 30/2 + 30/2
+        assert est.mean_s == 255.0
+        assert est.std_s == 0.0
+        assert est.censored_fraction == 0.0
+
+    def test_never_available_is_all_censored(self):
+        g = grid_graph(3)
+        probs = {eid: 0.0 for eid in g.edges}
+        est = estimate_onstreet_time(g, probs, "h0_0E",
+                                     OnstreetConfig(n_samples=50, max_search_s=60.0),
+                                     W, 12)
+        assert est.censored_fraction == 1.0
+        assert est.mean_s >= 210.0 + 60.0
+
+    def test_order_independent(self):
+        g = grid_graph(3)
+        rng = np.random.default_rng(3)
+        probs = {eid: float(p) for eid, p in
+                 zip(sorted(g.edges), rng.uniform(0.1, 0.7, len(g.edges)))}
+        cfg = OnstreetConfig(n_samples=60, seed=11)
+        alone = estimate_onstreet_time(g, probs, "v1_1S", cfg, W, 9)
+        index = search_index(g)
+        p = probability_vector(index, probs)
+        for dest in ("h0_0E", "v1_1S", "h2_1W"):
+            ctx = _destination_context(g, dest, index)
+            for hour in (8, 9):
+                est = estimate_onstreet_time(g, p, dest, cfg, W, hour, _ctx=ctx)
+                if (dest, hour) == ("v1_1S", 9):
+                    assert est == alone
+
+    def test_matches_scalar_reference(self):
+        # every block at two hours: lockstep and one-search-at-a-time means
+        # agree within 4 combined standard errors
+        g = grid_graph(3, drive=tuple(float(t) for t in range(10, 34)))
+        rng = np.random.default_rng(23)
+        n = 300
+        cfg = OnstreetConfig(n_samples=n, seed=2)
+        for hour in (8, 17):
+            probs = {eid: float(p) for eid, p in
+                     zip(sorted(g.edges), rng.uniform(0.05, 0.6, len(g.edges)))}
+            for dest in sorted(g.edges):
+                est = estimate_onstreet_time(g, probs, dest, cfg, W, hour)
+                walk = midpoint_table(g, dest, lambda e: e.walk_time_s)
+                dist = midpoint_table(g, dest, lambda e: e.length_m)
+                ref = np.array([
+                    simulate_single(g, probs, dest, cfg, W, hour, rng,
+                                    walk_s=walk, dist_m=dist).total_s
+                    for _ in range(n)])
+                se = math.hypot(est.std_s, ref.std(ddof=1)) / math.sqrt(n)
+                assert abs(est.mean_s - ref.mean()) <= 4 * se, (dest, hour)
+
+    @pytest.mark.parametrize("weights", [
+        PolicyWeights(0.0, 0.0, 15.0, 0.0),    # since-last-check term alone
+        PolicyWeights(0.0, -30.0, 0.0, 0.0),   # visit-count term alone
+    ], ids=["elapsed_only", "revisit_only"])
+    def test_policy_term_avoids_checked_block(self, weights):
+        # Parking only on r0, starting on e1: the driver turns at n2 either
+        # way (a fair coin), and each term alone makes it leave n1 by the
+        # unchecked r0 instead of the checked e1. Drive plus walk back:
+        #   e1 r1 r0        210 + (10 + 20 + 5) + 70 = 315
+        #   e1 e2 r2 r1 r0  210 + (10 + 30 + 30 + 20 + 5) + 70 = 375
+        g = line_graph(drive_times=(10.0, 20.0, 30.0), walk_times=(60.0, 80.0, 100.0))
+        probs = {eid: 0.0 for eid in g.edges}
+        probs["r0"] = 1.0
+        totals = {estimate_onstreet_time(g, probs, "e1", OnstreetConfig(n_samples=1, seed=s),
+                                         weights, 12).mean_s for s in range(200)}
+        assert totals == {315.0, 375.0}
+
+    def test_non_finite_score_rejected(self):
+        g = grid_graph(3)
+        probs = {eid: 0.0 for eid in g.edges}
+        with pytest.raises(NumericError):
+            estimate_onstreet_time(g, probs, "h1_1E", OnstreetConfig(n_samples=5),
+                                   PolicyWeights(distance_weight=-1e308), 12)
+
+    def test_unknown_destination_and_hour_rejected(self):
+        g = grid_graph(3)
+        probs = {eid: 0.5 for eid in g.edges}
+        with pytest.raises(DataError):
+            estimate_onstreet_time(g, probs, "nope", OnstreetConfig(), W, 12)
+        with pytest.raises(DataError):
+            estimate_onstreet_time(g, probs, "h0_0E", OnstreetConfig(), W, 24)
+
+    def test_node_without_out_block_rejected(self):
+        g = line_graph()
+        stranded = dataclasses.replace(g, adjacency={**g.adjacency, "n3": ()})
+        with pytest.raises(DataError):
+            search_index(stranded)
+
+
+class TestProbabilityVector:
+    def test_index_order(self):
+        g = line_graph()
+        index = search_index(g)
+        probs = {eid: i / 10.0 for i, eid in enumerate(["r2", "e0", "r0", "e2", "e1", "r1"])}
+        assert index.block_ids == ("e0", "e1", "e2", "r0", "r1", "r2")
+        assert list(probability_vector(index, probs)) == [0.1, 0.4, 0.3, 0.2, 0.5, 0.0]
+
+    @pytest.mark.parametrize("edit", [
+        lambda probs: probs.pop("e1"),
+        lambda probs: probs.update(x=0.5),
+        lambda probs: probs.update(e1=1.5),
+        lambda probs: probs.update(e1=-0.1),
+        lambda probs: probs.update(e1=math.nan),
+    ], ids=["missing", "unknown", "above_one", "negative", "nan"])
+    def test_rejected(self, edit):
+        g = line_graph()
+        probs = {eid: 0.5 for eid in g.edges}
+        edit(probs)
+        with pytest.raises(DataError):
+            probability_vector(search_index(g), probs)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"n_samples": 0}, {"n_samples": 2.5}, {"n_samples": True},
+        {"max_search_s": math.inf}, {"max_search_s": 0.0},
+        {"elapsed_cap_s": math.nan}, {"p_floor": 0.0}, {"p_floor": 1.5},
+        {"min_park_s": "x"}, {"seed": 1.5},
+    ])
+    def test_onstreet_config_rejected(self, kwargs):
+        with pytest.raises(DataError):
+            OnstreetConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"distance_weight": "x"}, {"revisit_weight": math.inf},
+        {"elapsed_weight": math.nan}, {"scarcity_weight": True},
+    ])
+    def test_policy_weights_rejected(self, kwargs):
+        with pytest.raises(DataError):
+            PolicyWeights(**kwargs)
