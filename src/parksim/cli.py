@@ -43,7 +43,7 @@ from .data_ingest import (
     write_samples_csv,
     write_table,
 )
-from .errors import ConfigError, DataError, NumericError, ParksimError
+from .errors import ConfigError, DataError, NumericError, ParksimError, check_fields
 from .occupancy_model import (
     EvalReport,
     TrainConfig,
@@ -61,12 +61,11 @@ from .offstreet_sim import (
 from .onstreet_sim import (
     OnstreetConfig,
     PolicyWeights,
-    _destination_context,
     estimate_onstreet_time,
     probability_vector,
-    search_index,
 )
-from .road_graph import RoadGraph, load_graph
+from .road_graph import (RoadGraph, block_distances_to_block, load_graph,
+                         walk_times_to_block)
 
 SAMPLES_FILE = "samples.csv"
 RATES_FILE = "rates.csv"
@@ -104,6 +103,13 @@ class RunConfig:
     policy: PolicyWeights
     smoothing: SmoothingConfig
     synth: SynthConfig
+
+    def __post_init__(self):
+        check_fields(self, at_least={"seed": 0, "day_of_week": 0})
+        if not self.hours or any(not 0 <= h <= 23 for h in self.hours):
+            raise ConfigError(f"hours must be within 0..23, got {self.hours}")
+        if self.day_of_week > 6:
+            raise ConfigError(f"day_of_week must be in 0..6, got {self.day_of_week}")
 
 
 _TOP_KEYS = {"graph", "payments", "surveys", "lots", "lot_events", "out_dir",
@@ -148,17 +154,10 @@ def load_run_config(path: str, *, seed_override: int | None = None,
         return None if value is None else (base / str(value))
 
     try:
-        seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-
-        hours_raw = raw.get("hours", list(range(24)))
-        hours = hours_override if hours_override is not None else tuple(hours_raw)
-        hours = tuple(dict.fromkeys(int(h) for h in hours))
-        if not hours or any(not 0 <= h <= 23 for h in hours):
-            raise ConfigError(f"hours must be within 0..23, got {hours}")
-
-        day = int(raw.get("day_of_week", 4))
-        if not 0 <= day <= 6:
-            raise ConfigError(f"day_of_week must be in 0..6, got {day}")
+        seed = raw.get("seed", 0) if seed_override is None else seed_override
+        hours = hours_override if hours_override is not None else raw.get(
+            "hours", list(range(24)))
+        hours = tuple(dict.fromkeys(hours))
 
         try:
             predict_date = date.fromisoformat(str(raw.get("predict_date", "2026-03-13")))
@@ -169,17 +168,16 @@ def load_run_config(path: str, *, seed_override: int | None = None,
                    else base / str(raw.get("out_dir", "out")))
 
         synth_raw = dict(raw.get("synth", {}))
+        smoothing_raw = dict(raw.get("smoothing", {}))
         if "start_date" in synth_raw:
             try:
                 synth_raw["start_date"] = date.fromisoformat(str(synth_raw["start_date"]))
             except ValueError as exc:
                 raise ConfigError(f"bad synth.start_date: {exc}") from exc
-        if "lot_nodes" in synth_raw:
-            synth_raw["lot_nodes"] = tuple(str(x) for x in synth_raw["lot_nodes"])
-
-        smoothing_raw = dict(raw.get("smoothing", {}))
-        if "peak_hours" in smoothing_raw:
-            smoothing_raw["peak_hours"] = tuple(int(h) for h in smoothing_raw["peak_hours"])
+        # a JSON list stands for a tuple; the section rejects anything else
+        for section, key in ((synth_raw, "lot_nodes"), (smoothing_raw, "peak_hours")):
+            if isinstance(section.get(key), list):
+                section[key] = tuple(section[key])
 
         return RunConfig(
             out_dir=out_dir,
@@ -189,7 +187,7 @@ def load_run_config(path: str, *, seed_override: int | None = None,
             lots=path_of("lots"),
             lot_events=path_of("lot_events"),
             hours=hours,
-            day_of_week=day,
+            day_of_week=raw.get("day_of_week", 4),
             predict_date=predict_date,
             seed=seed,
             train=_build_section(TrainConfig, dict(raw.get("train", {})), "train",
@@ -350,28 +348,41 @@ def stage_predict(cfg: RunConfig) -> None:
     write_table(cfg.out_dir / AVAILABILITY_FILE, AVAILABILITY_COLUMNS, rows)
 
 
+def _read_cells(path: Path, columns: tuple[str, ...],
+                value: str) -> dict[tuple[str, int], float]:
+    """One stage CSV as {(block, hour): float of column ``value``}; a
+    (block, hour) that appears twice is a data error."""
+    cells: dict[tuple[str, int], float] = {}
+    for key, x in read_table(path, columns, lambda row: (
+            (row["block_id"], int(row["hour"])), float(row[value]))):
+        if key in cells:
+            raise DataError(f"duplicate (block, hour) row {key} in {path}")
+        cells[key] = x
+    return cells
+
+
 def stage_sim_on(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
-    index = search_index(g)
     path = _stage_file(cfg, AVAILABILITY_FILE, "predict")
     probs_by_hour: dict[int, dict[str, float]] = {}
-    for block_id, hour, p in read_table(path, AVAILABILITY_COLUMNS, lambda row: (
-            row["block_id"], int(row["hour"]), float(row["p_available"]))):
+    for (block_id, hour), p in _read_cells(path, AVAILABILITY_COLUMNS,
+                                           "p_available").items():
         probs_by_hour.setdefault(hour, {})[block_id] = p
     p_by_hour = {}
     for hour in cfg.hours:
         try:
-            p_by_hour[hour] = probability_vector(index, probs_by_hour.get(hour, {}))
+            p_by_hour[hour] = probability_vector(g, probs_by_hour.get(hour, {}))
         except DataError as exc:
             raise DataError(f"{path}, hour {hour}: {exc}") from exc
     # Destination-outer so each destination's hour-independent tables are
     # built once and dropped before the next; rows are written hour-outer.
     rows_by_hour: dict[int, list[list]] = {hour: [] for hour in cfg.hours}
-    for block_id in index.block_ids:
-        ctx = _destination_context(g, block_id, index)
+    for block_id in g.block_ids:
+        walk_s = walk_times_to_block(g, block_id)
+        dist_m = block_distances_to_block(g, block_id)
         for hour in cfg.hours:
-            est = estimate_onstreet_time(g, p_by_hour[hour], block_id,
-                                         cfg.onstreet, cfg.policy, hour, _ctx=ctx)
+            est = estimate_onstreet_time(g, p_by_hour[hour], block_id, cfg.onstreet,
+                                         cfg.policy, hour, walk_s, dist_m)
             rows_by_hour[hour].append([block_id, hour, _fmt(est.mean_s),
                                        _fmt(est.std_s),
                                        _fmt(est.censored_fraction), est.n_samples])
@@ -418,8 +429,7 @@ def stage_diff(cfg: RunConfig) -> None:
     for name, producer, columns, mean in (
             (ONSTREET_FILE, "sim-on", ONSTREET_COLUMNS, "mean_onstreet_s"),
             (OFFSTREET_FILE, "sim-off", OFFSTREET_COLUMNS, "mean_offstreet_s")):
-        table = dict(read_table(_stage_file(cfg, name, producer), columns, lambda row: (
-            (row["block_id"], int(row["hour"])), float(row[mean]))))
+        table = _read_cells(_stage_file(cfg, name, producer), columns, mean)
         missing = expected - set(table)
         if missing:
             raise DataError(f"{name} is missing {len(missing)} (block, hour) "

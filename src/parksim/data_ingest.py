@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_fields
 from .occupancy_model import OccupancySample, PaymentRecord
 from .offstreet_sim import LotRateTable, LotSpec
 from .road_graph import BlockFace, Intersection, RoadGraph, build_graph, save_graph
@@ -65,8 +65,9 @@ class SmoothingConfig:
     span_h: int = 12
 
     def __post_init__(self):
-        if not self.sigma_h > 0 or self.span_h < 1:
-            raise DataError("sigma_h must be positive and span_h >= 1")
+        check_fields(self, positive=("sigma_h",), at_least={"span_h": 1})
+        if not all(0 <= h <= 23 for h in self.peak_hours):
+            raise DataError("peak_hours must be hours of day")
 
 
 @dataclass(frozen=True)
@@ -422,16 +423,17 @@ class SynthConfig:
     demand_scale: float = 1.0
 
     def __post_init__(self):
-        if self.grid_n < 2:
-            raise DataError("grid_n must be >= 2")
-        if self.days < 7 or self.days % 7:
+        check_fields(self, positive=("block_length_m", "drive_speed_mps", "walk_speed_mps"),
+                     at_least={"grid_n": 2, "days": 7, "meters_per_block": 1,
+                               "lot_capacity": 1, "demand_scale": 0})
+        if self.days % 7:
             raise DataError("days must be a positive multiple of 7")
+        if not 0.0 <= self.unmetered_fraction <= 1.0:
+            raise DataError("unmetered_fraction must be in [0, 1]")
         if not 0.0 < self.observed_fraction <= 1.0:
             raise DataError("observed_fraction must be in (0, 1]")
         if not 0.0 <= self.survey_missing_fraction < 1.0:
             raise DataError("survey_missing_fraction must be in [0, 1)")
-        if self.meters_per_block < 1 or self.lot_capacity < 1:
-            raise DataError("meters_per_block and lot_capacity must be >= 1")
         if not 0 <= self.flat_rate_end_hour <= 23:
             raise DataError("flat_rate_end_hour must be an hour of day")
 

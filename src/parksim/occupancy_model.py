@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_fields
 from .road_graph import RoadGraph
 
 FEATURE_NAMES = ("active_sessions", "popularity_3h", "block_length_m",
@@ -99,12 +99,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.splits < 1 or self.batch_size < 1 or self.epochs < 0:
-            raise DataError("splits and batch_size must be >= 1, epochs >= 0")
+        check_fields(self, positive=("learning_rate",),
+                     at_least={"splits": 1, "batch_size": 1, "epochs": 0, "seed": 0})
         if not 0.0 < self.validation_fraction < 1.0:
             raise DataError("validation_fraction must be in (0, 1)")
-        if not self.learning_rate > 0:
-            raise DataError("learning_rate must be positive")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ silently.
 Each parked arrival contributes one wait-time sample: the fixed park-and-
 pay minimum, driving past earlier stalls, half the expected waits for cars
 seen vacating, and a geometrically decaying wait behind earlier arrivals
-paying ahead of it. The halving payment-queue sum uses the lot minimum time
-by default; ``payment_queue_base_s`` overrides that constant.
+paying ahead of it; that halving payment-queue sum starts from the lot
+minimum time.
 
 End-to-end off-street time adds the drive from the destination block to the
 nearest lot entrance and the walk back. Lots are points anchored at a graph
@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_fields
 from .road_graph import RoadGraph, drive_times_to_node, walk_times_from_node
 from .seeding import derived_stream
 
@@ -93,17 +93,11 @@ class LotSimConfig:
     tick_s: float = 60.0
     reps: int = 20
     seed: int = 0
-    payment_queue_base_s: float | None = None  # default: min_park_s
 
     def __post_init__(self):
-        for name in ("min_park_s", "vacate_wait_s", "per_stall_drive_s",
-                     "tick_s", "reps"):
-            if not getattr(self, name) > 0:
-                raise DataError(f"{name} must be positive")
-
-    @property
-    def queue_base_s(self) -> float:
-        return self.min_park_s if self.payment_queue_base_s is None else self.payment_queue_base_s
+        check_fields(self, positive=("min_park_s", "vacate_wait_s", "per_stall_drive_s",
+                                     "tick_s"),
+                     at_least={"reps": 1, "seed": 0})
 
 
 @dataclass(frozen=True)
@@ -157,9 +151,8 @@ def arrival_wait_time(k: int, departures: int, stalls_passed: int,
     total = cfg.min_park_s
     total += stalls_passed * cfg.per_stall_drive_s
     total += (min(k, departures) / 2.0) * cfg.vacate_wait_s
-    base = cfg.queue_base_s
     for i in range(1, k):
-        total += base / (2.0 ** i)
+        total += cfg.min_park_s / (2.0 ** i)
     return total
 
 
@@ -244,17 +237,18 @@ def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec],
     simulated hour sees no arrival at all, the wait of a single probe car
     entering the initial state is used instead of an undefined mean.
 
-    Drive times come from one reverse search per (lot entrance, hour) and
-    walk times from one table per lot entrance. ``_cache`` is a dict the
-    caller keeps for one run over a single graph, lot set, rate table and
-    config; it shares these tables and the lot statistics between calls.
-    Without it every call builds its own.
+    Drive times come from one ``drive_times_to_node`` table per (lot
+    entrance, hour) and walk times from one ``walk_times_from_node`` table
+    per lot entrance, both indexed by ``g.position``. ``_cache`` is a dict
+    the caller keeps for one run over a single graph, lot set, rate table
+    and config; it shares these tables and the lot statistics between
+    calls. Without it every call builds its own.
     """
     if not lots:
         raise DataError("no lots configured")
     if not 0 <= day < DAYS_PER_WEEK:
         raise DataError(f"day must be in 0..6, got {day!r}")
-    g.edge(dest)
+    i = g.position[g.edge(dest).id]
     cache = {} if _cache is None else _cache
 
     def cached(key, build):
@@ -264,11 +258,11 @@ def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec],
 
     drive_options = []
     for lot in sorted(lots, key=lambda l: l.id):
-        table = cached(("drive", lot.node, hour),
-                       lambda: drive_times_to_node(g, lot.node, hour))
-        if dest not in table:
+        drive_s = cached(("drive", lot.node, hour),
+                         lambda: drive_times_to_node(g, lot.node, hour))[i]
+        if drive_s == math.inf:
             raise DataError(f"no drive path from {dest!r} to node {lot.node!r}")
-        drive_options.append((table[dest], lot))
+        drive_options.append((float(drive_s), lot))
     drive_s, lot = min(drive_options, key=lambda pair: pair[0])
 
     occupancy = 0
@@ -287,7 +281,7 @@ def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec],
         lot_s = stats.mean_s
         std_s = stats.std_s if stats.std_s is not None else 0.0
 
-    walk_s = cached(("walk", lot.node), lambda: walk_times_from_node(g, lot.node))[dest]
+    walk_s = float(cached(("walk", lot.node), lambda: walk_times_from_node(g, lot.node))[i])
     return OffstreetEstimate(total_s=drive_s + lot_s + walk_s, lot_id=lot.id,
                              drive_s=drive_s, lot_s=lot_s, walk_s=walk_s,
                              std_s=std_s)

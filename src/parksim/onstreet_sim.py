@@ -18,8 +18,8 @@ taking its reciprocal. These choices keep the four terms at comparable
 magnitude under the default weights.
 
 All ``n_samples`` searches of one (destination, hour) advance in lockstep
-over a dense integer block index (``SearchIndex``: the graph's block ids in
-sorted order). Each step, for the searches still active, in sample order:
+over the graph's dense block index (``RoadGraph.block_ids``, the block ids
+in sorted order). Each step, for the searches still active, in sample order:
 
 1. one ``rng.random(n_active)`` draws the parking checks on the blocks
    the searches stand on;
@@ -38,21 +38,15 @@ scalar reference for one search is ``simulate_single`` in
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
-from numbers import Real
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_fields
 from .road_graph import (RoadGraph, _check_hour, block_distances_to_block,
                          walk_times_to_block)
 from .seeding import derived_stream
-
-
-def _finite_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -65,9 +59,7 @@ class PolicyWeights:
     scarcity_weight: float = -1.0   # on 1 / availability probability
 
     def __post_init__(self):
-        for f in fields(self):
-            if not _finite_real(getattr(self, f.name)):
-                raise DataError(f"{f.name} must be a finite number")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -80,15 +72,9 @@ class OnstreetConfig:
     p_floor: float = 0.05           # floor on P before taking 1/P
 
     def __post_init__(self):
-        for name in ("n_samples", "seed"):
-            if not isinstance(getattr(self, name), int) or isinstance(getattr(self, name), bool):
-                raise DataError(f"{name} must be an integer")
-        if self.n_samples < 1:
-            raise DataError("n_samples must be at least 1")
-        for name in ("min_park_s", "max_search_s", "elapsed_cap_s"):
-            if not (_finite_real(getattr(self, name)) and getattr(self, name) > 0):
-                raise DataError(f"{name} must be finite and positive")
-        if not (_finite_real(self.p_floor) and 0 < self.p_floor <= 1):
+        check_fields(self, positive=("min_park_s", "max_search_s", "elapsed_cap_s"),
+                     at_least={"n_samples": 1, "seed": 0})
+        if not 0 < self.p_floor <= 1:
             raise DataError("p_floor must be in (0, 1]")
 
 
@@ -100,107 +86,43 @@ class OnstreetEstimate:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class SearchIndex:
-    """The graph's blocks as dense integers: block ``i`` is ``block_ids[i]``.
+def probability_vector(g: RoadGraph, probs: Mapping[str, float]) -> np.ndarray:
+    """Availability per block in ``g.block_ids`` order.
 
-    Column ``i`` of ``next_blocks`` holds the out-blocks at block ``i``'s
-    to-node in id order, padded to a common height by repeating the first;
-    ``next_valid`` masks the padding and ``out_degree`` counts the real
-    entries. Candidates run along axis 0 because the search reduces over
-    them every step, and numpy reduces a short axis 0 several times faster
-    than a short axis 1.
-    ``drive_s[hour, i]`` is the drive time of block ``i``.
+    Every block of the graph needs a probability in [0, 1], and every key
+    of ``probs`` must be a block of the graph.
     """
-
-    block_ids: tuple[str, ...]
-    position: dict[str, int]
-    next_blocks: np.ndarray
-    next_valid: np.ndarray
-    out_degree: np.ndarray
-    drive_s: np.ndarray
-
-
-def search_index(g: RoadGraph) -> SearchIndex:
-    """Build the integer block index of a graph; one per graph suffices."""
-    block_ids = tuple(sorted(g.edges))
-    position = {block: i for i, block in enumerate(block_ids)}
-    outs = []
-    for block in block_ids:
-        node = g.edges[block].to_node
-        candidates = g.adjacency.get(node, ())
-        if not candidates:
-            raise DataError(f"no out-block at node {node!r} after block {block!r}")
-        outs.append([position[c] for c in candidates])
-    height = max(len(out) for out in outs)
-    out_degree = np.array([len(out) for out in outs])
-    return SearchIndex(
-        block_ids=block_ids, position=position,
-        next_blocks=np.array([out + out[:1] * (height - len(out)) for out in outs]).T.copy(),
-        next_valid=np.arange(height)[:, None] < out_degree,
-        out_degree=out_degree,
-        drive_s=np.array([g.edges[b].drive_time_s for b in block_ids]).T.copy())
-
-
-def probability_vector(index: SearchIndex, probs: Mapping[str, float]) -> np.ndarray:
-    """Availability per block in index order.
-
-    Every block of the index needs a probability in [0, 1], and every key
-    of ``probs`` must be a block of the index.
-    """
-    unknown = sorted(set(probs) - index.position.keys())
+    unknown = sorted(set(probs) - g.position.keys())
     if unknown:
         raise DataError(f"availability for unknown blocks {unknown[:3]}")
-    missing = [block for block in index.block_ids if block not in probs]
+    missing = [block for block in g.block_ids if block not in probs]
     if missing:
         raise DataError(f"no availability for {len(missing)} blocks, e.g. {missing[:3]}")
-    p = np.array([probs[block] for block in index.block_ids], dtype=float)
+    p = np.array([probs[block] for block in g.block_ids], dtype=float)
     outside = ~((p >= 0.0) & (p <= 1.0))
     if outside.any():
-        block = index.block_ids[int(np.argmax(outside))]
+        block = g.block_ids[int(np.argmax(outside))]
         raise DataError(f"availability of block {block!r} is {probs[block]!r}, "
                         "outside [0, 1]")
     return p
 
 
-@dataclass(frozen=True)
-class _DestContext:
-    """One destination's hour-independent vectors over the block index."""
-
-    index: SearchIndex
-    dest: int
-    walk_s: np.ndarray   # walk seconds from each block back to the destination
-    dist_m: np.ndarray   # walking-network meters from each block
-
-
-def _destination_context(g: RoadGraph, dest: str,
-                         index: SearchIndex | None = None) -> _DestContext:
-    walk_s = walk_times_to_block(g, dest)
-    dist_m = block_distances_to_block(g, dest)
-    index = index if index is not None else search_index(g)
-    return _DestContext(
-        index=index, dest=index.position[dest],
-        walk_s=np.array([walk_s[block] for block in index.block_ids]),
-        dist_m=np.array([dist_m[block] for block in index.block_ids]))
-
-
-def _lockstep(ctx: _DestContext, p: np.ndarray, cfg: OnstreetConfig,
-              weights: PolicyWeights, hour: int,
+def _lockstep(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarray,
+              p: np.ndarray, cfg: OnstreetConfig, weights: PolicyWeights, hour: int,
               rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Total time of every search, and the number censored."""
-    index = ctx.index
-    drive_s = index.drive_s[hour]
+    drive_s = g.drive_s[hour]
     # The distance and scarcity terms depend only on the candidate block.
-    fixed = (weights.distance_weight * (ctx.dist_m / 100.0)
+    fixed = (weights.distance_weight * (dist_m / 100.0)
              + weights.scarcity_weight / np.maximum(p, cfg.p_floor))
-    half_first_s = drive_s[ctx.dest] / 2.0
+    half_first_s = drive_s[dest] / 2.0
     n = cfg.n_samples
     totals = np.empty(n)
     censored = 0
     visits = np.zeros((n, len(p)), dtype=np.int64)
     last_check_s = np.full((n, len(p)), -np.inf)   # never checked: full credit
     live = np.arange(n)                             # sample ids still searching
-    block = np.full(n, ctx.dest)
+    block = np.full(n, dest)
     elapsed_s = np.zeros(n)
     while True:
         visits[live, block] += 1
@@ -208,7 +130,7 @@ def _lockstep(ctx: _DestContext, p: np.ndarray, cfg: OnstreetConfig,
         if parked.any():
             at = block[parked]
             drive = elapsed_s[parked] - half_first_s + drive_s[at] / 2.0
-            totals[live[parked]] = cfg.min_park_s + drive + ctx.walk_s[at]
+            totals[live[parked]] = cfg.min_park_s + drive + walk_s[at]
             stay = ~parked
             live, block, elapsed_s = live[stay], block[stay], elapsed_s[stay]
         elapsed_s = elapsed_s + drive_s[block]
@@ -216,13 +138,13 @@ def _lockstep(ctx: _DestContext, p: np.ndarray, cfg: OnstreetConfig,
         over = elapsed_s > cfg.max_search_s
         if over.any():
             totals[live[over]] = (cfg.min_park_s + cfg.max_search_s
-                                  + ctx.walk_s[block[over]])
+                                  + walk_s[block[over]])
             censored += int(over.sum())
             stay = ~over
             live, block, elapsed_s = live[stay], block[stay], elapsed_s[stay]
         if not live.size:
             return totals, censored
-        candidates = index.next_blocks[:, block]       # (candidate, search)
+        candidates = g.next_blocks[:, block]       # (candidate, search)
         cells = candidates + live * len(p)
         since_s = np.minimum(elapsed_s - last_check_s.take(cells), cfg.elapsed_cap_s)
         scores = (fixed[candidates]
@@ -233,39 +155,40 @@ def _lockstep(ctx: _DestContext, p: np.ndarray, cfg: OnstreetConfig,
         if not np.isfinite(scores).all():
             raise NumericError("non-finite block score")
         weight = np.exp(scores - scores.max(axis=0))
-        weight *= index.next_valid[:, block]
+        weight *= g.next_valid[:, block]
         cdf = weight.cumsum(axis=0)
         k = np.minimum((cdf <= rng.random(live.size) * cdf[-1]).sum(axis=0),
-                       index.out_degree[block] - 1)
+                       g.out_degree[block] - 1)
         block = candidates[k, np.arange(live.size)]
 
 
 def estimate_onstreet_time(g: RoadGraph, probs: Mapping[str, float] | np.ndarray,
                            dest: str, cfg: OnstreetConfig, weights: PolicyWeights,
-                           hour: int,
-                           _ctx: _DestContext | None = None) -> OnstreetEstimate:
+                           hour: int, walk_s: np.ndarray | None = None,
+                           dist_m: np.ndarray | None = None) -> OnstreetEstimate:
     """Mean and spread of total on-street time over seeded search samples.
 
     ``probs`` maps every block id to its availability probability, or is
     that mapping already turned into a vector by ``probability_vector``,
     which a caller covering many blocks does once per hour. The random stream
     derives from (seed, destination block, hour), so per-block tasks can
-    run in any order and still reproduce exactly. ``_ctx`` holds the block
-    index and the destination's walk and distance vectors, which do not
-    depend on the hour; a caller covering several hours builds it once with
-    ``_destination_context``.
+    run in any order and still reproduce exactly. ``walk_s`` and ``dist_m``
+    are the destination's ``walk_times_to_block`` and
+    ``block_distances_to_block`` tables, which do not depend on the hour; a
+    caller covering several hours builds them once.
     """
     _check_hour(hour)
     g.edge(dest)
-    ctx = _ctx if _ctx is not None else _destination_context(g, dest)
-    p = probs if isinstance(probs, np.ndarray) else probability_vector(ctx.index, probs)
-    if p.shape != (len(ctx.index.block_ids),):
+    walk_s = walk_times_to_block(g, dest) if walk_s is None else walk_s
+    dist_m = block_distances_to_block(g, dest) if dist_m is None else dist_m
+    p = probs if isinstance(probs, np.ndarray) else probability_vector(g, probs)
+    if p.shape != (len(g.block_ids),):
         raise DataError(f"availability vector has shape {p.shape}, "
-                        f"expected ({len(ctx.index.block_ids)},)")
+                        f"expected ({len(g.block_ids)},)")
     # an overflowing score is reported as a NumericError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        totals, censored = _lockstep(ctx, p, cfg, weights, hour,
-                                     derived_stream(cfg.seed, dest, hour))
+        totals, censored = _lockstep(g, g.position[dest], walk_s, dist_m, p, cfg,
+                                     weights, hour, derived_stream(cfg.seed, dest, hour))
     std = float(totals.std(ddof=1)) if cfg.n_samples > 1 else 0.0
     return OnstreetEstimate(mean_s=float(totals.mean()), std_s=std,
                             censored_fraction=censored / cfg.n_samples,

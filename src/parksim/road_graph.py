@@ -1,4 +1,4 @@
-"""City road network: intersections, directed block faces, travel-time queries.
+"""City road network: intersections, directed block faces, travel-time tables.
 
 Blocks are directed edges between intersections. All block-to-block times
 and distances use a midpoint convention: half of the first block, interior
@@ -9,6 +9,18 @@ pedestrian actually covers.
 Driving respects edge direction; walking does not (pedestrians ignore
 one-way restrictions). Drive times vary by hour of day, walk times are
 constant.
+
+Every table is a float vector over the blocks in ``block_ids`` order, the
+block ids sorted, so block ``i`` is ``block_ids[i]`` and ``position``
+inverts that. Each table comes from one kernel over integer arrays: a
+vector of path lengths over the nodes, seeded at the table's origin,
+iterated as ``dist = min(dist, min_k(dist[nbr[k]] + w[k]))`` until nothing
+changes, where ``nbr[k, v]`` is the ``k``-th neighbour that ``v`` is
+reached from and ``w[k, v]`` the block joining them. Each relaxation adds
+one block at the far end of a path, so every length is the left fold of
+its path's weights from the origin, the same sums a heap Dijkstra forms.
+Float addition of a positive weight is monotone and never shrinks a sum,
+so both converge to the least such fold over all paths, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,10 +28,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from heapq import heappop, heappush
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
+
+import numpy as np
 
 from .errors import DataError
 
@@ -46,19 +59,47 @@ class BlockFace:
     drive_time_s: tuple[float, ...]  # exactly 24 entries, one per hour
 
 
+def _derived():
+    return field(compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class RoadGraph:
     """Validated, immutable road network.
 
     ``adjacency`` maps each node to its outgoing block-face ids sorted by
-    id; ``walk_adjacency`` ignores direction and maps each node to
-    (edge id, opposite node) pairs. Both are derived, never supplied.
+    id. The other fields are dense integer views that ``build_graph``
+    derives and that stay out of ``==`` and ``repr``. Blocks are numbered
+    in ``block_ids`` order and nodes in sorted id order (``node_position``).
+
+    - ``next_blocks[:, i]`` holds the out-blocks at block ``i``'s to-node in
+      id order, padded by repeating the first; ``next_valid`` masks the
+      padding and ``out_degree`` counts the real ones. Candidates run along
+      axis 0, which numpy reduces several times faster than a short axis 1.
+    - ``drive_s[hour, i]``, ``walk_s[i]`` and ``length_m[i]`` weigh block ``i``.
+    - Node ``walk_nbr[k, v]`` reaches node ``v`` on foot along block
+      ``walk_via[k, v]``, and in the reversed drive graph the to-node of
+      ``v``'s out-block ``drive_via[k, v]`` reaches ``v``. Padding repeats
+      the first entry, which leaves a minimum unchanged.
     """
 
     nodes: dict[str, Intersection]
     edges: dict[str, BlockFace]
     adjacency: dict[str, tuple[str, ...]]
-    walk_adjacency: dict[str, tuple[tuple[str, str], ...]]
+    block_ids: tuple[str, ...] = _derived()
+    position: dict[str, int] = _derived()
+    node_position: dict[str, int] = _derived()
+    block_from: np.ndarray = _derived()
+    block_to: np.ndarray = _derived()
+    next_blocks: np.ndarray = _derived()
+    next_valid: np.ndarray = _derived()
+    out_degree: np.ndarray = _derived()
+    drive_s: np.ndarray = _derived()
+    walk_s: np.ndarray = _derived()
+    length_m: np.ndarray = _derived()
+    walk_nbr: np.ndarray = _derived()
+    walk_via: np.ndarray = _derived()
+    drive_via: np.ndarray = _derived()
 
     def edge(self, edge_id: str) -> BlockFace:
         try:
@@ -125,9 +166,37 @@ def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> Ro
     _check_weakly_connected(node_map, walk_lists)
 
     adjacency = {nid: tuple(sorted(ids)) for nid, ids in out_lists.items()}
-    walk_adjacency = {nid: tuple(sorted(pairs)) for nid, pairs in walk_lists.items()}
-    return RoadGraph(nodes=node_map, edges=edge_map, adjacency=adjacency,
-                     walk_adjacency=walk_adjacency)
+    block_ids = tuple(sorted(edge_map))
+    position = {block: i for i, block in enumerate(block_ids)}
+    node_position = {nid: j for j, nid in enumerate(sorted(node_map))}
+    blocks = [edge_map[b] for b in block_ids]
+    node_of = [node_position[e.to_node] for e in blocks]
+    outs = [[position[b] for b in adjacency[nid]] for nid in sorted(node_map)]
+    next_blocks = _padded([outs[j] for j in node_of])
+    out_degree = np.array([len(outs[j]) for j in node_of])
+    walk = [sorted((position[eid], node_position[other]) for eid, other in walk_lists[nid])
+            for nid in sorted(node_map)]
+    return RoadGraph(
+        nodes=node_map, edges=edge_map, adjacency=adjacency,
+        block_ids=block_ids, position=position, node_position=node_position,
+        block_from=np.array([node_position[e.from_node] for e in blocks]),
+        block_to=np.array(node_of),
+        next_blocks=next_blocks,
+        next_valid=np.arange(len(next_blocks))[:, None] < out_degree,
+        out_degree=out_degree,
+        drive_s=np.array([e.drive_time_s for e in blocks]).T.copy(),
+        walk_s=np.array([e.walk_time_s for e in blocks]),
+        length_m=np.array([e.length_m for e in blocks]),
+        walk_nbr=_padded([[j for _, j in arcs] for arcs in walk]),
+        walk_via=_padded([[i for i, _ in arcs] for arcs in walk]),
+        drive_via=_padded(outs))
+
+
+def _padded(rows: list[list[int]]) -> np.ndarray:
+    """Rows of unequal length as the columns of one integer array, each
+    padded to the longest by repeating its first entry."""
+    height = max(len(row) for row in rows)
+    return np.array([row + row[:1] * (height - len(row)) for row in rows]).T.copy()
 
 
 def _check_weakly_connected(nodes: dict[str, Intersection],
@@ -206,129 +275,78 @@ def _check_hour(hour: int) -> int:
     return hour
 
 
-def _dijkstra(init: dict[str, float],
-              neighbors: Callable[[str], Iterable[tuple[str, float]]]) -> dict[str, float]:
-    dist = dict(init)
-    heap: list[tuple[float, str]] = []
-    for node, d in sorted(init.items()):
-        heappush(heap, (d, node))
-    done: set[str] = set()
-    while heap:
-        d, node = heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        for other, w in neighbors(node):
-            nd = d + w
-            if nd < dist.get(other, math.inf):
-                dist[other] = nd
-                heappush(heap, (nd, other))
-    return dist
+def _block(g: RoadGraph, block_id: str) -> int:
+    return g.position[g.edge(block_id).id]
 
 
-def _drive_neighbors(g: RoadGraph, hour: int) -> Callable[[str], Iterable[tuple[str, float]]]:
-    def neighbors(node: str) -> Iterable[tuple[str, float]]:
-        for eid in g.adjacency[node]:
-            e = g.edges[eid]
-            yield e.to_node, e.drive_time_s[hour]
-    return neighbors
+def _node(g: RoadGraph, node_id: str) -> int:
+    if node_id not in g.node_position:
+        raise DataError(f"unknown node id: {node_id!r}")
+    return g.node_position[node_id]
 
 
-def _walk_neighbors(g: RoadGraph, weight: Callable[[BlockFace], float]):
-    def neighbors(node: str) -> Iterable[tuple[str, float]]:
-        for eid, other in g.walk_adjacency[node]:
-            yield other, weight(g.edges[eid])
-    return neighbors
+def _relax(dist: np.ndarray, nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Path lengths over the nodes from the seeded ``dist``: iterate
+    ``dist = min(dist, min_k(dist[nbr[k]] + w[k]))`` to its fixed point."""
+    while True:
+        relaxed = np.minimum(dist, (dist[nbr] + w).min(axis=0))
+        if np.array_equal(relaxed, dist):
+            return dist
+        dist = relaxed
 
 
-def shortest_drive_time(g: RoadGraph, src_block: str, dst_block: str, hour: int) -> float:
-    """Minimal midpoint-to-midpoint drive seconds from src to dst at an hour."""
-    _check_hour(hour)
-    src = g.edge(src_block)
-    dst = g.edge(dst_block)
-    if src_block == dst_block:
-        return 0.0
-    dist = _dijkstra({src.to_node: src.drive_time_s[hour] / 2.0},
-                     _drive_neighbors(g, hour))
-    if dst.from_node not in dist:
-        raise DataError(f"no drive path from {src_block!r} to {dst_block!r}")
-    return dist[dst.from_node] + dst.drive_time_s[hour] / 2.0
+def _walk_from(g: RoadGraph, weight: np.ndarray, seeds: list[int],
+               seed_value: float) -> np.ndarray:
+    """``weight``-path length from the seed nodes to every block midpoint."""
+    dist = np.full(len(g.node_position), math.inf)
+    dist[seeds] = seed_value
+    dist = _relax(dist, g.walk_nbr, weight[g.walk_via])
+    return weight / 2.0 + np.minimum(dist[g.block_from], dist[g.block_to])
 
 
-def walk_times_to_block(g: RoadGraph, dest_block: str) -> dict[str, float]:
-    """Walk seconds from every block midpoint to the destination midpoint."""
-    return _to_block_table(g, dest_block, lambda e: e.walk_time_s)
-
-
-def block_distances_to_block(g: RoadGraph, dest_block: str) -> dict[str, float]:
-    """Walking-network meters from every block midpoint to the destination."""
-    return _to_block_table(g, dest_block, lambda e: e.length_m)
-
-
-def _to_block_table(g: RoadGraph, dest_block: str,
-                    weight: Callable[[BlockFace], float]) -> dict[str, float]:
-    dest = g.edge(dest_block)
-    half = weight(dest) / 2.0
-    dist = _dijkstra({dest.from_node: half, dest.to_node: half},
-                     _walk_neighbors(g, weight))
-    table: dict[str, float] = {}
-    for eid, e in g.edges.items():
-        if eid == dest_block:
-            table[eid] = 0.0
-        else:
-            table[eid] = weight(e) / 2.0 + min(dist[e.from_node], dist[e.to_node])
+def _to_block(g: RoadGraph, dest_block: str, weight: np.ndarray) -> np.ndarray:
+    i = _block(g, dest_block)
+    table = _walk_from(g, weight, [g.block_from[i], g.block_to[i]], weight[i] / 2.0)
+    table[i] = 0.0
     return table
+
+
+def walk_times_to_block(g: RoadGraph, dest_block: str) -> np.ndarray:
+    """Walk seconds from every block midpoint to the destination midpoint."""
+    return _to_block(g, dest_block, g.walk_s)
+
+
+def block_distances_to_block(g: RoadGraph, dest_block: str) -> np.ndarray:
+    """Walking-network meters from every block midpoint to the destination."""
+    return _to_block(g, dest_block, g.length_m)
+
+
+def walk_times_from_node(g: RoadGraph, node: str) -> np.ndarray:
+    """Walk seconds from one intersection to every block midpoint."""
+    return _walk_from(g, g.walk_s, [_node(g, node)], 0.0)
+
+
+def drive_times_to_node(g: RoadGraph, node: str, hour: int) -> np.ndarray:
+    """Drive seconds from every block midpoint to one intersection at an
+    hour, with no half term on the node side (for point destinations such
+    as lot entrances); ``inf`` for a block that cannot reach the node.
+
+    The search runs backwards from the node over reversed blocks, so each
+    sum starts at the node end.
+    """
+    _check_hour(hour)
+    dist = np.full(len(g.node_position), math.inf)
+    dist[_node(g, node)] = 0.0
+    drive_s = g.drive_s[hour]
+    dist = _relax(dist, g.block_to[g.drive_via], drive_s[g.drive_via])
+    return drive_s / 2.0 + dist[g.block_to]
 
 
 def drive_time_to_node(g: RoadGraph, src_block: str, node: str, hour: int) -> float:
-    """Drive seconds from a block midpoint to an intersection (no half term
-    on the node side; used for point destinations such as lot entrances)."""
-    _check_hour(hour)
-    src = g.edge(src_block)
-    if node not in g.nodes:
-        raise DataError(f"unknown node id: {node!r}")
-    dist = _dijkstra({src.to_node: src.drive_time_s[hour] / 2.0},
-                     _drive_neighbors(g, hour))
-    if node not in dist:
-        raise DataError(f"no drive path from {src_block!r} to node {node!r}")
-    return dist[node]
-
-
-def drive_times_to_node(g: RoadGraph, node: str, hour: int) -> dict[str, float]:
-    """Drive seconds from every block midpoint to one intersection.
-
-    Single reverse-graph search. Each entry equals drive_time_to_node for
-    that block up to float summation order: the reverse search adds the
-    same edge times starting from the node end, so the last digits can
-    differ. Blocks that cannot reach the node are left out of the table.
-    """
-    _check_hour(hour)
-    if node not in g.nodes:
-        raise DataError(f"unknown node id: {node!r}")
-    reverse: dict[str, list[tuple[str, float]]] = {nid: [] for nid in g.nodes}
-    for e in g.edges.values():
-        reverse[e.to_node].append((e.from_node, e.drive_time_s[hour]))
-    for lst in reverse.values():
-        lst.sort()
-    dist = _dijkstra({node: 0.0}, lambda n: reverse[n])
-    table: dict[str, float] = {}
-    for eid, e in g.edges.items():
-        if e.to_node in dist:
-            table[eid] = e.drive_time_s[hour] / 2.0 + dist[e.to_node]
-    return table
+    """Drive seconds from one block midpoint to an intersection."""
+    return float(drive_times_to_node(g, node, hour)[_block(g, src_block)])
 
 
 def walk_time_from_node(g: RoadGraph, node: str, dst_block: str) -> float:
-    """Walk seconds from an intersection to a block midpoint."""
-    return walk_times_from_node(g, node)[dst_block]
-
-
-def walk_times_from_node(g: RoadGraph, node: str) -> dict[str, float]:
-    """Walk seconds from one intersection to every block midpoint."""
-    if node not in g.nodes:
-        raise DataError(f"unknown node id: {node!r}")
-    dist = _dijkstra({node: 0.0}, _walk_neighbors(g, lambda e: e.walk_time_s))
-    return {
-        eid: e.walk_time_s / 2.0 + min(dist[e.from_node], dist[e.to_node])
-        for eid, e in g.edges.items()
-    }
+    """Walk seconds from an intersection to one block midpoint."""
+    return float(walk_times_from_node(g, node)[_block(g, dst_block)])

@@ -56,13 +56,15 @@ def grid_graph(n=3, *, length=100.0, walk=70.0, drive=12.0, meters=4) -> RoadGra
     return build_graph(nodes, edges)
 
 
-def random_graph(rng: np.random.Generator, n_nodes=6) -> RoadGraph:
+def random_graph(rng: np.random.Generator, n_nodes=6, fractional=False) -> RoadGraph:
     """Random strongly-traversable graph with integer-valued times.
 
     Built from a random cycle (so every node can be exited) plus extra
     random directed edges, each paired with its reverse so walking and
     driving see the same segments. Integer weights keep half-plus-sum
-    arithmetic exact for bit-level oracle comparison.
+    arithmetic exact for bit-level oracle comparison; ``fractional``
+    draws non-integer drive times instead, whose sums round, so only an
+    oracle that adds them in the same order agrees bit for bit.
     """
     nodes = [Intersection(f"n{i}", 49.0 + i * 1e-3, -123.0 + i * 1e-3)
              for i in range(n_nodes)]
@@ -80,7 +82,7 @@ def random_graph(rng: np.random.Generator, n_nodes=6) -> RoadGraph:
     for a, b in sorted(pairs):
         if (b, a) in pairs and (b, a) < (a, b):
             continue  # reverse added together with the forward edge
-        drive = float(rng.integers(4, 60))
+        drive = float(rng.uniform(4, 60) if fractional else rng.integers(4, 60))
         walk = float(rng.integers(20, 200))
         length = float(rng.integers(40, 300))
         edges.append(make_edge(f"e{a}_{b}", f"n{a}", f"n{b}",

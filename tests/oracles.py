@@ -81,6 +81,47 @@ def _brute_undirected(g, src_block, dst_block, weight):
     return best
 
 
+def _least_folds_from(start, arcs):
+    """Least cost of every node over all simple paths from ``start``.
+
+    ``arcs`` maps a node to (next node, weight) pairs; each path's cost is
+    folded from the ``start`` end.
+    """
+    best = {}
+
+    def dfs(node, cost, visited):
+        best[node] = min(best.get(node, math.inf), cost)
+        for other, w in arcs.get(node, ()):
+            if other not in visited:
+                dfs(other, cost + w, visited | {other})
+
+    dfs(start, 0.0, {start})
+    return best
+
+
+def brute_drive_time_to_node(g, src_block, node, hour):
+    """Drive seconds from a block midpoint to an intersection, enumerating
+    every simple path back from the node and folding its cost from there."""
+    back = {}
+    for e in g.edges.values():
+        back.setdefault(e.to_node, []).append((e.from_node, e.drive_time_s[hour]))
+    src = g.edges[src_block]
+    return src.drive_time_s[hour] / 2.0 + _least_folds_from(node, back).get(
+        src.to_node, math.inf)
+
+
+def brute_walk_time_from_node(g, node, dst_block):
+    """Walk seconds from an intersection to a block midpoint over every
+    simple path, each folded from the node."""
+    arcs = {}
+    for e in g.edges.values():
+        arcs.setdefault(e.from_node, []).append((e.to_node, e.walk_time_s))
+        arcs.setdefault(e.to_node, []).append((e.from_node, e.walk_time_s))
+    dist = _least_folds_from(node, arcs)
+    dst = g.edges[dst_block]
+    return dst.walk_time_s / 2.0 + min(dist[dst.from_node], dist[dst.to_node])
+
+
 def brute_walk_time(g, src_block, dst_block):
     return _brute_undirected(g, src_block, dst_block, lambda e: e.walk_time_s)
 
@@ -254,14 +295,12 @@ def simulate_single(g, probs: Mapping[str, float], dest: str, cfg, weights,
 # -- in-lot wait time, straight-line ------------------------------------------
 
 def lot_wait_time(k, departures, stalls_passed, min_park_s, per_stall_s,
-                  vacate_wait_s, queue_base_s=None):
-    if queue_base_s is None:
-        queue_base_s = min_park_s
+                  vacate_wait_s):
     total = min_park_s
     total += stalls_passed * per_stall_s
     total += (min(k, departures) / 2.0) * vacate_wait_s
     for i in range(1, k):
-        total += queue_base_s / (2.0 ** i)
+        total += min_park_s / (2.0 ** i)
     return total
 
 

@@ -3,17 +3,26 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import math
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parksim import cli, occupancy_model
 from parksim.cli import main
-from parksim.data_ingest import SynthConfig, read_lots, synth_generate
+from parksim.data_ingest import SmoothingConfig, SynthConfig, read_lots, synth_generate
+from parksim.errors import ConfigError
+from parksim.occupancy_model import TrainConfig
+from parksim.offstreet_sim import LotSimConfig
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
-from parksim.road_graph import drive_time_to_node, load_graph, walk_time_from_node
+from parksim.road_graph import load_graph
+
+from oracles import brute_drive_time_to_node, brute_walk_time_from_node
 
 SEED = 5
 HOURS = (8, 13)
@@ -92,19 +101,19 @@ class TestPipeline:
         assert (run["out"] / "onstreet.csv").read_bytes() == buf.getvalue().encode()
 
     def test_offstreet_matches_forward_search_reference(self, run):
+        # the legs against the path-enumerating oracles, exactly
         g = run["graph"]
         lots = {lot.id: lot for lot in read_lots(run["city"] / "lots.json")}
         for row in read_rows(run["out"] / "offstreet.csv"):
             block, hour = row["block_id"], int(row["hour"])
             # smallest drive time first, then smallest lot id
-            drive, lot_id = min((drive_time_to_node(g, block, lot.node, hour), lot.id)
+            drive, lot_id = min((brute_drive_time_to_node(g, block, lot.node, hour), lot.id)
                                 for lot in lots.values())
-            walk = walk_time_from_node(g, lots[lot_id].node, block)
+            walk = brute_walk_time_from_node(g, lots[lot_id].node, block)
             assert row["lot_id"] == lot_id
-            assert abs(float(row["drive_s"]) - drive) <= 1e-9
-            assert abs(float(row["walk_s"]) - walk) <= 1e-9
-            total = drive + float(row["lot_s"]) + walk
-            assert abs(float(row["mean_offstreet_s"]) - total) <= 1e-9
+            assert float(row["drive_s"]) == drive
+            assert float(row["walk_s"]) == walk
+            assert float(row["mean_offstreet_s"]) == drive + float(row["lot_s"]) + walk
 
 
 def test_header_only_lot_events_is_a_data_error(tmp_path, capsys):
@@ -161,11 +170,30 @@ def test_eval_without_train_report_is_a_config_error(tmp_path, capsys):
     {"policy": {"distance_weight": "x"}},
     {"policy": {"revisit_weight": 1e400}},
     {"policy": {"scarcity_weight": None}},
+    {"seed": -1},
+    {"offstreet": {"seed": -1}},
+    {"train": {"seed": -1}},
+    {"onstreet": {"seed": -1}},
+    {"offstreet": {"seed": "x"}},
+    {"train": {"seed": "x"}},
+    {"offstreet": {"tick_s": 1e400}},
+    {"offstreet": {"reps": 2.5}},
+    {"offstreet": {"reps": True}},
+    {"train": {"epochs": 2.5}},
+    {"train": {"batch_size": 1.5}},
+    {"train": {"learning_rate": 1e400}},
+    {"smoothing": {"span_h": 2.5}},
+    {"synth": {"grid_n": 2.5}},
+    {"synth": {"days": 7.0}},
 ], ids=["hours_int", "seed_string", "seed_inf", "hours_string", "day_string",
         "train_list", "lot_nodes_int", "peak_hours_string", "n_samples_float",
         "n_samples_bool", "n_samples_zero", "onstreet_seed_string", "max_search_inf", "elapsed_cap_negative",
         "p_floor_zero", "p_floor_above_one", "distance_weight_string",
-        "revisit_weight_inf", "scarcity_weight_null"])
+        "revisit_weight_inf", "scarcity_weight_null", "seed_negative",
+        "offstreet_seed_negative", "train_seed_negative", "onstreet_seed_negative",
+        "offstreet_seed_string", "train_seed_string", "tick_inf", "reps_float",
+        "reps_bool", "epochs_float", "batch_size_float", "learning_rate_inf",
+        "span_float", "grid_n_float", "days_float"])
 def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, raw):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
@@ -174,6 +202,46 @@ def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, raw):
     assert err.count("\n") == 1 and "Traceback" not in err
     # rejected while loading the config, not for the missing graph key
     assert "required for this stage" not in err
+
+
+SECTIONS = {"train": TrainConfig, "onstreet": OnstreetConfig, "offstreet": LotSimConfig,
+            "policy": PolicyWeights, "smoothing": SmoothingConfig, "synth": SynthConfig}
+CONFIG_FIELDS = [(None, name) for name in ("seed", "day_of_week", "hours")] + [
+    (section, f.name) for section, cls in SECTIONS.items() for f in dataclasses.fields(cls)]
+CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-3, 30),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1e400, -1e400]),
+    st.text(max_size=4), st.lists(st.integers(-3, 30) | st.text(max_size=3), max_size=3))
+
+
+def assert_fields_typed(config):
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            assert type(value) is int, f.name
+        elif f.type == "float":
+            assert type(value) in (int, float) and math.isfinite(value), f.name
+        elif f.type == "tuple[int, ...]":
+            assert all(type(v) is int for v in value), f.name
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(CONFIG_FIELDS), CONFIG_VALUES),
+                min_size=1, max_size=3))
+def test_any_config_value_loads_typed_or_is_a_config_error(tmp_path, edits):
+    raw: dict = {}
+    for (section, name), value in edits:
+        (raw if section is None else raw.setdefault(section, {}))[name] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    try:
+        cfg = cli.load_run_config(str(config))
+    except ConfigError:
+        return
+    assert_fields_typed(cfg)
+    for section in SECTIONS:
+        assert_fields_typed(getattr(cfg, section))
 
 
 def test_eval_under_another_train_config_is_a_config_error(run, tmp_path, capsys):
@@ -305,6 +373,15 @@ def test_bad_availability_table_is_a_data_error(copied, capsys, edit):
     assert code == 3
     assert_one_line(err)
     assert "availability.csv" in err
+
+
+@pytest.mark.parametrize("name", ["availability.csv", "onstreet.csv", "offstreet.csv"])
+def test_duplicate_block_hour_row_is_a_data_error(copied, capsys, name):
+    edit_csv(copied / "out" / name, lambda rows: rows.append(list(rows[1])))
+    code, err = run_stage(copied, name, capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert name in err and "duplicate" in err
 
 
 @pytest.mark.parametrize("stage", ["train", "eval", "predict"])

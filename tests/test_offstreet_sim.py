@@ -24,7 +24,7 @@ from parksim.offstreet_sim import (
 from parksim.road_graph import Intersection, build_graph
 
 from conftest import grid_graph, make_edge
-from oracles import lot_wait_time
+from oracles import brute_drive_time_to_node, brute_walk_time_from_node, lot_wait_time
 
 CFG = LotSimConfig()
 
@@ -132,10 +132,6 @@ class TestArrivalWaitTime:
                     assert arrival_wait_time(k, n_d + 1, s, CFG) >= t
                     assert arrival_wait_time(k, n_d, s + 1, CFG) >= t
 
-    def test_queue_base_override(self):
-        cfg = LotSimConfig(payment_queue_base_s=210.0)
-        assert arrival_wait_time(2, 0, 0, cfg) == 60.0 + 105.0
-
     def test_bad_index_rejected(self):
         with pytest.raises(DataError):
             arrival_wait_time(0, 0, 0, CFG)
@@ -226,13 +222,12 @@ class TestEstimateOffstreet:
         return [LotSpec(f"lot{i}", node, capacity) for i, node in enumerate(nodes)]
 
     def test_quiet_adjacent_lot_decomposes(self):
-        from parksim.road_graph import drive_time_to_node, walk_time_from_node
         g = grid_graph(3)
         lots = self.lots_on(g, "n0_1")
         rates = flat_rates("lot0", 0.0, 0.0)
         est = estimate_offstreet_time(g, lots, rates, "h1_1E", 4, 12, CFG)
-        drive = drive_time_to_node(g, "h1_1E", "n0_1", 12)
-        walk = walk_time_from_node(g, "n0_1", "h1_1E")
+        drive = brute_drive_time_to_node(g, "h1_1E", "n0_1", 12)
+        walk = brute_walk_time_from_node(g, "n0_1", "h1_1E")
         assert est.total_s == drive + 60.0 + walk
         assert est.lot_s == 60.0
         assert est.drive_s == drive and est.walk_s == walk

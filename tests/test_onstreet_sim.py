@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -12,11 +11,10 @@ from parksim.errors import DataError, NumericError
 from parksim.onstreet_sim import (
     OnstreetConfig,
     PolicyWeights,
-    _destination_context,
     estimate_onstreet_time,
     probability_vector,
-    search_index,
 )
+from parksim.road_graph import block_distances_to_block, build_graph, walk_times_to_block
 
 from conftest import grid_graph, line_graph
 from oracles import (
@@ -268,12 +266,12 @@ class TestLockstep:
                  zip(sorted(g.edges), rng.uniform(0.1, 0.7, len(g.edges)))}
         cfg = OnstreetConfig(n_samples=60, seed=11)
         alone = estimate_onstreet_time(g, probs, "v1_1S", cfg, W, 9)
-        index = search_index(g)
-        p = probability_vector(index, probs)
+        p = probability_vector(g, probs)
         for dest in ("h0_0E", "v1_1S", "h2_1W"):
-            ctx = _destination_context(g, dest, index)
+            walk_s = walk_times_to_block(g, dest)
+            dist_m = block_distances_to_block(g, dest)
             for hour in (8, 9):
-                est = estimate_onstreet_time(g, p, dest, cfg, W, hour, _ctx=ctx)
+                est = estimate_onstreet_time(g, p, dest, cfg, W, hour, walk_s, dist_m)
                 if (dest, hour) == ("v1_1S", 9):
                     assert est == alone
 
@@ -331,19 +329,19 @@ class TestLockstep:
             estimate_onstreet_time(g, probs, "h0_0E", OnstreetConfig(), W, 24)
 
     def test_node_without_out_block_rejected(self):
+        # without r2 the search would strand at n3 after e2
         g = line_graph()
-        stranded = dataclasses.replace(g, adjacency={**g.adjacency, "n3": ()})
-        with pytest.raises(DataError):
-            search_index(stranded)
+        edges = [e for e in g.edges.values() if e.id != "r2"]
+        with pytest.raises(DataError, match="dead end"):
+            build_graph(g.nodes.values(), edges)
 
 
 class TestProbabilityVector:
     def test_index_order(self):
         g = line_graph()
-        index = search_index(g)
         probs = {eid: i / 10.0 for i, eid in enumerate(["r2", "e0", "r0", "e2", "e1", "r1"])}
-        assert index.block_ids == ("e0", "e1", "e2", "r0", "r1", "r2")
-        assert list(probability_vector(index, probs)) == [0.1, 0.4, 0.3, 0.2, 0.5, 0.0]
+        assert g.block_ids == ("e0", "e1", "e2", "r0", "r1", "r2")
+        assert list(probability_vector(g, probs)) == [0.1, 0.4, 0.3, 0.2, 0.5, 0.0]
 
     @pytest.mark.parametrize("edit", [
         lambda probs: probs.pop("e1"),
@@ -357,7 +355,7 @@ class TestProbabilityVector:
         probs = {eid: 0.5 for eid in g.edges}
         edit(probs)
         with pytest.raises(DataError):
-            probability_vector(search_index(g), probs)
+            probability_vector(g, probs)
 
 
 class TestConfigValidation:

@@ -17,13 +17,14 @@ from parksim.road_graph import (
     drive_times_to_node,
     load_graph,
     save_graph,
-    shortest_drive_time,
     walk_time_from_node,
+    walk_times_from_node,
     walk_times_to_block,
 )
 
-from conftest import flat24, grid_graph, line_graph, make_edge, random_graph
-from oracles import brute_distance_m, brute_drive_time, brute_walk_time
+from conftest import grid_graph, line_graph, make_edge, random_graph
+from oracles import (brute_distance_m, brute_drive_time_to_node, brute_walk_time,
+                     brute_walk_time_from_node)
 
 
 def graph_file_payload(g=None):
@@ -139,46 +140,79 @@ class TestValidation:
                 build_graph(nodes, edges)
 
 
+class TestDenseIndex:
+    def test_blocks_in_sorted_id_order(self):
+        g = line_graph()
+        assert g.block_ids == ("e0", "e1", "e2", "r0", "r1", "r2")
+        assert [g.position[b] for b in g.block_ids] == list(range(6))
+        assert g.drive_s.shape == (24, 6)
+
+    def test_out_block_table_follows_adjacency(self, small_grid):
+        g = small_grid
+        for i, block in enumerate(g.block_ids):
+            out = [g.block_ids[k] for k in g.next_blocks[:, i][g.next_valid[:, i]]]
+            assert tuple(out) == g.adjacency[g.edges[block].to_node]
+            assert g.out_degree[i] == len(out)
+
+    def test_derived_fields_left_out_of_equality(self):
+        g1 = line_graph()
+        g2 = build_graph(list(g1.nodes.values())[::-1], list(g1.edges.values())[::-1])
+        assert g1 == g2
+        assert "block_ids" not in repr(g1)
+
+
 class TestDriveTime:
-    def test_same_block_is_zero(self, small_grid):
-        assert shortest_drive_time(small_grid, "h0_0E", "h0_0E", 9) == 0.0
+    """``drive_times_to_node``: reverse tables, checked against paths
+    enumerated back from the node."""
 
     def test_three_edge_line(self):
         g = line_graph(drive_times=(10.0, 20.0, 30.0))
-        # half of first + middle + half of last
-        assert shortest_drive_time(g, "e0", "e2", 9) == 10.0 / 2 + 20.0 + 30.0 / 2
+        # half of the first block, then every block to the node in full
+        assert drive_times_to_node(g, "n3", 9)[g.position["e0"]] == 10.0 / 2 + 20.0 + 30.0
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(42)
-        for _ in range(25):
-            g = random_graph(rng, n_nodes=int(rng.integers(4, 8)))
-            ids = sorted(g.edges)
-            src = ids[int(rng.integers(len(ids)))]
-            dst = ids[int(rng.integers(len(ids)))]
+        for trial in range(40):
+            g = random_graph(rng, n_nodes=int(rng.integers(4, 8)), fractional=trial % 2 == 1)
+            node = sorted(g.nodes)[int(rng.integers(len(g.nodes)))]
             hour = int(rng.integers(24))
-            assert shortest_drive_time(g, src, dst, hour) == brute_drive_time(g, src, dst, hour)
+            table = drive_times_to_node(g, node, hour)
+            assert table.shape == (len(g.block_ids),)
+            for block in g.block_ids:
+                assert table[g.position[block]] == brute_drive_time_to_node(g, block, node, hour)
+
+    def test_unreachable_block_is_inf(self):
+        # one-way A -> B into the sink cycle B <-> C: nothing drives back to A
+        nodes = [Intersection(n, 49.0, -123.0 + i * 1e-3) for i, n in enumerate("ABC")]
+        g = build_graph(nodes, [make_edge("ab", "A", "B"), make_edge("bc", "B", "C"),
+                                make_edge("cb", "C", "B")])
+        assert list(drive_times_to_node(g, "A", 8)) == [np.inf] * 3
+        assert drive_times_to_node(g, "C", 8)[g.position["ab"]] == 6.0 + 12.0
 
     def test_unknown_block_raises(self, small_grid):
         with pytest.raises(DataError):
-            shortest_drive_time(small_grid, "h0_0E", "missing", 9)
+            drive_time_to_node(small_grid, "missing", "n1_1", 9)
+        with pytest.raises(DataError):
+            drive_times_to_node(small_grid, "missing", 9)
 
     def test_bad_hour_raises(self, small_grid):
         with pytest.raises(DataError):
-            shortest_drive_time(small_grid, "h0_0E", "h0_1E", 24)
+            drive_times_to_node(small_grid, "n1_1", 24)
 
     def test_triangle_inequality_with_midblock_correction(self):
+        # via any block b: drive to b's from-node, along b, then on to the node
         rng = np.random.default_rng(3)
         for _ in range(5):
             g = random_graph(rng, n_nodes=6)
-            ids = sorted(g.edges)
             hour = 10
+            nodes = sorted(g.nodes)
             for _ in range(20):
-                a, b, c = (ids[int(rng.integers(len(ids)))] for _ in range(3))
-                lhs = shortest_drive_time(g, a, c, hour)
-                rhs = (shortest_drive_time(g, a, b, hour)
-                       + shortest_drive_time(g, b, c, hour)
-                       + g.edges[b].drive_time_s[hour])
-                assert lhs <= rhs + 1e-9
+                a, b = (g.block_ids[int(rng.integers(len(g.block_ids)))] for _ in range(2))
+                node = nodes[int(rng.integers(len(nodes)))]
+                to_node = drive_times_to_node(g, node, hour)
+                to_b = drive_times_to_node(g, g.edges[b].from_node, hour)
+                i, j = g.position[a], g.position[b]
+                assert to_node[i] <= to_b[i] + g.drive_s[hour, j] / 2 + to_node[j] + 1e-9
 
     def test_insertion_order_irrelevant(self):
         g1 = line_graph()
@@ -186,21 +220,21 @@ class TestDriveTime:
         edges = list(g1.edges.values())[::-1]
         g2 = build_graph(nodes, edges)
         for hour in (0, 12):
-            assert (shortest_drive_time(g1, "e0", "e2", hour)
-                    == shortest_drive_time(g2, "e0", "e2", hour))
+            assert np.array_equal(drive_times_to_node(g1, "n3", hour),
+                                  drive_times_to_node(g2, "n3", hour))
 
 
 class TestWalkTime:
     def test_same_block_is_zero(self, small_grid):
-        assert walk_times_to_block(small_grid, "v0_0S")["v0_0S"] == 0.0
+        assert walk_times_to_block(small_grid, "v0_0S")[small_grid.position["v0_0S"]] == 0.0
 
     def test_three_edge_line(self):
         g = line_graph(walk_times=(60.0, 80.0, 100.0))
-        assert walk_times_to_block(g, "e2")["e0"] == 60.0 / 2 + 80.0 + 100.0 / 2
+        assert walk_times_to_block(g, "e2")[g.position["e0"]] == 60.0 / 2 + 80.0 + 100.0 / 2
 
     def test_walk_uses_contraflow_shortcut_drive_does_not(self):
         # square a->b->c->d->a (one-way ring) plus a lone reverse edge c->b;
-        # walking from the a->b face to the b->c face may cross any edge
+        # walking from the c->d face to the b->c face may cross any edge
         # freely, driving must keep to edge directions.
         nodes = [Intersection(x, 49.0, -123.0 + i * 1e-3)
                  for i, x in enumerate("abcd")]
@@ -212,10 +246,10 @@ class TestWalkTime:
             make_edge("cb", "c", "b", drive=10.0, walk=10.0),
         ]
         g = build_graph(nodes, edges)
-        # drive cd -> bc must loop via d -> a -> b: 5 + 10 + 10 + 5
-        assert shortest_drive_time(g, "cd", "bc", 9) == 30.0
+        # drive cd -> b (where bc starts) must loop via d -> a: 5 + 10 + 10
+        assert drive_times_to_node(g, "b", 9)[g.position["cd"]] == 25.0
         # walking can go straight back across cd's own from-node: 5 + 5
-        assert walk_times_to_block(g, "bc")["cd"] == 10.0
+        assert walk_times_to_block(g, "bc")[g.position["cd"]] == 10.0
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(11)
@@ -224,23 +258,23 @@ class TestWalkTime:
             ids = sorted(g.edges)
             src = ids[int(rng.integers(len(ids)))]
             dst = ids[int(rng.integers(len(ids)))]
-            assert walk_times_to_block(g, dst)[src] == brute_walk_time(g, src, dst)
+            assert walk_times_to_block(g, dst)[g.position[src]] == brute_walk_time(g, src, dst)
 
     def test_bulk_table_matches_single_queries(self, small_grid):
         dest = "h1_0E"
         table = walk_times_to_block(small_grid, dest)
-        assert set(table) == set(small_grid.edges)
+        assert table.shape == (len(small_grid.edges),)
         for eid in small_grid.edges:
-            assert table[eid] == brute_walk_time(small_grid, eid, dest)
+            assert table[small_grid.position[eid]] == brute_walk_time(small_grid, eid, dest)
 
 
 class TestBlockDistance:
     def test_same_block_zero(self, small_grid):
-        assert block_distances_to_block(small_grid, "h0_0E")["h0_0E"] == 0.0
+        assert block_distances_to_block(small_grid, "h0_0E")[small_grid.position["h0_0E"]] == 0.0
 
     def test_line_of_three_blocks(self):
         g = line_graph(lengths=(100.0, 100.0, 100.0))
-        assert block_distances_to_block(g, "e2")["e0"] == 200.0
+        assert block_distances_to_block(g, "e2")[g.position["e0"]] == 200.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -249,12 +283,14 @@ class TestBlockDistance:
             ids = sorted(g.edges)
             src = ids[int(rng.integers(len(ids)))]
             dst = ids[int(rng.integers(len(ids)))]
-            assert block_distances_to_block(g, dst)[src] == brute_distance_m(g, src, dst)
+            table = block_distances_to_block(g, dst)
+            assert table[g.position[src]] == brute_distance_m(g, src, dst)
 
     def test_bulk_table(self, small_grid):
         table = block_distances_to_block(small_grid, "h0_0E")
-        assert set(table) == set(small_grid.edges)
-        assert table["h0_0E"] == 0.0
+        assert table.shape == (len(small_grid.edges),)
+        for eid in small_grid.edges:
+            assert table[small_grid.position[eid]] == brute_distance_m(small_grid, eid, "h0_0E")
 
 
 class TestNodeAnchoredQueries:
@@ -265,8 +301,18 @@ class TestNodeAnchoredQueries:
     def test_bulk_drive_table_matches_single(self, small_grid):
         node = "n1_1"
         table = drive_times_to_node(small_grid, node, 9)
-        for eid in list(small_grid.edges)[:10]:
-            assert table[eid] == drive_time_to_node(small_grid, eid, node, 9)
+        for eid in small_grid.block_ids:
+            assert table[small_grid.position[eid]] == brute_drive_time_to_node(
+                small_grid, eid, node, 9)
+
+    def test_walk_table_from_node_matches_brute_force(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            g = random_graph(rng, n_nodes=int(rng.integers(4, 7)))
+            node = sorted(g.nodes)[int(rng.integers(len(g.nodes)))]
+            table = walk_times_from_node(g, node)
+            for eid in g.block_ids:
+                assert table[g.position[eid]] == brute_walk_time_from_node(g, node, eid)
 
     def test_walk_from_node_half_term_on_block_side_only(self, small_grid):
         e = small_grid.edges["h0_0E"]
