@@ -5,10 +5,16 @@ it for quick experiments. Stages communicate through files in the output
 directory, so each subcommand can also be run alone against intermediate
 results.
 
+Only ingest and predict read ``payments.csv``: ingest computes the four
+availability features of every survey sample and writes them into
+``samples.csv``, from which train and eval read their whole dataset, with
+no graph and no payments.
+
 Exit codes, with a one-line message on stderr for every failure:
 0 success; 2 when a config key, an input file or an earlier stage's output
-is missing (or the config itself is invalid); 3 when a file is present but
-malformed; 4 on a numeric failure.
+is missing, the config itself is invalid, or it asks for more memory than
+can be allocated; 3 when a file is present but malformed; 4 on a numeric
+failure.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from datetime import date, datetime
 from pathlib import Path
 
 from .data_ingest import (
-    PaymentRecord,
     SmoothingConfig,
     SynthConfig,
     _atomic_write,
@@ -46,7 +51,9 @@ from .data_ingest import (
 from .errors import ConfigError, DataError, NumericError, ParksimError, check_fields
 from .occupancy_model import (
     EvalReport,
+    Sessions,
     TrainConfig,
+    build_dataset,
     load_model,
     predict_block_probabilities,
     save_model,
@@ -232,11 +239,11 @@ def _check_known(path: Path, kind: str, ids, known) -> None:
         raise DataError(f"{path} references unknown {kind}: {unknown[:5]}")
 
 
-def _read_known_payments(cfg: RunConfig, g: RoadGraph) -> list[PaymentRecord]:
+def _read_known_payments(cfg: RunConfig, g: RoadGraph) -> Sessions:
     path = _require(cfg.payments, "payments")
-    payments = read_payments(path)
-    _check_known(path, "blocks", (r.block_id for r in payments), g.edges)
-    return payments
+    sessions = read_payments(path)
+    _check_known(path, "blocks", sessions, g.edges)
+    return sessions
 
 
 def _fmt(x: float) -> str:
@@ -265,6 +272,7 @@ def stage_ingest(cfg: RunConfig) -> None:
     surveys = read_surveys(surveys_path)
     _check_known(surveys_path, "blocks", (r.block_id for r in surveys), g.edges)
     combined = combine_surveys(surveys)
+    features, _ = build_dataset(combined.samples, _read_known_payments(cfg, g), g)
 
     lots = read_lots(_require(cfg.lots, "lots"))
     events = read_lot_events(_require(cfg.lot_events, "lot_events"))
@@ -292,7 +300,7 @@ def stage_ingest(cfg: RunConfig) -> None:
     table = estimate_rates(entries, aligned, weeks=next(iter(weeks.values())))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_samples_csv(list(combined.samples), cfg.out_dir / SAMPLES_FILE)
+    write_samples_csv(combined.samples, features, cfg.out_dir / SAMPLES_FILE)
     write_rates_csv(table, cfg.out_dir / RATES_FILE)
     _atomic_write(cfg.out_dir / INGEST_REPORT_FILE, json.dumps({
         "samples": len(combined.samples),
@@ -304,10 +312,8 @@ def stage_ingest(cfg: RunConfig) -> None:
 
 
 def stage_train(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"))
-    samples = read_samples_csv(_stage_file(cfg, SAMPLES_FILE, "ingest"))
-    payments = _read_known_payments(cfg, g)
-    model, report = train(samples, payments, g, cfg.train)
+    X, y = read_samples_csv(_stage_file(cfg, SAMPLES_FILE, "ingest"))
+    model, report = train(X, y, cfg.train)
     save_model(model, cfg.out_dir / MODEL_FILE)
     _atomic_write(cfg.out_dir / TRAIN_REPORT_FILE, json.dumps(
         {**_report_dict(report), "train_config": asdict(cfg.train)}, sort_keys=True))
@@ -325,10 +331,8 @@ def stage_eval(cfg: RunConfig) -> None:
     if trained_under != asdict(cfg.train):
         raise ConfigError(f"{report_path} was made under another train config "
                           "(run train first)")
-    g = load_graph(_require(cfg.graph, "graph"))
-    samples = read_samples_csv(_stage_file(cfg, SAMPLES_FILE, "ingest"))
-    payments = _read_known_payments(cfg, g)
-    _, base_report = train_baseline(samples, payments, g, cfg.train)
+    X, y = read_samples_csv(_stage_file(cfg, SAMPLES_FILE, "ingest"))
+    _, base_report = train_baseline(X, y, cfg.train)
     _atomic_write(cfg.out_dir / EVAL_FILE, json.dumps({
         "network": network,
         "baseline": _report_dict(base_report),
@@ -339,10 +343,10 @@ def stage_eval(cfg: RunConfig) -> None:
 def stage_predict(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
     model = load_model(_stage_file(cfg, MODEL_FILE, "train"))
-    payments = _read_known_payments(cfg, g)
+    sessions = _read_known_payments(cfg, g)
     rows = []
     for hour in cfg.hours:
-        table = predict_block_probabilities(model, payments, g, hour, cfg.predict_date)
+        table = predict_block_probabilities(model, sessions, g, hour, cfg.predict_date)
         for block_id in sorted(table):
             rows.append([block_id, hour, _fmt(table[block_id])])
     write_table(cfg.out_dir / AVAILABILITY_FILE, AVAILABILITY_COLUMNS, rows)
@@ -397,20 +401,11 @@ def stage_sim_off(cfg: RunConfig) -> None:
     table = read_rates_csv(rates_path)
     _check_known(rates_path, "lots", (lot_id for lot_id, _, _ in table.rates),
                  (lot.id for lot in lots))
-    entries = {}
-    departures = {}
-    for (lot_id, dow, hour), (lam_a, lam_d) in table.rates.items():
-        entries.setdefault(lot_id, {})[(dow, hour)] = lam_a
-        departures.setdefault(lot_id, {})[(dow, hour)] = lam_d
     cache: dict = {}
     rows = []
     for hour in cfg.hours:
-        occupancy = {
-            lot.id: initial_occupancy(entries.get(lot.id, {}),
-                                      departures.get(lot.id, {}),
-                                      cfg.day_of_week, hour, lot.capacity)
-            for lot in lots
-        }
+        occupancy = {lot.id: initial_occupancy(table, lot, cfg.day_of_week, hour)
+                     for lot in lots}
         for block_id in sorted(g.edges):
             est = estimate_offstreet_time(g, lots, table, block_id,
                                           cfg.day_of_week, hour, cfg.offstreet,
@@ -545,6 +540,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"{args.command}: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (NumericError, FloatingPointError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 4

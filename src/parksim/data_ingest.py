@@ -27,15 +27,21 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import DataError, check_fields
-from .occupancy_model import OccupancySample, PaymentRecord
+from .occupancy_model import (_EPOCH, FEATURE_NAMES, N_FEATURES, OccupancySample, Sessions,
+                              feature_matrix, micros, session_arrays)
 from .offstreet_sim import LotRateTable, LotSpec
-from .road_graph import BlockFace, Intersection, RoadGraph, build_graph, save_graph
+from .road_graph import (BlockFace, Intersection, RoadGraph, _atomic_write, build_graph,
+                         save_graph)
 
 HOUR = timedelta(hours=1)
-# Synthetic session times are seconds since this naive instant; naive
-# datetime arithmetic never consults the machine's time zone.
-_EPOCH = datetime(1970, 1, 1)
 SURVEY_WINDOW = timedelta(minutes=30)
+
+
+@dataclass(frozen=True)
+class PaymentRecord:
+    block_id: str
+    start: datetime
+    duration_s: float
 
 
 @dataclass(frozen=True)
@@ -240,14 +246,8 @@ PAYMENT_COLUMNS = ("block_id", "start_iso8601", "duration_s")
 SURVEY_COLUMNS = ("meter_id", "block_id", "timestamp_iso8601", "free_spots")
 LOT_EVENT_COLUMNS = ("lot_id", "hour_iso8601", "entries", "paid_durations_s")
 RATE_COLUMNS = ("lot_id", "day_of_week", "hour", "lambda_a_per_hour", "lambda_d_per_hour")
-SAMPLE_COLUMNS = ("block_id", "time_iso8601", "available")
+SAMPLE_COLUMNS = ("block_id", "time_iso8601", "available") + FEATURE_NAMES
 T = TypeVar("T")
-
-
-def _atomic_write(path: str | os.PathLike, text: str) -> None:
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def write_table(path: str | os.PathLike, columns: Sequence[str],
@@ -266,8 +266,8 @@ def read_table(path: str | os.PathLike, columns: Sequence[str],
 
     The header must be exactly ``columns``. An unreadable file, a wrong
     header or field count, malformed CSV, and a KeyError, ValueError,
-    TypeError or DataError from ``parse`` all become one DataError that
-    names the file and the line.
+    TypeError, OverflowError or DataError from ``parse`` all become one
+    DataError that names the file and the line.
     """
     try:
         fh = open(path, newline="")
@@ -283,14 +283,14 @@ def read_table(path: str | os.PathLike, columns: Sequence[str],
                 if len(row) != len(columns) or None in row.values():
                     raise ValueError(f"expected {len(columns)} fields")
                 yield parse(row)
-        except (csv.Error, DataError, KeyError, ValueError, TypeError) as exc:
+        except (csv.Error, DataError, KeyError, ValueError, TypeError, OverflowError) as exc:
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
-def _positive(raw: str) -> float:
+def _real(raw: str, positive: bool = False) -> float:
     value = float(raw)
-    if not value > 0:
-        raise ValueError(f"duration must be positive, got {raw!r}")
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise ValueError(f"expected a finite{' positive' * positive} number, got {raw!r}")
     return value
 
 
@@ -301,10 +301,13 @@ def _label(raw: str) -> int:
     return value
 
 
-def read_payments(path: str | os.PathLike) -> list[PaymentRecord]:
-    return list(read_table(path, PAYMENT_COLUMNS, lambda row: PaymentRecord(
-        block_id=row["block_id"], start=datetime.fromisoformat(row["start_iso8601"]),
-        duration_s=_positive(row["duration_s"]))))
+def read_payments(path: str | os.PathLike) -> Sessions:
+    """Each block's paid sessions, as ``occupancy_model.session_arrays``."""
+    def parse(row: dict[str, str]) -> tuple[str, int, int]:
+        start = datetime.fromisoformat(row["start_iso8601"])
+        end = start + timedelta(seconds=_real(row["duration_s"], positive=True))
+        return row["block_id"], micros(start), micros(end)
+    return session_arrays(read_table(path, PAYMENT_COLUMNS, parse))
 
 
 def write_payments(records: Sequence[PaymentRecord], path: str | os.PathLike) -> None:
@@ -383,16 +386,21 @@ def write_rates_csv(table: LotRateTable, path: str | os.PathLike) -> None:
                  for (lot_id, dow, hour), (lam_a, lam_d) in sorted(table.rates.items())))
 
 
-def read_samples_csv(path: str | os.PathLike) -> list[OccupancySample]:
-    return list(read_table(path, SAMPLE_COLUMNS, lambda row: OccupancySample(
-        block_id=row["block_id"], time=datetime.fromisoformat(row["time_iso8601"]),
-        available=_label(row["available"]))))
+def read_samples_csv(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
+    """The feature matrix and label vector of a samples file, in file order."""
+    rows = list(read_table(path, SAMPLE_COLUMNS, lambda row: (
+        _label(row["available"]), [_real(row[name]) for name in FEATURE_NAMES])))
+    X = np.array([x for _, x in rows], dtype=float).reshape(len(rows), N_FEATURES)
+    y = np.array([label for label, _ in rows], dtype=np.int64)
+    return X, y
 
 
-def write_samples_csv(samples: Sequence[OccupancySample], path: str | os.PathLike) -> None:
+def write_samples_csv(samples: Sequence[OccupancySample], features: np.ndarray,
+                      path: str | os.PathLike) -> None:
+    """One row per sample, in order: its block, time, label and features."""
     write_table(path, SAMPLE_COLUMNS,
-                ([s.block_id, s.time.isoformat(), s.available]
-                 for s in sorted(samples, key=lambda s: (s.block_id, s.time))))
+                ([s.block_id, s.time.isoformat(), s.available, *map(repr, x)]
+                 for s, x in zip(samples, features.tolist(), strict=True)))
 
 
 # -- synthetic city ------------------------------------------------------------------
@@ -503,31 +511,12 @@ def _grid_faces(cfg: SynthConfig, rng: np.random.Generator):
     return nodes, plans
 
 
-def _seconds(dt: datetime) -> float:
-    return (dt - _EPOCH).total_seconds()
-
-
-class _SessionTimeline:
-    """Admitted paid sessions of one block, queryable by time."""
-
-    def __init__(self, sessions: list[tuple[float, float]]):
-        if sessions:
-            arr = np.asarray(sessions)
-            self.starts = arr[:, 0]
-            self.ends = arr[:, 0] + arr[:, 1]
-        else:
-            self.starts = np.empty(0)
-            self.ends = np.empty(0)
-
-    def active_at(self, epoch: float) -> int:
-        return int(np.count_nonzero((self.starts <= epoch) & (epoch < self.ends)))
-
-
 def _generate_sessions(plan: _FacePlan, cfg: SynthConfig,
                        rng: np.random.Generator) -> list[tuple[float, float]]:
-    """Admitted (start_epoch, duration) pairs, capped at the meter count."""
+    """Admitted (start_epoch, duration) pairs in start order, capped at the
+    meter count."""
     candidates: list[tuple[float, float]] = []
-    day0 = _seconds(datetime.combine(cfg.start_date, time(0, 0)))
+    day0 = (datetime.combine(cfg.start_date, time(0, 0)) - _EPOCH).total_seconds()
     pressure_base = 0.25 + 1.15 * plan.centrality
     for day in range(cfg.days):
         for h in range(24):
@@ -564,16 +553,17 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
     nodes, plans = _grid_faces(cfg, rng)
     graph = build_graph(nodes, [p.face for p in plans])
 
-    # paid sessions and the availability they imply
-    timelines: dict[str, _SessionTimeline] = {}
+    # paid sessions, all of which set the availability, and those observed
+    sessions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     payments: list[PaymentRecord] = []
     for plan in plans:
         if plan.face.meter_count == 0:
-            timelines[plan.face.id] = _SessionTimeline([])
             continue
-        sessions = _generate_sessions(plan, cfg, rng)
-        timelines[plan.face.id] = _SessionTimeline(sessions)
-        for start, duration in sessions:
+        admitted = _generate_sessions(plan, cfg, rng)
+        # whole seconds from the epoch, so the microseconds are exact
+        start_us, paid_us = (np.array(admitted).reshape(-1, 2) * 1e6).astype(np.int64).T
+        sessions[plan.face.id] = (start_us, np.sort(start_us + paid_us))
+        for start, duration in admitted:
             if rng.random() < cfg.observed_fraction:
                 payments.append(PaymentRecord(block_id=plan.face.id,
                                               start=_EPOCH + timedelta(seconds=start),
@@ -586,7 +576,6 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
         face = plan.face
         if face.meter_count == 0:
             continue
-        timeline = timelines[face.id]
         seen_windows: set[datetime] = set()
         for visit in range(cfg.surveys_per_block):
             morning = visit < cfg.surveys_per_block // 2
@@ -602,7 +591,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
                     break
             else:
                 raise DataError("could not place survey visit in a fresh window")
-            active = timeline.active_at(_seconds(ts))
+            active = int(feature_matrix(sessions, graph, [face.id], [ts])[0, 0])
             missing = rng.random() < cfg.survey_missing_fraction
             for i in range(face.meter_count):
                 surveys.append(SurveyRecord(
@@ -615,20 +604,16 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
 
     # ground truth availability at half past each hour, averaged over days
     hourly: dict[str, list[float]] = {}
-    day0 = _seconds(datetime.combine(cfg.start_date, time(0, 0)))
+    times = [datetime.combine(cfg.start_date + timedelta(days=d), time(h, 30))
+             for h in range(24) for d in range(cfg.days)]
     for plan in plans:
         face = plan.face
         if face.meter_count == 0:
             hourly[face.id] = [0.0] * 24
             continue
-        timeline = timelines[face.id]
-        per_hour = []
-        for h in range(24):
-            free_days = sum(
-                timeline.active_at(day0 + d * 86_400 + h * 3600 + 1800.0) < face.meter_count
-                for d in range(cfg.days))
-            per_hour.append(free_days / cfg.days)
-        hourly[face.id] = per_hour
+        active = feature_matrix(sessions, graph, [face.id] * len(times), times)[:, 0]
+        free_days = (active < face.meter_count).reshape(24, cfg.days).sum(axis=1)
+        hourly[face.id] = [int(n) / cfg.days for n in free_days]
 
     # lots and their hourly entry records
     lot_nodes = cfg.lot_nodes or (f"n{(cfg.grid_n - 1) // 2}_{(cfg.grid_n - 1) // 2}",)

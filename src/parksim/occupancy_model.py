@@ -10,6 +10,14 @@ train/validation splits of survey-derived availability labels and reports
 validation cross-entropy and accuracy; the baseline is trained under the
 identical protocol.
 
+Payments enter as session arrays: per block, the sorted int64 microsecond
+instants (naive, from 1970-01-01) at which paid sessions start and, sorted
+apart, at which they end, ``start + timedelta(seconds=duration_s)``. A
+session is active over the half-open [start, end), so the count active at
+``t`` is the starts <= t less the ends <= t; popularity counts starts in
+the half-open [t - 3 h, t). ``feature_matrix`` computes both by binary
+search for any batch of (block, time) queries.
+
 Feature order is fixed: active paid sessions at the query time, paid
 sessions started in the preceding 3 hours, block length in meters, and
 drive time across the block divided by its length (congestion). Inputs are
@@ -24,12 +32,12 @@ import os
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericError, check_fields
-from .road_graph import RoadGraph
+from .road_graph import RoadGraph, _atomic_write
 
 FEATURE_NAMES = ("active_sessions", "popularity_3h", "block_length_m",
                  "congestion_s_per_m")
@@ -38,17 +46,13 @@ HIDDEN = 30
 N_CLASSES = 2  # output unit 0: no free spot, unit 1: spot available
 NETWORK_DIMS = (N_FEATURES, HIDDEN, HIDDEN, N_CLASSES)  # 1,142 parameters
 BASELINE_DIMS = (N_FEATURES, N_CLASSES)
-POPULARITY_WINDOW = timedelta(hours=3)
+# naive datetime arithmetic never consults the machine's time zone
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+_WINDOW_US = timedelta(hours=3) // _MICROSECOND  # popularity window
 MODEL_FORMAT_VERSION = 1
 # model file "kind" -> layer widths
 MODEL_KINDS = {"mlp": NETWORK_DIMS, "logistic": BASELINE_DIMS}
-
-
-@dataclass(frozen=True)
-class PaymentRecord:
-    block_id: str
-    start: datetime
-    duration_s: float
 
 
 @dataclass(frozen=True)
@@ -58,16 +62,8 @@ class OccupancySample:
     available: int  # 1 if at least one spot on the block was free
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    active_sessions: float
-    popularity_3h: float
-    block_length_m: float
-    congestion_s_per_m: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.active_sessions, self.popularity_3h,
-                         self.block_length_m, self.congestion_s_per_m])
+# block id -> (sorted session starts, sorted session ends), int64 microseconds
+Sessions = Mapping[str, tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -120,50 +116,54 @@ class EvalReport:
 
 # -- features ----------------------------------------------------------------
 
-def extract_features(payments: Iterable[PaymentRecord], block_id: str,
-                     t: datetime, g: RoadGraph) -> FeatureVector:
-    """Features for one block at one time.
-
-    A session is active over the half-open interval [start, start +
-    duration); popularity counts sessions by start time in [t - 3h, t).
-    """
-    edge = g.edge(block_id)
-    records = [p for p in payments if p.block_id == block_id]
-    return _features_for_block(records, edge, t)
+def micros(t: datetime) -> int:
+    """Microseconds from the naive 1970-01-01 midnight to ``t``, exactly."""
+    return (t - _EPOCH) // _MICROSECOND
 
 
-def _features_for_block(records: Sequence[PaymentRecord], edge, t: datetime) -> FeatureVector:
-    active = 0
-    recent = 0
-    window_start = t - POPULARITY_WINDOW
-    for p in records:
-        if p.start <= t < p.start + timedelta(seconds=p.duration_s):
-            active += 1
-        if window_start <= p.start < t:
-            recent += 1
-    congestion = edge.drive_time_s[t.hour] / edge.length_m
-    return FeatureVector(float(active), float(recent), edge.length_m, congestion)
+def session_arrays(sessions: Iterable[tuple[str, int, int]]) -> Sessions:
+    """Index (block, start, end) microsecond triples by block."""
+    by_block: dict[str, tuple[list[int], list[int]]] = {}
+    for block_id, start, end in sessions:
+        starts, ends = by_block.setdefault(block_id, ([], []))
+        starts.append(start)
+        ends.append(end)
+    return {block_id: (np.sort(np.array(starts, dtype=np.int64)),
+                       np.sort(np.array(ends, dtype=np.int64)))
+            for block_id, (starts, ends) in by_block.items()}
 
 
-def _group_payments(payments: Iterable[PaymentRecord]) -> dict[str, list[PaymentRecord]]:
-    by_block: dict[str, list[PaymentRecord]] = {}
-    for p in payments:
-        by_block.setdefault(p.block_id, []).append(p)
-    return by_block
+def feature_matrix(sessions: Sessions, g: RoadGraph, blocks: Sequence[str],
+                   times: Sequence[datetime]) -> np.ndarray:
+    """Row ``i`` holds the features of block ``blocks[i]`` at ``times[i]``."""
+    try:
+        pos = np.array([g.position[b] for b in blocks], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(f"unknown block id: {exc.args[0]!r}") from None
+    t = np.array([micros(x) for x in times], dtype=np.int64)
+    hours = np.array([x.hour for x in times], dtype=np.intp)
+    X = np.zeros((len(pos), N_FEATURES))
+    for p in np.unique(pos):
+        if g.block_ids[p] not in sessions:
+            continue
+        starts, ends = sessions[g.block_ids[p]]
+        rows = np.flatnonzero(pos == p)
+        q = t[rows]
+        X[rows, 0] = np.searchsorted(starts, q, "right") - np.searchsorted(ends, q, "right")
+        X[rows, 1] = np.searchsorted(starts, q) - np.searchsorted(starts, q - _WINDOW_US)
+    X[:, 2] = g.length_m[pos]
+    X[:, 3] = g.drive_s[hours, pos] / g.length_m[pos]
+    return X
 
 
-def build_dataset(samples: Sequence[OccupancySample],
-                  payments: Iterable[PaymentRecord],
+def build_dataset(samples: Sequence[OccupancySample], sessions: Sessions,
                   g: RoadGraph) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix and label vector for a collection of samples."""
-    by_block = _group_payments(payments)
-    rows = np.empty((len(samples), N_FEATURES))
-    labels = np.empty(len(samples), dtype=np.int64)
-    for i, s in enumerate(samples):
-        fv = _features_for_block(by_block.get(s.block_id, ()), g.edge(s.block_id), s.time)
-        rows[i] = fv.as_array()
-        labels[i] = s.available
-    return rows, labels
+    X = feature_matrix(sessions, g, [s.block_id for s in samples],
+                       [s.time for s in samples])
+    labels = np.fromiter((s.available for s in samples), dtype=np.int64,
+                         count=len(samples))
+    return X, labels
 
 
 # -- forward / loss / gradient -------------------------------------------------
@@ -191,7 +191,7 @@ def _logits(model: Network, X: np.ndarray):
 
 def forward(model, x) -> tuple[float, float]:
     """Probability pair (p_available, p_full) for a single feature vector."""
-    arr = x.as_array() if isinstance(x, FeatureVector) else np.asarray(x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.shape != (N_FEATURES,):
         raise DataError(f"expected {N_FEATURES} features, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -334,26 +334,21 @@ def _train_protocol(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     return best_model, report
 
 
-def train(samples: Sequence[OccupancySample], payments: Iterable[PaymentRecord],
-          g: RoadGraph, cfg: TrainConfig) -> tuple[Network, EvalReport]:
+def train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[Network, EvalReport]:
     """Train the network over repeated splits; return the best model (by
     validation cross-entropy) and the aggregate report."""
-    X, y = build_dataset(samples, payments, g)
     return _train_protocol(X, y, cfg, NETWORK_DIMS)
 
 
-def train_baseline(samples: Sequence[OccupancySample],
-                   payments: Iterable[PaymentRecord],
-                   g: RoadGraph, cfg: TrainConfig) -> tuple[Network, EvalReport]:
+def train_baseline(X: np.ndarray, y: np.ndarray,
+                   cfg: TrainConfig) -> tuple[Network, EvalReport]:
     """Logistic-regression baseline under the identical split protocol."""
-    X, y = build_dataset(samples, payments, g)
     return _train_protocol(X, y, cfg, BASELINE_DIMS)
 
 
 # -- prediction ------------------------------------------------------------------
 
-def predict_block_probabilities(model, payments: Iterable[PaymentRecord],
-                                g: RoadGraph, hour: int,
+def predict_block_probabilities(model, sessions: Sessions, g: RoadGraph, hour: int,
                                 on_date: date) -> dict[str, float]:
     """Availability probability for every block at (date, hour:30).
 
@@ -363,15 +358,11 @@ def predict_block_probabilities(model, payments: Iterable[PaymentRecord],
     if not 0 <= hour < 24:
         raise DataError(f"hour must be in 0..23, got {hour!r}")
     t = datetime.combine(on_date, time(hour, 30))
-    by_block = _group_payments(payments)
-    table: dict[str, float] = {}
-    for eid in sorted(g.edges):
-        edge = g.edges[eid]
-        if edge.meter_count == 0:
-            table[eid] = 0.0
-            continue
-        fv = _features_for_block(by_block.get(eid, ()), edge, t)
-        table[eid] = forward(model, fv)[0]
+    metered = [b for b in g.block_ids if g.edges[b].meter_count]
+    X = feature_matrix(sessions, g, metered, [t] * len(metered))
+    table = dict.fromkeys(g.block_ids, 0.0)
+    for block_id, x in zip(metered, X):
+        table[block_id] = forward(model, x)[0]
     return table
 
 
@@ -400,9 +391,7 @@ def save_model(model: Network, path: str | os.PathLike) -> None:
         "feature_norm": {"mean": model.feature_mean.tolist(),
                          "std": model.feature_std.tolist()},
     }
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
+    _atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
 def load_model(path: str | os.PathLike) -> Network:

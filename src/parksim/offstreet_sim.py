@@ -192,25 +192,19 @@ def simulate_lot_hour(spec: LotSpec, rates: LotRateTable, day: int, hour: int,
                         arrivals=len(samples), overflow=overflow)
 
 
-def initial_occupancy(entries: Mapping[tuple[int, int], float],
-                      departures: Mapping[tuple[int, int], float],
-                      day: int, hour: int, capacity: int) -> int:
+def initial_occupancy(rates: LotRateTable, lot: LotSpec, day: int, hour: int) -> int:
     """Occupancy at the start of an hour from cumulative daily flows.
 
-    ``entries`` and ``departures`` map (day-of-week, hour) to mean hourly
-    counts; the balance accumulates from the day's first hour and clamps
-    to [0, capacity].
+    The balance of the lot's mean hourly arrivals less departures
+    accumulates from the day's first hour and clamps to [0, capacity].
     """
-    missing = [(day, h) for h in range(hour)
-               if (day, h) not in entries or (day, h) not in departures]
-    if missing:
-        raise DataError(f"missing hourly flow data for slots {missing[:8]}")
-    balance = sum(entries[(day, h)] - departures[(day, h)] for h in range(hour))
+    balance = sum(lam_a - lam_d for lam_a, lam_d in
+                  (rates.lookup(lot.id, day, h) for h in range(hour)))
     count = int(round(balance))
-    if count > capacity:
+    if count > lot.capacity:
         logger.warning("cumulative lot inflow %d exceeds capacity %d; clamping",
-                       count, capacity)
-    return min(max(count, 0), capacity)
+                       count, lot.capacity)
+    return min(max(count, 0), lot.capacity)
 
 
 @dataclass(frozen=True)

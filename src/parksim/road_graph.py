@@ -264,8 +264,14 @@ def save_graph(g: RoadGraph, path: str | os.PathLike) -> None:
             for e in sorted(g.edges.values(), key=lambda e: e.id)
         ],
     }
+    _atomic_write(path, json.dumps(payload, sort_keys=True))
+
+
+def _atomic_write(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` beside ``path``, then rename it over ``path``, so no
+    reader sees half a file. Every file the package writes comes here."""
     tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
+    tmp.write_text(text)
     os.replace(tmp, path)
 
 

@@ -1,11 +1,29 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders, session arrays and hypothesis settings for the
+test suite."""
 
 from __future__ import annotations
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from parksim.occupancy_model import micros, session_arrays
 from parksim.road_graph import BlockFace, Intersection, RoadGraph, build_graph
+
+# Every property test draws the same examples on every run and never
+# times out, so the suite's result does not vary between runs.
+settings.register_profile("parksim", derandomize=True, database=None, deadline=None)
+settings.load_profile("parksim")
+
+
+def sessions_of(payments):
+    """Session arrays of payment records: each ends at ``start +
+    timedelta(seconds=duration_s)``, as ``read_payments`` defines it."""
+    return session_arrays(
+        (p.block_id, micros(p.start), micros(p.start + timedelta(seconds=p.duration_s)))
+        for p in payments)
 
 
 def flat24(value: float) -> tuple[float, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from datetime import timedelta
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -302,6 +303,29 @@ def lot_wait_time(k, departures, stalls_passed, min_park_s, per_stall_s,
     for i in range(1, k):
         total += min_park_s / (2.0 ** i)
     return total
+
+
+# -- availability features by scanning every payment -------------------------
+
+def extract_features(payments, block_id, t, g):
+    """The four features of one block at one time, from payment records.
+
+    A session is active over the half-open interval [start, start +
+    duration); popularity counts sessions by start time in [t - 3h, t).
+    Returns (active, popularity, length_m, drive seconds per meter).
+    """
+    edge = g.edge(block_id)
+    active = 0
+    recent = 0
+    for p in payments:
+        if p.block_id != block_id:
+            continue
+        if p.start <= t < p.start + timedelta(seconds=p.duration_s):
+            active += 1
+        if t - timedelta(hours=3) <= p.start < t:
+            recent += 1
+    return (float(active), float(recent), edge.length_m,
+            edge.drive_time_s[t.hour] / edge.length_m)
 
 
 # -- network forward pass with plain loops ------------------------------------

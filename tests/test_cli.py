@@ -17,7 +17,7 @@ from parksim import cli, occupancy_model
 from parksim.cli import main
 from parksim.data_ingest import SmoothingConfig, SynthConfig, read_lots, synth_generate
 from parksim.errors import ConfigError
-from parksim.occupancy_model import TrainConfig
+from parksim.occupancy_model import FEATURE_NAMES, TrainConfig
 from parksim.offstreet_sim import LotSimConfig
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import load_graph
@@ -225,8 +225,7 @@ def assert_fields_typed(config):
             assert all(type(v) is int for v in value), f.name
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.tuples(st.sampled_from(CONFIG_FIELDS), CONFIG_VALUES),
                 min_size=1, max_size=3))
 def test_any_config_value_loads_typed_or_is_a_config_error(tmp_path, edits):
@@ -260,12 +259,13 @@ def test_eval_under_another_train_config_is_a_config_error(run, tmp_path, capsys
 
 # Each CSV a stage reads: the stage, where the file lives, and its columns.
 STAGE_CSVS = {
-    "payments.csv": ("train", "city", ("block_id", "start_iso8601", "duration_s")),
+    "payments.csv": ("ingest", "city", ("block_id", "start_iso8601", "duration_s")),
     "surveys.csv": ("ingest", "city",
                     ("meter_id", "block_id", "timestamp_iso8601", "free_spots")),
     "lot_events.csv": ("ingest", "city",
                        ("lot_id", "hour_iso8601", "entries", "paid_durations_s")),
-    "samples.csv": ("train", "out", ("block_id", "time_iso8601", "available")),
+    "samples.csv": ("train", "out", ("block_id", "time_iso8601", "available",
+                                     *FEATURE_NAMES)),
     "rates.csv": ("sim-off", "out", ("lot_id", "day_of_week", "hour",
                                      "lambda_a_per_hour", "lambda_d_per_hour")),
     "availability.csv": ("sim-on", "out", ("block_id", "hour", "p_available")),
@@ -331,6 +331,42 @@ def test_renamed_header_is_a_data_error(copied, capsys, name):
     assert name in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_sample_feature_is_a_data_error(copied, capsys, value):
+    def set_feature(rows):
+        rows[1][rows[0].index("popularity_3h")] = value
+
+    edit_csv(copied / "out" / "samples.csv", set_feature)
+    code, err = run_stage(copied, "samples.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert "samples.csv, line 2" in err and "finite" in err
+
+
+def test_train_and_eval_read_neither_graph_nor_payments(copied):
+    config = write_config(copied / "config.json", "city")
+    assert main(["eval", "--config", str(config)]) == 0
+    before = {name: (copied / "out" / name).read_bytes() for name in ("model.json", "eval.json")}
+    (copied / "city" / "payments.csv").unlink()
+    (copied / "city" / "graph.json").unlink()
+    for stage in ("train", "eval"):
+        assert main([stage, "--config", str(config)]) == 0, stage
+    assert {name: (copied / "out" / name).read_bytes() for name in before} == before
+
+
+def test_unallocatable_search_count_is_a_config_error(copied, capsys):
+    # 10**15 searches need 7 PiB at once, beyond any address space, so the
+    # allocation fails immediately rather than after overcommitted paging
+    config = write_config(copied / "config.json", "city")
+    raw = json.loads(config.read_text())
+    raw["onstreet"]["n_samples"] = 10**15
+    config.write_text(json.dumps(raw))
+    assert main(["sim-on", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "out of memory" in err
+
+
 def test_sample_label_outside_0_1_is_a_data_error(copied, capsys):
     def set_label(rows):
         rows[1][rows[0].index("available")] = "2"
@@ -384,7 +420,7 @@ def test_duplicate_block_hour_row_is_a_data_error(copied, capsys, name):
     assert name in err and "duplicate" in err
 
 
-@pytest.mark.parametrize("stage", ["train", "eval", "predict"])
+@pytest.mark.parametrize("stage", ["ingest", "predict"])
 def test_payment_on_unknown_block_is_a_data_error(copied, capsys, stage):
     edit_csv(copied / "city" / "payments.csv", lambda rows: rows[1].__setitem__(0, "x"))
     config = write_config(copied / "config.json", "city")
@@ -392,6 +428,18 @@ def test_payment_on_unknown_block_is_a_data_error(copied, capsys, stage):
     err = capsys.readouterr().err
     assert_one_line(err)
     assert "payments.csv references unknown blocks: ['x']" in err
+
+
+@pytest.mark.parametrize("duration", ["inf", "1e300"])
+@pytest.mark.parametrize("stage", ["ingest", "predict"])
+def test_unrepresentable_payment_duration_is_a_data_error(copied, capsys, stage, duration):
+    # no session end exists for these: timedelta overflows
+    edit_csv(copied / "city" / "payments.csv", lambda rows: rows[1].__setitem__(2, duration))
+    config = write_config(copied / "config.json", "city")
+    assert main([stage, "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "payments.csv, line 2" in err
 
 
 def test_rate_for_unknown_lot_is_a_data_error(copied, capsys):

@@ -37,6 +37,7 @@ from parksim.data_ingest import (
     write_table,
 )
 from parksim.errors import DataError
+from parksim.occupancy_model import build_dataset
 from parksim.road_graph import load_graph
 
 from oracles import left_gaussian_weights
@@ -322,9 +323,13 @@ class TestSynthGenerate:
 
     def test_samples_csv_round_trip(self, bundle, tmp_path):
         combined = combine_surveys(bundle.surveys)
+        g = load_graph(bundle.out_dir / "graph.json")
+        X, y = build_dataset(combined.samples, read_payments(bundle.out_dir / "payments.csv"), g)
         path = tmp_path / "samples.csv"
-        write_samples_csv(list(combined.samples), path)
-        assert tuple(read_samples_csv(path)) == combined.samples
+        write_samples_csv(combined.samples, X, path)
+        X2, y2 = read_samples_csv(path)
+        assert np.array_equal(X2, X) and np.array_equal(y2, y)
+        assert y.tolist() == [s.available for s in combined.samples]
 
 
 class TestTable:

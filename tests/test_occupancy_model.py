@@ -9,19 +9,20 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from parksim.data_ingest import PAYMENT_COLUMNS, PaymentRecord, read_payments, write_table
 from parksim.errors import DataError, NumericError
 from parksim.occupancy_model import (
     BASELINE_DIMS,
     NETWORK_DIMS,
     EvalReport,
-    FeatureVector,
     Network,
     OccupancySample,
-    PaymentRecord,
     TrainConfig,
     build_dataset,
-    extract_features,
+    feature_matrix,
     forward,
     gradient,
     load_model,
@@ -32,8 +33,8 @@ from parksim.occupancy_model import (
     train_baseline,
 )
 
-from conftest import grid_graph, line_graph
-from oracles import finite_difference_gradient, plain_forward
+from conftest import grid_graph, line_graph, sessions_of
+from oracles import extract_features, finite_difference_gradient, plain_forward
 
 T0 = datetime(2026, 3, 4, 10, 0)
 
@@ -53,24 +54,27 @@ def random_model(rng: np.random.Generator, scale=0.7, dims=NETWORK_DIMS) -> Netw
                    feature_std=rng.uniform(0.5, 2.0, 4))
 
 
+def features_at(payments, block_id, t, g):
+    """One row of the bulk feature function, as a tuple."""
+    return tuple(feature_matrix(sessions_of(payments), g, [block_id], [t])[0])
+
+
 class TestExtractFeatures:
     def test_no_payments(self):
         g = line_graph(drive_times=(30.0, 30.0, 30.0), lengths=(120.0, 100.0, 100.0))
-        fv = extract_features([], "e0", T0, g)
-        assert fv == FeatureVector(0.0, 0.0, 120.0, 30.0 / 120.0)
+        assert features_at([], "e0", T0, g) == (0.0, 0.0, 120.0, 30.0 / 120.0)
 
     def test_single_active_record(self):
         g = line_graph(drive_times=(30.0, 30.0, 30.0), lengths=(120.0, 100.0, 100.0))
         pay = [PaymentRecord("e0", T0 - timedelta(seconds=100), 600.0)]
-        fv = extract_features(pay, "e0", T0, g)
-        assert fv == FeatureVector(1.0, 1.0, 120.0, 0.25)
+        assert features_at(pay, "e0", T0, g) == (1.0, 1.0, 120.0, 0.25)
 
     def test_session_ending_exactly_at_t_not_active(self):
         g = line_graph()
         pay = [PaymentRecord("e0", T0 - timedelta(seconds=600), 600.0)]
-        fv = extract_features(pay, "e0", T0, g)
-        assert fv.active_sessions == 0.0
-        assert fv.popularity_3h == 1.0  # started inside the 3 h window
+        active, popularity, _, _ = features_at(pay, "e0", T0, g)
+        assert active == 0.0
+        assert popularity == 1.0  # started inside the 3 h window
 
     def test_popularity_counts_by_start_time_only(self):
         g = line_graph()
@@ -78,14 +82,56 @@ class TestExtractFeatures:
             PaymentRecord("e0", T0 - timedelta(hours=4), 36000.0),  # active, old start
             PaymentRecord("e0", T0 - timedelta(hours=2), 300.0),    # in window, over
         ]
-        fv = extract_features(pay, "e0", T0, g)
-        assert fv.active_sessions == 1.0
-        assert fv.popularity_3h == 1.0
+        active, popularity, _, _ = features_at(pay, "e0", T0, g)
+        assert active == 1.0
+        assert popularity == 1.0
 
     def test_unknown_block(self):
         g = line_graph()
         with pytest.raises(DataError):
-            extract_features([], "missing", T0, g)
+            feature_matrix({}, g, ["missing"], [T0])
+
+
+# A payment placed relative to the query time t: (kind, microseconds, paid
+# seconds). Kinds put a boundary exactly at t or t - 3 h, or make the end
+# fall half a microsecond either side of t, where it rounds.
+US = timedelta(microseconds=1)
+WINDOW = timedelta(hours=3)
+PAID_S = st.floats(1e-6, 6 * 3600.0, allow_nan=False)
+PAYMENTS = st.one_of(
+    st.tuples(st.just("any"), st.integers(-5 * 3600 * 10**6, 10**9), PAID_S),
+    st.tuples(st.just("starts_at_t"), st.just(0), PAID_S),
+    st.tuples(st.just("starts_at_window"), st.just(0), PAID_S),
+    st.tuples(st.just("ends_at_t"), st.integers(1, 4 * 3600 * 10**6), st.just(0.0)),
+    st.tuples(st.just("rounds_at_t"), st.integers(1, 4 * 3600 * 10**6),
+              st.sampled_from([-0.5, 0.5, -0.5000001, 0.4999999])),
+)
+
+
+def place(t, kind, us, paid_s):
+    if kind == "any":
+        return t + us * US, paid_s
+    if kind == "starts_at_t":
+        return t, paid_s
+    if kind == "starts_at_window":
+        return t - WINDOW, paid_s
+    # ends at t exactly, or half a microsecond off it
+    return t - us * US, (us + paid_s) / 1e6
+
+
+@given(payments=st.lists(st.tuples(st.sampled_from(["e0", "e1"]), PAYMENTS), max_size=12),
+       offsets=st.lists(st.integers(-4 * 3600 * 10**6, 4 * 3600 * 10**6), max_size=4))
+def test_read_payments_features_equal_the_scanning_oracle(tmp_path_factory, payments, offsets):
+    g = line_graph(drive_times=(13.0, 29.0, 31.0), lengths=(97.0, 110.0, 100.0))
+    t = datetime(2026, 3, 4, 10, 0, 0, 250_000)
+    records = [PaymentRecord(block, *place(t, *p)) for block, p in payments]
+    path = tmp_path_factory.getbasetemp() / "property_payments.csv"
+    write_table(path, PAYMENT_COLUMNS,
+                ([r.block_id, r.start.isoformat(), repr(r.duration_s)] for r in records))
+    queries = [(block, t + off * US) for off in [0, *offsets] for block in ("e0", "e1", "e2")]
+    X = feature_matrix(read_payments(path), g, *zip(*queries))
+    for row, (block, when) in zip(X, queries):
+        assert tuple(row) == extract_features(records, block, when, g)
 
 
 class TestForward:
@@ -217,7 +263,7 @@ class TestParameterCount:
 def build_city_samples(rng, n, rule, *, noise=0.0):
     """Samples plus payments on a graph with heterogeneous blocks.
 
-    rule(FeatureVector) -> 0/1 decides the clean label; noise flips a
+    rule(features) -> 0/1 decides the clean label; noise flips a
     fraction of labels. Each sample owns a 4-hour slot on its block, so
     sessions planted for one sample can never leak into another sample's
     active or popularity counts.
@@ -249,8 +295,8 @@ def build_city_samples(rng, n, rule, *, noise=0.0):
             payments.append(PaymentRecord(block, t - timedelta(seconds=120 + 7 * k), 3600.0))
         for k in range(stale):
             payments.append(PaymentRecord(block, t - timedelta(hours=2, seconds=11 * k), 600.0))
-        fv = extract_features([p for p in payments if p.block_id == block], block, t, g)
-        assert fv.active_sessions == active and fv.popularity_3h == active + stale
+        fv = extract_features(payments, block, t, g)
+        assert fv[:2] == (active, active + stale)
         raw = rule(fv)
         # a float rule is a posterior probability, an int rule a hard label
         label = int(rng.random() < raw) if isinstance(raw, float) else int(raw)
@@ -260,68 +306,78 @@ def build_city_samples(rng, n, rule, *, noise=0.0):
     return g, payments, samples
 
 
-def linear_rule(fv: FeatureVector) -> int:
-    return int(fv.active_sessions <= 2.0)
+def dataset(g, payments, samples):
+    return build_dataset(samples, sessions_of(payments), g)
 
 
-def logistic_rule(fv: FeatureVector) -> float:
+def city_dataset(rng, n, rule, *, noise=0.0):
+    """Feature matrix and labels of ``build_city_samples``."""
+    g, payments, samples = build_city_samples(rng, n, rule, noise=noise)
+    return dataset(g, payments, samples)
+
+
+# rules over (active, popularity, length, congestion)
+def linear_rule(fv) -> int:
+    return int(fv[0] <= 2.0)
+
+
+def logistic_rule(fv) -> float:
     # true posterior inside the logistic family, so the baseline can fit
     # it exactly and the network has nothing extra to find
-    return 1.0 / (1.0 + math.exp(1.2 * (fv.active_sessions - 2.5)))
+    return 1.0 / (1.0 + math.exp(1.2 * (fv[0] - 2.5)))
 
 
-def xor_rule(fv: FeatureVector) -> int:
-    return int((fv.active_sessions >= 3.0) != (fv.congestion_s_per_m >= 0.3))
+def xor_rule(fv) -> int:
+    return int((fv[0] >= 3.0) != (fv[3] >= 0.3))
 
 
 class TestTrain:
     def test_linearly_separable_high_accuracy(self):
         rng = np.random.default_rng(7)
-        g, payments, samples = build_city_samples(rng, 600, linear_rule)
+        X, y = city_dataset(rng, 600, linear_rule)
         cfg = TrainConfig(splits=2, epochs=60, seed=3)
-        model, report = train(samples, payments, g, cfg)
+        model, report = train(X, y, cfg)
         assert report.mean_val_accuracy >= 0.95
         assert model.dims == NETWORK_DIMS
 
     def test_zero_epochs_near_ln2(self):
         rng = np.random.default_rng(8)
-        g, payments, samples = build_city_samples(rng, 120, linear_rule)
-        _, report = train(samples, payments, g, TrainConfig(splits=2, epochs=0, seed=1))
+        X, y = city_dataset(rng, 120, linear_rule)
+        _, report = train(X, y, TrainConfig(splits=2, epochs=0, seed=1))
         assert report.mean_val_cross_entropy == pytest.approx(math.log(2.0), abs=0.05)
 
     def test_fixed_seed_bit_identical(self):
         rng = np.random.default_rng(9)
-        g, payments, samples = build_city_samples(rng, 150, linear_rule)
+        X, y = city_dataset(rng, 150, linear_rule)
         cfg = TrainConfig(splits=3, epochs=5, seed=11)
-        _, r1 = train(samples, payments, g, cfg)
-        _, r2 = train(samples, payments, g, cfg)
+        _, r1 = train(X, y, cfg)
+        _, r2 = train(X, y, cfg)
         assert r1 == r2
 
     def test_loss_decreases_with_training(self):
         rng = np.random.default_rng(10)
-        g, payments, samples = build_city_samples(rng, 300, linear_rule, noise=0.05)
-        X, y = build_dataset(samples, payments, g)
-        _, before = train(samples, payments, g, TrainConfig(splits=1, epochs=0, seed=2))
-        _, after = train(samples, payments, g, TrainConfig(splits=1, epochs=40, seed=2))
+        X, y = city_dataset(rng, 300, linear_rule, noise=0.05)
+        _, before = train(X, y, TrainConfig(splits=1, epochs=0, seed=2))
+        _, after = train(X, y, TrainConfig(splits=1, epochs=40, seed=2))
         assert after.mean_val_cross_entropy < before.mean_val_cross_entropy
 
     def test_insufficient_data_rejected(self):
         rng = np.random.default_rng(11)
-        g, payments, samples = build_city_samples(rng, 20, linear_rule)
+        X, y = city_dataset(rng, 20, linear_rule)
         with pytest.raises(DataError):
-            train(samples, payments, g, TrainConfig())
+            train(X, y, TrainConfig())
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(12)
-        g, payments, samples = build_city_samples(rng, 80, lambda fv: 1)
+        X, y = city_dataset(rng, 80, lambda fv: 1)
         with pytest.raises(DataError):
-            train(samples, payments, g, TrainConfig())
+            train(X, y, TrainConfig())
 
     def test_feature_norm_ignores_validation_rows(self):
         rng = np.random.default_rng(13)
         g, payments, samples = build_city_samples(rng, 100, linear_rule)
         cfg = TrainConfig(splits=1, epochs=0, seed=21)
-        model, _ = train(samples, payments, g, cfg)
+        model, _ = train(*dataset(g, payments, samples), cfg)
         # find a sample that the documented protocol places in validation
         perm = np.random.default_rng(cfg.seed).permutation(len(samples))
         val_pos = int(perm[0])
@@ -333,7 +389,7 @@ class TestTrain:
         # pile sessions onto the outlier's block so its features explode
         extra = [PaymentRecord(outlier.block_id, outlier.time - timedelta(seconds=9 * k), 1200.0)
                  for k in range(40)]
-        model2, _ = train(mutated, payments + extra, g, cfg)
+        model2, _ = train(*dataset(g, payments + extra, mutated), cfg)
         assert np.array_equal(model.feature_mean, model2.feature_mean)
         assert np.array_equal(model.feature_std, model2.feature_std)
 
@@ -341,27 +397,26 @@ class TestTrain:
 class TestBaseline:
     def test_linear_data_baseline_close_to_mlp(self):
         rng = np.random.default_rng(14)
-        g, payments, samples = build_city_samples(rng, 1500, logistic_rule)
+        X, y = city_dataset(rng, 1500, logistic_rule)
         cfg = TrainConfig(splits=3, epochs=80, seed=5)
-        _, mlp_report = train(samples, payments, g, cfg)
-        _, base_report = train_baseline(samples, payments, g, cfg)
+        _, mlp_report = train(X, y, cfg)
+        _, base_report = train_baseline(X, y, cfg)
         assert abs(base_report.mean_val_cross_entropy
                    - mlp_report.mean_val_cross_entropy) <= 0.01
 
     def test_nonlinear_data_mlp_wins(self):
         rng = np.random.default_rng(15)
-        g, payments, samples = build_city_samples(rng, 1200, xor_rule, noise=0.02)
+        X, y = city_dataset(rng, 1200, xor_rule, noise=0.02)
         cfg = TrainConfig(splits=3, epochs=80, seed=6)
-        _, mlp_report = train(samples, payments, g, cfg)
-        _, base_report = train_baseline(samples, payments, g, cfg)
+        _, mlp_report = train(X, y, cfg)
+        _, base_report = train_baseline(X, y, cfg)
         assert (mlp_report.mean_val_cross_entropy
                 <= base_report.mean_val_cross_entropy - 0.02)
 
     def test_zero_epoch_baseline_near_ln2(self):
         rng = np.random.default_rng(16)
-        g, payments, samples = build_city_samples(rng, 120, linear_rule)
-        model, report = train_baseline(samples, payments, g,
-                                       TrainConfig(splits=2, epochs=0, seed=4))
+        X, y = city_dataset(rng, 120, linear_rule)
+        model, report = train_baseline(X, y, TrainConfig(splits=2, epochs=0, seed=4))
         assert model.dims == BASELINE_DIMS
         assert report.mean_val_cross_entropy == pytest.approx(math.log(2.0), abs=0.05)
 
@@ -369,10 +424,10 @@ class TestBaseline:
         # identical seed must give identical partitions; the training-split
         # feature statistics stored on each model prove the rows match
         rng = np.random.default_rng(17)
-        g, payments, samples = build_city_samples(rng, 200, linear_rule)
+        X, y = city_dataset(rng, 200, linear_rule)
         cfg = TrainConfig(splits=1, epochs=0, seed=8)
-        m_mlp, _ = train(samples, payments, g, cfg)
-        m_base, _ = train_baseline(samples, payments, g, cfg)
+        m_mlp, _ = train(X, y, cfg)
+        m_base, _ = train_baseline(X, y, cfg)
         assert np.array_equal(m_mlp.feature_mean, m_base.feature_mean)
         assert np.array_equal(m_mlp.feature_std, m_base.feature_std)
 
@@ -381,26 +436,28 @@ class TestPredict:
     def make_trained(self):
         rng = np.random.default_rng(18)
         g, payments, samples = build_city_samples(rng, 200, linear_rule)
-        model, _ = train(samples, payments, g, TrainConfig(splits=1, epochs=10, seed=9))
+        model, _ = train(*dataset(g, payments, samples),
+                         TrainConfig(splits=1, epochs=10, seed=9))
         return g, payments, model
 
     def test_unmetered_block_gets_zero(self):
         g0, payments, model = self.make_trained()
         g = grid_graph(3, meters=0)
-        table = predict_block_probabilities(model, [], g, 12, date(2026, 3, 6))
+        table = predict_block_probabilities(model, {}, g, 12, date(2026, 3, 6))
         assert set(table) == set(g.edges)
         assert all(v == 0.0 for v in table.values())
 
     def test_covers_every_edge_in_unit_interval(self):
         g, payments, model = self.make_trained()
-        table = predict_block_probabilities(model, payments, g, 10, date(2026, 3, 4))
+        table = predict_block_probabilities(model, sessions_of(payments), g, 10,
+                                            date(2026, 3, 4))
         assert set(table) == set(g.edges)
         assert all(0.0 < v < 1.0 for v in table.values())
 
     def test_matches_feature_forward_composition(self):
         g, payments, model = self.make_trained()
         on_date = date(2026, 3, 4)
-        table = predict_block_probabilities(model, payments, g, 10, on_date)
+        table = predict_block_probabilities(model, sessions_of(payments), g, 10, on_date)
         t = datetime(2026, 3, 4, 10, 30)
         for eid in list(g.edges)[:8]:
             fv = extract_features(payments, eid, t, g)

@@ -191,30 +191,30 @@ class TestSimulateLotHour:
 
 
 class TestInitialOccupancy:
-    def entries(self, values, day=2):
-        return {(day, h): v for h, v in enumerate(values)}
+    def rates(self, entries, departures, day=2):
+        return LotRateTable({("lot1", day, h): flows
+                             for h, flows in enumerate(zip(entries, departures))})
 
     def test_cumulative_balance(self):
-        occ = initial_occupancy(self.entries([5.0, 3.0]), self.entries([0.0, 2.0]),
-                                2, 2, capacity=20)
+        occ = initial_occupancy(self.rates([5.0, 3.0], [0.0, 2.0]),
+                                LotSpec("lot1", "n0", 20), 2, 2)
         assert occ == 6
 
     def test_zero_history(self):
-        occ = initial_occupancy(self.entries([0.0] * 12), self.entries([0.0] * 12),
-                                2, 12, capacity=10)
+        occ = initial_occupancy(self.rates([0.0] * 12, [0.0] * 12),
+                                LotSpec("lot1", "n0", 10), 2, 12)
         assert occ == 0
 
     def test_clamped_to_capacity_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
-            occ = initial_occupancy(self.entries([9.0, 9.0]), self.entries([0.0, 0.0]),
-                                    2, 2, capacity=10)
+            occ = initial_occupancy(self.rates([9.0, 9.0], [0.0, 0.0]),
+                                    LotSpec("lot1", "n0", 10), 2, 2)
         assert occ == 10
         assert any("clamp" in r.message for r in caplog.records)
 
     def test_missing_hours_listed(self):
-        with pytest.raises(DataError, match=r"\(2, 1\)"):
-            initial_occupancy(self.entries([5.0]), self.entries([5.0]), 2, 3,
-                              capacity=10)
+        with pytest.raises(DataError, match=r"\(day 2, hour 1\)"):
+            initial_occupancy(self.rates([5.0], [5.0]), LotSpec("lot1", "n0", 10), 2, 3)
 
 
 class TestEstimateOffstreet:
