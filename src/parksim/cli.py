@@ -8,7 +8,9 @@ results.
 Only ingest and predict read ``payments.csv``: ingest computes the four
 availability features of every survey sample and writes them into
 ``samples.csv``, from which train and eval read their whole dataset, with
-no graph and no payments.
+no graph and no payments. Ingest also reads ``lot_events.csv`` into dense
+hourly arrays of each lot's entries and departures and averages them into
+the hourly Poisson rates of ``rates.csv``, which sim-off samples.
 
 Exit codes, with a one-line message on stderr for every failure:
 0 success; 2 when a config key, an input file or an earlier stage's output
@@ -23,17 +25,14 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 
 from .data_ingest import (
     SmoothingConfig,
     SynthConfig,
     _atomic_write,
-    align_series,
     combine_surveys,
-    derive_departures,
-    entries_series,
     estimate_rates,
     read_lot_events,
     read_lots,
@@ -42,7 +41,6 @@ from .data_ingest import (
     read_samples_csv,
     read_surveys,
     read_table,
-    smooth_departures,
     synth_generate,
     write_rates_csv,
     write_samples_csv,
@@ -275,29 +273,9 @@ def stage_ingest(cfg: RunConfig) -> None:
     features, _ = build_dataset(combined.samples, _read_known_payments(cfg, g), g)
 
     lots = read_lots(_require(cfg.lots, "lots"))
-    events = read_lot_events(_require(cfg.lot_events, "lot_events"))
-    if not events:
-        raise DataError(f"no lot event records in {cfg.lot_events}")
-    _check_known(cfg.lot_events, "lots", (e.lot_id for e in events), (l.id for l in lots))
-
-    entries = entries_series(events)
-    departures = derive_departures(events)
-    aligned: dict[str, dict[datetime, float]] = {}
-    dropped = 0
-    for lot_id, series in entries.items():
-        start = min(series)
-        hours = len(series)
-        if hours % (7 * 24):
-            raise DataError(f"lot {lot_id!r} entry series does not span whole weeks")
-        raw_dep = departures.get(lot_id, {})
-        smoothed = smooth_departures(
-            align_series(raw_dep, start, hours), cfg.smoothing)
-        dropped += int(sum(raw_dep.values()) - sum(smoothed.values()))
-        aligned[lot_id] = smoothed
-    weeks = {lot_id: len(entries[lot_id]) // (7 * 24) for lot_id in entries}
-    if len(set(weeks.values())) > 1:
-        raise DataError(f"lots cover different week counts: {weeks}")
-    table = estimate_rates(entries, aligned, weeks=next(iter(weeks.values())))
+    flows = read_lot_events(_require(cfg.lot_events, "lot_events"))
+    _check_known(cfg.lot_events, "lots", flows.lot_ids, (l.id for l in lots))
+    table = estimate_rates(flows, cfg.smoothing)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_samples_csv(combined.samples, features, cfg.out_dir / SAMPLES_FILE)
@@ -305,9 +283,9 @@ def stage_ingest(cfg: RunConfig) -> None:
     _atomic_write(cfg.out_dir / INGEST_REPORT_FILE, json.dumps({
         "samples": len(combined.samples),
         "surveys_discarded": combined.discarded,
-        "lots": sorted(entries),
-        "weeks": next(iter(weeks.values())),
-        "departures_outside_span": dropped,
+        "lots": list(flows.lot_ids),
+        "weeks": flows.weeks,
+        "departures_outside_span": flows.departures_outside_span,
     }, sort_keys=True))
 
 

@@ -1,14 +1,19 @@
 """Raw-data ingestion and the synthetic city generator.
 
-Covers four jobs: collapsing meter-level occupancy surveys into block-level
-samples, turning lot entry records with paid durations into hourly
-departure counts, smoothing the artificial departure spikes that flat-rate
-boundaries create, and estimating hourly Poisson rates per day of week.
-The synthetic generator emits a complete, schema-compatible city bundle
-(graph, payments, surveys, lots, lot events) plus the ground-truth
-availability used to validate everything downstream.
+Covers three jobs: collapsing meter-level occupancy surveys into
+block-level samples; reading lot entry records into dense hourly arrays,
+``LotFlows``; and averaging those into hourly Poisson rates per day of
+week, after smoothing the artificial departure spikes that flat-rate
+boundaries create. A lot's arrays hold its entries and departures in every
+hour of its span, the whole weeks of consecutive hours from its first
+record. A car departs in the hour its paid time expires; one whose paid
+time expires at or after its span's end departs outside the span, and is
+counted, not binned. The synthetic generator emits a complete,
+schema-compatible city bundle (graph, payments, surveys, lots, lot events)
+plus the ground-truth availability used to validate everything downstream.
 
-Timestamps are naive local time throughout; CSV columns carry ISO 8601.
+Timestamps are naive local time throughout; CSV columns carry ISO 8601,
+and a timestamp with a UTC offset is malformed.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import statistics
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .road_graph import (BlockFace, Intersection, RoadGraph, _atomic_write, buil
                          save_graph)
 
 HOUR = timedelta(hours=1)
+WEEK_H = 7 * 24
 SURVEY_WINDOW = timedelta(minutes=30)
 
 
@@ -53,15 +59,20 @@ class SurveyRecord:
 
 
 @dataclass(frozen=True)
-class LotEventRecord:
-    lot_id: str
-    hour: datetime  # truncated to the hour
-    entries: int
-    paid_durations_s: tuple[float, ...]
+class LotFlows:
+    """Every lot's hourly flows: one row per lot, in ``lot_ids`` order, and
+    one column per hour of the lot's span. All spans have the same number
+    of whole weeks; each starts at its lot's first recorded hour."""
 
-    def __post_init__(self):
-        if len(self.paid_durations_s) > self.entries:
-            raise DataError(f"lot {self.lot_id!r} at {self.hour}: more durations than entries")
+    lot_ids: tuple[str, ...]
+    starts: tuple[datetime, ...]
+    entries: np.ndarray     # cars entering in each hour
+    departures: np.ndarray  # cars whose paid time expires in each hour
+    departures_outside_span: int  # cars whose paid time expires at or after the span's end
+
+    @property
+    def weeks(self) -> int:
+        return self.entries.shape[1] // WEEK_H
 
 
 @dataclass(frozen=True)
@@ -114,130 +125,53 @@ def _window_start(ts: datetime) -> datetime:
     return ts.replace(minute=minute, second=0, microsecond=0)
 
 
-# -- lot departures ---------------------------------------------------------------
+# -- lot rates --------------------------------------------------------------------
 
-def derive_departures(events: Iterable[LotEventRecord]) -> dict[str, dict[datetime, float]]:
-    """Naive hourly departure counts: every car leaves when its paid time
-    expires. Flat-rate spikes produced here are corrected by smoothing."""
-    out: dict[str, dict[datetime, float]] = {}
-    for ev in events:
-        series = out.setdefault(ev.lot_id, {})
-        for dur in ev.paid_durations_s:
-            if dur < 0:
-                raise DataError(f"negative paid duration in lot {ev.lot_id!r}")
-            leave = (ev.hour + timedelta(seconds=float(dur))).replace(
-                minute=0, second=0, microsecond=0)
-            series[leave] = series.get(leave, 0.0) + 1.0
-    return out
-
-
-def smooth_departures(counts: Mapping[datetime, float],
-                      cfg: SmoothingConfig) -> dict[datetime, float]:
+def smooth_departures(counts: np.ndarray, first_hour: int,
+                      cfg: SmoothingConfig) -> np.ndarray:
     """Redistribute departure spikes at configured peak hours backward.
 
-    The excess over the median of the +-3 h neighborhood is removed from
-    the peak and spread over the preceding span_h hours with left-half
-    Gaussian weights (std sigma_h, normalized). Grand totals are conserved.
+    ``counts`` holds consecutive hours, the first at hour of day
+    ``first_hour``. At each peak hour, in time order, the excess over the
+    median of the +-3 h neighborhood is removed from the peak and spread
+    over the preceding span_h hours with left-half Gaussian weights (std
+    sigma_h, normalized). Grand totals are conserved.
     """
-    if not counts:
-        return {}
-    start = min(counts)
-    end = max(counts)
-    for ts in counts:
-        if ts.minute or ts.second or ts.microsecond:
-            raise DataError(f"departure series key {ts} is not hour-aligned")
-    index = []
-    cursor = start
-    while cursor <= end:
-        index.append(cursor)
-        cursor += HOUR
-    values = [float(counts.get(ts, 0.0)) for ts in index]
-
-    weights = _left_gaussian_weights(cfg.sigma_h, cfg.span_h)
-    for i, ts in enumerate(index):
-        if ts.hour not in cfg.peak_hours:
+    values = np.array(counts, dtype=float)
+    raw = [math.exp(-(d * d) / (2.0 * cfg.sigma_h * cfg.sigma_h))
+           for d in range(1, cfg.span_h + 1)]
+    weights = (np.array(raw) / sum(raw))[::-1]  # of the hours span_h, ..., 1 before a peak
+    for i in range(len(values)):
+        if (first_hour + i) % 24 not in cfg.peak_hours:
             continue
         if i < cfg.span_h:
-            raise DataError(
-                f"series too short: need {cfg.span_h} hours before peak at {ts}")
-        neighborhood = [values[j] for j in range(max(0, i - 3), min(len(values), i + 4))
-                        if j != i]
+            raise DataError(f"series too short: need {cfg.span_h} hours before "
+                            f"the peak at hour {i} of the span")
+        neighborhood = values[max(0, i - 3):i].tolist() + values[i + 1:i + 4].tolist()
         excess = max(0.0, values[i] - statistics.median(neighborhood))
-        if excess == 0.0:
-            continue
         values[i] -= excess
-        for d, w in enumerate(weights, start=1):
-            values[i - d] += excess * w
-    return dict(zip(index, values))
+        values[i - cfg.span_h:i] += excess * weights
+    return values
 
 
-def _left_gaussian_weights(sigma: float, span: int) -> list[float]:
-    raw = [math.exp(-(d * d) / (2.0 * sigma * sigma)) for d in range(1, span + 1)]
-    total = sum(raw)
-    return [r / total for r in raw]
-
-
-# -- rate estimation ----------------------------------------------------------------
-
-def estimate_rates(entries: Mapping[str, Mapping[datetime, float]],
-                   departures: Mapping[str, Mapping[datetime, float]],
-                   weeks: int) -> LotRateTable:
+def estimate_rates(flows: LotFlows, smoothing: SmoothingConfig) -> LotRateTable:
     """Average hourly flows into per-(lot, day-of-week, hour) Poisson rates.
 
-    Both series must cover the same contiguous whole-week span, so every
-    slot is the mean of exactly ``weeks`` observations.
+    Departures are smoothed first. Every slot is then the mean of the
+    ``flows.weeks`` hours that fall on it, added in time order.
     """
-    if weeks < 1:
-        raise DataError("weeks must be >= 1")
     rates: dict[tuple[str, int, int], tuple[float, float]] = {}
-    for lot_id in sorted(entries):
-        ent = entries[lot_id]
-        dep = departures.get(lot_id)
-        if dep is None:
-            raise DataError(f"no departure series for lot {lot_id!r}")
-        expected = weeks * 7 * 24
-        gaps = _series_gaps(ent, expected) + _series_gaps(dep, expected)
-        if set(ent) != set(dep):
-            gaps += sorted(set(ent) ^ set(dep))
-        if gaps:
-            raise DataError(f"lot {lot_id!r} hourly series incomplete; gaps at {gaps[:8]}")
-        sums: dict[tuple[int, int], list[float]] = {}
-        for ts, n_in in ent.items():
-            slot = (ts.weekday(), ts.hour)
-            acc = sums.setdefault(slot, [0.0, 0.0])
-            acc[0] += n_in
-            acc[1] += dep[ts]
-        for (dow, hour), (sum_in, sum_out) in sums.items():
-            rates[(lot_id, dow, hour)] = (sum_in / weeks, sum_out / weeks)
+    for lot_id, start, entries, departures in zip(
+            flows.lot_ids, flows.starts, flows.entries, flows.departures):
+        slot = (start.weekday() * 24 + start.hour + np.arange(entries.size)) % WEEK_H
+        departures = smooth_departures(departures, start.hour, smoothing)
+        lam_a, lam_d = (np.bincount(slot, weights=x, minlength=WEEK_H) / flows.weeks
+                        for x in (entries, departures))
+        for s, lams in enumerate(zip(lam_a.tolist(), lam_d.tolist())):
+            rates[(lot_id, *divmod(s, 24))] = lams
     table = LotRateTable(rates)
     table.validate()
     return table
-
-
-def _series_gaps(series: Mapping[datetime, float], expected: int) -> list[datetime]:
-    if not series:
-        return []
-    start = min(series)
-    gaps = [start + i * HOUR for i in range(expected)
-            if start + i * HOUR not in series]
-    if len(series) != expected and not gaps:
-        raise DataError(f"series has {len(series)} hours, expected {expected}")
-    return gaps
-
-
-def entries_series(events: Iterable[LotEventRecord]) -> dict[str, dict[datetime, float]]:
-    out: dict[str, dict[datetime, float]] = {}
-    for ev in events:
-        series = out.setdefault(ev.lot_id, {})
-        series[ev.hour] = series.get(ev.hour, 0.0) + float(ev.entries)
-    return out
-
-
-def align_series(series: Mapping[datetime, float], start: datetime,
-                 hours: int) -> dict[datetime, float]:
-    """Densify onto [start, start + hours); values outside are dropped."""
-    return {start + i * HOUR: float(series.get(start + i * HOUR, 0.0))
-            for i in range(hours)}
 
 
 # -- file I/O ---------------------------------------------------------------------
@@ -294,6 +228,13 @@ def _real(raw: str, positive: bool = False) -> float:
     return value
 
 
+def _naive(raw: str) -> datetime:
+    value = datetime.fromisoformat(raw)
+    if value.tzinfo is not None:
+        raise ValueError(f"expected a local time without a UTC offset, got {raw!r}")
+    return value
+
+
 def _label(raw: str) -> int:
     value = int(raw)
     if value not in (0, 1):
@@ -304,7 +245,7 @@ def _label(raw: str) -> int:
 def read_payments(path: str | os.PathLike) -> Sessions:
     """Each block's paid sessions, as ``occupancy_model.session_arrays``."""
     def parse(row: dict[str, str]) -> tuple[str, int, int]:
-        start = datetime.fromisoformat(row["start_iso8601"])
+        start = _naive(row["start_iso8601"])
         end = start + timedelta(seconds=_real(row["duration_s"], positive=True))
         return row["block_id"], micros(start), micros(end)
     return session_arrays(read_table(path, PAYMENT_COLUMNS, parse))
@@ -320,16 +261,18 @@ def read_surveys(path: str | os.PathLike) -> list[SurveyRecord]:
     def parse(row: dict[str, str]) -> SurveyRecord:
         raw_ts = row["timestamp_iso8601"].strip()
         return SurveyRecord(meter_id=row["meter_id"], block_id=row["block_id"],
-                            timestamp=datetime.fromisoformat(raw_ts) if raw_ts else None,
+                            timestamp=_naive(raw_ts) if raw_ts else None,
                             free=int(row["free_spots"]) > 0)
     return list(read_table(path, SURVEY_COLUMNS, parse))
 
 
 def write_surveys(records: Sequence[SurveyRecord], path: str | os.PathLike) -> None:
+    """Write checks by block, then time (missing first), then meter."""
     write_table(path, SURVEY_COLUMNS,
                 ([r.meter_id, r.block_id,
                   r.timestamp.isoformat() if r.timestamp is not None else "", int(r.free)]
-                 for r in records))
+                 for r in sorted(records, key=lambda r: (
+                     r.block_id, r.timestamp or datetime.min, r.meter_id))))
 
 
 def read_lots(path: str | os.PathLike) -> list[LotSpec]:
@@ -350,21 +293,57 @@ def write_lots(lots: Sequence[LotSpec], path: str | os.PathLike) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
-def read_lot_events(path: str | os.PathLike) -> list[LotEventRecord]:
-    def parse(row: dict[str, str]) -> LotEventRecord:
+def read_lot_events(path: str | os.PathLike) -> LotFlows:
+    """Each lot's entries and naive departures in every hour of its span.
+
+    Each car with a paid duration departs in the hour its paid time
+    expires; a car without one is counted as an entry only. Rows for the
+    same (lot, hour) add up. Each lot must have a row for every hour from
+    its first to its last, whole weeks of them, and every lot the same
+    number of weeks.
+    """
+    def parse(row: dict[str, str]) -> tuple[str, int, float, list[int]]:
+        hour = _naive(row["hour_iso8601"])
+        if hour.minute or hour.second or hour.microsecond:
+            raise ValueError(f"hour {row['hour_iso8601']!r} is not on the hour")
+        entries = int(row["entries"])
         blob = row["paid_durations_s"].strip()
-        return LotEventRecord(
-            lot_id=row["lot_id"], hour=datetime.fromisoformat(row["hour_iso8601"]),
-            entries=int(row["entries"]),
-            paid_durations_s=tuple(float(x) for x in blob.split(";")) if blob else ())
-    return list(read_table(path, LOT_EVENT_COLUMNS, parse))
+        paid = [_real(x) for x in blob.split(";")] if blob else []
+        if entries < 0 or min(paid, default=0.0) < 0:
+            raise ValueError("entries and paid durations must not be negative")
+        if len(paid) > entries:
+            raise ValueError(f"{len(paid)} paid durations for {entries} entries")
+        h = (hour - _EPOCH) // HOUR
+        return row["lot_id"], h, float(entries), [h + timedelta(seconds=s) // HOUR
+                                                  for s in paid]
 
-
-def write_lot_events(events: Sequence[LotEventRecord], path: str | os.PathLike) -> None:
-    write_table(path, LOT_EVENT_COLUMNS,
-                ([ev.lot_id, ev.hour.isoformat(), ev.entries,
-                  ";".join(str(int(d)) for d in ev.paid_durations_s)]
-                 for ev in sorted(events, key=lambda e: (e.lot_id, e.hour))))
+    by_lot: dict[str, list[tuple[int, float, list[int]]]] = {}
+    for lot_id, *event in read_table(path, LOT_EVENT_COLUMNS, parse):
+        by_lot.setdefault(lot_id, []).append(event)
+    if not by_lot:
+        raise DataError(f"no lot event records in {path}")
+    lot_ids = tuple(sorted(by_lot))
+    weeks, starts, entries, departures, outside = {}, [], [], [], 0
+    for lot_id in lot_ids:
+        hours, counts, expiries = zip(*by_lot[lot_id])
+        seen = np.unique(hours)
+        gaps = seen[:-1][np.diff(seen) > 1] + 1  # the first missing hour of each gap
+        if gaps.size:
+            raise DataError(f"{path}: lot {lot_id!r} hourly series incomplete; gaps at "
+                            f"{[(_EPOCH + h * HOUR).isoformat() for h in gaps[:8].tolist()]}")
+        if seen.size % WEEK_H:
+            raise DataError(f"{path}: lot {lot_id!r} entry series does not span whole weeks")
+        first, n = int(seen[0]), seen.size
+        expiry = np.array([e for row in expiries for e in row], dtype=np.int64) - first
+        weeks[lot_id] = n // WEEK_H
+        starts.append(_EPOCH + first * HOUR)
+        entries.append(np.bincount(np.array(hours) - first, weights=counts, minlength=n))
+        departures.append(np.bincount(expiry[expiry < n], minlength=n).astype(float))
+        outside += int(np.count_nonzero(expiry >= n))
+    if len(set(weeks.values())) > 1:
+        raise DataError(f"{path}: lots cover different week counts: {weeks}")
+    return LotFlows(lot_ids, tuple(starts), np.array(entries), np.array(departures),
+                    outside)
 
 
 def read_rates_csv(path: str | os.PathLike) -> LotRateTable:
@@ -453,7 +432,6 @@ class SynthBundle:
     payments: tuple[PaymentRecord, ...]
     surveys: tuple[SurveyRecord, ...]
     lots: tuple[LotSpec, ...]
-    lot_events: tuple[LotEventRecord, ...]
     ground_truth: dict
 
 
@@ -625,7 +603,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
 
     duration_choices = [3600.0, 7200.0, 10800.0, 14400.0]
     duration_weights = [0.35, 0.30, 0.20, 0.15]
-    events: list[LotEventRecord] = []
+    events: list[list] = []
     for lot in lots:
         scale = lot.capacity / 3.0
         for day in range(cfg.days):
@@ -641,10 +619,9 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
                     else:
                         durations.append(duration_choices[
                             int(rng.choice(4, p=duration_weights))])
-                events.append(LotEventRecord(
-                    lot_id=lot.id,
-                    hour=datetime.combine(cfg.start_date + timedelta(days=day), time(h, 0)),
-                    entries=entries, paid_durations_s=tuple(durations)))
+                hour = datetime.combine(cfg.start_date + timedelta(days=day), time(h, 0))
+                events.append([lot.id, hour.isoformat(), entries,
+                               ";".join(str(int(d)) for d in durations)])
 
     ground_truth = {
         "format_version": 1,
@@ -655,16 +632,10 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
 
     save_graph(graph, out / "graph.json")
     write_payments(payments, out / "payments.csv")
-    write_surveys(sorted(surveys, key=_survey_sort_key), out / "surveys.csv")
+    write_surveys(surveys, out / "surveys.csv")
     write_lots(list(lots), out / "lots.json")
-    write_lot_events(events, out / "lot_events.csv")
+    write_table(out / "lot_events.csv", LOT_EVENT_COLUMNS, sorted(events))
     _atomic_write(out / "ground_truth.json", json.dumps(ground_truth, sort_keys=True))
 
     return SynthBundle(out_dir=out, graph=graph, payments=tuple(payments),
-                       surveys=tuple(surveys), lots=lots,
-                       lot_events=tuple(events), ground_truth=ground_truth)
-
-
-def _survey_sort_key(r: SurveyRecord):
-    ts = r.timestamp.isoformat() if r.timestamp is not None else ""
-    return (r.block_id, ts, r.meter_id)
+                       surveys=tuple(surveys), lots=lots, ground_truth=ground_truth)

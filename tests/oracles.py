@@ -387,3 +387,65 @@ def left_gaussian_weights(sigma, span):
     raw = [math.exp(-(d * d) / (2.0 * sigma * sigma)) for d in range(1, span + 1)]
     total = sum(raw)
     return [r / total for r in raw]
+
+
+# -- lot rates by scanning the event rows ---------------------------------------
+
+def lot_rates(events, peak_hours, sigma_h, span_h):
+    """Per-(lot, day-of-week, hour) rates of lot event rows, and the number
+    of cars whose paid time expires at or after their lot's span end.
+
+    ``events`` are (lot_id, hour, entries, paid_durations_s) rows, in any
+    order, that cover each lot's span hour by hour. A car departs in the
+    hour its paid time expires. At each peak hour, in time order, the
+    excess over the median of the +-3 h neighborhood moves to the span_h
+    hours before it; then each (day of week, hour) slot averages its hours
+    in time order. Returns ({(lot, dow, hour): (lambda_a, lambda_d)},
+    outside).
+    """
+    hour = timedelta(hours=1)
+    rates = {}
+    outside = 0
+    for lot in sorted({e[0] for e in events}):
+        rows = [e for e in events if e[0] == lot]
+        start = min(r[1] for r in rows)
+        end = max(r[1] for r in rows) + hour
+        entries, leaving = {}, {}
+        for _, t, n, paid in rows:
+            entries[t] = entries.get(t, 0) + n
+            for s in paid:
+                leave = (t + timedelta(seconds=s)).replace(minute=0, second=0,
+                                                           microsecond=0)
+                leaving[leave] = leaving.get(leave, 0) + 1
+        outside += sum(n for t, n in leaving.items() if t >= end)
+
+        times = []
+        t = start
+        while t < end:
+            times.append(t)
+            t += hour
+        series = [float(leaving.get(t, 0)) for t in times]
+        weights = left_gaussian_weights(sigma_h, span_h)
+        for i, t in enumerate(times):
+            if t.hour not in peak_hours:
+                continue
+            if i < span_h:
+                raise DataError(f"series too short before {t}")
+            around = sorted(series[j] for j in range(i - 3, i + 4)
+                            if j != i and 0 <= j < len(series))
+            mid = len(around) // 2
+            median = around[mid] if len(around) % 2 else (around[mid - 1] + around[mid]) / 2
+            excess = max(0.0, series[i] - median)
+            series[i] -= excess
+            for d, w in enumerate(weights, start=1):
+                series[i - d] += excess * w
+
+        sums = {}
+        for t, out in zip(times, series):
+            acc = sums.setdefault((t.weekday(), t.hour), [0.0, 0.0])
+            acc[0] += float(entries[t])
+            acc[1] += out
+        weeks = len(times) // (7 * 24)
+        for (dow, h), (total_in, total_out) in sums.items():
+            rates[(lot, dow, h)] = (total_in / weeks, total_out / weeks)
+    return rates, outside

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import shutil
+from datetime import datetime
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +23,7 @@ from parksim.offstreet_sim import LotSimConfig
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import load_graph
 
-from oracles import brute_drive_time_to_node, brute_walk_time_from_node
+from oracles import brute_drive_time_to_node, brute_walk_time_from_node, lot_rates
 
 SEED = 5
 HOURS = (8, 13)
@@ -448,3 +449,71 @@ def test_rate_for_unknown_lot_is_a_data_error(copied, capsys):
     assert code == 3
     assert_one_line(err)
     assert "rates.csv references unknown lots: ['x']" in err
+
+
+def test_departures_outside_span_counts_every_late_car(run):
+    # at this seed the smoothed departures do not sum to a whole number, so
+    # subtracting sums would truncate the count
+    events = [(r["lot_id"], datetime.fromisoformat(r["hour_iso8601"]), int(r["entries"]),
+               [float(x) for x in r["paid_durations_s"].split(";") if x])
+              for r in read_rows(run["city"] / "lot_events.csv")]
+    smoothing = SmoothingConfig()
+    _, outside = lot_rates(events, smoothing.peak_hours, smoothing.sigma_h, smoothing.span_h)
+    report = json.loads((run["out"] / "ingest.json").read_text())
+    assert outside > 0
+    assert report["departures_outside_span"] == outside
+
+
+def test_survey_time_with_utc_offset_is_a_data_error(copied, capsys):
+    def add_offset(rows):
+        column = rows[0].index("timestamp_iso8601")
+        for row in rows[1:]:
+            if row[column]:
+                row[column] += "+00:00"
+
+    edit_csv(copied / "city" / "surveys.csv", add_offset)
+    code, err = run_stage(copied, "surveys.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert "surveys.csv, line " in err and "UTC offset" in err
+
+
+@pytest.mark.parametrize("rows_with_offset", [slice(1, 2), slice(1, None)],
+                         ids=["one_row", "every_row"])
+def test_lot_event_hour_with_utc_offset_is_a_data_error(copied, capsys, rows_with_offset):
+    def add_offset(rows):
+        for row in rows[rows_with_offset]:
+            row[1] += "+00:00"
+
+    edit_csv(copied / "city" / "lot_events.csv", add_offset)
+    code, err = run_stage(copied, "lot_events.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert "lot_events.csv, line 2: " in err and "UTC offset" in err
+
+
+@pytest.mark.parametrize("cells", [
+    {"paid_durations_s": "nan"},
+    {"paid_durations_s": "inf"},
+    {"paid_durations_s": "1e300"},
+    {"paid_durations_s": "-60"},
+    {"entries": "-1", "paid_durations_s": ""},
+    {"entries": "1", "paid_durations_s": "3600;3600"},
+    {"hour_iso8601": "2026-03-02T09:30:00"},
+], ids=["nan_duration", "inf_duration", "huge_duration", "negative_duration",
+        "negative_entries", "more_durations_than_entries", "off_the_hour"])
+def test_malformed_lot_event_is_a_data_error(copied, capsys, cells):
+    edited = []
+
+    def edit(rows):
+        # the first row that records a paid duration
+        line = next(i for i, row in enumerate(rows) if i and row[3])
+        for column, value in cells.items():
+            rows[line][rows[0].index(column)] = value
+        edited.append(line + 1)
+
+    edit_csv(copied / "city" / "lot_events.csv", edit)
+    code, err = run_stage(copied, "lot_events.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert f"lot_events.csv, line {edited[0]}: " in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -12,16 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parksim.data_ingest import (
-    LotEventRecord,
+    LOT_EVENT_COLUMNS,
+    LotFlows,
     SmoothingConfig,
     SurveyRecord,
     SynthConfig,
-    align_series,
     combine_surveys,
-    derive_departures,
-    entries_series,
     estimate_rates,
     read_lot_events,
     read_lots,
@@ -40,13 +41,38 @@ from parksim.errors import DataError
 from parksim.occupancy_model import build_dataset
 from parksim.road_graph import load_graph
 
-from oracles import left_gaussian_weights
+from oracles import left_gaussian_weights, lot_rates
 
 D = date(2026, 3, 2)  # a Monday
+HOUR = timedelta(hours=1)
 
 
 def dt(day_offset=0, hour=0, minute=0):
     return datetime(2026, 3, 2 + day_offset, hour, minute)
+
+
+def write_lot_events(path, events):
+    """Write (lot_id, hour, entries, paid_durations_s) rows as a lot events
+    file, durations in ``repr``."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LOT_EVENT_COLUMNS)
+        for lot_id, hour, entries, paid in events:
+            writer.writerow([lot_id, hour.isoformat(), entries, ";".join(map(repr, paid))])
+    return path
+
+
+def week_of(events, weeks=1, start=dt(0, 0), lot_id="lot1"):
+    """``events`` after an empty row for each hour of ``weeks`` weeks from
+    ``start``; rows for the same hour add up, so the events keep their
+    counts and the file spans whole weeks."""
+    empty = [(lot_id, start + h * HOUR, 0, ()) for h in range(weeks * 7 * 24)]
+    return empty + list(events)
+
+
+def departures_by_hour(flows, lot=0):
+    return {flows.starts[lot] + i * HOUR: x
+            for i, x in enumerate(flows.departures[lot].tolist()) if x}
 
 
 class TestCombineSurveys:
@@ -94,15 +120,17 @@ class TestCombineSurveys:
 
 
 class TestDeriveDepartures:
-    def test_expiry_hour(self):
-        events = [LotEventRecord("lot1", dt(0, 9), 1, (7200.0,))]
-        out = derive_departures(events)
-        assert out == {"lot1": {dt(0, 11): 1.0}}
+    def test_expiry_hour(self, tmp_path):
+        events = [("lot1", dt(0, 9), 1, (7200.0,))]
+        flows = read_lot_events(write_lot_events(tmp_path / "e.csv", week_of(events)))
+        assert departures_by_hour(flows) == {dt(0, 11): 1.0}
 
-    def test_empty_input(self):
-        assert derive_departures([]) == {}
+    def test_empty_input(self, tmp_path):
+        flows = read_lot_events(write_lot_events(tmp_path / "e.csv", week_of([])))
+        assert departures_by_hour(flows) == {}
+        assert flows.departures_outside_span == 0
 
-    def test_conservation(self):
+    def test_conservation(self, tmp_path):
         rng = np.random.default_rng(8)
         events = []
         total = 0
@@ -111,99 +139,183 @@ class TestDeriveDepartures:
                 n = int(rng.integers(0, 6))
                 durations = tuple(float(rng.integers(1, 30) * 600) for _ in range(n))
                 total += n
-                events.append(LotEventRecord("lot1", dt(day, h), n, durations))
-        out = derive_departures(events)
-        assert sum(out["lot1"].values()) == total
+                events.append(("lot1", dt(day, h), n, durations))
+        flows = read_lot_events(write_lot_events(tmp_path / "e.csv", week_of(events)))
+        assert flows.departures.sum() == total
 
-    def test_negative_duration_rejected(self):
-        with pytest.raises(DataError):
-            derive_departures([LotEventRecord("lot1", dt(0, 9), 1, (-60.0,))])
+    def test_negative_duration_rejected(self, tmp_path):
+        path = write_lot_events(tmp_path / "e.csv", [("lot1", dt(0, 9), 1, (-60.0,))])
+        with pytest.raises(DataError, match="e.csv, line 2: "):
+            read_lot_events(path)
+
+
+class TestReadLotEvents:
+    def test_departures_at_or_after_the_span_end_are_counted_outside(self, tmp_path):
+        # the span ends at Monday 00:00 of the second week
+        events = [("lot1", dt(6, 23), 4, (3599.0, 3600.0, 7200.0, 86400.0 * 30))]
+        flows = read_lot_events(write_lot_events(tmp_path / "e.csv", week_of(events)))
+        assert departures_by_hour(flows) == {dt(6, 23): 1.0}
+        assert flows.departures_outside_span == 3
+        assert (flows.weeks, flows.starts) == (1, (dt(0, 0),))
+
+    def test_span_of_whole_weeks_required(self, tmp_path):
+        path = write_lot_events(tmp_path / "e.csv", week_of([])[:-1])
+        with pytest.raises(DataError, match="e.csv: lot 'lot1' .* whole weeks"):
+            read_lot_events(path)
+
+    def test_equal_week_counts_required(self, tmp_path):
+        events = week_of([]) + week_of([], weeks=2, lot_id="lot2")
+        path = write_lot_events(tmp_path / "e.csv", events)
+        with pytest.raises(DataError, match="different week counts"):
+            read_lot_events(path)
 
 
 class TestSmoothDepartures:
     def flat_series(self, value=10.0, hours=24):
-        return {dt(0, 0) + timedelta(hours=h): value for h in range(hours)}
+        return np.full(hours, value)
 
     def test_no_peak_unchanged(self):
         series = self.flat_series()
-        out = smooth_departures(series, SmoothingConfig())
-        assert out == series
+        out = smooth_departures(series, 0, SmoothingConfig())
+        assert np.array_equal(out, series)
 
     def test_spike_redistributed_with_left_gaussian_weights(self):
         series = self.flat_series()
-        series[dt(0, 18)] = 110.0
+        series[18] = 110.0
         cfg = SmoothingConfig(peak_hours=(18,), sigma_h=3.5, span_h=12)
-        out = smooth_departures(series, cfg)
+        out = smooth_departures(series, 0, cfg)
         weights = left_gaussian_weights(3.5, 12)
-        assert out[dt(0, 18)] == pytest.approx(10.0, abs=1e-12)
+        assert out[18] == pytest.approx(10.0, abs=1e-12)
         for d, w in enumerate(weights, start=1):
-            assert out[dt(0, 18 - d)] == pytest.approx(10.0 + 100.0 * w, abs=1e-9)
-        assert sum(out.values()) == pytest.approx(sum(series.values()), abs=1e-6)
+            assert out[18 - d] == pytest.approx(10.0 + 100.0 * w, abs=1e-9)
+        assert out.sum() == pytest.approx(series.sum(), abs=1e-6)
 
     def test_redistribution_decays_with_distance(self):
         series = self.flat_series()
-        series[dt(0, 18)] = 200.0
-        out = smooth_departures(series, SmoothingConfig())
-        gains = [out[dt(0, 18 - d)] - 10.0 for d in range(1, 13)]
+        series[18] = 200.0
+        out = smooth_departures(series, 0, SmoothingConfig())
+        gains = [out[18 - d] - 10.0 for d in range(1, 13)]
         assert all(a > b for a, b in zip(gains, gains[1:]))
         assert all(g > 0 for g in gains)
 
     def test_series_too_short_rejected(self):
-        series = {dt(0, 10) + timedelta(hours=h): 5.0 for h in range(10)}
-        series[dt(0, 18)] = 80.0
+        series = self.flat_series(5.0, hours=10)  # from 10:00
+        series[8] = 80.0  # 18:00
         with pytest.raises(DataError, match="too short"):
-            smooth_departures(series, SmoothingConfig())
+            smooth_departures(series, 10, SmoothingConfig())
 
     def test_random_series_conserve_totals_and_stay_nonnegative(self):
         rng = np.random.default_rng(123)
         cfg = SmoothingConfig(peak_hours=(18,))
         for _ in range(40):
             hours = int(rng.integers(48, 96))
-            series = {dt(0, 0) + timedelta(hours=h): float(rng.uniform(0, 20))
-                      for h in range(hours)}
+            series = np.array([float(rng.uniform(0, 20)) for h in range(hours)])
             spike_day = int(rng.integers(0, hours // 24))
-            key = dt(spike_day, 18)
-            series[key] = series.get(key, 0.0) + float(rng.uniform(50, 500))
-            out = smooth_departures(series, cfg)
-            assert sum(out.values()) == pytest.approx(sum(series.values()), abs=1e-6)
-            assert min(out.values()) >= 0.0
+            series[spike_day * 24 + 18] += float(rng.uniform(50, 500))
+            out = smooth_departures(series, 0, cfg)
+            assert out.sum() == pytest.approx(series.sum(), abs=1e-6)
+            assert out.min() >= 0.0
 
 
 class TestEstimateRates:
     def constant_series(self, value, weeks=1):
-        return {dt(0, 0) + timedelta(hours=h): value for h in range(weeks * 7 * 24)}
+        return np.full(weeks * 7 * 24, float(value))
+
+    def flows(self, entries, departures):
+        """One lot's flows over a span from Monday 00:00."""
+        return LotFlows(("lot1",), (dt(0, 0),), np.array([entries]), np.array([departures]),
+                        departures_outside_span=0)
 
     def test_constant_entries(self):
-        entries = {"lot1": self.constant_series(6.0)}
-        departures = {"lot1": self.constant_series(5.0)}
-        table = estimate_rates(entries, departures, weeks=1)
+        flows = self.flows(self.constant_series(6.0), self.constant_series(5.0))
+        table = estimate_rates(flows, SmoothingConfig())
         for d in range(7):
             for h in range(24):
                 assert table.lookup("lot1", d, h) == (6.0, 5.0)
 
     def test_two_week_mean(self):
         entries = self.constant_series(0.0, weeks=2)
-        entries[dt(0, 9)] = 4.0      # Monday 09:00, week one
-        entries[dt(7, 9)] = 8.0      # Monday 09:00, week two
-        table = estimate_rates({"lot1": entries},
-                               {"lot1": self.constant_series(0.0, weeks=2)}, weeks=2)
+        entries[9] = 4.0            # Monday 09:00, week one
+        entries[7 * 24 + 9] = 8.0   # Monday 09:00, week two
+        table = estimate_rates(self.flows(entries, self.constant_series(0.0, weeks=2)),
+                               SmoothingConfig())
         assert table.lookup("lot1", 0, 9)[0] == 6.0
 
     def test_conservation_of_totals(self):
         rng = np.random.default_rng(2)
-        entries = {k: float(rng.integers(0, 12)) for k in self.constant_series(0.0, weeks=2)}
-        table = estimate_rates({"lot1": entries},
-                               {"lot1": self.constant_series(1.0, weeks=2)}, weeks=2)
+        entries = np.array([float(rng.integers(0, 12)) for _ in range(2 * 7 * 24)])
+        table = estimate_rates(self.flows(entries, self.constant_series(1.0, weeks=2)),
+                               SmoothingConfig())
         slot_total = sum(table.lookup("lot1", d, h)[0]
                          for d in range(7) for h in range(24)) * 2
-        assert slot_total == pytest.approx(sum(entries.values()), abs=1e-9)
+        assert slot_total == pytest.approx(entries.sum(), abs=1e-9)
 
-    def test_missing_slots_listed(self):
-        entries = self.constant_series(3.0)
-        del entries[dt(2, 13)]
-        with pytest.raises(DataError, match="gaps"):
-            estimate_rates({"lot1": entries}, {"lot1": self.constant_series(1.0)},
-                           weeks=1)
+    def test_missing_slots_listed(self, tmp_path):
+        events = [e for e in week_of([]) if e[1] != dt(2, 13)]
+        path = write_lot_events(tmp_path / "e.csv", events)
+        with pytest.raises(DataError, match=r"gaps at \['2026-03-04T13:00:00'\]"):
+            read_lot_events(path)
+
+
+# Durations whose expiry hour needs care: a half second, a microsecond
+# rounding up to the next hour, and no paid time at all.
+FRACTIONAL_S = (1800.5, 3599.9999996, 5400.25, 0.0)
+
+
+@st.composite
+def lot_event_files(draw):
+    """A smoothing config and shuffled lot event rows over whole weeks, with
+    flat-rate spikes at a peak hour, fractional durations, cars that stay
+    past the span, and (lot, hour) rows split in two."""
+    cfg = SmoothingConfig(
+        peak_hours=tuple(sorted(draw(st.sets(st.integers(0, 23), min_size=1, max_size=2)))),
+        sigma_h=draw(st.floats(0.5, 6.0)), span_h=draw(st.integers(1, 12)))
+    weeks = draw(st.integers(1, 3))
+    start = dt(0, 0) + draw(st.integers(0, 7 * 24 - 1)) * HOUR
+    n_lots = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for lot in range(n_lots):
+        for h in range(weeks * 7 * 24):
+            t = start + h * HOUR
+            n = int(rng.poisson(3.0))
+            paid = []
+            later_peaks = [p for p in cfg.peak_hours if p > t.hour]
+            for _ in range(int(rng.binomial(n, 0.9))):
+                u = rng.random()
+                if u < 0.3 and later_peaks:  # paid up to a flat-rate boundary
+                    paid.append((later_peaks[0] - t.hour) * 3600.0)
+                elif u < 0.5:
+                    paid.append(FRACTIONAL_S[int(rng.integers(len(FRACTIONAL_S)))])
+                elif u < 0.55:
+                    paid.append(2 * 86400.0)
+                else:
+                    paid.append(float(rng.integers(1, 5)) * 3600.0)
+            if n and rng.random() < 0.1:
+                k = int(rng.integers(0, n + 1))
+                rows.append((f"lot{lot + 1}", t, k, tuple(paid[:k])))
+                rows.append((f"lot{lot + 1}", t, n - k, tuple(paid[k:])))
+            else:
+                rows.append((f"lot{lot + 1}", t, n, tuple(paid)))
+    return cfg, [rows[i] for i in rng.permutation(len(rows))]
+
+
+@settings(max_examples=50)
+@given(case=lot_event_files())
+def test_estimate_rates_equals_the_scanning_oracle(tmp_path_factory, case):
+    cfg, events = case
+    path = write_lot_events(tmp_path_factory.getbasetemp() / "property_lot_events.csv", events)
+    flows = read_lot_events(path)
+    try:
+        expected, outside = lot_rates(events, cfg.peak_hours, cfg.sigma_h, cfg.span_h)
+    except DataError:
+        with pytest.raises(DataError, match="too short"):
+            estimate_rates(flows, cfg)
+        return
+    assert flows.departures_outside_span == outside
+    table = estimate_rates(flows, cfg)
+    assert {k: tuple(map(float.hex, v)) for k, v in table.rates.items()} == \
+        {k: tuple(map(float.hex, v)) for k, v in expected.items()}
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +333,7 @@ class TestSynthGenerate:
         assert read_payments(out / "payments.csv")
         assert read_surveys(out / "surveys.csv")
         assert read_lots(out / "lots.json")
-        assert read_lot_events(out / "lot_events.csv")
+        assert read_lot_events(out / "lot_events.csv").lot_ids == ("lot1",)
 
     def test_ten_by_ten_grid_counts(self, tmp_path):
         cfg = SynthConfig(grid_n=10, days=7, demand_scale=0.05)
@@ -307,15 +419,8 @@ class TestSynthGenerate:
         assert central_avail < corner_avail
 
     def test_rates_pipeline_round_trip(self, bundle, tmp_path):
-        events = read_lot_events(bundle.out_dir / "lot_events.csv")
-        entries = entries_series(events)
-        departures = derive_departures(events)
-        start = min(entries["lot1"])
-        hours = 7 * 24
-        aligned_dep = {"lot1": align_series(
-            smooth_departures(departures["lot1"], SmoothingConfig(peak_hours=(18,))),
-            start, hours)}
-        table = estimate_rates(entries, aligned_dep, weeks=1)
+        flows = read_lot_events(bundle.out_dir / "lot_events.csv")
+        table = estimate_rates(flows, SmoothingConfig(peak_hours=(18,)))
         path = tmp_path / "rates.csv"
         write_rates_csv(table, path)
         again = read_rates_csv(path)

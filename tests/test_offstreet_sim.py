@@ -83,10 +83,12 @@ class TestSampleTick:
 
     def test_poisson_mean_matches_rate(self):
         rng = np.random.default_rng(77)
-        state = LotState.fresh(1_000_000)  # never binds
+        state = LotState.fresh(10_000)
         mu = 0.5
-        draws = [sample_tick(state, mu * 3600.0 / CFG.tick_s, 0.0, CFG, rng).arrivals
+        ticks = [sample_tick(state, mu * 3600.0 / CFG.tick_s, 0.0, CFG, rng)
                  for _ in range(10_000)]
+        assert all(t.overflow == 0 for t in ticks)  # the lot never binds
+        draws = [t.arrivals for t in ticks]
         sigma = math.sqrt(mu / 10_000)
         assert abs(np.mean(draws) - mu) <= 3 * sigma
 
