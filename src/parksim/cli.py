@@ -86,7 +86,7 @@ AVAILABILITY_COLUMNS = ("block_id", "hour", "p_available")
 ONSTREET_COLUMNS = ("block_id", "hour", "mean_onstreet_s", "std_onstreet_s",
                     "censored_fraction", "n_samples")
 OFFSTREET_COLUMNS = ("block_id", "hour", "mean_offstreet_s", "std_offstreet_s",
-                     "lot_id", "drive_s", "lot_s", "walk_s")
+                     "lot_id", "drive_s", "lot_s", "walk_s", "arrivals", "overflow")
 DIFF_COLUMNS = ("block_id", "hour", "mean_onstreet_s", "mean_offstreet_s", "delta_s")
 
 
@@ -275,6 +275,9 @@ def stage_ingest(cfg: RunConfig) -> None:
     lots = read_lots(_require(cfg.lots, "lots"))
     flows = read_lot_events(_require(cfg.lot_events, "lot_events"))
     _check_known(cfg.lot_events, "lots", flows.lot_ids, (l.id for l in lots))
+    no_events = sorted({l.id for l in lots} - set(flows.lot_ids))
+    if no_events:
+        raise DataError(f"{cfg.lots} lists lots with no rows in {cfg.lot_events}: {no_events}")
     table = estimate_rates(flows, cfg.smoothing)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -379,6 +382,11 @@ def stage_sim_off(cfg: RunConfig) -> None:
     table = read_rates_csv(rates_path)
     _check_known(rates_path, "lots", (lot_id for lot_id, _, _ in table.rates),
                  (lot.id for lot in lots))
+    missing = sorted({(lot.id, cfg.day_of_week, h) for lot in lots
+                      for h in range(max(cfg.hours) + 1)} - set(table.rates))
+    if missing:
+        raise DataError(f"{rates_path} has no rates for {len(missing)} (lot, day, hour) "
+                        f"slots of this run, e.g. {missing[:3]}")
     cache: dict = {}
     rows = []
     for hour in cfg.hours:
@@ -391,7 +399,7 @@ def stage_sim_off(cfg: RunConfig) -> None:
                                           _cache=cache)
             rows.append([block_id, hour, _fmt(est.total_s), _fmt(est.std_s),
                          est.lot_id, _fmt(est.drive_s), _fmt(est.lot_s),
-                         _fmt(est.walk_s)])
+                         _fmt(est.walk_s), est.arrivals, est.overflow])
     write_table(cfg.out_dir / OFFSTREET_FILE, OFFSTREET_COLUMNS, rows)
 
 
@@ -412,19 +420,12 @@ def stage_diff(cfg: RunConfig) -> None:
 
     rows = []
     for hour in cfg.hours:
-        for block_id in sorted(g.edges):
-            t_on = on_times[(block_id, hour)]
-            t_off = off_times[(block_id, hour)]
-            rows.append([block_id, hour, _fmt(t_on), _fmt(t_off), _fmt(t_off - t_on)])
-    write_table(cfg.out_dir / DIFF_FILE, DIFF_COLUMNS, rows)
-
-    for hour in cfg.hours:
         features = []
         for block_id in sorted(g.edges):
+            t_on, t_off = on_times[(block_id, hour)], off_times[(block_id, hour)]
+            rows.append([block_id, hour, _fmt(t_on), _fmt(t_off), _fmt(t_off - t_on)])
             e = g.edges[block_id]
             a, b = g.nodes[e.from_node], g.nodes[e.to_node]
-            t_on = on_times[(block_id, hour)]
-            t_off = off_times[(block_id, hour)]
             features.append({
                 "type": "Feature",
                 "geometry": {"type": "LineString",
@@ -435,6 +436,7 @@ def stage_diff(cfg: RunConfig) -> None:
         collection = {"type": "FeatureCollection", "features": features}
         _atomic_write(cfg.out_dir / f"diff_h{hour:02d}.geojson",
                       json.dumps(collection, sort_keys=True))
+    write_table(cfg.out_dir / DIFF_FILE, DIFF_COLUMNS, rows)
 
 
 PIPELINE = (("ingest", stage_ingest), ("train", stage_train),

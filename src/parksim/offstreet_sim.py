@@ -1,18 +1,31 @@
 """Monte Carlo simulation of parking in an off-street lot.
 
-A lot is a single line of stalls behind one entrance. Within each 60-second
-tick, arrivals and departures are Poisson draws at the hourly rates scaled
-to the tick length. Departing cars vacate uniformly random occupied stalls
+A lot is a single line of stalls behind one entrance. Within each tick,
+arrivals and departures are Poisson draws at the hourly rates scaled to the
+tick length. Departing cars vacate uniformly random occupied stalls
 (processed first, so this tick's arrivals can use the freed space);
 arrivals park in order, each taking the lowest-index free stall. Arrivals
-that find the lot full count as overflow and are reported, never dropped
-silently.
+that find the lot full count as overflow. Each parked arrival contributes
+one wait-time sample: the fixed park-and-pay minimum, driving past earlier
+stalls, half the expected waits for cars seen vacating, and a geometrically
+decaying wait behind earlier arrivals paying ahead of it; that halving
+payment-queue sum starts from the lot minimum time.
 
-Each parked arrival contributes one wait-time sample: the fixed park-and-
-pay minimum, driving past earlier stalls, half the expected waits for cars
-seen vacating, and a geometrically decaying wait behind earlier arrivals
-paying ahead of it; that halving payment-queue sum starts from the lot
-minimum time.
+All ``reps`` repetitions of one (lot, day, hour) start from the same
+initial occupancy and advance together as an ``occupied[rep, stall]``
+array. With ``scale = tick_s / 3600``, lot stream version 2 draws:
+
+1. ``rng.poisson(lam_a * scale, size=(ticks, reps))``, every arrival;
+2. ``rng.poisson(lam_d * scale, size=(ticks, reps))``, every departure;
+3. in tick order, one ``rng.random((reps, capacity))`` of keys in each
+   tick whose departure draws are not all zero; in each repetition the
+   ``min(departures, occupied)`` occupied stalls with the smallest keys leave.
+
+The stream derives from (seed, lot, day, hour), so estimates do not depend
+on task order. The scalar reference, one repetition and one tick at a time,
+is ``simulate_lot_hour_scalar`` in ``tests/oracles.py``. A lot-hour reports
+``arrivals``, the cars that parked, and ``overflow``, the cars that found
+the lot full, both summed over the repetitions.
 
 End-to-end off-street time adds the drive from the destination block to the
 nearest lot entrance and the walk back. Lots are points anchored at a graph
@@ -24,7 +37,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -68,23 +81,6 @@ class LotRateTable:
                 raise DataError(f"invalid rates {lam_a, lam_d} at {key}")
 
 
-@dataclass
-class LotState:
-    occupied: np.ndarray  # bool per stall, index 0 nearest the entrance
-
-    @classmethod
-    def fresh(cls, capacity: int, initially_occupied: int = 0) -> "LotState":
-        if not 0 <= initially_occupied <= capacity:
-            raise DataError("initial occupancy outside [0, capacity]")
-        occupied = np.zeros(capacity, dtype=bool)
-        occupied[:initially_occupied] = True
-        return cls(occupied=occupied)
-
-    @property
-    def count(self) -> int:
-        return int(self.occupied.sum())
-
-
 @dataclass(frozen=True)
 class LotSimConfig:
     min_park_s: float = 60.0        # pull into a stall and pay
@@ -98,44 +94,6 @@ class LotSimConfig:
         check_fields(self, positive=("min_park_s", "vacate_wait_s", "per_stall_drive_s",
                                      "tick_s"),
                      at_least={"reps": 1, "seed": 0})
-
-
-@dataclass(frozen=True)
-class TickResult:
-    arrivals: int                    # Poisson draw
-    departures: int                  # Poisson draw
-    departed: int                    # actually vacated (bounded by occupancy)
-    stall_indices: tuple[int, ...]   # 0-based stall per parked arrival
-    overflow: int                    # arrivals that found no stall
-
-
-def sample_tick(state: LotState, arrivals_per_hour: float,
-                departures_per_hour: float, cfg: LotSimConfig,
-                rng: np.random.Generator) -> TickResult:
-    """Advance the lot by one tick, mutating ``state``.
-
-    Departures vacate before arrivals park. The stall index recorded for an
-    arrival equals the number of stalls it drove past.
-    """
-    if arrivals_per_hour < 0 or departures_per_hour < 0:
-        raise DataError("rates must be nonnegative")
-    scale = cfg.tick_s / 3600.0
-    n_arrive = int(rng.poisson(arrivals_per_hour * scale))
-    n_depart = int(rng.poisson(departures_per_hour * scale))
-
-    occupied_idx = np.flatnonzero(state.occupied)
-    departed = min(n_depart, occupied_idx.size)
-    if departed:
-        leaving = rng.choice(occupied_idx, size=departed, replace=False)
-        state.occupied[leaving] = False
-
-    free_idx = np.flatnonzero(~state.occupied)
-    parked = min(n_arrive, free_idx.size)
-    taken = free_idx[:parked]
-    state.occupied[taken] = True
-    return TickResult(arrivals=n_arrive, departures=n_depart, departed=departed,
-                      stall_indices=tuple(int(i) for i in taken),
-                      overflow=n_arrive - parked)
 
 
 def arrival_wait_time(k: int, departures: int, stalls_passed: int,
@@ -164,32 +122,72 @@ class LotHourStats:
     overflow: int
 
 
+def lot_wait_times(k: np.ndarray, departures: np.ndarray, stalls_passed: np.ndarray,
+                   cfg: LotSimConfig) -> np.ndarray:
+    """``arrival_wait_time`` over arrays, with its queue sum in closed form."""
+    return (cfg.min_park_s + stalls_passed * cfg.per_stall_drive_s
+            + np.minimum(k, departures) / 2.0 * cfg.vacate_wait_s
+            + cfg.min_park_s * (1.0 - 0.5 ** (k - 1)))
+
+
+def advance_tick(occupied: np.ndarray, n_arrive: np.ndarray, n_depart: np.ndarray,
+                 keys: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """Advance every repetition by one tick, updating ``occupied[rep, stall]``.
+
+    ``n_arrive``, ``n_depart`` and ``keys[rep, stall]`` are the tick's draws
+    (``keys`` is None when no departure was drawn). The ``min(n_depart,
+    occupied)`` occupied stalls with the smallest keys are vacated; then the
+    k-th arrival takes the k-th lowest free stall, and arrivals beyond the
+    free stalls overflow. Returns the stalls vacated per repetition and, for
+    each car that parked, its repetition, its stall and its 1-based index k.
+    """
+    count = occupied.sum(axis=1)
+    departed = np.minimum(n_depart, count)
+    m = departed.max()
+    if m:
+        # each repetition's occupied stalls come first, in key order
+        first = np.argsort(np.where(occupied, keys, 2.0), axis=1)[:, :m]
+        occupied[np.arange(len(occupied))[:, None], first] &= np.arange(m) >= departed[:, None]
+    # the k-th arrival finds a free stall among the first (occupied + k)
+    free = ~occupied[:, :(count - departed + n_arrive).max()]
+    rank = np.cumsum(free, axis=1)
+    free &= rank <= n_arrive[:, None]
+    occupied[:, :free.shape[1]] |= free
+    rep, stall = np.nonzero(free)
+    return departed, rep, stall, rank[rep, stall]
+
+
 def simulate_lot_hour(spec: LotSpec, rates: LotRateTable, day: int, hour: int,
                       cfg: LotSimConfig, initial_occupancy: int,
                       rng: np.random.Generator) -> LotHourStats:
-    """Simulate one hour of lot traffic, repeated cfg.reps times.
+    """Simulate one hour of lot traffic in ``cfg.reps`` repetitions at once.
 
-    Each repetition restarts from the same initial occupancy with an
-    independent child stream. Every parked arrival yields one wait-time
-    sample; the mean is absent if no arrival parked in any repetition.
+    Every parked arrival yields one wait-time sample; the mean is absent if
+    no arrival parked in any repetition.
     """
     lam_a, lam_d = rates.lookup(spec.id, day, hour)
+    if not (lam_a >= 0 and lam_d >= 0):
+        raise DataError(f"negative rates for lot {spec.id!r} at (day {day}, hour {hour})")
+    if not 0 <= initial_occupancy <= spec.capacity:
+        raise DataError("initial occupancy outside [0, capacity]")
     ticks = max(1, int(round(3600.0 / cfg.tick_s)))
-    samples: list[float] = []
-    overflow = 0
-    for child in rng.spawn(cfg.reps):
-        state = LotState.fresh(spec.capacity, initial_occupancy)
-        for _ in range(ticks):
-            result = sample_tick(state, lam_a, lam_d, cfg, child)
-            overflow += result.overflow
-            for k, stall in enumerate(result.stall_indices, start=1):
-                samples.append(arrival_wait_time(k, result.departed, stall, cfg))
-    if not samples:
+    scale = cfg.tick_s / 3600.0
+    arrive = rng.poisson(lam_a * scale, size=(ticks, cfg.reps))
+    depart = rng.poisson(lam_d * scale, size=(ticks, cfg.reps))
+    occupied = np.zeros((cfg.reps, spec.capacity), dtype=bool)
+    occupied[:, :initial_occupancy] = True
+    parts = [(np.empty(0, dtype=int),) * 3]  # (k, vacated, stall) per parked car
+    for t in np.flatnonzero(arrive.any(axis=1) | depart.any(axis=1)):
+        keys = rng.random(occupied.shape) if depart[t].any() else None
+        departed, rep, stall, k = advance_tick(occupied, arrive[t], depart[t], keys)
+        parts.append((k, departed[rep], stall))
+    samples = lot_wait_times(*map(np.concatenate, zip(*parts)), cfg)
+    overflow = int(arrive.sum()) - samples.size
+    if not samples.size:
         return LotHourStats(mean_s=None, std_s=None, arrivals=0, overflow=overflow)
-    arr = np.asarray(samples)
-    std = float(arr.std(ddof=1)) if len(samples) > 1 else 0.0
-    return LotHourStats(mean_s=float(arr.mean()), std_s=std,
-                        arrivals=len(samples), overflow=overflow)
+    std = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
+    return LotHourStats(mean_s=float(samples.mean()), std_s=std,
+                        arrivals=samples.size, overflow=overflow)
 
 
 def initial_occupancy(rates: LotRateTable, lot: LotSpec, day: int, hour: int) -> int:
@@ -215,6 +213,8 @@ class OffstreetEstimate:
     lot_s: float
     walk_s: float
     std_s: float
+    arrivals: int   # cars that parked in the lot-hour, summed over repetitions
+    overflow: int   # cars that found the lot full, summed over repetitions
 
 
 def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec],
@@ -259,9 +259,7 @@ def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec],
         drive_options.append((float(drive_s), lot))
     drive_s, lot = min(drive_options, key=lambda pair: pair[0])
 
-    occupancy = 0
-    if occupancy_by_lot is not None:
-        occupancy = min(max(int(occupancy_by_lot.get(lot.id, 0)), 0), lot.capacity)
+    occupancy = min(max(int((occupancy_by_lot or {}).get(lot.id, 0)), 0), lot.capacity)
 
     stats = cached(("lot", lot.id, day, hour, occupancy), lambda: simulate_lot_hour(
         lot, rates, day, hour, cfg, occupancy,
@@ -269,13 +267,12 @@ def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec],
     if stats.mean_s is None:
         # quiet lot: one probe car drives past the initially occupied stalls
         stalls_passed = min(occupancy, lot.capacity - 1)
-        lot_s = arrival_wait_time(1, 0, stalls_passed, cfg)
-        std_s = 0.0
+        lot_s, std_s = arrival_wait_time(1, 0, stalls_passed, cfg), 0.0
     else:
-        lot_s = stats.mean_s
-        std_s = stats.std_s if stats.std_s is not None else 0.0
+        lot_s, std_s = stats.mean_s, stats.std_s
 
     walk_s = float(cached(("walk", lot.node), lambda: walk_times_from_node(g, lot.node))[i])
     return OffstreetEstimate(total_s=drive_s + lot_s + walk_s, lot_id=lot.id,
                              drive_s=drive_s, lot_s=lot_s, walk_s=walk_s,
-                             std_s=std_s)
+                             std_s=std_s, arrivals=stats.arrivals,
+                             overflow=stats.overflow)

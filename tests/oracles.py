@@ -305,6 +305,84 @@ def lot_wait_time(k, departures, stalls_passed, min_park_s, per_stall_s,
     return total
 
 
+# -- the lot, one repetition and one tick at a time ---------------------------
+
+@dataclass
+class LotState:
+    occupied: np.ndarray  # bool per stall, index 0 nearest the entrance
+
+    @classmethod
+    def fresh(cls, capacity: int, initially_occupied: int = 0) -> "LotState":
+        if not 0 <= initially_occupied <= capacity:
+            raise DataError("initial occupancy outside [0, capacity]")
+        occupied = np.zeros(capacity, dtype=bool)
+        occupied[:initially_occupied] = True
+        return cls(occupied=occupied)
+
+    @property
+    def count(self) -> int:
+        return int(self.occupied.sum())
+
+
+@dataclass(frozen=True)
+class TickResult:
+    arrivals: int                    # Poisson draw
+    departures: int                  # Poisson draw
+    departed: int                    # actually vacated (bounded by occupancy)
+    stall_indices: tuple[int, ...]   # 0-based stall per parked arrival
+    overflow: int                    # arrivals that found no stall
+
+
+def sample_tick(state: LotState, arrivals_per_hour: float,
+                departures_per_hour: float, cfg,
+                rng: np.random.Generator) -> TickResult:
+    """Advance the lot by one tick, mutating ``state``.
+
+    Departures vacate before arrivals park. The stall index recorded for an
+    arrival equals the number of stalls it drove past.
+    """
+    if arrivals_per_hour < 0 or departures_per_hour < 0:
+        raise DataError("rates must be nonnegative")
+    scale = cfg.tick_s / 3600.0
+    n_arrive = int(rng.poisson(arrivals_per_hour * scale))
+    n_depart = int(rng.poisson(departures_per_hour * scale))
+
+    occupied_idx = np.flatnonzero(state.occupied)
+    departed = min(n_depart, occupied_idx.size)
+    if departed:
+        leaving = rng.choice(occupied_idx, size=departed, replace=False)
+        state.occupied[leaving] = False
+
+    free_idx = np.flatnonzero(~state.occupied)
+    parked = min(n_arrive, free_idx.size)
+    taken = free_idx[:parked]
+    state.occupied[taken] = True
+    return TickResult(arrivals=n_arrive, departures=n_depart, departed=departed,
+                      stall_indices=tuple(int(i) for i in taken),
+                      overflow=n_arrive - parked)
+
+
+def simulate_lot_hour_scalar(capacity: int, lam_a: float, lam_d: float, cfg,
+                             initial_occupancy: int,
+                             rng: np.random.Generator) -> tuple[list[float], int]:
+    """One hour of lot traffic, repeated ``cfg.reps`` times, each repetition
+    from the initial occupancy on its own child stream and tick by tick.
+    Returns every parked arrival's wait and the overflow, summed over the
+    repetitions."""
+    ticks = max(1, int(round(3600.0 / cfg.tick_s)))
+    samples: list[float] = []
+    overflow = 0
+    for child in rng.spawn(cfg.reps):
+        state = LotState.fresh(capacity, initial_occupancy)
+        for _ in range(ticks):
+            result = sample_tick(state, lam_a, lam_d, cfg, child)
+            overflow += result.overflow
+            for k, stall in enumerate(result.stall_indices, start=1):
+                samples.append(lot_wait_time(k, result.departed, stall, cfg.min_park_s,
+                                             cfg.per_stall_drive_s, cfg.vacate_wait_s))
+    return samples, overflow
+
+
 # -- availability features by scanning every payment -------------------------
 
 def extract_features(payments, block_id, t, g):

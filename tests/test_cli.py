@@ -274,7 +274,7 @@ STAGE_CSVS = {
                                      "std_onstreet_s", "censored_fraction", "n_samples")),
     "offstreet.csv": ("diff", "out", ("block_id", "hour", "mean_offstreet_s",
                                       "std_offstreet_s", "lot_id", "drive_s", "lot_s",
-                                      "walk_s")),
+                                      "walk_s", "arrivals", "overflow")),
 }
 
 
@@ -366,6 +366,54 @@ def test_unallocatable_search_count_is_a_config_error(copied, capsys):
     err = capsys.readouterr().err
     assert_one_line(err)
     assert "out of memory" in err
+
+
+@pytest.mark.parametrize("offstreet", [{"reps": 10**15}, {"tick_s": 1e-12}],
+                         ids=["reps", "tick_s"])
+def test_unallocatable_lot_simulation_is_a_config_error(copied, capsys, offstreet):
+    # every tick's draws of every repetition are allocated before any tick runs
+    config = write_config(copied / "config.json", "city")
+    raw = json.loads(config.read_text())
+    raw["offstreet"].update(offstreet)
+    config.write_text(json.dumps(raw))
+    assert main(["sim-off", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "out of memory" in err
+
+
+def add_lot_without_events(city):
+    lots = json.loads((city / "lots.json").read_text())
+    lots.append({"id": "lot9", "node": lots[0]["node"], "capacity": 10})
+    (city / "lots.json").write_text(json.dumps(lots))
+
+
+def test_lot_without_lot_events_is_a_data_error(copied, capsys):
+    add_lot_without_events(copied / "city")
+    code, err = run_stage(copied, "lot_events.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert "lots.json" in err and "lot_events.csv" in err and "['lot9']" in err
+
+
+def test_lot_without_rates_is_a_data_error(copied, capsys):
+    add_lot_without_events(copied / "city")
+    code, err = run_stage(copied, "rates.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert "rates.csv" in err and "'lot9'" in err
+
+
+def test_saturated_lot_reports_overflow(copied, capsys):
+    lots = json.loads((copied / "city" / "lots.json").read_text())
+    for lot in lots:
+        lot["capacity"] = 1
+    (copied / "city" / "lots.json").write_text(json.dumps(lots))
+    code, _ = run_stage(copied, "rates.csv", capsys)
+    assert code == 0
+    rows = read_rows(copied / "out" / "offstreet.csv")
+    assert any(int(r["overflow"]) > 0 for r in rows)
+    assert all(int(r["arrivals"]) >= 0 for r in rows)
 
 
 def test_sample_label_outside_0_1_is_a_data_error(copied, capsys):

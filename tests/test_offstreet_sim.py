@@ -14,17 +14,19 @@ from parksim.offstreet_sim import (
     LotRateTable,
     LotSimConfig,
     LotSpec,
-    LotState,
+    advance_tick,
     arrival_wait_time,
     estimate_offstreet_time,
     initial_occupancy,
-    sample_tick,
+    lot_wait_times,
     simulate_lot_hour,
 )
 from parksim.road_graph import Intersection, build_graph
+from parksim.seeding import derived_stream
 
 from conftest import grid_graph, make_edge
-from oracles import brute_drive_time_to_node, brute_walk_time_from_node, lot_wait_time
+from oracles import (LotState, brute_drive_time_to_node, brute_walk_time_from_node,
+                     lot_wait_time, sample_tick, simulate_lot_hour_scalar)
 
 CFG = LotSimConfig()
 
@@ -48,6 +50,8 @@ def flat_rates(lot_id, lam_a, lam_d):
 
 
 class TestSampleTick:
+    """The scalar reference that the lockstep simulator is compared with."""
+
     def test_zero_rates_leave_state_unchanged(self):
         state = LotState.fresh(6, 3)
         before = state.occupied.copy()
@@ -103,6 +107,111 @@ class TestSampleTick:
             after = state.count
             assert 0 <= after <= 12
             assert after == before - result.departed + len(result.stall_indices)
+
+
+def lot_rows(capacity, *initially_occupied):
+    """``occupied[rep, stall]`` with each repetition's first stalls taken."""
+    occupied = np.zeros((len(initially_occupied), capacity), dtype=bool)
+    for rep, n in enumerate(initially_occupied):
+        occupied[rep, :n] = True
+    return occupied
+
+
+def tick(occupied, n_arrive, n_depart, keys=None):
+    """One ``advance_tick`` with the given draws: the stalls vacated and, per
+    repetition, the (stall, k) of each car that parked."""
+    departed, rep, stall, k = advance_tick(occupied, np.array(n_arrive),
+                                           np.array(n_depart), keys)
+    parked = [list(zip(stall[rep == r].tolist(), k[rep == r].tolist()))
+              for r in range(len(occupied))]
+    return departed.tolist(), parked
+
+
+class TestAdvanceTick:
+    """The lockstep tick with fixed draws; the cases of ``TestSampleTick``."""
+
+    def test_zero_rates_leave_state_unchanged(self):
+        occupied = lot_rows(6, 3)
+        before = occupied.copy()
+        assert tick(occupied, [0], [0]) == ([0], [[]])
+        assert np.array_equal(occupied, before)
+
+    def test_three_arrivals_take_first_stalls(self):
+        occupied = lot_rows(10, 0)
+        assert tick(occupied, [3], [0]) == ([0], [[(0, 1), (1, 2), (2, 3)]])
+        assert np.array_equal(np.flatnonzero(occupied[0]), [0, 1, 2])
+
+    def test_arrivals_fill_gaps_nearest_entrance_first(self):
+        occupied = lot_rows(6, 6)
+        occupied[0, [1, 4]] = False
+        assert tick(occupied, [2], [0]) == ([0], [[(1, 1), (4, 2)]])
+
+    def test_overflow_counted_not_dropped(self):
+        occupied = lot_rows(4, 3)
+        _, parked = tick(occupied, [5], [0])
+        assert 5 - len(parked[0]) == 4
+        assert parked == [[(3, 1)]]
+        assert occupied.sum() == 4
+
+    def test_departures_bounded_by_occupancy(self):
+        occupied = lot_rows(5, 2)
+        assert tick(occupied, [0], [9], np.random.default_rng(0).random((1, 5)))[0] == [2]
+        assert occupied.sum() == 0
+
+    def test_smallest_keys_of_occupied_stalls_leave(self):
+        # stall 1 is free, so its smallest key does not count
+        occupied = lot_rows(5, 5)
+        occupied[0, 1] = False
+        keys = np.array([[0.5, 0.0, 0.9, 0.3, 0.7]])
+        assert tick(occupied, [1], [2], keys) == ([2], [[(0, 1)]])
+        assert np.flatnonzero(occupied[0]).tolist() == [0, 2, 4]
+
+    def test_capacity_one(self):
+        occupied = np.array([[True], [False], [True]])
+        keys = np.array([[0.3], [0.6], [0.1]])
+        assert tick(occupied, [2, 2, 1], [1, 1, 0], keys) == (
+            [1, 0, 0], [[(0, 1)], [(0, 1)], []])
+        assert occupied.all()
+
+    def test_repetitions_advance_independently(self):
+        rng = np.random.default_rng(21)
+        occupied = rng.random((6, 15)) < 0.6
+        n_arrive, n_depart = rng.poisson(3.0, 6), rng.poisson(2.0, 6)
+        keys = rng.random((6, 15))
+        alone = [occupied[[r]].copy() for r in range(6)]
+        together = tick(occupied, n_arrive, n_depart, keys)
+        for r in range(6):
+            one = tick(alone[r], n_arrive[[r]], n_depart[[r]], keys[[r]])
+            assert one == ([together[0][r]], [together[1][r]])
+            assert np.array_equal(alone[r][0], occupied[r])
+
+    def test_conservation_and_bounds_over_random_ticks(self):
+        rng = np.random.default_rng(13)
+        occupied = lot_rows(12, 5, 5, 5)
+        scale = CFG.tick_s / 3600.0
+        for _ in range(2_000):
+            before = occupied.sum(axis=1)
+            lam_a = float(rng.uniform(0, 400))
+            lam_d = float(rng.uniform(0, 400))
+            n_arrive = rng.poisson(lam_a * scale, 3)
+            n_depart = rng.poisson(lam_d * scale, 3)
+            departed, parked = tick(occupied, n_arrive, n_depart, rng.random((3, 12)))
+            after = occupied.sum(axis=1)
+            for r in range(3):
+                assert 0 <= after[r] <= 12
+                assert departed[r] == min(n_depart[r], before[r])
+                assert after[r] == before[r] - departed[r] + len(parked[r])
+                assert len(parked[r]) == min(n_arrive[r], 12 - before[r] + departed[r])
+                assert [k for _, k in parked[r]] == list(range(1, len(parked[r]) + 1))
+
+
+class TestLotWaitTimes:
+    def test_equals_arrival_wait_time(self):
+        k, n_d, s = np.meshgrid(np.arange(1, 61), np.arange(0, 9), np.arange(0, 130, 7))
+        waits = lot_wait_times(k, n_d, s, CFG)
+        for ki, di, si, w in zip(k.ravel(), n_d.ravel(), s.ravel(), waits.ravel()):
+            assert w == pytest.approx(arrival_wait_time(int(ki), int(di), int(si), CFG),
+                                      abs=1e-9)
 
 
 class TestArrivalWaitTime:
@@ -190,6 +299,74 @@ class TestSimulateLotHour:
         with pytest.raises(DataError):
             simulate_lot_hour(lot, flat_rates("lot1", 1.0, 1.0), 0, 0, CFG, 6,
                               np.random.default_rng(0))
+
+    def test_poisson_mean_matches_rate(self):
+        # one repetition of 10,000 ticks on a lot too big to bind
+        mu = 0.5
+        cfg = LotSimConfig(tick_s=0.36, reps=1)
+        lot = LotSpec("lot1", "n0_0", 10_000)
+        stats = simulate_lot_hour(lot, flat_rates("lot1", mu * 3600.0 / cfg.tick_s, 0.0),
+                                  0, 8, cfg, 0, np.random.default_rng(77))
+        assert stats.overflow == 0  # the lot never binds
+        sigma = math.sqrt(mu / 10_000)
+        assert abs(stats.arrivals / 10_000 - mu) <= 3 * sigma
+
+    def test_zero_rates_give_no_mean_and_no_overflow(self):
+        lot = LotSpec("lot1", "n0_0", 8)
+        stats = simulate_lot_hour(lot, flat_rates("lot1", 0.0, 0.0), 3, 10, CFG, 8,
+                                  np.random.default_rng(4))
+        assert stats == LotHourStats(mean_s=None, std_s=None, arrivals=0, overflow=0)
+
+    def test_full_lot_without_departures_parks_nobody(self):
+        cfg = LotSimConfig(reps=7)
+        lot = LotSpec("lot1", "n0_0", 10)
+        stats = simulate_lot_hour(lot, flat_rates("lot1", 30.0, 0.0), 1, 9, cfg, 10,
+                                  np.random.default_rng(3))
+        # lot stream version 2 draws every arrival first
+        draws = np.random.default_rng(3).poisson(30.0 / 60.0, size=(60, cfg.reps))
+        assert stats.mean_s is None and stats.arrivals == 0
+        assert stats.overflow == draws.sum() > 0
+
+    def test_capacity_one(self):
+        # every car parks at stall 0 as the first arrival of its tick
+        cfg = LotSimConfig(reps=30)
+        lot = LotSpec("lot1", "n0_0", 1)
+        stats = simulate_lot_hour(lot, flat_rates("lot1", 40.0, 40.0), 2, 16, cfg, 1,
+                                  np.random.default_rng(8))
+        draws = np.random.default_rng(8).poisson(40.0 / 60.0, size=(60, cfg.reps))
+        assert stats.arrivals > 0 and stats.overflow > 0
+        assert stats.arrivals + stats.overflow == draws.sum()
+        assert CFG.min_park_s <= stats.mean_s <= CFG.min_park_s + CFG.vacate_wait_s / 2.0
+
+    def test_negative_rate_names_lot_and_slot(self):
+        lot = LotSpec("lot1", "n0_0", 5)
+        with pytest.raises(DataError, match=r"lot 'lot1' at \(day 2, hour 3\)"):
+            simulate_lot_hour(lot, LotRateTable({("lot1", 2, 3): (1.0, -1.0)}), 2, 3, CFG,
+                              0, np.random.default_rng(0))
+
+    def test_missing_rate_names_lot_and_slot(self):
+        lot = LotSpec("lot1", "n0_0", 5)
+        with pytest.raises(DataError, match=r"lot 'lot1' at \(day 2, hour 4\)"):
+            simulate_lot_hour(lot, LotRateTable({("lot1", 2, 3): (1.0, 1.0)}), 2, 4, CFG,
+                              0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("capacity,lam_a,lam_d,occupancy", [
+        (30, 3.0, 2.0, 0),        # quiet
+        (60, 90.0, 80.0, 30),     # busy
+        (15, 120.0, 40.0, 10),    # overflowing
+        (40, 20.0, 25.0, 35),     # nearly full at the start
+    ], ids=["quiet", "busy", "overflowing", "occupied"])
+    def test_mean_matches_scalar_reference(self, capacity, lam_a, lam_d, occupancy):
+        cfg = LotSimConfig(reps=200)
+        lot = LotSpec("lot1", "n0_0", capacity)
+        stats = simulate_lot_hour(lot, flat_rates("lot1", lam_a, lam_d), 4, 12, cfg,
+                                  occupancy, np.random.default_rng(11))
+        samples, overflow = simulate_lot_hour_scalar(capacity, lam_a, lam_d, cfg, occupancy,
+                                                     np.random.default_rng(12))
+        se = math.hypot(stats.std_s / math.sqrt(stats.arrivals),
+                        np.std(samples, ddof=1) / math.sqrt(len(samples)))
+        assert abs(stats.mean_s - np.mean(samples)) <= 4 * se
+        assert (stats.overflow > 0) == (overflow > 0)
 
 
 class TestInitialOccupancy:
@@ -284,6 +461,17 @@ class TestEstimateOffstreet:
         for dest in ("ab", "bc", "cb", "bc"):  # the repeat reads the cached table
             with pytest.raises(DataError, match=f"no drive path from '{dest}' to node 'A'"):
                 estimate_offstreet_time(g, lots, rates, dest, 0, 8, CFG, _cache=cache)
+
+    def test_lot_counts_reported(self):
+        g = grid_graph(3)
+        lots = [LotSpec("lot0", "n1_1", 4)]
+        rates = flat_rates("lot0", 60.0, 10.0)
+        est = estimate_offstreet_time(g, lots, rates, "h0_0E", 2, 9, CFG,
+                                      occupancy_by_lot={"lot0": 2})
+        stats = simulate_lot_hour(lots[0], rates, 2, 9, CFG, 2,
+                                  derived_stream(CFG.seed, "lot0", 2, 9))
+        assert (est.arrivals, est.overflow) == (stats.arrivals, stats.overflow)
+        assert est.overflow > 0
 
     def test_no_lots_rejected(self):
         g = grid_graph(3)
