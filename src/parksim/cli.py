@@ -32,6 +32,7 @@ from .data_ingest import (
     SmoothingConfig,
     SynthConfig,
     _atomic_write,
+    _real,
     combine_surveys,
     estimate_rates,
     read_lot_events,
@@ -58,11 +59,7 @@ from .occupancy_model import (
     train,
     train_baseline,
 )
-from .offstreet_sim import (
-    LotSimConfig,
-    estimate_offstreet_time,
-    initial_occupancy,
-)
+from .offstreet_sim import LotSimConfig, estimate_offstreet_time
 from .onstreet_sim import (
     OnstreetConfig,
     PolicyWeights,
@@ -333,13 +330,29 @@ def stage_predict(cfg: RunConfig) -> None:
     write_table(cfg.out_dir / AVAILABILITY_FILE, AVAILABILITY_COLUMNS, rows)
 
 
+def _count(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"expected a count, got {raw!r}")
+    return value
+
+
+# How a stage CSV's cells are parsed; any other column holds a finite float.
+# Lot ids stay unchecked: diff reads no lots file to check them against.
+_CELL_PARSERS = {"block_id": str, "lot_id": str, "hour": int,
+                 "n_samples": _count, "arrivals": _count, "overflow": _count}
+
+
 def _read_cells(path: Path, columns: tuple[str, ...],
                 value: str) -> dict[tuple[str, int], float]:
-    """One stage CSV as {(block, hour): float of column ``value``}; a
-    (block, hour) that appears twice is a data error."""
+    """One stage CSV as {(block, hour): column ``value``}, every cell parsed;
+    a (block, hour) that appears twice is a data error."""
+    def parse(row: dict[str, str]) -> tuple[tuple[str, int], float]:
+        cell = {name: _CELL_PARSERS.get(name, _real)(row[name]) for name in columns}
+        return (cell["block_id"], cell["hour"]), cell[value]
+
     cells: dict[tuple[str, int], float] = {}
-    for key, x in read_table(path, columns, lambda row: (
-            (row["block_id"], int(row["hour"])), float(row[value]))):
+    for key, x in read_table(path, columns, parse):
         if key in cells:
             raise DataError(f"duplicate (block, hour) row {key} in {path}")
         cells[key] = x
@@ -387,25 +400,18 @@ def stage_sim_off(cfg: RunConfig) -> None:
     if missing:
         raise DataError(f"{rates_path} has no rates for {len(missing)} (lot, day, hour) "
                         f"slots of this run, e.g. {missing[:3]}")
-    cache: dict = {}
-    rows = []
-    for hour in cfg.hours:
-        occupancy = {lot.id: initial_occupancy(table, lot, cfg.day_of_week, hour)
-                     for lot in lots}
-        for block_id in sorted(g.edges):
-            est = estimate_offstreet_time(g, lots, table, block_id,
-                                          cfg.day_of_week, hour, cfg.offstreet,
-                                          occupancy_by_lot=occupancy,
-                                          _cache=cache)
-            rows.append([block_id, hour, _fmt(est.total_s), _fmt(est.std_s),
-                         est.lot_id, _fmt(est.drive_s), _fmt(est.lot_s),
-                         _fmt(est.walk_s), est.arrivals, est.overflow])
+    estimates = estimate_offstreet_time(g, lots, table, cfg.day_of_week, cfg.hours,
+                                        cfg.offstreet)
+    rows = [[block_id, hour, _fmt(est.total_s), _fmt(est.std_s), est.lot_id,
+             _fmt(est.drive_s), _fmt(est.lot_s), _fmt(est.walk_s), est.arrivals,
+             est.overflow]
+            for hour in cfg.hours for block_id, est in zip(g.block_ids, estimates[hour])]
     write_table(cfg.out_dir / OFFSTREET_FILE, OFFSTREET_COLUMNS, rows)
 
 
 def stage_diff(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
-    expected = {(block_id, hour) for hour in cfg.hours for block_id in g.edges}
+    expected = {(block_id, hour) for hour in cfg.hours for block_id in g.block_ids}
     times = []
     for name, producer, columns, mean in (
             (ONSTREET_FILE, "sim-on", ONSTREET_COLUMNS, "mean_onstreet_s"),
@@ -421,7 +427,7 @@ def stage_diff(cfg: RunConfig) -> None:
     rows = []
     for hour in cfg.hours:
         features = []
-        for block_id in sorted(g.edges):
+        for block_id in g.block_ids:
             t_on, t_off = on_times[(block_id, hour)], off_times[(block_id, hour)]
             rows.append([block_id, hour, _fmt(t_on), _fmt(t_off), _fmt(t_off - t_on)])
             e = g.edges[block_id]

@@ -275,16 +275,27 @@ def write_surveys(records: Sequence[SurveyRecord], path: str | os.PathLike) -> N
                      r.block_id, r.timestamp or datetime.min, r.meter_id))))
 
 
+def _lot(x: dict) -> LotSpec:
+    if type(x["capacity"]) is not int:
+        raise ValueError(f"capacity {x['capacity']!r} of lot {x['id']!r} is not an integer")
+    return LotSpec(id=str(x["id"]), node=str(x["node"]), capacity=x["capacity"])
+
+
 def read_lots(path: str | os.PathLike) -> list[LotSpec]:
+    """Lots from a JSON list of {id, node, capacity}: each id once, each
+    capacity a positive JSON integer."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read lots file {path}: {exc}") from exc
     try:
-        return [LotSpec(id=str(x["id"]), node=str(x["node"]), capacity=int(x["capacity"]))
-                for x in raw]
-    except (KeyError, TypeError, ValueError) as exc:
+        lots = [_lot(x) for x in raw]
+        ids = [lot.id for lot in lots]
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"repeated lot ids {sorted({i for i in ids if ids.count(i) > 1})}")
+    except (DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed lots file {path}: {exc}") from exc
+    return lots
 
 
 def write_lots(lots: Sequence[LotSpec], path: str | os.PathLike) -> None:

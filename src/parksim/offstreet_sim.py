@@ -13,7 +13,8 @@ payment-queue sum starts from the lot minimum time.
 
 All ``reps`` repetitions of one (lot, day, hour) start from the same
 initial occupancy and advance together as an ``occupied[rep, stall]``
-array. With ``scale = tick_s / 3600``, lot stream version 2 draws:
+array. The hour is ``ticks = round(3600 / tick_s)`` ticks (at least one),
+each with ``scale = 1 / ticks`` of the hourly rates. Lot stream version 2 draws:
 
 1. ``rng.poisson(lam_a * scale, size=(ticks, reps))``, every arrival;
 2. ``rng.poisson(lam_d * scale, size=(ticks, reps))``, every departure;
@@ -28,9 +29,10 @@ is ``simulate_lot_hour_scalar`` in ``tests/oracles.py``. A lot-hour reports
 the lot full, both summed over the repetitions.
 
 End-to-end off-street time adds the drive from the destination block to the
-nearest lot entrance and the walk back. Lots are points anchored at a graph
-node: the drive and walk legs carry a half-block term only on the
-destination side.
+lot entrance with the smallest drive time and the walk back. Each chosen
+(lot, hour) is simulated once, and every block that chose it shares the
+outcome. Lots are points anchored at a graph node: the drive and walk legs
+carry a half-block term only on the destination side.
 """
 
 from __future__ import annotations
@@ -96,24 +98,6 @@ class LotSimConfig:
                      at_least={"reps": 1, "seed": 0})
 
 
-def arrival_wait_time(k: int, departures: int, stalls_passed: int,
-                      cfg: LotSimConfig) -> float:
-    """Wait time of the k-th arrival in a tick (k is 1-based).
-
-    Terms: park-and-pay minimum, driving past earlier stalls, half the
-    possible waits for departing cars, and a 1/2 + 1/4 + ... queue behind
-    the k-1 arrivals ahead still paying.
-    """
-    if k < 1:
-        raise DataError("arrival index k must be >= 1")
-    total = cfg.min_park_s
-    total += stalls_passed * cfg.per_stall_drive_s
-    total += (min(k, departures) / 2.0) * cfg.vacate_wait_s
-    for i in range(1, k):
-        total += cfg.min_park_s / (2.0 ** i)
-    return total
-
-
 @dataclass(frozen=True)
 class LotHourStats:
     mean_s: float | None
@@ -124,7 +108,10 @@ class LotHourStats:
 
 def lot_wait_times(k: np.ndarray, departures: np.ndarray, stalls_passed: np.ndarray,
                    cfg: LotSimConfig) -> np.ndarray:
-    """``arrival_wait_time`` over arrays, with its queue sum in closed form."""
+    """Wait of the k-th (1-based) arrival of a tick: the park-and-pay minimum,
+    driving past earlier stalls, half the possible waits for departing cars,
+    and the 1/2 + 1/4 + ... queue behind the k-1 arrivals ahead still
+    paying, in closed form."""
     return (cfg.min_park_s + stalls_passed * cfg.per_stall_drive_s
             + np.minimum(k, departures) / 2.0 * cfg.vacate_wait_s
             + cfg.min_park_s * (1.0 - 0.5 ** (k - 1)))
@@ -171,7 +158,7 @@ def simulate_lot_hour(spec: LotSpec, rates: LotRateTable, day: int, hour: int,
     if not 0 <= initial_occupancy <= spec.capacity:
         raise DataError("initial occupancy outside [0, capacity]")
     ticks = max(1, int(round(3600.0 / cfg.tick_s)))
-    scale = cfg.tick_s / 3600.0
+    scale = 1.0 / ticks  # the ticks span the whole hour
     arrive = rng.poisson(lam_a * scale, size=(ticks, cfg.reps))
     depart = rng.poisson(lam_d * scale, size=(ticks, cfg.reps))
     occupied = np.zeros((cfg.reps, spec.capacity), dtype=bool)
@@ -217,62 +204,53 @@ class OffstreetEstimate:
     overflow: int   # cars that found the lot full, summed over repetitions
 
 
-def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec],
-                            rates: LotRateTable, dest: str, day: int, hour: int,
-                            cfg: LotSimConfig,
-                            occupancy_by_lot: Mapping[str, int] | None = None,
-                            _cache: dict | None = None) -> OffstreetEstimate:
-    """Total off-street time for a destination block: drive to the lot with
-    the smallest drive time (ties go to the smallest lot id), queue and
-    park inside it, walk back.
+def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec], rates: LotRateTable,
+                            day: int, hours: Sequence[int],
+                            cfg: LotSimConfig) -> dict[int, list[OffstreetEstimate]]:
+    """Total off-street time of every block at each hour: drive to the lot
+    with the smallest drive time, queue and park inside it, walk back.
 
-    The in-lot stream derives from (seed, lot, day, hour), so estimates for
-    different destination blocks share identical lot outcomes. If the
-    simulated hour sees no arrival at all, the wait of a single probe car
-    entering the initial state is used instead of an undefined mean.
-
-    Drive times come from one ``drive_times_to_node`` table per (lot
-    entrance, hour) and walk times from one ``walk_times_from_node`` table
-    per lot entrance, both indexed by ``g.position``. ``_cache`` is a dict
-    the caller keeps for one run over a single graph, lot set, rate table
-    and config; it shares these tables and the lot statistics between
-    calls. Without it every call builds its own.
+    Returns one list per hour in ``g.block_ids`` order. Each hour stacks the
+    ``drive_times_to_node`` rows of the lots, sorted by id, into a (lot,
+    block) matrix whose first minimum down each column picks the block's
+    lot, so ties go to the smallest lot id. Each chosen lot is simulated
+    once per hour, from its ``initial_occupancy`` on the stream of (seed,
+    lot, day, hour); if no car arrives, a single probe car's wait stands in
+    for the undefined mean. Walks come from one ``walk_times_from_node``
+    row per lot.
     """
     if not lots:
         raise DataError("no lots configured")
     if not 0 <= day < DAYS_PER_WEEK:
         raise DataError(f"day must be in 0..6, got {day!r}")
-    i = g.position[g.edge(dest).id]
-    cache = {} if _cache is None else _cache
-
-    def cached(key, build):
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
-
-    drive_options = []
-    for lot in sorted(lots, key=lambda l: l.id):
-        drive_s = cached(("drive", lot.node, hour),
-                         lambda: drive_times_to_node(g, lot.node, hour))[i]
-        if drive_s == math.inf:
-            raise DataError(f"no drive path from {dest!r} to node {lot.node!r}")
-        drive_options.append((float(drive_s), lot))
-    drive_s, lot = min(drive_options, key=lambda pair: pair[0])
-
-    occupancy = min(max(int((occupancy_by_lot or {}).get(lot.id, 0)), 0), lot.capacity)
-
-    stats = cached(("lot", lot.id, day, hour, occupancy), lambda: simulate_lot_hour(
-        lot, rates, day, hour, cfg, occupancy,
-        derived_stream(cfg.seed, lot.id, day, hour)))
-    if stats.mean_s is None:
-        # quiet lot: one probe car drives past the initially occupied stalls
-        stalls_passed = min(occupancy, lot.capacity - 1)
-        lot_s, std_s = arrival_wait_time(1, 0, stalls_passed, cfg), 0.0
-    else:
-        lot_s, std_s = stats.mean_s, stats.std_s
-
-    walk_s = float(cached(("walk", lot.node), lambda: walk_times_from_node(g, lot.node))[i])
-    return OffstreetEstimate(total_s=drive_s + lot_s + walk_s, lot_id=lot.id,
-                             drive_s=drive_s, lot_s=lot_s, walk_s=walk_s,
-                             std_s=std_s, arrivals=stats.arrivals,
-                             overflow=stats.overflow)
+    lots = sorted(lots, key=lambda l: l.id)
+    walk = [walk_times_from_node(g, lot.node) for lot in lots]
+    estimates = {}
+    for hour in hours:
+        drive = np.stack([drive_times_to_node(g, lot.node, hour) for lot in lots])
+        blocks, unreachable = np.nonzero(np.isinf(drive.T))  # first block, then lot
+        if blocks.size:
+            raise DataError(f"no drive path from {g.block_ids[blocks[0]]!r} "
+                            f"to node {lots[unreachable[0]].node!r}")
+        choice = drive.argmin(axis=0)
+        in_lot = {}
+        for j in np.unique(choice):
+            lot = lots[j]
+            occupancy = initial_occupancy(rates, lot, day, hour)
+            stats = simulate_lot_hour(lot, rates, day, hour, cfg, occupancy,
+                                      derived_stream(cfg.seed, lot.id, day, hour))
+            if stats.mean_s is None:
+                # quiet lot: one probe car drives past the initially occupied stalls
+                stalls_passed = min(occupancy, lot.capacity - 1)
+                in_lot[j] = float(lot_wait_times(1, 0, stalls_passed, cfg)), 0.0, stats
+            else:
+                in_lot[j] = stats.mean_s, stats.std_s, stats
+        estimates[hour] = row = []
+        for i, j in enumerate(choice):
+            drive_s, walk_s = float(drive[j, i]), float(walk[j][i])
+            lot_s, std_s, stats = in_lot[j]
+            row.append(OffstreetEstimate(total_s=drive_s + lot_s + walk_s, lot_id=lots[j].id,
+                                         drive_s=drive_s, lot_s=lot_s, walk_s=walk_s,
+                                         std_s=std_s, arrivals=stats.arrivals,
+                                         overflow=stats.overflow))
+    return estimates

@@ -343,7 +343,7 @@ def sample_tick(state: LotState, arrivals_per_hour: float,
     """
     if arrivals_per_hour < 0 or departures_per_hour < 0:
         raise DataError("rates must be nonnegative")
-    scale = cfg.tick_s / 3600.0
+    scale = 1.0 / max(1, int(round(3600.0 / cfg.tick_s)))  # the ticks span the hour
     n_arrive = int(rng.poisson(arrivals_per_hour * scale))
     n_depart = int(rng.poisson(departures_per_hour * scale))
 

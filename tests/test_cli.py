@@ -320,6 +320,26 @@ def test_bad_cell_exits_0_or_3_with_one_line(copied, capsys, name, column):
         assert err == ""
 
 
+@pytest.mark.parametrize("name,column,value", [
+    *[("onstreet.csv", column, "x")
+      for column in ("std_onstreet_s", "censored_fraction", "n_samples")],
+    *[("offstreet.csv", column, "x")
+      for column in ("std_offstreet_s", "drive_s", "lot_s", "walk_s", "arrivals", "overflow")],
+    ("onstreet.csv", "n_samples", "2.5"),
+    ("offstreet.csv", "arrivals", "-1"),
+    ("offstreet.csv", "walk_s", "nan"),
+])
+def test_bad_cell_read_by_diff_is_a_data_error(copied, capsys, name, column, value):
+    def set_cell(rows):
+        rows[1][rows[0].index(column)] = value
+
+    edit_csv(copied / "out" / name, set_cell)
+    code, err = run_stage(copied, name, capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert f"{name}, line 2: " in err
+
+
 @pytest.mark.parametrize("name", STAGE_CSVS)
 def test_renamed_header_is_a_data_error(copied, capsys, name):
     def rename(rows):
@@ -402,6 +422,23 @@ def test_lot_without_rates_is_a_data_error(copied, capsys):
     assert code == 3
     assert_one_line(err)
     assert "rates.csv" in err and "'lot9'" in err
+
+
+@pytest.mark.parametrize("stage", ["ingest", "sim-off"])
+@pytest.mark.parametrize("edit", [
+    lambda lots: lots.append(dict(lots[0], capacity=lots[0]["capacity"] + 1)),
+    lambda lots: lots.append(dict(lots[0], node="n0_0")),
+    lambda lots: lots[0].update(capacity=2.5),
+    lambda lots: lots[0].update(capacity=True),
+], ids=["repeated_id_capacity", "repeated_id_node", "fractional_capacity", "bool_capacity"])
+def test_malformed_lots_file_is_a_data_error(copied, capsys, stage, edit):
+    lots = json.loads((copied / "city" / "lots.json").read_text())
+    edit(lots)
+    (copied / "city" / "lots.json").write_text(json.dumps(lots))
+    assert main([stage, "--config", str(write_config(copied / "config.json", "city"))]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "lots.json" in err
 
 
 def test_saturated_lot_reports_overflow(copied, capsys):

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from parksim import offstreet_sim
 from parksim.errors import DataError
 from parksim.offstreet_sim import (
     LotHourStats,
@@ -15,7 +16,6 @@ from parksim.offstreet_sim import (
     LotSimConfig,
     LotSpec,
     advance_tick,
-    arrival_wait_time,
     estimate_offstreet_time,
     initial_occupancy,
     lot_wait_times,
@@ -47,6 +47,11 @@ class StubRng:
 def flat_rates(lot_id, lam_a, lam_d):
     return LotRateTable({(lot_id, d, h): (lam_a, lam_d)
                          for d in range(7) for h in range(24)})
+
+
+def lots_flat_rates(lots, lam_a, lam_d):
+    return LotRateTable({key: flows for lot in lots
+                         for key, flows in flat_rates(lot.id, lam_a, lam_d).rates.items()})
 
 
 class TestSampleTick:
@@ -207,45 +212,41 @@ class TestAdvanceTick:
 
 class TestLotWaitTimes:
     def test_equals_arrival_wait_time(self):
+        # a grid of arrivals waits what each arrival waits on its own
         k, n_d, s = np.meshgrid(np.arange(1, 61), np.arange(0, 9), np.arange(0, 130, 7))
         waits = lot_wait_times(k, n_d, s, CFG)
         for ki, di, si, w in zip(k.ravel(), n_d.ravel(), s.ravel(), waits.ravel()):
-            assert w == pytest.approx(arrival_wait_time(int(ki), int(di), int(si), CFG),
+            assert w == pytest.approx(lot_wait_times(int(ki), int(di), int(si), CFG),
                                       abs=1e-9)
 
 
 class TestArrivalWaitTime:
+    """The wait of one arrival, ``lot_wait_times`` at scalar arguments."""
+
     def test_first_arrival_no_traffic(self):
-        assert arrival_wait_time(1, 0, 0, CFG) == 60.0
+        assert lot_wait_times(1, 0, 0, CFG) == 60.0
 
     def test_hand_case_third_arrival(self):
         # 60 + 10*0.54 + (2/2)*30 + (1/2 + 1/4)*60
-        assert arrival_wait_time(3, 2, 10, CFG) == pytest.approx(140.4, abs=1e-9)
+        assert lot_wait_times(3, 2, 10, CFG) == pytest.approx(140.4, abs=1e-9)
 
     def test_queue_term_limit_doubles_minimum(self):
-        assert arrival_wait_time(60, 0, 0, CFG) == pytest.approx(120.0, abs=1e-9)
+        assert lot_wait_times(60, 0, 0, CFG) == pytest.approx(120.0, abs=1e-9)
 
     def test_matches_straight_line_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            k = int(rng.integers(1, 12))
-            n_d = int(rng.integers(0, 8))
-            s = int(rng.integers(0, 40))
-            assert arrival_wait_time(k, n_d, s, CFG) == lot_wait_time(
-                k, n_d, s, CFG.min_park_s, CFG.per_stall_drive_s, CFG.vacate_wait_s)
+        # the closed-form queue sum against the oracle's loop
+        k, n_d, s = np.meshgrid(np.arange(1, 61), np.arange(0, 9), np.arange(0, 130, 7))
+        waits = lot_wait_times(k, n_d, s, CFG)
+        for ki, di, si, w in zip(k.ravel(), n_d.ravel(), s.ravel(), waits.ravel()):
+            assert w == pytest.approx(lot_wait_time(int(ki), int(di), int(si), CFG.min_park_s,
+                                                    CFG.per_stall_drive_s, CFG.vacate_wait_s),
+                                      abs=1e-9)
 
     def test_monotone_in_every_argument(self):
-        for k in range(1, 6):
-            for n_d in range(4):
-                for s in range(0, 30, 7):
-                    t = arrival_wait_time(k, n_d, s, CFG)
-                    assert arrival_wait_time(k + 1, n_d, s, CFG) >= t
-                    assert arrival_wait_time(k, n_d + 1, s, CFG) >= t
-                    assert arrival_wait_time(k, n_d, s + 1, CFG) >= t
-
-    def test_bad_index_rejected(self):
-        with pytest.raises(DataError):
-            arrival_wait_time(0, 0, 0, CFG)
+        k, n_d, s = np.meshgrid(np.arange(1, 7), np.arange(5), np.arange(30), indexing="ij")
+        waits = lot_wait_times(k, n_d, s, CFG)
+        for axis in range(3):
+            assert (np.diff(waits, axis=axis) >= 0).all()
 
 
 class TestSimulateLotHour:
@@ -310,6 +311,17 @@ class TestSimulateLotHour:
         assert stats.overflow == 0  # the lot never binds
         sigma = math.sqrt(mu / 10_000)
         assert abs(stats.arrivals / 10_000 - mu) <= 3 * sigma
+
+    @pytest.mark.parametrize("tick_s", [60.0, 1000.0, 2400.0, 7200.0])
+    def test_simulated_hour_draws_the_hourly_rate_for_any_tick(self, tick_s):
+        # 1000 s and 2400 s do not divide the hour; 7200 s is a single tick
+        cfg = LotSimConfig(tick_s=tick_s, reps=2_000)
+        lot = LotSpec("lot1", "n0_0", 200)  # never fills
+        stats = simulate_lot_hour(lot, flat_rates("lot1", 60.0, 0.0), 0, 8, cfg, 0,
+                                  np.random.default_rng(31))
+        assert stats.overflow == 0
+        mean = (stats.arrivals + stats.overflow) / cfg.reps
+        assert abs(mean - 60.0) <= 3 * math.sqrt(60.0 / cfg.reps)
 
     def test_zero_rates_give_no_mean_and_no_overflow(self):
         lot = LotSpec("lot1", "n0_0", 8)
@@ -396,6 +408,19 @@ class TestInitialOccupancy:
             initial_occupancy(self.rates([5.0], [5.0]), LotSpec("lot1", "n0", 10), 2, 3)
 
 
+def estimate(g, lots, rates, block, day, hour):
+    """One block's estimate at one hour from the estimator's one call."""
+    return estimate_offstreet_time(g, lots, rates, day, [hour], CFG)[hour][g.position[block]]
+
+
+def lot_hour(lot, rates, day, hour):
+    """The lot-hour the estimator simulates: from the initial occupancy, on
+    the (seed, lot, day, hour) stream."""
+    return simulate_lot_hour(lot, rates, day, hour, CFG,
+                             initial_occupancy(rates, lot, day, hour),
+                             derived_stream(CFG.seed, lot.id, day, hour))
+
+
 class TestEstimateOffstreet:
     def lots_on(self, g, *nodes, capacity=20):
         return [LotSpec(f"lot{i}", node, capacity) for i, node in enumerate(nodes)]
@@ -404,7 +429,7 @@ class TestEstimateOffstreet:
         g = grid_graph(3)
         lots = self.lots_on(g, "n0_1")
         rates = flat_rates("lot0", 0.0, 0.0)
-        est = estimate_offstreet_time(g, lots, rates, "h1_1E", 4, 12, CFG)
+        est = estimate(g, lots, rates, "h1_1E", 4, 12)
         drive = brute_drive_time_to_node(g, "h1_1E", "n0_1", 12)
         walk = brute_walk_time_from_node(g, "n0_1", "h1_1E")
         assert est.total_s == drive + 60.0 + walk
@@ -416,27 +441,27 @@ class TestEstimateOffstreet:
         lots = self.lots_on(g, "n0_0", "n3_3")
         rates = LotRateTable({**flat_rates("lot0", 10.0, 8.0).rates,
                               **flat_rates("lot1", 10.0, 8.0).rates})
-        est = estimate_offstreet_time(g, lots, rates, "h0_0E", 1, 10, CFG)
+        est = estimate(g, lots, rates, "h0_0E", 1, 10)
         assert est.lot_id == "lot0"
-        far = estimate_offstreet_time(g, lots, rates, "h3_2E", 1, 10, CFG)
+        far = estimate(g, lots, rates, "h3_2E", 1, 10)
         assert far.lot_id == "lot1"
 
     def test_fixed_seed_deterministic(self):
         g = grid_graph(3)
         lots = self.lots_on(g, "n1_1")
         rates = flat_rates("lot0", 25.0, 20.0)
-        a = estimate_offstreet_time(g, lots, rates, "h0_0E", 2, 9, CFG,
-                                    occupancy_by_lot={"lot0": 5})
-        b = estimate_offstreet_time(g, lots, rates, "h0_0E", 2, 9, CFG,
-                                    occupancy_by_lot={"lot0": 5})
+        a = estimate(g, lots, rates, "h0_0E", 2, 9)
+        b = estimate(g, lots, rates, "h0_0E", 2, 9)
         assert a == b
+        stats = lot_hour(lots[0], rates, 2, 9)
+        assert (a.lot_s, a.std_s) == (stats.mean_s, stats.std_s)
 
     def test_lot_stats_shared_across_destinations(self):
         g = grid_graph(3)
         lots = self.lots_on(g, "n1_1")
         rates = flat_rates("lot0", 25.0, 20.0)
-        a = estimate_offstreet_time(g, lots, rates, "h0_0E", 2, 9, CFG)
-        b = estimate_offstreet_time(g, lots, rates, "v1_1S", 2, 9, CFG)
+        a = estimate(g, lots, rates, "h0_0E", 2, 9)
+        b = estimate(g, lots, rates, "v1_1S", 2, 9)
         assert a.lot_s == b.lot_s  # same derived stream per (lot, day, hour)
 
     def test_exact_tie_goes_to_smallest_lot_id(self):
@@ -446,7 +471,7 @@ class TestEstimateOffstreet:
         rates = LotRateTable({**flat_rates("lotA", 0.0, 0.0).rates,
                               **flat_rates("lotB", 0.0, 0.0).rates})
         for order in (lots, lots[::-1]):
-            est = estimate_offstreet_time(g, order, rates, "h1_0E", 4, 12, CFG)
+            est = estimate(g, order, rates, "h1_0E", 4, 12)
             assert est.lot_id == "lotA" and est.drive_s == 18.0
 
     def test_unreachable_lot_rejected(self):
@@ -457,23 +482,59 @@ class TestEstimateOffstreet:
                                 make_edge("cb", "C", "B")])
         lots = [LotSpec("lot0", "A", 20)]
         rates = flat_rates("lot0", 1.0, 1.0)
-        cache: dict = {}
-        for dest in ("ab", "bc", "cb", "bc"):  # the repeat reads the cached table
-            with pytest.raises(DataError, match=f"no drive path from '{dest}' to node 'A'"):
-                estimate_offstreet_time(g, lots, rates, dest, 0, 8, CFG, _cache=cache)
+        with pytest.raises(DataError, match="no drive path from 'ab' to node 'A'"):
+            estimate_offstreet_time(g, lots, rates, 0, [8], CFG)
+
+    def test_first_unreachable_block_and_lot_named(self):
+        # A <-> B -> C <-> D: blocks ab and ba reach A, blocks from bc on do not;
+        # every block reaches C
+        nodes = [Intersection(n, 49.0, -123.0 + i * 1e-3) for i, n in enumerate("ABCD")]
+        g = build_graph(nodes, [make_edge("ab", "A", "B"), make_edge("ba", "B", "A"),
+                                make_edge("bc", "B", "C"), make_edge("cd", "C", "D"),
+                                make_edge("dc", "D", "C")])
+        lots = [LotSpec("lot2", "A", 20), LotSpec("lot0", "C", 20), LotSpec("lot1", "A", 20)]
+        rates = lots_flat_rates(lots, 1.0, 1.0)
+        with pytest.raises(DataError, match="no drive path from 'bc' to node 'A'"):
+            estimate_offstreet_time(g, lots, rates, 0, [8], CFG)
 
     def test_lot_counts_reported(self):
         g = grid_graph(3)
         lots = [LotSpec("lot0", "n1_1", 4)]
         rates = flat_rates("lot0", 60.0, 10.0)
-        est = estimate_offstreet_time(g, lots, rates, "h0_0E", 2, 9, CFG,
-                                      occupancy_by_lot={"lot0": 2})
-        stats = simulate_lot_hour(lots[0], rates, 2, 9, CFG, 2,
-                                  derived_stream(CFG.seed, "lot0", 2, 9))
+        est = estimate(g, lots, rates, "h0_0E", 2, 9)
+        stats = lot_hour(lots[0], rates, 2, 9)
         assert (est.arrivals, est.overflow) == (stats.arrivals, stats.overflow)
         assert est.overflow > 0
+
+    def test_each_chosen_lot_hour_simulated_once(self, monkeypatch):
+        # lot2 shares lot0's entrance, so every tie goes to lot0 and no
+        # block chooses lot2
+        g = grid_graph(4)
+        lots = self.lots_on(g, "n0_0", "n3_3", "n0_0")
+        rates = lots_flat_rates(lots, 30.0, 20.0)
+        simulated = []
+        simulate = offstreet_sim.simulate_lot_hour
+
+        def counted(lot, rates, day, hour, cfg, occupancy, rng):
+            simulated.append((lot.id, hour))
+            return simulate(lot, rates, day, hour, cfg, occupancy, rng)
+
+        monkeypatch.setattr(offstreet_sim, "simulate_lot_hour", counted)
+        estimates = estimate_offstreet_time(g, lots, rates, 3, [8, 17], CFG)
+        assert sorted(simulated) == [("lot0", 8), ("lot0", 17), ("lot1", 8), ("lot1", 17)]
+        for hour in (8, 17):
+            assert len(estimates[hour]) == len(g.block_ids)
+            chosen = {est.lot_id for est in estimates[hour]}
+            assert chosen == {"lot0", "lot1"}
 
     def test_no_lots_rejected(self):
         g = grid_graph(3)
         with pytest.raises(DataError):
-            estimate_offstreet_time(g, [], flat_rates("x", 1, 1), "h0_0E", 0, 0, CFG)
+            estimate_offstreet_time(g, [], flat_rates("x", 1, 1), 0, [0], CFG)
+
+    @pytest.mark.parametrize("day", [-1, 7])
+    def test_day_outside_week_rejected(self, day):
+        g = grid_graph(3)
+        lots = self.lots_on(g, "n1_1")
+        with pytest.raises(DataError, match="day must be in 0..6"):
+            estimate_offstreet_time(g, lots, flat_rates("lot0", 1.0, 1.0), day, [8], CFG)
