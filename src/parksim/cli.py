@@ -12,6 +12,16 @@ no graph and no payments. Ingest also reads ``lot_events.csv`` into dense
 hourly arrays of each lot's entries and departures and averages them into
 the hourly Poisson rates of ``rates.csv``, which sim-off samples.
 
+The per-cell files ``availability.csv``, ``onstreet.csv``,
+``offstreet.csv`` and ``diff.csv`` hold one row per (block, hour) of the
+run: hour-major in the run's hour order, and blocks in ``g.block_ids``
+order within an hour. A stage that reads one turns it into an (hour,
+block) array. It rejects, naming the file and line, a cell that does not
+parse, a probability outside [0, 1], a block the graph does not have, an
+hour outside 0..23 and a repeated (block, hour). Rows for hours outside
+the run are checked and skipped; a (block, hour) of the run with no row is
+rejected once the whole file is read.
+
 Exit codes, with a one-line message on stderr for every failure:
 0 success; 2 when a config key, an input file or an earlier stage's output
 is missing, the config itself is invalid, or it asks for more memory than
@@ -27,6 +37,8 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 from .data_ingest import (
     SmoothingConfig,
@@ -60,14 +72,8 @@ from .occupancy_model import (
     train_baseline,
 )
 from .offstreet_sim import LotSimConfig, estimate_offstreet_time
-from .onstreet_sim import (
-    OnstreetConfig,
-    PolicyWeights,
-    estimate_onstreet_time,
-    probability_vector,
-)
-from .road_graph import (RoadGraph, block_distances_to_block, load_graph,
-                         walk_times_to_block)
+from .onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
+from .road_graph import RoadGraph, _check_hour, load_graph
 
 SAMPLES_FILE = "samples.csv"
 RATES_FILE = "rates.csv"
@@ -337,54 +343,58 @@ def _count(raw: str) -> int:
     return value
 
 
+def _probability(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"expected a probability in [0, 1], got {raw!r}")
+    return value
+
+
 # How a stage CSV's cells are parsed; any other column holds a finite float.
 # Lot ids stay unchecked: diff reads no lots file to check them against.
-_CELL_PARSERS = {"block_id": str, "lot_id": str, "hour": int,
+_CELL_PARSERS = {"block_id": str, "lot_id": str, "p_available": _probability,
+                 "hour": lambda raw: _check_hour(int(raw)),
                  "n_samples": _count, "arrivals": _count, "overflow": _count}
 
 
-def _read_cells(path: Path, columns: tuple[str, ...],
-                value: str) -> dict[tuple[str, int], float]:
-    """One stage CSV as {(block, hour): column ``value``}, every cell parsed;
-    a (block, hour) that appears twice is a data error."""
-    def parse(row: dict[str, str]) -> tuple[tuple[str, int], float]:
-        cell = {name: _CELL_PARSERS.get(name, _real)(row[name]) for name in columns}
-        return (cell["block_id"], cell["hour"]), cell[value]
+def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
+                hours: tuple[int, ...]) -> np.ndarray:
+    """Column ``value`` of a per-cell stage CSV as a (len(hours), blocks)
+    array, with block ``g.block_ids[j]`` in column ``j``."""
+    seen: set[tuple[str, int]] = set()
 
-    cells: dict[tuple[str, int], float] = {}
-    for key, x in read_table(path, columns, parse):
-        if key in cells:
-            raise DataError(f"duplicate (block, hour) row {key} in {path}")
-        cells[key] = x
-    return cells
+    def parse(row: dict[str, str]) -> tuple[str, int, float]:
+        cell = {name: _CELL_PARSERS.get(name, _real)(row[name]) for name in columns}
+        key = cell["block_id"], cell["hour"]
+        if key[0] not in g.position:
+            raise DataError(f"block {key[0]!r} is not in the graph")
+        if key in seen:
+            raise DataError(f"duplicate (block, hour) row {key}")
+        seen.add(key)
+        return *key, cell[value]
+
+    row_of = {hour: i for i, hour in enumerate(hours)}
+    # every parsed value is finite, so NaN marks a cell no row has filled
+    table = np.full((len(hours), len(g.block_ids)), np.nan)
+    for block, hour, x in read_table(path, columns, parse):
+        if hour in row_of:
+            table[row_of[hour], g.position[block]] = x
+    missing = np.argwhere(np.isnan(table))
+    if len(missing):
+        cells = [(g.block_ids[j], hours[i]) for i, j in missing[:3]]
+        raise DataError(f"{path} is missing {len(missing)} (block, hour) rows "
+                        f"of this run, e.g. {cells}")
+    return table
 
 
 def stage_sim_on(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
-    path = _stage_file(cfg, AVAILABILITY_FILE, "predict")
-    probs_by_hour: dict[int, dict[str, float]] = {}
-    for (block_id, hour), p in _read_cells(path, AVAILABILITY_COLUMNS,
-                                           "p_available").items():
-        probs_by_hour.setdefault(hour, {})[block_id] = p
-    p_by_hour = {}
-    for hour in cfg.hours:
-        try:
-            p_by_hour[hour] = probability_vector(g, probs_by_hour.get(hour, {}))
-        except DataError as exc:
-            raise DataError(f"{path}, hour {hour}: {exc}") from exc
-    # Destination-outer so each destination's hour-independent tables are
-    # built once and dropped before the next; rows are written hour-outer.
-    rows_by_hour: dict[int, list[list]] = {hour: [] for hour in cfg.hours}
-    for block_id in g.block_ids:
-        walk_s = walk_times_to_block(g, block_id)
-        dist_m = block_distances_to_block(g, block_id)
-        for hour in cfg.hours:
-            est = estimate_onstreet_time(g, p_by_hour[hour], block_id, cfg.onstreet,
-                                         cfg.policy, hour, walk_s, dist_m)
-            rows_by_hour[hour].append([block_id, hour, _fmt(est.mean_s),
-                                       _fmt(est.std_s),
-                                       _fmt(est.censored_fraction), est.n_samples])
-    rows = [row for hour in cfg.hours for row in rows_by_hour[hour]]
+    p = _read_cells(_stage_file(cfg, AVAILABILITY_FILE, "predict"), AVAILABILITY_COLUMNS,
+                    "p_available", g, cfg.hours)
+    est = estimate_onstreet_time(g, p, cfg.hours, cfg.onstreet, cfg.policy)
+    rows = [[block_id, hour, _fmt(est.mean_s[i, j]), _fmt(est.std_s[i, j]),
+             _fmt(est.censored_fraction[i, j]), est.n_samples]
+            for i, hour in enumerate(cfg.hours) for j, block_id in enumerate(g.block_ids)]
     write_table(cfg.out_dir / ONSTREET_FILE, ONSTREET_COLUMNS, rows)
 
 
@@ -411,25 +421,18 @@ def stage_sim_off(cfg: RunConfig) -> None:
 
 def stage_diff(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
-    expected = {(block_id, hour) for hour in cfg.hours for block_id in g.block_ids}
-    times = []
-    for name, producer, columns, mean in (
-            (ONSTREET_FILE, "sim-on", ONSTREET_COLUMNS, "mean_onstreet_s"),
-            (OFFSTREET_FILE, "sim-off", OFFSTREET_COLUMNS, "mean_offstreet_s")):
-        table = _read_cells(_stage_file(cfg, name, producer), columns, mean)
-        missing = expected - set(table)
-        if missing:
-            raise DataError(f"{name} is missing {len(missing)} (block, hour) "
-                            f"rows, e.g. {sorted(missing)[:3]}")
-        times.append(table)
-    on_times, off_times = times
+    on, off = (_read_cells(_stage_file(cfg, name, producer), columns, mean, g, cfg.hours)
+               for name, producer, columns, mean in (
+                   (ONSTREET_FILE, "sim-on", ONSTREET_COLUMNS, "mean_onstreet_s"),
+                   (OFFSTREET_FILE, "sim-off", OFFSTREET_COLUMNS, "mean_offstreet_s")))
+    delta = off - on
 
     rows = []
-    for hour in cfg.hours:
+    for i, hour in enumerate(cfg.hours):
         features = []
-        for block_id in g.block_ids:
-            t_on, t_off = on_times[(block_id, hour)], off_times[(block_id, hour)]
-            rows.append([block_id, hour, _fmt(t_on), _fmt(t_off), _fmt(t_off - t_on)])
+        for block_id, t_on, t_off, delta_s in zip(g.block_ids, on[i].tolist(),
+                                                  off[i].tolist(), delta[i].tolist()):
+            rows.append([block_id, hour, _fmt(t_on), _fmt(t_off), _fmt(delta_s)])
             e = g.edges[block_id]
             a, b = g.nodes[e.from_node], g.nodes[e.to_node]
             features.append({
@@ -437,7 +440,7 @@ def stage_diff(cfg: RunConfig) -> None:
                 "geometry": {"type": "LineString",
                              "coordinates": [[a.lon, a.lat], [b.lon, b.lat]]},
                 "properties": {"block_id": block_id, "hour": hour, "t_on_s": t_on,
-                               "t_off_s": t_off, "delta_s": t_off - t_on},
+                               "t_off_s": t_off, "delta_s": delta_s},
             })
         collection = {"type": "FeatureCollection", "features": features}
         _atomic_write(cfg.out_dir / f"diff_h{hour:02d}.geojson",

@@ -30,17 +30,19 @@ in sorted order). Each step, for the searches still active, in sample order:
 4. one masked softmax per search and one ``rng.random(n_active)`` pick
    each search's next block by inverse CDF over its candidates in id order.
 
-This draw order is on-street stream version 2. The stream derives from
-(seed, destination, hour), so estimates do not depend on task order. The
-scalar reference for one search is ``simulate_single`` in
-``tests/oracles.py``.
+This draw order is on-street stream version 2. Each (destination, hour)
+cell draws from its own stream, derived from (seed, destination, hour), so
+a cell's estimate does not depend on which other cells a call covers or in
+what order. ``estimate_onstreet_time`` covers every block at every hour of
+a run in one call, destination by destination: it builds each
+destination's walk and distance tables once for all hours, and allocates
+the visit and last-check arrays once for all cells. The scalar reference
+for one search is ``simulate_single`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -81,45 +83,20 @@ class OnstreetConfig:
 
 @dataclass(frozen=True)
 class OnstreetEstimate:
-    mean_s: float
-    std_s: float
-    censored_fraction: float
+    """Search statistics as (hour, destination) arrays: row ``i`` is the
+    call's ``hours[i]`` and column ``j`` the block ``g.block_ids[j]``. Every
+    cell summarises ``n_samples`` searches."""
+
+    mean_s: np.ndarray
+    std_s: np.ndarray
+    censored_fraction: np.ndarray
     n_samples: int
-
-
-def probability_vector(g: RoadGraph, probs: Mapping[str, float]) -> np.ndarray:
-    """Availability per block in ``g.block_ids`` order.
-
-    Every block of the graph needs a probability in [0, 1], and every key
-    of ``probs`` must be a block of the graph.
-    """
-    unknown = sorted(set(probs) - g.position.keys())
-    if unknown:
-        raise DataError(f"availability for unknown blocks {unknown[:3]}")
-    missing = [block for block in g.block_ids if block not in probs]
-    if missing:
-        raise DataError(f"no availability for {len(missing)} blocks, e.g. {missing[:3]}")
-    p = np.array([probs[block] for block in g.block_ids], dtype=float)
-    outside = ~((p >= 0.0) & (p <= 1.0))
-    if outside.any():
-        block = g.block_ids[int(np.argmax(outside))]
-        raise DataError(f"availability of block {block!r} is {probs[block]!r}, "
-                        "outside [0, 1]")
-    return p
-
-
-@functools.lru_cache(maxsize=1)
-def _search_arrays(n: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """One pair of (visits, last check) arrays, reused by every search of a
-    process, which is single-threaded. Allocating and freeing them per
-    (destination, hour) let the allocator return their pages and fault
-    them back in on each call, at times doubling sim-on's run time."""
-    return np.empty((n, blocks), dtype=np.int64), np.empty((n, blocks))
 
 
 def _lockstep(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarray,
               p: np.ndarray, cfg: OnstreetConfig, weights: PolicyWeights, hour: int,
-              rng: np.random.Generator) -> tuple[np.ndarray, int]:
+              rng: np.random.Generator, visits: np.ndarray,
+              last_check_s: np.ndarray) -> tuple[np.ndarray, int]:
     """Total time of every search, and the number censored."""
     drive_s = g.drive_s[hour]
     # The distance and scarcity terms depend only on the candidate block.
@@ -129,7 +106,6 @@ def _lockstep(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarray,
     n = cfg.n_samples
     totals = np.empty(n)
     censored = 0
-    visits, last_check_s = _search_arrays(n, len(p))
     visits.fill(0)
     last_check_s.fill(-np.inf)                      # never checked: full credit
     live = np.arange(n)                             # sample ids still searching
@@ -173,34 +149,41 @@ def _lockstep(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarray,
         block = candidates[k, np.arange(live.size)]
 
 
-def estimate_onstreet_time(g: RoadGraph, probs: Mapping[str, float] | np.ndarray,
-                           dest: str, cfg: OnstreetConfig, weights: PolicyWeights,
-                           hour: int, walk_s: np.ndarray | None = None,
-                           dist_m: np.ndarray | None = None) -> OnstreetEstimate:
-    """Mean and spread of total on-street time over seeded search samples.
+def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
+                           cfg: OnstreetConfig, weights: PolicyWeights) -> OnstreetEstimate:
+    """Mean and spread of total on-street time, over seeded search samples,
+    for every destination block at every hour of ``hours``.
 
-    ``probs`` maps every block id to its availability probability, or is
-    that mapping already turned into a vector by ``probability_vector``,
-    which a caller covering many blocks does once per hour. The random stream
-    derives from (seed, destination block, hour), so per-block tasks can
-    run in any order and still reproduce exactly. ``walk_s`` and ``dist_m``
-    are the destination's ``walk_times_to_block`` and
-    ``block_distances_to_block`` tables, which do not depend on the hour; a
-    caller covering several hours builds them once.
+    ``p[i, j]`` is the availability probability of block ``g.block_ids[j]``
+    at ``hours[i]``. Each (destination, hour) cell draws from its own stream,
+    derived from (seed, destination block, hour), so a cell reproduces
+    exactly whatever other hours the call covers.
     """
-    _check_hour(hour)
-    g.edge(dest)
-    walk_s = walk_times_to_block(g, dest) if walk_s is None else walk_s
-    dist_m = block_distances_to_block(g, dest) if dist_m is None else dist_m
-    p = probs if isinstance(probs, np.ndarray) else probability_vector(g, probs)
-    if p.shape != (len(g.block_ids),):
-        raise DataError(f"availability vector has shape {p.shape}, "
-                        f"expected ({len(g.block_ids)},)")
-    # an overflowing score is reported as a NumericError, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals, censored = _lockstep(g, g.position[dest], walk_s, dist_m, p, cfg,
-                                     weights, hour, derived_stream(cfg.seed, dest, hour))
-    std = float(totals.std(ddof=1)) if cfg.n_samples > 1 else 0.0
-    return OnstreetEstimate(mean_s=float(totals.mean()), std_s=std,
-                            censored_fraction=censored / cfg.n_samples,
-                            n_samples=cfg.n_samples)
+    for hour in hours:
+        _check_hour(hour)
+    shape = (len(hours), len(g.block_ids))
+    if p.shape != shape:
+        raise DataError(f"availability array has shape {p.shape}, expected {shape}")
+    n = cfg.n_samples
+    mean, std, censored = np.empty(shape), np.zeros(shape), np.empty(shape)
+    # One pair of scratch arrays for every search of the call. Allocating
+    # and freeing them per (destination, hour) let the allocator return
+    # their pages and fault them back in on each cell, at times doubling
+    # sim-on's run time.
+    visits = np.empty((n, len(g.block_ids)), dtype=np.int64)
+    last_check_s = np.empty((n, len(g.block_ids)))
+    for j, dest in enumerate(g.block_ids):
+        walk_s = walk_times_to_block(g, dest)
+        dist_m = block_distances_to_block(g, dest)
+        for i, hour in enumerate(hours):
+            # an overflowing score is reported as a NumericError, not a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                totals, n_censored = _lockstep(g, j, walk_s, dist_m, p[i], cfg, weights,
+                                               hour, derived_stream(cfg.seed, dest, hour),
+                                               visits, last_check_s)
+            mean[i, j] = totals.mean()
+            if n > 1:
+                std[i, j] = totals.std(ddof=1)
+            censored[i, j] = n_censored / n
+    return OnstreetEstimate(mean_s=mean, std_s=std, censored_fraction=censored,
+                            n_samples=n)

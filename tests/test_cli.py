@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import math
+import random
 import shutil
 from datetime import datetime
 
@@ -20,7 +20,7 @@ from parksim.data_ingest import SmoothingConfig, SynthConfig, read_lots, synth_g
 from parksim.errors import ConfigError
 from parksim.occupancy_model import FEATURE_NAMES, TrainConfig
 from parksim.offstreet_sim import LotSimConfig
-from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
+from parksim.onstreet_sim import OnstreetConfig, PolicyWeights
 from parksim.road_graph import load_graph
 
 from oracles import brute_drive_time_to_node, brute_walk_time_from_node, lot_rates
@@ -83,23 +83,6 @@ class TestPipeline:
         floor = OnstreetConfig().min_park_s
         for row in read_rows(run["out"] / "onstreet.csv"):
             assert float(row["mean_onstreet_s"]) >= floor
-
-    def test_onstreet_equals_hour_outer_direct_calls(self, run):
-        g = run["graph"]
-        probs: dict[int, dict[str, float]] = {}
-        for row in read_rows(run["out"] / "availability.csv"):
-            probs.setdefault(int(row["hour"]), {})[row["block_id"]] = float(row["p_available"])
-        cfg = OnstreetConfig(n_samples=N_SAMPLES, seed=SEED)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["block_id", "hour", "mean_onstreet_s", "std_onstreet_s",
-                         "censored_fraction", "n_samples"])
-        for hour in HOURS:
-            for block in sorted(g.edges):
-                est = estimate_onstreet_time(g, probs[hour], block, cfg, PolicyWeights(), hour)
-                writer.writerow([block, hour, repr(est.mean_s), repr(est.std_s),
-                                 repr(est.censored_fraction), est.n_samples])
-        assert (run["out"] / "onstreet.csv").read_bytes() == buf.getvalue().encode()
 
     def test_offstreet_matches_forward_search_reference(self, run):
         # the legs against the path-enumerating oracles, exactly
@@ -483,18 +466,60 @@ def test_missing_stage_output_is_a_config_error(copied, capsys, stage, name, pro
     assert f"run {producer} first" in err
 
 
-@pytest.mark.parametrize("edit", [
-    lambda rows: rows.pop(1),
-    lambda rows: rows.append(["x", str(HOURS[0]), "0.5"]),
-    lambda rows: rows[1].__setitem__(2, "1.5"),
-    lambda rows: rows[1].__setitem__(2, "nan"),
-], ids=["missing_row", "unknown_block", "above_one", "nan"])
-def test_bad_availability_table_is_a_data_error(copied, capsys, edit):
+@pytest.mark.parametrize("edit,where", [
+    (lambda rows: rows.pop(1), "availability.csv"),
+    (lambda rows: rows.append(["x", str(HOURS[0]), "0.5"]), "availability.csv, line"),
+    (lambda rows: rows[1].__setitem__(2, "1.5"), "availability.csv, line"),
+    (lambda rows: rows[1].__setitem__(2, "-0.1"), "availability.csv, line"),
+    (lambda rows: rows[1].__setitem__(2, "nan"), "availability.csv, line"),
+], ids=["missing_row", "unknown_block", "above_one", "negative", "nan"])
+def test_bad_availability_table_is_a_data_error(copied, capsys, edit, where):
     edit_csv(copied / "out" / "availability.csv", edit)
     code, err = run_stage(copied, "availability.csv", capsys)
     assert code == 3
     assert_one_line(err)
-    assert "availability.csv" in err
+    assert where in err
+
+
+@pytest.mark.parametrize("name,block,hour", [
+    ("onstreet.csv", "x", HOURS[0]),
+    ("offstreet.csv", "x", HOURS[0]),
+    ("availability.csv", "x", 5),
+    ("availability.csv", None, 24),
+], ids=["onstreet_unknown_block", "offstreet_unknown_block",
+        "availability_unknown_block_outside_run", "availability_hour_24"])
+def test_per_cell_row_outside_graph_or_day_is_a_data_error(copied, capsys, name, block,
+                                                           hour):
+    # every row is checked, also one for an hour the run does not cover
+    path = copied / "out" / name
+    edit_csv(path, lambda rows: rows.append([block or rows[1][0], str(hour), *rows[1][2:]]))
+    code, err = run_stage(copied, name, capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert f"{name}, line {len(path.read_text().splitlines())}: " in err
+
+
+def test_onstreet_cells_do_not_depend_on_run_shape(copied):
+    config = str(write_config(copied / "config.json", "city"))
+    onstreet = copied / "out" / "onstreet.csv"
+    expected = onstreet.read_bytes()
+
+    def shuffle(rows):
+        body = rows[1:]
+        random.Random(SEED).shuffle(body)
+        rows[1:] = body
+
+    edit_csv(copied / "out" / "availability.csv", shuffle)
+    assert main(["sim-on", "--config", config]) == 0
+    assert onstreet.read_bytes() == expected
+    header, body = expected.split(b"\n", 1)
+    bodies = []
+    for hour in HOURS:
+        assert main(["sim-on", "--config", config, "--hours", str(hour)]) == 0
+        one_header, one_body = onstreet.read_bytes().split(b"\n", 1)
+        assert one_header == header
+        bodies.append(one_body)
+    assert b"".join(bodies) == body
 
 
 @pytest.mark.parametrize("name", ["availability.csv", "onstreet.csv", "offstreet.csv"])

@@ -8,13 +8,8 @@ import numpy as np
 import pytest
 
 from parksim.errors import DataError, NumericError
-from parksim.onstreet_sim import (
-    OnstreetConfig,
-    PolicyWeights,
-    estimate_onstreet_time,
-    probability_vector,
-)
-from parksim.road_graph import block_distances_to_block, build_graph, walk_times_to_block
+from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
+from parksim.road_graph import build_graph
 
 from conftest import grid_graph, line_graph
 from oracles import (
@@ -28,6 +23,11 @@ from oracles import (
 )
 
 W = PolicyWeights()
+
+
+def availability(g, *probs_by_hour):
+    """One row per hour of availability dicts, blocks in ``g.block_ids`` order."""
+    return np.array([[probs[block] for block in g.block_ids] for probs in probs_by_hour])
 
 
 class TestBlockScores:
@@ -199,19 +199,21 @@ class TestEstimate:
     def test_certain_parking_mean_exact(self):
         g = grid_graph(3)
         probs = {eid: 1.0 for eid in g.edges}
-        est = estimate_onstreet_time(g, probs, "h0_0E",
-                                     OnstreetConfig(n_samples=64), W, 12)
-        assert est.mean_s == 210.0
-        assert est.std_s == 0.0
-        assert est.censored_fraction == 0.0
+        est = estimate_onstreet_time(g, availability(g, probs), (12,),
+                                     OnstreetConfig(n_samples=64), W)
+        j = g.position["h0_0E"]
+        assert est.mean_s[0, j] == 210.0
+        assert est.std_s[0, j] == 0.0
+        assert est.censored_fraction[0, j] == 0.0
 
     def test_fixed_seed_reproducible(self):
         g = grid_graph(3)
-        probs = {eid: 0.3 for eid in g.edges}
+        p = availability(g, {eid: 0.3 for eid in g.edges})
         cfg = OnstreetConfig(n_samples=40, seed=9)
-        a = estimate_onstreet_time(g, probs, "h1_1E", cfg, W, 10)
-        b = estimate_onstreet_time(g, probs, "h1_1E", cfg, W, 10)
-        assert a == b
+        a = estimate_onstreet_time(g, p, (10,), cfg, W)
+        b = estimate_onstreet_time(g, p, (10,), cfg, W)
+        for name in ("mean_s", "std_s", "censored_fraction"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_single_street_geometric_expectation(self):
         # one physical street, both faces at P = 0.5: checks are Bernoulli
@@ -221,9 +223,10 @@ class TestEstimate:
         g = line_graph(drive_times=(10.0,), walk_times=(30.0,))
         probs = {"e0": 0.5, "r0": 0.5}
         cfg = OnstreetConfig(n_samples=4000, seed=21, max_search_s=1e6)
-        est = estimate_onstreet_time(g, probs, "e0", cfg, W, 12)
-        se = est.std_s / math.sqrt(cfg.n_samples)
-        assert abs(est.mean_s - 230.0) <= 3 * se
+        est = estimate_onstreet_time(g, availability(g, probs), (12,), cfg, W)
+        j = g.position["e0"]
+        se = est.std_s[0, j] / math.sqrt(cfg.n_samples)
+        assert abs(est.mean_s[0, j] - 230.0) <= 3 * se
 
     def test_scaling_probabilities_up_never_slower(self):
         g = grid_graph(3)
@@ -232,10 +235,11 @@ class TestEstimate:
                 zip(sorted(g.edges), rng.uniform(0.05, 0.5, len(g.edges)))}
         boosted = {eid: min(1.0, p * 1.5) for eid, p in base.items()}
         cfg = OnstreetConfig(n_samples=10_000, seed=4)
-        slow = estimate_onstreet_time(g, base, "h1_1E", cfg, W, 12)
-        fast = estimate_onstreet_time(g, boosted, "h1_1E", cfg, W, 12)
-        se = math.hypot(slow.std_s, fast.std_s) / math.sqrt(cfg.n_samples)
-        assert fast.mean_s <= slow.mean_s + 3 * se
+        slow = estimate_onstreet_time(g, availability(g, base), (12,), cfg, W)
+        fast = estimate_onstreet_time(g, availability(g, boosted), (12,), cfg, W)
+        j = g.position["h1_1E"]
+        se = math.hypot(slow.std_s[0, j], fast.std_s[0, j]) / math.sqrt(cfg.n_samples)
+        assert fast.mean_s[0, j] <= slow.mean_s[0, j] + 3 * se
 
 
 class TestLockstep:
@@ -243,21 +247,22 @@ class TestLockstep:
         g = line_graph(drive_times=(10.0, 20.0, 30.0), walk_times=(30.0, 30.0, 30.0))
         probs = {eid: 0.0 for eid in g.edges}
         probs["e1"] = 1.0
-        est = estimate_onstreet_time(g, probs, "e0", OnstreetConfig(n_samples=200),
-                                     W, 12)
+        est = estimate_onstreet_time(g, availability(g, probs), (12,),
+                                     OnstreetConfig(n_samples=200), W)
+        j = g.position["e0"]
         # every search drives 10/2 + 20/2 and walks 30/2 + 30/2
-        assert est.mean_s == 255.0
-        assert est.std_s == 0.0
-        assert est.censored_fraction == 0.0
+        assert est.mean_s[0, j] == 255.0
+        assert est.std_s[0, j] == 0.0
+        assert est.censored_fraction[0, j] == 0.0
 
     def test_never_available_is_all_censored(self):
         g = grid_graph(3)
         probs = {eid: 0.0 for eid in g.edges}
-        est = estimate_onstreet_time(g, probs, "h0_0E",
-                                     OnstreetConfig(n_samples=50, max_search_s=60.0),
-                                     W, 12)
-        assert est.censored_fraction == 1.0
-        assert est.mean_s >= 210.0 + 60.0
+        est = estimate_onstreet_time(g, availability(g, probs), (12,),
+                                     OnstreetConfig(n_samples=50, max_search_s=60.0), W)
+        j = g.position["h0_0E"]
+        assert est.censored_fraction[0, j] == 1.0
+        assert est.mean_s[0, j] >= 210.0 + 60.0
 
     def test_order_independent(self):
         g = grid_graph(3)
@@ -265,15 +270,13 @@ class TestLockstep:
         probs = {eid: float(p) for eid, p in
                  zip(sorted(g.edges), rng.uniform(0.1, 0.7, len(g.edges)))}
         cfg = OnstreetConfig(n_samples=60, seed=11)
-        alone = estimate_onstreet_time(g, probs, "v1_1S", cfg, W, 9)
-        p = probability_vector(g, probs)
-        for dest in ("h0_0E", "v1_1S", "h2_1W"):
-            walk_s = walk_times_to_block(g, dest)
-            dist_m = block_distances_to_block(g, dest)
-            for hour in (8, 9):
-                est = estimate_onstreet_time(g, p, dest, cfg, W, hour, walk_s, dist_m)
-                if (dest, hour) == ("v1_1S", 9):
-                    assert est == alone
+        p = availability(g, probs)
+        both = estimate_onstreet_time(g, availability(g, probs, probs), (8, 9), cfg, W)
+        for i, hour in enumerate((8, 9)):
+            alone = estimate_onstreet_time(g, p, (hour,), cfg, W)
+            for name in ("mean_s", "std_s", "censored_fraction"):
+                assert np.array_equal(getattr(both, name)[i], getattr(alone, name)[0]), \
+                    (hour, name)
 
     def test_matches_scalar_reference(self):
         # every block at two hours: lockstep and one-search-at-a-time means
@@ -282,19 +285,25 @@ class TestLockstep:
         rng = np.random.default_rng(23)
         n = 300
         cfg = OnstreetConfig(n_samples=n, seed=2)
-        for hour in (8, 17):
+        hours = (8, 17)
+        probs_by_hour, refs = [], {}
+        for hour in hours:
             probs = {eid: float(p) for eid, p in
                      zip(sorted(g.edges), rng.uniform(0.05, 0.6, len(g.edges)))}
+            probs_by_hour.append(probs)
             for dest in sorted(g.edges):
-                est = estimate_onstreet_time(g, probs, dest, cfg, W, hour)
                 walk = midpoint_table(g, dest, lambda e: e.walk_time_s)
                 dist = midpoint_table(g, dest, lambda e: e.length_m)
-                ref = np.array([
+                refs[hour, dest] = np.array([
                     simulate_single(g, probs, dest, cfg, W, hour, rng,
                                     walk_s=walk, dist_m=dist).total_s
                     for _ in range(n)])
-                se = math.hypot(est.std_s, ref.std(ddof=1)) / math.sqrt(n)
-                assert abs(est.mean_s - ref.mean()) <= 4 * se, (dest, hour)
+        est = estimate_onstreet_time(g, availability(g, *probs_by_hour), hours, cfg, W)
+        for i, hour in enumerate(hours):
+            for dest in sorted(g.edges):
+                j, ref = g.position[dest], refs[hour, dest]
+                se = math.hypot(est.std_s[i, j], ref.std(ddof=1)) / math.sqrt(n)
+                assert abs(est.mean_s[i, j] - ref.mean()) <= 4 * se, (dest, hour)
 
     @pytest.mark.parametrize("weights", [
         PolicyWeights(0.0, 0.0, 15.0, 0.0),    # since-last-check term alone
@@ -309,24 +318,32 @@ class TestLockstep:
         g = line_graph(drive_times=(10.0, 20.0, 30.0), walk_times=(60.0, 80.0, 100.0))
         probs = {eid: 0.0 for eid in g.edges}
         probs["r0"] = 1.0
-        totals = {estimate_onstreet_time(g, probs, "e1", OnstreetConfig(n_samples=1, seed=s),
-                                         weights, 12).mean_s for s in range(200)}
+        p, j = availability(g, probs), g.position["e1"]
+        totals = {estimate_onstreet_time(g, p, (12,), OnstreetConfig(n_samples=1, seed=s),
+                                         weights).mean_s[0, j] for s in range(200)}
         assert totals == {315.0, 375.0}
 
     def test_non_finite_score_rejected(self):
         g = grid_graph(3)
         probs = {eid: 0.0 for eid in g.edges}
         with pytest.raises(NumericError):
-            estimate_onstreet_time(g, probs, "h1_1E", OnstreetConfig(n_samples=5),
-                                   PolicyWeights(distance_weight=-1e308), 12)
+            estimate_onstreet_time(g, availability(g, probs), (12,),
+                                   OnstreetConfig(n_samples=5),
+                                   PolicyWeights(distance_weight=-1e308))
 
     def test_unknown_destination_and_hour_rejected(self):
         g = grid_graph(3)
-        probs = {eid: 0.5 for eid in g.edges}
-        with pytest.raises(DataError):
-            estimate_onstreet_time(g, probs, "nope", OnstreetConfig(), W, 12)
-        with pytest.raises(DataError):
-            estimate_onstreet_time(g, probs, "h0_0E", OnstreetConfig(), W, 24)
+        p = availability(g, {eid: 0.5 for eid in g.edges})
+        for hour in (24, -1):
+            with pytest.raises(DataError):
+                estimate_onstreet_time(g, p, (hour,), OnstreetConfig(), W)
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 24), (1, 23), (1, 25)])
+    def test_wrong_availability_shape_rejected(self, shape):
+        g = grid_graph(3)
+        assert len(g.block_ids) == 24
+        with pytest.raises(DataError, match="shape"):
+            estimate_onstreet_time(g, np.full(shape, 0.5), (12,), OnstreetConfig(), W)
 
     def test_node_without_out_block_rejected(self):
         # without r2 the search would strand at n3 after e2
@@ -334,28 +351,6 @@ class TestLockstep:
         edges = [e for e in g.edges.values() if e.id != "r2"]
         with pytest.raises(DataError, match="dead end"):
             build_graph(g.nodes.values(), edges)
-
-
-class TestProbabilityVector:
-    def test_index_order(self):
-        g = line_graph()
-        probs = {eid: i / 10.0 for i, eid in enumerate(["r2", "e0", "r0", "e2", "e1", "r1"])}
-        assert g.block_ids == ("e0", "e1", "e2", "r0", "r1", "r2")
-        assert list(probability_vector(g, probs)) == [0.1, 0.4, 0.3, 0.2, 0.5, 0.0]
-
-    @pytest.mark.parametrize("edit", [
-        lambda probs: probs.pop("e1"),
-        lambda probs: probs.update(x=0.5),
-        lambda probs: probs.update(e1=1.5),
-        lambda probs: probs.update(e1=-0.1),
-        lambda probs: probs.update(e1=math.nan),
-    ], ids=["missing", "unknown", "above_one", "negative", "nan"])
-    def test_rejected(self, edit):
-        g = line_graph()
-        probs = {eid: 0.5 for eid in g.edges}
-        edit(probs)
-        with pytest.raises(DataError):
-            probability_vector(g, probs)
 
 
 class TestConfigValidation:
