@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import random
 import shutil
 from datetime import datetime
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from parksim.data_ingest import SmoothingConfig, SynthConfig, read_lots, synth_g
 from parksim.errors import ConfigError
 from parksim.occupancy_model import FEATURE_NAMES, TrainConfig
 from parksim.offstreet_sim import LotSimConfig
-from parksim.onstreet_sim import OnstreetConfig, PolicyWeights
+from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import load_graph
 
 from oracles import brute_drive_time_to_node, brute_walk_time_from_node, lot_rates
@@ -83,6 +85,27 @@ class TestPipeline:
         floor = OnstreetConfig().min_park_s
         for row in read_rows(run["out"] / "onstreet.csv"):
             assert float(row["mean_onstreet_s"]) >= floor
+
+    def test_onstreet_equals_hour_outer_direct_calls(self, run):
+        # one direct call per hour, blocks in sorted id order, gives onstreet.csv
+        g = run["graph"]
+        probs: dict[int, dict[str, float]] = {}
+        for row in read_rows(run["out"] / "availability.csv"):
+            probs.setdefault(int(row["hour"]), {})[row["block_id"]] = float(row["p_available"])
+        cfg = OnstreetConfig(n_samples=N_SAMPLES, seed=SEED)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["block_id", "hour", "mean_onstreet_s", "std_onstreet_s",
+                         "censored_fraction", "n_samples"])
+        for hour in HOURS:
+            p = [[probs[hour][block] for block in g.block_ids]]
+            est = estimate_onstreet_time(g, np.array(p), (hour,), cfg, PolicyWeights())
+            for block in sorted(g.edges):
+                j = g.position[block]
+                writer.writerow([block, hour, repr(float(est.mean_s[0, j])),
+                                 repr(float(est.std_s[0, j])),
+                                 repr(float(est.censored_fraction[0, j])), est.n_samples])
+        assert (run["out"] / "onstreet.csv").read_bytes() == buf.getvalue().encode()
 
     def test_offstreet_matches_forward_search_reference(self, run):
         # the legs against the path-enumerating oracles, exactly

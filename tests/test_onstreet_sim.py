@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from parksim.cli import AVAILABILITY_COLUMNS, _read_cells
+from parksim.data_ingest import write_table
 from parksim.errors import DataError, NumericError
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import build_graph
@@ -351,6 +353,38 @@ class TestLockstep:
         edges = [e for e in g.edges.values() if e.id != "r2"]
         with pytest.raises(DataError, match="dead end"):
             build_graph(g.nodes.values(), edges)
+
+
+class TestProbabilityVector:
+    """The availability input sim-on reads: one (hour, block) array whose
+    column ``j`` is block ``g.block_ids[j]``, from a checked CSV."""
+
+    @staticmethod
+    def read(tmp_path, g, probs, hour=8):
+        path = tmp_path / "availability.csv"
+        write_table(path, AVAILABILITY_COLUMNS,
+                    [[block, hour, repr(p)] for block, p in probs.items()])
+        return _read_cells(path, AVAILABILITY_COLUMNS, "p_available", g, (hour,))
+
+    def test_index_order(self, tmp_path):
+        g = line_graph()
+        probs = {eid: i / 10.0 for i, eid in enumerate(["r2", "e0", "r0", "e2", "e1", "r1"])}
+        assert g.block_ids == ("e0", "e1", "e2", "r0", "r1", "r2")
+        assert list(self.read(tmp_path, g, probs)[0]) == [0.1, 0.4, 0.3, 0.2, 0.5, 0.0]
+
+    @pytest.mark.parametrize("edit", [
+        lambda probs: probs.pop("e1"),
+        lambda probs: probs.update(x=0.5),
+        lambda probs: probs.update(e1=1.5),
+        lambda probs: probs.update(e1=-0.1),
+        lambda probs: probs.update(e1=math.nan),
+    ], ids=["missing", "unknown", "above_one", "negative", "nan"])
+    def test_rejected(self, tmp_path, edit):
+        g = line_graph()
+        probs = {eid: 0.5 for eid in g.edges}
+        edit(probs)
+        with pytest.raises(DataError):
+            self.read(tmp_path, g, probs)
 
 
 class TestConfigValidation:
