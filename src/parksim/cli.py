@@ -15,18 +15,19 @@ the hourly Poisson rates of ``rates.csv``, which sim-off samples.
 The per-cell files ``availability.csv``, ``onstreet.csv``,
 ``offstreet.csv`` and ``diff.csv`` hold one row per (block, hour) of the
 run: hour-major in the run's hour order, and blocks in ``g.block_ids``
-order within an hour. A stage that reads one turns it into an (hour,
-block) array. It rejects, naming the file and line, a cell that does not
-parse, a probability outside [0, 1], a block the graph does not have, an
-hour outside 0..23 and a repeated (block, hour). Rows for hours outside
-the run are checked and skipped; a (block, hour) of the run with no row is
-rejected once the whole file is read.
+order within an hour. Stages hand them over as (hour, block) arrays:
+``_write_cells`` writes such arrays in that order, floats as their exact
+``repr``, and ``_read_cells`` reads a column back. It rejects, naming the
+file and line, a cell that does not parse, a probability outside [0, 1],
+a block the graph does not have, an hour outside 0..23 and a repeated
+(block, hour). Rows for hours outside the run are checked and skipped; a
+(block, hour) of the run with no row is rejected once the whole file is read.
 
 Exit codes, with a one-line message on stderr for every failure:
 0 success; 2 when a config key, an input file or an earlier stage's output
-is missing, the config itself is invalid, or it asks for more memory than
-can be allocated; 3 when a file is present but malformed; 4 on a numeric
-failure.
+is missing, the config itself is invalid, an output cannot be written, or
+the config asks for more memory than can be allocated; 3 when a file is
+present but malformed; 4 on a numeric failure.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import date
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from .data_ingest import (
     SmoothingConfig,
     SynthConfig,
     _atomic_write,
+    _count,
     _real,
     combine_surveys,
     estimate_rates,
@@ -120,11 +122,6 @@ class RunConfig:
             raise ConfigError(f"day_of_week must be in 0..6, got {self.day_of_week}")
 
 
-_TOP_KEYS = {"graph", "payments", "surveys", "lots", "lot_events", "out_dir",
-             "hours", "day_of_week", "predict_date", "seed", "train",
-             "onstreet", "offstreet", "policy", "smoothing", "synth"}
-
-
 def _build_section(cls, raw: dict, section: str, defaults: dict):
     merged = dict(defaults)
     unknown = set(raw) - set(cls.__dataclass_fields__)
@@ -151,7 +148,7 @@ def load_run_config(path: str, *, seed_override: int | None = None,
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -247,10 +244,6 @@ def _read_known_payments(cfg: RunConfig, g: RoadGraph) -> Sessions:
     return sessions
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _report_dict(report: EvalReport) -> dict:
     return {
         "mean_val_cross_entropy": report.mean_val_cross_entropy,
@@ -263,7 +256,6 @@ def _report_dict(report: EvalReport) -> dict:
 # -- stages ----------------------------------------------------------------------
 
 def stage_synth(cfg: RunConfig) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     synth_generate(cfg.synth, cfg.seed, cfg.out_dir)
 
 
@@ -283,7 +275,6 @@ def stage_ingest(cfg: RunConfig) -> None:
         raise DataError(f"{cfg.lots} lists lots with no rows in {cfg.lot_events}: {no_events}")
     table = estimate_rates(flows, cfg.smoothing)
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_samples_csv(combined.samples, features, cfg.out_dir / SAMPLES_FILE)
     write_rates_csv(table, cfg.out_dir / RATES_FILE)
     _atomic_write(cfg.out_dir / INGEST_REPORT_FILE, json.dumps({
@@ -327,20 +318,9 @@ def stage_eval(cfg: RunConfig) -> None:
 def stage_predict(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
     model = load_model(_stage_file(cfg, MODEL_FILE, "train"))
-    sessions = _read_known_payments(cfg, g)
-    rows = []
-    for hour in cfg.hours:
-        table = predict_block_probabilities(model, sessions, g, hour, cfg.predict_date)
-        for block_id in sorted(table):
-            rows.append([block_id, hour, _fmt(table[block_id])])
-    write_table(cfg.out_dir / AVAILABILITY_FILE, AVAILABILITY_COLUMNS, rows)
-
-
-def _count(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"expected a count, got {raw!r}")
-    return value
+    p = predict_block_probabilities(model, _read_known_payments(cfg, g), g, cfg.hours,
+                                    cfg.predict_date)
+    _write_cells(cfg.out_dir / AVAILABILITY_FILE, AVAILABILITY_COLUMNS, g, cfg.hours, p)
 
 
 def _probability(raw: str) -> float:
@@ -387,15 +367,23 @@ def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
     return table
 
 
+def _write_cells(path: Path, columns: tuple[str, ...], g: RoadGraph,
+                 hours: tuple[int, ...], *arrays) -> None:
+    """Write a per-cell stage CSV whose columns after ``block_id`` and
+    ``hour`` hold ``arrays``, each (len(hours), blocks) or one value for all."""
+    shape = len(hours), len(g.block_ids)
+    cells = zip(*(np.broadcast_to(a, shape).ravel().tolist() for a in arrays))
+    keys = ((block_id, hour) for hour in hours for block_id in g.block_ids)
+    write_table(path, columns, (key + cell for key, cell in zip(keys, cells)))
+
+
 def stage_sim_on(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
     p = _read_cells(_stage_file(cfg, AVAILABILITY_FILE, "predict"), AVAILABILITY_COLUMNS,
                     "p_available", g, cfg.hours)
     est = estimate_onstreet_time(g, p, cfg.hours, cfg.onstreet, cfg.policy)
-    rows = [[block_id, hour, _fmt(est.mean_s[i, j]), _fmt(est.std_s[i, j]),
-             _fmt(est.censored_fraction[i, j]), est.n_samples]
-            for i, hour in enumerate(cfg.hours) for j, block_id in enumerate(g.block_ids)]
-    write_table(cfg.out_dir / ONSTREET_FILE, ONSTREET_COLUMNS, rows)
+    _write_cells(cfg.out_dir / ONSTREET_FILE, ONSTREET_COLUMNS, g, cfg.hours, est.mean_s,
+                 est.std_s, est.censored_fraction, est.n_samples)
 
 
 def stage_sim_off(cfg: RunConfig) -> None:
@@ -410,13 +398,10 @@ def stage_sim_off(cfg: RunConfig) -> None:
     if missing:
         raise DataError(f"{rates_path} has no rates for {len(missing)} (lot, day, hour) "
                         f"slots of this run, e.g. {missing[:3]}")
-    estimates = estimate_offstreet_time(g, lots, table, cfg.day_of_week, cfg.hours,
-                                        cfg.offstreet)
-    rows = [[block_id, hour, _fmt(est.total_s), _fmt(est.std_s), est.lot_id,
-             _fmt(est.drive_s), _fmt(est.lot_s), _fmt(est.walk_s), est.arrivals,
-             est.overflow]
-            for hour in cfg.hours for block_id, est in zip(g.block_ids, estimates[hour])]
-    write_table(cfg.out_dir / OFFSTREET_FILE, OFFSTREET_COLUMNS, rows)
+    est = estimate_offstreet_time(g, lots, table, cfg.day_of_week, cfg.hours, cfg.offstreet)
+    _write_cells(cfg.out_dir / OFFSTREET_FILE, OFFSTREET_COLUMNS, g, cfg.hours, est.total_s,
+                 est.std_s, est.lot_id, est.drive_s, est.lot_s, est.walk_s, est.arrivals,
+                 est.overflow)
 
 
 def stage_diff(cfg: RunConfig) -> None:
@@ -427,12 +412,10 @@ def stage_diff(cfg: RunConfig) -> None:
                    (OFFSTREET_FILE, "sim-off", OFFSTREET_COLUMNS, "mean_offstreet_s")))
     delta = off - on
 
-    rows = []
     for i, hour in enumerate(cfg.hours):
         features = []
         for block_id, t_on, t_off, delta_s in zip(g.block_ids, on[i].tolist(),
                                                   off[i].tolist(), delta[i].tolist()):
-            rows.append([block_id, hour, _fmt(t_on), _fmt(t_off), _fmt(delta_s)])
             e = g.edges[block_id]
             a, b = g.nodes[e.from_node], g.nodes[e.to_node]
             features.append({
@@ -445,7 +428,7 @@ def stage_diff(cfg: RunConfig) -> None:
         collection = {"type": "FeatureCollection", "features": features}
         _atomic_write(cfg.out_dir / f"diff_h{hour:02d}.geojson",
                       json.dumps(collection, sort_keys=True))
-    write_table(cfg.out_dir / DIFF_FILE, DIFF_COLUMNS, rows)
+    _write_cells(cfg.out_dir / DIFF_FILE, DIFF_COLUMNS, g, cfg.hours, on, off, delta)
 
 
 PIPELINE = (("ingest", stage_ingest), ("train", stage_train),

@@ -34,9 +34,9 @@ import numpy as np
 from .errors import DataError, check_fields
 from .occupancy_model import (_EPOCH, FEATURE_NAMES, N_FEATURES, OccupancySample, Sessions,
                               feature_matrix, micros, session_arrays)
-from .offstreet_sim import LotRateTable, LotSpec
-from .road_graph import (BlockFace, Intersection, RoadGraph, _atomic_write, build_graph,
-                         save_graph)
+from .offstreet_sim import DAYS_PER_WEEK, LotRateTable, LotSpec
+from .road_graph import (BlockFace, Intersection, RoadGraph, _atomic_write, _check_hour,
+                         _json_int, build_graph, save_graph)
 
 HOUR = timedelta(hours=1)
 WEEK_H = 7 * 24
@@ -235,6 +235,13 @@ def _naive(raw: str) -> datetime:
     return value
 
 
+def _count(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"expected a count, got {raw!r}")
+    return value
+
+
 def _label(raw: str) -> int:
     value = int(raw)
     if value not in (0, 1):
@@ -262,7 +269,7 @@ def read_surveys(path: str | os.PathLike) -> list[SurveyRecord]:
         raw_ts = row["timestamp_iso8601"].strip()
         return SurveyRecord(meter_id=row["meter_id"], block_id=row["block_id"],
                             timestamp=_naive(raw_ts) if raw_ts else None,
-                            free=int(row["free_spots"]) > 0)
+                            free=_count(row["free_spots"]) > 0)
     return list(read_table(path, SURVEY_COLUMNS, parse))
 
 
@@ -275,12 +282,6 @@ def write_surveys(records: Sequence[SurveyRecord], path: str | os.PathLike) -> N
                      r.block_id, r.timestamp or datetime.min, r.meter_id))))
 
 
-def _lot(x: dict) -> LotSpec:
-    if type(x["capacity"]) is not int:
-        raise ValueError(f"capacity {x['capacity']!r} of lot {x['id']!r} is not an integer")
-    return LotSpec(id=str(x["id"]), node=str(x["node"]), capacity=x["capacity"])
-
-
 def read_lots(path: str | os.PathLike) -> list[LotSpec]:
     """Lots from a JSON list of {id, node, capacity}: each id once, each
     capacity a positive JSON integer."""
@@ -289,7 +290,9 @@ def read_lots(path: str | os.PathLike) -> list[LotSpec]:
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read lots file {path}: {exc}") from exc
     try:
-        lots = [_lot(x) for x in raw]
+        lots = [LotSpec(id=str(x["id"]), node=str(x["node"]),
+                        capacity=_json_int(x["capacity"], f"lot {x['id']!r} capacity"))
+                for x in raw]
         ids = [lot.id for lot in lots]
         if len(set(ids)) < len(ids):
             raise ValueError(f"repeated lot ids {sorted({i for i in ids if ids.count(i) > 1})}")
@@ -358,10 +361,13 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
 
 
 def read_rates_csv(path: str | os.PathLike) -> LotRateTable:
+    def parse(row: dict[str, str]) -> tuple[tuple[str, int, int], tuple[float, float]]:
+        key = row["lot_id"], int(row["day_of_week"]), _check_hour(int(row["hour"]))
+        if not 0 <= key[1] < DAYS_PER_WEEK:
+            raise ValueError(f"day_of_week must be in 0..6, got {key[1]}")
+        return key, (float(row["lambda_a_per_hour"]), float(row["lambda_d_per_hour"]))
     rates = {}
-    for key, lams in read_table(path, RATE_COLUMNS, lambda row: (
-            (row["lot_id"], int(row["day_of_week"]), int(row["hour"])),
-            (float(row["lambda_a_per_hour"]), float(row["lambda_d_per_hour"])))):
+    for key, lams in read_table(path, RATE_COLUMNS, parse):
         if key in rates:
             raise DataError(f"duplicate rate row for {key} in {path}")
         rates[key] = lams
@@ -537,7 +543,6 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
     """
     rng = np.random.default_rng(int(seed))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     nodes, plans = _grid_faces(cfg, rng)
     graph = build_graph(nodes, [p.face for p in plans])

@@ -22,6 +22,7 @@ Feature order is fixed: active paid sessions at the query time, paid
 sessions started in the preceding 3 hours, block length in meters, and
 drive time across the block divided by its length (congestion). Inputs are
 standardized with statistics taken from each split's training portion only.
+Predictions come as one (hour, block) array of availability probabilities.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError, check_fields
-from .road_graph import RoadGraph, _atomic_write
+from .road_graph import RoadGraph, _atomic_write, _check_hour
 
 FEATURE_NAMES = ("active_sessions", "popularity_3h", "block_length_m",
                  "congestion_s_per_m")
@@ -348,22 +349,20 @@ def train_baseline(X: np.ndarray, y: np.ndarray,
 
 # -- prediction ------------------------------------------------------------------
 
-def predict_block_probabilities(model, sessions: Sessions, g: RoadGraph, hour: int,
-                                on_date: date) -> dict[str, float]:
-    """Availability probability for every block at (date, hour:30).
-
-    Blocks without meters get probability 0: there is nowhere to park, and
-    the search simulator still needs an entry to traverse them.
+def predict_block_probabilities(model, sessions: Sessions, g: RoadGraph,
+                                hours: Sequence[int], on_date: date) -> np.ndarray:
+    """Availability of every block at (date, hour:30) for each of ``hours``,
+    as a (len(hours), blocks) array: one ``feature_matrix`` call, then one
+    ``forward`` pass per metered cell. Blocks without meters get 0: there is
+    nowhere to park, and the search simulator still needs an entry for them.
     """
-    if not 0 <= hour < 24:
-        raise DataError(f"hour must be in 0..23, got {hour!r}")
-    t = datetime.combine(on_date, time(hour, 30))
-    metered = [b for b in g.block_ids if g.edges[b].meter_count]
-    X = feature_matrix(sessions, g, metered, [t] * len(metered))
-    table = dict.fromkeys(g.block_ids, 0.0)
-    for block_id, x in zip(metered, X):
-        table[block_id] = forward(model, x)[0]
-    return table
+    times = [datetime.combine(on_date, time(_check_hour(hour), 30)) for hour in hours]
+    metered = np.flatnonzero([g.edges[b].meter_count for b in g.block_ids])
+    X = feature_matrix(sessions, g, [g.block_ids[j] for j in metered] * len(hours),
+                       [t for t in times for _ in metered])
+    p = np.zeros((len(hours), len(g.block_ids)))
+    p[:, metered] = np.reshape([forward(model, x)[0] for x in X], (len(hours), metered.size))
+    return p
 
 
 # -- model persistence ------------------------------------------------------------

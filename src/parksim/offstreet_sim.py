@@ -29,17 +29,18 @@ is ``simulate_lot_hour_scalar`` in ``tests/oracles.py``. A lot-hour reports
 the lot full, both summed over the repetitions.
 
 End-to-end off-street time adds the drive from the destination block to the
-lot entrance with the smallest drive time and the walk back. Each chosen
-(lot, hour) is simulated once, and every block that chose it shares the
-outcome. Lots are points anchored at a graph node: the drive and walk legs
-carry a half-block term only on the destination side.
+lot entrance with the smallest drive time and the walk back. One call covers
+every (hour, block) cell of a run and returns (hour, block) arrays; each
+chosen (lot, hour) is simulated once, and every block that chose it shares
+the outcome. Lots are points anchored at a graph node: the drive and walk
+legs carry a half-block term only on the destination side.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -194,63 +195,62 @@ def initial_occupancy(rates: LotRateTable, lot: LotSpec, day: int, hour: int) ->
 
 @dataclass(frozen=True)
 class OffstreetEstimate:
-    total_s: float
-    lot_id: str
-    drive_s: float
-    lot_s: float
-    walk_s: float
-    std_s: float
-    arrivals: int   # cars that parked in the lot-hour, summed over repetitions
-    overflow: int   # cars that found the lot full, summed over repetitions
+    """(hour, block) arrays, laid out as ``OnstreetEstimate``'s; ``lot_s``,
+    ``std_s``, ``arrivals`` and ``overflow`` are the chosen lot-hour's."""
+
+    total_s: np.ndarray
+    lot_id: np.ndarray
+    drive_s: np.ndarray
+    lot_s: np.ndarray
+    walk_s: np.ndarray
+    std_s: np.ndarray
+    arrivals: np.ndarray
+    overflow: np.ndarray
 
 
 def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec], rates: LotRateTable,
                             day: int, hours: Sequence[int],
-                            cfg: LotSimConfig) -> dict[int, list[OffstreetEstimate]]:
+                            cfg: LotSimConfig) -> OffstreetEstimate:
     """Total off-street time of every block at each hour: drive to the lot
     with the smallest drive time, queue and park inside it, walk back.
 
-    Returns one list per hour in ``g.block_ids`` order. Each hour stacks the
-    ``drive_times_to_node`` rows of the lots, sorted by id, into a (lot,
-    block) matrix whose first minimum down each column picks the block's
-    lot, so ties go to the smallest lot id. Each chosen lot is simulated
-    once per hour, from its ``initial_occupancy`` on the stream of (seed,
-    lot, day, hour); if no car arrives, a single probe car's wait stands in
-    for the undefined mean. Walks come from one ``walk_times_from_node``
-    row per lot.
+    The ``drive_times_to_node`` rows of the lots, sorted by id, form one
+    (hour, lot, block) array whose first minimum along the lot axis picks
+    each cell's lot, so ties go to the smallest lot id. Each chosen
+    (lot, hour) is simulated once, from its ``initial_occupancy`` on the
+    stream of (seed, lot, day, hour); if no car arrives, a single probe
+    car's wait stands in for the undefined mean. Walks come from one
+    ``walk_times_from_node`` row per lot.
     """
     if not lots:
         raise DataError("no lots configured")
     if not 0 <= day < DAYS_PER_WEEK:
         raise DataError(f"day must be in 0..6, got {day!r}")
     lots = sorted(lots, key=lambda l: l.id)
-    walk = [walk_times_from_node(g, lot.node) for lot in lots]
-    estimates = {}
-    for hour in hours:
-        drive = np.stack([drive_times_to_node(g, lot.node, hour) for lot in lots])
-        blocks, unreachable = np.nonzero(np.isinf(drive.T))  # first block, then lot
-        if blocks.size:
-            raise DataError(f"no drive path from {g.block_ids[blocks[0]]!r} "
-                            f"to node {lots[unreachable[0]].node!r}")
-        choice = drive.argmin(axis=0)
-        in_lot = {}
-        for j in np.unique(choice):
-            lot = lots[j]
-            occupancy = initial_occupancy(rates, lot, day, hour)
-            stats = simulate_lot_hour(lot, rates, day, hour, cfg, occupancy,
-                                      derived_stream(cfg.seed, lot.id, day, hour))
-            if stats.mean_s is None:
-                # quiet lot: one probe car drives past the initially occupied stalls
-                stalls_passed = min(occupancy, lot.capacity - 1)
-                in_lot[j] = float(lot_wait_times(1, 0, stalls_passed, cfg)), 0.0, stats
-            else:
-                in_lot[j] = stats.mean_s, stats.std_s, stats
-        estimates[hour] = row = []
-        for i, j in enumerate(choice):
-            drive_s, walk_s = float(drive[j, i]), float(walk[j][i])
-            lot_s, std_s, stats = in_lot[j]
-            row.append(OffstreetEstimate(total_s=drive_s + lot_s + walk_s, lot_id=lots[j].id,
-                                         drive_s=drive_s, lot_s=lot_s, walk_s=walk_s,
-                                         std_s=std_s, arrivals=stats.arrivals,
-                                         overflow=stats.overflow))
-    return estimates
+    walk = np.array([walk_times_from_node(g, lot.node) for lot in lots])
+    drive = np.array([[drive_times_to_node(g, lot.node, hour) for lot in lots]
+                      for hour in hours]).reshape(len(hours), len(lots), len(g.block_ids))
+    blocks, unreachable = np.nonzero(np.isinf(drive).any(axis=0).T)  # first block, then lot
+    if blocks.size:
+        raise DataError(f"no drive path from {g.block_ids[blocks[0]]!r} "
+                        f"to node {lots[unreachable[0]].node!r}")
+    choice = drive.argmin(axis=1)
+    # lot_s, std_s, arrivals and overflow of each chosen (hour, lot)
+    stats = np.zeros((4, len(hours), len(lots)))
+    for i, j in zip(*np.nonzero(np.eye(len(lots), dtype=bool)[choice].any(axis=1))):
+        lot, hour = lots[j], hours[i]
+        occupancy = initial_occupancy(rates, lot, day, hour)
+        s = simulate_lot_hour(lot, rates, day, hour, cfg, occupancy,
+                              derived_stream(cfg.seed, lot.id, day, hour))
+        if s.mean_s is None:
+            # quiet lot: one probe car drives past the initially occupied stalls
+            s = replace(s, mean_s=lot_wait_times(1, 0, min(occupancy, lot.capacity - 1), cfg),
+                        std_s=0.0)
+        stats[:, i, j] = s.mean_s, s.std_s, s.arrivals, s.overflow
+    rows, cols = np.arange(len(hours))[:, None], np.arange(len(g.block_ids))
+    lot_s, std_s, arrivals, overflow = stats[:, rows, choice]
+    drive_s, walk_s = drive[rows, choice, cols], walk[choice, cols]
+    return OffstreetEstimate(total_s=drive_s + lot_s + walk_s,
+                             lot_id=np.array([lot.id for lot in lots])[choice],
+                             drive_s=drive_s, lot_s=lot_s, walk_s=walk_s, std_s=std_s,
+                             arrivals=arrivals.astype(int), overflow=overflow.astype(int))

@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 HOURS = 24
 
@@ -235,14 +235,14 @@ def load_graph(path: str | os.PathLike) -> RoadGraph:
                 from_node=str(e["from"]),
                 to_node=str(e["to"]),
                 length_m=float(e["length_m"]),
-                meter_count=int(e["meter_count"]),
+                meter_count=_json_int(e["meter_count"], "meter_count"),
                 walk_time_s=float(e["walk_time_s"]),
                 drive_time_s=tuple(float(t) for t in e["drive_time_s"]),
             )
             for e in raw["edges"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed graph record: {exc}") from exc
+        raise DataError(f"malformed graph record in {path}: {exc}") from exc
     return build_graph(nodes, edges)
 
 
@@ -267,12 +267,24 @@ def save_graph(g: RoadGraph, path: str | os.PathLike) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer: ``2.5`` and ``true`` are not."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _atomic_write(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` beside ``path``, then rename it over ``path``, so no
-    reader sees half a file. Every file the package writes comes here."""
+    """Write ``text`` beside ``path``, creating its directory, then rename it
+    over ``path``, so no reader sees half a file. Every file the package
+    writes comes here; a path that cannot be written is a ConfigError."""
     tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _check_hour(hour: int) -> int:

@@ -9,7 +9,10 @@ import json
 import math
 import random
 import shutil
+import string
+import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from parksim.offstreet_sim import LotSimConfig
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import load_graph
 
+from conftest import grid_graph
 from oracles import brute_drive_time_to_node, brute_walk_time_from_node, lot_rates
 
 SEED = 5
@@ -650,3 +654,102 @@ def test_malformed_lot_event_is_a_data_error(copied, capsys, cells):
     assert code == 3
     assert_one_line(err)
     assert f"lot_events.csv, line {edited[0]}: " in err
+
+
+@pytest.mark.parametrize("row", ["lot1,9,3,1.0,1.0", "lot1,0,30,1.0,1.0", "lot1,-1,3,1.0,1.0"],
+                         ids=["day_9", "hour_30", "day_minus_1"])
+def test_rate_outside_week_or_day_is_a_data_error(copied, capsys, row):
+    path = copied / "out" / "rates.csv"
+    path.write_text(path.read_text() + row + "\n")
+    code, err = run_stage(copied, "rates.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert f"rates.csv, line {len(path.read_text().splitlines())}: " in err
+
+
+def set_meter_count(value):
+    def edit(city):
+        graph = json.loads((city / "graph.json").read_text())
+        graph["edges"][0]["meter_count"] = value
+        (city / "graph.json").write_text(json.dumps(graph))
+    return edit
+
+
+def set_free_spots(value):
+    def edit(city):
+        edit_csv(city / "surveys.csv", lambda rows: rows[1].__setitem__(3, value))
+    return edit
+
+
+@pytest.mark.parametrize("edit,where", [
+    (set_free_spots("-3"), "surveys.csv, line 2: "),
+    (set_meter_count(2.5), "graph.json"),
+    (set_meter_count(True), "graph.json"),
+], ids=["negative_free_spots", "fractional_meter_count", "bool_meter_count"])
+def test_count_that_is_no_count_is_a_data_error(copied, capsys, edit, where):
+    edit(copied / "city")
+    assert main(["ingest", "--config", str(write_config(copied / "config.json", "city"))]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert where in err
+
+
+def block_out_dir(root):
+    """An --out that is a file: (the --out, the path that cannot be made)."""
+    (root / "blocked").write_text("")
+    return root / "blocked", root / "blocked"
+
+
+def block_samples_file(root):
+    """An output file that is a directory."""
+    (root / "out" / "samples.csv").unlink()
+    (root / "out" / "samples.csv").mkdir()
+    return root / "out", root / "out" / "samples.csv"
+
+
+@pytest.mark.parametrize("stage,block", [
+    ("synth", block_out_dir), ("ingest", block_out_dir), ("ingest", block_samples_file),
+], ids=["synth_out_is_a_file", "ingest_out_is_a_file", "ingest_output_is_a_directory"])
+def test_unusable_output_path_is_a_config_error(copied, capsys, stage, block):
+    out, blocked = block(copied)
+    config = write_config(copied / "config.json", "city")
+    assert main([stage, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert str(blocked) in err
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CELL_VALUES = {"p_available": st.floats(0.0, 1.0), "n_samples": st.integers(0, 2**40),
+               "arrivals": st.integers(0, 2**40), "overflow": st.integers(0, 2**40),
+               "lot_id": st.text(string.ascii_letters + string.digits + ' ,"_', max_size=6)}
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_written_cells_read_back_exactly(data):
+    g = grid_graph(2)
+    columns = data.draw(st.sampled_from([cli.AVAILABILITY_COLUMNS, cli.ONSTREET_COLUMNS,
+                                         cli.OFFSTREET_COLUMNS, cli.DIFF_COLUMNS]))
+    hours = tuple(data.draw(st.lists(st.integers(0, 23), min_size=1, max_size=4,
+                                     unique=True)))
+    read_hours = tuple(data.draw(st.permutations(hours)))
+    shape = len(hours), len(g.block_ids)
+    arrays = {name: np.array(data.draw(st.lists(CELL_VALUES.get(name, FINITE),
+                                                min_size=math.prod(shape),
+                                                max_size=math.prod(shape)))).reshape(shape)
+              for name in columns[2:]}
+    row_of = [hours.index(hour) for hour in read_hours]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cells.csv"
+        cli._write_cells(path, columns, g, hours, *arrays.values())
+        for name, written in arrays.items():
+            if name == "lot_id":
+                ids = {(r["block_id"], int(r["hour"])): r["lot_id"] for r in read_rows(path)}
+                assert ids == {(block, hour): written[i, j] for i, hour in enumerate(hours)
+                               for j, block in enumerate(g.block_ids)}
+                continue
+            back = cli._read_cells(path, columns, name, g, read_hours)
+            expected = written[row_of].astype(float)
+            # bit for bit: -0.0 stays negative, every float keeps its last bit
+            assert np.array_equal(back.view(np.int64), expected.view(np.int64)), name

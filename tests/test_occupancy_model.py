@@ -443,25 +443,37 @@ class TestPredict:
     def test_unmetered_block_gets_zero(self):
         g0, payments, model = self.make_trained()
         g = grid_graph(3, meters=0)
-        table = predict_block_probabilities(model, {}, g, 12, date(2026, 3, 6))
-        assert set(table) == set(g.edges)
-        assert all(v == 0.0 for v in table.values())
+        p = predict_block_probabilities(model, {}, g, (12,), date(2026, 3, 6))
+        assert p.shape == (1, len(g.edges))
+        assert (p == 0.0).all()
 
     def test_covers_every_edge_in_unit_interval(self):
         g, payments, model = self.make_trained()
-        table = predict_block_probabilities(model, sessions_of(payments), g, 10,
-                                            date(2026, 3, 4))
-        assert set(table) == set(g.edges)
-        assert all(0.0 < v < 1.0 for v in table.values())
+        p = predict_block_probabilities(model, sessions_of(payments), g, (10,),
+                                        date(2026, 3, 4))
+        assert p.shape == (1, len(g.edges))
+        assert ((0.0 < p) & (p < 1.0)).all()
 
     def test_matches_feature_forward_composition(self):
         g, payments, model = self.make_trained()
         on_date = date(2026, 3, 4)
-        table = predict_block_probabilities(model, sessions_of(payments), g, 10, on_date)
+        p = predict_block_probabilities(model, sessions_of(payments), g, (10,), on_date)
         t = datetime(2026, 3, 4, 10, 30)
         for eid in list(g.edges)[:8]:
             fv = extract_features(payments, eid, t, g)
-            assert table[eid] == forward(model, fv)[0]
+            assert p[0, g.position[eid]] == forward(model, fv)[0]
+
+    def test_each_hour_row_equals_a_one_hour_call(self):
+        g, payments, model = self.make_trained()
+        sessions, on_date = sessions_of(payments), date(2026, 3, 4)
+        hours = (17, 10, 0)
+        p = predict_block_probabilities(model, sessions, g, hours, on_date)
+        for i, hour in enumerate(hours):
+            assert np.array_equal(
+                p[i], predict_block_probabilities(model, sessions, g, (hour,), on_date)[0])
+        for hour in (-1, 24):
+            with pytest.raises(DataError, match="hour must be an integer in 0..23"):
+                predict_block_probabilities(model, sessions, g, (10, hour), on_date)
 
 
 class TestPersistence:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -409,8 +411,10 @@ class TestInitialOccupancy:
 
 
 def estimate(g, lots, rates, block, day, hour):
-    """One block's estimate at one hour from the estimator's one call."""
-    return estimate_offstreet_time(g, lots, rates, day, [hour], CFG)[hour][g.position[block]]
+    """One block's cells at one hour from the estimator's one call."""
+    est = estimate_offstreet_time(g, lots, rates, day, [hour], CFG)
+    return SimpleNamespace(**{f.name: getattr(est, f.name)[0, g.position[block]]
+                              for f in dataclasses.fields(est)})
 
 
 def lot_hour(lot, rates, day, hour):
@@ -520,12 +524,22 @@ class TestEstimateOffstreet:
             return simulate(lot, rates, day, hour, cfg, occupancy, rng)
 
         monkeypatch.setattr(offstreet_sim, "simulate_lot_hour", counted)
-        estimates = estimate_offstreet_time(g, lots, rates, 3, [8, 17], CFG)
+        est = estimate_offstreet_time(g, lots, rates, 3, [8, 17], CFG)
         assert sorted(simulated) == [("lot0", 8), ("lot0", 17), ("lot1", 8), ("lot1", 17)]
-        for hour in (8, 17):
-            assert len(estimates[hour]) == len(g.block_ids)
-            chosen = {est.lot_id for est in estimates[hour]}
-            assert chosen == {"lot0", "lot1"}
+        for lot_ids in est.lot_id:
+            assert len(lot_ids) == len(g.block_ids)
+            assert set(lot_ids) == {"lot0", "lot1"}
+
+    def test_each_hour_row_equals_a_one_hour_call(self):
+        g = grid_graph(4)
+        lots = self.lots_on(g, "n0_0", "n3_3", "n1_2")
+        rates = lots_flat_rates(lots, 30.0, 20.0)
+        hours = [17, 8, 0]
+        est = estimate_offstreet_time(g, lots, rates, 3, hours, CFG)
+        for i, hour in enumerate(hours):
+            one = estimate_offstreet_time(g, lots, rates, 3, [hour], CFG)
+            for f in dataclasses.fields(est):
+                assert np.array_equal(getattr(est, f.name)[i], getattr(one, f.name)[0])
 
     def test_no_lots_rejected(self):
         g = grid_graph(3)
