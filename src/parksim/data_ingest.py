@@ -365,15 +365,16 @@ def read_rates_csv(path: str | os.PathLike) -> LotRateTable:
         key = row["lot_id"], int(row["day_of_week"]), _check_hour(int(row["hour"]))
         if not 0 <= key[1] < DAYS_PER_WEEK:
             raise ValueError(f"day_of_week must be in 0..6, got {key[1]}")
-        return key, (float(row["lambda_a_per_hour"]), float(row["lambda_d_per_hour"]))
+        lams = _real(row["lambda_a_per_hour"]), _real(row["lambda_d_per_hour"])
+        if min(lams) < 0:
+            raise ValueError(f"rates must be non-negative, got {lams}")
+        return key, lams
     rates = {}
     for key, lams in read_table(path, RATE_COLUMNS, parse):
         if key in rates:
             raise DataError(f"duplicate rate row for {key} in {path}")
         rates[key] = lams
-    table = LotRateTable(rates)
-    table.validate()
-    return table
+    return LotRateTable(rates)
 
 
 def write_rates_csv(table: LotRateTable, path: str | os.PathLike) -> None:

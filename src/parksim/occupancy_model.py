@@ -8,7 +8,10 @@ no hidden layer. Both share one forward pass, one gradient, one
 initialization and one model file format. Training runs repeated random
 train/validation splits of survey-derived availability labels and reports
 validation cross-entropy and accuracy; the baseline is trained under the
-identical protocol.
+identical protocol. The splits advance together as one stacked network:
+every weight and bias gains a leading split axis, and each SGD step is one
+``gradient`` call over every split's batch. Each split draws from its own
+generator, so its result does not depend on how many splits train with it.
 
 Payments enter as session arrays: per block, the sorted int64 microsecond
 instants (naive, from 1970-01-01) at which paid sessions start and, sorted
@@ -168,9 +171,13 @@ def build_dataset(samples: Sequence[OccupancySample], sessions: Sessions,
 
 
 # -- forward / loss / gradient -------------------------------------------------
+# Each also takes a stack of S networks (weights (S, fan_in, fan_out), biases
+# and feature statistics (S, width)) with features (S, batch, 4) and labels
+# (S, batch). Each split's slice goes through the operations of one network,
+# so it gets the same bits.
 
 def _standardize(model, X: np.ndarray) -> np.ndarray:
-    return (X - model.feature_mean) / model.feature_std
+    return (X - model.feature_mean[..., None, :]) / model.feature_std[..., None, :]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -184,10 +191,10 @@ def _logits(model: Network, X: np.ndarray):
     a = _standardize(model, X)
     inputs = [a]
     for w, b in model.layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
+        a = np.maximum(a @ w + b[..., None, :], 0.0)
         inputs.append(a)
     w, b = model.layers[-1]
-    return a @ w + b, inputs
+    return a @ w + b[..., None, :], inputs
 
 
 def forward(model, x) -> tuple[float, float]:
@@ -202,29 +209,30 @@ def forward(model, x) -> tuple[float, float]:
     return float(p[1]), float(p[0])
 
 
-def loss(model, features, labels) -> float:
-    """Mean cross-entropy (nats) of the true labels under the model."""
+def loss(model, features, labels):
+    """Mean cross-entropy (nats) of the true labels under the model; one
+    per split for a stack."""
     X, y = _as_batch(features, labels)
     logits, _ = _logits(model, X)
-    return float(_cross_entropy(logits, y))
+    return _cross_entropy(logits, y)
 
 
 def _as_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DataError("batch must be a nonempty 2-D feature array")
-    if y.shape != (X.shape[0],):
+    if X.ndim not in (2, 3) or X.shape[-2] == 0:
+        raise DataError("batch must be a nonempty 2-D feature array, or a stack of them")
+    if y.shape != X.shape[:-1]:
         raise DataError("labels must match the batch length")
     return X, y
 
 
-def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
+def _cross_entropy(logits: np.ndarray, y: np.ndarray):
     # stable log-softmax; no clipping, so gradients stay exact
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    true_logit = shifted[np.arange(len(y)), y]
-    return float(np.mean(log_norm - true_logit))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    true_logit = np.take_along_axis(shifted, y[..., None], axis=-1)[..., 0]
+    return np.mean(log_norm - true_logit, axis=-1)
 
 
 def gradient(model, features, labels) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -234,16 +242,14 @@ def gradient(model, features, labels) -> list[tuple[np.ndarray, np.ndarray]]:
     where its ReLU output, the next layer's input, is positive.
     """
     X, y = _as_batch(features, labels)
-    n = len(y)
     logits, inputs = _logits(model, X)
-    delta = _softmax(logits)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
+    delta = _softmax(logits) - np.eye(N_CLASSES)[y]
+    delta /= y.shape[-1]
     grads = []
     for i in reversed(range(len(model.layers))):
-        grads.append((inputs[i].T @ delta, delta.sum(axis=0)))
+        grads.append((inputs[i].swapaxes(-1, -2) @ delta, delta.sum(axis=-2)))
         if i:
-            delta = (delta @ model.layers[i][0].T) * (inputs[i] > 0.0)
+            delta = (delta @ model.layers[i][0].swapaxes(-1, -2)) * (inputs[i] > 0.0)
     return grads[::-1]
 
 
@@ -254,85 +260,78 @@ def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _init_model(dims: tuple[int, ...], rng: np.random.Generator,
+def _init_model(dims: tuple[int, ...], rngs: Sequence[np.random.Generator],
                 mean: np.ndarray, std: np.ndarray) -> Network:
+    """A stack of fresh networks, one per generator."""
     if len(dims) == 2:
         # the logistic loss is convex, so there is no symmetry to break;
         # zero init also makes an untrained baseline output exactly (0.5, 0.5)
-        layers = [(np.zeros(dims), np.zeros(dims[1]))]
+        layers = [(np.zeros((len(rngs), *dims)), np.zeros((len(rngs), dims[1])))]
     else:
-        layers = [(_glorot_uniform(rng, fan_in, fan_out), np.zeros(fan_out))
+        layers = [(np.stack([_glorot_uniform(rng, fan_in, fan_out) for rng in rngs]),
+                   np.zeros((len(rngs), fan_out)))
                   for fan_in, fan_out in zip(dims[:-1], dims[1:])]
     return Network(layers, feature_mean=mean, feature_std=std)
 
 
-def _accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
+def _accuracy(model, X: np.ndarray, y: np.ndarray):
     logits, _ = _logits(model, X)
-    p_available = _softmax(logits)[:, 1]
-    predicted = (p_available > 0.5).astype(np.int64)
-    return float(np.mean(predicted == y))
-
-
-def _fit_split(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-               split_index: int, dims: tuple[int, ...]):
-    """Train one fresh model on one seeded 80/20 split.
-
-    The per-split generator drives, in order: the split permutation, weight
-    initialization, and the per-epoch shuffles, which makes runs with the
-    same seed bit-reproducible. The split permutation is drawn first so the
-    network and the baseline see identical splits.
-    """
-    rng = np.random.default_rng(cfg.seed + split_index)
-    n = len(y)
-    perm = rng.permutation(n)
-    n_val = max(1, int(round(n * cfg.validation_fraction)))
-    if n_val >= n:
-        raise DataError("validation fraction leaves no training data")
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-
-    X_train, y_train = X[train_idx], y[train_idx]
-    mean = X_train.mean(axis=0)
-    std = X_train.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)  # constant features pass through
-    model = _init_model(dims, rng, mean, std)
-
-    n_train = len(y_train)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            grads = gradient(model, X_train[batch], y_train[batch])
-            for (w, b), (dw, db) in zip(model.layers, grads):
-                w -= cfg.learning_rate * dw
-                b -= cfg.learning_rate * db
-
-    X_val, y_val = X[val_idx], y[val_idx]
-    score = SplitScore(cross_entropy=loss(model, X_val, y_val),
-                       accuracy=_accuracy(model, X_val, y_val))
-    return model, score
+    predicted = (_softmax(logits)[..., 1] > 0.5).astype(np.int64)
+    return np.mean(predicted == y, axis=-1)
 
 
 def _train_protocol(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                     dims: tuple[int, ...]):
+    """Train ``cfg.splits`` fresh models on seeded 80/20 splits in lockstep,
+    as one stacked network whose splits take each SGD step together.
+
+    Split ``i`` has its own generator, ``default_rng(cfg.seed + i)``, which
+    draws in order: the split permutation, weight initialization, and each
+    epoch's shuffle. So runs with one seed are bit-reproducible, and the
+    network and the baseline see identical splits. Every split trains on
+    ``n - n_val`` rows, so their batches, a short last one included, line up.
+    """
     if len(y) < 50:
         raise DataError(f"need at least 50 samples, got {len(y)}")
     if len(np.unique(y)) < 2:
         raise DataError("training data contains a single class")
-    best_model = None
-    best_ce = math.inf
-    scores = []
-    for i in range(cfg.splits):
-        model, score = _fit_split(X, y, cfg, i, dims)
-        scores.append(score)
-        if score.cross_entropy < best_ce:
-            best_ce = score.cross_entropy
-            best_model = model
+    n = len(y)
+    n_val = max(1, int(round(n * cfg.validation_fraction)))
+    if n_val >= n:
+        raise DataError("validation fraction leaves no training data")
+    rngs = [np.random.default_rng(cfg.seed + i) for i in range(cfg.splits)]
+    perms = np.stack([rng.permutation(n) for rng in rngs])
+    val_idx, train_idx = perms[:, :n_val], perms[:, n_val:]
+
+    X_train, y_train = X[train_idx], y[train_idx]
+    std = X_train.std(axis=1)
+    std = np.where(std < 1e-12, 1.0, std)  # constant features pass through
+    model = _init_model(dims, rngs, X_train.mean(axis=1), std)
+
+    split = np.arange(cfg.splits)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = np.stack([rng.permutation(n - n_val) for rng in rngs])
+            for start in range(0, n - n_val, cfg.batch_size):
+                batch = order[:, start:start + cfg.batch_size]
+                grads = gradient(model, X_train[split, batch], y_train[split, batch])
+                for (w, b), (dw, db) in zip(model.layers, grads):
+                    w -= cfg.learning_rate * dw
+                    b -= cfg.learning_rate * db
+        X_val, y_val = X[val_idx], y[val_idx]
+        ce, accuracy = loss(model, X_val, y_val), _accuracy(model, X_val, y_val)
+    diverged = np.flatnonzero(~np.isfinite(ce))
+    if diverged.size:
+        raise NumericError(f"training diverged: split {diverged[0]} has validation "
+                           f"cross-entropy {ce[diverged[0]]} (lower the learning rate)")
+    best = int(np.argmin(ce))  # the first of equal minima
     report = EvalReport(
-        mean_val_cross_entropy=float(np.mean([s.cross_entropy for s in scores])),
-        mean_val_accuracy=float(np.mean([s.accuracy for s in scores])),
-        per_split=tuple(scores),
+        mean_val_cross_entropy=float(np.mean(ce)),
+        mean_val_accuracy=float(np.mean(accuracy)),
+        per_split=tuple(map(SplitScore, ce.tolist(), accuracy.tolist())),
     )
-    return best_model, report
+    return Network([(w[best], b[best]) for w, b in model.layers],
+                   model.feature_mean[best], model.feature_std[best]), report
 
 
 def train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[Network, EvalReport]:

@@ -25,6 +25,7 @@ so both converge to the least such fold over all paths, bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -224,7 +225,7 @@ def load_graph(path: str | os.PathLike) -> RoadGraph:
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed graph file {path}: {exc}") from exc
     if not isinstance(raw, dict) or "nodes" not in raw or "edges" not in raw:
-        raise DataError("graph file must be an object with 'nodes' and 'edges'")
+        raise DataError(f"graph file {path} must be an object with 'nodes' and 'edges'")
 
     try:
         nodes = [Intersection(id=str(n["id"]), lat=float(n["lat"]), lon=float(n["lon"]))
@@ -241,9 +242,11 @@ def load_graph(path: str | os.PathLike) -> RoadGraph:
             )
             for e in raw["edges"]
         ]
+        return build_graph(nodes, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed graph record in {path}: {exc}") from exc
-    return build_graph(nodes, edges)
+    except DataError as exc:
+        raise DataError(f"graph file {path}: {exc}") from exc
 
 
 def save_graph(g: RoadGraph, path: str | os.PathLike) -> None:
@@ -284,6 +287,8 @@ def _atomic_write(path: str | os.PathLike, text: str) -> None:
         tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 

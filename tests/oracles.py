@@ -3,7 +3,9 @@
 Everything here is deliberately naive: exhaustive enumeration, straight-line
 formula evaluation, finite differences, one search at a time. None of it
 shares code with the package (only its exception types), so agreement is
-meaningful.
+meaningful. The one exception is ``fit_split``, which trains one split at a
+time with the package's own gradient: it pins how the splits are stacked,
+gathered and seeded, while ``finite_difference_gradient`` pins the gradient.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from parksim.errors import DataError, NumericError
+from parksim.occupancy_model import (Network, SplitScore, _accuracy, _glorot_uniform,
+                                     gradient, loss)
 
 
 # -- shortest paths by exhaustive simple-path enumeration -------------------
@@ -457,6 +461,55 @@ def finite_difference_gradient(loss_fn, params, step_scale=1e-5):
             g[i] = (up - down) / (2.0 * h)
         grads[name] = g.reshape(arr.shape)
     return grads
+
+
+# -- training one split at a time ----------------------------------------------
+
+def _init_model(dims, rng, mean, std):
+    if len(dims) == 2:
+        layers = [(np.zeros(dims), np.zeros(dims[1]))]
+    else:
+        layers = [(_glorot_uniform(rng, fan_in, fan_out), np.zeros(fan_out))
+                  for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+    return Network(layers, feature_mean=mean, feature_std=std)
+
+
+def fit_split(X, y, cfg, split_index, dims):
+    """Train one fresh model on one seeded 80/20 split.
+
+    The per-split generator drives, in order: the split permutation, weight
+    initialization, and the per-epoch shuffles, which makes runs with the
+    same seed bit-reproducible. The split permutation is drawn first so the
+    network and the baseline see identical splits.
+    """
+    rng = np.random.default_rng(cfg.seed + split_index)
+    n = len(y)
+    perm = rng.permutation(n)
+    n_val = max(1, int(round(n * cfg.validation_fraction)))
+    if n_val >= n:
+        raise DataError("validation fraction leaves no training data")
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+
+    X_train, y_train = X[train_idx], y[train_idx]
+    mean = X_train.mean(axis=0)
+    std = X_train.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)  # constant features pass through
+    model = _init_model(dims, rng, mean, std)
+
+    n_train = len(y_train)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_train)
+        for start in range(0, n_train, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            grads = gradient(model, X_train[batch], y_train[batch])
+            for (w, b), (dw, db) in zip(model.layers, grads):
+                w -= cfg.learning_rate * dw
+                b -= cfg.learning_rate * db
+
+    X_val, y_val = X[val_idx], y[val_idx]
+    score = SplitScore(cross_entropy=loss(model, X_val, y_val),
+                       accuracy=_accuracy(model, X_val, y_val))
+    return model, score
 
 
 # -- left-half-Gaussian redistribution weights ---------------------------------

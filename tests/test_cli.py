@@ -266,6 +266,24 @@ def test_eval_under_another_train_config_is_a_config_error(run, tmp_path, capsys
     assert err.count("\n") == 1 and "run train first" in err
 
 
+# the logistic baseline's weights grow only linearly with the learning rate:
+# its validation cross-entropy is a finite 7e298 at 1e300, so eval needs more
+@pytest.mark.parametrize("stage,learning_rate", [("train", 1e300), ("eval", 1.7e308)])
+def test_diverged_training_is_a_numeric_error(copied, capsys, stage, learning_rate):
+    config = write_config(copied / "config.json", "city")
+    raw = json.loads(config.read_text())
+    raw["train"]["learning_rate"] = learning_rate
+    config.write_text(json.dumps(raw))
+    # eval trains the baseline only, under the config its report was made with
+    report = json.loads((copied / "out" / "train_report.json").read_text())
+    report["train_config"]["learning_rate"] = learning_rate
+    (copied / "out" / "train_report.json").write_text(json.dumps(report))
+    assert main([stage, "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "training diverged: split 0 " in err
+
+
 # -- the CLI contract on stage files: exit 2 or 3 and one line, never a traceback
 
 # Each CSV a stage reads: the stage, where the file lives, and its columns.
@@ -667,12 +685,27 @@ def test_rate_outside_week_or_day_is_a_data_error(copied, capsys, row):
     assert f"rates.csv, line {len(path.read_text().splitlines())}: " in err
 
 
-def set_meter_count(value):
-    def edit(city):
+@pytest.mark.parametrize("row", ["lot9,0,3,-1.0,1.0", "lot9,0,3,1.0,nan", "lot9,0,3,inf,1.0"],
+                         ids=["negative", "nan", "inf"])
+def test_rate_that_is_no_rate_is_a_data_error(copied, capsys, row):
+    path = copied / "out" / "rates.csv"
+    path.write_text(path.read_text() + row + "\n")
+    code, err = run_stage(copied, "rates.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert f"rates.csv, line {len(path.read_text().splitlines())}: " in err
+
+
+def edit_graph(edit):
+    def edit_city(city):
         graph = json.loads((city / "graph.json").read_text())
-        graph["edges"][0]["meter_count"] = value
+        edit(graph)
         (city / "graph.json").write_text(json.dumps(graph))
-    return edit
+    return edit_city
+
+
+def set_first_edge(**fields):
+    return edit_graph(lambda graph: graph["edges"][0].update(fields))
 
 
 def set_free_spots(value):
@@ -683,8 +716,8 @@ def set_free_spots(value):
 
 @pytest.mark.parametrize("edit,where", [
     (set_free_spots("-3"), "surveys.csv, line 2: "),
-    (set_meter_count(2.5), "graph.json"),
-    (set_meter_count(True), "graph.json"),
+    (set_first_edge(meter_count=2.5), "graph.json"),
+    (set_first_edge(meter_count=True), "graph.json"),
 ], ids=["negative_free_spots", "fractional_meter_count", "bool_meter_count"])
 def test_count_that_is_no_count_is_a_data_error(copied, capsys, edit, where):
     edit(copied / "city")
@@ -692,6 +725,19 @@ def test_count_that_is_no_count_is_a_data_error(copied, capsys, edit, where):
     err = capsys.readouterr().err
     assert_one_line(err)
     assert where in err
+
+
+@pytest.mark.parametrize("edit", [
+    set_first_edge(meter_count=-1), set_first_edge(length_m=0),
+    edit_graph(lambda graph: graph["edges"].append(graph["edges"][0])),
+    lambda city: (city / "graph.json").write_text("[]"),
+], ids=["negative_meter_count", "zero_length", "repeated_edge_id", "not_an_object"])
+def test_invalid_graph_is_a_data_error_naming_the_file(copied, capsys, edit):
+    edit(copied / "city")
+    assert main(["ingest", "--config", str(write_config(copied / "config.json", "city"))]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "graph.json" in err
 
 
 def block_out_dir(root):
@@ -717,6 +763,7 @@ def test_unusable_output_path_is_a_config_error(copied, capsys, stage, block):
     err = capsys.readouterr().err
     assert_one_line(err)
     assert str(blocked) in err
+    assert not list(copied.rglob("*.tmp"))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

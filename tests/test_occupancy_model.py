@@ -34,7 +34,7 @@ from parksim.occupancy_model import (
 )
 
 from conftest import grid_graph, line_graph, sessions_of
-from oracles import extract_features, finite_difference_gradient, plain_forward
+from oracles import extract_features, finite_difference_gradient, fit_split, plain_forward
 
 T0 = datetime(2026, 3, 4, 10, 0)
 
@@ -430,6 +430,28 @@ class TestBaseline:
         m_base, _ = train_baseline(X, y, cfg)
         assert np.array_equal(m_mlp.feature_mean, m_base.feature_mean)
         assert np.array_equal(m_mlp.feature_std, m_base.feature_std)
+
+
+@pytest.mark.parametrize("splits", [1, 4])
+@pytest.mark.parametrize("fit,dims", [(train, NETWORK_DIMS), (train_baseline, BASELINE_DIMS)],
+                         ids=["network", "baseline"])
+def test_lockstep_equals_one_split_at_a_time(fit, dims, splits):
+    rng = np.random.default_rng(22)
+    X, y = city_dataset(rng, 150, linear_rule, noise=0.1)
+    # 150 rows leave 120 to train on: batches of 32, 32, 32 and a short 24
+    cfg = TrainConfig(splits=splits, epochs=4, seed=31)
+    model, report = fit(X, y, cfg)
+    fits = [fit_split(X, y, cfg, i, dims) for i in range(splits)]
+    scores = [score for _, score in fits]
+    assert report.per_split == tuple(scores)
+    assert report.mean_val_cross_entropy == float(np.mean([s.cross_entropy for s in scores]))
+    assert report.mean_val_accuracy == float(np.mean([s.accuracy for s in scores]))
+    best = min(range(splits), key=lambda i: scores[i].cross_entropy)  # the first minimum
+    expected = fits[best][0]
+    for (w, b), (w_ref, b_ref) in zip(model.layers, expected.layers, strict=True):
+        assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+    assert np.array_equal(model.feature_mean, expected.feature_mean)
+    assert np.array_equal(model.feature_std, expected.feature_std)
 
 
 class TestPredict:
