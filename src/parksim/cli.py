@@ -1,16 +1,17 @@
 """Command-line pipeline: ingest, train, predict, simulate, map export.
 
 One JSON config fully specifies a run; --seed, --hours, and --out override
-it for quick experiments. Stages communicate through files in the output
-directory, so each subcommand can also be run alone against intermediate
-results.
+it for quick experiments (--seed sets the seed of every section without its
+own). Stages communicate through files in the output directory, so each
+subcommand can also be run alone against intermediate results.
 
 Only ingest and predict read ``payments.csv``: ingest computes the four
 availability features of every survey sample and writes them into
 ``samples.csv``, from which train and eval read their whole dataset, with
 no graph and no payments. Ingest also reads ``lot_events.csv`` into dense
 hourly arrays of each lot's entries and departures and averages them into
-the hourly Poisson rates of ``rates.csv``, which sim-off samples.
+the hourly Poisson rates of ``rates.csv``, a row for every (day of week,
+hour) of every lot, which sim-off samples.
 
 The per-cell files ``availability.csv``, ``onstreet.csv``,
 ``offstreet.csv`` and ``diff.csv`` hold one row per (block, hour) of the
@@ -73,7 +74,7 @@ from .occupancy_model import (
     train,
     train_baseline,
 )
-from .offstreet_sim import LotSimConfig, estimate_offstreet_time
+from .offstreet_sim import LotSimConfig, LotSpec, estimate_offstreet_time
 from .onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from .road_graph import RoadGraph, _check_hour, load_graph
 
@@ -237,6 +238,18 @@ def _check_known(path: Path, kind: str, ids, known) -> None:
         raise DataError(f"{path} references unknown {kind}: {unknown[:5]}")
 
 
+def _read_known_lots(cfg: RunConfig, g: RoadGraph, path: Path, ids) -> list[LotSpec]:
+    """The lots file's lots: at nodes of ``g``, and the lots ``ids`` of ``path``."""
+    lots_path = _require(cfg.lots, "lots")
+    lots = read_lots(lots_path)
+    _check_known(lots_path, "nodes", (lot.node for lot in lots), g.nodes)
+    _check_known(path, "lots", ids, (lot.id for lot in lots))
+    no_rows = sorted({lot.id for lot in lots} - set(ids))
+    if no_rows:
+        raise DataError(f"{lots_path} lists lots with no rows in {path}: {no_rows}")
+    return lots
+
+
 def _read_known_payments(cfg: RunConfig, g: RoadGraph) -> Sessions:
     path = _require(cfg.payments, "payments")
     sessions = read_payments(path)
@@ -267,16 +280,12 @@ def stage_ingest(cfg: RunConfig) -> None:
     combined = combine_surveys(surveys)
     features, _ = build_dataset(combined.samples, _read_known_payments(cfg, g), g)
 
-    lots = read_lots(_require(cfg.lots, "lots"))
     flows = read_lot_events(_require(cfg.lot_events, "lot_events"))
-    _check_known(cfg.lot_events, "lots", flows.lot_ids, (l.id for l in lots))
-    no_events = sorted({l.id for l in lots} - set(flows.lot_ids))
-    if no_events:
-        raise DataError(f"{cfg.lots} lists lots with no rows in {cfg.lot_events}: {no_events}")
-    table = estimate_rates(flows, cfg.smoothing)
+    _read_known_lots(cfg, g, cfg.lot_events, flows.lot_ids)
+    rates = estimate_rates(flows, cfg.smoothing)
 
     write_samples_csv(combined.samples, features, cfg.out_dir / SAMPLES_FILE)
-    write_rates_csv(table, cfg.out_dir / RATES_FILE)
+    write_rates_csv(rates, cfg.out_dir / RATES_FILE)
     _atomic_write(cfg.out_dir / INGEST_REPORT_FILE, json.dumps({
         "samples": len(combined.samples),
         "surveys_discarded": combined.discarded,
@@ -299,7 +308,7 @@ def stage_eval(cfg: RunConfig) -> None:
     report_path = _stage_file(cfg, TRAIN_REPORT_FILE, "train")
     try:
         network = json.loads(report_path.read_text())
-        network_ce = float(network["mean_val_cross_entropy"])
+        network_ce = _real(network["mean_val_cross_entropy"])
         trained_under = network.get("train_config")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed training report {report_path}: {exc!r}") from exc
@@ -388,17 +397,10 @@ def stage_sim_on(cfg: RunConfig) -> None:
 
 def stage_sim_off(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
-    lots = read_lots(_require(cfg.lots, "lots"))
     rates_path = _stage_file(cfg, RATES_FILE, "ingest")
-    table = read_rates_csv(rates_path)
-    _check_known(rates_path, "lots", (lot_id for lot_id, _, _ in table.rates),
-                 (lot.id for lot in lots))
-    missing = sorted({(lot.id, cfg.day_of_week, h) for lot in lots
-                      for h in range(max(cfg.hours) + 1)} - set(table.rates))
-    if missing:
-        raise DataError(f"{rates_path} has no rates for {len(missing)} (lot, day, hour) "
-                        f"slots of this run, e.g. {missing[:3]}")
-    est = estimate_offstreet_time(g, lots, table, cfg.day_of_week, cfg.hours, cfg.offstreet)
+    rates = read_rates_csv(rates_path)
+    lots = _read_known_lots(cfg, g, rates_path, rates)
+    est = estimate_offstreet_time(g, lots, rates, cfg.day_of_week, cfg.hours, cfg.offstreet)
     _write_cells(cfg.out_dir / OFFSTREET_FILE, OFFSTREET_COLUMNS, g, cfg.hours, est.total_s,
                  est.std_s, est.lot_id, est.drive_s, est.lot_s, est.walk_s, est.arrivals,
                  est.overflow)
@@ -492,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
-                       help="override every seed in the config")
+                       help="set the seed of every config section without its own")
         p.add_argument("--hours", default=None,
                        help="hours to process, e.g. 8-18 or 8,12,17")
         p.add_argument("--out", default=None, help="override the output directory")

@@ -3,12 +3,12 @@
 Covers three jobs: collapsing meter-level occupancy surveys into
 block-level samples; reading lot entry records into dense hourly arrays,
 ``LotFlows``; and averaging those into hourly Poisson rates per day of
-week, after smoothing the artificial departure spikes that flat-rate
-boundaries create. A lot's arrays hold its entries and departures in every
-hour of its span, the whole weeks of consecutive hours from its first
-record. A car departs in the hour its paid time expires; one whose paid
-time expires at or after its span's end departs outside the span, and is
-counted, not binned. The synthetic generator emits a complete,
+week, ``LotRates``, after smoothing the artificial departure spikes that
+flat-rate boundaries create. A lot's arrays hold its entries and departures
+in every hour of its span, the whole weeks of consecutive hours from its
+first record. A car departs in the hour its paid time expires; one whose
+paid time expires at or after its span's end departs outside the span, and
+is counted, not binned. The synthetic generator emits a complete,
 schema-compatible city bundle (graph, payments, surveys, lots, lot events)
 plus the ground-truth availability used to validate everything downstream.
 
@@ -24,6 +24,7 @@ import json
 import math
 import os
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import DataError, check_fields
 from .occupancy_model import (_EPOCH, FEATURE_NAMES, N_FEATURES, OccupancySample, Sessions,
                               feature_matrix, micros, session_arrays)
-from .offstreet_sim import DAYS_PER_WEEK, LotRateTable, LotSpec
+from .offstreet_sim import DAYS_PER_WEEK, LotRates, LotSpec
 from .road_graph import (BlockFace, Intersection, RoadGraph, _atomic_write, _check_hour,
                          _json_int, build_graph, save_graph)
 
@@ -154,24 +155,23 @@ def smooth_departures(counts: np.ndarray, first_hour: int,
     return values
 
 
-def estimate_rates(flows: LotFlows, smoothing: SmoothingConfig) -> LotRateTable:
-    """Average hourly flows into per-(lot, day-of-week, hour) Poisson rates.
+def estimate_rates(flows: LotFlows, smoothing: SmoothingConfig) -> LotRates:
+    """Average hourly flows into each lot's (day of week, hour) Poisson rates.
 
     Departures are smoothed first. Every slot is then the mean of the
     ``flows.weeks`` hours that fall on it, added in time order.
     """
-    rates: dict[tuple[str, int, int], tuple[float, float]] = {}
+    rates = {}
     for lot_id, start, entries, departures in zip(
             flows.lot_ids, flows.starts, flows.entries, flows.departures):
         slot = (start.weekday() * 24 + start.hour + np.arange(entries.size)) % WEEK_H
         departures = smooth_departures(departures, start.hour, smoothing)
-        lam_a, lam_d = (np.bincount(slot, weights=x, minlength=WEEK_H) / flows.weeks
-                        for x in (entries, departures))
-        for s, lams in enumerate(zip(lam_a.tolist(), lam_d.tolist())):
-            rates[(lot_id, *divmod(s, 24))] = lams
-    table = LotRateTable(rates)
-    table.validate()
-    return table
+        lams = np.stack([np.bincount(slot, weights=x, minlength=WEEK_H) / flows.weeks
+                         for x in (entries, departures)], axis=-1)
+        if not np.isfinite(lams).all():  # entry counts beyond the largest float
+            raise DataError(f"lot {lot_id!r} has entry counts too large to average")
+        rates[lot_id] = lams.reshape(DAYS_PER_WEEK, 24, 2)
+    return rates
 
 
 # -- file I/O ---------------------------------------------------------------------
@@ -221,7 +221,7 @@ def read_table(path: str | os.PathLike, columns: Sequence[str],
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
-def _real(raw: str, positive: bool = False) -> float:
+def _real(raw: str | float, positive: bool = False) -> float:
     value = float(raw)
     if not math.isfinite(value) or (positive and value <= 0):
         raise ValueError(f"expected a finite{' positive' * positive} number, got {raw!r}")
@@ -360,7 +360,8 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
                     outside)
 
 
-def read_rates_csv(path: str | os.PathLike) -> LotRateTable:
+def read_rates_csv(path: str | os.PathLike) -> LotRates:
+    """Each lot's rates; the file needs a row for every (day, hour) of a lot."""
     def parse(row: dict[str, str]) -> tuple[tuple[str, int, int], tuple[float, float]]:
         key = row["lot_id"], int(row["day_of_week"]), _check_hour(int(row["hour"]))
         if not 0 <= key[1] < DAYS_PER_WEEK:
@@ -374,13 +375,18 @@ def read_rates_csv(path: str | os.PathLike) -> LotRateTable:
         if key in rates:
             raise DataError(f"duplicate rate row for {key} in {path}")
         rates[key] = lams
-    return LotRateTable(rates)
+    rows = Counter(lot_id for lot_id, _, _ in rates)
+    partial = sorted(lot_id for lot_id, n in rows.items() if n < WEEK_H)
+    if partial:
+        raise DataError(f"{path} lacks (day of week, hour) rows of lots {partial[:5]}")
+    arrays = np.array([lams for _, lams in sorted(rates.items())])  # lot, day, hour order
+    return dict(zip(sorted(rows), arrays.reshape(-1, DAYS_PER_WEEK, 24, 2)))
 
 
-def write_rates_csv(table: LotRateTable, path: str | os.PathLike) -> None:
+def write_rates_csv(rates: LotRates, path: str | os.PathLike) -> None:
     write_table(path, RATE_COLUMNS,
-                ([lot_id, dow, hour, repr(float(lam_a)), repr(float(lam_d))]
-                 for (lot_id, dow, hour), (lam_a, lam_d) in sorted(table.rates.items())))
+                ([lot_id, *divmod(slot, 24), *map(repr, lams)] for lot_id in sorted(rates)
+                 for slot, lams in enumerate(rates[lot_id].reshape(WEEK_H, 2).tolist())))
 
 
 def read_samples_csv(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
@@ -520,8 +526,8 @@ def _generate_sessions(plan: _FacePlan, cfg: SynthConfig,
                        * (0.10 + 1.15 * _hour_shape(h)) * cfg.demand_scale)
             for _ in range(int(rng.poisson(offered))):
                 start = day0 + day * 86_400 + h * 3600 + float(rng.integers(0, 3600))
-                duration = float(np.clip(rng.lognormal(math.log(3300.0), 0.55),
-                                         600.0, 4 * 3600.0))
+                duration = min(max(rng.lognormal(math.log(3300.0), 0.55), 600.0),
+                               4 * 3600.0)
                 candidates.append((start, round(duration / 60.0) * 60.0))
     candidates.sort()
     admitted: list[tuple[float, float]] = []

@@ -304,12 +304,13 @@ def _train_protocol(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     val_idx, train_idx = perms[:, :n_val], perms[:, n_val:]
 
     X_train, y_train = X[train_idx], y[train_idx]
-    std = X_train.std(axis=1)
-    std = np.where(std < 1e-12, 1.0, std)  # constant features pass through
-    model = _init_model(dims, rngs, X_train.mean(axis=1), std)
-
     split = np.arange(cfg.splits)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = X_train.mean(axis=1), X_train.std(axis=1)
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise NumericError("a sample feature overflows its mean or standard deviation")
+        std = np.where(std < 1e-12, 1.0, std)  # constant features pass through
+        model = _init_model(dims, rngs, mean, std)
         for _ in range(cfg.epochs):
             order = np.stack([rng.permutation(n - n_val) for rng in rngs])
             for start in range(0, n - n_val, cfg.batch_size):

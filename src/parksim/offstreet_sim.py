@@ -1,9 +1,9 @@
 """Monte Carlo simulation of parking in an off-street lot.
 
 A lot is a single line of stalls behind one entrance. Within each tick,
-arrivals and departures are Poisson draws at the hourly rates scaled to the
-tick length. Departing cars vacate uniformly random occupied stalls
-(processed first, so this tick's arrivals can use the freed space);
+arrivals and departures are Poisson draws at the lot's hourly ``LotRates``,
+scaled to the tick length. Departing cars vacate uniformly random occupied
+stalls (processed first, so this tick's arrivals can use the freed space);
 arrivals park in order, each taking the lowest-index free stall. Arrivals
 that find the lot full count as overflow. Each parked arrival contributes
 one wait-time sample: the fixed park-and-pay minimum, driving past earlier
@@ -39,7 +39,6 @@ legs carry a half-block term only on the destination side.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -65,23 +64,14 @@ class LotSpec:
             raise DataError(f"lot {self.id!r} needs capacity >= 1")
 
 
-@dataclass(frozen=True)
-class LotRateTable:
-    """Hourly Poisson rates per (lot, day-of-week, hour)."""
+# lot id -> (day of week, hour, (arrival, departure)) hourly Poisson rates
+LotRates = Mapping[str, np.ndarray]
 
-    rates: Mapping[tuple[str, int, int], tuple[float, float]]
 
-    def lookup(self, lot_id: str, day: int, hour: int) -> tuple[float, float]:
-        try:
-            return self.rates[(lot_id, day, hour)]
-        except KeyError:
-            raise DataError(f"no rates for lot {lot_id!r} at (day {day}, hour {hour})") from None
-
-    def validate(self) -> None:
-        for key, (lam_a, lam_d) in self.rates.items():
-            if not (math.isfinite(lam_a) and lam_a >= 0
-                    and math.isfinite(lam_d) and lam_d >= 0):
-                raise DataError(f"invalid rates {lam_a, lam_d} at {key}")
+def _rates_of(rates: LotRates, lot_id: str) -> np.ndarray:
+    if lot_id not in rates:
+        raise DataError(f"no rates for lot {lot_id!r}")
+    return rates[lot_id]
 
 
 @dataclass(frozen=True)
@@ -145,7 +135,7 @@ def advance_tick(occupied: np.ndarray, n_arrive: np.ndarray, n_depart: np.ndarra
     return departed, rep, stall, rank[rep, stall]
 
 
-def simulate_lot_hour(spec: LotSpec, rates: LotRateTable, day: int, hour: int,
+def simulate_lot_hour(spec: LotSpec, rates: LotRates, day: int, hour: int,
                       cfg: LotSimConfig, initial_occupancy: int,
                       rng: np.random.Generator) -> LotHourStats:
     """Simulate one hour of lot traffic in ``cfg.reps`` repetitions at once.
@@ -153,7 +143,7 @@ def simulate_lot_hour(spec: LotSpec, rates: LotRateTable, day: int, hour: int,
     Every parked arrival yields one wait-time sample; the mean is absent if
     no arrival parked in any repetition.
     """
-    lam_a, lam_d = rates.lookup(spec.id, day, hour)
+    lam_a, lam_d = _rates_of(rates, spec.id)[day, hour].tolist()
     if not (lam_a >= 0 and lam_d >= 0):
         raise DataError(f"negative rates for lot {spec.id!r} at (day {day}, hour {hour})")
     if not 0 <= initial_occupancy <= spec.capacity:
@@ -178,14 +168,14 @@ def simulate_lot_hour(spec: LotSpec, rates: LotRateTable, day: int, hour: int,
                         arrivals=samples.size, overflow=overflow)
 
 
-def initial_occupancy(rates: LotRateTable, lot: LotSpec, day: int, hour: int) -> int:
+def initial_occupancy(rates: LotRates, lot: LotSpec, day: int, hour: int) -> int:
     """Occupancy at the start of an hour from cumulative daily flows.
 
     The balance of the lot's mean hourly arrivals less departures
     accumulates from the day's first hour and clamps to [0, capacity].
     """
-    balance = sum(lam_a - lam_d for lam_a, lam_d in
-                  (rates.lookup(lot.id, day, h) for h in range(hour)))
+    flows = _rates_of(rates, lot.id)[day, :hour].tolist()
+    balance = sum(lam_a - lam_d for lam_a, lam_d in flows)  # in hour order, unlike np.sum
     count = int(round(balance))
     if count > lot.capacity:
         logger.warning("cumulative lot inflow %d exceeds capacity %d; clamping",
@@ -208,7 +198,7 @@ class OffstreetEstimate:
     overflow: np.ndarray
 
 
-def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec], rates: LotRateTable,
+def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec], rates: LotRates,
                             day: int, hours: Sequence[int],
                             cfg: LotSimConfig) -> OffstreetEstimate:
     """Total off-street time of every block at each hour: drive to the lot

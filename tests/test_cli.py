@@ -254,6 +254,13 @@ def test_any_config_value_loads_typed_or_is_a_config_error(tmp_path, edits):
         assert_fields_typed(getattr(cfg, section))
 
 
+def test_seed_override_is_the_seed_of_every_section_without_its_own(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "train": {"seed": 7}}))
+    cfg = cli.load_run_config(str(config), seed_override=99)
+    assert (cfg.seed, cfg.train.seed, cfg.onstreet.seed, cfg.offstreet.seed) == (99, 7, 99, 99)
+
+
 def test_eval_under_another_train_config_is_a_config_error(run, tmp_path, capsys):
     out = tmp_path / "out"
     shutil.copytree(run["out"], out)
@@ -282,6 +289,35 @@ def test_diverged_training_is_a_numeric_error(copied, capsys, stage, learning_ra
     err = capsys.readouterr().err
     assert_one_line(err)
     assert "training diverged: split 0 " in err
+
+
+@pytest.mark.parametrize("stage,outputs", [("train", ("model.json", "train_report.json")),
+                                           ("eval", ("eval.json",))])
+def test_overflowing_feature_is_a_numeric_error(copied, capsys, stage, outputs):
+    def set_features(rows):
+        column = rows[0].index("popularity_3h")
+        rows[1][column], rows[2][column] = "1e308", "-1e308"
+
+    edit_csv(copied / "out" / "samples.csv", set_features)
+    for name in outputs:
+        (copied / "out" / name).unlink(missing_ok=True)
+    assert main([stage, "--config", str(write_config(copied / "config.json", "city"))]) == 4
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "feature overflows its mean or standard deviation" in err
+    assert not any((copied / "out" / name).exists() for name in outputs)
+
+
+@pytest.mark.parametrize("score", [float("nan"), "inf"], ids=["nan_token", "inf_string"])
+def test_non_finite_training_score_is_a_data_error(copied, capsys, score):
+    path = copied / "out" / "train_report.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                "mean_val_cross_entropy": score}))
+    assert main(["eval", "--config", str(write_config(copied / "config.json", "city"))]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "malformed training report" in err and "train_report.json" in err
+    assert not (copied / "out" / "eval.json").exists()
 
 
 # -- the CLI contract on stage files: exit 2 or 3 and one line, never a traceback
@@ -458,7 +494,9 @@ def test_lot_without_rates_is_a_data_error(copied, capsys):
     lambda lots: lots.append(dict(lots[0], node="n0_0")),
     lambda lots: lots[0].update(capacity=2.5),
     lambda lots: lots[0].update(capacity=True),
-], ids=["repeated_id_capacity", "repeated_id_node", "fractional_capacity", "bool_capacity"])
+    lambda lots: lots[0].update(node="zz"),
+], ids=["repeated_id_capacity", "repeated_id_node", "fractional_capacity", "bool_capacity",
+        "unknown_node"])
 def test_malformed_lots_file_is_a_data_error(copied, capsys, stage, edit):
     lots = json.loads((copied / "city" / "lots.json").read_text())
     edit(lots)
@@ -599,11 +637,26 @@ def test_unrepresentable_payment_duration_is_a_data_error(copied, capsys, stage,
 
 
 def test_rate_for_unknown_lot_is_a_data_error(copied, capsys):
-    edit_csv(copied / "out" / "rates.csv", lambda rows: rows[1].__setitem__(0, "x"))
+    def relabel(rows):
+        for row in rows:
+            if row[0] == "lot1":
+                row[0] = "x"
+
+    edit_csv(copied / "out" / "rates.csv", relabel)
     code, err = run_stage(copied, "rates.csv", capsys)
     assert code == 3
     assert_one_line(err)
     assert "rates.csv references unknown lots: ['x']" in err
+
+
+def test_rates_without_a_whole_week_are_a_data_error(copied, capsys):
+    # the run's day_of_week is 4, so sim-off reads no rate of day 0
+    edit_csv(copied / "out" / "rates.csv",
+             lambda rows: rows.remove(next(row for row in rows if row[1] == "0")))
+    code, err = run_stage(copied, "rates.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert "rates.csv lacks (day of week, hour) rows of lots ['lot1']" in err
 
 
 def test_departures_outside_span_counts_every_late_car(run):

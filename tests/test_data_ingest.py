@@ -228,27 +228,32 @@ class TestEstimateRates:
 
     def test_constant_entries(self):
         flows = self.flows(self.constant_series(6.0), self.constant_series(5.0))
-        table = estimate_rates(flows, SmoothingConfig())
-        for d in range(7):
-            for h in range(24):
-                assert table.lookup("lot1", d, h) == (6.0, 5.0)
+        rates = estimate_rates(flows, SmoothingConfig())
+        assert list(rates) == ["lot1"] and rates["lot1"].shape == (7, 24, 2)
+        assert (rates["lot1"] == (6.0, 5.0)).all()
 
     def test_two_week_mean(self):
         entries = self.constant_series(0.0, weeks=2)
         entries[9] = 4.0            # Monday 09:00, week one
         entries[7 * 24 + 9] = 8.0   # Monday 09:00, week two
-        table = estimate_rates(self.flows(entries, self.constant_series(0.0, weeks=2)),
+        rates = estimate_rates(self.flows(entries, self.constant_series(0.0, weeks=2)),
                                SmoothingConfig())
-        assert table.lookup("lot1", 0, 9)[0] == 6.0
+        assert rates["lot1"][0, 9, 0] == 6.0
 
     def test_conservation_of_totals(self):
         rng = np.random.default_rng(2)
         entries = np.array([float(rng.integers(0, 12)) for _ in range(2 * 7 * 24)])
-        table = estimate_rates(self.flows(entries, self.constant_series(1.0, weeks=2)),
+        rates = estimate_rates(self.flows(entries, self.constant_series(1.0, weeks=2)),
                                SmoothingConfig())
-        slot_total = sum(table.lookup("lot1", d, h)[0]
-                         for d in range(7) for h in range(24)) * 2
+        slot_total = sum(rates["lot1"][:, :, 0].ravel().tolist()) * 2
         assert slot_total == pytest.approx(entries.sum(), abs=1e-9)
+
+    def test_entries_beyond_the_largest_float_are_a_data_error(self):
+        entries = self.constant_series(0.0, weeks=2)
+        entries[9] = entries[7 * 24 + 9] = 1e308  # Monday 09:00 sums to inf
+        with pytest.raises(DataError, match="lot1"):
+            estimate_rates(self.flows(entries, self.constant_series(0.0, weeks=2)),
+                           SmoothingConfig())
 
     def test_missing_slots_listed(self, tmp_path):
         events = [e for e in week_of([]) if e[1] != dt(2, 13)]
@@ -313,8 +318,11 @@ def test_estimate_rates_equals_the_scanning_oracle(tmp_path_factory, case):
             estimate_rates(flows, cfg)
         return
     assert flows.departures_outside_span == outside
-    table = estimate_rates(flows, cfg)
-    assert {k: tuple(map(float.hex, v)) for k, v in table.rates.items()} == \
+    rates = estimate_rates(flows, cfg)
+    assert {(lot_id, day, hour): tuple(map(float.hex, lams))
+            for lot_id, array in rates.items()
+            for day, hours in enumerate(array.tolist())
+            for hour, lams in enumerate(hours)} == \
         {k: tuple(map(float.hex, v)) for k, v in expected.items()}
 
 
@@ -420,11 +428,12 @@ class TestSynthGenerate:
 
     def test_rates_pipeline_round_trip(self, bundle, tmp_path):
         flows = read_lot_events(bundle.out_dir / "lot_events.csv")
-        table = estimate_rates(flows, SmoothingConfig(peak_hours=(18,)))
+        rates = estimate_rates(flows, SmoothingConfig(peak_hours=(18,)))
         path = tmp_path / "rates.csv"
-        write_rates_csv(table, path)
+        write_rates_csv(rates, path)
         again = read_rates_csv(path)
-        assert again.rates == table.rates
+        assert {k: v.tolist() for k, v in again.items()} == \
+            {k: v.tolist() for k, v in rates.items()}
 
     def test_samples_csv_round_trip(self, bundle, tmp_path):
         combined = combine_surveys(bundle.surveys)

@@ -14,7 +14,6 @@ from parksim import offstreet_sim
 from parksim.errors import DataError
 from parksim.offstreet_sim import (
     LotHourStats,
-    LotRateTable,
     LotSimConfig,
     LotSpec,
     advance_tick,
@@ -47,13 +46,11 @@ class StubRng:
 
 
 def flat_rates(lot_id, lam_a, lam_d):
-    return LotRateTable({(lot_id, d, h): (lam_a, lam_d)
-                         for d in range(7) for h in range(24)})
+    return {lot_id: np.full((7, 24, 2), (lam_a, lam_d))}
 
 
 def lots_flat_rates(lots, lam_a, lam_d):
-    return LotRateTable({key: flows for lot in lots
-                         for key, flows in flat_rates(lot.id, lam_a, lam_d).rates.items()})
+    return {lot.id: flat_rates(lot.id, lam_a, lam_d)[lot.id] for lot in lots}
 
 
 class TestSampleTick:
@@ -354,14 +351,15 @@ class TestSimulateLotHour:
 
     def test_negative_rate_names_lot_and_slot(self):
         lot = LotSpec("lot1", "n0_0", 5)
+        rates = flat_rates("lot1", 1.0, 1.0)
+        rates["lot1"][2, 3, 1] = -1.0
         with pytest.raises(DataError, match=r"lot 'lot1' at \(day 2, hour 3\)"):
-            simulate_lot_hour(lot, LotRateTable({("lot1", 2, 3): (1.0, -1.0)}), 2, 3, CFG,
-                              0, np.random.default_rng(0))
+            simulate_lot_hour(lot, rates, 2, 3, CFG, 0, np.random.default_rng(0))
 
-    def test_missing_rate_names_lot_and_slot(self):
+    def test_missing_lot_is_named(self):
         lot = LotSpec("lot1", "n0_0", 5)
-        with pytest.raises(DataError, match=r"lot 'lot1' at \(day 2, hour 4\)"):
-            simulate_lot_hour(lot, LotRateTable({("lot1", 2, 3): (1.0, 1.0)}), 2, 4, CFG,
+        with pytest.raises(DataError, match="no rates for lot 'lot1'"):
+            simulate_lot_hour(lot, flat_rates("lot2", 1.0, 1.0), 2, 4, CFG,
                               0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("capacity,lam_a,lam_d,occupancy", [
@@ -385,8 +383,10 @@ class TestSimulateLotHour:
 
 class TestInitialOccupancy:
     def rates(self, entries, departures, day=2):
-        return LotRateTable({("lot1", day, h): flows
-                             for h, flows in enumerate(zip(entries, departures))})
+        """Rates of lot1 whose first hours of ``day`` are given, all others 0."""
+        rates = flat_rates("lot1", 0.0, 0.0)
+        rates["lot1"][day, :len(entries)] = list(zip(entries, departures))
+        return rates
 
     def test_cumulative_balance(self):
         occ = initial_occupancy(self.rates([5.0, 3.0], [0.0, 2.0]),
@@ -405,9 +405,14 @@ class TestInitialOccupancy:
         assert occ == 10
         assert any("clamp" in r.message for r in caplog.records)
 
-    def test_missing_hours_listed(self):
-        with pytest.raises(DataError, match=r"\(day 2, hour 1\)"):
-            initial_occupancy(self.rates([5.0], [5.0]), LotSpec("lot1", "n0", 10), 2, 3)
+    def test_missing_lot_is_named(self):
+        with pytest.raises(DataError, match="no rates for lot 'lot2'"):
+            initial_occupancy(self.rates([5.0], [5.0]), LotSpec("lot2", "n0", 10), 2, 3)
+
+    def test_balance_reads_only_earlier_hours_of_the_day(self):
+        rates = self.rates([5.0, 3.0, 100.0], [0.0, 2.0, 0.0])
+        rates["lot1"][1] = rates["lot1"][3] = 50.0, 0.0  # the days before and after
+        assert initial_occupancy(rates, LotSpec("lot1", "n0", 20), 2, 2) == 6
 
 
 def estimate(g, lots, rates, block, day, hour):
@@ -443,8 +448,7 @@ class TestEstimateOffstreet:
     def test_closer_lot_always_chosen(self):
         g = grid_graph(4)
         lots = self.lots_on(g, "n0_0", "n3_3")
-        rates = LotRateTable({**flat_rates("lot0", 10.0, 8.0).rates,
-                              **flat_rates("lot1", 10.0, 8.0).rates})
+        rates = lots_flat_rates(lots, 10.0, 8.0)
         est = estimate(g, lots, rates, "h0_0E", 1, 10)
         assert est.lot_id == "lot0"
         far = estimate(g, lots, rates, "h3_2E", 1, 10)
@@ -472,8 +476,7 @@ class TestEstimateOffstreet:
         # integer drive times: both lots sit exactly 6 + 12 s from h1_0E
         g = grid_graph(3)
         lots = [LotSpec("lotB", "n1_2", 20), LotSpec("lotA", "n0_1", 20)]
-        rates = LotRateTable({**flat_rates("lotA", 0.0, 0.0).rates,
-                              **flat_rates("lotB", 0.0, 0.0).rates})
+        rates = lots_flat_rates(lots, 0.0, 0.0)
         for order in (lots, lots[::-1]):
             est = estimate(g, order, rates, "h1_0E", 4, 12)
             assert est.lot_id == "lotA" and est.drive_s == 18.0
