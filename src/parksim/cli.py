@@ -50,13 +50,13 @@ from .data_ingest import (
     _real,
     combine_surveys,
     estimate_rates,
+    read_columns,
     read_lot_events,
     read_lots,
     read_payments,
     read_rates_csv,
     read_samples_csv,
     read_surveys,
-    read_table,
     synth_generate,
     write_rates_csv,
     write_samples_csv,
@@ -309,6 +309,10 @@ def stage_eval(cfg: RunConfig) -> None:
     try:
         network = json.loads(report_path.read_text())
         network_ce = _real(network["mean_val_cross_entropy"])
+        for score in (network["mean_val_accuracy"], *(
+                split[name] for split in network["per_split"]
+                for name in ("cross_entropy", "accuracy"))):
+            _real(score)
         trained_under = network.get("train_config")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed training report {report_path}: {exc!r}") from exc
@@ -350,24 +354,30 @@ def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
                 hours: tuple[int, ...]) -> np.ndarray:
     """Column ``value`` of a per-cell stage CSV as a (len(hours), blocks)
     array, with block ``g.block_ids[j]`` in column ``j``."""
-    seen: set[tuple[str, int]] = set()
+    def position(raw: str) -> int:
+        if raw not in g.position:
+            raise DataError(f"block {raw!r} is not in the graph")
+        return g.position[raw]
 
-    def parse(row: dict[str, str]) -> tuple[str, int, float]:
-        cell = {name: _CELL_PARSERS.get(name, _real)(row[name]) for name in columns}
-        key = cell["block_id"], cell["hour"]
-        if key[0] not in g.position:
-            raise DataError(f"block {key[0]!r} is not in the graph")
-        if key in seen:
-            raise DataError(f"duplicate (block, hour) row {key}")
-        seen.add(key)
-        return *key, cell[value]
-
-    row_of = {hour: i for i, hour in enumerate(hours)}
+    parsers = {name: _CELL_PARSERS.get(name, _real) for name in columns}
+    parsers["block_id"] = position
+    row_of = np.full(24, -1)
+    row_of[list(hours)] = np.arange(len(hours))
+    seen = np.zeros(24 * len(g.block_ids), dtype=bool)  # by hour, then block
     # every parsed value is finite, so NaN marks a cell no row has filled
     table = np.full((len(hours), len(g.block_ids)), np.nan)
-    for block, hour, x in read_table(path, columns, parse):
-        if hour in row_of:
-            table[row_of[hour], g.position[block]] = x
+    for chunk in read_columns(path, columns):
+        parsed = {name: chunk.parse(name, parse) for name, parse in parsers.items()}
+        block, hour, x = (np.array(parsed[name]) for name in ("block_id", "hour", value))
+        key = hour * len(g.block_ids) + block
+        repeated = np.ones(key.size, dtype=bool)  # seen before, in this chunk or earlier
+        repeated[np.unique(key, return_index=True)[1]] = False
+        repeated |= seen[key]
+        chunk.reject(repeated, lambda row: "duplicate (block, hour) row "
+                     f"{(chunk.columns['block_id'][row], parsed['hour'][row])}")
+        seen[key] = True
+        run = row_of[hour] >= 0
+        table[row_of[hour[run]], block[run]] = x[run]
     missing = np.argwhere(np.isnan(table))
     if len(missing):
         cells = [(g.block_ids[j], hours[i]) for i, j in missing[:3]]

@@ -14,6 +14,16 @@ plus the ground-truth availability used to validate everything downstream.
 
 Timestamps are naive local time throughout; CSV columns carry ISO 8601,
 and a timestamp with a UTC offset is malformed.
+
+Every CSV file is read by one column reader, ``read_columns``, in chunks
+of CHUNK_ROWS rows, so a read never holds more than a chunk of text rows.
+Each reader parses a chunk a column at a time, with one numpy call where
+the column is large; a bad cell is still named by file and line. Payment
+starts accept exactly ``datetime.fromisoformat``'s formats. A session ends
+``timedelta(seconds=duration_s)`` after its start: the whole seconds
+exactly, plus the fraction times 1e6 rounded half to even (not
+``rint(duration_s * 1e6)``, which is 1 us less for 3.0000005 s), and no
+later than ``datetime.max``.
 """
 
 from __future__ import annotations
@@ -24,9 +34,12 @@ import json
 import math
 import os
 import statistics
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
+from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -181,6 +194,13 @@ SURVEY_COLUMNS = ("meter_id", "block_id", "timestamp_iso8601", "free_spots")
 LOT_EVENT_COLUMNS = ("lot_id", "hour_iso8601", "entries", "paid_durations_s")
 RATE_COLUMNS = ("lot_id", "day_of_week", "hour", "lambda_a_per_hour", "lambda_d_per_hour")
 SAMPLE_COLUMNS = ("block_id", "time_iso8601", "available") + FEATURE_NAMES
+# Data rows parsed at once: a read holds one chunk of text rows, not the file.
+CHUNK_ROWS = 1024
+# What a cell parser raises for a cell it rejects.
+_CELL_ERRORS = (DataError, ValueError, OverflowError)
+_MAX_US = micros(datetime.max)
+# Longer than the whole datetime range, and short enough for int64 microseconds.
+_LONGEST_S = 1e12
 T = TypeVar("T")
 
 
@@ -194,31 +214,89 @@ def write_table(path: str | os.PathLike, columns: Sequence[str],
     _atomic_write(path, buf.getvalue())
 
 
-def read_table(path: str | os.PathLike, columns: Sequence[str],
-               parse: Callable[[dict[str, str]], T]) -> Iterator[T]:
-    """Yield ``parse(row)`` for each data row of a CSV file, as it is read.
+@dataclass(frozen=True)
+class Chunk:
+    """Consecutive data rows of a CSV file, as one tuple of cells per column."""
 
-    The header must be exactly ``columns``. An unreadable file, a wrong
-    header or field count, malformed CSV, and a KeyError, ValueError,
-    TypeError, OverflowError or DataError from ``parse`` all become one
-    DataError that names the file and the line.
+    path: str | os.PathLike
+    first_row: int  # the data rows of the file before this chunk
+    columns: dict[str, tuple[str, ...]]
+
+    def parse(self, name: str, cell: Callable[[str], T],
+              whole: Callable[[Sequence[str]], np.ndarray] | None = None) -> list[T] | np.ndarray:
+        """Column ``name`` parsed by ``whole`` as one array or, without
+        ``whole``, into a list by ``cell`` on each cell.
+
+        ``whole`` must accept exactly the columns whose every cell ``cell``
+        accepts. When the parse fails, the first cell that ``cell`` rejects
+        raises a DataError naming its line.
+        """
+        cells = self.columns[name]
+        try:
+            return list(map(cell, cells)) if whole is None else whole(cells)
+        except _CELL_ERRORS as exc:
+            for row, raw in enumerate(cells):
+                try:
+                    cell(raw)
+                except _CELL_ERRORS as bad:
+                    raise self.error(row, bad) from bad
+            raise DataError(f"{self.path}: {exc}") from exc  # ``whole`` is stricter than ``cell``
+
+    def reject(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        """Raise ``message(row)`` as a DataError naming the line of the
+        first row where ``bad`` holds, if any does."""
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise self.error(row, message(row))
+
+    def error(self, row: int, exc: Exception | str) -> DataError:
+        return DataError(f"{self.path}, line {_line_of(self.path, self.first_row + row)}: "
+                         f"{exc}")
+
+
+def read_columns(path: str | os.PathLike, columns: Sequence[str]) -> Iterator[Chunk]:
+    """Yield the data rows of a CSV file in chunks of up to CHUNK_ROWS rows,
+    each read when the one before it has been parsed.
+
+    The header must be exactly ``columns`` and every row must hold one field
+    per column; blank rows are skipped. An unreadable file, a wrong header or
+    field count and malformed CSV raise a DataError that names the file and
+    the line. A chunk's rows are checked before its cells are parsed.
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames != list(columns):
-                raise ValueError(f"expected header {','.join(columns)}, "
-                                 f"got {','.join(reader.fieldnames or ())}")
-            for row in reader:
-                if len(row) != len(columns) or None in row.values():
-                    raise ValueError(f"expected {len(columns)} fields")
-                yield parse(row)
-        except (csv.Error, DataError, KeyError, ValueError, TypeError, OverflowError) as exc:
+            header = next(reader, None)
+            if header != list(columns):
+                raise DataError(f"{path}, line {reader.line_num}: expected header "
+                                f"{','.join(columns)}, got {','.join(header or ())}")
+            done = 0
+            while text := list(islice(reader, CHUNK_ROWS)):
+                rows = list(filter(None, text))
+                if not rows:
+                    continue
+                chunk = Chunk(path, done, dict(zip(columns, zip(*rows))))
+                if set(map(len, rows)) != {len(columns)}:
+                    row = next(i for i, r in enumerate(rows) if len(r) != len(columns))
+                    raise chunk.error(row, f"expected {len(columns)} fields")
+                yield chunk
+                done += len(rows)
+        except csv.Error as exc:
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+
+
+def _line_of(path: str | os.PathLike, row: int) -> int:
+    """The line on which data row ``row`` of a CSV file ends, counting rows
+    from 0 as ``read_columns`` does. Read again, for error messages only."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        next(islice(filter(None, reader), row, None))
+        return reader.line_num
 
 
 def _real(raw: str | float, positive: bool = False) -> float:
@@ -228,11 +306,50 @@ def _real(raw: str | float, positive: bool = False) -> float:
     return value
 
 
+def _reals(cells: Sequence[str], positive: bool = False) -> np.ndarray:
+    """``_real`` of every cell, as one array."""
+    values = np.fromiter(map(float, cells), float, len(cells))
+    ok = np.isfinite(values)
+    if positive:
+        ok &= values > 0
+    if not ok.all():
+        raise ValueError("a number out of range")
+    return values
+
+
 def _naive(raw: str) -> datetime:
     value = datetime.fromisoformat(raw)
     if value.tzinfo is not None:
         raise ValueError(f"expected a local time without a UTC offset, got {raw!r}")
     return value
+
+
+def _naive_micros(cells: Sequence[str]) -> np.ndarray:
+    """``micros(_naive(raw))`` of every cell, as one int64 array. numpy's
+    parse gives the microseconds when it yields fromisoformat's times
+    without a warning (it reads some suffixes as time zones); otherwise
+    ``micros`` does."""
+    times = list(map(datetime.fromisoformat, cells))
+    if any(t.tzinfo is not None for t in times):
+        raise ValueError("a time with a UTC offset")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = np.array(cells, dtype="datetime64[us]")
+        if parsed.tolist() == times:
+            return parsed.view(np.int64)
+    except (ValueError, Warning):
+        pass
+    return np.fromiter(map(micros, times), np.int64, len(times))
+
+
+def _micros_of_seconds(seconds: np.ndarray) -> np.ndarray:
+    """``timedelta(seconds=s) // timedelta(microseconds=1)`` of each ``s`` in
+    [0, _LONGEST_S]: the whole seconds exactly, plus the fraction times 1e6
+    rounded half to even, as ``timedelta`` rounds it."""
+    whole = np.trunc(seconds)
+    return (whole.astype(np.int64) * 1_000_000
+            + np.rint((seconds - whole) * 1e6).astype(np.int64))
 
 
 def _count(raw: str) -> int:
@@ -250,12 +367,24 @@ def _label(raw: str) -> int:
 
 
 def read_payments(path: str | os.PathLike) -> Sessions:
-    """Each block's paid sessions, as ``occupancy_model.session_arrays``."""
-    def parse(row: dict[str, str]) -> tuple[str, int, int]:
-        start = _naive(row["start_iso8601"])
-        end = start + timedelta(seconds=_real(row["duration_s"], positive=True))
-        return row["block_id"], micros(start), micros(end)
-    return session_arrays(read_table(path, PAYMENT_COLUMNS, parse))
+    """Each block's paid sessions, as ``occupancy_model.session_arrays``. A
+    session lasts ``timedelta(seconds=duration_s)`` (see
+    ``_micros_of_seconds``) and must end by ``datetime.max``."""
+    codes: dict[str, int] = {}  # block id -> index, in order of first appearance
+    parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64))]
+    for chunk in read_columns(path, PAYMENT_COLUMNS):
+        start = chunk.parse("start_iso8601", _naive, _naive_micros)
+        seconds = chunk.parse("duration_s", partial(_real, positive=True),
+                              partial(_reals, positive=True))
+        end = start + _micros_of_seconds(np.minimum(seconds, _LONGEST_S))
+        chunk.reject(end > _MAX_US, lambda row: (
+            f"a session of {chunk.columns['duration_s'][row]} s ends after {datetime.max}"))
+        blocks = chunk.columns["block_id"]
+        for block_id in dict.fromkeys(blocks):
+            codes.setdefault(block_id, len(codes))
+        parts.append((np.fromiter(map(codes.__getitem__, blocks), np.intp, len(blocks)),
+                      start, end))
+    return session_arrays(list(codes), *map(np.concatenate, zip(*parts)))
 
 
 def write_payments(records: Sequence[PaymentRecord], path: str | os.PathLike) -> None:
@@ -264,13 +393,19 @@ def write_payments(records: Sequence[PaymentRecord], path: str | os.PathLike) ->
                  sorted(records, key=lambda r: (r.block_id, r.start, r.duration_s))))
 
 
+def _survey_time(raw: str) -> datetime | None:
+    raw = raw.strip()
+    return _naive(raw) if raw else None
+
+
 def read_surveys(path: str | os.PathLike) -> list[SurveyRecord]:
-    def parse(row: dict[str, str]) -> SurveyRecord:
-        raw_ts = row["timestamp_iso8601"].strip()
-        return SurveyRecord(meter_id=row["meter_id"], block_id=row["block_id"],
-                            timestamp=_naive(raw_ts) if raw_ts else None,
-                            free=_count(row["free_spots"]) > 0)
-    return list(read_table(path, SURVEY_COLUMNS, parse))
+    records: list[SurveyRecord] = []
+    for chunk in read_columns(path, SURVEY_COLUMNS):
+        times = chunk.parse("timestamp_iso8601", _survey_time)
+        free = [n > 0 for n in chunk.parse("free_spots", _count)]
+        records += map(SurveyRecord, chunk.columns["meter_id"], chunk.columns["block_id"],
+                       times, free)
+    return records
 
 
 def write_surveys(records: Sequence[SurveyRecord], path: str | os.PathLike) -> None:
@@ -307,6 +442,23 @@ def write_lots(lots: Sequence[LotSpec], path: str | os.PathLike) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
+def _hour_index(raw: str) -> int:
+    """Hours from the epoch to a time on the hour."""
+    hour = _naive(raw)
+    if hour.minute or hour.second or hour.microsecond:
+        raise ValueError(f"hour {raw!r} is not on the hour")
+    return (hour - _EPOCH) // HOUR
+
+
+def _expiry_hours(raw: str) -> list[int]:
+    """Whole hours from a car's entry hour to the expiry of each paid duration."""
+    blob = raw.strip()
+    paid = [_real(x) for x in blob.split(";")] if blob else []
+    if min(paid, default=0.0) < 0:
+        raise ValueError("paid durations must not be negative")
+    return [timedelta(seconds=s) // HOUR for s in paid]
+
+
 def read_lot_events(path: str | os.PathLike) -> LotFlows:
     """Each lot's entries and naive departures in every hour of its span.
 
@@ -316,24 +468,15 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
     its first to its last, whole weeks of them, and every lot the same
     number of weeks.
     """
-    def parse(row: dict[str, str]) -> tuple[str, int, float, list[int]]:
-        hour = _naive(row["hour_iso8601"])
-        if hour.minute or hour.second or hour.microsecond:
-            raise ValueError(f"hour {row['hour_iso8601']!r} is not on the hour")
-        entries = int(row["entries"])
-        blob = row["paid_durations_s"].strip()
-        paid = [_real(x) for x in blob.split(";")] if blob else []
-        if entries < 0 or min(paid, default=0.0) < 0:
-            raise ValueError("entries and paid durations must not be negative")
-        if len(paid) > entries:
-            raise ValueError(f"{len(paid)} paid durations for {entries} entries")
-        h = (hour - _EPOCH) // HOUR
-        return row["lot_id"], h, float(entries), [h + timedelta(seconds=s) // HOUR
-                                                  for s in paid]
-
     by_lot: dict[str, list[tuple[int, float, list[int]]]] = {}
-    for lot_id, *event in read_table(path, LOT_EVENT_COLUMNS, parse):
-        by_lot.setdefault(lot_id, []).append(event)
+    for chunk in read_columns(path, LOT_EVENT_COLUMNS):
+        hours = chunk.parse("hour_iso8601", _hour_index)
+        entries = chunk.parse("entries", lambda raw: float(_count(raw)))
+        expiries = chunk.parse("paid_durations_s", _expiry_hours)
+        chunk.reject(np.array([len(e) > n for e, n in zip(expiries, entries)]), lambda row: (
+            f"{len(expiries[row])} paid durations for {chunk.columns['entries'][row]} entries"))
+        for lot_id, h, n, expiry in zip(chunk.columns["lot_id"], hours, entries, expiries):
+            by_lot.setdefault(lot_id, []).append((h, n, [h + e for e in expiry]))
     if not by_lot:
         raise DataError(f"no lot event records in {path}")
     lot_ids = tuple(sorted(by_lot))
@@ -360,25 +503,36 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
                     outside)
 
 
+def _day(raw: str) -> int:
+    day = int(raw)
+    if not 0 <= day < DAYS_PER_WEEK:
+        raise ValueError(f"day_of_week must be in 0..6, got {day}")
+    return day
+
+
+def _rate(raw: str) -> float:
+    rate = _real(raw)
+    if rate < 0:
+        raise ValueError(f"rates must be non-negative, got {raw!r}")
+    return rate
+
+
 def read_rates_csv(path: str | os.PathLike) -> LotRates:
     """Each lot's rates; the file needs a row for every (day, hour) of a lot."""
-    def parse(row: dict[str, str]) -> tuple[tuple[str, int, int], tuple[float, float]]:
-        key = row["lot_id"], int(row["day_of_week"]), _check_hour(int(row["hour"]))
-        if not 0 <= key[1] < DAYS_PER_WEEK:
-            raise ValueError(f"day_of_week must be in 0..6, got {key[1]}")
-        lams = _real(row["lambda_a_per_hour"]), _real(row["lambda_d_per_hour"])
-        if min(lams) < 0:
-            raise ValueError(f"rates must be non-negative, got {lams}")
-        return key, lams
     rates = {}
-    for key, lams in read_table(path, RATE_COLUMNS, parse):
-        if key in rates:
-            raise DataError(f"duplicate rate row for {key} in {path}")
-        rates[key] = lams
+    for chunk in read_columns(path, RATE_COLUMNS):
+        keys = zip(chunk.columns["lot_id"], chunk.parse("day_of_week", _day),
+                   chunk.parse("hour", lambda raw: _check_hour(int(raw))))
+        lams = zip(chunk.parse("lambda_a_per_hour", _rate),
+                   chunk.parse("lambda_d_per_hour", _rate))
+        for key, lam in zip(keys, lams):
+            if key in rates:
+                raise DataError(f"duplicate rate row for {key} in {path}")
+            rates[key] = lam
     rows = Counter(lot_id for lot_id, _, _ in rates)
-    partial = sorted(lot_id for lot_id, n in rows.items() if n < WEEK_H)
-    if partial:
-        raise DataError(f"{path} lacks (day of week, hour) rows of lots {partial[:5]}")
+    partial_lots = sorted(lot_id for lot_id, n in rows.items() if n < WEEK_H)
+    if partial_lots:
+        raise DataError(f"{path} lacks (day of week, hour) rows of lots {partial_lots[:5]}")
     arrays = np.array([lams for _, lams in sorted(rates.items())])  # lot, day, hour order
     return dict(zip(sorted(rows), arrays.reshape(-1, DAYS_PER_WEEK, 24, 2)))
 
@@ -391,11 +545,12 @@ def write_rates_csv(rates: LotRates, path: str | os.PathLike) -> None:
 
 def read_samples_csv(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
     """The feature matrix and label vector of a samples file, in file order."""
-    rows = list(read_table(path, SAMPLE_COLUMNS, lambda row: (
-        _label(row["available"]), [_real(row[name]) for name in FEATURE_NAMES])))
-    X = np.array([x for _, x in rows], dtype=float).reshape(len(rows), N_FEATURES)
-    y = np.array([label for label, _ in rows], dtype=np.int64)
-    return X, y
+    labels, features = [np.empty(0, np.int64)], [np.empty((0, N_FEATURES))]
+    for chunk in read_columns(path, SAMPLE_COLUMNS):
+        labels.append(np.array(chunk.parse("available", _label), dtype=np.int64))
+        features.append(np.stack([chunk.parse(name, _real, _reals) for name in FEATURE_NAMES],
+                                 axis=1))
+    return np.concatenate(features), np.concatenate(labels)
 
 
 def write_samples_csv(samples: Sequence[OccupancySample], features: np.ndarray,

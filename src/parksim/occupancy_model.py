@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -66,7 +66,8 @@ class OccupancySample:
     available: int  # 1 if at least one spot on the block was free
 
 
-# block id -> (sorted session starts, sorted session ends), int64 microseconds
+# block id -> (sorted session starts, sorted session ends), int64 microseconds;
+# the arrays may be views into one pair of arrays sorted by (block, time)
 Sessions = Mapping[str, tuple[np.ndarray, np.ndarray]]
 
 
@@ -125,16 +126,19 @@ def micros(t: datetime) -> int:
     return (t - _EPOCH) // _MICROSECOND
 
 
-def session_arrays(sessions: Iterable[tuple[str, int, int]]) -> Sessions:
-    """Index (block, start, end) microsecond triples by block."""
-    by_block: dict[str, tuple[list[int], list[int]]] = {}
-    for block_id, start, end in sessions:
-        starts, ends = by_block.setdefault(block_id, ([], []))
-        starts.append(start)
-        ends.append(end)
-    return {block_id: (np.sort(np.array(starts, dtype=np.int64)),
-                       np.sort(np.array(ends, dtype=np.int64)))
-            for block_id, (starts, ends) in by_block.items()}
+def session_arrays(block_ids: Sequence[str], block: np.ndarray, starts: np.ndarray,
+                   ends: np.ndarray) -> Sessions:
+    """Index sessions by block: session ``i`` is on block
+    ``block_ids[block[i]]`` and active over [``starts[i]``, ``ends[i]``).
+
+    One sort by (block, start) and one by (block, end) order every session;
+    each block's starts and ends are slices of the two sorted arrays.
+    """
+    sorted_starts = starts[np.lexsort((starts, block))]
+    sorted_ends = ends[np.lexsort((ends, block))]
+    bounds = np.cumsum(np.bincount(block, minlength=len(block_ids))).tolist()
+    return {block_id: (sorted_starts[lo:hi], sorted_ends[lo:hi])
+            for block_id, lo, hi in zip(block_ids, [0, *bounds], bounds)}
 
 
 def feature_matrix(sessions: Sessions, g: RoadGraph, blocks: Sequence[str],

@@ -21,9 +21,12 @@ settings.load_profile("parksim")
 def sessions_of(payments):
     """Session arrays of payment records: each ends at ``start +
     timedelta(seconds=duration_s)``, as ``read_payments`` defines it."""
+    block_ids = list(dict.fromkeys(p.block_id for p in payments))
     return session_arrays(
-        (p.block_id, micros(p.start), micros(p.start + timedelta(seconds=p.duration_s)))
-        for p in payments)
+        block_ids, np.array([block_ids.index(p.block_id) for p in payments], dtype=np.intp),
+        np.array([micros(p.start) for p in payments], dtype=np.int64),
+        np.array([micros(p.start + timedelta(seconds=p.duration_s)) for p in payments],
+                 dtype=np.int64))
 
 
 def flat24(value: float) -> tuple[float, ...]:

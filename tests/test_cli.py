@@ -320,6 +320,20 @@ def test_non_finite_training_score_is_a_data_error(copied, capsys, score):
     assert not (copied / "out" / "eval.json").exists()
 
 
+@pytest.mark.parametrize("score", [float("nan"), "inf"], ids=["nan_token", "inf_string"])
+@pytest.mark.parametrize("name", ["cross_entropy", "accuracy"])
+def test_non_finite_per_split_score_is_a_data_error(copied, capsys, name, score):
+    path = copied / "out" / "train_report.json"
+    report = json.loads(path.read_text())
+    report["per_split"][0][name] = score
+    path.write_text(json.dumps(report))
+    assert main(["eval", "--config", str(write_config(copied / "config.json", "city"))]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "malformed training report" in err and "train_report.json" in err
+    assert not (copied / "out" / "eval.json").exists()
+
+
 # -- the CLI contract on stage files: exit 2 or 3 and one line, never a traceback
 
 # Each CSV a stage reads: the stage, where the file lives, and its columns.
@@ -634,6 +648,41 @@ def test_unrepresentable_payment_duration_is_a_data_error(copied, capsys, stage,
     err = capsys.readouterr().err
     assert_one_line(err)
     assert "payments.csv, line 2" in err
+
+
+@pytest.mark.parametrize("stage", ["ingest", "predict"])
+def test_payment_ending_after_the_last_datetime_is_a_data_error(copied, capsys, stage):
+    # int64 microseconds hold this end; a datetime does not
+    edit_csv(copied / "city" / "payments.csv", lambda rows: rows[3].__setitem__(2, "1e12"))
+    config = write_config(copied / "config.json", "city")
+    assert main([stage, "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "payments.csv, line 4: " in err
+
+
+@pytest.mark.parametrize("suffix", ["+00:00", "Z"])
+@pytest.mark.parametrize("rows_with_offset", [slice(2, 3), slice(1, None)],
+                         ids=["one_row", "every_row"])
+@pytest.mark.parametrize("stage", ["ingest", "predict"])
+def test_payment_start_with_utc_offset_is_a_data_error(copied, capsys, stage,
+                                                       rows_with_offset, suffix):
+    def add_offset(rows):
+        for row in rows[rows_with_offset]:
+            row[1] += suffix
+
+    edit_csv(copied / "city" / "payments.csv", add_offset)
+    config = write_config(copied / "config.json", "city")
+    assert main([stage, "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    line = 3 if rows_with_offset.stop else 2
+    assert f"payments.csv, line {line}: " in err
+    try:
+        datetime.fromisoformat("2026-03-02T09:00:00" + suffix)
+    except ValueError:  # Python 3.10 reads no "Z": not a time at all
+        return
+    assert "UTC offset" in err
 
 
 def test_rate_for_unknown_lot_is_a_data_error(copied, capsys):

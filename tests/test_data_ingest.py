@@ -17,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parksim.data_ingest import (
+    CHUNK_ROWS,
+    PAYMENT_COLUMNS,
+    PaymentRecord,
     LOT_EVENT_COLUMNS,
     LotFlows,
     SmoothingConfig,
@@ -29,8 +32,8 @@ from parksim.data_ingest import (
     read_payments,
     read_rates_csv,
     read_samples_csv,
+    read_columns,
     read_surveys,
-    read_table,
     smooth_departures,
     synth_generate,
     write_rates_csv,
@@ -38,9 +41,10 @@ from parksim.data_ingest import (
     write_table,
 )
 from parksim.errors import DataError
-from parksim.occupancy_model import build_dataset
+from parksim.occupancy_model import build_dataset, micros
 from parksim.road_graph import load_graph
 
+from conftest import sessions_of
 from oracles import left_gaussian_weights, lot_rates
 
 D = date(2026, 3, 2)  # a Monday
@@ -446,14 +450,101 @@ class TestSynthGenerate:
         assert y.tolist() == [s.available for s in combined.samples]
 
 
+def write_payment_rows(path, rows):
+    """Write (block_id, start text, duration text) rows as a payments file."""
+    write_table(path, PAYMENT_COLUMNS, rows)
+    return path
+
+
+def session_ends(path):
+    """Each session's end in a one-block payments file, in microseconds."""
+    return read_payments(path)["b"][1].tolist()
+
+
+class TestReadPayments:
+    def test_shuffled_rows_over_many_chunks_equal_the_record_oracle(self, bundle, tmp_path):
+        records = list(bundle.payments)
+        np.random.default_rng(3).shuffle(records)
+        assert len(records) > 2 * CHUNK_ROWS
+        path = write_payment_rows(tmp_path / "p.csv", (
+            [r.block_id, r.start.isoformat(), repr(r.duration_s)] for r in records))
+        sessions, expected = read_payments(path), sessions_of(records)
+        assert list(sessions) == list(expected)
+        for block_id, (starts, ends) in expected.items():
+            assert sessions[block_id][0].tolist() == starts.tolist()
+            assert sessions[block_id][1].tolist() == ends.tolist()
+
+    # The fraction's microseconds round half to even, as timedelta rounds
+    # them: 3.0000005 s ends at 3,000,001 us, where rint(d * 1e6) gives
+    # 3,000,000.
+    @pytest.mark.parametrize("seconds", [1.5e-06, 2.5e-06, 5e-07, 1e-07, 1234.5678915,
+                                         3.0000005, 0.1 + 0.2, 86399.9999995])
+    def test_duration_ends_as_timedelta_rounds_it(self, tmp_path, seconds):
+        start = datetime(2026, 3, 2, 9, 0, 0, 1)
+        path = write_payment_rows(tmp_path / "p.csv", [["b", start.isoformat(), repr(seconds)]])
+        assert session_ends(path) == [micros(start + timedelta(seconds=seconds))]
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(1e-9, 1e11, allow_nan=False), min_size=1, max_size=20))
+    def test_any_duration_ends_as_timedelta_rounds_it(self, tmp_path_factory, durations):
+        start = datetime(2026, 3, 2, 9, 0, 0, 1)
+        path = write_payment_rows(tmp_path_factory.getbasetemp() / "durations.csv",
+                                  (["b", start.isoformat(), repr(d)] for d in durations))
+        assert session_ends(path) == sorted(micros(start + timedelta(seconds=d))
+                                            for d in durations)
+
+    def test_session_may_end_at_the_last_datetime_and_not_after(self, tmp_path):
+        start = datetime.max - timedelta(seconds=1)
+        ok = write_payment_rows(tmp_path / "ok.csv", [["b", start.isoformat(), "1"]])
+        assert session_ends(ok) == [micros(datetime.max)]
+        late = write_payment_rows(tmp_path / "late.csv", [["b", start.isoformat(), "1"],
+                                                          ["b", start.isoformat(), "1.000001"]])
+        with pytest.raises(DataError, match="late.csv, line 3: "):
+            read_payments(late)
+
+    # Texts numpy's parse reads otherwise than datetime.fromisoformat (a
+    # comma fraction it takes for a time zone, more than six fraction
+    # digits, a leading sign or space) or not at all (basic format, week
+    # dates, a lower-case t). Which of them fromisoformat accepts depends on
+    # the Python version; read_payments accepts the same ones.
+    @pytest.mark.parametrize("text", [
+        "2026-03-02T09:00:00,5", "2026-03-02T09:00:00.1234567", "20260302T090000",
+        "2026-W10-1T09:00", "2026-03-02t09:00", "2026-03-02 09:00:00", "2026-03-02",
+        " 2026-03-02T09:00", "+2026-03-02T09:00", "2026-03-02T9:00", "NaT",
+        "2026-03-02T09:00:00-00:00"])
+    def test_start_formats_are_those_of_fromisoformat(self, tmp_path, text):
+        rows = [["b", "2026-03-02T08:00:00", "60"]] * (CHUNK_ROWS - 1) + [["b", text, "60"]]
+        path = write_payment_rows(tmp_path / "p.csv", rows)
+        try:
+            start = datetime.fromisoformat(text)
+        except ValueError:
+            start = None
+        if start is None or start.tzinfo is not None:
+            with pytest.raises(DataError, match=f"p.csv, line {CHUNK_ROWS + 1}: "):
+                read_payments(path)
+        else:
+            assert read_payments(path)["b"][0].tolist() == sorted(
+                [micros(datetime(2026, 3, 2, 8))] * (CHUNK_ROWS - 1) + [micros(start)])
+
+
 class TestTable:
     COLUMNS = ("name", "count")
+
+    def read(self, path):
+        """The (name, count) rows of a file, read a column at a time."""
+        return [row for chunk in read_columns(path, self.COLUMNS)
+                for row in zip(chunk.columns["name"], chunk.parse("count", int))]
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, self.COLUMNS, [["a", 1], ["b,c", 2]])
-        rows = read_table(path, self.COLUMNS, lambda row: (row["name"], int(row["count"])))
-        assert list(rows) == [("a", 1), ("b,c", 2)]
+        assert self.read(path) == [("a", 1), ("b,c", 2)]
+
+    def test_rows_span_chunks_in_file_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [[f"r{i}", i] for i in range(2 * CHUNK_ROWS + 3)]
+        write_table(path, self.COLUMNS, rows)
+        assert self.read(path) == [tuple(row) for row in rows]
 
     @pytest.mark.parametrize("text,line", [
         ("name,counts\na,1\n", 1),
@@ -462,14 +553,18 @@ class TestTable:
         ("name,count\na,1,2\n", 2),
         ("name,count\na,x\n", 2),
         ('name,count\n"a,1\n', 2),
-    ], ids=["header", "empty", "short_row", "long_row", "bad_cell", "open_quote"])
+        ("name,count\n" + "a,1\n" * (CHUNK_ROWS + 4) + "a,x\n", CHUNK_ROWS + 6),
+        ('name,count\n"a\nb",1\nc,x\n', 4),
+        ("name,count\na,1\n\nb,x\n", 4),
+    ], ids=["header", "empty", "short_row", "long_row", "bad_cell", "open_quote",
+            "bad_cell_in_second_chunk", "bad_cell_after_quoted_newline",
+            "bad_cell_after_blank_line"])
     def test_malformed_file_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "t.csv"
         path.write_text(text)
-        rows = read_table(path, self.COLUMNS, lambda row: (row["name"], int(row["count"])))
         with pytest.raises(DataError, match=f"t.csv, line {line}: "):
-            list(rows)
+            self.read(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
-            list(read_table(tmp_path / "none.csv", self.COLUMNS, dict))
+            list(read_columns(tmp_path / "none.csv", self.COLUMNS))
