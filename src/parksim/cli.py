@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_ingest import (
+    Chunk,
     SmoothingConfig,
     SynthConfig,
     _atomic_write,
@@ -354,30 +355,28 @@ def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
                 hours: tuple[int, ...]) -> np.ndarray:
     """Column ``value`` of a per-cell stage CSV as a (len(hours), blocks)
     array, with block ``g.block_ids[j]`` in column ``j``."""
-    def position(raw: str) -> int:
-        if raw not in g.position:
-            raise DataError(f"block {raw!r} is not in the graph")
-        return g.position[raw]
+    seen: set[tuple[str, int]] = set()
 
-    parsers = {name: _CELL_PARSERS.get(name, _real) for name in columns}
-    parsers["block_id"] = position
-    row_of = np.full(24, -1)
-    row_of[list(hours)] = np.arange(len(hours))
-    seen = np.zeros(24 * len(g.block_ids), dtype=bool)  # by hour, then block
+    def parse(chunk: Chunk) -> tuple[list[tuple[str, int]], list[float]]:
+        cells = {name: chunk.parse(name, _CELL_PARSERS.get(name, _real)) for name in columns}
+        keys = list(zip(cells["block_id"], cells["hour"]))
+        fresh: set[tuple[str, int]] = set()
+        for row, key in enumerate(keys):
+            if key[0] not in g.position:
+                raise chunk.error(row, f"block {key[0]!r} is not in the graph")
+            if key in seen or key in fresh:
+                raise chunk.error(row, f"duplicate (block, hour) row {key}")
+            fresh.add(key)
+        return keys, cells[value]
+
+    row_of = {hour: i for i, hour in enumerate(hours)}
     # every parsed value is finite, so NaN marks a cell no row has filled
     table = np.full((len(hours), len(g.block_ids)), np.nan)
-    for chunk in read_columns(path, columns):
-        parsed = {name: chunk.parse(name, parse) for name, parse in parsers.items()}
-        block, hour, x = (np.array(parsed[name]) for name in ("block_id", "hour", value))
-        key = hour * len(g.block_ids) + block
-        repeated = np.ones(key.size, dtype=bool)  # seen before, in this chunk or earlier
-        repeated[np.unique(key, return_index=True)[1]] = False
-        repeated |= seen[key]
-        chunk.reject(repeated, lambda row: "duplicate (block, hour) row "
-                     f"{(chunk.columns['block_id'][row], parsed['hour'][row])}")
-        seen[key] = True
-        run = row_of[hour] >= 0
-        table[row_of[hour[run]], block[run]] = x[run]
+    for keys, values in read_columns(path, columns, parse):
+        seen.update(keys)
+        for (block, hour), x in zip(keys, values):
+            if hour in row_of:
+                table[row_of[hour], g.position[block]] = x
     missing = np.argwhere(np.isnan(table))
     if len(missing):
         cells = [(g.block_ids[j], hours[i]) for i, j in missing[:3]]

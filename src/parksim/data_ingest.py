@@ -18,12 +18,12 @@ and a timestamp with a UTC offset is malformed.
 Every CSV file is read by one column reader, ``read_columns``, in chunks
 of CHUNK_ROWS rows, so a read never holds more than a chunk of text rows.
 Each reader parses a chunk a column at a time, with one numpy call where
-the column is large; a bad cell is still named by file and line. Payment
-starts accept exactly ``datetime.fromisoformat``'s formats. A session ends
-``timedelta(seconds=duration_s)`` after its start: the whole seconds
-exactly, plus the fraction times 1e6 rounded half to even (not
-``rint(duration_s * 1e6)``, which is 1 us less for 3.0000005 s), and no
-later than ``datetime.max``.
+the column is large; the first faulty row is still named by file and
+line. Payment starts accept exactly ``datetime.fromisoformat``'s formats.
+A session ends ``timedelta(seconds=duration_s)`` after its start: the
+whole seconds exactly, plus the fraction times 1e6 rounded half to even
+(not ``rint(duration_s * 1e6)``, which is 1 us less for 3.0000005 s), and
+no later than ``datetime.max``.
 """
 
 from __future__ import annotations
@@ -214,12 +214,19 @@ def write_table(path: str | os.PathLike, columns: Sequence[str],
     _atomic_write(path, buf.getvalue())
 
 
+class _BadRow(DataError):
+    """A fault in data row ``row`` of a chunk."""
+
+    def __init__(self, row: int, fault: Exception | str):
+        super().__init__(str(fault))
+        self.row = row
+
+
 @dataclass(frozen=True)
 class Chunk:
     """Consecutive data rows of a CSV file, as one tuple of cells per column."""
 
     path: str | os.PathLike
-    first_row: int  # the data rows of the file before this chunk
     columns: dict[str, tuple[str, ...]]
 
     def parse(self, name: str, cell: Callable[[str], T],
@@ -229,7 +236,7 @@ class Chunk:
 
         ``whole`` must accept exactly the columns whose every cell ``cell``
         accepts. When the parse fails, the first cell that ``cell`` rejects
-        raises a DataError naming its line.
+        is raised as a fault of its row.
         """
         cells = self.columns[name]
         try:
@@ -243,25 +250,30 @@ class Chunk:
             raise DataError(f"{self.path}: {exc}") from exc  # ``whole`` is stricter than ``cell``
 
     def reject(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
-        """Raise ``message(row)`` as a DataError naming the line of the
-        first row where ``bad`` holds, if any does."""
+        """Raise ``message(row)`` as a fault of the first row where ``bad``
+        holds, if any does."""
         if bad.any():
             row = int(np.argmax(bad))
             raise self.error(row, message(row))
 
     def error(self, row: int, exc: Exception | str) -> DataError:
-        return DataError(f"{self.path}, line {_line_of(self.path, self.first_row + row)}: "
-                         f"{exc}")
+        """A fault of row ``row``, for ``read_columns`` to name by its line."""
+        return _BadRow(row, exc)
 
 
-def read_columns(path: str | os.PathLike, columns: Sequence[str]) -> Iterator[Chunk]:
-    """Yield the data rows of a CSV file in chunks of up to CHUNK_ROWS rows,
-    each read when the one before it has been parsed.
+def read_columns(path: str | os.PathLike, columns: Sequence[str],
+                 parse: Callable[[Chunk], T]) -> Iterator[T]:
+    """Yield ``parse(chunk)`` for the data rows of a CSV file in chunks of up
+    to CHUNK_ROWS rows, each read when the one before it has been parsed.
 
     The header must be exactly ``columns`` and every row must hold one field
     per column; blank rows are skipped. An unreadable file, a wrong header or
-    field count and malformed CSV raise a DataError that names the file and
-    the line. A chunk's rows are checked before its cells are parsed.
+    field count, malformed CSV and a fault that ``parse`` raises through
+    ``Chunk`` raise a DataError that names the file and the line. The first
+    faulty row of a file is named, as a row-by-row reader would: a chunk
+    with a fault at some row is parsed again up to that row until the rows
+    before the fault parse. So ``parse`` may read, but must not change,
+    anything outside its chunk.
     """
     try:
         fh = open(path, newline="")
@@ -279,11 +291,18 @@ def read_columns(path: str | os.PathLike, columns: Sequence[str]) -> Iterator[Ch
                 rows = list(filter(None, text))
                 if not rows:
                     continue
-                chunk = Chunk(path, done, dict(zip(columns, zip(*rows))))
-                if set(map(len, rows)) != {len(columns)}:
-                    row = next(i for i, r in enumerate(rows) if len(r) != len(columns))
-                    raise chunk.error(row, f"expected {len(columns)} fields")
-                yield chunk
+                n = next((i for i, r in enumerate(rows) if len(r) != len(columns)), len(rows))
+                fault = _BadRow(n, f"expected {len(columns)} fields") if n < len(rows) else None
+                while n:
+                    try:
+                        parsed = parse(Chunk(path, dict(zip(columns, zip(*rows[:n])))))
+                        break
+                    except _BadRow as exc:
+                        n, fault = exc.row, exc
+                if fault:
+                    raise DataError(f"{path}, line {_line_of(path, done + fault.row)}: "
+                                    f"{fault}") from fault
+                yield parsed
                 done += len(rows)
         except csv.Error as exc:
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
@@ -328,7 +347,7 @@ def _naive_micros(cells: Sequence[str]) -> np.ndarray:
     """``micros(_naive(raw))`` of every cell, as one int64 array. numpy's
     parse gives the microseconds when it yields fromisoformat's times
     without a warning (it reads some suffixes as time zones); otherwise
-    ``micros`` does."""
+    ``micros`` does, in about twice the time."""
     times = list(map(datetime.fromisoformat, cells))
     if any(t.tzinfo is not None for t in times):
         raise ValueError("a time with a UTC offset")
@@ -370,16 +389,18 @@ def read_payments(path: str | os.PathLike) -> Sessions:
     """Each block's paid sessions, as ``occupancy_model.session_arrays``. A
     session lasts ``timedelta(seconds=duration_s)`` (see
     ``_micros_of_seconds``) and must end by ``datetime.max``."""
-    codes: dict[str, int] = {}  # block id -> index, in order of first appearance
-    parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64))]
-    for chunk in read_columns(path, PAYMENT_COLUMNS):
+    def parse(chunk: Chunk) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         start = chunk.parse("start_iso8601", _naive, _naive_micros)
         seconds = chunk.parse("duration_s", partial(_real, positive=True),
                               partial(_reals, positive=True))
         end = start + _micros_of_seconds(np.minimum(seconds, _LONGEST_S))
         chunk.reject(end > _MAX_US, lambda row: (
             f"a session of {chunk.columns['duration_s'][row]} s ends after {datetime.max}"))
-        blocks = chunk.columns["block_id"]
+        return chunk.columns["block_id"], start, end
+
+    codes: dict[str, int] = {}  # block id -> index, in order of first appearance
+    parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64))]
+    for blocks, start, end in read_columns(path, PAYMENT_COLUMNS, parse):
         for block_id in dict.fromkeys(blocks):
             codes.setdefault(block_id, len(codes))
         parts.append((np.fromiter(map(codes.__getitem__, blocks), np.intp, len(blocks)),
@@ -399,13 +420,12 @@ def _survey_time(raw: str) -> datetime | None:
 
 
 def read_surveys(path: str | os.PathLike) -> list[SurveyRecord]:
-    records: list[SurveyRecord] = []
-    for chunk in read_columns(path, SURVEY_COLUMNS):
+    def parse(chunk: Chunk) -> list[SurveyRecord]:
         times = chunk.parse("timestamp_iso8601", _survey_time)
         free = [n > 0 for n in chunk.parse("free_spots", _count)]
-        records += map(SurveyRecord, chunk.columns["meter_id"], chunk.columns["block_id"],
-                       times, free)
-    return records
+        return list(map(SurveyRecord, chunk.columns["meter_id"], chunk.columns["block_id"],
+                        times, free))
+    return [r for records in read_columns(path, SURVEY_COLUMNS, parse) for r in records]
 
 
 def write_surveys(records: Sequence[SurveyRecord], path: str | os.PathLike) -> None:
@@ -468,14 +488,17 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
     its first to its last, whole weeks of them, and every lot the same
     number of weeks.
     """
-    by_lot: dict[str, list[tuple[int, float, list[int]]]] = {}
-    for chunk in read_columns(path, LOT_EVENT_COLUMNS):
+    def parse(chunk: Chunk) -> Iterator[tuple[str, int, float, list[int]]]:
         hours = chunk.parse("hour_iso8601", _hour_index)
         entries = chunk.parse("entries", lambda raw: float(_count(raw)))
         expiries = chunk.parse("paid_durations_s", _expiry_hours)
         chunk.reject(np.array([len(e) > n for e, n in zip(expiries, entries)]), lambda row: (
             f"{len(expiries[row])} paid durations for {chunk.columns['entries'][row]} entries"))
-        for lot_id, h, n, expiry in zip(chunk.columns["lot_id"], hours, entries, expiries):
+        return zip(chunk.columns["lot_id"], hours, entries, expiries)
+
+    by_lot: dict[str, list[tuple[int, float, list[int]]]] = {}
+    for events in read_columns(path, LOT_EVENT_COLUMNS, parse):
+        for lot_id, h, n, expiry in events:
             by_lot.setdefault(lot_id, []).append((h, n, [h + e for e in expiry]))
     if not by_lot:
         raise DataError(f"no lot event records in {path}")
@@ -519,16 +542,21 @@ def _rate(raw: str) -> float:
 
 def read_rates_csv(path: str | os.PathLike) -> LotRates:
     """Each lot's rates; the file needs a row for every (day, hour) of a lot."""
-    rates = {}
-    for chunk in read_columns(path, RATE_COLUMNS):
+    def parse(chunk: Chunk) -> dict[tuple[str, int, int], tuple[float, float]]:
         keys = zip(chunk.columns["lot_id"], chunk.parse("day_of_week", _day),
                    chunk.parse("hour", lambda raw: _check_hour(int(raw))))
         lams = zip(chunk.parse("lambda_a_per_hour", _rate),
                    chunk.parse("lambda_d_per_hour", _rate))
-        for key, lam in zip(keys, lams):
-            if key in rates:
-                raise DataError(f"duplicate rate row for {key} in {path}")
-            rates[key] = lam
+        fresh = {}
+        for row, (key, lam) in enumerate(zip(keys, lams)):
+            if key in rates or key in fresh:
+                raise chunk.error(row, f"duplicate rate row for {key}")
+            fresh[key] = lam
+        return fresh
+
+    rates: dict[tuple[str, int, int], tuple[float, float]] = {}
+    for fresh in read_columns(path, RATE_COLUMNS, parse):
+        rates.update(fresh)
     rows = Counter(lot_id for lot_id, _, _ in rates)
     partial_lots = sorted(lot_id for lot_id, n in rows.items() if n < WEEK_H)
     if partial_lots:
@@ -545,12 +573,14 @@ def write_rates_csv(rates: LotRates, path: str | os.PathLike) -> None:
 
 def read_samples_csv(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
     """The feature matrix and label vector of a samples file, in file order."""
-    labels, features = [np.empty(0, np.int64)], [np.empty((0, N_FEATURES))]
-    for chunk in read_columns(path, SAMPLE_COLUMNS):
-        labels.append(np.array(chunk.parse("available", _label), dtype=np.int64))
-        features.append(np.stack([chunk.parse(name, _real, _reals) for name in FEATURE_NAMES],
-                                 axis=1))
-    return np.concatenate(features), np.concatenate(labels)
+    def parse(chunk: Chunk) -> tuple[np.ndarray, np.ndarray]:
+        labels = np.array(chunk.parse("available", _label), dtype=np.int64)
+        return np.stack([chunk.parse(name, _real, _reals) for name in FEATURE_NAMES],
+                        axis=1), labels
+
+    parts = [(np.empty((0, N_FEATURES)), np.empty(0, np.int64))]
+    parts += read_columns(path, SAMPLE_COLUMNS, parse)
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def write_samples_csv(samples: Sequence[OccupancySample], features: np.ndarray,

@@ -628,6 +628,17 @@ def test_duplicate_block_hour_row_is_a_data_error(copied, capsys, name):
     assert name in err and "duplicate" in err
 
 
+def test_duplicate_row_before_bad_cell_is_named(copied, capsys):
+    def edit(rows):
+        rows.insert(2, list(rows[1]))
+        rows[-1][2] = "x"
+    edit_csv(copied / "out" / "availability.csv", edit)
+    code, err = run_stage(copied, "availability.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert "availability.csv, line 3: duplicate" in err
+
+
 @pytest.mark.parametrize("stage", ["ingest", "predict"])
 def test_payment_on_unknown_block_is_a_data_error(copied, capsys, stage):
     edit_csv(copied / "city" / "payments.csv", lambda rows: rows[1].__setitem__(0, "x"))

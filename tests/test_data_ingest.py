@@ -18,21 +18,20 @@ from hypothesis import strategies as st
 
 from parksim.data_ingest import (
     CHUNK_ROWS,
-    PAYMENT_COLUMNS,
-    PaymentRecord,
     LOT_EVENT_COLUMNS,
+    PAYMENT_COLUMNS,
     LotFlows,
     SmoothingConfig,
     SurveyRecord,
     SynthConfig,
     combine_surveys,
     estimate_rates,
+    read_columns,
     read_lot_events,
     read_lots,
     read_payments,
     read_rates_csv,
     read_samples_csv,
-    read_columns,
     read_surveys,
     smooth_departures,
     synth_generate,
@@ -527,13 +526,54 @@ class TestReadPayments:
                 [micros(datetime(2026, 3, 2, 8))] * (CHUNK_ROWS - 1) + [micros(start)])
 
 
+# A start one second before the last datetime, and a good payment row.
+LAST_START = (datetime.max - timedelta(seconds=1)).isoformat()
+GOOD = ["b", "2026-03-02T08:00:00", "60"]
+
+
+class TestFirstFaultyRow:
+    """A chunk is checked a column at a time; the earliest faulty row is
+    named all the same, whatever check finds it."""
+
+    @pytest.mark.parametrize("rows,fault", [
+        ([GOOD, ["b", "2026-03-02T08:00:00", "x"], GOOD, ["b", "nope", "60"]], "'x'"),
+        ([GOOD, ["b", LAST_START, "2"], GOOD, ["b", "nope", "60"]], "a session of 2 s"),
+        ([GOOD, ["b", "2026-03-02T08:00:00", "x"], GOOD, ["b", "2026-03-02T08:00:00"]],
+         "'x'"),
+        ([GOOD, ["b", "nope", "x"], GOOD, ["b", "nope", "60"]], "'nope'"),
+    ], ids=["bad_duration_before_bad_start", "late_end_before_bad_start",
+            "bad_duration_before_short_row", "two_bad_cells_in_one_row"])
+    def test_payments(self, tmp_path, rows, fault):
+        path = write_payment_rows(tmp_path / "p.csv", rows)
+        with pytest.raises(DataError, match=f"p.csv, line 3: .*{fault}"):
+            read_payments(path)
+
+    def test_faults_far_apart_in_a_later_chunk(self, tmp_path):
+        rows = [GOOD] * (CHUNK_ROWS + 5)
+        rows[CHUNK_ROWS + 3] = ["b", "nope", "60"]
+        rows[CHUNK_ROWS + 1] = ["b", "2026-03-02T08:00:00", "-1"]
+        path = write_payment_rows(tmp_path / "p.csv", rows)
+        with pytest.raises(DataError, match=f"p.csv, line {CHUNK_ROWS + 3}: "):
+            read_payments(path)
+
+    def test_rate_duplicate_before_bad_cell(self, tmp_path):
+        path = tmp_path / "rates.csv"
+        write_rates_csv({"lot1": np.ones((7, 24, 2))}, path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[2]
+        lines[6] = lines[6].rsplit(",", 1)[0] + ",-1.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="rates.csv, line 4: duplicate rate row"):
+            read_rates_csv(path)
+
+
 class TestTable:
     COLUMNS = ("name", "count")
 
     def read(self, path):
         """The (name, count) rows of a file, read a column at a time."""
-        return [row for chunk in read_columns(path, self.COLUMNS)
-                for row in zip(chunk.columns["name"], chunk.parse("count", int))]
+        return [row for rows in read_columns(path, self.COLUMNS, lambda chunk: list(
+                    zip(chunk.columns["name"], chunk.parse("count", int)))) for row in rows]
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -556,9 +596,10 @@ class TestTable:
         ("name,count\n" + "a,1\n" * (CHUNK_ROWS + 4) + "a,x\n", CHUNK_ROWS + 6),
         ('name,count\n"a\nb",1\nc,x\n', 4),
         ("name,count\na,1\n\nb,x\n", 4),
+        ("name,count\na,x\nb\n", 2),
     ], ids=["header", "empty", "short_row", "long_row", "bad_cell", "open_quote",
             "bad_cell_in_second_chunk", "bad_cell_after_quoted_newline",
-            "bad_cell_after_blank_line"])
+            "bad_cell_after_blank_line", "bad_cell_before_short_row"])
     def test_malformed_file_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "t.csv"
         path.write_text(text)
@@ -567,4 +608,4 @@ class TestTable:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
-            list(read_columns(tmp_path / "none.csv", self.COLUMNS))
+            self.read(tmp_path / "none.csv")
