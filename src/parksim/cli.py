@@ -5,13 +5,14 @@ it for quick experiments (--seed sets the seed of every section without its
 own). Stages communicate through files in the output directory, so each
 subcommand can also be run alone against intermediate results.
 
-Only ingest and predict read ``payments.csv``: ingest computes the four
-availability features of every survey sample and writes them into
-``samples.csv``, from which train and eval read their whole dataset, with
-no graph and no payments. Ingest also reads ``lot_events.csv`` into dense
-hourly arrays of each lot's entries and departures and averages them into
-the hourly Poisson rates of ``rates.csv``, a row for every (day of week,
-hour) of every lot, which sim-off samples.
+Only ingest and predict read ``payments.csv``: ingest combines the survey
+checks, read as columns, into one sample per (block, half-hour window),
+computes the four availability features of every sample and writes them
+into ``samples.csv``, from which train and eval read their whole dataset,
+with no graph and no payments. Ingest also reads ``lot_events.csv`` into
+dense hourly arrays of each lot's entries and departures and averages them
+into the hourly Poisson rates of ``rates.csv``, a row for every (day of
+week, hour) of every lot, which sim-off samples.
 
 The per-cell files ``availability.csv``, ``onstreet.csv``,
 ``offstreet.csv`` and ``diff.csv`` hold one row per (block, hour) of the
@@ -276,20 +277,20 @@ def stage_synth(cfg: RunConfig) -> None:
 def stage_ingest(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
     surveys_path = _require(cfg.surveys, "surveys")
-    surveys = read_surveys(surveys_path)
-    _check_known(surveys_path, "blocks", (r.block_id for r in surveys), g.edges)
-    combined = combine_surveys(surveys)
-    features, _ = build_dataset(combined.samples, _read_known_payments(cfg, g), g)
+    block_ids, times, free = read_surveys(surveys_path)
+    _check_known(surveys_path, "blocks", block_ids, g.edges)
+    samples, discarded = combine_surveys(block_ids, times, free)
+    features, _ = build_dataset(samples, _read_known_payments(cfg, g), g)
 
     flows = read_lot_events(_require(cfg.lot_events, "lot_events"))
     _read_known_lots(cfg, g, cfg.lot_events, flows.lot_ids)
     rates = estimate_rates(flows, cfg.smoothing)
 
-    write_samples_csv(combined.samples, features, cfg.out_dir / SAMPLES_FILE)
+    write_samples_csv(samples, features, cfg.out_dir / SAMPLES_FILE)
     write_rates_csv(rates, cfg.out_dir / RATES_FILE)
     _atomic_write(cfg.out_dir / INGEST_REPORT_FILE, json.dumps({
-        "samples": len(combined.samples),
-        "surveys_discarded": combined.discarded,
+        "samples": samples.labels.size,
+        "surveys_discarded": discarded,
         "lots": list(flows.lot_ids),
         "weeks": flows.weeks,
         "departures_outside_span": flows.departures_outside_span,

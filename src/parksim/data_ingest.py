@@ -4,11 +4,14 @@ Covers three jobs: collapsing meter-level occupancy surveys into
 block-level samples; reading lot entry records into dense hourly arrays,
 ``LotFlows``; and averaging those into hourly Poisson rates per day of
 week, ``LotRates``, after smoothing the artificial departure spikes that
-flat-rate boundaries create. A lot's arrays hold its entries and departures
-in every hour of its span, the whole weeks of consecutive hours from its
-first record. A car departs in the hour its paid time expires; one whose
-paid time expires at or after its span's end departs outside the span, and
-is counted, not binned. The synthetic generator emits a complete,
+flat-rate boundaries create. Surveys are columns from file to
+``samples.csv``: each check's block, its time in int64 microseconds from
+the naive epoch (MISSING_TIME where the cell is blank or whitespace) and
+whether a spot was free. A lot's arrays hold its entries and departures in
+every hour of its span, the whole weeks of consecutive hours from its first
+record. A car departs in the hour its paid time expires; one whose paid
+time expires at or after its span's end departs outside the span, and is
+counted, not binned. The synthetic generator emits a complete,
 schema-compatible city bundle (graph, payments, surveys, lots, lot events)
 plus the ground-truth availability used to validate everything downstream.
 
@@ -19,11 +22,12 @@ Every CSV file is read by one column reader, ``read_columns``, in chunks
 of CHUNK_ROWS rows, so a read never holds more than a chunk of text rows.
 Each reader parses a chunk a column at a time, with one numpy call where
 the column is large; the first faulty row is still named by file and
-line. Payment starts accept exactly ``datetime.fromisoformat``'s formats.
-A session ends ``timedelta(seconds=duration_s)`` after its start: the
-whole seconds exactly, plus the fraction times 1e6 rounded half to even
-(not ``rint(duration_s * 1e6)``, which is 1 us less for 3.0000005 s), and
-no later than ``datetime.max``.
+line. Time cells take exactly ``datetime.fromisoformat``'s formats (survey
+times once stripped). A session ends ``timedelta(seconds=duration_s)``
+after its start: the whole seconds exactly, plus the fraction times 1e6
+rounded half to even (not ``rint(duration_s * 1e6)``, 1 us less for
+3.0000005 s), and no later than ``datetime.max``. Paid lot durations round
+the same way and must be shorter than ``timedelta.max``.
 """
 
 from __future__ import annotations
@@ -46,15 +50,16 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .errors import DataError, check_fields
-from .occupancy_model import (_EPOCH, FEATURE_NAMES, N_FEATURES, OccupancySample, Sessions,
+from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples, Sessions,
                               feature_matrix, micros, session_arrays)
 from .offstreet_sim import DAYS_PER_WEEK, LotRates, LotSpec
 from .road_graph import (BlockFace, Intersection, RoadGraph, _atomic_write, _check_hour,
                          _json_int, build_graph, save_graph)
 
-HOUR = timedelta(hours=1)
 WEEK_H = 7 * 24
-SURVEY_WINDOW = timedelta(minutes=30)
+SURVEY_WINDOW_US = HOUR_US // 2
+# The check time of a survey row whose time cell is blank.
+MISSING_TIME = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -62,14 +67,6 @@ class PaymentRecord:
     block_id: str
     start: datetime
     duration_s: float
-
-
-@dataclass(frozen=True)
-class SurveyRecord:
-    meter_id: str
-    block_id: str
-    timestamp: datetime | None  # None: unusable check, will be discarded
-    free: bool
 
 
 @dataclass(frozen=True)
@@ -101,42 +98,28 @@ class SmoothingConfig:
             raise DataError("peak_hours must be hours of day")
 
 
-@dataclass(frozen=True)
-class SurveyCombination:
-    samples: tuple[OccupancySample, ...]
-    discarded: int  # records dropped for missing timestamps
-
-
 # -- surveys -------------------------------------------------------------------
 
-def combine_surveys(records: Iterable[SurveyRecord]) -> SurveyCombination:
-    """Collapse meter-level checks into one availability sample per
-    (block, half-hour window).
-
-    Records without timestamps are unusable and only counted. A block is
-    available in a window if any surveyed meter had a free spot; the sample
-    time is the window midpoint.
-    """
-    discarded = 0
-    groups: dict[tuple[str, datetime], int] = {}
-    for r in records:
-        if r.timestamp is None:
-            discarded += 1
-            continue
-        window = _window_start(r.timestamp)
-        key = (r.block_id, window)
-        groups[key] = max(groups.get(key, 0), int(r.free))
-    samples = tuple(
-        OccupancySample(block_id=block, time=window + SURVEY_WINDOW / 2,
-                        available=available)
-        for (block, window), available in sorted(groups.items())
-    )
-    return SurveyCombination(samples=samples, discarded=discarded)
-
-
-def _window_start(ts: datetime) -> datetime:
-    minute = 0 if ts.minute < 30 else 30
-    return ts.replace(minute=minute, second=0, microsecond=0)
+def combine_surveys(block_ids: Sequence[str], times: np.ndarray,
+                    free: np.ndarray) -> tuple[Samples, int]:
+    """One availability sample per (block, half-hour window) of meter
+    checks, sorted by block id, then window; and the number of checks at
+    MISSING_TIME, which are unusable and only counted. A block is available
+    in a window if any surveyed meter had a free spot; the sample time is
+    the window midpoint. The epoch is a midnight, so windows start on the
+    hour and half hour."""
+    times = np.asarray(times, dtype=np.int64)
+    usable = times != MISSING_TIME
+    names, block = np.unique(np.asarray(block_ids, dtype=object)[usable], return_inverse=True)
+    window = times[usable] // SURVEY_WINDOW_US
+    order = np.lexsort((window, block))
+    block, window = block[order], window[order]
+    # the first check of each (block, window) group; block ids count from 0
+    first = np.flatnonzero((np.diff(block, prepend=-1) != 0) | (np.diff(window, prepend=0) != 0))
+    labels = np.maximum.reduceat(np.asarray(free, dtype=bool)[usable][order], first)
+    midpoints = window[first] * SURVEY_WINDOW_US + SURVEY_WINDOW_US // 2
+    return (Samples(names[block[first]], midpoints, labels.astype(np.int64)),
+            int(np.count_nonzero(~usable)))
 
 
 # -- lot rates --------------------------------------------------------------------
@@ -201,6 +184,8 @@ _CELL_ERRORS = (DataError, ValueError, OverflowError)
 _MAX_US = micros(datetime.max)
 # Longer than the whole datetime range, and short enough for int64 microseconds.
 _LONGEST_S = 1e12
+# Paid durations must be shorter: as a float this is 1e9 days, past timedelta.max.
+_TIMEDELTA_MAX_S = timedelta.max.total_seconds()
 T = TypeVar("T")
 
 
@@ -229,16 +214,18 @@ class Chunk:
     path: str | os.PathLike
     columns: dict[str, tuple[str, ...]]
 
-    def parse(self, name: str, cell: Callable[[str], T],
+    def parse(self, name: str, cell: Callable[[str], T] | None = None,
               whole: Callable[[Sequence[str]], np.ndarray] | None = None) -> list[T] | np.ndarray:
         """Column ``name`` parsed by ``whole`` as one array or, without
         ``whole``, into a list by ``cell`` on each cell.
 
         ``whole`` must accept exactly the columns whose every cell ``cell``
-        accepts. When the parse fails, the first cell that ``cell`` rejects
-        is raised as a fault of its row.
+        accepts; by default ``cell`` parses a column of one cell with
+        ``whole``. When the parse fails, the first cell that ``cell``
+        rejects is raised as a fault of its row.
         """
         cells = self.columns[name]
+        cell = cell or (lambda raw: whole([raw]))
         try:
             return list(map(cell, cells)) if whole is None else whole(cells)
         except _CELL_ERRORS as exc:
@@ -332,7 +319,8 @@ def _reals(cells: Sequence[str], positive: bool = False) -> np.ndarray:
     if positive:
         ok &= values > 0
     if not ok.all():
-        raise ValueError("a number out of range")
+        raise ValueError(f"expected a finite{' positive' * positive} number, "
+                         f"got {cells[int(np.argmin(ok))]!r}")
     return values
 
 
@@ -419,22 +407,25 @@ def _survey_time(raw: str) -> datetime | None:
     return _naive(raw) if raw else None
 
 
-def read_surveys(path: str | os.PathLike) -> list[SurveyRecord]:
-    def parse(chunk: Chunk) -> list[SurveyRecord]:
-        times = chunk.parse("timestamp_iso8601", _survey_time)
-        free = [n > 0 for n in chunk.parse("free_spots", _count)]
-        return list(map(SurveyRecord, chunk.columns["meter_id"], chunk.columns["block_id"],
-                        times, free))
-    return [r for records in read_columns(path, SURVEY_COLUMNS, parse) for r in records]
+def _survey_micros(cells: Sequence[str]) -> np.ndarray:
+    """``_survey_time`` of every cell, in int64 microseconds; MISSING_TIME for None."""
+    cells = [raw.strip() for raw in cells]
+    times = np.full(len(cells), MISSING_TIME)
+    times[[bool(raw) for raw in cells]] = _naive_micros(list(filter(None, cells)))
+    return times
 
 
-def write_surveys(records: Sequence[SurveyRecord], path: str | os.PathLike) -> None:
-    """Write checks by block, then time (missing first), then meter."""
-    write_table(path, SURVEY_COLUMNS,
-                ([r.meter_id, r.block_id,
-                  r.timestamp.isoformat() if r.timestamp is not None else "", int(r.free)]
-                 for r in sorted(records, key=lambda r: (
-                     r.block_id, r.timestamp or datetime.min, r.meter_id))))
+def read_surveys(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every check's block id, time (int64 microseconds, MISSING_TIME where
+    the cell is blank) and whether a spot was free, in file order."""
+    def parse(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        times = chunk.parse("timestamp_iso8601", _survey_time, _survey_micros)
+        free = np.fromiter((n > 0 for n in chunk.parse("free_spots", _count)), bool)
+        return np.array(chunk.columns["block_id"], dtype=object), times, free
+
+    parts = [(np.empty(0, object), np.empty(0, np.int64), np.empty(0, bool))]
+    parts += read_columns(path, SURVEY_COLUMNS, parse)
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def read_lots(path: str | os.PathLike) -> list[LotSpec]:
@@ -462,21 +453,17 @@ def write_lots(lots: Sequence[LotSpec], path: str | os.PathLike) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
-def _hour_index(raw: str) -> int:
-    """Hours from the epoch to a time on the hour."""
-    hour = _naive(raw)
-    if hour.minute or hour.second or hour.microsecond:
-        raise ValueError(f"hour {raw!r} is not on the hour")
-    return (hour - _EPOCH) // HOUR
-
-
-def _expiry_hours(raw: str) -> list[int]:
-    """Whole hours from a car's entry hour to the expiry of each paid duration."""
-    blob = raw.strip()
-    paid = [_real(x) for x in blob.split(";")] if blob else []
-    if min(paid, default=0.0) < 0:
-        raise ValueError("paid durations must not be negative")
-    return [timedelta(seconds=s) // HOUR for s in paid]
+def _paid(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """How many ';'-separated paid durations each cell holds, and all of them
+    in one array: finite, non-negative seconds shorter than _TIMEDELTA_MAX_S."""
+    split = [blob.split(";") if (blob := raw.strip()) else [] for raw in cells]
+    tokens = [x for durations in split for x in durations]
+    seconds = _reals(tokens)
+    bad = (seconds < 0) | (seconds >= _TIMEDELTA_MAX_S)
+    if bad.any():
+        raise ValueError(f"paid durations must be non-negative and shorter than "
+                         f"{_TIMEDELTA_MAX_S:g} s, got {tokens[int(np.argmax(bad))]!r}")
+    return np.fromiter(map(len, split), np.intp, len(split)), seconds
 
 
 def read_lot_events(path: str | os.PathLike) -> LotFlows:
@@ -488,36 +475,40 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
     its first to its last, whole weeks of them, and every lot the same
     number of weeks.
     """
-    def parse(chunk: Chunk) -> Iterator[tuple[str, int, float, list[int]]]:
-        hours = chunk.parse("hour_iso8601", _hour_index)
-        entries = chunk.parse("entries", lambda raw: float(_count(raw)))
-        expiries = chunk.parse("paid_durations_s", _expiry_hours)
-        chunk.reject(np.array([len(e) > n for e, n in zip(expiries, entries)]), lambda row: (
-            f"{len(expiries[row])} paid durations for {chunk.columns['entries'][row]} entries"))
-        return zip(chunk.columns["lot_id"], hours, entries, expiries)
+    def parse(chunk: Chunk) -> tuple[np.ndarray, ...]:
+        hours, off = np.divmod(chunk.parse("hour_iso8601", _naive, _naive_micros), HOUR_US)
+        chunk.reject(off != 0, lambda row: (
+            f"hour {chunk.columns['hour_iso8601'][row]!r} is not on the hour"))
+        entries = np.array(chunk.parse("entries", lambda raw: float(_count(raw))))
+        n_paid, seconds = chunk.parse("paid_durations_s", whole=_paid)
+        chunk.reject(n_paid > entries, lambda row: (
+            f"{n_paid[row]} paid durations for {chunk.columns['entries'][row]} entries"))
+        # whole hours from each car's entry hour to the expiry of its paid time
+        expiry = np.repeat(hours, n_paid) + _micros_of_seconds(
+            np.minimum(seconds, _LONGEST_S)) // HOUR_US
+        return (np.array(chunk.columns["lot_id"], dtype=object), hours, entries, n_paid, expiry)
 
-    by_lot: dict[str, list[tuple[int, float, list[int]]]] = {}
-    for events in read_columns(path, LOT_EVENT_COLUMNS, parse):
-        for lot_id, h, n, expiry in events:
-            by_lot.setdefault(lot_id, []).append((h, n, [h + e for e in expiry]))
-    if not by_lot:
+    parts = list(read_columns(path, LOT_EVENT_COLUMNS, parse))
+    if not parts:
         raise DataError(f"no lot event records in {path}")
-    lot_ids = tuple(sorted(by_lot))
+    lot_of_row, hours, entered, n_paid, expiries = map(np.concatenate, zip(*parts))
+    names, lot = np.unique(lot_of_row, return_inverse=True)
+    lot_ids = tuple(names.tolist())
     weeks, starts, entries, departures, outside = {}, [], [], [], 0
-    for lot_id in lot_ids:
-        hours, counts, expiries = zip(*by_lot[lot_id])
-        seen = np.unique(hours)
+    for i, lot_id in enumerate(lot_ids):
+        rows = lot == i
+        seen = np.unique(hours[rows])
         gaps = seen[:-1][np.diff(seen) > 1] + 1  # the first missing hour of each gap
         if gaps.size:
-            raise DataError(f"{path}: lot {lot_id!r} hourly series incomplete; gaps at "
-                            f"{[(_EPOCH + h * HOUR).isoformat() for h in gaps[:8].tolist()]}")
+            shown = [(_EPOCH + timedelta(hours=h)).isoformat() for h in gaps[:8].tolist()]
+            raise DataError(f"{path}: lot {lot_id!r} hourly series incomplete; gaps at {shown}")
         if seen.size % WEEK_H:
             raise DataError(f"{path}: lot {lot_id!r} entry series does not span whole weeks")
         first, n = int(seen[0]), seen.size
-        expiry = np.array([e for row in expiries for e in row], dtype=np.int64) - first
+        expiry = expiries[np.repeat(rows, n_paid)] - first
         weeks[lot_id] = n // WEEK_H
-        starts.append(_EPOCH + first * HOUR)
-        entries.append(np.bincount(np.array(hours) - first, weights=counts, minlength=n))
+        starts.append(_EPOCH + timedelta(hours=first))
+        entries.append(np.bincount(hours[rows] - first, weights=entered[rows], minlength=n))
         departures.append(np.bincount(expiry[expiry < n], minlength=n).astype(float))
         outside += int(np.count_nonzero(expiry >= n))
     if len(set(weeks.values())) > 1:
@@ -583,12 +574,14 @@ def read_samples_csv(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
     return tuple(map(np.concatenate, zip(*parts)))
 
 
-def write_samples_csv(samples: Sequence[OccupancySample], features: np.ndarray,
-                      path: str | os.PathLike) -> None:
-    """One row per sample, in order: its block, time, label and features."""
+def write_samples_csv(samples: Samples, features: np.ndarray, path: str | os.PathLike) -> None:
+    """One row per sample, in order: its block, time to the second, label
+    and features."""
+    times = np.datetime_as_string(samples.times.astype("datetime64[us]"), unit="s")
     write_table(path, SAMPLE_COLUMNS,
-                ([s.block_id, s.time.isoformat(), s.available, *map(repr, x)]
-                 for s, x in zip(samples, features.tolist(), strict=True)))
+                ([block_id, t, label, *map(repr, x)] for block_id, t, label, x in zip(
+                    samples.block_ids, times.tolist(), samples.labels.tolist(),
+                    features.tolist(), strict=True)))
 
 
 # -- synthetic city ------------------------------------------------------------------
@@ -639,7 +632,6 @@ class SynthBundle:
     out_dir: Path
     graph: RoadGraph
     payments: tuple[PaymentRecord, ...]
-    surveys: tuple[SurveyRecord, ...]
     lots: tuple[LotSpec, ...]
     ground_truth: dict
 
@@ -755,8 +747,8 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
                                               start=_EPOCH + timedelta(seconds=start),
                                               duration_s=duration))
 
-    # meter-level surveys, some with missing timestamps
-    surveys: list[SurveyRecord] = []
+    # meter checks, some without a time: (block, time or datetime.min, meter, text, free)
+    surveys: list[tuple[str, datetime, str, str, int]] = []
     survey_truth: dict[str, dict[str, int]] = {}
     for plan in plans:
         face = plan.face
@@ -771,26 +763,25 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
                 minute = int(rng.integers(0, 60))
                 ts = datetime.combine(cfg.start_date + timedelta(days=day),
                                       time(hour, minute))
-                window = _window_start(ts)
+                window = ts.replace(minute=minute - minute % 30)
                 if window not in seen_windows:
                     seen_windows.add(window)
                     break
             else:
                 raise DataError("could not place survey visit in a fresh window")
-            active = int(feature_matrix(sessions, graph, [face.id], [ts])[0, 0])
+            active = int(feature_matrix(sessions, graph, [face.id], [micros(ts)])[0, 0])
             missing = rng.random() < cfg.survey_missing_fraction
             for i in range(face.meter_count):
-                surveys.append(SurveyRecord(
-                    meter_id=f"{face.id}:m{i}", block_id=face.id,
-                    timestamp=None if missing else ts,
-                    free=i >= active))
+                surveys.append((face.id, datetime.min if missing else ts, f"{face.id}:m{i}",
+                                "" if missing else ts.isoformat(), int(i >= active)))
             if not missing:
                 truth = survey_truth.setdefault(face.id, {})
                 truth[window.isoformat()] = int(active < face.meter_count)
 
     # ground truth availability at half past each hour, averaged over days
     hourly: dict[str, list[float]] = {}
-    times = [datetime.combine(cfg.start_date + timedelta(days=d), time(h, 30))
+    day0 = micros(datetime.combine(cfg.start_date, time()))
+    times = [day0 + (d * 24 + h) * HOUR_US + HOUR_US // 2
              for h in range(24) for d in range(cfg.days)]
     for plan in plans:
         face = plan.face
@@ -840,10 +831,13 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> S
 
     save_graph(graph, out / "graph.json")
     write_payments(payments, out / "payments.csv")
-    write_surveys(surveys, out / "surveys.csv")
+    # by block, then time (missing first), then meter; ties keep visit order
+    write_table(out / "surveys.csv", SURVEY_COLUMNS,
+                ([meter_id, block_id, text, free] for block_id, _, meter_id, text, free
+                 in sorted(surveys, key=lambda row: row[:3])))
     write_lots(list(lots), out / "lots.json")
     write_table(out / "lot_events.csv", LOT_EVENT_COLUMNS, sorted(events))
     _atomic_write(out / "ground_truth.json", json.dumps(ground_truth, sort_keys=True))
 
-    return SynthBundle(out_dir=out, graph=graph, payments=tuple(payments),
-                       surveys=tuple(surveys), lots=lots, ground_truth=ground_truth)
+    return SynthBundle(out_dir=out, graph=graph, payments=tuple(payments), lots=lots,
+                       ground_truth=ground_truth)

@@ -19,7 +19,8 @@ apart, at which they end, ``start + timedelta(seconds=duration_s)``. A
 session is active over the half-open [start, end), so the count active at
 ``t`` is the starts <= t less the ends <= t; popularity counts starts in
 the half-open [t - 3 h, t). ``feature_matrix`` computes both by binary
-search for any batch of (block, time) queries.
+search for any batch of (block, time) queries, times in int64 microseconds
+too; the epoch is a midnight, so a time ``t`` is at hour ``t // HOUR_US % 24``.
 
 Feature order is fixed: active paid sessions at the query time, paid
 sessions started in the preceding 3 hours, block length in meters, and
@@ -36,7 +37,7 @@ import os
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,17 +54,20 @@ BASELINE_DIMS = (N_FEATURES, N_CLASSES)
 # naive datetime arithmetic never consults the machine's time zone
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
-_WINDOW_US = timedelta(hours=3) // _MICROSECOND  # popularity window
+HOUR_US = timedelta(hours=1) // _MICROSECOND
+_WINDOW_US = 3 * HOUR_US  # popularity window
 MODEL_FORMAT_VERSION = 1
 # model file "kind" -> layer widths
 MODEL_KINDS = {"mlp": NETWORK_DIMS, "logistic": BASELINE_DIMS}
 
 
-@dataclass(frozen=True)
-class OccupancySample:
-    block_id: str
-    time: datetime
-    available: int  # 1 if at least one spot on the block was free
+class Samples(NamedTuple):
+    """Availability labels: ``labels[i]`` is 1 if block ``block_ids[i]`` had
+    a free spot at ``times[i]`` (int64 microseconds), else 0."""
+
+    block_ids: np.ndarray
+    times: np.ndarray
+    labels: np.ndarray
 
 
 # block id -> (sorted session starts, sorted session ends), int64 microseconds;
@@ -142,14 +146,15 @@ def session_arrays(block_ids: Sequence[str], block: np.ndarray, starts: np.ndarr
 
 
 def feature_matrix(sessions: Sessions, g: RoadGraph, blocks: Sequence[str],
-                   times: Sequence[datetime]) -> np.ndarray:
-    """Row ``i`` holds the features of block ``blocks[i]`` at ``times[i]``."""
+                   times: np.ndarray) -> np.ndarray:
+    """Row ``i`` holds the features of block ``blocks[i]`` at ``times[i]``,
+    in int64 microseconds."""
     try:
         pos = np.array([g.position[b] for b in blocks], dtype=np.intp)
     except KeyError as exc:
         raise DataError(f"unknown block id: {exc.args[0]!r}") from None
-    t = np.array([micros(x) for x in times], dtype=np.int64)
-    hours = np.array([x.hour for x in times], dtype=np.intp)
+    t = np.asarray(times, dtype=np.int64)
+    hours = t // HOUR_US % 24
     X = np.zeros((len(pos), N_FEATURES))
     for p in np.unique(pos):
         if g.block_ids[p] not in sessions:
@@ -164,14 +169,11 @@ def feature_matrix(sessions: Sessions, g: RoadGraph, blocks: Sequence[str],
     return X
 
 
-def build_dataset(samples: Sequence[OccupancySample], sessions: Sessions,
+def build_dataset(samples: Samples, sessions: Sessions,
                   g: RoadGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix and label vector for a collection of samples."""
-    X = feature_matrix(sessions, g, [s.block_id for s in samples],
-                       [s.time for s in samples])
-    labels = np.fromiter((s.available for s in samples), dtype=np.int64,
-                         count=len(samples))
-    return X, labels
+    """Feature matrix and label vector of the samples."""
+    return (feature_matrix(sessions, g, samples.block_ids, samples.times),
+            np.asarray(samples.labels, dtype=np.int64))
 
 
 # -- forward / loss / gradient -------------------------------------------------
@@ -360,10 +362,11 @@ def predict_block_probabilities(model, sessions: Sessions, g: RoadGraph,
     ``forward`` pass per metered cell. Blocks without meters get 0: there is
     nowhere to park, and the search simulator still needs an entry for them.
     """
-    times = [datetime.combine(on_date, time(_check_hour(hour), 30)) for hour in hours]
+    day = micros(datetime.combine(on_date, time()))
+    times = [day + _check_hour(hour) * HOUR_US + HOUR_US // 2 for hour in hours]
     metered = np.flatnonzero([g.edges[b].meter_count for b in g.block_ids])
     X = feature_matrix(sessions, g, [g.block_ids[j] for j in metered] * len(hours),
-                       [t for t in times for _ in metered])
+                       np.repeat(np.array(times, dtype=np.int64), metered.size))
     p = np.zeros((len(hours), len(g.block_ids)))
     p[:, metered] = np.reshape([forward(model, x)[0] for x in X], (len(hours), metered.size))
     return p

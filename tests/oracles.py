@@ -520,6 +520,29 @@ def left_gaussian_weights(sigma, span):
     return [r / total for r in raw]
 
 
+# -- survey samples by grouping checks in a dict --------------------------------
+
+def survey_samples(checks):
+    """One availability sample per (block, half-hour window) of meter checks.
+
+    ``checks`` are (block_id, timestamp or None, free) rows in any order.
+    Checks without a timestamp are unusable and only counted. A block is
+    available in a window if any check found a free spot; the sample time
+    is the window midpoint. Returns ([(block_id, midpoint, available)]
+    sorted by block, then window; the number of checks discarded).
+    """
+    discarded = 0
+    groups = {}
+    for block, ts, free in checks:
+        if ts is None:
+            discarded += 1
+            continue
+        window = ts.replace(minute=0 if ts.minute < 30 else 30, second=0, microsecond=0)
+        groups[(block, window)] = max(groups.get((block, window), 0), int(free))
+    return ([(block, window + timedelta(minutes=15), available)
+             for (block, window), available in sorted(groups.items())], discarded)
+
+
 # -- lot rates by scanning the event rows ---------------------------------------
 
 def lot_rates(events, peak_hours, sigma_h, span_h):

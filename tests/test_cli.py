@@ -732,18 +732,42 @@ def test_departures_outside_span_counts_every_late_car(run):
     assert report["departures_outside_span"] == outside
 
 
-def test_survey_time_with_utc_offset_is_a_data_error(copied, capsys):
+@pytest.mark.parametrize("every_row", [False, True], ids=["one_row", "every_row"])
+def test_survey_time_with_utc_offset_is_a_data_error(copied, capsys, every_row):
+    lines = []
+
     def add_offset(rows):
         column = rows[0].index("timestamp_iso8601")
-        for row in rows[1:]:
-            if row[column]:
-                row[column] += "+00:00"
+        timed = [i for i, row in enumerate(rows) if i and row[column]]
+        # one row: the last timed row, after hundreds of good ones
+        for i in timed if every_row else timed[-1:]:
+            rows[i][column] += "+00:00"
+        lines.append((timed if every_row else timed[-1:])[0] + 1)
 
     edit_csv(copied / "city" / "surveys.csv", add_offset)
     code, err = run_stage(copied, "surveys.csv", capsys)
     assert code == 3
     assert_one_line(err)
-    assert "surveys.csv, line " in err and "UTC offset" in err
+    assert f"surveys.csv, line {lines[0]}: " in err and "UTC offset" in err
+
+
+def test_survey_times_padded_with_spaces_read_as_unpadded(copied, capsys):
+    config = str(write_config(copied / "config.json", "city"))
+    assert main(["ingest", "--config", config]) == 0
+    expected = {name: (copied / "out" / name).read_bytes()
+                for name in ("samples.csv", "ingest.json")}
+
+    def pad(rows):
+        column = rows[0].index("timestamp_iso8601")
+        for row in rows[1:]:
+            row[column] = f"  {row[column]} " if row[column] else "   "
+
+    edit_csv(copied / "city" / "surveys.csv", pad)
+    assert main(["ingest", "--config", config]) == 0
+    assert capsys.readouterr().err == ""
+    for name, data in expected.items():
+        assert (copied / "out" / name).read_bytes() == data, name
+    assert json.loads(expected["ingest.json"])["surveys_discarded"] > 0
 
 
 @pytest.mark.parametrize("rows_with_offset", [slice(1, 2), slice(1, None)],

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -19,10 +20,11 @@ from hypothesis import strategies as st
 from parksim.data_ingest import (
     CHUNK_ROWS,
     LOT_EVENT_COLUMNS,
+    MISSING_TIME,
     PAYMENT_COLUMNS,
+    SURVEY_COLUMNS,
     LotFlows,
     SmoothingConfig,
-    SurveyRecord,
     SynthConfig,
     combine_surveys,
     estimate_rates,
@@ -44,7 +46,7 @@ from parksim.occupancy_model import build_dataset, micros
 from parksim.road_graph import load_graph
 
 from conftest import sessions_of
-from oracles import left_gaussian_weights, lot_rates
+from oracles import left_gaussian_weights, lot_rates, survey_samples
 
 D = date(2026, 3, 2)  # a Monday
 HOUR = timedelta(hours=1)
@@ -78,48 +80,83 @@ def departures_by_hour(flows, lot=0):
             for i, x in enumerate(flows.departures[lot].tolist()) if x}
 
 
+def combine(checks):
+    """``combine_surveys`` of (block_id, timestamp or None, free) checks."""
+    blocks, times, free = zip(*checks)
+    return combine_surveys(
+        blocks, np.array([MISSING_TIME if t is None else micros(t) for t in times]), free)
+
+
 class TestCombineSurveys:
     def test_any_free_meter_marks_block_available(self):
-        records = [
-            SurveyRecord("m1", "b1", dt(0, 10, 5), False),
-            SurveyRecord("m2", "b1", dt(0, 10, 10), False),
-            SurveyRecord("m3", "b1", dt(0, 10, 20), True),
-        ]
-        result = combine_surveys(records)
-        assert len(result.samples) == 1
-        sample = result.samples[0]
-        assert sample.available == 1
-        assert sample.time == dt(0, 10, 15)  # window midpoint
+        samples, _ = combine([("b1", dt(0, 10, 5), False), ("b1", dt(0, 10, 10), False),
+                              ("b1", dt(0, 10, 20), True)])
+        assert samples.labels.tolist() == [1]
+        assert samples.times.tolist() == [micros(dt(0, 10, 15))]  # window midpoint
 
     def test_missing_timestamps_discarded_and_counted(self):
-        records = [
-            SurveyRecord("m1", "b1", None, True),
-            SurveyRecord("m2", "b1", dt(0, 9, 40), False),
-        ]
-        result = combine_surveys(records)
-        assert result.discarded == 1
-        assert len(result.samples) == 1
-        assert result.samples[0].available == 0
+        samples, discarded = combine([("b1", None, True), ("b1", dt(0, 9, 40), False)])
+        assert discarded == 1
+        assert samples.labels.tolist() == [0]
 
     def test_windows_split_on_half_hours(self):
-        records = [
-            SurveyRecord("m1", "b1", dt(0, 10, 20), True),
-            SurveyRecord("m1", "b1", dt(0, 10, 40), False),
-        ]
-        result = combine_surveys(records)
-        assert len(result.samples) == 2
-        assert [s.available for s in result.samples] == [1, 0]
+        samples, _ = combine([("b1", dt(0, 10, 20), True), ("b1", dt(0, 10, 40), False)])
+        assert samples.labels.tolist() == [1, 0]
 
     def test_one_sample_per_block_window(self):
         rng = np.random.default_rng(4)
-        records = []
-        for _ in range(500):
-            block = f"b{rng.integers(4)}"
-            ts = dt(0, int(rng.integers(8, 18)), int(rng.integers(60)))
-            records.append(SurveyRecord("m", block, ts, bool(rng.integers(2))))
-        result = combine_surveys(records)
-        keys = [(s.block_id, s.time) for s in result.samples]
-        assert len(keys) == len(set(keys))
+        samples, _ = combine([(f"b{rng.integers(4)}",
+                               dt(0, int(rng.integers(8, 18)), int(rng.integers(60))),
+                               bool(rng.integers(2))) for _ in range(500)])
+        keys = list(zip(samples.block_ids.tolist(), samples.times.tolist()))
+        assert len(keys) == len(set(keys)) == samples.labels.size
+
+
+EPOCH = datetime(1970, 1, 1)
+# Check times on and next to window bounds, on dates before, at and after
+# the epoch.
+SURVEY_TIMES = st.builds(
+    lambda day, hour, at: datetime.combine(day, datetime.min.time()).replace(hour=hour, **at),
+    st.sampled_from([date(1, 1, 1), date(1969, 12, 31), date(1970, 1, 1), date(2026, 3, 2)]),
+    st.integers(0, 23),
+    st.one_of(st.sampled_from([{"minute": 29, "second": 59, "microsecond": 999_999},
+                               {"minute": 30}, {"minute": 0},
+                               {"minute": 59, "second": 59, "microsecond": 999_999}]),
+              st.fixed_dictionaries({"minute": st.integers(0, 59),
+                                     "second": st.integers(0, 59)})))
+# A time cell: blank, spaces only, or a time, maybe padded with spaces.
+TIME_CELLS = st.one_of(
+    st.sampled_from(["", " ", "   "]),
+    st.builds(lambda pad, t, sep: f"{pad}{t.isoformat(sep)}{pad[::-1]}",
+              st.sampled_from(["", " ", " \t"]), SURVEY_TIMES, st.sampled_from("T ")))
+
+
+@st.composite
+def survey_files(draw):
+    """Survey rows, (meter, block, time cell, free spots), shuffled: some
+    windows repeated, and sometimes more than a chunk of them."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(["a", "b", "b2", "é"]), TIME_CELLS,
+                                   st.integers(0, 2)), min_size=1, max_size=30))
+    copies = CHUNK_ROWS // len(rows) + 1 if draw(st.booleans()) else 1
+    rows = [(f"m{i}", block, cell, spots) for i, (block, cell, spots) in enumerate(rows * copies)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@settings(max_examples=60)
+@given(rows=survey_files())
+def test_read_and_combined_surveys_equal_the_grouping_oracle(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "property_surveys.csv"
+    write_table(path, SURVEY_COLUMNS, rows)
+    samples, discarded = combine_surveys(*read_surveys(path))
+    expected, expected_discarded = survey_samples(
+        (block, datetime.fromisoformat(cell.strip()) if cell.strip() else None, spots > 0)
+        for _, block, cell, spots in rows)
+    assert discarded == expected_discarded
+    assert samples.block_ids.tolist() == [block for block, _, _ in expected]
+    assert samples.times.tolist() == [(t - EPOCH) // timedelta(microseconds=1)
+                                      for _, t, _ in expected]
+    assert samples.labels.tolist() == [available for _, _, available in expected]
 
 
 class TestDeriveDepartures:
@@ -155,11 +192,23 @@ class TestDeriveDepartures:
 class TestReadLotEvents:
     def test_departures_at_or_after_the_span_end_are_counted_outside(self, tmp_path):
         # the span ends at Monday 00:00 of the second week
-        events = [("lot1", dt(6, 23), 4, (3599.0, 3600.0, 7200.0, 86400.0 * 30))]
+        # 5e13 s is beyond the datetime range, and shorter than timedelta.max
+        events = [("lot1", dt(6, 23), 5, (3599.0, 3600.0, 7200.0, 86400.0 * 30, 5e13))]
         flows = read_lot_events(write_lot_events(tmp_path / "e.csv", week_of(events)))
         assert departures_by_hour(flows) == {dt(6, 23): 1.0}
-        assert flows.departures_outside_span == 3
+        assert flows.departures_outside_span == 4
         assert (flows.weeks, flows.starts) == (1, (dt(0, 0),))
+
+    @pytest.mark.parametrize("seconds", [math.nextafter(86400e9, 0), 86400e9, 1e300])
+    def test_durations_are_those_timedelta_holds(self, tmp_path, seconds):
+        path = write_lot_events(tmp_path / "e.csv", week_of([("lot1", dt(0, 9), 1, (seconds,))]))
+        try:
+            timedelta(seconds=seconds)
+        except OverflowError:
+            with pytest.raises(DataError, match=f"e.csv, line {7 * 24 + 2}: "):
+                read_lot_events(path)
+        else:
+            assert read_lot_events(path).departures_outside_span == 1
 
     def test_span_of_whole_weeks_required(self, tmp_path):
         path = write_lot_events(tmp_path / "e.csv", week_of([])[:-1])
@@ -392,23 +441,19 @@ class TestSynthGenerate:
 
     def test_surveys_agree_with_recorded_ground_truth(self, bundle):
         truth = bundle.ground_truth["survey_truth"]
-        combined = combine_surveys(bundle.surveys)
-        assert combined.samples
-        checked = 0
-        for s in combined.samples:
-            window = (s.time - timedelta(minutes=15)).isoformat()
-            assert truth[s.block_id][window] == s.available
-            checked += 1
-        total_truth = sum(len(v) for v in truth.values())
-        assert checked == total_truth
+        samples, _ = combine_surveys(*read_surveys(bundle.out_dir / "surveys.csv"))
+        assert samples.labels.size
+        for block_id, t, available in zip(samples.block_ids, samples.times.tolist(),
+                                          samples.labels.tolist()):
+            window = EPOCH + timedelta(microseconds=t) - timedelta(minutes=15)
+            assert truth[block_id][window.isoformat()] == available
+        assert samples.labels.size == sum(len(v) for v in truth.values())
 
     def test_survey_missingness_visit_level(self, bundle):
         # a visit either keeps all its meter rows or loses all timestamps
-        by_key: dict[tuple[str, str], set[bool]] = {}
-        blank_runs: dict[str, int] = {}
-        for r in bundle.surveys:
-            if r.timestamp is None:
-                blank_runs[r.block_id] = blank_runs.get(r.block_id, 0) + 1
+        block_ids, times, _ = read_surveys(bundle.out_dir / "surveys.csv")
+        blank_runs = Counter(block_ids[times == MISSING_TIME].tolist())
+        assert blank_runs
         meters = 5
         assert all(count % meters == 0 for count in blank_runs.values())
 
@@ -439,14 +484,14 @@ class TestSynthGenerate:
             {k: v.tolist() for k, v in rates.items()}
 
     def test_samples_csv_round_trip(self, bundle, tmp_path):
-        combined = combine_surveys(bundle.surveys)
+        samples, _ = combine_surveys(*read_surveys(bundle.out_dir / "surveys.csv"))
         g = load_graph(bundle.out_dir / "graph.json")
-        X, y = build_dataset(combined.samples, read_payments(bundle.out_dir / "payments.csv"), g)
+        X, y = build_dataset(samples, read_payments(bundle.out_dir / "payments.csv"), g)
         path = tmp_path / "samples.csv"
-        write_samples_csv(combined.samples, X, path)
+        write_samples_csv(samples, X, path)
         X2, y2 = read_samples_csv(path)
         assert np.array_equal(X2, X) and np.array_equal(y2, y)
-        assert y.tolist() == [s.available for s in combined.samples]
+        assert y.tolist() == samples.labels.tolist()
 
 
 def write_payment_rows(path, rows):

@@ -19,7 +19,7 @@ from parksim.occupancy_model import (
     NETWORK_DIMS,
     EvalReport,
     Network,
-    OccupancySample,
+    Samples,
     TrainConfig,
     build_dataset,
     feature_matrix,
@@ -27,6 +27,7 @@ from parksim.occupancy_model import (
     gradient,
     load_model,
     loss,
+    micros,
     predict_block_probabilities,
     save_model,
     train,
@@ -56,7 +57,7 @@ def random_model(rng: np.random.Generator, scale=0.7, dims=NETWORK_DIMS) -> Netw
 
 def features_at(payments, block_id, t, g):
     """One row of the bulk feature function, as a tuple."""
-    return tuple(feature_matrix(sessions_of(payments), g, [block_id], [t])[0])
+    return tuple(feature_matrix(sessions_of(payments), g, [block_id], [micros(t)])[0])
 
 
 class TestExtractFeatures:
@@ -89,7 +90,7 @@ class TestExtractFeatures:
     def test_unknown_block(self):
         g = line_graph()
         with pytest.raises(DataError):
-            feature_matrix({}, g, ["missing"], [T0])
+            feature_matrix({}, g, ["missing"], [micros(T0)])
 
 
 # A payment placed relative to the query time t: (kind, microseconds, paid
@@ -129,7 +130,8 @@ def test_read_payments_features_equal_the_scanning_oracle(tmp_path_factory, paym
     write_table(path, PAYMENT_COLUMNS,
                 ([r.block_id, r.start.isoformat(), repr(r.duration_s)] for r in records))
     queries = [(block, t + off * US) for off in [0, *offsets] for block in ("e0", "e1", "e2")]
-    X = feature_matrix(read_payments(path), g, *zip(*queries))
+    blocks, times = zip(*queries)
+    X = feature_matrix(read_payments(path), g, blocks, list(map(micros, times)))
     for row, (block, when) in zip(X, queries):
         assert tuple(row) == extract_features(records, block, when, g)
 
@@ -302,12 +304,16 @@ def build_city_samples(rng, n, rule, *, noise=0.0):
         label = int(rng.random() < raw) if isinstance(raw, float) else int(raw)
         if noise and rng.random() < noise:
             label = 1 - label
-        samples.append(OccupancySample(block, t, label))
+        samples.append((block, t, label))
     return g, payments, samples
 
 
 def dataset(g, payments, samples):
-    return build_dataset(samples, sessions_of(payments), g)
+    """Features and labels of (block, time, label) samples."""
+    blocks, times, labels = zip(*samples)
+    return build_dataset(Samples(np.array(blocks, dtype=object),
+                                 np.array(list(map(micros, times)), dtype=np.int64),
+                                 np.array(labels)), sessions_of(payments), g)
 
 
 def city_dataset(rng, n, rule, *, noise=0.0):
@@ -381,13 +387,11 @@ class TestTrain:
         # find a sample that the documented protocol places in validation
         perm = np.random.default_rng(cfg.seed).permutation(len(samples))
         val_pos = int(perm[0])
-        outlier = OccupancySample(samples[val_pos].block_id,
-                                  samples[val_pos].time + timedelta(minutes=1),
-                                  samples[val_pos].available)
+        block, t, label = samples[val_pos]
         mutated = list(samples)
-        mutated[val_pos] = outlier
+        mutated[val_pos] = (block, t + timedelta(minutes=1), label)
         # pile sessions onto the outlier's block so its features explode
-        extra = [PaymentRecord(outlier.block_id, outlier.time - timedelta(seconds=9 * k), 1200.0)
+        extra = [PaymentRecord(block, t + timedelta(minutes=1, seconds=-9 * k), 1200.0)
                  for k in range(40)]
         model2, _ = train(*dataset(g, payments + extra, mutated), cfg)
         assert np.array_equal(model.feature_mean, model2.feature_mean)
