@@ -46,7 +46,6 @@ import numpy as np
 from .data_ingest import (
     Chunk,
     SmoothingConfig,
-    SynthConfig,
     _atomic_write,
     _count,
     _real,
@@ -59,7 +58,6 @@ from .data_ingest import (
     read_rates_csv,
     read_samples_csv,
     read_surveys,
-    synth_generate,
     write_rates_csv,
     write_samples_csv,
     write_table,
@@ -79,6 +77,7 @@ from .occupancy_model import (
 from .offstreet_sim import LotSimConfig, LotSpec, estimate_offstreet_time
 from .onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from .road_graph import RoadGraph, _check_hour, load_graph
+from .synth import SynthConfig, synth_generate
 
 SAMPLES_FILE = "samples.csv"
 RATES_FILE = "rates.csv"
@@ -177,11 +176,6 @@ def load_run_config(path: str, *, seed_override: int | None = None,
 
         synth_raw = dict(raw.get("synth", {}))
         smoothing_raw = dict(raw.get("smoothing", {}))
-        if "start_date" in synth_raw:
-            try:
-                synth_raw["start_date"] = date.fromisoformat(str(synth_raw["start_date"]))
-            except ValueError as exc:
-                raise ConfigError(f"bad synth.start_date: {exc}") from exc
         # a JSON list stands for a tuple; the section rejects anything else
         for section, key in ((synth_raw, "lot_nodes"), (smoothing_raw, "peak_hours")):
             if isinstance(section.get(key), list):

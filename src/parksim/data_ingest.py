@@ -1,4 +1,4 @@
-"""Raw-data ingestion and the synthetic city generator.
+"""Raw-data ingestion.
 
 Covers three jobs: collapsing meter-level occupancy surveys into
 block-level samples; reading lot entry records into dense hourly arrays,
@@ -11,9 +11,7 @@ whether a spot was free. A lot's arrays hold its entries and departures in
 every hour of its span, the whole weeks of consecutive hours from its first
 record. A car departs in the hour its paid time expires; one whose paid
 time expires at or after its span's end departs outside the span, and is
-counted, not binned. The synthetic generator emits a complete,
-schema-compatible city bundle (graph, payments, surveys, lots, lot events)
-plus the ground-truth availability used to validate everything downstream.
+counted, not binned.
 
 Timestamps are naive local time throughout; CSV columns carry ISO 8601,
 and a timestamp with a UTC offset is malformed.
@@ -41,32 +39,24 @@ import statistics
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from datetime import datetime, timedelta
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import DataError, check_fields
 from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples, Sessions,
-                              feature_matrix, micros, session_arrays)
+                              micros, session_arrays)
 from .offstreet_sim import DAYS_PER_WEEK, LotRates, LotSpec
-from .road_graph import (BlockFace, Intersection, RoadGraph, _atomic_write, _check_hour,
-                         _json_int, build_graph, save_graph)
+from .road_graph import _atomic_write, _check_hour, _json_int
 
 WEEK_H = 7 * 24
 SURVEY_WINDOW_US = HOUR_US // 2
 # The check time of a survey row whose time cell is blank.
 MISSING_TIME = np.iinfo(np.int64).min
-
-
-@dataclass(frozen=True)
-class PaymentRecord:
-    block_id: str
-    start: datetime
-    duration_s: float
 
 
 @dataclass(frozen=True)
@@ -396,10 +386,18 @@ def read_payments(path: str | os.PathLike) -> Sessions:
     return session_arrays(list(codes), *map(np.concatenate, zip(*parts)))
 
 
-def write_payments(records: Sequence[PaymentRecord], path: str | os.PathLike) -> None:
-    write_table(path, PAYMENT_COLUMNS,
-                ([r.block_id, r.start.isoformat(), int(r.duration_s)] for r in
-                 sorted(records, key=lambda r: (r.block_id, r.start, r.duration_s))))
+def write_payments(payments: Mapping[str, tuple[np.ndarray, np.ndarray]],
+                   path: str | os.PathLike) -> None:
+    """One row per session, by block id, then start, then duration: each
+    block's session starts, in whole seconds from the epoch, and paid whole
+    seconds, as two int64 arrays."""
+    rows: list[tuple[str, str, int]] = []
+    for block_id in sorted(payments):
+        start_s, paid_s = payments[block_id]
+        order = np.lexsort((paid_s, start_s))
+        starts = np.datetime_as_string(start_s[order].astype("datetime64[s]"), unit="s")
+        rows += zip([block_id] * order.size, starts.tolist(), paid_s[order].tolist())
+    write_table(path, PAYMENT_COLUMNS, rows)
 
 
 def _survey_time(raw: str) -> datetime | None:
@@ -582,262 +580,3 @@ def write_samples_csv(samples: Samples, features: np.ndarray, path: str | os.Pat
                 ([block_id, t, label, *map(repr, x)] for block_id, t, label, x in zip(
                     samples.block_ids, times.tolist(), samples.labels.tolist(),
                     features.tolist(), strict=True)))
-
-
-# -- synthetic city ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for the synthetic city: a square grid with demand and
-    congestion concentrated at the center and one or more off-street lots.
-
-    ``days`` must cover whole weeks so lot rates can be estimated. The
-    observed fraction mimics seeing a single payment channel only.
-    """
-
-    grid_n: int = 6
-    block_length_m: float = 100.0
-    meters_per_block: int = 5
-    unmetered_fraction: float = 0.12
-    drive_speed_mps: float = 8.0
-    walk_speed_mps: float = 1.4
-    days: int = 14
-    start_date: date = date(2026, 3, 2)  # a Monday
-    observed_fraction: float = 0.6
-    surveys_per_block: int = 8
-    survey_missing_fraction: float = 0.15
-    lot_capacity: int = 40
-    lot_nodes: tuple[str, ...] = ()  # empty: one lot at the central node
-    flat_rate_end_hour: int = 18
-    demand_scale: float = 1.0
-
-    def __post_init__(self):
-        check_fields(self, positive=("block_length_m", "drive_speed_mps", "walk_speed_mps"),
-                     at_least={"grid_n": 2, "days": 7, "meters_per_block": 1,
-                               "lot_capacity": 1, "demand_scale": 0})
-        if self.days % 7:
-            raise DataError("days must be a positive multiple of 7")
-        if not 0.0 <= self.unmetered_fraction <= 1.0:
-            raise DataError("unmetered_fraction must be in [0, 1]")
-        if not 0.0 < self.observed_fraction <= 1.0:
-            raise DataError("observed_fraction must be in (0, 1]")
-        if not 0.0 <= self.survey_missing_fraction < 1.0:
-            raise DataError("survey_missing_fraction must be in [0, 1)")
-        if not 0 <= self.flat_rate_end_hour <= 23:
-            raise DataError("flat_rate_end_hour must be an hour of day")
-
-
-@dataclass(frozen=True)
-class SynthBundle:
-    out_dir: Path
-    graph: RoadGraph
-    payments: tuple[PaymentRecord, ...]
-    lots: tuple[LotSpec, ...]
-    ground_truth: dict
-
-
-BUNDLE_FILES = ("graph.json", "payments.csv", "surveys.csv", "lots.json",
-                "lot_events.csv", "ground_truth.json")
-
-
-def _hour_shape(h: int) -> float:
-    """Business-hours demand bump peaking early afternoon."""
-    return math.exp(-((h - 13.5) / 3.5) ** 2)
-
-
-def _lot_shape(h: int) -> float:
-    return math.exp(-((h - 11.0) / 3.2) ** 2)
-
-
-@dataclass
-class _FacePlan:
-    face: BlockFace
-    centrality: float  # 1 at the grid center, 0 at the far corners
-
-
-def _grid_faces(cfg: SynthConfig, rng: np.random.Generator):
-    n = cfg.grid_n
-    nodes = [Intersection(f"n{r}_{c}", 49.26 + r * 9e-4, -123.13 + c * 1.3e-3)
-             for r in range(n) for c in range(n)]
-    center = (n - 1) / 2.0
-    max_dist = math.hypot(center, center)
-    plans: list[_FacePlan] = []
-    for r in range(n):
-        for c in range(n):
-            segments = []
-            if c + 1 < n:
-                segments.append((f"h{r}_{c}", (r, c), (r, c + 1), "E", "W"))
-            if r + 1 < n:
-                segments.append((f"v{r}_{c}", (r, c), (r + 1, c), "S", "N"))
-            for base_id, a, b, fwd, rev in segments:
-                length = cfg.block_length_m * float(rng.uniform(0.85, 1.25))
-                mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-                centrality = 1.0 - math.hypot(mid[0] - center, mid[1] - center) / max_dist
-                walk = length / cfg.walk_speed_mps
-                base_drive = length / cfg.drive_speed_mps
-                drive = tuple(
-                    base_drive * (1.0 + (0.25 + 1.55 * centrality) * _hour_shape(h))
-                    for h in range(24))
-                for tag, (u, v) in ((fwd, (a, b)), (rev, (b, a))):
-                    metered = rng.random() >= cfg.unmetered_fraction
-                    face = BlockFace(
-                        id=f"{base_id}{tag}",
-                        from_node=f"n{u[0]}_{u[1]}", to_node=f"n{v[0]}_{v[1]}",
-                        length_m=length,
-                        meter_count=cfg.meters_per_block if metered else 0,
-                        walk_time_s=walk, drive_time_s=drive)
-                    plans.append(_FacePlan(face=face, centrality=centrality))
-    return nodes, plans
-
-
-def _generate_sessions(plan: _FacePlan, cfg: SynthConfig,
-                       rng: np.random.Generator) -> list[tuple[float, float]]:
-    """Admitted (start_epoch, duration) pairs in start order, capped at the
-    meter count."""
-    candidates: list[tuple[float, float]] = []
-    day0 = (datetime.combine(cfg.start_date, time(0, 0)) - _EPOCH).total_seconds()
-    pressure_base = 0.25 + 1.15 * plan.centrality
-    for day in range(cfg.days):
-        for h in range(24):
-            offered = (plan.face.meter_count * pressure_base
-                       * (0.10 + 1.15 * _hour_shape(h)) * cfg.demand_scale)
-            for _ in range(int(rng.poisson(offered))):
-                start = day0 + day * 86_400 + h * 3600 + float(rng.integers(0, 3600))
-                duration = min(max(rng.lognormal(math.log(3300.0), 0.55), 600.0),
-                               4 * 3600.0)
-                candidates.append((start, round(duration / 60.0) * 60.0))
-    candidates.sort()
-    admitted: list[tuple[float, float]] = []
-    active_ends: list[float] = []
-    for start, duration in candidates:
-        active_ends = [e for e in active_ends if e > start]
-        if len(active_ends) < plan.face.meter_count:
-            admitted.append((start, duration))
-            active_ends.append(start + duration)
-    return admitted
-
-
-def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> SynthBundle:
-    """Write a deterministic synthetic city bundle into ``out_dir``.
-
-    The bundle reproduces the external file schemas exactly. The recorded
-    ground truth holds, per block, the availability at half past each hour
-    averaged over days, plus the exact availability at each usable survey
-    window for end-to-end checks.
-    """
-    rng = np.random.default_rng(int(seed))
-    out = Path(out_dir)
-
-    nodes, plans = _grid_faces(cfg, rng)
-    graph = build_graph(nodes, [p.face for p in plans])
-
-    # paid sessions, all of which set the availability, and those observed
-    sessions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    payments: list[PaymentRecord] = []
-    for plan in plans:
-        if plan.face.meter_count == 0:
-            continue
-        admitted = _generate_sessions(plan, cfg, rng)
-        # whole seconds from the epoch, so the microseconds are exact
-        start_us, paid_us = (np.array(admitted).reshape(-1, 2) * 1e6).astype(np.int64).T
-        sessions[plan.face.id] = (start_us, np.sort(start_us + paid_us))
-        for start, duration in admitted:
-            if rng.random() < cfg.observed_fraction:
-                payments.append(PaymentRecord(block_id=plan.face.id,
-                                              start=_EPOCH + timedelta(seconds=start),
-                                              duration_s=duration))
-
-    # meter checks, some without a time: (block, time or datetime.min, meter, text, free)
-    surveys: list[tuple[str, datetime, str, str, int]] = []
-    survey_truth: dict[str, dict[str, int]] = {}
-    for plan in plans:
-        face = plan.face
-        if face.meter_count == 0:
-            continue
-        seen_windows: set[datetime] = set()
-        for visit in range(cfg.surveys_per_block):
-            morning = visit < cfg.surveys_per_block // 2
-            for _ in range(100):
-                day = int(rng.integers(0, cfg.days))
-                hour = int(rng.integers(9, 12)) if morning else int(rng.integers(13, 17))
-                minute = int(rng.integers(0, 60))
-                ts = datetime.combine(cfg.start_date + timedelta(days=day),
-                                      time(hour, minute))
-                window = ts.replace(minute=minute - minute % 30)
-                if window not in seen_windows:
-                    seen_windows.add(window)
-                    break
-            else:
-                raise DataError("could not place survey visit in a fresh window")
-            active = int(feature_matrix(sessions, graph, [face.id], [micros(ts)])[0, 0])
-            missing = rng.random() < cfg.survey_missing_fraction
-            for i in range(face.meter_count):
-                surveys.append((face.id, datetime.min if missing else ts, f"{face.id}:m{i}",
-                                "" if missing else ts.isoformat(), int(i >= active)))
-            if not missing:
-                truth = survey_truth.setdefault(face.id, {})
-                truth[window.isoformat()] = int(active < face.meter_count)
-
-    # ground truth availability at half past each hour, averaged over days
-    hourly: dict[str, list[float]] = {}
-    day0 = micros(datetime.combine(cfg.start_date, time()))
-    times = [day0 + (d * 24 + h) * HOUR_US + HOUR_US // 2
-             for h in range(24) for d in range(cfg.days)]
-    for plan in plans:
-        face = plan.face
-        if face.meter_count == 0:
-            hourly[face.id] = [0.0] * 24
-            continue
-        active = feature_matrix(sessions, graph, [face.id] * len(times), times)[:, 0]
-        free_days = (active < face.meter_count).reshape(24, cfg.days).sum(axis=1)
-        hourly[face.id] = [int(n) / cfg.days for n in free_days]
-
-    # lots and their hourly entry records
-    lot_nodes = cfg.lot_nodes or (f"n{(cfg.grid_n - 1) // 2}_{(cfg.grid_n - 1) // 2}",)
-    lots = tuple(LotSpec(id=f"lot{i + 1}", node=node, capacity=cfg.lot_capacity)
-                 for i, node in enumerate(lot_nodes))
-    for lot in lots:
-        if lot.node not in graph.nodes:
-            raise DataError(f"lot node {lot.node!r} not in the generated grid")
-
-    duration_choices = [3600.0, 7200.0, 10800.0, 14400.0]
-    duration_weights = [0.35, 0.30, 0.20, 0.15]
-    events: list[list] = []
-    for lot in lots:
-        scale = lot.capacity / 3.0
-        for day in range(cfg.days):
-            weekend = (cfg.start_date + timedelta(days=day)).weekday() >= 5
-            for h in range(24):
-                mean_entries = scale * (0.04 + _lot_shape(h)) * (0.55 if weekend else 1.0)
-                entries = int(rng.poisson(mean_entries))
-                recorded = int(rng.binomial(entries, 0.95)) if entries else 0
-                durations = []
-                for _ in range(recorded):
-                    if h < cfg.flat_rate_end_hour and rng.random() < 0.30:
-                        durations.append((cfg.flat_rate_end_hour - h) * 3600.0)
-                    else:
-                        durations.append(duration_choices[
-                            int(rng.choice(4, p=duration_weights))])
-                hour = datetime.combine(cfg.start_date + timedelta(days=day), time(h, 0))
-                events.append([lot.id, hour.isoformat(), entries,
-                               ";".join(str(int(d)) for d in durations)])
-
-    ground_truth = {
-        "format_version": 1,
-        "hourly_availability": {k: hourly[k] for k in sorted(hourly)},
-        "survey_truth": {k: dict(sorted(survey_truth[k].items()))
-                         for k in sorted(survey_truth)},
-    }
-
-    save_graph(graph, out / "graph.json")
-    write_payments(payments, out / "payments.csv")
-    # by block, then time (missing first), then meter; ties keep visit order
-    write_table(out / "surveys.csv", SURVEY_COLUMNS,
-                ([meter_id, block_id, text, free] for block_id, _, meter_id, text, free
-                 in sorted(surveys, key=lambda row: row[:3])))
-    write_lots(list(lots), out / "lots.json")
-    write_table(out / "lot_events.csv", LOT_EVENT_COLUMNS, sorted(events))
-    _atomic_write(out / "ground_truth.json", json.dumps(ground_truth, sort_keys=True))
-
-    return SynthBundle(out_dir=out, graph=graph, payments=tuple(payments), lots=lots,
-                       ground_truth=ground_truth)

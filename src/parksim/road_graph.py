@@ -68,8 +68,7 @@ def _derived():
 class RoadGraph:
     """Validated, immutable road network.
 
-    ``adjacency`` maps each node to its outgoing block-face ids sorted by
-    id. The other fields are dense integer views that ``build_graph``
+    The fields after ``edges`` are dense integer views that ``build_graph``
     derives and that stay out of ``==`` and ``repr``. Blocks are numbered
     in ``block_ids`` order and nodes in sorted id order (``node_position``).
 
@@ -86,7 +85,6 @@ class RoadGraph:
 
     nodes: dict[str, Intersection]
     edges: dict[str, BlockFace]
-    adjacency: dict[str, tuple[str, ...]]
     block_ids: tuple[str, ...] = _derived()
     position: dict[str, int] = _derived()
     node_position: dict[str, int] = _derived()
@@ -166,19 +164,18 @@ def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> Ro
 
     _check_weakly_connected(node_map, walk_lists)
 
-    adjacency = {nid: tuple(sorted(ids)) for nid, ids in out_lists.items()}
     block_ids = tuple(sorted(edge_map))
     position = {block: i for i, block in enumerate(block_ids)}
     node_position = {nid: j for j, nid in enumerate(sorted(node_map))}
     blocks = [edge_map[b] for b in block_ids]
     node_of = [node_position[e.to_node] for e in blocks]
-    outs = [[position[b] for b in adjacency[nid]] for nid in sorted(node_map)]
+    outs = [sorted(position[b] for b in out_lists[nid]) for nid in sorted(node_map)]
     next_blocks = _padded([outs[j] for j in node_of])
     out_degree = np.array([len(outs[j]) for j in node_of])
     walk = [sorted((position[eid], node_position[other]) for eid, other in walk_lists[nid])
             for nid in sorted(node_map)]
     return RoadGraph(
-        nodes=node_map, edges=edge_map, adjacency=adjacency,
+        nodes=node_map, edges=edge_map,
         block_ids=block_ids, position=position, node_position=node_position,
         block_from=np.array([node_position[e.from_node] for e in blocks]),
         block_to=np.array(node_of),

@@ -1,9 +1,10 @@
-"""Shared graph builders, session arrays and hypothesis settings for the
-test suite."""
+"""Shared graph builders, payment records, session arrays and hypothesis
+settings for the test suite."""
 
 from __future__ import annotations
 
-from datetime import timedelta
+from dataclasses import dataclass
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -16,6 +17,15 @@ from parksim.road_graph import BlockFace, Intersection, RoadGraph, build_graph
 # times out, so the suite's result does not vary between runs.
 settings.register_profile("parksim", derandomize=True, database=None, deadline=None)
 settings.load_profile("parksim")
+
+
+@dataclass(frozen=True)
+class PaymentRecord:
+    """One paid session, as the scanning oracles take it."""
+
+    block_id: str
+    start: datetime
+    duration_s: float
 
 
 def sessions_of(payments):

@@ -160,6 +160,14 @@ def trace_total_time(min_park_s, drive_times, walk_times):
 
 # -- one on-street search, scalar -------------------------------------------
 
+def out_blocks(g) -> dict[str, tuple[str, ...]]:
+    """Each node's outgoing block ids in id order, read from ``g.edges``."""
+    outs = {node: [] for node in g.nodes}
+    for e in g.edges.values():
+        outs[e.from_node].append(e.id)
+    return {node: tuple(sorted(ids)) for node, ids in outs.items()}
+
+
 def midpoint_table(g, dst_block, weight):
     """Undirected midpoint-to-midpoint cost from every block to dst_block.
 
@@ -272,6 +280,7 @@ def simulate_single(g, probs: Mapping[str, float], dest: str, cfg, weights,
         walk_s = midpoint_table(g, dest, lambda e: e.walk_time_s)
     if dist_m is None:
         dist_m = midpoint_table(g, dest, lambda e: e.length_m)
+    outs = out_blocks(g)
     state = SearchState(current_node=g.edges[dest].to_node)
     trace = [dest]
     while True:
@@ -292,7 +301,7 @@ def simulate_single(g, probs: Mapping[str, float], dest: str, cfg, weights,
                 total_s=cfg.min_park_s + cfg.max_search_s + walk_s[block],
                 censored=True, trace=tuple(trace))
         state.current_node = g.edges[block].to_node
-        candidates = g.adjacency[state.current_node]
+        candidates = outs[state.current_node]
         scores = block_scores(state, candidates, probs, weights, cfg, dist_m)
         trace.append(candidates[choose_block(scores, rng)])
 

@@ -21,12 +21,13 @@ from hypothesis import strategies as st
 
 from parksim import cli, occupancy_model
 from parksim.cli import main
-from parksim.data_ingest import SmoothingConfig, SynthConfig, read_lots, synth_generate
+from parksim.data_ingest import SmoothingConfig, read_lots
 from parksim.errors import ConfigError
 from parksim.occupancy_model import FEATURE_NAMES, TrainConfig
 from parksim.offstreet_sim import LotSimConfig
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import load_graph
+from parksim.synth import SynthConfig, synth_generate
 
 from conftest import grid_graph
 from oracles import brute_drive_time_to_node, brute_walk_time_from_node, lot_rates
@@ -196,6 +197,7 @@ def test_eval_without_train_report_is_a_config_error(tmp_path, capsys):
     {"smoothing": {"span_h": 2.5}},
     {"synth": {"grid_n": 2.5}},
     {"synth": {"days": 7.0}},
+    {"synth": {"grid_n": 3, "lot_nodes": ["n5_5"]}},
 ], ids=["hours_int", "seed_string", "seed_inf", "hours_string", "day_string",
         "train_list", "lot_nodes_int", "peak_hours_string", "n_samples_float",
         "n_samples_bool", "n_samples_zero", "onstreet_seed_string", "max_search_inf", "elapsed_cap_negative",
@@ -204,7 +206,7 @@ def test_eval_without_train_report_is_a_config_error(tmp_path, capsys):
         "offstreet_seed_negative", "train_seed_negative", "onstreet_seed_negative",
         "offstreet_seed_string", "train_seed_string", "tick_inf", "reps_float",
         "reps_bool", "epochs_float", "batch_size_float", "learning_rate_inf",
-        "span_float", "grid_n_float", "days_float"])
+        "span_float", "grid_n_float", "days_float", "lot_node_outside_grid"])
 def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, raw):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
@@ -213,6 +215,20 @@ def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, raw):
     assert err.count("\n") == 1 and "Traceback" not in err
     # rejected while loading the config, not for the missing graph key
     assert "required for this stage" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("block_length_m", 100.0), ("meters_per_block", 5), ("unmetered_fraction", 0.12),
+    ("drive_speed_mps", 8.0), ("walk_speed_mps", 1.4), ("start_date", "2026-03-02"),
+    ("surveys_per_block", 8), ("survey_missing_fraction", 0.15), ("flat_rate_end_hour", 18),
+])
+def test_removed_synth_key_is_a_config_error(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {key: value}}))
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "city")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err and "Traceback" not in err
+    assert not (tmp_path / "city").exists()
 
 
 SECTIONS = {"train": TrainConfig, "onstreet": OnstreetConfig, "offstreet": LotSimConfig,

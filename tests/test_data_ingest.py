@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from parksim.data_ingest import (
     SURVEY_COLUMNS,
     LotFlows,
     SmoothingConfig,
-    SynthConfig,
     combine_surveys,
     estimate_rates,
     read_columns,
@@ -36,7 +36,6 @@ from parksim.data_ingest import (
     read_samples_csv,
     read_surveys,
     smooth_departures,
-    synth_generate,
     write_rates_csv,
     write_samples_csv,
     write_table,
@@ -44,8 +43,9 @@ from parksim.data_ingest import (
 from parksim.errors import DataError
 from parksim.occupancy_model import build_dataset, micros
 from parksim.road_graph import load_graph
+from parksim.synth import BUNDLE_FILES, METERS_PER_BLOCK, SynthConfig, synth_generate
 
-from conftest import sessions_of
+from conftest import PaymentRecord, sessions_of
 from oracles import left_gaussian_weights, lot_rates, survey_samples
 
 D = date(2026, 3, 2)  # a Monday
@@ -380,42 +380,73 @@ def test_estimate_rates_equals_the_scanning_oracle(tmp_path_factory, case):
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
-    cfg = SynthConfig(grid_n=4, days=7, demand_scale=0.9)
-    return synth_generate(cfg, seed=505, out_dir=tmp_path_factory.mktemp("city"))
+    """The directory of a 4x4 city's bundle."""
+    out = tmp_path_factory.mktemp("city")
+    synth_generate(SynthConfig(grid_n=4, days=7, demand_scale=0.9), seed=505, out_dir=out)
+    return out
+
+
+def payment_records(path):
+    """The rows of a payments file, as records."""
+    with open(path, newline="") as fh:
+        return [PaymentRecord(row["block_id"], datetime.fromisoformat(row["start_iso8601"]),
+                              float(row["duration_s"])) for row in csv.DictReader(fh)]
+
+
+def ground_truth(out):
+    return json.loads((out / "ground_truth.json").read_text())
+
+
+# sha256 of each file of the grid-3, 7-day city at seed 77, by the numpy
+# version that made it: numpy does not promise the same Generator streams
+# across versions (NEP 19).
+STREAM_V1_SHA256 = {"2.4": {
+    "graph.json": "893119c92acca9ee5ac351aec644f571d0db2995ee9366407208dad909883130",
+    "payments.csv": "31150953311bae141fed1ae1185660ee98fe51d91c1d25402fded171da338456",
+    "surveys.csv": "d2b021f86b8564e48e0bb06f569291bb87a95a692db1f7afd98fd604a24fe75c",
+    "lots.json": "711424c3e63a41acec089bbcae691834cd761806e6e656c9f9c1d6f519aabf4e",
+    "lot_events.csv": "8762605e5bfbb10b0c575815e8c9e6e8f826515eba8c3d74d2f69a670995dd84",
+    "ground_truth.json": "46cabc30f3ec9bfe7ab763436c78d7207574d9f2f3eb753637a43b95a4003802",
+}}
 
 
 class TestSynthGenerate:
     def test_bundle_files_load_through_public_readers(self, bundle):
-        out = bundle.out_dir
-        g = load_graph(out / "graph.json")
+        g = load_graph(bundle / "graph.json")
         assert len(g.nodes) == 16
         assert len(g.edges) == 4 * 4 * 3  # grid edge count, both directions
-        assert read_payments(out / "payments.csv")
-        assert read_surveys(out / "surveys.csv")
-        assert read_lots(out / "lots.json")
-        assert read_lot_events(out / "lot_events.csv").lot_ids == ("lot1",)
+        assert read_payments(bundle / "payments.csv")
+        assert read_surveys(bundle / "surveys.csv")
+        assert read_lots(bundle / "lots.json")
+        assert read_lot_events(bundle / "lot_events.csv").lot_ids == ("lot1",)
 
     def test_ten_by_ten_grid_counts(self, tmp_path):
         cfg = SynthConfig(grid_n=10, days=7, demand_scale=0.05)
-        b = synth_generate(cfg, seed=1, out_dir=tmp_path / "big")
-        g = load_graph(b.out_dir / "graph.json")
+        synth_generate(cfg, seed=1, out_dir=tmp_path / "big")
+        g = load_graph(tmp_path / "big" / "graph.json")
         assert len(g.nodes) == 100
         assert len(g.edges) == 360
 
     def test_fixed_seed_byte_identical(self, tmp_path):
         cfg = SynthConfig(grid_n=3, days=7)
-        a = synth_generate(cfg, seed=77, out_dir=tmp_path / "a")
-        b = synth_generate(cfg, seed=77, out_dir=tmp_path / "b")
-        from parksim.data_ingest import BUNDLE_FILES
+        synth_generate(cfg, seed=77, out_dir=tmp_path / "a")
+        synth_generate(cfg, seed=77, out_dir=tmp_path / "b")
         for name in BUNDLE_FILES:
-            assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes(), name
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), \
+                name
+        # synth stream version 1, pinned
+        version = ".".join(np.__version__.split(".")[:2])
+        if version not in STREAM_V1_SHA256:
+            pytest.skip(f"stream hashes recorded under numpy {sorted(STREAM_V1_SHA256)}, "
+                        f"not {version}")
+        assert {name: hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
+                for name in BUNDLE_FILES} == STREAM_V1_SHA256[version]
 
     def test_bundle_independent_of_time_zone(self, tmp_path):
         # the default 14-day window crosses the 2026-03-08 DST switch
         import parksim
-        from parksim.data_ingest import BUNDLE_FILES
         script = ("import sys, time\n"
-                  "from parksim.data_ingest import SynthConfig, synth_generate\n"
+                  "from parksim.synth import SynthConfig, synth_generate\n"
                   "synth_generate(SynthConfig(grid_n=3), 1, sys.argv[1])\n"
                   "print(time.timezone)\n")
         src = str(Path(parksim.__file__).resolve().parents[1])
@@ -432,16 +463,17 @@ class TestSynthGenerate:
                     == (tmp_path / "America/Vancouver" / name).read_bytes()), name
 
     def test_full_observation_is_superset_of_partial(self, tmp_path):
-        partial = synth_generate(SynthConfig(grid_n=3, days=7, observed_fraction=0.6),
-                                 seed=9, out_dir=tmp_path / "p")
-        full = synth_generate(SynthConfig(grid_n=3, days=7, observed_fraction=1.0),
-                              seed=9, out_dir=tmp_path / "f")
-        assert set(partial.payments) <= set(full.payments)
-        assert len(full.payments) > len(partial.payments)
+        for name, fraction in (("p", 0.6), ("f", 1.0)):
+            synth_generate(SynthConfig(grid_n=3, days=7, observed_fraction=fraction),
+                           seed=9, out_dir=tmp_path / name)
+        partial = payment_records(tmp_path / "p" / "payments.csv")
+        full = payment_records(tmp_path / "f" / "payments.csv")
+        assert set(partial) <= set(full)
+        assert len(full) > len(partial)
 
     def test_surveys_agree_with_recorded_ground_truth(self, bundle):
-        truth = bundle.ground_truth["survey_truth"]
-        samples, _ = combine_surveys(*read_surveys(bundle.out_dir / "surveys.csv"))
+        truth = ground_truth(bundle)["survey_truth"]
+        samples, _ = combine_surveys(*read_surveys(bundle / "surveys.csv"))
         assert samples.labels.size
         for block_id, t, available in zip(samples.block_ids, samples.times.tolist(),
                                           samples.labels.tolist()):
@@ -451,15 +483,14 @@ class TestSynthGenerate:
 
     def test_survey_missingness_visit_level(self, bundle):
         # a visit either keeps all its meter rows or loses all timestamps
-        block_ids, times, _ = read_surveys(bundle.out_dir / "surveys.csv")
+        block_ids, times, _ = read_surveys(bundle / "surveys.csv")
         blank_runs = Counter(block_ids[times == MISSING_TIME].tolist())
         assert blank_runs
-        meters = 5
-        assert all(count % meters == 0 for count in blank_runs.values())
+        assert all(count % METERS_PER_BLOCK == 0 for count in blank_runs.values())
 
     def test_center_busier_than_corner(self, bundle):
-        hourly = bundle.ground_truth["hourly_availability"]
-        g = bundle.graph
+        hourly = ground_truth(bundle)["hourly_availability"]
+        g = load_graph(bundle / "graph.json")
         mids = {}
         for eid, e in g.edges.items():
             a, b = g.nodes[e.from_node], g.nodes[e.to_node]
@@ -475,7 +506,7 @@ class TestSynthGenerate:
         assert central_avail < corner_avail
 
     def test_rates_pipeline_round_trip(self, bundle, tmp_path):
-        flows = read_lot_events(bundle.out_dir / "lot_events.csv")
+        flows = read_lot_events(bundle / "lot_events.csv")
         rates = estimate_rates(flows, SmoothingConfig(peak_hours=(18,)))
         path = tmp_path / "rates.csv"
         write_rates_csv(rates, path)
@@ -484,9 +515,9 @@ class TestSynthGenerate:
             {k: v.tolist() for k, v in rates.items()}
 
     def test_samples_csv_round_trip(self, bundle, tmp_path):
-        samples, _ = combine_surveys(*read_surveys(bundle.out_dir / "surveys.csv"))
-        g = load_graph(bundle.out_dir / "graph.json")
-        X, y = build_dataset(samples, read_payments(bundle.out_dir / "payments.csv"), g)
+        samples, _ = combine_surveys(*read_surveys(bundle / "surveys.csv"))
+        g = load_graph(bundle / "graph.json")
+        X, y = build_dataset(samples, read_payments(bundle / "payments.csv"), g)
         path = tmp_path / "samples.csv"
         write_samples_csv(samples, X, path)
         X2, y2 = read_samples_csv(path)
@@ -507,7 +538,7 @@ def session_ends(path):
 
 class TestReadPayments:
     def test_shuffled_rows_over_many_chunks_equal_the_record_oracle(self, bundle, tmp_path):
-        records = list(bundle.payments)
+        records = payment_records(bundle / "payments.csv")
         np.random.default_rng(3).shuffle(records)
         assert len(records) > 2 * CHUNK_ROWS
         path = write_payment_rows(tmp_path / "p.csv", (

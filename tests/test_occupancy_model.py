@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parksim.data_ingest import PAYMENT_COLUMNS, PaymentRecord, read_payments, write_table
+from parksim.data_ingest import PAYMENT_COLUMNS, read_payments, write_table
 from parksim.errors import DataError, NumericError
 from parksim.occupancy_model import (
     BASELINE_DIMS,
@@ -34,7 +34,7 @@ from parksim.occupancy_model import (
     train_baseline,
 )
 
-from conftest import grid_graph, line_graph, sessions_of
+from conftest import PaymentRecord, grid_graph, line_graph, sessions_of
 from oracles import extract_features, finite_difference_gradient, fit_split, plain_forward
 
 T0 = datetime(2026, 3, 4, 10, 0)

@@ -19,6 +19,7 @@ from oracles import (
     block_scores,
     choose_block,
     midpoint_table,
+    out_blocks,
     simulate_single,
     softmax_probabilities,
     trace_total_time,
@@ -179,10 +180,11 @@ class TestSimulateSingle:
         avoid_revisit = PolicyWeights(revisit_weight=-1e6)
         out = simulate_single(g, probs, "h0_0E", OnstreetConfig(max_search_s=600.0),
                               avoid_revisit, 12, rng)
+        outs = out_blocks(g)
         visited: set[str] = set()
         for a, b in zip(out.trace, out.trace[1:]):
             visited.add(a)
-            candidates = g.adjacency[g.edges[a].to_node]
+            candidates = outs[g.edges[a].to_node]
             unvisited = [c for c in candidates if c not in visited]
             if unvisited:
                 assert b in unvisited

@@ -24,7 +24,7 @@ from parksim.road_graph import (
 
 from conftest import grid_graph, line_graph, make_edge, random_graph
 from oracles import (brute_distance_m, brute_drive_time_to_node, brute_walk_time,
-                     brute_walk_time_from_node)
+                     brute_walk_time_from_node, out_blocks)
 
 
 def graph_file_payload(g=None):
@@ -86,7 +86,8 @@ class TestValidation:
 
     def test_valid_ring_accepted(self):
         g = build_graph(self.nodes(), self.ring())
-        assert set(g.adjacency) == {"n0", "n1", "n2"}
+        assert set(g.nodes) == {"n0", "n1", "n2"}
+        assert g.block_ids == ("e0", "e1", "e2")
 
     def test_disconnected_rejected(self):
         nodes = self.nodes(3) + [Intersection("x0", 50.0, -120.0),
@@ -149,9 +150,10 @@ class TestDenseIndex:
 
     def test_out_block_table_follows_adjacency(self, small_grid):
         g = small_grid
+        outs = out_blocks(g)
         for i, block in enumerate(g.block_ids):
             out = [g.block_ids[k] for k in g.next_blocks[:, i][g.next_valid[:, i]]]
-            assert tuple(out) == g.adjacency[g.edges[block].to_node]
+            assert tuple(out) == outs[g.edges[block].to_node]
             assert g.out_degree[i] == len(out)
 
     def test_derived_fields_left_out_of_equality(self):
