@@ -17,9 +17,9 @@ counts raw, and the availability probability is floored at p_floor before
 taking its reciprocal. These choices keep the four terms at comparable
 magnitude under the default weights.
 
-All ``n_samples`` searches of one (destination, hour) advance in lockstep
-over the graph's dense block index (``RoadGraph.block_ids``, the block ids
-in sorted order). Each step, for the searches still active, in sample order:
+Searches advance in lockstep over the graph's dense block index
+(``RoadGraph.block_ids``, the block ids in sorted order). Each step, for the
+searches still active, in sample order:
 
 1. one ``rng.random(n_active)`` draws the parking checks on the blocks
    the searches stand on;
@@ -34,10 +34,15 @@ This draw order is on-street stream version 2. Each (destination, hour)
 cell draws from its own stream, derived from (seed, destination, hour), so
 a cell's estimate does not depend on which other cells a call covers or in
 what order. ``estimate_onstreet_time`` covers every block at every hour of
-a run in one call, destination by destination: it builds each
-destination's walk and distance tables once for all hours, and allocates
-the visit and last-check arrays once for all cells. The scalar reference
-for one search is ``simulate_single`` in ``tests/oracles.py``.
+a run in one call. It builds the walk and distance tables of
+``TABLE_CHUNK`` destinations per relaxation, and one lockstep runs every
+search of a chunk of cells: as many as fit ``SCRATCH_ENTRIES`` (search,
+block) entries of visit and last-check scratch, at least one. A step makes
+one ``random`` call per cell that still has active searches and
+concatenates the draws in (cell, sample) order, so each cell's stream
+yields what it would alone. The scalar reference for one search is
+``simulate_single`` in ``tests/oracles.py``; ``estimate_cells`` there runs
+the lockstep one cell at a time.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, check_fields
-from .road_graph import (RoadGraph, _check_hour, block_distances_to_block,
-                         walk_times_to_block)
+from .road_graph import RoadGraph, _check_hour, tables_to_blocks
 from .seeding import derived_stream
+
+TABLE_CHUNK = 64            # destinations per table relaxation
+SCRATCH_ENTRIES = 3 * 2 ** 16  # (search, block) scratch entries per lockstep: 2.25 MiB
 
 
 @dataclass(frozen=True)
@@ -93,49 +100,61 @@ class OnstreetEstimate:
     n_samples: int
 
 
-def _lockstep(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarray,
-              p: np.ndarray, cfg: OnstreetConfig, weights: PolicyWeights, hour: int,
-              rng: np.random.Generator, visits: np.ndarray,
-              last_check_s: np.ndarray) -> tuple[np.ndarray, int]:
-    """Total time of every search, and the number censored."""
-    drive_s = g.drive_s[hour]
-    # The distance and scarcity terms depend only on the candidate block.
+def _draws(rngs: list[np.random.Generator], cell: np.ndarray) -> np.ndarray:
+    """One uniform per active search, each from its cell's stream, in
+    (cell, sample) order; a cell with no active search draws nothing."""
+    counts = np.bincount(cell, minlength=len(rngs)).tolist()
+    return np.concatenate([rng.random(k) for rng, k in zip(rngs, counts) if k])
+
+
+def _lockstep(g: RoadGraph, dests: np.ndarray, hours: np.ndarray, walk_s: np.ndarray,
+              dist_m: np.ndarray, p: np.ndarray, cfg: OnstreetConfig,
+              weights: PolicyWeights, rngs: list[np.random.Generator], visits: np.ndarray,
+              last_check_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total time of every search of a chunk of cells, as (cell, sample),
+    and the number censored in each cell. Cell ``c`` is the destination
+    ``dests[c]`` at ``hours[c]``, and row ``c`` of ``walk_s``, ``dist_m``
+    and ``p`` holds its tables over the blocks."""
+    blocks, n = len(g.block_ids), cfg.n_samples
+    drive_s = g.drive_s[hours]
+    # The distance and scarcity terms depend only on the cell and candidate.
     fixed = (weights.distance_weight * (dist_m / 100.0)
              + weights.scarcity_weight / np.maximum(p, cfg.p_floor))
-    half_first_s = drive_s[dest] / 2.0
-    n = cfg.n_samples
-    totals = np.empty(n)
-    censored = 0
-    visits.fill(0)
-    last_check_s.fill(-np.inf)                      # never checked: full credit
-    live = np.arange(n)                             # sample ids still searching
-    block = np.full(n, dest)
-    elapsed_s = np.zeros(n)
+    half_first_s = drive_s[np.arange(len(dests)), dests] / 2.0
+    totals = np.empty((len(dests), n))
+    censored = np.zeros((len(dests), n), dtype=bool)
+    live = np.arange(totals.size)                   # (cell, sample) ids still searching
+    cell = live // n
+    block = np.repeat(dests, n)
+    elapsed_s = np.zeros(live.size)
+    touched, n_touched = [], 0
     while True:
-        visits[live, block] += 1
-        parked = rng.random(live.size) < p[block]
-        if parked.any():
-            at = block[parked]
-            drive = elapsed_s[parked] - half_first_s + drive_s[at] / 2.0
-            totals[live[parked]] = cfg.min_park_s + drive + walk_s[at]
-            stay = ~parked
-            live, block, elapsed_s = live[stay], block[stay], elapsed_s[stay]
-        elapsed_s = elapsed_s + drive_s[block]
-        last_check_s[live, block] = elapsed_s
-        over = elapsed_s > cfg.max_search_s
+        at, entry = cell * blocks + block, live * blocks + block
+        if n_touched <= visits.size // 8:           # past that, refill the scratch
+            touched.append(entry)
+        n_touched += entry.size
+        visits[entry] += 1
+        parked = _draws(rngs, cell) < p.take(at)
+        here = at[parked]
+        drive = elapsed_s[parked] - half_first_s[cell[parked]] + drive_s.take(here) / 2.0
+        totals.flat[live[parked]] = cfg.min_park_s + drive + walk_s.take(here)
+        elapsed_s = elapsed_s + drive_s.take(at)
+        last_check_s[entry] = elapsed_s             # a parked search's row is not read again
+        over = (elapsed_s > cfg.max_search_s) & ~parked
         if over.any():
-            totals[live[over]] = (cfg.min_park_s + cfg.max_search_s
-                                  + walk_s[block[over]])
-            censored += int(over.sum())
-            stay = ~over
-            live, block, elapsed_s = live[stay], block[stay], elapsed_s[stay]
+            totals.flat[live[over]] = (cfg.min_park_s + cfg.max_search_s
+                                       + walk_s.take(at[over]))
+            censored.flat[live[over]] = True
+            parked |= over
+        stay = ~parked
+        live, cell, block, elapsed_s = (a[stay] for a in (live, cell, block, elapsed_s))
         if not live.size:
-            return totals, censored
+            break
         candidates = g.next_blocks[:, block]       # (candidate, search)
-        cells = candidates + live * len(p)
-        since_s = np.minimum(elapsed_s - last_check_s.take(cells), cfg.elapsed_cap_s)
-        scores = (fixed[candidates]
-                  + weights.revisit_weight * visits.take(cells)
+        entries = candidates + live * blocks
+        since_s = np.minimum(elapsed_s - last_check_s.take(entries), cfg.elapsed_cap_s)
+        scores = (fixed.take(candidates + cell * blocks)
+                  + weights.revisit_weight * visits.take(entries)
                   + weights.elapsed_weight * (since_s / 60.0))
         # Padding repeats a search's first candidate, so checks and maxima
         # over all rows see only real candidates' values.
@@ -144,9 +163,13 @@ def _lockstep(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarray,
         weight = np.exp(scores - scores.max(axis=0))
         weight *= g.next_valid[:, block]
         cdf = weight.cumsum(axis=0)
-        k = np.minimum((cdf <= rng.random(live.size) * cdf[-1]).sum(axis=0),
+        k = np.minimum((cdf <= _draws(rngs, cell) * cdf[-1]).sum(axis=0),
                        g.out_degree[block] - 1)
         block = candidates[k, np.arange(live.size)]
+    touched = slice(None) if n_touched > visits.size // 8 else np.concatenate(touched)
+    visits[touched] = 0
+    last_check_s[touched] = -np.inf
+    return totals, censored.sum(axis=1)
 
 
 def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
@@ -164,26 +187,34 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
     shape = (len(hours), len(g.block_ids))
     if p.shape != shape:
         raise DataError(f"availability array has shape {p.shape}, expected {shape}")
-    n = cfg.n_samples
+    n, blocks = cfg.n_samples, len(g.block_ids)
     mean, std, censored = np.empty(shape), np.zeros(shape), np.empty(shape)
-    # One pair of scratch arrays for every search of the call. Allocating
-    # and freeing them per (destination, hour) let the allocator return
-    # their pages and fault them back in on each cell, at times doubling
-    # sim-on's run time.
-    visits = np.empty((n, len(g.block_ids)), dtype=np.int64)
-    last_check_s = np.empty((n, len(g.block_ids)))
-    for j, dest in enumerate(g.block_ids):
-        walk_s = walk_times_to_block(g, dest)
-        dist_m = block_distances_to_block(g, dest)
-        for i, hour in enumerate(hours):
+    # One (cell x sample, block) pair of scratch arrays for every lockstep
+    # of the call, flattened: allocating them per cell let the allocator
+    # return their pages and fault them back in. Each lockstep resets only
+    # the entries its searches touched, since a refill grows with the
+    # blocks; past an eighth of the scratch it stops listing and refills.
+    cells = max(1, min(SCRATCH_ENTRIES // (n * blocks), min(TABLE_CHUNK, blocks) * len(hours)))
+    visits = np.zeros(cells * n * blocks, dtype=np.int32)
+    last_check_s = np.full(visits.size, -np.inf)    # never checked: full credit
+    for first in range(0, blocks, TABLE_CHUNK):
+        dests = np.arange(first, min(first + TABLE_CHUNK, blocks))
+        walk_s = tables_to_blocks(g, dests, g.walk_s).T
+        dist_m = tables_to_blocks(g, dests, g.length_m).T
+        # the chunk's cells in (destination, hour) order
+        column, row = np.divmod(np.arange(dests.size * len(hours)), len(hours))
+        for lo in range(0, column.size, cells):
+            c, i = column[lo:lo + cells], row[lo:lo + cells]
+            j = dests[c]
+            rngs = [derived_stream(cfg.seed, g.block_ids[a], hours[b])
+                    for a, b in zip(j.tolist(), i.tolist())]
             # an overflowing score is reported as a NumericError, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                totals, n_censored = _lockstep(g, j, walk_s, dist_m, p[i], cfg, weights,
-                                               hour, derived_stream(cfg.seed, dest, hour),
-                                               visits, last_check_s)
-            mean[i, j] = totals.mean()
+                totals, n_censored = _lockstep(g, j, np.take(hours, i), walk_s[c], dist_m[c],
+                                               p[i], cfg, weights, rngs, visits, last_check_s)
+            mean[i, j] = totals.mean(axis=1)
             if n > 1:
-                std[i, j] = totals.std(ddof=1)
+                std[i, j] = totals.std(axis=1, ddof=1)
             censored[i, j] = n_censored / n
     return OnstreetEstimate(mean_s=mean, std_s=std, censored_fraction=censored,
                             n_samples=n)

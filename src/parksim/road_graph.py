@@ -13,14 +13,16 @@ constant.
 Every table is a float vector over the blocks in ``block_ids`` order, the
 block ids sorted, so block ``i`` is ``block_ids[i]`` and ``position``
 inverts that. Each table comes from one kernel over integer arrays: a
-vector of path lengths over the nodes, seeded at the table's origin,
-iterated as ``dist = min(dist, min_k(dist[nbr[k]] + w[k]))`` until nothing
-changes, where ``nbr[k, v]`` is the ``k``-th neighbour that ``v`` is
-reached from and ``w[k, v]`` the block joining them. Each relaxation adds
-one block at the far end of a path, so every length is the left fold of
-its path's weights from the origin, the same sums a heap Dijkstra forms.
-Float addition of a positive weight is monotone and never shrinks a sum,
-so both converge to the least such fold over all paths, bit for bit.
+(node, column) matrix of path lengths, each column seeded at one table's
+origin, iterated as ``dist = min(dist, min_k(dist[nbr[k]] + w[k]))`` until
+nothing changes, where ``nbr[k, v]`` is the ``k``-th neighbour that ``v``
+is reached from and ``w[k, v]`` the block joining them. Each relaxation
+adds one block at the far end of a path, so every length is the left fold
+of its path's weights from the origin, the same sums a heap Dijkstra
+forms. Float addition of a positive weight is monotone and never shrinks
+a sum, so both converge to the least such fold over all paths, bit for
+bit. A converged column is a fixed point that the iterations other
+columns still need leave unchanged, so no column depends on its neighbours.
 """
 
 from __future__ import annotations
@@ -306,8 +308,10 @@ def _node(g: RoadGraph, node_id: str) -> int:
 
 
 def _relax(dist: np.ndarray, nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Path lengths over the nodes from the seeded ``dist``: iterate
-    ``dist = min(dist, min_k(dist[nbr[k]] + w[k]))`` to its fixed point."""
+    """Path lengths over the nodes from the seeded (node, column) ``dist``:
+    iterate ``dist = min(dist, min_k(dist[nbr[k]] + w[k]))`` to its fixed
+    point in every column."""
+    w = w[:, :, None]
     while True:
         relaxed = np.minimum(dist, (dist[nbr] + w).min(axis=0))
         if np.array_equal(relaxed, dist):
@@ -315,35 +319,39 @@ def _relax(dist: np.ndarray, nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
         dist = relaxed
 
 
-def _walk_from(g: RoadGraph, weight: np.ndarray, seeds: list[int],
-               seed_value: float) -> np.ndarray:
-    """``weight``-path length from the seed nodes to every block midpoint."""
-    dist = np.full(len(g.node_position), math.inf)
-    dist[seeds] = seed_value
+def _walk_from(g: RoadGraph, weight: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """``weight``-path lengths from each column's seed nodes to every block
+    midpoint, as a (block, column) matrix."""
     dist = _relax(dist, g.walk_nbr, weight[g.walk_via])
-    return weight / 2.0 + np.minimum(dist[g.block_from], dist[g.block_to])
+    return weight[:, None] / 2.0 + np.minimum(dist[g.block_from], dist[g.block_to])
 
 
-def _to_block(g: RoadGraph, dest_block: str, weight: np.ndarray) -> np.ndarray:
-    i = _block(g, dest_block)
-    table = _walk_from(g, weight, [g.block_from[i], g.block_to[i]], weight[i] / 2.0)
-    table[i] = 0.0
+def tables_to_blocks(g: RoadGraph, dests: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Walking-network ``weight`` from every block midpoint to the midpoint
+    of each block position in ``dests``, as a (block, destination) matrix."""
+    columns = np.arange(len(dests))
+    dist = np.full((len(g.node_position), len(dests)), math.inf)
+    dist[g.block_from[dests], columns] = dist[g.block_to[dests], columns] = weight[dests] / 2.0
+    table = _walk_from(g, weight, dist)
+    table[dests, columns] = 0.0
     return table
 
 
 def walk_times_to_block(g: RoadGraph, dest_block: str) -> np.ndarray:
     """Walk seconds from every block midpoint to the destination midpoint."""
-    return _to_block(g, dest_block, g.walk_s)
+    return tables_to_blocks(g, [_block(g, dest_block)], g.walk_s)[:, 0]
 
 
 def block_distances_to_block(g: RoadGraph, dest_block: str) -> np.ndarray:
     """Walking-network meters from every block midpoint to the destination."""
-    return _to_block(g, dest_block, g.length_m)
+    return tables_to_blocks(g, [_block(g, dest_block)], g.length_m)[:, 0]
 
 
 def walk_times_from_node(g: RoadGraph, node: str) -> np.ndarray:
     """Walk seconds from one intersection to every block midpoint."""
-    return _walk_from(g, g.walk_s, [_node(g, node)], 0.0)
+    dist = np.full((len(g.node_position), 1), math.inf)
+    dist[_node(g, node)] = 0.0
+    return _walk_from(g, g.walk_s, dist)[:, 0]
 
 
 def drive_times_to_node(g: RoadGraph, node: str, hour: int) -> np.ndarray:
@@ -355,11 +363,11 @@ def drive_times_to_node(g: RoadGraph, node: str, hour: int) -> np.ndarray:
     sum starts at the node end.
     """
     _check_hour(hour)
-    dist = np.full(len(g.node_position), math.inf)
+    dist = np.full((len(g.node_position), 1), math.inf)
     dist[_node(g, node)] = 0.0
     drive_s = g.drive_s[hour]
     dist = _relax(dist, g.block_to[g.drive_via], drive_s[g.drive_via])
-    return drive_s / 2.0 + dist[g.block_to]
+    return drive_s / 2.0 + dist[g.block_to, 0]
 
 
 def drive_time_to_node(g: RoadGraph, src_block: str, node: str, hour: int) -> float:

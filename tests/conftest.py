@@ -87,6 +87,15 @@ def grid_graph(n=3, *, length=100.0, walk=70.0, drive=12.0, meters=4) -> RoadGra
     return build_graph(nodes, edges)
 
 
+def ring_graph(n=5) -> RoadGraph:
+    """One-way ring n0 -> n1 -> ... -> n0: block ``e{i}`` leaves ``n{i}``,
+    with drive, walk and length distinct per block."""
+    nodes = [Intersection(f"n{i}", 49.0 + i * 1e-3, -123.0) for i in range(n)]
+    edges = [make_edge(f"e{i}", f"n{i}", f"n{(i + 1) % n}", length=100.0 + 20 * i,
+                       walk=60.0 + 10 * i, drive=10.0 + 3 * i) for i in range(n)]
+    return build_graph(nodes, edges)
+
+
 def random_graph(rng: np.random.Generator, n_nodes=6, fractional=False) -> RoadGraph:
     """Random strongly-traversable graph with integer-valued times.
 

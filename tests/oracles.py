@@ -3,9 +3,12 @@
 Everything here is deliberately naive: exhaustive enumeration, straight-line
 formula evaluation, finite differences, one search at a time. None of it
 shares code with the package (only its exception types), so agreement is
-meaningful. The one exception is ``fit_split``, which trains one split at a
+meaningful. The exceptions are ``fit_split``, which trains one split at a
 time with the package's own gradient: it pins how the splits are stacked,
-gathered and seeded, while ``finite_difference_gradient`` pins the gradient.
+gathered and seeded, while ``finite_difference_gradient`` pins the gradient;
+and ``estimate_cells``, which runs the on-street lockstep one (destination,
+hour) cell at a time on the package's tables and streams: it pins how cells
+are chunked, while ``simulate_single`` pins the search itself.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ import numpy as np
 from parksim.errors import DataError, NumericError
 from parksim.occupancy_model import (Network, SplitScore, _accuracy, _glorot_uniform,
                                      gradient, loss)
+from parksim.onstreet_sim import OnstreetConfig, PolicyWeights
+from parksim.road_graph import RoadGraph, block_distances_to_block, walk_times_to_block
+from parksim.seeding import derived_stream
 
 
 # -- shortest paths by exhaustive simple-path enumeration -------------------
@@ -304,6 +310,89 @@ def simulate_single(g, probs: Mapping[str, float], dest: str, cfg, weights,
         candidates = outs[state.current_node]
         scores = block_scores(state, candidates, probs, weights, cfg, dist_m)
         trace.append(candidates[choose_block(scores, rng)])
+
+
+# -- every search of one (destination, hour) cell in lockstep ------------------
+
+def lockstep_cell(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarray,
+                  p: np.ndarray, cfg: OnstreetConfig, weights: PolicyWeights, hour: int,
+                  rng: np.random.Generator, visits: np.ndarray,
+                  last_check_s: np.ndarray) -> tuple[np.ndarray, int]:
+    """Total time of every search, and the number censored."""
+    drive_s = g.drive_s[hour]
+    # The distance and scarcity terms depend only on the candidate block.
+    fixed = (weights.distance_weight * (dist_m / 100.0)
+             + weights.scarcity_weight / np.maximum(p, cfg.p_floor))
+    half_first_s = drive_s[dest] / 2.0
+    n = cfg.n_samples
+    totals = np.empty(n)
+    censored = 0
+    visits.fill(0)
+    last_check_s.fill(-np.inf)                      # never checked: full credit
+    live = np.arange(n)                             # sample ids still searching
+    block = np.full(n, dest)
+    elapsed_s = np.zeros(n)
+    while True:
+        visits[live, block] += 1
+        parked = rng.random(live.size) < p[block]
+        if parked.any():
+            at = block[parked]
+            drive = elapsed_s[parked] - half_first_s + drive_s[at] / 2.0
+            totals[live[parked]] = cfg.min_park_s + drive + walk_s[at]
+            stay = ~parked
+            live, block, elapsed_s = live[stay], block[stay], elapsed_s[stay]
+        elapsed_s = elapsed_s + drive_s[block]
+        last_check_s[live, block] = elapsed_s
+        over = elapsed_s > cfg.max_search_s
+        if over.any():
+            totals[live[over]] = (cfg.min_park_s + cfg.max_search_s
+                                  + walk_s[block[over]])
+            censored += int(over.sum())
+            stay = ~over
+            live, block, elapsed_s = live[stay], block[stay], elapsed_s[stay]
+        if not live.size:
+            return totals, censored
+        candidates = g.next_blocks[:, block]       # (candidate, search)
+        cells = candidates + live * len(p)
+        since_s = np.minimum(elapsed_s - last_check_s.take(cells), cfg.elapsed_cap_s)
+        scores = (fixed[candidates]
+                  + weights.revisit_weight * visits.take(cells)
+                  + weights.elapsed_weight * (since_s / 60.0))
+        # Padding repeats a search's first candidate, so checks and maxima
+        # over all rows see only real candidates' values.
+        if not np.isfinite(scores).all():
+            raise NumericError("non-finite block score")
+        weight = np.exp(scores - scores.max(axis=0))
+        weight *= g.next_valid[:, block]
+        cdf = weight.cumsum(axis=0)
+        k = np.minimum((cdf <= rng.random(live.size) * cdf[-1]).sum(axis=0),
+                       g.out_degree[block] - 1)
+        block = candidates[k, np.arange(live.size)]
+
+
+def estimate_cells(g: RoadGraph, p: np.ndarray, hours, cfg: OnstreetConfig,
+                   weights: PolicyWeights):
+    """(mean, std, censored fraction) as (hour, block) arrays, one cell at a
+    time: each destination's tables, then one ``lockstep_cell`` per hour,
+    which refills the scratch."""
+    n = cfg.n_samples
+    shape = (len(hours), len(g.block_ids))
+    mean, std, censored = np.empty(shape), np.zeros(shape), np.empty(shape)
+    visits = np.empty((n, len(g.block_ids)), dtype=np.int64)
+    last_check_s = np.empty((n, len(g.block_ids)))
+    for j, dest in enumerate(g.block_ids):
+        walk_s = walk_times_to_block(g, dest)
+        dist_m = block_distances_to_block(g, dest)
+        for i, hour in enumerate(hours):
+            with np.errstate(over="ignore", invalid="ignore"):
+                totals, n_censored = lockstep_cell(g, j, walk_s, dist_m, p[i], cfg, weights,
+                                                   hour, derived_stream(cfg.seed, dest, hour),
+                                                   visits, last_check_s)
+            mean[i, j] = totals.mean()
+            if n > 1:
+                std[i, j] = totals.std(ddof=1)
+            censored[i, j] = n_censored / n
+    return mean, std, censored
 
 
 # -- in-lot wait time, straight-line ------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -633,6 +634,31 @@ def test_onstreet_cells_do_not_depend_on_run_shape(copied):
         assert one_header == header
         bodies.append(one_body)
     assert b"".join(bodies) == body
+
+
+# sha256 of the onstreet.csv that sim-on writes for the grid-4 city of
+# seed SEED, at HOURS, from availability drawn by default_rng(SEED), by the
+# numpy version that made it: numpy does not promise the same Generator
+# streams across versions (NEP 19).
+ONSTREET_V2_SHA256 = {
+    "2.4": "547b230ecf4e819ada3c3abdc2014d557e9eb14ad484ff4161fb6dd6c06c7ba3",
+}
+
+
+def test_onstreet_stream_version_2_pinned(tmp_path):
+    synth_generate(SynthConfig(grid_n=4, days=7), SEED, tmp_path / "city")
+    config = write_config(tmp_path / "config.json", "city")
+    g = load_graph(tmp_path / "city" / "graph.json")
+    p = np.random.default_rng(SEED).uniform(0.05, 0.95, (len(HOURS), len(g.block_ids)))
+    cli._write_cells(tmp_path / "out" / "availability.csv", cli.AVAILABILITY_COLUMNS, g,
+                     HOURS, p)
+    assert main(["sim-on", "--config", str(config)]) == 0
+    version = ".".join(np.__version__.split(".")[:2])
+    if version not in ONSTREET_V2_SHA256:
+        pytest.skip(f"stream hashes recorded under numpy {sorted(ONSTREET_V2_SHA256)}, "
+                    f"not {version}")
+    digest = hashlib.sha256((tmp_path / "out" / "onstreet.csv").read_bytes()).hexdigest()
+    assert digest == ONSTREET_V2_SHA256[version]
 
 
 @pytest.mark.parametrize("name", ["availability.csv", "onstreet.csv", "offstreet.csv"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,16 @@ import pytest
 from parksim.cli import AVAILABILITY_COLUMNS, _read_cells
 from parksim.data_ingest import write_table
 from parksim.errors import DataError, NumericError
+from parksim import onstreet_sim
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import build_graph
 
-from conftest import grid_graph, line_graph
+from conftest import grid_graph, line_graph, ring_graph
 from oracles import (
     SearchState,
     block_scores,
     choose_block,
+    estimate_cells,
     midpoint_table,
     out_blocks,
     simulate_single,
@@ -355,6 +358,83 @@ class TestLockstep:
         edges = [e for e in g.edges.values() if e.id != "r2"]
         with pytest.raises(DataError, match="dead end"):
             build_graph(g.nodes.values(), edges)
+
+
+class TestChunkedLockstep:
+    """One lockstep runs a chunk of cells; ``estimate_cells`` runs the same
+    searches one cell at a time. Every cell agrees exactly."""
+
+    HOURS = (8, 17)
+
+    @staticmethod
+    def graph(name):
+        if name == "grid":
+            return grid_graph(3, drive=tuple(float(t) for t in range(10, 34)))
+        return ring_graph()
+
+    def assert_cells_equal(self, g, p, cfg):
+        est = estimate_onstreet_time(g, p, self.HOURS, cfg, W)
+        ref = estimate_cells(g, p, self.HOURS, cfg, W)
+        for name, expected in zip(("mean_s", "std_s", "censored_fraction"), ref):
+            assert np.array_equal(getattr(est, name), expected), name
+        return est
+
+    @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
+    @pytest.mark.parametrize("kind", ["mixed", "never", "always"])
+    @pytest.mark.parametrize("cells,table_chunk", [(1, 7), (3, 5), (None, 64)],
+                             ids=["1_cell", "3_cells", "all_cells"])
+    def test_matches_cell_by_cell(self, monkeypatch, graph, kind, cells, table_chunk):
+        g = self.graph(graph)
+        cfg = OnstreetConfig(n_samples=20, seed=5)
+        blocks = len(g.block_ids)
+        monkeypatch.setattr(onstreet_sim, "TABLE_CHUNK", table_chunk)
+        monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES",
+                            (cells or blocks * len(self.HOURS)) * cfg.n_samples * blocks)
+        shape = (len(self.HOURS), blocks)
+        p = {"mixed": np.random.default_rng(9).uniform(0.05, 0.6, shape),
+             "never": np.zeros(shape), "always": np.ones(shape)}[kind]
+        est = self.assert_cells_equal(g, p, cfg)
+        # never: every search runs to the cap; always: every search parks at once
+        assert (est.censored_fraction == 1.0).all() == (kind == "never")
+        assert (est.mean_s == cfg.min_park_s).all() == (kind == "always")
+
+    @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
+    def test_single_sample_has_zero_spread(self, graph):
+        g = self.graph(graph)
+        p = np.random.default_rng(4).uniform(0.05, 0.6, (len(self.HOURS), len(g.block_ids)))
+        est = self.assert_cells_equal(g, p, OnstreetConfig(n_samples=1, seed=3))
+        assert (est.std_s == 0.0).all()
+
+    @staticmethod
+    def peak_bytes(g, p, cfg):
+        tracemalloc.start()
+        try:
+            estimate_onstreet_time(g, p, (12,), cfg, W)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_allocation_bounded_by_scratch_budget(self):
+        # 12 bytes per scratch entry (int32 visits, float64 last-check
+        # times) for SCRATCH_ENTRIES entries, plus 1 MiB for one table
+        # chunk's relaxation. One cell of 400 samples over 360 blocks fits
+        # the budget, so the scratch holds one cell.
+        g = grid_graph(10)
+        n = 400
+        assert n * len(g.block_ids) <= onstreet_sim.SCRATCH_ENTRIES < 2 * n * len(g.block_ids)
+        p = np.random.default_rng(6).uniform(0.6, 1.0, (1, len(g.block_ids)))
+        peak = self.peak_bytes(g, p, OnstreetConfig(n_samples=n))
+        assert peak < 12 * onstreet_sim.SCRATCH_ENTRIES + 2 ** 20
+
+    def test_long_searches_do_not_grow_memory(self):
+        # 600 searches that never park, about 50 steps each and then about
+        # 1,000: a record of every scratch entry they touch would grow by
+        # 4.8 MB
+        g = line_graph()
+        p = np.zeros((1, len(g.block_ids)))
+        short, long = (self.peak_bytes(g, p, OnstreetConfig(n_samples=100, max_search_s=cap))
+                       for cap in (1e3, 2e4))
+        assert long < short + 2 ** 16
 
 
 class TestProbabilityVector:

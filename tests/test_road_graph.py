@@ -17,14 +17,15 @@ from parksim.road_graph import (
     drive_times_to_node,
     load_graph,
     save_graph,
+    tables_to_blocks,
     walk_time_from_node,
     walk_times_from_node,
     walk_times_to_block,
 )
 
-from conftest import grid_graph, line_graph, make_edge, random_graph
+from conftest import grid_graph, line_graph, make_edge, random_graph, ring_graph
 from oracles import (brute_distance_m, brute_drive_time_to_node, brute_walk_time,
-                     brute_walk_time_from_node, out_blocks)
+                     brute_walk_time_from_node, midpoint_table, out_blocks)
 
 
 def graph_file_payload(g=None):
@@ -319,3 +320,31 @@ class TestNodeAnchoredQueries:
     def test_walk_from_node_half_term_on_block_side_only(self, small_grid):
         e = small_grid.edges["h0_0E"]
         assert walk_time_from_node(small_grid, e.from_node, "h0_0E") == e.walk_time_s / 2
+
+
+class TestTablesToBlocks:
+    """Tables of several destinations share one relaxation; each column is
+    the same whichever other destinations share its matrix."""
+
+    @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "all"])
+    def test_columns_independent_of_chunk_size(self, graph, chunk):
+        g = grid_graph(4) if graph == "grid" else ring_graph()
+        dests = np.arange(len(g.block_ids))
+        size = chunk or dests.size
+        for weight, one_column, edge_weight, brute in (
+                (g.walk_s, walk_times_to_block, lambda e: e.walk_time_s, brute_walk_time),
+                (g.length_m, block_distances_to_block, lambda e: e.length_m, brute_distance_m)):
+            table = np.hstack([tables_to_blocks(g, dests[lo:lo + size], weight)
+                               for lo in range(0, dests.size, size)])
+            assert table.shape == (dests.size, dests.size)
+            for j, dest in enumerate(g.block_ids):
+                assert np.array_equal(table[:, j], one_column(g, dest)), dest
+                if graph == "grid":
+                    # enumerating the 4 x 4 grid's simple paths takes about
+                    # 10 s a pair; Floyd-Warshall is exact on its integer weights
+                    expected = midpoint_table(g, dest, edge_weight)
+                    column = [expected[src] for src in g.block_ids]
+                else:
+                    column = [brute(g, src, dest) for src in g.block_ids]
+                assert table[:, j].tolist() == column, dest
