@@ -5,12 +5,18 @@ it for quick experiments (--seed sets the seed of every section without its
 own). Stages communicate through files in the output directory, so each
 subcommand can also be run alone against intermediate results.
 
-Only ingest and predict read ``payments.csv``: ingest combines the survey
-checks, read as columns, into one sample per (block, half-hour window),
-computes the four availability features of every sample and writes them
-into ``samples.csv``, from which train and eval read their whole dataset,
-with no graph and no payments. Ingest also reads ``lot_events.csv`` into
-dense hourly arrays of each lot's entries and departures and averages them
+Only ingest parses ``payments.csv``: it combines the survey checks, read
+as columns, into one sample per (block, half-hour window), computes the
+four availability features of every sample and writes them into
+``samples.csv``, from which train and eval read their whole dataset, with
+no graph and no payments. It also writes the parsed sessions once, as the
+session index ``sessions.npz``, keyed by the sha256 of the payment bytes
+they came from; ``ingest.json`` records that sha256 and the first and last
+session start date. Predict hashes ``payments.csv`` and loads the index
+when the key matches; with no index, or one made from other bytes, it
+parses the file as ingest does, so a stale index is never used. Either way
+every session must lie on a block of the graph. Ingest also reads
+``lot_events.csv`` into dense hourly arrays of each lot's entries and departures and averages them
 into the hourly Poisson rates of ``rates.csv``, a row for every (day of
 week, hour) of every lot, which sim-off samples.
 
@@ -38,7 +44,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -51,19 +57,23 @@ from .data_ingest import (
     _real,
     combine_surveys,
     estimate_rates,
+    file_sha256,
     read_columns,
     read_lot_events,
     read_lots,
     read_payments,
     read_rates_csv,
     read_samples_csv,
+    read_session_index,
     read_surveys,
     write_rates_csv,
     write_samples_csv,
+    write_session_index,
     write_table,
 )
 from .errors import ConfigError, DataError, NumericError, ParksimError, check_fields
 from .occupancy_model import (
+    _EPOCH,
     EvalReport,
     Sessions,
     TrainConfig,
@@ -82,6 +92,7 @@ from .synth import SynthConfig, synth_generate
 SAMPLES_FILE = "samples.csv"
 RATES_FILE = "rates.csv"
 INGEST_REPORT_FILE = "ingest.json"
+SESSION_INDEX_FILE = "sessions.npz"
 MODEL_FILE = "model.json"
 TRAIN_REPORT_FILE = "train_report.json"
 EVAL_FILE = "eval.json"
@@ -247,10 +258,23 @@ def _read_known_lots(cfg: RunConfig, g: RoadGraph, path: Path, ids) -> list[LotS
 
 
 def _read_known_payments(cfg: RunConfig, g: RoadGraph) -> Sessions:
+    """The payments file's sessions, on blocks of ``g``: from ingest's
+    session index if it was made from the file's bytes, else parsed."""
     path = _require(cfg.payments, "payments")
-    sessions = read_payments(path)
+    sessions = read_session_index(cfg.out_dir / SESSION_INDEX_FILE, file_sha256(path))
+    if sessions is None:
+        sessions = read_payments(path)
     _check_known(path, "blocks", sessions, g.edges)
     return sessions
+
+
+def _first_and_last_date(times: np.ndarray) -> list[str] | None:
+    """The ISO dates of the earliest and latest of int64 microsecond
+    ``times``; None when there are none."""
+    if not times.size:
+        return None
+    return [(_EPOCH + timedelta(microseconds=int(t))).date().isoformat()
+            for t in (times.min(), times.max())]
 
 
 def _report_dict(report: EvalReport) -> dict:
@@ -274,7 +298,11 @@ def stage_ingest(cfg: RunConfig) -> None:
     block_ids, times, free = read_surveys(surveys_path)
     _check_known(surveys_path, "blocks", block_ids, g.edges)
     samples, discarded = combine_surveys(block_ids, times, free)
-    features, _ = build_dataset(samples, _read_known_payments(cfg, g), g)
+    payments_path = _require(cfg.payments, "payments")
+    payments_sha256 = file_sha256(payments_path)
+    sessions = read_payments(payments_path)
+    _check_known(payments_path, "blocks", sessions, g.edges)
+    features, _ = build_dataset(samples, sessions, g)
 
     flows = read_lot_events(_require(cfg.lot_events, "lot_events"))
     _read_known_lots(cfg, g, cfg.lot_events, flows.lot_ids)
@@ -282,7 +310,10 @@ def stage_ingest(cfg: RunConfig) -> None:
 
     write_samples_csv(samples, features, cfg.out_dir / SAMPLES_FILE)
     write_rates_csv(rates, cfg.out_dir / RATES_FILE)
+    write_session_index(sessions, payments_sha256, cfg.out_dir / SESSION_INDEX_FILE)
     _atomic_write(cfg.out_dir / INGEST_REPORT_FILE, json.dumps({
+        "payments_sha256": payments_sha256,
+        "payment_dates": _first_and_last_date(sessions.starts),
         "samples": samples.labels.size,
         "surveys_discarded": discarded,
         "lots": list(flows.lot_ids),

@@ -31,12 +31,14 @@ the same way and must be shorter than ``timedelta.max``.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
 import os
 import statistics
 import warnings
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -48,8 +50,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import DataError, check_fields
-from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples, Sessions,
-                              micros, session_arrays)
+from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples,
+                              SessionIndex, micros, session_arrays)
 from .offstreet_sim import DAYS_PER_WEEK, LotRates, LotSpec
 from .road_graph import _atomic_write, _check_hour, _json_int
 
@@ -174,6 +176,8 @@ _CELL_ERRORS = (DataError, ValueError, OverflowError)
 _MAX_US = micros(datetime.max)
 # Longer than the whole datetime range, and short enough for int64 microseconds.
 _LONGEST_S = 1e12
+# The layout of the session index file; an index of another version is not used.
+SESSION_INDEX_VERSION = 1
 # Paid durations must be shorter: as a float this is 1e9 days, past timedelta.max.
 _TIMEDELTA_MAX_S = timedelta.max.total_seconds()
 T = TypeVar("T")
@@ -363,7 +367,7 @@ def _label(raw: str) -> int:
     return value
 
 
-def read_payments(path: str | os.PathLike) -> Sessions:
+def read_payments(path: str | os.PathLike) -> SessionIndex:
     """Each block's paid sessions, as ``occupancy_model.session_arrays``. A
     session lasts ``timedelta(seconds=duration_s)`` (see
     ``_micros_of_seconds``) and must end by ``datetime.max``."""
@@ -384,6 +388,94 @@ def read_payments(path: str | os.PathLike) -> Sessions:
         parts.append((np.fromiter(map(codes.__getitem__, blocks), np.intp, len(blocks)),
                       start, end))
     return session_arrays(list(codes), *map(np.concatenate, zip(*parts)))
+
+
+def file_sha256(path: str | os.PathLike) -> str:
+    """The sha256 of a file's bytes, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 20):
+                digest.update(block)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return digest.hexdigest()
+
+
+def write_session_index(sessions: SessionIndex, key: str, path: str | os.PathLike) -> None:
+    """Write ``sessions`` as an uncompressed ``.npz`` archive, each array
+    straight into the file: ``block_ids`` as a str array; the int64
+    ``bounds``, ``starts`` and ``ends``; and two 0-d arrays,
+    ``payments_sha256``, which is ``key``, the sha256 of the payment bytes
+    the sessions were parsed from, and SESSION_INDEX_VERSION as
+    ``format_version``. Every member has the same fixed time, so the file
+    depends on the arrays alone."""
+    arrays = {"format_version": np.array(SESSION_INDEX_VERSION, np.int64),
+              "payments_sha256": np.array(key),
+              "block_ids": np.array(sessions.block_ids, dtype=str),
+              "bounds": sessions.bounds, "starts": sessions.starts, "ends": sessions.ends}
+
+    def write(fh) -> None:
+        with zipfile.ZipFile(fh, "w") as archive:
+            for name, array in arrays.items():
+                info = zipfile.ZipInfo(f"{name}.npy", (1980, 1, 1, 0, 0, 0))
+                with archive.open(info, "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, array, allow_pickle=False)
+
+    _atomic_write(path, write)
+
+
+def read_session_index(path: str | os.PathLike, key: str) -> SessionIndex | None:
+    """The sessions of the index at ``path`` if it was written from the
+    payments whose sha256 is ``key``, in this format; None if there is no
+    index, or it was written from other payments or in another format.
+
+    An index that cannot be read, or whose key matches but whose arrays do
+    not form a ``SessionIndex`` (a wrong dtype or shape, bounds that do not
+    delimit the sessions, a repeated block, times unsorted within a block),
+    is a DataError. Nothing in it is unpickled.
+    """
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read session index {path}: {exc}") from exc
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise DataError(f"session index {path} is not an .npz archive")
+
+    def member(name: str, ndim: int, dtype: type | None = None) -> np.ndarray:
+        """Array ``name``: ``ndim``-dimensional, of ``dtype``, or str without one."""
+        try:
+            array = npz[name]
+        except (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise DataError(f"malformed session index {path}: {name}: {exc}") from exc
+        if array.ndim != ndim or (array.dtype != dtype if dtype else array.dtype.kind != "U"):
+            raise DataError(f"malformed session index {path}: {name} is a "
+                            f"{array.ndim}-d {array.dtype} array")
+        return array
+
+    with npz:
+        if (member("format_version", 0, np.int64) != SESSION_INDEX_VERSION
+                or str(member("payments_sha256", 0)) != key):
+            return None
+        block_ids = member("block_ids", 1).tolist()
+        bounds, starts, ends = (member(name, 1, np.int64) for name in ("bounds", "starts", "ends"))
+    for fault, what in (
+            (len(bounds) != len(block_ids) + 1 or bounds[0] != 0 or (np.diff(bounds) < 0).any()
+             or not bounds[-1] == len(starts) == len(ends),
+             "bounds do not delimit the sessions of each block"),
+            (len(set(block_ids)) < len(block_ids), "a block id is repeated"),
+            (not _sorted_within(starts, bounds), "starts are unsorted within a block"),
+            (not _sorted_within(ends, bounds), "ends are unsorted within a block")):
+        if fault:
+            raise DataError(f"malformed session index {path}: {what}")
+    return SessionIndex(tuple(block_ids), bounds, starts, ends)
+
+
+def _sorted_within(times: np.ndarray, bounds: np.ndarray) -> bool:
+    """Whether ``times`` only decrease where a block's rows begin."""
+    return bool(np.isin(np.flatnonzero(np.diff(times) < 0) + 1, bounds).all())
 
 
 def write_payments(payments: Mapping[str, tuple[np.ndarray, np.ndarray]],

@@ -16,17 +16,25 @@ generator, so its result does not depend on how many splits train with it.
 Payments enter as session arrays: per block, the sorted int64 microsecond
 instants (naive, from 1970-01-01) at which paid sessions start and, sorted
 apart, at which they end, ``start + timedelta(seconds=duration_s)``. A
-session is active over the half-open [start, end), so the count active at
-``t`` is the starts <= t less the ends <= t; popularity counts starts in
-the half-open [t - 3 h, t). ``feature_matrix`` computes both by binary
-search for any batch of (block, time) queries, times in int64 microseconds
-too; the epoch is a midnight, so a time ``t`` is at hour ``t // HOUR_US % 24``.
+``SessionIndex`` holds every block's arrays in CSR form: one array of
+starts sorted by (block, start), one of ends sorted by (block, end), and
+the bounds of each block's rows in both. A session is active over the
+half-open [start, end), so the count active at ``t`` is the starts <= t
+less the ends <= t; popularity counts starts in the half-open [t - 3 h, t).
+``feature_matrix`` computes both by binary search for any batch of (block,
+time) queries, times in int64 microseconds too; the epoch is a midnight, so
+a time ``t`` is at hour ``t // HOUR_US % 24``.
 
 Feature order is fixed: active paid sessions at the query time, paid
 sessions started in the preceding 3 hours, block length in meters, and
 drive time across the block divided by its length (congestion). Inputs are
 standardized with statistics taken from each split's training portion only.
-Predictions come as one (hour, block) array of availability probabilities.
+Predictions come as one (hour, block) array of availability probabilities,
+from one forward pass over every metered cell. That pass runs the cells as
+a stack of one-row batches, (cells, 1, 4), not as one (cells, 4) batch:
+each one-row matmul is the same inner loop that ``forward`` runs on its
+single row, so every probability keeps ``forward``'s bits, which a 2-D
+batch does not (BLAS may sum a larger product in another order).
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import os
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,6 +81,28 @@ class Samples(NamedTuple):
 # block id -> (sorted session starts, sorted session ends), int64 microseconds;
 # the arrays may be views into one pair of arrays sorted by (block, time)
 Sessions = Mapping[str, tuple[np.ndarray, np.ndarray]]
+
+
+class SessionIndex(Mapping):
+    """``Sessions`` in CSR form: block ``block_ids[i]``'s sessions are rows
+    ``bounds[i]:bounds[i + 1]`` of ``starts``, sorted by (block, start), and
+    of ``ends``, sorted by (block, end); ``bounds`` is int64 and starts at 0."""
+
+    def __init__(self, block_ids: Sequence[str], bounds: np.ndarray, starts: np.ndarray,
+                 ends: np.ndarray):
+        self.block_ids, self.bounds, self.starts, self.ends = block_ids, bounds, starts, ends
+        self._row = {block_id: i for i, block_id in enumerate(block_ids)}
+
+    def __getitem__(self, block_id: str) -> tuple[np.ndarray, np.ndarray]:
+        i = self._row[block_id]
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        return self.starts[lo:hi], self.ends[lo:hi]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self._row)
 
 
 @dataclass
@@ -131,18 +161,17 @@ def micros(t: datetime) -> int:
 
 
 def session_arrays(block_ids: Sequence[str], block: np.ndarray, starts: np.ndarray,
-                   ends: np.ndarray) -> Sessions:
+                   ends: np.ndarray) -> SessionIndex:
     """Index sessions by block: session ``i`` is on block
     ``block_ids[block[i]]`` and active over [``starts[i]``, ``ends[i]``).
 
     One sort by (block, start) and one by (block, end) order every session;
     each block's starts and ends are slices of the two sorted arrays.
     """
-    sorted_starts = starts[np.lexsort((starts, block))]
-    sorted_ends = ends[np.lexsort((ends, block))]
-    bounds = np.cumsum(np.bincount(block, minlength=len(block_ids))).tolist()
-    return {block_id: (sorted_starts[lo:hi], sorted_ends[lo:hi])
-            for block_id, lo, hi in zip(block_ids, [0, *bounds], bounds)}
+    bounds = np.zeros(len(block_ids) + 1, np.int64)
+    np.cumsum(np.bincount(block, minlength=len(block_ids)), out=bounds[1:])
+    return SessionIndex(tuple(block_ids), bounds, starts[np.lexsort((starts, block))],
+                        ends[np.lexsort((ends, block))])
 
 
 def feature_matrix(sessions: Sessions, g: RoadGraph, blocks: Sequence[str],
@@ -359,16 +388,21 @@ def predict_block_probabilities(model, sessions: Sessions, g: RoadGraph,
                                 hours: Sequence[int], on_date: date) -> np.ndarray:
     """Availability of every block at (date, hour:30) for each of ``hours``,
     as a (len(hours), blocks) array: one ``feature_matrix`` call, then one
-    ``forward`` pass per metered cell. Blocks without meters get 0: there is
-    nowhere to park, and the search simulator still needs an entry for them.
+    forward pass over the stack of every metered cell's one-row batch, which
+    gives each cell ``forward``'s bits (see the module docstring). Blocks
+    without meters get 0: there is nowhere to park, and the search simulator
+    still needs an entry for them.
     """
     day = micros(datetime.combine(on_date, time()))
     times = [day + _check_hour(hour) * HOUR_US + HOUR_US // 2 for hour in hours]
     metered = np.flatnonzero([g.edges[b].meter_count for b in g.block_ids])
     X = feature_matrix(sessions, g, [g.block_ids[j] for j in metered] * len(hours),
                        np.repeat(np.array(times, dtype=np.int64), metered.size))
+    if not np.isfinite(X).all():
+        raise NumericError("non-finite feature input")
+    logits, _ = _logits(model, X[:, None, :])
     p = np.zeros((len(hours), len(g.block_ids)))
-    p[:, metered] = np.reshape([forward(model, x)[0] for x in X], (len(hours), metered.size))
+    p[:, metered] = _softmax(logits)[:, 0, 1].reshape(len(hours), metered.size)
     return p
 
 

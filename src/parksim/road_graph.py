@@ -33,7 +33,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
@@ -276,14 +276,19 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _atomic_write(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` beside ``path``, creating its directory, then rename it
+def _atomic_write(path: str | os.PathLike, content: str | Callable[[BinaryIO], None]) -> None:
+    """Write ``content``, a text or a function that writes a binary file it
+    is given, beside ``path``, creating its directory, then rename the file
     over ``path``, so no reader sees half a file. Every file the package
     writes comes here; a path that cannot be written is a ConfigError."""
     tmp = Path(str(path) + ".tmp")
     try:
         tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text)
+        if isinstance(content, str):
+            tmp.write_text(content)
+        else:
+            with open(tmp, "wb") as fh:
+                content(fh)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -313,7 +318,12 @@ def _relax(dist: np.ndarray, nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
     point in every column."""
     w = w[:, :, None]
     while True:
-        relaxed = np.minimum(dist, (dist[nbr] + w).min(axis=0))
+        candidates = dist[nbr]
+        candidates += w
+        relaxed = candidates.min(axis=0)
+        # the only (k, node, column) array: freed before the next gather
+        del candidates
+        np.minimum(dist, relaxed, out=relaxed)
         if np.array_equal(relaxed, dist):
             return dist
         dist = relaxed
@@ -323,7 +333,10 @@ def _walk_from(g: RoadGraph, weight: np.ndarray, dist: np.ndarray) -> np.ndarray
     """``weight``-path lengths from each column's seed nodes to every block
     midpoint, as a (block, column) matrix."""
     dist = _relax(dist, g.walk_nbr, weight[g.walk_via])
-    return weight[:, None] / 2.0 + np.minimum(dist[g.block_from], dist[g.block_to])
+    table = dist[g.block_from]
+    np.minimum(table, dist[g.block_to], out=table)
+    table += weight[:, None] / 2.0  # float addition commutes, bit for bit
+    return table
 
 
 def tables_to_blocks(g: RoadGraph, dests: np.ndarray, weight: np.ndarray) -> np.ndarray:

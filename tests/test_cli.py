@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parksim import cli, occupancy_model
+from parksim import cli, data_ingest, occupancy_model
 from parksim.cli import main
 from parksim.data_ingest import SmoothingConfig, read_lots
 from parksim.errors import ConfigError
@@ -77,7 +77,7 @@ class TestPipeline:
     def test_exit_code_and_files(self, run):
         assert run["code"] == 0
         geojson = {f"diff_h{hour:02d}.geojson" for hour in HOURS}
-        expected = {"samples.csv", "rates.csv", "ingest.json", "model.json",
+        expected = {"samples.csv", "rates.csv", "ingest.json", "sessions.npz", "model.json",
                     "train_report.json", *PER_CELL_FILES, *geojson}
         assert {p.name for p in run["out"].iterdir()} == expected
 
@@ -738,6 +738,143 @@ def test_payment_start_with_utc_offset_is_a_data_error(copied, capsys, stage,
     assert "UTC offset" in err
 
 
+def test_ingest_records_the_payments_it_read(run):
+    payments = run["city"] / "payments.csv"
+    report = json.loads((run["out"] / "ingest.json").read_text())
+    assert report["payments_sha256"] == hashlib.sha256(payments.read_bytes()).hexdigest()
+    starts = [datetime.fromisoformat(r["start_iso8601"]).date() for r in read_rows(payments)]
+    assert report["payment_dates"] == [min(starts).isoformat(), max(starts).isoformat()]
+    with np.load(run["out"] / "sessions.npz", allow_pickle=False) as index:
+        assert str(index["payments_sha256"]) == report["payments_sha256"]
+
+
+def test_session_index_depends_on_the_payments_alone(run, copied):
+    config = write_config(copied / "config.json", "city")
+    assert main(["ingest", "--config", str(config)]) == 0
+    index = "sessions.npz"
+    assert (copied / "out" / index).read_bytes() == (run["out"] / index).read_bytes()
+
+
+def test_predict_loads_a_matching_session_index(copied, monkeypatch):
+    def no_parse(path):
+        raise AssertionError("predict parsed payments.csv beside a matching index")
+
+    monkeypatch.setattr(cli, "read_payments", no_parse)
+    availability = copied / "out" / "availability.csv"
+    made_by_pipeline = availability.read_bytes()
+    availability.unlink()
+    assert main(["predict", "--config", str(write_config(copied / "config.json", "city"))]) == 0
+    assert availability.read_bytes() == made_by_pipeline
+
+
+def test_predict_without_session_index_parses_the_payments(copied):
+    availability = copied / "out" / "availability.csv"
+    made_with_index = availability.read_bytes()
+    (copied / "out" / "sessions.npz").unlink()
+    availability.unlink()
+    assert main(["predict", "--config", str(write_config(copied / "config.json", "city"))]) == 0
+    assert availability.read_bytes() == made_with_index
+
+
+def test_predict_reads_payments_edited_after_ingest(copied):
+    # sessions moved onto the predicted date change the map; the index that
+    # ingest made from the old file must not hide them
+    def onto_predict_date(rows):
+        for row in rows[1:]:
+            row[1] = "2026-03-13T08:10:00"
+
+    config = write_config(copied / "config.json", "city")
+    availability = copied / "out" / "availability.csv"
+    before = availability.read_bytes()
+    edit_csv(copied / "city" / "payments.csv", onto_predict_date)
+    assert main(["predict", "--config", str(config)]) == 0
+    edited = availability.read_bytes()
+    assert edited != before
+    (copied / "out" / "sessions.npz").unlink()
+    assert main(["predict", "--config", str(config)]) == 0
+    assert availability.read_bytes() == edited
+
+
+def test_ingest_and_predict_without_payments(copied):
+    payments = copied / "city" / "payments.csv"
+    payments.write_text(payments.read_text().splitlines()[0] + "\n")
+    config = write_config(copied / "config.json", "city")
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert json.loads((copied / "out" / "ingest.json").read_text())["payment_dates"] is None
+    assert main(["predict", "--config", str(config)]) == 0
+
+
+def rewrite_index(index, edit):
+    """Replace the arrays of a session index by ``edit`` of them."""
+    with np.load(index, allow_pickle=False) as npz:
+        arrays = edit({name: npz[name] for name in npz.files})
+    with index.open("wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_predict_parses_payments_beside_an_index_of_another_format(copied, monkeypatch):
+    # the starts would be malformed, but an index of another format is not read
+    rewrite_index(copied / "out" / "sessions.npz", lambda a: {
+        **a, "format_version": np.array(2), "starts": a["starts"].astype(float)})
+    parsed = []
+    monkeypatch.setattr(cli, "read_payments",
+                        lambda path: parsed.append(path) or data_ingest.read_payments(path))
+    assert main(["predict", "--config", str(write_config(copied / "config.json", "city"))]) == 0
+    assert parsed == [copied / "city" / "payments.csv"]
+
+
+UNPICKLED = []
+
+
+def _unpickle():
+    UNPICKLED.append(True)
+
+
+class _Tripwire:
+    """An object that records being unpickled."""
+
+    def __reduce__(self):
+        return _unpickle, ()
+
+
+def _unsorted_starts(a):
+    """The starts of the first block with two distinct starts, reversed."""
+    starts, bounds = a["starts"].copy(), a["bounds"]
+    lo, hi = next((lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+                  if len(set(starts[lo:hi])) > 1)
+    starts[lo:hi] = starts[lo:hi][::-1]
+    return {**a, "starts": starts}
+
+
+@pytest.mark.parametrize("edit", [
+    None,
+    lambda a: {**a, "starts": a["starts"].astype(float)},
+    lambda a: {**a, "bounds": a["bounds"].astype(np.int32)},
+    lambda a: {**a, "block_ids": np.array([_Tripwire()] * len(a["block_ids"]), dtype=object)},
+    lambda a: {**a, "ends": a["ends"][:, None]},
+    _unsorted_starts,
+    lambda a: {**a, "ends": a["ends"][::-1].copy()},
+    lambda a: {**a, "bounds": np.append(a["bounds"][:-1], a["bounds"][-1] - 1)},
+    lambda a: {**a, "bounds": a["bounds"][1:]},
+    lambda a: {**a, "block_ids": np.repeat(a["block_ids"][:1], len(a["block_ids"]))},
+    lambda a: {name: a[name] for name in a if name != "ends"},
+], ids=["truncated", "float_starts", "int32_bounds", "object_block_ids", "2d_ends",
+        "unsorted_starts", "unsorted_ends", "bounds_short_of_n", "bounds_without_0",
+        "repeated_block", "no_ends"])
+def test_malformed_session_index_with_matching_key_is_a_data_error(copied, capsys, edit):
+    index = copied / "out" / "sessions.npz"
+    if edit is None:
+        index.write_bytes(index.read_bytes()[:index.stat().st_size // 2])
+    else:
+        rewrite_index(index, edit)
+    config = write_config(copied / "config.json", "city")
+    assert main(["predict", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "session index" in err and "sessions.npz" in err, err
+    assert not UNPICKLED
+
+
 def test_rate_for_unknown_lot_is_a_data_error(copied, capsys):
     def relabel(rows):
         for row in rows:
@@ -932,9 +1069,18 @@ def block_samples_file(root):
     return root / "out", root / "out" / "samples.csv"
 
 
+def block_session_index(root):
+    """The session index, the one binary output, made a directory."""
+    (root / "out" / "sessions.npz").unlink()
+    (root / "out" / "sessions.npz").mkdir()
+    return root / "out", root / "out" / "sessions.npz"
+
+
 @pytest.mark.parametrize("stage,block", [
     ("synth", block_out_dir), ("ingest", block_out_dir), ("ingest", block_samples_file),
-], ids=["synth_out_is_a_file", "ingest_out_is_a_file", "ingest_output_is_a_directory"])
+    ("ingest", block_session_index),
+], ids=["synth_out_is_a_file", "ingest_out_is_a_file", "ingest_output_is_a_directory",
+        "session_index_is_a_directory"])
 def test_unusable_output_path_is_a_config_error(copied, capsys, stage, block):
     out, blocked = block(copied)
     config = write_config(copied / "config.json", "city")

@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parksim import occupancy_model
 from parksim.data_ingest import PAYMENT_COLUMNS, read_payments, write_table
 from parksim.errors import DataError, NumericError
 from parksim.occupancy_model import (
@@ -33,6 +34,7 @@ from parksim.occupancy_model import (
     train,
     train_baseline,
 )
+from parksim.road_graph import build_graph
 
 from conftest import PaymentRecord, grid_graph, line_graph, sessions_of
 from oracles import extract_features, finite_difference_gradient, fit_split, plain_forward
@@ -500,6 +502,55 @@ class TestPredict:
         for hour in (-1, 24):
             with pytest.raises(DataError, match="hour must be an integer in 0..23"):
                 predict_block_probabilities(model, sessions, g, (10, hour), on_date)
+
+    @pytest.mark.parametrize("dims", [NETWORK_DIMS, BASELINE_DIMS], ids=["network", "baseline"])
+    @pytest.mark.parametrize("metered", [0, 1, 5], ids=["none", "one", "several"])
+    def test_stacked_pass_equals_forward_per_cell(self, dims, metered):
+        # the one stacked pass gives every cell forward's bits, exactly
+        rng = np.random.default_rng(len(dims) * 10 + metered)
+        grid = grid_graph(4)
+        meter_ids = set(grid.block_ids[:metered])
+        g = build_graph(list(grid.nodes.values()), [
+            replace(e, meter_count=4 * (e.id in meter_ids), length_m=rng.uniform(20, 300))
+            for e in grid.edges.values()])
+        hours = (9, 13, 0, 18)
+        payments = [PaymentRecord(str(rng.choice(g.block_ids)),
+                                  T0 + timedelta(hours=float(rng.uniform(-6, 10))),
+                                  float(rng.uniform(60, 7200))) for _ in range(400)]
+        sessions, model = sessions_of(payments), random_model(rng, dims=dims)
+        # statistics near the features', so that no probability rounds to 0 or 1
+        model.feature_mean = np.array([2.0, 3.0, 160.0, 0.1])
+        model.feature_std = np.array([2.0, 3.0, 80.0, 0.05])
+        p = predict_block_probabilities(model, sessions, g, hours, T0.date())
+        expected = np.zeros((len(hours), len(g.block_ids)))
+        for i, hour in enumerate(hours):
+            t = micros(datetime.combine(T0.date(), time(hour, 30)))
+            for block_id in meter_ids:
+                fv = feature_matrix(sessions, g, [block_id], [t])[0]
+                expected[i, g.position[block_id]] = forward(model, fv)[0]
+        assert np.array_equal(p, expected)
+        assert np.count_nonzero((0.0 < p) & (p < 1.0)) == metered * len(hours)
+
+    @pytest.mark.parametrize("dims", [NETWORK_DIMS, BASELINE_DIMS], ids=["network", "baseline"])
+    def test_stacked_pass_equals_forward_on_wide_features(self, monkeypatch, dims):
+        # features far outside what the synthetic cities produce
+        rng = np.random.default_rng(len(dims))
+        g = grid_graph(3)
+        X = rng.normal(0, 1, (3 * len(g.block_ids), 4)) * 10.0 ** rng.integers(-2, 2, (1, 4))
+        monkeypatch.setattr(occupancy_model, "feature_matrix", lambda *args: X)
+        model = random_model(rng, dims=dims)
+        p = predict_block_probabilities(model, {}, g, (1, 2, 3), date(2026, 3, 4))
+        assert np.array_equal(p.ravel(), [forward(model, x)[0] for x in X])
+        assert ((0.0 < p) & (p < 1.0)).mean() > 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_is_a_numeric_error(self, monkeypatch, bad):
+        g = grid_graph(3)
+        X = np.ones((len(g.block_ids), 4))
+        X[5, 2] = bad
+        monkeypatch.setattr(occupancy_model, "feature_matrix", lambda *args: X)
+        with pytest.raises(NumericError, match="non-finite feature input"):
+            predict_block_probabilities(zero_model(), {}, g, (12,), date(2026, 3, 4))
 
 
 class TestPersistence:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,3 +349,21 @@ class TestTablesToBlocks:
                 else:
                     column = [brute(g, src, dest) for src in g.block_ids]
                 assert table[:, j].tolist() == column, dest
+
+    def test_peak_allocation_is_one_gather_of_the_chunk(self):
+        # a relaxation holds the seeded, the current and the relaxed
+        # (node, chunk) matrices and one gather of k of them; one more
+        # matrix covers the small per-call arrays. Adding into the gather
+        # and into the block table in place keeps the peak there: a second
+        # gather-sized temporary would need 2k + 3 matrices.
+        g = grid_graph(10)
+        k, nodes = g.walk_nbr.shape
+        dests = np.arange(64)
+        for weight in (g.walk_s, g.length_m):
+            tracemalloc.start()
+            try:
+                tables_to_blocks(g, dests, weight)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (k + 4) * nodes * dests.size * 8
