@@ -11,10 +11,10 @@ stalls, half the expected waits for cars seen vacating, and a geometrically
 decaying wait behind earlier arrivals paying ahead of it; that halving
 payment-queue sum starts from the lot minimum time.
 
-All ``reps`` repetitions of one (lot, day, hour) start from the same
-initial occupancy and advance together as an ``occupied[rep, stall]``
-array. The hour is ``ticks = round(3600 / tick_s)`` ticks (at least one),
-each with ``scale = 1 / ticks`` of the hourly rates. Lot stream version 2 draws:
+A task is one (lot, day, hour) with its initial occupancy and its stream.
+The hour is ``ticks = round(3600 / tick_s)`` ticks (at least one), each
+with ``scale = 1 / ticks`` of the hourly rates. Each task's stream draws,
+in lot stream version 2:
 
 1. ``rng.poisson(lam_a * scale, size=(ticks, reps))``, every arrival;
 2. ``rng.poisson(lam_d * scale, size=(ticks, reps))``, every departure;
@@ -23,10 +23,19 @@ each with ``scale = 1 / ticks`` of the hourly rates. Lot stream version 2 draws:
    ``min(departures, occupied)`` occupied stalls with the smallest keys leave.
 
 The stream derives from (seed, lot, day, hour), so estimates do not depend
-on task order. The scalar reference, one repetition and one tick at a time,
-is ``simulate_lot_hour_scalar`` in ``tests/oracles.py``. A lot-hour reports
-``arrivals``, the cars that parked, and ``overflow``, the cars that found
-the lot full, both summed over the repetitions.
+on task order. All tasks share one tick count, so ``simulate_lot_hours``
+advances the ``reps`` repetitions of every task of a chunk together, as one
+``occupied[task x rep, stall]`` array padded to the widest lot; a chunk
+holds as many tasks as fit ``SCRATCH_ENTRIES`` entries. A tick touches only
+the rows that move in it: the smallest keys are sought, one car per pass,
+only in rows that lose a car, and free stalls are ranked only in rows that
+gain one; each row's occupied count is kept as it changes. Every task
+still makes its own draws in the order above, and its samples are reduced
+in (tick, rep, stall) order, so its result does not depend on the other
+tasks of its chunk. The scalar reference, one repetition and one tick at a
+time, is ``simulate_lot_hour_scalar`` in ``tests/oracles.py``. A lot-hour
+reports ``arrivals``, the cars that parked, and ``overflow``, the cars that
+found the lot full, both summed over the repetitions.
 
 End-to-end off-street time adds the drive from the destination block to the
 lot entrance with the smallest drive time and the walk back. One call covers
@@ -45,12 +54,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, check_fields
-from .road_graph import RoadGraph, drive_times_to_node, walk_times_from_node
+from .road_graph import RoadGraph, drive_tables_to_nodes, walk_tables_from_nodes
 from .seeding import derived_stream
 
 logger = logging.getLogger(__name__)
 
 DAYS_PER_WEEK = 7
+SCRATCH_ENTRIES = 2 ** 18  # (task x rep, stall) plus (tick, task x rep) entries per lockstep
 
 
 @dataclass(frozen=True)
@@ -108,64 +118,137 @@ def lot_wait_times(k: np.ndarray, departures: np.ndarray, stalls_passed: np.ndar
             + cfg.min_park_s * (1.0 - 0.5 ** (k - 1)))
 
 
-def advance_tick(occupied: np.ndarray, n_arrive: np.ndarray, n_depart: np.ndarray,
-                 keys: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """Advance every repetition by one tick, updating ``occupied[rep, stall]``.
+def advance_tick(occupied: np.ndarray, count: np.ndarray, n_arrive: np.ndarray,
+                 n_depart: np.ndarray, keys: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """Advance every repetition by one tick, updating ``occupied[row, stall]``
+    and, in place, ``count``, each row's occupied stalls.
 
-    ``n_arrive``, ``n_depart`` and ``keys[rep, stall]`` are the tick's draws
-    (``keys`` is None when no departure was drawn). The ``min(n_depart,
-    occupied)`` occupied stalls with the smallest keys are vacated; then the
-    k-th arrival takes the k-th lowest free stall, and arrivals beyond the
-    free stalls overflow. Returns the stalls vacated per repetition and, for
-    each car that parked, its repetition, its stall and its 1-based index k.
+    ``n_arrive``, ``n_depart`` and ``keys[row, stall]`` are the tick's draws
+    (``keys`` may be None when no departure was drawn, and is read only in
+    rows where a car leaves). The ``min(n_depart, count)`` occupied stalls
+    with the smallest keys are vacated; then the k-th arrival takes the
+    k-th lowest free stall, and arrivals beyond the free stalls overflow.
+    Only rows with a departure or an arrival are touched. Returns the
+    stalls vacated per row and, for each car that parked, its row, its
+    stall and its 1-based index k.
     """
-    count = occupied.sum(axis=1)
     departed = np.minimum(n_depart, count)
-    m = departed.max()
-    if m:
-        # each repetition's occupied stalls come first, in key order
-        first = np.argsort(np.where(occupied, keys, 2.0), axis=1)[:, :m]
-        occupied[np.arange(len(occupied))[:, None], first] &= np.arange(m) >= departed[:, None]
+    rows = np.flatnonzero(departed)
+    if rows.size:
+        # one pass per car: in each row still losing cars, the occupied
+        # stall with the smallest key leaves
+        key = np.where(occupied[rows], keys[rows], 2.0)
+        leave = departed[rows]
+        while True:
+            stall = key.argmin(axis=1)
+            occupied[rows, stall] = False
+            leave -= 1
+            more = np.flatnonzero(leave)
+            if not more.size:
+                break
+            rows, leave, key = rows[more], leave[more], key[more]
+            key[np.arange(more.size), stall[more]] = 2.0
+        count -= departed
+    rows = np.flatnonzero(n_arrive)
+    if not rows.size:
+        return departed, rows, rows, rows
+    arrive = n_arrive[rows]
     # the k-th arrival finds a free stall among the first (occupied + k)
-    free = ~occupied[:, :(count - departed + n_arrive).max()]
+    free = ~occupied[rows, :(count[rows] + arrive).max()]
     rank = np.cumsum(free, axis=1)
-    free &= rank <= n_arrive[:, None]
-    occupied[:, :free.shape[1]] |= free
-    rep, stall = np.nonzero(free)
-    return departed, rep, stall, rank[rep, stall]
+    free &= rank <= arrive[:, None]
+    occupied[rows, :free.shape[1]] |= free
+    count[rows] += np.minimum(arrive, rank[:, -1])
+    parked = np.flatnonzero(free)
+    row, stall = np.divmod(parked, free.shape[1])
+    return departed, rows[row], stall, rank.ravel()[parked]
+
+
+# (lot, hour, initial occupancy, stream) of one lot-hour to simulate
+LotHourTask = tuple[LotSpec, int, int, np.random.Generator]
+
+
+def _task_rates(rates: LotRates, day: int, task: LotHourTask) -> tuple[float, float]:
+    spec, hour, occupancy, _ = task
+    lam_a, lam_d = _rates_of(rates, spec.id)[day, hour].tolist()
+    if not (lam_a >= 0 and lam_d >= 0):
+        raise DataError(f"negative rates for lot {spec.id!r} at (day {day}, hour {hour})")
+    if not 0 <= occupancy <= spec.capacity:
+        raise DataError("initial occupancy outside [0, capacity]")
+    return lam_a, lam_d
+
+
+def simulate_lot_hours(tasks: Sequence[LotHourTask], rates: LotRates, day: int,
+                       cfg: LotSimConfig) -> list[LotHourStats]:
+    """Simulate one hour of lot traffic for each task, in ``cfg.reps``
+    repetitions, the tasks of a chunk in one lockstep.
+
+    A chunk holds as many tasks as fit ``SCRATCH_ENTRIES`` entries, at
+    least one: (task x rep, stall) entries of keys and occupancy plus
+    (tick, task x rep) entries of draws. Every parked arrival yields one
+    wait-time sample; the mean is absent if no arrival parked in any
+    repetition.
+    """
+    lams = [_task_rates(rates, day, task) for task in tasks]
+    ticks = max(1, int(round(3600.0 / cfg.tick_s)))
+    stats: list[LotHourStats] = []
+    lo = width = 0
+    for hi, (spec, *_) in enumerate(tasks):
+        width = max(width, spec.capacity)
+        if hi > lo and (hi + 1 - lo) * cfg.reps * (width + ticks) > SCRATCH_ENTRIES:
+            stats += _lockstep(tasks[lo:hi], lams[lo:hi], ticks, cfg)
+            lo, width = hi, spec.capacity
+    if lo < len(tasks):
+        stats += _lockstep(tasks[lo:], lams[lo:], ticks, cfg)
+    return stats
+
+
+def _lockstep(tasks: Sequence[LotHourTask], lams: Sequence[tuple[float, float]], ticks: int,
+              cfg: LotSimConfig) -> list[LotHourStats]:
+    """Every repetition of every task as one row of ``occupied[task x rep,
+    stall]``, padded to the widest lot by stalls that stay occupied and
+    never leave. Each task draws from its own stream as it would alone."""
+    n, reps, scale = len(tasks), cfg.reps, 1.0 / ticks  # the ticks span the whole hour
+    arrive = np.empty((ticks, n * reps), dtype=np.int64)
+    depart = np.empty_like(arrive)
+    for i, ((_, _, _, rng), (lam_a, lam_d)) in enumerate(zip(tasks, lams)):
+        arrive[:, i * reps:(i + 1) * reps] = rng.poisson(lam_a * scale, size=(ticks, reps))
+        depart[:, i * reps:(i + 1) * reps] = rng.poisson(lam_d * scale, size=(ticks, reps))
+    capacity = [spec.capacity for spec, *_ in tasks]
+    stall = np.arange(max(capacity))
+    count = np.repeat([occupancy for _, _, occupancy, _ in tasks], reps)
+    occupied = (stall < count[:, None]) | (stall >= np.repeat(capacity, reps)[:, None])
+    keys = np.full(occupied.shape, 2.0)  # padding never has the smallest key
+    draws = depart.reshape(ticks, n, reps).any(axis=2)
+    parts = [(np.empty(0, dtype=int),) * 4]  # (row, k, vacated, stall) per parked car
+    for t in np.flatnonzero(arrive.any(axis=1) | depart.any(axis=1)):
+        for i in np.flatnonzero(draws[t]).tolist():
+            keys[i * reps:(i + 1) * reps, :capacity[i]] = tasks[i][3].random((reps, capacity[i]))
+        departed, row, parked, k = advance_tick(occupied, count, arrive[t], depart[t], keys)
+        parts.append((row, k, departed[row], parked))
+    row, k, vacated, parked = map(np.concatenate, zip(*parts))
+    task = row // reps
+    order = np.argsort(task, kind="stable")  # each task's samples in (tick, rep, stall) order
+    samples = lot_wait_times(k[order], vacated[order], parked[order], cfg)
+    bounds = np.cumsum(np.bincount(task, minlength=n)).tolist()
+    drawn = arrive.reshape(ticks, n, reps).sum(axis=(0, 2)).tolist()
+    stats = []
+    for lo, hi, total in zip([0] + bounds, bounds, drawn):
+        s = samples[lo:hi]
+        if not s.size:
+            stats.append(LotHourStats(mean_s=None, std_s=None, arrivals=0, overflow=total))
+            continue
+        std = float(s.std(ddof=1)) if s.size > 1 else 0.0
+        stats.append(LotHourStats(mean_s=float(s.mean()), std_s=std, arrivals=s.size,
+                                  overflow=total - s.size))
+    return stats
 
 
 def simulate_lot_hour(spec: LotSpec, rates: LotRates, day: int, hour: int,
                       cfg: LotSimConfig, initial_occupancy: int,
                       rng: np.random.Generator) -> LotHourStats:
-    """Simulate one hour of lot traffic in ``cfg.reps`` repetitions at once.
-
-    Every parked arrival yields one wait-time sample; the mean is absent if
-    no arrival parked in any repetition.
-    """
-    lam_a, lam_d = _rates_of(rates, spec.id)[day, hour].tolist()
-    if not (lam_a >= 0 and lam_d >= 0):
-        raise DataError(f"negative rates for lot {spec.id!r} at (day {day}, hour {hour})")
-    if not 0 <= initial_occupancy <= spec.capacity:
-        raise DataError("initial occupancy outside [0, capacity]")
-    ticks = max(1, int(round(3600.0 / cfg.tick_s)))
-    scale = 1.0 / ticks  # the ticks span the whole hour
-    arrive = rng.poisson(lam_a * scale, size=(ticks, cfg.reps))
-    depart = rng.poisson(lam_d * scale, size=(ticks, cfg.reps))
-    occupied = np.zeros((cfg.reps, spec.capacity), dtype=bool)
-    occupied[:, :initial_occupancy] = True
-    parts = [(np.empty(0, dtype=int),) * 3]  # (k, vacated, stall) per parked car
-    for t in np.flatnonzero(arrive.any(axis=1) | depart.any(axis=1)):
-        keys = rng.random(occupied.shape) if depart[t].any() else None
-        departed, rep, stall, k = advance_tick(occupied, arrive[t], depart[t], keys)
-        parts.append((k, departed[rep], stall))
-    samples = lot_wait_times(*map(np.concatenate, zip(*parts)), cfg)
-    overflow = int(arrive.sum()) - samples.size
-    if not samples.size:
-        return LotHourStats(mean_s=None, std_s=None, arrivals=0, overflow=overflow)
-    std = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
-    return LotHourStats(mean_s=float(samples.mean()), std_s=std,
-                        arrivals=samples.size, overflow=overflow)
+    """One task of ``simulate_lot_hours``."""
+    return simulate_lot_hours([(spec, hour, initial_occupancy, rng)], rates, day, cfg)[0]
 
 
 def initial_occupancy(rates: LotRates, lot: LotSpec, day: int, hour: int) -> int:
@@ -204,34 +287,35 @@ def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec], rates: LotRat
     """Total off-street time of every block at each hour: drive to the lot
     with the smallest drive time, queue and park inside it, walk back.
 
-    The ``drive_times_to_node`` rows of the lots, sorted by id, form one
-    (hour, lot, block) array whose first minimum along the lot axis picks
-    each cell's lot, so ties go to the smallest lot id. Each chosen
-    (lot, hour) is simulated once, from its ``initial_occupancy`` on the
-    stream of (seed, lot, day, hour); if no car arrives, a single probe
-    car's wait stands in for the undefined mean. Walks come from one
-    ``walk_times_from_node`` row per lot.
+    One ``drive_tables_to_nodes`` relaxation per hour, over the lots sorted
+    by id, gives an (hour, lot, block) array whose first minimum along the
+    lot axis picks each cell's lot, so ties go to the smallest lot id. The
+    chosen (lot, hour) tasks go to one ``simulate_lot_hours`` call, each
+    from its ``initial_occupancy`` on the stream of (seed, lot, day, hour);
+    if no car arrives, a single probe car's wait stands in for the
+    undefined mean. Walks come from one ``walk_tables_from_nodes`` call.
     """
     if not lots:
         raise DataError("no lots configured")
     if not 0 <= day < DAYS_PER_WEEK:
         raise DataError(f"day must be in 0..6, got {day!r}")
     lots = sorted(lots, key=lambda l: l.id)
-    walk = np.array([walk_times_from_node(g, lot.node) for lot in lots])
-    drive = np.array([[drive_times_to_node(g, lot.node, hour) for lot in lots]
-                      for hour in hours]).reshape(len(hours), len(lots), len(g.block_ids))
+    nodes = [lot.node for lot in lots]
+    walk = walk_tables_from_nodes(g, nodes).T
+    drive = np.array([drive_tables_to_nodes(g, nodes, hour).T for hour in hours]
+                     ).reshape(len(hours), len(lots), len(g.block_ids))
     blocks, unreachable = np.nonzero(np.isinf(drive).any(axis=0).T)  # first block, then lot
     if blocks.size:
         raise DataError(f"no drive path from {g.block_ids[blocks[0]]!r} "
                         f"to node {lots[unreachable[0]].node!r}")
     choice = drive.argmin(axis=1)
+    cells = list(zip(*np.nonzero(np.eye(len(lots), dtype=bool)[choice].any(axis=1))))
+    tasks = [(lots[j], hours[i], initial_occupancy(rates, lots[j], day, hours[i]),
+              derived_stream(cfg.seed, lots[j].id, day, hours[i])) for i, j in cells]
     # lot_s, std_s, arrivals and overflow of each chosen (hour, lot)
     stats = np.zeros((4, len(hours), len(lots)))
-    for i, j in zip(*np.nonzero(np.eye(len(lots), dtype=bool)[choice].any(axis=1))):
-        lot, hour = lots[j], hours[i]
-        occupancy = initial_occupancy(rates, lot, day, hour)
-        s = simulate_lot_hour(lot, rates, day, hour, cfg, occupancy,
-                              derived_stream(cfg.seed, lot.id, day, hour))
+    for (i, j), (lot, _, occupancy, _), s in zip(cells, tasks,
+                                                  simulate_lot_hours(tasks, rates, day, cfg)):
         if s.mean_s is None:
             # quiet lot: one probe car drives past the initially occupied stalls
             s = replace(s, mean_s=lot_wait_times(1, 0, min(occupancy, lot.capacity - 1), cfg),

@@ -360,27 +360,43 @@ def block_distances_to_block(g: RoadGraph, dest_block: str) -> np.ndarray:
     return tables_to_blocks(g, [_block(g, dest_block)], g.length_m)[:, 0]
 
 
+def _seeded_at(g: RoadGraph, nodes: list[str]) -> np.ndarray:
+    """A (node, column) matrix with column ``c`` seeded at ``nodes[c]``."""
+    dist = np.full((len(g.node_position), len(nodes)), math.inf)
+    dist[[_node(g, node) for node in nodes], np.arange(len(nodes))] = 0.0
+    return dist
+
+
+def walk_tables_from_nodes(g: RoadGraph, nodes: list[str]) -> np.ndarray:
+    """Walk seconds from each intersection in ``nodes`` to every block
+    midpoint, as a (block, node) matrix."""
+    return _walk_from(g, g.walk_s, _seeded_at(g, nodes))
+
+
 def walk_times_from_node(g: RoadGraph, node: str) -> np.ndarray:
     """Walk seconds from one intersection to every block midpoint."""
-    dist = np.full((len(g.node_position), 1), math.inf)
-    dist[_node(g, node)] = 0.0
-    return _walk_from(g, g.walk_s, dist)[:, 0]
+    return walk_tables_from_nodes(g, [node])[:, 0]
+
+
+def drive_tables_to_nodes(g: RoadGraph, nodes: list[str], hour: int) -> np.ndarray:
+    """Drive seconds from every block midpoint to each intersection in
+    ``nodes`` at an hour, as a (block, node) matrix, with no half term on
+    the node side (for point destinations such as lot entrances); ``inf``
+    for a block that cannot reach the node.
+
+    The search runs backwards from each node over reversed blocks, so each
+    sum starts at the node end.
+    """
+    _check_hour(hour)
+    drive_s = g.drive_s[hour]
+    dist = _relax(_seeded_at(g, nodes), g.block_to[g.drive_via], drive_s[g.drive_via])
+    return drive_s[:, None] / 2.0 + dist[g.block_to]
 
 
 def drive_times_to_node(g: RoadGraph, node: str, hour: int) -> np.ndarray:
     """Drive seconds from every block midpoint to one intersection at an
-    hour, with no half term on the node side (for point destinations such
-    as lot entrances); ``inf`` for a block that cannot reach the node.
-
-    The search runs backwards from the node over reversed blocks, so each
-    sum starts at the node end.
-    """
-    _check_hour(hour)
-    dist = np.full((len(g.node_position), 1), math.inf)
-    dist[_node(g, node)] = 0.0
-    drive_s = g.drive_s[hour]
-    dist = _relax(dist, g.block_to[g.drive_via], drive_s[g.drive_via])
-    return drive_s / 2.0 + dist[g.block_to, 0]
+    hour: one column of ``drive_tables_to_nodes``."""
+    return drive_tables_to_nodes(g, [node], hour)[:, 0]
 
 
 def drive_time_to_node(g: RoadGraph, src_block: str, node: str, hour: int) -> float:

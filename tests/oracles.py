@@ -465,16 +465,16 @@ def sample_tick(state: LotState, arrivals_per_hour: float,
 
 
 def simulate_lot_hour_scalar(capacity: int, lam_a: float, lam_d: float, cfg,
-                             initial_occupancy: int,
-                             rng: np.random.Generator) -> tuple[list[float], int]:
+                             initial_occupancy: int, seed: int) -> tuple[list[float], int]:
     """One hour of lot traffic, repeated ``cfg.reps`` times, each repetition
-    from the initial occupancy on its own child stream and tick by tick.
-    Returns every parked arrival's wait and the overflow, summed over the
-    repetitions."""
+    from the initial occupancy on its own child stream of ``seed`` and tick
+    by tick. Returns every parked arrival's wait and the overflow, summed
+    over the repetitions."""
     ticks = max(1, int(round(3600.0 / cfg.tick_s)))
     samples: list[float] = []
     overflow = 0
-    for child in rng.spawn(cfg.reps):
+    # SeedSequence.spawn, not Generator.spawn, which numpy 1.24 lacks
+    for child in map(np.random.default_rng, np.random.SeedSequence(seed).spawn(cfg.reps)):
         state = LotState.fresh(capacity, initial_occupancy)
         for _ in range(ticks):
             result = sample_tick(state, lam_a, lam_d, cfg, child)

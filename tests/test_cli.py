@@ -661,6 +661,31 @@ def test_onstreet_stream_version_2_pinned(tmp_path):
     assert digest == ONSTREET_V2_SHA256[version]
 
 
+# sha256 of the offstreet.csv that sim-off writes for the grid-4 city of
+# seed SEED with three lots of 12 stalls, at HOURS and 20 repetitions, by
+# the numpy version that made it (see ONSTREET_V2_SHA256).
+OFFSTREET_V2_SHA256 = {
+    "2.4": "3beff7efb625ba94cc394a48b5ecedc162b8280e4ed9da807f2303a9cd0c9cc3",
+}
+
+
+def test_offstreet_stream_version_2_pinned(tmp_path):
+    synth_generate(SynthConfig(grid_n=4, days=7, lot_capacity=12,
+                               lot_nodes=("n0_0", "n1_2", "n3_3")), SEED, tmp_path / "city")
+    config = write_config(tmp_path / "config.json", "city")
+    raw = json.loads(config.read_text())
+    raw["offstreet"]["reps"] = 20
+    config.write_text(json.dumps(raw))
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert main(["sim-off", "--config", str(config)]) == 0
+    version = ".".join(np.__version__.split(".")[:2])
+    if version not in OFFSTREET_V2_SHA256:
+        pytest.skip(f"stream hashes recorded under numpy {sorted(OFFSTREET_V2_SHA256)}, "
+                    f"not {version}")
+    digest = hashlib.sha256((tmp_path / "out" / "offstreet.csv").read_bytes()).hexdigest()
+    assert digest == OFFSTREET_V2_SHA256[version]
+
+
 @pytest.mark.parametrize("name", ["availability.csv", "onstreet.csv", "offstreet.csv"])
 def test_duplicate_block_hour_row_is_a_data_error(copied, capsys, name):
     edit_csv(copied / "out" / name, lambda rows: rows.append(list(rows[1])))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from parksim.offstreet_sim import (
     initial_occupancy,
     lot_wait_times,
     simulate_lot_hour,
+    simulate_lot_hours,
 )
 from parksim.road_graph import Intersection, build_graph
 from parksim.seeding import derived_stream
@@ -123,9 +125,12 @@ def lot_rows(capacity, *initially_occupied):
 
 def tick(occupied, n_arrive, n_depart, keys=None):
     """One ``advance_tick`` with the given draws: the stalls vacated and, per
-    repetition, the (stall, k) of each car that parked."""
-    departed, rep, stall, k = advance_tick(occupied, np.array(n_arrive),
+    repetition, the (stall, k) of each car that parked. The count it keeps
+    must match the stalls left occupied."""
+    count = occupied.sum(axis=1)
+    departed, rep, stall, k = advance_tick(occupied, count, np.array(n_arrive),
                                            np.array(n_depart), keys)
+    assert np.array_equal(count, occupied.sum(axis=1))
     parked = [list(zip(stall[rep == r].tolist(), k[rep == r].tolist()))
               for r in range(len(occupied))]
     return departed.tolist(), parked
@@ -373,12 +378,81 @@ class TestSimulateLotHour:
         lot = LotSpec("lot1", "n0_0", capacity)
         stats = simulate_lot_hour(lot, flat_rates("lot1", lam_a, lam_d), 4, 12, cfg,
                                   occupancy, np.random.default_rng(11))
-        samples, overflow = simulate_lot_hour_scalar(capacity, lam_a, lam_d, cfg, occupancy,
-                                                     np.random.default_rng(12))
+        samples, overflow = simulate_lot_hour_scalar(capacity, lam_a, lam_d, cfg, occupancy, 12)
         se = math.hypot(stats.std_s / math.sqrt(stats.arrivals),
                         np.std(samples, ddof=1) / math.sqrt(len(samples)))
         assert abs(stats.mean_s - np.mean(samples)) <= 4 * se
         assert (stats.overflow > 0) == (overflow > 0)
+
+
+# (lot, rates, initial occupancy): capacities 1, 7 and 40, lots that start
+# empty and full, a lot without traffic and one that no car leaves
+MIXED = [
+    (LotSpec("one", "n0_0", 1), (40.0, 40.0), 1),
+    (LotSpec("small", "n0_0", 7), (30.0, 20.0), 0),
+    (LotSpec("full", "n0_0", 40), (50.0, 45.0), 40),
+    (LotSpec("quiet", "n0_0", 40), (0.0, 0.0), 12),
+    (LotSpec("filling", "n0_0", 7), (25.0, 0.0), 3),
+    (LotSpec("empty", "n0_0", 40), (90.0, 10.0), 0),
+]
+
+
+def mixed_tasks(hour, cfg):
+    rates = {lot.id: flat_rates(lot.id, *lam)[lot.id] for lot, lam, _ in MIXED}
+    tasks = [(lot, hour, occupancy, derived_stream(cfg.seed, lot.id, 2, hour))
+             for lot, _, occupancy in MIXED]
+    return tasks, rates
+
+
+class TestSimulateLotHours:
+    """The lockstep over many lot-hours against one lot-hour at a time."""
+
+    CFG = LotSimConfig(reps=30, seed=4)
+
+    def test_each_task_equals_its_one_task_call(self):
+        tasks, rates = mixed_tasks(9, self.CFG)
+        together = simulate_lot_hours(tasks, rates, 2, self.CFG)
+        alone = [simulate_lot_hour(lot, rates, 2, 9, self.CFG, occupancy,
+                                   derived_stream(self.CFG.seed, lot.id, 2, 9))
+                 for lot, _, occupancy, _ in tasks]
+        assert together == alone
+        assert together[3] == LotHourStats(mean_s=None, std_s=None, arrivals=0, overflow=0)
+        assert together[0].overflow > 0 and together[2].overflow > 0
+        assert all(s.mean_s >= CFG.min_park_s for s in together if s.mean_s is not None)
+
+    @pytest.mark.parametrize("budget", [1, 3 * 30 * (40 + 60)], ids=["alone", "threes"])
+    def test_results_do_not_depend_on_the_chunk_budget(self, monkeypatch, budget):
+        tasks, rates = mixed_tasks(14, self.CFG)
+        expected = simulate_lot_hours(tasks, rates, 2, self.CFG)
+        monkeypatch.setattr(offstreet_sim, "SCRATCH_ENTRIES", budget)
+        tasks, rates = mixed_tasks(14, self.CFG)
+        assert simulate_lot_hours(tasks, rates, 2, self.CFG) == expected
+
+    def test_bad_task_rejected_before_any_draw(self):
+        tasks, rates = mixed_tasks(9, self.CFG)
+        lot, hour, _, rng = tasks[-1]
+        tasks[-1] = lot, hour, lot.capacity + 1, rng
+        with pytest.raises(DataError, match="initial occupancy"):
+            simulate_lot_hours(tasks, rates, 2, self.CFG)
+        assert rng.random() == derived_stream(self.CFG.seed, lot.id, 2, hour).random()
+
+    def test_peak_memory_bounded_by_the_scratch_budget(self):
+        # 24 hours of 4 lots at 400 repetitions: one lockstep over all 96
+        # lot-hours peaks near 100 MiB, a chunk of 6 under 7 MiB
+        g = grid_graph(4)
+        lots = [LotSpec(f"lot{i}", node, 40)
+                for i, node in enumerate(["n0_0", "n0_3", "n3_0", "n3_3"])]
+        rates = lots_flat_rates(lots, 10.0, 9.0)
+        cfg = LotSimConfig(reps=400)
+        tracemalloc.start()
+        try:
+            est = estimate_offstreet_time(g, lots, rates, 1, list(range(24)), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(est.lot_id.ravel())) == len(lots)
+        # at most 16 bytes of draws and keys per entry, plus the samples
+        assert peak < 40 * offstreet_sim.SCRATCH_ENTRIES
 
 
 class TestInitialOccupancy:
@@ -520,15 +594,15 @@ class TestEstimateOffstreet:
         lots = self.lots_on(g, "n0_0", "n3_3", "n0_0")
         rates = lots_flat_rates(lots, 30.0, 20.0)
         simulated = []
-        simulate = offstreet_sim.simulate_lot_hour
+        simulate = offstreet_sim.simulate_lot_hours
 
-        def counted(lot, rates, day, hour, cfg, occupancy, rng):
-            simulated.append((lot.id, hour))
-            return simulate(lot, rates, day, hour, cfg, occupancy, rng)
+        def recorded(tasks, rates, day, cfg):
+            simulated.append([(lot.id, hour) for lot, hour, _, _ in tasks])
+            return simulate(tasks, rates, day, cfg)
 
-        monkeypatch.setattr(offstreet_sim, "simulate_lot_hour", counted)
+        monkeypatch.setattr(offstreet_sim, "simulate_lot_hours", recorded)
         est = estimate_offstreet_time(g, lots, rates, 3, [8, 17], CFG)
-        assert sorted(simulated) == [("lot0", 8), ("lot0", 17), ("lot1", 8), ("lot1", 17)]
+        assert simulated == [[("lot0", 8), ("lot1", 8), ("lot0", 17), ("lot1", 17)]]
         for lot_ids in est.lot_id:
             assert len(lot_ids) == len(g.block_ids)
             assert set(lot_ids) == {"lot0", "lot1"}

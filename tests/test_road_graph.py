@@ -14,11 +14,13 @@ from parksim.road_graph import (
     Intersection,
     block_distances_to_block,
     build_graph,
+    drive_tables_to_nodes,
     drive_time_to_node,
     drive_times_to_node,
     load_graph,
     save_graph,
     tables_to_blocks,
+    walk_tables_from_nodes,
     walk_time_from_node,
     walk_times_from_node,
     walk_times_to_block,
@@ -321,6 +323,29 @@ class TestNodeAnchoredQueries:
     def test_walk_from_node_half_term_on_block_side_only(self, small_grid):
         e = small_grid.edges["h0_0E"]
         assert walk_time_from_node(small_grid, e.from_node, "h0_0E") == e.walk_time_s / 2
+
+    @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
+    def test_node_tables_share_one_relaxation(self, graph):
+        # every column, a repeated node's too, is its node's one-column table;
+        # on the ring, whose paths can be enumerated, also the exact path sums
+        g = grid_graph(4) if graph == "grid" else ring_graph()
+        nodes = sorted(g.nodes)
+        nodes = nodes[::3] + nodes[:1]
+        walk = walk_tables_from_nodes(g, nodes)
+        assert walk.shape == (len(g.block_ids), len(nodes))
+        for c, node in enumerate(nodes):
+            assert np.array_equal(walk[:, c], walk_times_from_node(g, node))
+            if graph != "grid":
+                assert walk[:, c].tolist() == [brute_walk_time_from_node(g, node, block)
+                                               for block in g.block_ids]
+        for hour in (0, 8, 17):
+            drive = drive_tables_to_nodes(g, nodes, hour)
+            assert drive.shape == walk.shape
+            for c, node in enumerate(nodes):
+                assert np.array_equal(drive[:, c], drive_times_to_node(g, node, hour))
+                if graph != "grid":
+                    assert drive[:, c].tolist() == [
+                        brute_drive_time_to_node(g, block, node, hour) for block in g.block_ids]
 
 
 class TestTablesToBlocks:
