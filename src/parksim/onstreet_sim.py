@@ -35,12 +35,29 @@ cell draws from its own stream, derived from (seed, destination, hour), so
 a cell's estimate does not depend on which other cells a call covers or in
 what order. ``estimate_onstreet_time`` covers every block at every hour of
 a run in one call. It builds the walk and distance tables of
-``TABLE_CHUNK`` destinations per relaxation, and one lockstep runs every
-search of a chunk of cells: as many as fit ``SCRATCH_ENTRIES`` (search,
-block) entries of visit and last-check scratch, at least one. A step makes
-one ``random`` call per cell that still has active searches and
-concatenates the draws in (cell, sample) order, so each cell's stream
-yields what it would alone. The scalar reference for one search is
+``TABLE_CHUNK`` destinations per relaxation and runs the chunk's cells in
+batches, each in two parts:
+
+- The first check of every search of the batch (steps 1 and 2 on the
+  destination) uses no scratch. A search's state there is known: its
+  destination visited once, and no candidate visited or checked, since
+  self-loops are rejected and so a block is never its own candidate. It
+  draws one ``rng.random(n_samples)`` per cell, in (cell, sample) order.
+- Only the searches that survive it get scratch rows: (search, block)
+  visit counts and last-check times, at most ``SCRATCH_ENTRIES`` entries,
+  and at least one cell's searches. A row is seeded with the one visit and
+  the check at its destination. The survivors run steps 3, 4, 1 and 2 in
+  groups of whole cells that fit the rows.
+
+A batch covers at most four times as many searches as the scratch has
+rows (at least one cell), so its per-search arrays follow the scratch, not
+the cells of a run; it has no (cell, block) tables, since a cell reads the
+chunk's destination tables and the call's hour tables at its own offsets.
+Each step of a group makes one ``random`` call per cell that still has
+active searches and concatenates the draws in (cell, sample) order. A
+cell's searches all run in one batch and one group, so its stream yields
+what it would alone, in version 2's order: the check draws, then the
+choice draws, at every step. The scalar reference for one search is
 ``simulate_single`` in ``tests/oracles.py``; ``estimate_cells`` there runs
 the lockstep one cell at a time.
 """
@@ -56,7 +73,7 @@ from .road_graph import RoadGraph, _check_hour, tables_to_blocks
 from .seeding import derived_stream
 
 TABLE_CHUNK = 64            # destinations per table relaxation
-SCRATCH_ENTRIES = 3 * 2 ** 16  # (search, block) scratch entries per lockstep: 2.25 MiB
+SCRATCH_ENTRIES = 3 * 2 ** 16  # (survivor, block) scratch entries, 2.25 MiB; sizes batches too
 
 
 @dataclass(frozen=True)
@@ -107,68 +124,96 @@ def _draws(rngs: list[np.random.Generator], cell: np.ndarray) -> np.ndarray:
     return np.concatenate([rng.random(k) for rng, k in zip(rngs, counts) if k])
 
 
-def _lockstep(g: RoadGraph, dests: np.ndarray, hours: np.ndarray, walk_s: np.ndarray,
-              dist_m: np.ndarray, p: np.ndarray, cfg: OnstreetConfig,
-              weights: PolicyWeights, rngs: list[np.random.Generator], visits: np.ndarray,
-              last_check_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Total time of every search of a chunk of cells, as (cell, sample),
-    and the number censored in each cell. Cell ``c`` is the destination
-    ``dests[c]`` at ``hours[c]``, and row ``c`` of ``walk_s``, ``dist_m``
-    and ``p`` holds its tables over the blocks."""
+def _lockstep(g: RoadGraph, dests: np.ndarray, dest_at: np.ndarray, hour_at: np.ndarray,
+              walk_s: np.ndarray, dist_m: np.ndarray, p: np.ndarray, drive_s: np.ndarray,
+              cfg: OnstreetConfig, weights: PolicyWeights, rngs: list[np.random.Generator],
+              visits: np.ndarray, last_check_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total time of every search of a batch of cells, as (cell, sample),
+    and the number censored in each cell.
+
+    Cell ``c`` is the destination ``dests[c]``. Its tables over the blocks
+    start at flat offset ``dest_at[c]`` of the destination tables
+    ``walk_s`` and ``dist_m``, and at ``hour_at[c]`` of the hour tables
+    ``p`` and ``drive_s``. ``visits`` and ``last_check_s`` hold
+    ``visits.size // blocks`` scratch rows, at least one cell's searches.
+    """
     blocks, n = len(g.block_ids), cfg.n_samples
-    drive_s = g.drive_s[hours]
-    # The distance and scarcity terms depend only on the cell and candidate.
-    fixed = (weights.distance_weight * (dist_m / 100.0)
-             + weights.scarcity_weight / np.maximum(p, cfg.p_floor))
-    half_first_s = drive_s[np.arange(len(dests)), dests] / 2.0
+    half_first_s = drive_s.take(hour_at + dests) / 2.0
     totals = np.empty((len(dests), n))
     censored = np.zeros((len(dests), n), dtype=bool)
-    live = np.arange(totals.size)                   # (cell, sample) ids still searching
-    cell = live // n
-    block = np.repeat(dests, n)
-    elapsed_s = np.zeros(live.size)
-    touched, n_touched = [], 0
-    while True:
-        at, entry = cell * blocks + block, live * blocks + block
-        if n_touched <= visits.size // 8:           # past that, refill the scratch
-            touched.append(entry)
-        n_touched += entry.size
-        visits[entry] += 1
-        parked = _draws(rngs, cell) < p.take(at)
-        here = at[parked]
-        drive = elapsed_s[parked] - half_first_s[cell[parked]] + drive_s.take(here) / 2.0
-        totals.flat[live[parked]] = cfg.min_park_s + drive + walk_s.take(here)
-        elapsed_s = elapsed_s + drive_s.take(at)
-        last_check_s[entry] = elapsed_s             # a parked search's row is not read again
+
+    def check(live, cell, block, elapsed_s, u):
+        """Parking checks of the (cell, sample) searches ``live`` on their
+        blocks: record the totals of those that park or pass the cap;
+        return every search's elapsed time and whether it goes on."""
+        at_hour, at_dest = hour_at[cell] + block, dest_at[cell] + block
+        parked = u < p.take(at_hour)
+        drive = (elapsed_s[parked] - half_first_s[cell[parked]]
+                 + drive_s.take(at_hour[parked]) / 2.0)
+        totals.flat[live[parked]] = cfg.min_park_s + drive + walk_s.take(at_dest[parked])
+        elapsed_s = elapsed_s + drive_s.take(at_hour)
         over = (elapsed_s > cfg.max_search_s) & ~parked
         if over.any():
             totals.flat[live[over]] = (cfg.min_park_s + cfg.max_search_s
-                                       + walk_s.take(at[over]))
+                                       + walk_s.take(at_dest[over]))
             censored.flat[live[over]] = True
             parked |= over
-        stay = ~parked
-        live, cell, block, elapsed_s = (a[stay] for a in (live, cell, block, elapsed_s))
-        if not live.size:
-            break
-        candidates = g.next_blocks[:, block]       # (candidate, search)
-        entries = candidates + live * blocks
-        since_s = np.minimum(elapsed_s - last_check_s.take(entries), cfg.elapsed_cap_s)
-        scores = (fixed.take(candidates + cell * blocks)
-                  + weights.revisit_weight * visits.take(entries)
-                  + weights.elapsed_weight * (since_s / 60.0))
-        # Padding repeats a search's first candidate, so checks and maxima
-        # over all rows see only real candidates' values.
-        if not np.isfinite(scores).all():
-            raise NumericError("non-finite block score")
-        weight = np.exp(scores - scores.max(axis=0))
-        weight *= g.next_valid[:, block]
-        cdf = weight.cumsum(axis=0)
-        k = np.minimum((cdf <= _draws(rngs, cell) * cdf[-1]).sum(axis=0),
-                       g.out_degree[block] - 1)
-        block = candidates[k, np.arange(live.size)]
-    touched = slice(None) if n_touched > visits.size // 8 else np.concatenate(touched)
-    visits[touched] = 0
-    last_check_s[touched] = -np.inf
+        return elapsed_s, ~parked
+
+    # First checks, at the destinations: one visit there and no other, so
+    # no scratch is read or written.
+    live = np.arange(totals.size)                   # (cell, sample) ids still searching
+    cell = live // n
+    block = dests[cell]
+    elapsed_s, stay = check(live, cell, block, np.zeros(live.size),
+                            np.concatenate([rng.random(n) for rng in rngs]))
+    live, cell, block, elapsed_s = survivors = [a[stay] for a in (live, cell, block, elapsed_s)]
+    # The survivors in groups of whole cells, each within the scratch rows
+    rows, bounds, size = visits.size // blocks, [0], 0
+    for k in np.bincount(cell, minlength=len(dests)).tolist():
+        if size + k > rows:
+            bounds.append(bounds[-1] + size)
+            size = 0
+        size += k
+    bounds.append(live.size)
+    for lo, hi in zip(bounds, bounds[1:]):
+        live, cell, block, elapsed_s = (a[lo:hi] for a in survivors)
+        row = np.arange(hi - lo)                    # scratch row of each search
+        entry = row * blocks + block
+        visits[entry] = 1
+        last_check_s[entry] = elapsed_s
+        touched, n_touched, used = [entry], entry.size, (hi - lo) * blocks
+        while live.size:
+            candidates = g.next_blocks[:, block]   # (candidate, search)
+            entries = candidates + row * blocks
+            since_s = np.minimum(elapsed_s - last_check_s.take(entries), cfg.elapsed_cap_s)
+            scores = (weights.distance_weight * (dist_m.take(candidates + dest_at[cell]) / 100.0)
+                      + weights.scarcity_weight / np.maximum(p.take(candidates + hour_at[cell]),
+                                                             cfg.p_floor)
+                      + weights.revisit_weight * visits.take(entries)
+                      + weights.elapsed_weight * (since_s / 60.0))
+            # Padding repeats a search's first candidate, so checks and maxima
+            # over all rows see only real candidates' values.
+            if not np.isfinite(scores).all():
+                raise NumericError("non-finite block score")
+            weight = np.exp(scores - scores.max(axis=0))
+            weight *= g.next_valid[:, block]
+            cdf = weight.cumsum(axis=0)
+            k = np.minimum((cdf <= _draws(rngs, cell) * cdf[-1]).sum(axis=0),
+                           g.out_degree[block] - 1)
+            block = candidates[k, np.arange(live.size)]
+            entry = row * blocks + block
+            if n_touched <= used // 8:              # past that, refill the rows used
+                touched.append(entry)
+            n_touched += entry.size
+            visits[entry] += 1
+            elapsed_s, stay = check(live, cell, block, elapsed_s, _draws(rngs, cell))
+            last_check_s[entry] = elapsed_s         # a parked search's row is not read again
+            live, cell, block, elapsed_s, row = (a[stay] for a in
+                                                 (live, cell, block, elapsed_s, row))
+        touched = slice(used) if n_touched > used // 8 else np.concatenate(touched)
+        visits[touched] = 0
+        last_check_s[touched] = -np.inf
     return totals, censored.sum(axis=1)
 
 
@@ -189,18 +234,21 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
         raise DataError(f"availability array has shape {p.shape}, expected {shape}")
     n, blocks = cfg.n_samples, len(g.block_ids)
     mean, std, censored = np.empty(shape), np.zeros(shape), np.empty(shape)
-    # One (cell x sample, block) pair of scratch arrays for every lockstep
-    # of the call, flattened: allocating them per cell let the allocator
-    # return their pages and fault them back in. Each lockstep resets only
-    # the entries its searches touched, since a refill grows with the
-    # blocks; past an eighth of the scratch it stops listing and refills.
-    cells = max(1, min(SCRATCH_ENTRIES // (n * blocks), min(TABLE_CHUNK, blocks) * len(hours)))
-    visits = np.zeros(cells * n * blocks, dtype=np.int32)
+    # One (search, block) pair of scratch arrays for every group of the
+    # call, flattened: allocating them per group let the allocator return
+    # their pages and fault them back in. A group resets only the entries
+    # its searches touched, since a refill grows with the blocks; past an
+    # eighth of its rows it stops listing and refills them.
+    rows = max(n, SCRATCH_ENTRIES // blocks)
+    cells = max(1, min(4 * rows // n, min(TABLE_CHUNK, blocks) * len(hours)))
+    visits = np.zeros(min(rows, cells * n) * blocks, dtype=np.int32)
     last_check_s = np.full(visits.size, -np.inf)    # never checked: full credit
+    drive_s = g.drive_s[list(hours)]
     for first in range(0, blocks, TABLE_CHUNK):
         dests = np.arange(first, min(first + TABLE_CHUNK, blocks))
-        walk_s = tables_to_blocks(g, dests, g.walk_s).T
-        dist_m = tables_to_blocks(g, dests, g.length_m).T
+        # (destination, block), contiguous for the lockstep's flat takes
+        walk_s = tables_to_blocks(g, dests, g.walk_s).T.copy()
+        dist_m = tables_to_blocks(g, dests, g.length_m).T.copy()
         # the chunk's cells in (destination, hour) order
         column, row = np.divmod(np.arange(dests.size * len(hours)), len(hours))
         for lo in range(0, column.size, cells):
@@ -210,8 +258,8 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
                     for a, b in zip(j.tolist(), i.tolist())]
             # an overflowing score is reported as a NumericError, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                totals, n_censored = _lockstep(g, j, np.take(hours, i), walk_s[c], dist_m[c],
-                                               p[i], cfg, weights, rngs, visits, last_check_s)
+                totals, n_censored = _lockstep(g, j, c * blocks, i * blocks, walk_s, dist_m, p,
+                                               drive_s, cfg, weights, rngs, visits, last_check_s)
             mean[i, j] = totals.mean(axis=1)
             if n > 1:
                 std[i, j] = totals.std(axis=1, ddof=1)

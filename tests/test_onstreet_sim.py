@@ -361,8 +361,10 @@ class TestLockstep:
 
 
 class TestChunkedLockstep:
-    """One lockstep runs a chunk of cells; ``estimate_cells`` runs the same
-    searches one cell at a time. Every cell agrees exactly."""
+    """One lockstep runs a batch of cells: every first check with no
+    scratch, then the survivors in scratch groups of whole cells.
+    ``estimate_cells`` runs the same searches one cell at a time. Every
+    cell agrees exactly."""
 
     HOURS = (8, 17)
 
@@ -372,9 +374,9 @@ class TestChunkedLockstep:
             return grid_graph(3, drive=tuple(float(t) for t in range(10, 34)))
         return ring_graph()
 
-    def assert_cells_equal(self, g, p, cfg):
-        est = estimate_onstreet_time(g, p, self.HOURS, cfg, W)
-        ref = estimate_cells(g, p, self.HOURS, cfg, W)
+    def assert_cells_equal(self, g, p, cfg, weights=W):
+        est = estimate_onstreet_time(g, p, self.HOURS, cfg, weights)
+        ref = estimate_cells(g, p, self.HOURS, cfg, weights)
         for name, expected in zip(("mean_s", "std_s", "censored_fraction"), ref):
             assert np.array_equal(getattr(est, name), expected), name
         return est
@@ -405,11 +407,57 @@ class TestChunkedLockstep:
         est = self.assert_cells_equal(g, p, OnstreetConfig(n_samples=1, seed=3))
         assert (est.std_s == 0.0).all()
 
+    @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
+    def test_censored_on_first_check(self, monkeypatch, graph):
+        # The cap falls between the destinations' own drive times: grid
+        # blocks take 18 s at 8:00 and 27 s at 17:00, ring blocks 10 to
+        # 22 s. A search that does not park on its destination is censored
+        # there when its destination takes longer than the cap.
+        g = self.graph(graph)
+        cfg = OnstreetConfig(n_samples=20, seed=8, max_search_s=20.0 if graph == "grid" else 15.0)
+        monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES", cfg.n_samples * len(g.block_ids))
+        p = np.random.default_rng(10).uniform(0.05, 0.6, (len(self.HOURS), len(g.block_ids)))
+        est = self.assert_cells_equal(g, p, cfg)
+        first = g.drive_s[list(self.HOURS)] > cfg.max_search_s
+        assert first.any() and not first.all()
+        assert (est.censored_fraction[first] > 0).all()
+        # every search there ends on its destination, parked or censored
+        assert est.mean_s[first] == pytest.approx(
+            cfg.min_park_s + cfg.max_search_s * est.censored_fraction[first], abs=1e-9)
+
+    @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
+    @pytest.mark.parametrize("weights", [W, PolicyWeights(0.0, -30.0, 0.0, 0.0)],
+                             ids=["default", "revisit_only"])
+    def test_few_survivors_split_into_groups(self, monkeypatch, graph, weights):
+        # Scratch rows for one cell's searches and a batch of four cells.
+        # At availability 0.55 to 0.75 a cell keeps about a third of its
+        # searches after the first check, so a batch's survivors outgrow
+        # the rows and split between groups of whole cells. With the visit
+        # term alone, a row's seeded visit to its destination steers the
+        # choices.
+        g = self.graph(graph)
+        cfg = OnstreetConfig(n_samples=30, seed=12)
+        monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES", cfg.n_samples * len(g.block_ids))
+        draws = []
+
+        def spy(rngs, cell):
+            draws.append((rngs, set(cell.tolist())))
+            return _draws(rngs, cell)
+
+        _draws = onstreet_sim._draws
+        monkeypatch.setattr(onstreet_sim, "_draws", spy)
+        p = np.random.default_rng(11).uniform(0.55, 0.75, (len(self.HOURS), len(g.block_ids)))
+        self.assert_cells_equal(g, p, cfg, weights)
+        # a cell that drops out of a group never returns, so two draws of
+        # one batch over disjoint cells come from two groups
+        assert any(a is b and not (x & y) for i, (a, x) in enumerate(draws)
+                   for b, y in draws[i + 1:])
+
     @staticmethod
-    def peak_bytes(g, p, cfg):
+    def peak_bytes(g, p, cfg, hours=(12,)):
         tracemalloc.start()
         try:
-            estimate_onstreet_time(g, p, (12,), cfg, W)
+            estimate_onstreet_time(g, p, hours, cfg, W)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,14 +465,26 @@ class TestChunkedLockstep:
     def test_peak_allocation_bounded_by_scratch_budget(self):
         # 12 bytes per scratch entry (int32 visits, float64 last-check
         # times) for SCRATCH_ENTRIES entries, plus 1 MiB for one table
-        # chunk's relaxation. One cell of 400 samples over 360 blocks fits
-        # the budget, so the scratch holds one cell.
+        # chunk's relaxation and a first-check batch. 546 rows of 360
+        # blocks fit the budget, so the scratch holds one cell's 400
+        # searches and 146 more.
         g = grid_graph(10)
         n = 400
         assert n * len(g.block_ids) <= onstreet_sim.SCRATCH_ENTRIES < 2 * n * len(g.block_ids)
         p = np.random.default_rng(6).uniform(0.6, 1.0, (1, len(g.block_ids)))
         peak = self.peak_bytes(g, p, OnstreetConfig(n_samples=n))
         assert peak < 12 * onstreet_sim.SCRATCH_ENTRIES + 2 ** 20
+
+    def test_peak_allocation_does_not_grow_with_cells(self):
+        # 360 destinations at 1 hour and at 24: a first-check batch spans
+        # as many searches in both, so 24 times the cells add only the
+        # (hour, block) inputs and outputs
+        g = grid_graph(10)
+        cfg = OnstreetConfig(n_samples=50)
+        p = np.random.default_rng(13).uniform(0.6, 1.0, (24, len(g.block_ids)))
+        one, every = (self.peak_bytes(g, p[:len(hours)], cfg, hours)
+                      for hours in ((12,), tuple(range(24))))
+        assert every < one + 2 ** 20
 
     def test_long_searches_do_not_grow_memory(self):
         # 600 searches that never park, about 50 steps each and then about
