@@ -19,58 +19,57 @@ magnitude under the default weights.
 
 Searches advance in lockstep over the graph's dense block index
 (``RoadGraph.block_ids``, the block ids in sorted order). Each step, for the
-searches still active, in sample order:
+searches still active:
 
-1. one ``rng.random(n_active)`` draws the parking checks on the blocks
-   the searches stand on;
+1. one uniform per search draws the parking check on the block it stands on;
 2. searches that parked drop out, then those whose cruising time has
    passed ``max_search_s`` (censored);
 3. the four policy terms are scored for every (search, candidate) pair,
    with per-search visit counts and last-check times held as arrays;
-4. one masked softmax per search and one ``rng.random(n_active)`` pick
-   each search's next block by inverse CDF over its candidates in id order.
+4. one masked softmax and one more uniform per search pick its next block
+   by inverse CDF over its candidates in id order.
 
-This draw order is on-street stream version 2. Each (destination, hour)
-cell draws from its own stream, derived from (seed, destination, hour), so
-a cell's estimate does not depend on which other cells a call covers or in
-what order. ``estimate_onstreet_time`` covers every block at every hour of
-a run in one call. It builds the walk and distance tables of
+On-street stream version 3 (``seeding.counter_uniform``): search ``s`` of
+the (destination, hour) cell draws its uniform number ``c`` as a hash of
+(seed, crc32 of the destination id, hour, s, c). The check on the search's
+``t``-th block (the destination is block 0) is draw ``c = 2 t`` and the
+choice after it ``2 t + 1``. No cell has a stream of its own, and a draw
+does not depend on which searches run beside it, so a cell's estimate does
+not depend on which other cells a call covers, on their order or on how
+they are chunked. ``estimate_onstreet_time`` covers every block at every
+hour of a run in one call. It builds the walk and distance tables of
 ``TABLE_CHUNK`` destinations per relaxation and runs the chunk's cells in
 batches, each in two parts:
 
 - The first check of every search of the batch (steps 1 and 2 on the
   destination) uses no scratch. A search's state there is known: its
   destination visited once, and no candidate visited or checked, since
-  self-loops are rejected and so a block is never its own candidate. It
-  draws one ``rng.random(n_samples)`` per cell, in (cell, sample) order.
+  self-loops are rejected and so a block is never its own candidate.
 - Only the searches that survive it get scratch rows: (search, block)
-  visit counts and last-check times, at most ``SCRATCH_ENTRIES`` entries,
-  and at least one cell's searches. A row is seeded with the one visit and
-  the check at its destination. The survivors run steps 3, 4, 1 and 2 in
-  groups of whole cells that fit the rows.
+  visit counts and last-check times, at most ``SCRATCH_ENTRIES`` entries.
+  A row is seeded with the one visit and the check at its destination.
+  The survivors run steps 3, 4, 1 and 2 in groups: consecutive slices of
+  as many searches as there are rows, so a cell may span groups.
 
 A batch covers at most four times as many searches as the scratch has
 rows (at least one cell), so its per-search arrays follow the scratch, not
 the cells of a run; it has no (cell, block) tables, since a cell reads the
 chunk's destination tables and the call's hour tables at its own offsets.
-Each step of a group makes one ``random`` call per cell that still has
-active searches and concatenates the draws in (cell, sample) order. A
-cell's searches all run in one batch and one group, so its stream yields
-what it would alone, in version 2's order: the check draws, then the
-choice draws, at every step. The scalar reference for one search is
-``simulate_single`` in ``tests/oracles.py``; ``estimate_cells`` there runs
-the lockstep one cell at a time.
+The scalar reference for one search is ``simulate_single`` in
+``tests/oracles.py``; ``estimate_cells`` there runs the lockstep one cell at
+a time.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError, check_fields
 from .road_graph import RoadGraph, _check_hour, tables_to_blocks
-from .seeding import derived_stream
+from .seeding import counter_uniform, stream_key
 
 TABLE_CHUNK = 64            # destinations per table relaxation
 SCRATCH_ENTRIES = 3 * 2 ** 16  # (survivor, block) scratch entries, 2.25 MiB; sizes batches too
@@ -117,16 +116,9 @@ class OnstreetEstimate:
     n_samples: int
 
 
-def _draws(rngs: list[np.random.Generator], cell: np.ndarray) -> np.ndarray:
-    """One uniform per active search, each from its cell's stream, in
-    (cell, sample) order; a cell with no active search draws nothing."""
-    counts = np.bincount(cell, minlength=len(rngs)).tolist()
-    return np.concatenate([rng.random(k) for rng, k in zip(rngs, counts) if k])
-
-
 def _lockstep(g: RoadGraph, dests: np.ndarray, dest_at: np.ndarray, hour_at: np.ndarray,
               walk_s: np.ndarray, dist_m: np.ndarray, p: np.ndarray, drive_s: np.ndarray,
-              cfg: OnstreetConfig, weights: PolicyWeights, rngs: list[np.random.Generator],
+              cfg: OnstreetConfig, weights: PolicyWeights, keys: np.ndarray,
               visits: np.ndarray, last_check_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Total time of every search of a batch of cells, as (cell, sample),
     and the number censored in each cell.
@@ -134,8 +126,9 @@ def _lockstep(g: RoadGraph, dests: np.ndarray, dest_at: np.ndarray, hour_at: np.
     Cell ``c`` is the destination ``dests[c]``. Its tables over the blocks
     start at flat offset ``dest_at[c]`` of the destination tables
     ``walk_s`` and ``dist_m``, and at ``hour_at[c]`` of the hour tables
-    ``p`` and ``drive_s``. ``visits`` and ``last_check_s`` hold
-    ``visits.size // blocks`` scratch rows, at least one cell's searches.
+    ``p`` and ``drive_s``. ``keys`` holds every search's stream key, as
+    (cell, sample). ``visits`` and ``last_check_s`` hold
+    ``visits.size // blocks`` scratch rows.
     """
     blocks, n = len(g.block_ids), cfg.n_samples
     half_first_s = drive_s.take(hour_at + dests) / 2.0
@@ -165,25 +158,20 @@ def _lockstep(g: RoadGraph, dests: np.ndarray, dest_at: np.ndarray, hour_at: np.
     live = np.arange(totals.size)                   # (cell, sample) ids still searching
     cell = live // n
     block = dests[cell]
-    elapsed_s, stay = check(live, cell, block, np.zeros(live.size),
-                            np.concatenate([rng.random(n) for rng in rngs]))
-    live, cell, block, elapsed_s = survivors = [a[stay] for a in (live, cell, block, elapsed_s)]
-    # The survivors in groups of whole cells, each within the scratch rows
-    rows, bounds, size = visits.size // blocks, [0], 0
-    for k in np.bincount(cell, minlength=len(dests)).tolist():
-        if size + k > rows:
-            bounds.append(bounds[-1] + size)
-            size = 0
-        size += k
-    bounds.append(live.size)
-    for lo, hi in zip(bounds, bounds[1:]):
-        live, cell, block, elapsed_s = (a[lo:hi] for a in survivors)
-        row = np.arange(hi - lo)                    # scratch row of each search
+    elapsed_s, stay = check(live, cell, block, np.zeros(live.size), counter_uniform(keys, 0))
+    survivors = [a[stay] for a in (live, cell, block, elapsed_s, keys)]
+    # The survivors in groups of at most the scratch rows: draws are
+    # labelled by search and step, so a cell may span groups.
+    rows = visits.size // blocks
+    for lo in range(0, survivors[0].size, rows):
+        live, cell, block, elapsed_s, key = (a[lo:lo + rows] for a in survivors)
+        row = np.arange(live.size)                  # scratch row of each search
         entry = row * blocks + block
         visits[entry] = 1
         last_check_s[entry] = elapsed_s
-        touched, n_touched, used = [entry], entry.size, (hi - lo) * blocks
+        touched, n_touched, used, step = [entry], entry.size, live.size * blocks, 0
         while live.size:
+            step += 1                               # draws 2 step - 1 and 2 step
             candidates = g.next_blocks[:, block]   # (candidate, search)
             entries = candidates + row * blocks
             since_s = np.minimum(elapsed_s - last_check_s.take(entries), cfg.elapsed_cap_s)
@@ -199,7 +187,7 @@ def _lockstep(g: RoadGraph, dests: np.ndarray, dest_at: np.ndarray, hour_at: np.
             weight = np.exp(scores - scores.max(axis=0))
             weight *= g.next_valid[:, block]
             cdf = weight.cumsum(axis=0)
-            k = np.minimum((cdf <= _draws(rngs, cell) * cdf[-1]).sum(axis=0),
+            k = np.minimum((cdf <= counter_uniform(key, 2 * step - 1) * cdf[-1]).sum(axis=0),
                            g.out_degree[block] - 1)
             block = candidates[k, np.arange(live.size)]
             entry = row * blocks + block
@@ -207,10 +195,10 @@ def _lockstep(g: RoadGraph, dests: np.ndarray, dest_at: np.ndarray, hour_at: np.
                 touched.append(entry)
             n_touched += entry.size
             visits[entry] += 1
-            elapsed_s, stay = check(live, cell, block, elapsed_s, _draws(rngs, cell))
+            elapsed_s, stay = check(live, cell, block, elapsed_s, counter_uniform(key, 2 * step))
             last_check_s[entry] = elapsed_s         # a parked search's row is not read again
-            live, cell, block, elapsed_s, row = (a[stay] for a in
-                                                 (live, cell, block, elapsed_s, row))
+            live, cell, block, elapsed_s, row, key = (a[stay] for a in
+                                                      (live, cell, block, elapsed_s, row, key))
         touched = slice(used) if n_touched > used // 8 else np.concatenate(touched)
         visits[touched] = 0
         last_check_s[touched] = -np.inf
@@ -223,9 +211,9 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
     for every destination block at every hour of ``hours``.
 
     ``p[i, j]`` is the availability probability of block ``g.block_ids[j]``
-    at ``hours[i]``. Each (destination, hour) cell draws from its own stream,
-    derived from (seed, destination block, hour), so a cell reproduces
-    exactly whatever other hours the call covers.
+    at ``hours[i]``. Every draw is labelled by its (destination, hour) cell,
+    search and step, so a cell reproduces exactly whatever other hours the
+    call covers and however it is chunked.
     """
     for hour in hours:
         _check_hour(hour)
@@ -239,11 +227,13 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
     # their pages and fault them back in. A group resets only the entries
     # its searches touched, since a refill grows with the blocks; past an
     # eighth of its rows it stops listing and refills them.
-    rows = max(n, SCRATCH_ENTRIES // blocks)
+    rows = max(1, SCRATCH_ENTRIES // blocks)
     cells = max(1, min(4 * rows // n, min(TABLE_CHUNK, blocks) * len(hours)))
     visits = np.zeros(min(rows, cells * n) * blocks, dtype=np.int32)
     last_check_s = np.full(visits.size, -np.inf)    # never checked: full credit
     drive_s = g.drive_s[list(hours)]
+    crc = [zlib.crc32(block.encode("utf-8")) for block in g.block_ids]
+    cell_keys = stream_key(cfg.seed, crc, np.array(hours)[:, None])    # (hour, destination)
     for first in range(0, blocks, TABLE_CHUNK):
         dests = np.arange(first, min(first + TABLE_CHUNK, blocks))
         # (destination, block), contiguous for the lockstep's flat takes
@@ -254,12 +244,11 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
         for lo in range(0, column.size, cells):
             c, i = column[lo:lo + cells], row[lo:lo + cells]
             j = dests[c]
-            rngs = [derived_stream(cfg.seed, g.block_ids[a], hours[b])
-                    for a, b in zip(j.tolist(), i.tolist())]
+            keys = stream_key(cell_keys[i, j][:, None], np.arange(n)).ravel()
             # an overflowing score is reported as a NumericError, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 totals, n_censored = _lockstep(g, j, c * blocks, i * blocks, walk_s, dist_m, p,
-                                               drive_s, cfg, weights, rngs, visits, last_check_s)
+                                               drive_s, cfg, weights, keys, visits, last_check_s)
             mean[i, j] = totals.mean(axis=1)
             if n > 1:
                 std[i, j] = totals.std(axis=1, ddof=1)

@@ -1,8 +1,14 @@
-"""Deterministic random-stream derivation for parallelizable tasks.
+"""Deterministic random streams for parallelizable tasks.
 
-Each (block, hour) or (lot, day, hour) task gets its own generator derived
-from the run seed plus stable task labels, so results do not depend on task
-scheduling or execution order.
+Every draw is a function of the run seed and stable task labels, so results
+do not depend on task scheduling or execution order. ``derived_stream``
+seeds one numpy generator per task (the lot simulation's). ``stream_key``
+and ``counter_uniform`` are counter-based (Salmon et al. 2011): a uniform is
+a hash of the seed, integer labels and a counter, so draws may be made in
+any order and batch, with no generator built (on-street stream version 3).
+The hash folds in one label ``x`` at a time with SplitMix64's step and
+finaliser (Steele, Lea & Flood 2014): key ``k`` becomes
+``mix(k + (x + 1) * GAMMA)`` modulo 2^64.
 """
 
 from __future__ import annotations
@@ -10,6 +16,9 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+
+GAMMA = np.uint64(0x9E3779B97F4A7C15)   # SplitMix64's increment: 2^64 over the golden ratio
+_MIX = tuple(map(np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)))
 
 
 def derived_stream(seed: int, *labels: str | int) -> np.random.Generator:
@@ -25,3 +34,25 @@ def derived_stream(seed: int, *labels: str | int) -> np.random.Generator:
         else:
             entropy.append(int(label))
     return np.random.default_rng(entropy)
+
+
+def stream_key(key, *labels) -> np.ndarray:
+    """uint64 keys with ``labels`` folded in, by the hash above. ``key`` is
+    a seed (an int, taken modulo 2^64) or earlier keys; labels are
+    non-negative ints or integer arrays, and all broadcast together. Every
+    operand is uint64, so numpy 1 and 2 alike wrap modulo 2^64."""
+    shift1, mult1, shift2, mult2, shift3 = _MIX
+    with np.errstate(over="ignore"):            # numpy scalars warn on the wrap
+        key = np.asarray(key % 2 ** 64 if isinstance(key, int) else key, dtype=np.uint64)
+        for label in labels:
+            z = key + (np.asarray(label, dtype=np.uint64) + np.uint64(1)) * GAMMA
+            z = (z ^ (z >> shift1)) * mult1
+            z = (z ^ (z >> shift2)) * mult2
+            key = z ^ (z >> shift3)
+    return key
+
+
+def counter_uniform(key, counter) -> np.ndarray:
+    """Uniforms in [0, 1): draw ``counter`` of the streams ``key``, the top
+    53 bits of ``stream_key(key, counter)``."""
+    return (stream_key(key, counter) >> np.uint64(11)) * 2.0 ** -53

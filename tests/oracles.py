@@ -7,13 +7,16 @@ meaningful. The exceptions are ``fit_split``, which trains one split at a
 time with the package's own gradient: it pins how the splits are stacked,
 gathered and seeded, while ``finite_difference_gradient`` pins the gradient;
 and ``estimate_cells``, which runs the on-street lockstep one (destination,
-hour) cell at a time on the package's tables and streams: it pins how cells
-are chunked, while ``simulate_single`` pins the search itself.
+hour) cell at a time on the package's tables and uniforms: it pins how cells
+are chunked, while ``simulate_single`` pins the search itself and, through
+the integer ``counter_uniform``, the uniforms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import zlib
 from dataclasses import dataclass, field
 from datetime import timedelta
 from typing import Mapping, Sequence
@@ -25,7 +28,7 @@ from parksim.occupancy_model import (Network, SplitScore, _accuracy, _glorot_uni
                                      gradient, loss)
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights
 from parksim.road_graph import RoadGraph, block_distances_to_block, walk_times_to_block
-from parksim.seeding import derived_stream
+from parksim.seeding import counter_uniform as uniforms, derived_stream, stream_key
 
 
 # -- shortest paths by exhaustive simple-path enumeration -------------------
@@ -274,11 +277,12 @@ def block_scores(state: SearchState, candidates: Sequence[str],
 
 
 def simulate_single(g, probs: Mapping[str, float], dest: str, cfg, weights,
-                    hour: int, rng: np.random.Generator, *,
-                    walk_s=None, dist_m=None) -> SearchOutcome:
+                    hour: int, rng, *, walk_s=None, dist_m=None) -> SearchOutcome:
     """One complete search starting mid-block on the destination block.
 
-    One parking draw per checked block, then one choice draw per step.
+    One parking draw per checked block, then one choice draw per step, each
+    from ``rng.random()``: a numpy generator, or ``SearchDraws`` for the
+    search of stream version 3.
     ``walk_s`` and ``dist_m`` are the destination's ``midpoint_table``s
     by walk time and by length, computed here when not given.
     """
@@ -312,13 +316,81 @@ def simulate_single(g, probs: Mapping[str, float], dest: str, cfg, weights,
         trace.append(candidates[choose_block(scores, rng)])
 
 
+# -- on-street stream version 3, one Python integer at a time ----------------
+
+MASK = 2 ** 64 - 1
+
+
+def _fold(key: int, label: int) -> int:
+    """SplitMix64's step and finaliser: ``mix(key + (label + 1) * gamma)``."""
+    z = (key + (label + 1) * 0x9E3779B97F4A7C15) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def fold_labels(seed: int, labels: Sequence[int]) -> int:
+    """The key that (seed, labels) hash to: the seed modulo 2^64, then each
+    label folded in."""
+    key = seed & MASK
+    for label in labels:
+        key = _fold(key, label & MASK)
+    return key
+
+
+def counter_uniform(seed: int, labels: Sequence[int], counter: int) -> float:
+    """The uniform that (seed, labels, counter) hash to: the top 53 bits of
+    the key with the counter folded in last."""
+    return (fold_labels(seed, (*labels, counter)) >> 11) / 2.0 ** 53
+
+
+def cell_labels(dest: str, hour: int) -> tuple[int, int]:
+    """The labels of an on-street (destination, hour) cell."""
+    return zlib.crc32(dest.encode("utf-8")), hour
+
+
+@dataclass
+class SearchDraws:
+    """One search's draws in on-street stream version 3, in the order a
+    search makes them: ``random()`` returns draw 0, 1, 2, ... of sample
+    ``sample`` of cell (``dest``, ``hour``)."""
+
+    seed: int
+    dest: str
+    hour: int
+    sample: int
+    counter: int = 0
+
+    def random(self) -> float:
+        u = counter_uniform(self.seed, (*cell_labels(self.dest, self.hour), self.sample),
+                            self.counter)
+        self.counter += 1
+        return u
+
+
+def stream_v2(seed: int, dest: str, hour: int, n: int):
+    """``lockstep_cell``'s draws in on-street stream version 2: the cell's
+    own generator, one ``random`` call per draw over the live searches."""
+    rng = derived_stream(seed, dest, hour)
+    return lambda live, counter: rng.random(live.size)
+
+
+def stream_v3(seed: int, dest: str, hour: int, n: int):
+    """``lockstep_cell``'s draws in on-street stream version 3: draw
+    ``counter`` of each live search, from the cell's key and its sample."""
+    keys = stream_key(np.uint64(fold_labels(seed, cell_labels(dest, hour))), np.arange(n))
+    return lambda live, counter: uniforms(keys[live], counter)
+
+
 # -- every search of one (destination, hour) cell in lockstep ------------------
 
 def lockstep_cell(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarray,
                   p: np.ndarray, cfg: OnstreetConfig, weights: PolicyWeights, hour: int,
-                  rng: np.random.Generator, visits: np.ndarray,
-                  last_check_s: np.ndarray) -> tuple[np.ndarray, int]:
-    """Total time of every search, and the number censored."""
+                  draw, visits: np.ndarray, last_check_s: np.ndarray) -> tuple[np.ndarray, int]:
+    """Total time of every search, and the number censored. ``draw(live,
+    counter)`` returns draw ``counter`` of the searches ``live``: the
+    parking check on a search's ``t``-th block is draw ``2 t``, the choice
+    after it ``2 t + 1``."""
     drive_s = g.drive_s[hour]
     # The distance and scarcity terms depend only on the candidate block.
     fixed = (weights.distance_weight * (dist_m / 100.0)
@@ -332,9 +404,9 @@ def lockstep_cell(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarra
     live = np.arange(n)                             # sample ids still searching
     block = np.full(n, dest)
     elapsed_s = np.zeros(n)
-    while True:
+    for t in itertools.count():
         visits[live, block] += 1
-        parked = rng.random(live.size) < p[block]
+        parked = draw(live, 2 * t) < p[block]
         if parked.any():
             at = block[parked]
             drive = elapsed_s[parked] - half_first_s + drive_s[at] / 2.0
@@ -365,16 +437,16 @@ def lockstep_cell(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarra
         weight = np.exp(scores - scores.max(axis=0))
         weight *= g.next_valid[:, block]
         cdf = weight.cumsum(axis=0)
-        k = np.minimum((cdf <= rng.random(live.size) * cdf[-1]).sum(axis=0),
+        k = np.minimum((cdf <= draw(live, 2 * t + 1) * cdf[-1]).sum(axis=0),
                        g.out_degree[block] - 1)
         block = candidates[k, np.arange(live.size)]
 
 
 def estimate_cells(g: RoadGraph, p: np.ndarray, hours, cfg: OnstreetConfig,
-                   weights: PolicyWeights):
+                   weights: PolicyWeights, stream=stream_v3):
     """(mean, std, censored fraction) as (hour, block) arrays, one cell at a
     time: each destination's tables, then one ``lockstep_cell`` per hour,
-    which refills the scratch."""
+    which refills the scratch, drawing from ``stream(seed, dest, hour, n)``."""
     n = cfg.n_samples
     shape = (len(hours), len(g.block_ids))
     mean, std, censored = np.empty(shape), np.zeros(shape), np.empty(shape)
@@ -386,7 +458,7 @@ def estimate_cells(g: RoadGraph, p: np.ndarray, hours, cfg: OnstreetConfig,
         for i, hour in enumerate(hours):
             with np.errstate(over="ignore", invalid="ignore"):
                 totals, n_censored = lockstep_cell(g, j, walk_s, dist_m, p[i], cfg, weights,
-                                                   hour, derived_stream(cfg.seed, dest, hour),
+                                                   hour, stream(cfg.seed, dest, hour, n),
                                                    visits, last_check_s)
             mean[i, j] = totals.mean()
             if n > 1:

@@ -31,7 +31,8 @@ from parksim.road_graph import load_graph
 from parksim.synth import SynthConfig, synth_generate
 
 from conftest import grid_graph
-from oracles import brute_drive_time_to_node, brute_walk_time_from_node, lot_rates
+from oracles import (brute_drive_time_to_node, brute_walk_time_from_node, estimate_cells,
+                     lot_rates, stream_v2)
 
 SEED = 5
 HOURS = (8, 13)
@@ -639,26 +640,68 @@ def test_onstreet_cells_do_not_depend_on_run_shape(copied):
 # sha256 of the onstreet.csv that sim-on writes for the grid-4 city of
 # seed SEED, at HOURS, from availability drawn by default_rng(SEED), by the
 # numpy version that made it: numpy does not promise the same Generator
-# streams across versions (NEP 19).
+# streams across versions (NEP 19), and the city and availability come from
+# Generators. Version 2 drew each cell from its own derived_stream; the
+# oracle lockstep still makes it.
 ONSTREET_V2_SHA256 = {
     "2.4": "547b230ecf4e819ada3c3abdc2014d557e9eb14ad484ff4161fb6dd6c06c7ba3",
 }
+ONSTREET_V3_SHA256 = {
+    "2.4": "3deee004483f464ebbe6e0282081bf0f4fe594c45a2ae44d5c236758f97437f2",
+}
 
 
-def test_onstreet_stream_version_2_pinned(tmp_path):
+def grid4_onstreet(tmp_path):
+    """The grid-4 city of seed SEED and its availability table, written for
+    sim-on; returns the config path, the graph and the (hour, block) table."""
     synth_generate(SynthConfig(grid_n=4, days=7), SEED, tmp_path / "city")
     config = write_config(tmp_path / "config.json", "city")
     g = load_graph(tmp_path / "city" / "graph.json")
     p = np.random.default_rng(SEED).uniform(0.05, 0.95, (len(HOURS), len(g.block_ids)))
     cli._write_cells(tmp_path / "out" / "availability.csv", cli.AVAILABILITY_COLUMNS, g,
                      HOURS, p)
-    assert main(["sim-on", "--config", str(config)]) == 0
+    return config, g, p
+
+
+def numpy_version(hashes):
     version = ".".join(np.__version__.split(".")[:2])
-    if version not in ONSTREET_V2_SHA256:
-        pytest.skip(f"stream hashes recorded under numpy {sorted(ONSTREET_V2_SHA256)}, "
-                    f"not {version}")
-    digest = hashlib.sha256((tmp_path / "out" / "onstreet.csv").read_bytes()).hexdigest()
-    assert digest == ONSTREET_V2_SHA256[version]
+    if version not in hashes:
+        pytest.skip(f"stream hashes recorded under numpy {sorted(hashes)}, not {version}")
+    return version
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_onstreet_stream_version_3_pinned(tmp_path):
+    config, _, _ = grid4_onstreet(tmp_path)
+    assert main(["sim-on", "--config", str(config)]) == 0
+    version = numpy_version(ONSTREET_V3_SHA256)
+    assert sha256(tmp_path / "out" / "onstreet.csv") == ONSTREET_V3_SHA256[version]
+
+
+def test_onstreet_stream_version_2_kept_by_oracle(tmp_path):
+    config, g, p = grid4_onstreet(tmp_path)
+    cfg = cli.load_run_config(str(config))
+    est = estimate_cells(g, p, HOURS, cfg.onstreet, cfg.policy, stream=stream_v2)
+    path = tmp_path / "out" / "onstreet.csv"
+    cli._write_cells(path, cli.ONSTREET_COLUMNS, g, HOURS, *est, cfg.onstreet.n_samples)
+    version = numpy_version(ONSTREET_V2_SHA256)
+    assert sha256(path) == ONSTREET_V2_SHA256[version]
+
+
+def test_onstreet_stream_version_3_agrees_with_version_2(tmp_path):
+    # every cell of the grid-4 city, 200 searches a cell: the version 3
+    # mean within 4 combined standard errors of version 2's
+    config, g, p = grid4_onstreet(tmp_path)
+    cfg = cli.load_run_config(str(config))
+    onstreet = dataclasses.replace(cfg.onstreet, n_samples=200)
+    v3 = estimate_onstreet_time(g, p, HOURS, onstreet, cfg.policy)
+    v2_mean, v2_std, _ = estimate_cells(g, p, HOURS, onstreet, cfg.policy, stream=stream_v2)
+    se = np.hypot(v3.std_s, v2_std) / math.sqrt(onstreet.n_samples)
+    assert (se > 0).all()
+    assert (np.abs(v3.mean_s - v2_mean) <= 4 * se).all()
 
 
 # sha256 of the offstreet.csv that sim-off writes for the grid-4 city of

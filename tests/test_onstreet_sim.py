@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -14,11 +15,14 @@ from parksim.errors import DataError, NumericError
 from parksim import onstreet_sim
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import build_graph
+from parksim.seeding import counter_uniform, stream_key
 
 from conftest import grid_graph, line_graph, ring_graph
 from oracles import (
+    SearchDraws,
     SearchState,
     block_scores,
+    cell_labels,
     choose_block,
     estimate_cells,
     midpoint_table,
@@ -362,7 +366,7 @@ class TestLockstep:
 
 class TestChunkedLockstep:
     """One lockstep runs a batch of cells: every first check with no
-    scratch, then the survivors in scratch groups of whole cells.
+    scratch, then the survivors in scratch groups of consecutive searches.
     ``estimate_cells`` runs the same searches one cell at a time. Every
     cell agrees exactly."""
 
@@ -426,32 +430,105 @@ class TestChunkedLockstep:
             cfg.min_park_s + cfg.max_search_s * est.censored_fraction[first], abs=1e-9)
 
     @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
+    def test_scalar_search_matches_lockstep_exactly(self, monkeypatch, graph):
+        # Search s of a cell draws the same uniforms in simulate_single,
+        # through the integer reference, as in the lockstep; the graphs'
+        # times are integers, so the totals agree bit for bit. With 7
+        # scratch rows for 12 searches a cell, groups split cells.
+        g = self.graph(graph)
+        cfg = OnstreetConfig(n_samples=12, seed=6)
+        monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES", 7 * len(g.block_ids))
+        totals = {}
+        lockstep = onstreet_sim._lockstep
+
+        def spy(g, dests, dest_at, hour_at, *args):
+            result = lockstep(g, dests, dest_at, hour_at, *args)
+            for c, (j, at) in enumerate(zip(dests.tolist(), hour_at.tolist())):
+                totals[g.block_ids[j], self.HOURS[at // len(g.block_ids)]] = result[0][c]
+            return result
+
+        monkeypatch.setattr(onstreet_sim, "_lockstep", spy)
+        p = np.random.default_rng(14).uniform(0.05, 0.6, (len(self.HOURS), len(g.block_ids)))
+        estimate_onstreet_time(g, p, self.HOURS, cfg, W)
+        assert len(totals) == p.size
+        for i, hour in enumerate(self.HOURS):
+            probs = dict(zip(g.block_ids, p[i].tolist()))
+            for dest in g.block_ids:
+                walk = midpoint_table(g, dest, lambda e: e.walk_time_s)
+                dist = midpoint_table(g, dest, lambda e: e.length_m)
+                scalar = [simulate_single(g, probs, dest, cfg, W, hour,
+                                          SearchDraws(cfg.seed, dest, hour, sample),
+                                          walk_s=walk, dist_m=dist).total_s
+                          for sample in range(cfg.n_samples)]
+                assert scalar == totals[dest, hour].tolist(), (dest, hour)
+
+    @staticmethod
+    def spy_groups(monkeypatch):
+        """Record every draw call of the lockstep as (counter, set of search
+        keys). A batch's first checks are draw 0; each scratch group then
+        makes one call per draw number from 1 on."""
+        calls = []
+
+        def spy(keys, counter):
+            calls.append((counter, set(keys.tolist())))
+            return counter_uniform(keys, counter)
+
+        monkeypatch.setattr(onstreet_sim, "counter_uniform", spy)
+        return calls
+
+    def cell_keys(self, g, cfg, dest, hour):
+        """The stream keys of the searches of cell (dest, hour)."""
+        cell_key = stream_key(cfg.seed, *cell_labels(dest, hour))
+        return set(stream_key(cell_key, np.arange(cfg.n_samples)).tolist())
+
+    def split_cells(self, g, cfg, calls):
+        """The cells whose searches drew their first choice in more than
+        one scratch group."""
+        groups = [keys for counter, keys in calls if counter == 1]
+        return [(dest, hour) for dest in g.block_ids for hour in self.HOURS
+                if sum(bool(self.cell_keys(g, cfg, dest, hour) & keys) for keys in groups) > 1]
+
+    @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
     @pytest.mark.parametrize("weights", [W, PolicyWeights(0.0, -30.0, 0.0, 0.0)],
                              ids=["default", "revisit_only"])
     def test_few_survivors_split_into_groups(self, monkeypatch, graph, weights):
         # Scratch rows for one cell's searches and a batch of four cells.
         # At availability 0.55 to 0.75 a cell keeps about a third of its
         # searches after the first check, so a batch's survivors outgrow
-        # the rows and split between groups of whole cells. With the visit
-        # term alone, a row's seeded visit to its destination steers the
-        # choices.
+        # the rows and split between groups, and a cell may span two. With
+        # the visit term alone, a row's seeded visit to its destination
+        # steers the choices.
         g = self.graph(graph)
         cfg = OnstreetConfig(n_samples=30, seed=12)
         monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES", cfg.n_samples * len(g.block_ids))
-        draws = []
-
-        def spy(rngs, cell):
-            draws.append((rngs, set(cell.tolist())))
-            return _draws(rngs, cell)
-
-        _draws = onstreet_sim._draws
-        monkeypatch.setattr(onstreet_sim, "_draws", spy)
+        calls = self.spy_groups(monkeypatch)
         p = np.random.default_rng(11).uniform(0.55, 0.75, (len(self.HOURS), len(g.block_ids)))
         self.assert_cells_equal(g, p, cfg, weights)
-        # a cell that drops out of a group never returns, so two draws of
-        # one batch over disjoint cells come from two groups
-        assert any(a is b and not (x & y) for i, (a, x) in enumerate(draws)
-                   for b, y in draws[i + 1:])
+        # one batch (the calls from one draw 0 to the next) drew its first
+        # choices in two groups, over disjoint searches
+        batches = np.cumsum([counter == 0 for counter, _ in calls])
+        assert any(a == b and not (x & y)
+                   for (a, (c, x)), (b, (d, y)) in itertools.combinations(
+                       zip(batches, calls), 2) if c == d == 1)
+        assert self.split_cells(g, cfg, calls)
+
+    @pytest.mark.parametrize("table_chunk", [1, 5, 64])
+    @pytest.mark.parametrize("rows", [None, 7], ids=["default_scratch", "7_rows"])
+    def test_outputs_do_not_depend_on_chunking(self, monkeypatch, table_chunk, rows):
+        # 7 scratch rows for 20 searches a cell: a cell's survivors span
+        # several groups
+        g = self.graph("grid")
+        cfg = OnstreetConfig(n_samples=20, seed=5)
+        p = np.random.default_rng(9).uniform(0.05, 0.6, (len(self.HOURS), len(g.block_ids)))
+        default = estimate_onstreet_time(g, p, self.HOURS, cfg, W)
+        monkeypatch.setattr(onstreet_sim, "TABLE_CHUNK", table_chunk)
+        if rows:
+            monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES", rows * len(g.block_ids))
+        calls = self.spy_groups(monkeypatch)
+        est = estimate_onstreet_time(g, p, self.HOURS, cfg, W)
+        for name in ("mean_s", "std_s", "censored_fraction"):
+            assert np.array_equal(getattr(est, name), getattr(default, name)), name
+        assert bool(self.split_cells(g, cfg, calls)) == bool(rows)
 
     @staticmethod
     def peak_bytes(g, p, cfg, hours=(12,)):
