@@ -12,13 +12,14 @@ four availability features of every sample and writes them into
 no graph and no payments. It also writes the parsed sessions once, as the
 session index ``sessions.npz``, keyed by the sha256 of the payment bytes
 they came from; ``ingest.json`` records that sha256 and the first and last
-session start date. Predict hashes ``payments.csv`` and loads the index
-when the key matches; with no index, or one made from other bytes, it
-parses the file as ingest does, so a stale index is never used. Either way
-every session must lie on a block of the graph. Ingest also reads
-``lot_events.csv`` into dense hourly arrays of each lot's entries and departures and averages them
-into the hourly Poisson rates of ``rates.csv``, a row for every (day of
-week, hour) of every lot, which sim-off samples.
+session start date. Predict reads its sessions from that index alone: it
+hashes ``payments.csv`` and exits 2 (run ingest first) when the index is
+missing, was made from other bytes or is in another format, so a stale
+index is never used. Every session must lie on a block of the graph.
+Ingest also reads ``lot_events.csv`` into dense hourly arrays of each
+lot's entries and departures and averages them into the hourly Poisson
+rates of ``rates.csv``, a row for every (day of week, hour) of every lot,
+which sim-off samples.
 
 The per-cell files ``availability.csv``, ``onstreet.csv``,
 ``offstreet.csv`` and ``diff.csv`` hold one row per (block, hour) of the
@@ -33,9 +34,10 @@ a block the graph does not have, an hour outside 0..23 and a repeated
 
 Exit codes, with a one-line message on stderr for every failure:
 0 success; 2 when a config key, an input file or an earlier stage's output
-is missing, the config itself is invalid, an output cannot be written, or
-the config asks for more memory than can be allocated; 3 when a file is
-present but malformed; 4 on a numeric failure.
+is missing, an earlier stage's output was made from other inputs, the
+config itself is invalid, an output cannot be written, or the config asks
+for more memory than can be allocated; 3 when a file is present but
+malformed; 4 on a numeric failure.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ from .errors import ConfigError, DataError, NumericError, ParksimError, check_fi
 from .occupancy_model import (
     _EPOCH,
     EvalReport,
-    Sessions,
     TrainConfig,
     build_dataset,
     load_model,
@@ -257,17 +258,6 @@ def _read_known_lots(cfg: RunConfig, g: RoadGraph, path: Path, ids) -> list[LotS
     return lots
 
 
-def _read_known_payments(cfg: RunConfig, g: RoadGraph) -> Sessions:
-    """The payments file's sessions, on blocks of ``g``: from ingest's
-    session index if it was made from the file's bytes, else parsed."""
-    path = _require(cfg.payments, "payments")
-    sessions = read_session_index(cfg.out_dir / SESSION_INDEX_FILE, file_sha256(path))
-    if sessions is None:
-        sessions = read_payments(path)
-    _check_known(path, "blocks", sessions, g.edges)
-    return sessions
-
-
 def _first_and_last_date(times: np.ndarray) -> list[str] | None:
     """The ISO dates of the earliest and latest of int64 microsecond
     ``times``; None when there are none."""
@@ -301,7 +291,7 @@ def stage_ingest(cfg: RunConfig) -> None:
     payments_path = _require(cfg.payments, "payments")
     payments_sha256 = file_sha256(payments_path)
     sessions = read_payments(payments_path)
-    _check_known(payments_path, "blocks", sessions, g.edges)
+    _check_known(payments_path, "blocks", sessions.block_ids, g.edges)
     features, _ = build_dataset(samples, sessions, g)
 
     flows = read_lot_events(_require(cfg.lot_events, "lot_events"))
@@ -358,8 +348,10 @@ def stage_eval(cfg: RunConfig) -> None:
 def stage_predict(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"))
     model = load_model(_stage_file(cfg, MODEL_FILE, "train"))
-    p = predict_block_probabilities(model, _read_known_payments(cfg, g), g, cfg.hours,
-                                    cfg.predict_date)
+    index = _stage_file(cfg, SESSION_INDEX_FILE, "ingest")
+    sessions = read_session_index(index, file_sha256(_require(cfg.payments, "payments")))
+    _check_known(index, "blocks", sessions.block_ids, g.edges)
+    p = predict_block_probabilities(model, sessions, g, cfg.hours, cfg.predict_date)
     _write_cells(cfg.out_dir / AVAILABILITY_FILE, AVAILABILITY_COLUMNS, g, cfg.hours, p)
 
 

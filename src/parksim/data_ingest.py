@@ -49,11 +49,11 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DataError, check_fields
+from .errors import ConfigError, DataError, check_fields
 from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples,
                               SessionIndex, micros, session_arrays)
 from .offstreet_sim import DAYS_PER_WEEK, LotRates, LotSpec
-from .road_graph import _atomic_write, _check_hour, _json_int
+from .road_graph import _atomic_write, _check_hour, _json
 
 WEEK_H = 7 * 24
 SURVEY_WINDOW_US = HOUR_US // 2
@@ -368,9 +368,11 @@ def _label(raw: str) -> int:
 
 
 def read_payments(path: str | os.PathLike) -> SessionIndex:
-    """Each block's paid sessions, as ``occupancy_model.session_arrays``. A
-    session lasts ``timedelta(seconds=duration_s)`` (see
-    ``_micros_of_seconds``) and must end by ``datetime.max``."""
+    """Every paid session of a payments file, indexed by block in order of
+    first appearance by ``occupancy_model.session_arrays``. A session lasts
+    ``timedelta(seconds=duration_s)`` (see ``_micros_of_seconds``) and must
+    end by ``datetime.max``. Only ingest reads the file; later stages read
+    the session index it writes."""
     def parse(chunk: Chunk) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         start = chunk.parse("start_iso8601", _naive, _naive_micros)
         seconds = chunk.parse("duration_s", partial(_real, positive=True),
@@ -425,10 +427,10 @@ def write_session_index(sessions: SessionIndex, key: str, path: str | os.PathLik
     _atomic_write(path, write)
 
 
-def read_session_index(path: str | os.PathLike, key: str) -> SessionIndex | None:
-    """The sessions of the index at ``path`` if it was written from the
-    payments whose sha256 is ``key``, in this format; None if there is no
-    index, or it was written from other payments or in another format.
+def read_session_index(path: str | os.PathLike, key: str) -> SessionIndex:
+    """The sessions of the index at ``path``, which must have been written
+    in this format from the payments whose sha256 is ``key``; an index of
+    another format or of other payments is a ConfigError (run ingest first).
 
     An index that cannot be read, or whose key matches but whose arrays do
     not form a ``SessionIndex`` (a wrong dtype or shape, bounds that do not
@@ -437,8 +439,6 @@ def read_session_index(path: str | os.PathLike, key: str) -> SessionIndex | None
     """
     try:
         npz = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        return None
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read session index {path}: {exc}") from exc
     if not isinstance(npz, np.lib.npyio.NpzFile):
@@ -456,9 +456,13 @@ def read_session_index(path: str | os.PathLike, key: str) -> SessionIndex | None
         return array
 
     with npz:
-        if (member("format_version", 0, np.int64) != SESSION_INDEX_VERSION
-                or str(member("payments_sha256", 0)) != key):
-            return None
+        version = int(member("format_version", 0, np.int64))
+        if version != SESSION_INDEX_VERSION:
+            raise ConfigError(f"session index {path} has format version {version}, not "
+                              f"{SESSION_INDEX_VERSION} (run ingest first)")
+        if str(member("payments_sha256", 0)) != key:
+            raise ConfigError(f"session index {path} was made from other payments "
+                              "(run ingest first)")
         block_ids = member("block_ids", 1).tolist()
         bounds, starts, ends = (member(name, 1, np.int64) for name in ("bounds", "starts", "ends"))
     for fault, what in (
@@ -519,15 +523,15 @@ def read_surveys(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def read_lots(path: str | os.PathLike) -> list[LotSpec]:
-    """Lots from a JSON list of {id, node, capacity}: each id once, each
-    capacity a positive JSON integer."""
+    """Lots from a JSON list of {id, node, capacity}: each id once, ids and
+    nodes JSON strings, each capacity a positive JSON integer."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read lots file {path}: {exc}") from exc
     try:
-        lots = [LotSpec(id=str(x["id"]), node=str(x["node"]),
-                        capacity=_json_int(x["capacity"], f"lot {x['id']!r} capacity"))
+        lots = [LotSpec(id=_json(x["id"], str, "lot id"), node=_json(x["node"], str, "lot node"),
+                        capacity=_json(x["capacity"], int, f"lot {x['id']!r} capacity"))
                 for x in raw]
         ids = [lot.id for lot in lots]
         if len(set(ids)) < len(ids):

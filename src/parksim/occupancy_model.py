@@ -13,10 +13,9 @@ every weight and bias gains a leading split axis, and each SGD step is one
 ``gradient`` call over every split's batch. Each split draws from its own
 generator, so its result does not depend on how many splits train with it.
 
-Payments enter as session arrays: per block, the sorted int64 microsecond
-instants (naive, from 1970-01-01) at which paid sessions start and, sorted
-apart, at which they end, ``start + timedelta(seconds=duration_s)``. A
-``SessionIndex`` holds every block's arrays in CSR form: one array of
+Payments enter as one ``SessionIndex``: the int64 microsecond instants
+(naive, from 1970-01-01) at which paid sessions start and at which they
+end, ``start + timedelta(seconds=duration_s)``, in CSR form: one array of
 starts sorted by (block, start), one of ends sorted by (block, end), and
 the bounds of each block's rows in both. A session is active over the
 half-open [start, end), so the count active at ``t`` is the starts <= t
@@ -45,7 +44,7 @@ import os
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,31 +77,16 @@ class Samples(NamedTuple):
     labels: np.ndarray
 
 
-# block id -> (sorted session starts, sorted session ends), int64 microseconds;
-# the arrays may be views into one pair of arrays sorted by (block, time)
-Sessions = Mapping[str, tuple[np.ndarray, np.ndarray]]
+class SessionIndex(NamedTuple):
+    """Every block's paid sessions in CSR form: block ``block_ids[i]``'s
+    sessions are rows ``bounds[i]:bounds[i + 1]`` of ``starts``, sorted by
+    (block, start), and of ``ends``, sorted by (block, end); ``bounds`` is
+    int64 and starts at 0."""
 
-
-class SessionIndex(Mapping):
-    """``Sessions`` in CSR form: block ``block_ids[i]``'s sessions are rows
-    ``bounds[i]:bounds[i + 1]`` of ``starts``, sorted by (block, start), and
-    of ``ends``, sorted by (block, end); ``bounds`` is int64 and starts at 0."""
-
-    def __init__(self, block_ids: Sequence[str], bounds: np.ndarray, starts: np.ndarray,
-                 ends: np.ndarray):
-        self.block_ids, self.bounds, self.starts, self.ends = block_ids, bounds, starts, ends
-        self._row = {block_id: i for i, block_id in enumerate(block_ids)}
-
-    def __getitem__(self, block_id: str) -> tuple[np.ndarray, np.ndarray]:
-        i = self._row[block_id]
-        lo, hi = self.bounds[i], self.bounds[i + 1]
-        return self.starts[lo:hi], self.ends[lo:hi]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._row)
-
-    def __len__(self) -> int:
-        return len(self._row)
+    block_ids: tuple[str, ...]
+    bounds: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
 
 
 @dataclass
@@ -174,7 +158,7 @@ def session_arrays(block_ids: Sequence[str], block: np.ndarray, starts: np.ndarr
                         ends[np.lexsort((ends, block))])
 
 
-def feature_matrix(sessions: Sessions, g: RoadGraph, blocks: Sequence[str],
+def feature_matrix(sessions: SessionIndex, g: RoadGraph, blocks: Sequence[str],
                    times: np.ndarray) -> np.ndarray:
     """Row ``i`` holds the features of block ``blocks[i]`` at ``times[i]``,
     in int64 microseconds."""
@@ -185,10 +169,12 @@ def feature_matrix(sessions: Sessions, g: RoadGraph, blocks: Sequence[str],
     t = np.asarray(times, dtype=np.int64)
     hours = t // HOUR_US % 24
     X = np.zeros((len(pos), N_FEATURES))
+    row_of = {block_id: i for i, block_id in enumerate(sessions.block_ids)}
     for p in np.unique(pos):
-        if g.block_ids[p] not in sessions:
+        if (i := row_of.get(g.block_ids[p])) is None:
             continue
-        starts, ends = sessions[g.block_ids[p]]
+        lo, hi = sessions.bounds[i], sessions.bounds[i + 1]
+        starts, ends = sessions.starts[lo:hi], sessions.ends[lo:hi]
         rows = np.flatnonzero(pos == p)
         q = t[rows]
         X[rows, 0] = np.searchsorted(starts, q, "right") - np.searchsorted(ends, q, "right")
@@ -198,7 +184,7 @@ def feature_matrix(sessions: Sessions, g: RoadGraph, blocks: Sequence[str],
     return X
 
 
-def build_dataset(samples: Samples, sessions: Sessions,
+def build_dataset(samples: Samples, sessions: SessionIndex,
                   g: RoadGraph) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix and label vector of the samples."""
     return (feature_matrix(sessions, g, samples.block_ids, samples.times),
@@ -384,7 +370,7 @@ def train_baseline(X: np.ndarray, y: np.ndarray,
 
 # -- prediction ------------------------------------------------------------------
 
-def predict_block_probabilities(model, sessions: Sessions, g: RoadGraph,
+def predict_block_probabilities(model, sessions: SessionIndex, g: RoadGraph,
                                 hours: Sequence[int], on_date: date) -> np.ndarray:
     """Availability of every block at (date, hour:30) for each of ``hours``,
     as a (len(hours), blocks) array: one ``feature_matrix`` call, then one

@@ -216,7 +216,9 @@ def _check_weakly_connected(nodes: dict[str, Intersection],
 
 
 def load_graph(path: str | os.PathLike) -> RoadGraph:
-    """Load and validate a graph file (JSON with `nodes` and `edges`)."""
+    """Load and validate a graph file (JSON with `nodes` and `edges`): ids
+    and node references JSON strings, coordinates, lengths and times JSON
+    numbers, ``drive_time_s`` a JSON array and ``meter_count`` an integer."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -227,17 +229,20 @@ def load_graph(path: str | os.PathLike) -> RoadGraph:
         raise DataError(f"graph file {path} must be an object with 'nodes' and 'edges'")
 
     try:
-        nodes = [Intersection(id=str(n["id"]), lat=float(n["lat"]), lon=float(n["lon"]))
+        nodes = [Intersection(id=_json(n["id"], str, "node id"),
+                              lat=_json(n["lat"], float, "lat"),
+                              lon=_json(n["lon"], float, "lon"))
                  for n in raw["nodes"]]
         edges = [
             BlockFace(
-                id=str(e["id"]),
-                from_node=str(e["from"]),
-                to_node=str(e["to"]),
-                length_m=float(e["length_m"]),
-                meter_count=_json_int(e["meter_count"], "meter_count"),
-                walk_time_s=float(e["walk_time_s"]),
-                drive_time_s=tuple(float(t) for t in e["drive_time_s"]),
+                id=_json(e["id"], str, "edge id"),
+                from_node=_json(e["from"], str, "from"),
+                to_node=_json(e["to"], str, "to"),
+                length_m=_json(e["length_m"], float, "length_m"),
+                meter_count=_json(e["meter_count"], int, "meter_count"),
+                walk_time_s=_json(e["walk_time_s"], float, "walk_time_s"),
+                drive_time_s=tuple(_json(t, float, "drive time")
+                                   for t in _json(e["drive_time_s"], list, "drive_time_s")),
             )
             for e in raw["edges"]
         ]
@@ -269,11 +274,18 @@ def save_graph(g: RoadGraph, path: str | os.PathLike) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
-def _json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer: ``2.5`` and ``true`` are not."""
-    if type(value) is not int:
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return value
+# The Python types json.loads gives a JSON value of each kind; bool is no int.
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), list: ((list,), "an array")}
+
+
+def _json(value, kind: type, what: str):
+    """``value`` as a ``kind`` if it is a JSON value of that kind: ``2.5``
+    is no integer, ``"1"`` no number, ``true`` neither, ``["a"]`` no string."""
+    types, name = _JSON_KINDS[kind]
+    if type(value) not in types:
+        raise ValueError(f"{what} {value!r} is not {name}")
+    return kind(value)
 
 
 def _atomic_write(path: str | os.PathLike, content: str | Callable[[BinaryIO], None]) -> None:

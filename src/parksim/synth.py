@@ -42,7 +42,7 @@ import numpy as np
 from .data_ingest import (LOT_EVENT_COLUMNS, SURVEY_COLUMNS, write_lots, write_payments,
                           write_table)
 from .errors import DataError, check_fields
-from .occupancy_model import _EPOCH, HOUR_US, feature_matrix, micros
+from .occupancy_model import _EPOCH, HOUR_US, feature_matrix, micros, session_arrays
 from .offstreet_sim import LotSpec
 from .road_graph import BlockFace, Intersection, _atomic_write, build_graph, save_graph
 
@@ -183,14 +183,15 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> N
     metered = [(face, c) for face, c in zip(faces, centrality) if face.meter_count]
 
     # paid sessions, all of which set the availability, and those observed
-    sessions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64))]
     payments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for face, c in metered:
+    for i, (face, c) in enumerate(metered):
         start_s, paid_s = _generate_sessions(face, c, cfg, rng)
-        start_us = start_s * 1_000_000
-        sessions[face.id] = (start_us, np.sort(start_us + paid_s * 1_000_000))
+        parts.append((np.full(start_s.size, i), start_s * 1_000_000,
+                      (start_s + paid_s) * 1_000_000))
         observed = rng.random(start_s.size) < cfg.observed_fraction
         payments[face.id] = (start_s[observed], paid_s[observed])
+    sessions = session_arrays([face.id for face, _ in metered], *map(np.concatenate, zip(*parts)))
 
     # survey visits, each in a half-hour window of its face's own
     visits: list[tuple[BlockFace, datetime, datetime, bool]] = []

@@ -39,6 +39,14 @@ def sessions_of(payments):
                  dtype=np.int64))
 
 
+def block_sessions(sessions, block_id):
+    """Block ``block_id``'s (starts, ends) in a ``SessionIndex``: its rows
+    ``bounds[i]:bounds[i + 1]`` of both arrays."""
+    i = sessions.block_ids.index(block_id)
+    lo, hi = sessions.bounds[i], sessions.bounds[i + 1]
+    return sessions.starts[lo:hi], sessions.ends[lo:hi]
+
+
 def flat24(value: float) -> tuple[float, ...]:
     return tuple([float(value)] * 24)
 

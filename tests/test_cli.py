@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parksim import cli, data_ingest, occupancy_model
+from parksim import cli, occupancy_model
 from parksim.cli import main
 from parksim.data_ingest import SmoothingConfig, read_lots
 from parksim.errors import ConfigError
@@ -527,8 +527,10 @@ def test_lot_without_rates_is_a_data_error(copied, capsys):
     lambda lots: lots[0].update(capacity=2.5),
     lambda lots: lots[0].update(capacity=True),
     lambda lots: lots[0].update(node="zz"),
+    lambda lots: lots[0].update(id=[lots[0]["id"]]),
+    lambda lots: lots[0].update(node=[lots[0]["node"]]),
 ], ids=["repeated_id_capacity", "repeated_id_node", "fractional_capacity", "bool_capacity",
-        "unknown_node"])
+        "unknown_node", "list_id", "list_node"])
 def test_malformed_lots_file_is_a_data_error(copied, capsys, stage, edit):
     lots = json.loads((copied / "city" / "lots.json").read_text())
     edit(lots)
@@ -567,6 +569,7 @@ def test_sample_label_outside_0_1_is_a_data_error(copied, capsys):
     ("eval", "train_report.json", "train"),
     ("eval", "samples.csv", "ingest"),
     ("predict", "model.json", "train"),
+    ("predict", "sessions.npz", "ingest"),
     ("sim-on", "availability.csv", "predict"),
     ("sim-off", "rates.csv", "ingest"),
     ("diff", "onstreet.csv", "sim-on"),
@@ -578,7 +581,7 @@ def test_missing_stage_output_is_a_config_error(copied, capsys, stage, name, pro
     assert main([stage, "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert_one_line(err)
-    assert f"run {producer} first" in err
+    assert name in err and f"run {producer} first" in err
 
 
 @pytest.mark.parametrize("edit,where", [
@@ -749,14 +752,37 @@ def test_duplicate_row_before_bad_cell_is_named(copied, capsys):
     assert "availability.csv, line 3: duplicate" in err
 
 
+def run_on_edited_payments(root, capsys, stage):
+    """Run ``stage`` after payments.csv was edited. Return ingest's one-line
+    message of the fault it must find (exit 3), or None for predict, which
+    reads no payments and refuses the session index that ingest made from
+    the bytes before the edit (exit 2)."""
+    code = main([stage, "--config", str(write_config(root / "config.json", "city"))])
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    if stage == "predict":
+        assert code == 2, err
+        assert "sessions.npz was made from other payments (run ingest first)" in err
+        return None
+    assert code == 3
+    return err
+
+
 @pytest.mark.parametrize("stage", ["ingest", "predict"])
 def test_payment_on_unknown_block_is_a_data_error(copied, capsys, stage):
     edit_csv(copied / "city" / "payments.csv", lambda rows: rows[1].__setitem__(0, "x"))
-    config = write_config(copied / "config.json", "city")
-    assert main([stage, "--config", str(config)]) == 3
+    err = run_on_edited_payments(copied, capsys, stage)
+    assert err is None or "payments.csv references unknown blocks: ['x']" in err
+
+
+def test_session_on_a_block_renamed_after_ingest_is_a_data_error(copied, capsys):
+    block = read_rows(copied / "city" / "payments.csv")[0]["block_id"]
+    edit_graph(lambda graph: next(e for e in graph["edges"] if e["id"] == block).update(
+        id="renamed"))(copied / "city")
+    assert main(["predict", "--config", str(write_config(copied / "config.json", "city"))]) == 3
     err = capsys.readouterr().err
     assert_one_line(err)
-    assert "payments.csv references unknown blocks: ['x']" in err
+    assert f"sessions.npz references unknown blocks: [{block!r}]" in err
 
 
 @pytest.mark.parametrize("duration", ["inf", "1e300"])
@@ -764,22 +790,16 @@ def test_payment_on_unknown_block_is_a_data_error(copied, capsys, stage):
 def test_unrepresentable_payment_duration_is_a_data_error(copied, capsys, stage, duration):
     # no session end exists for these: timedelta overflows
     edit_csv(copied / "city" / "payments.csv", lambda rows: rows[1].__setitem__(2, duration))
-    config = write_config(copied / "config.json", "city")
-    assert main([stage, "--config", str(config)]) == 3
-    err = capsys.readouterr().err
-    assert_one_line(err)
-    assert "payments.csv, line 2" in err
+    err = run_on_edited_payments(copied, capsys, stage)
+    assert err is None or "payments.csv, line 2" in err
 
 
 @pytest.mark.parametrize("stage", ["ingest", "predict"])
 def test_payment_ending_after_the_last_datetime_is_a_data_error(copied, capsys, stage):
     # int64 microseconds hold this end; a datetime does not
     edit_csv(copied / "city" / "payments.csv", lambda rows: rows[3].__setitem__(2, "1e12"))
-    config = write_config(copied / "config.json", "city")
-    assert main([stage, "--config", str(config)]) == 3
-    err = capsys.readouterr().err
-    assert_one_line(err)
-    assert "payments.csv, line 4: " in err
+    err = run_on_edited_payments(copied, capsys, stage)
+    assert err is None or "payments.csv, line 4: " in err
 
 
 @pytest.mark.parametrize("suffix", ["+00:00", "Z"])
@@ -793,10 +813,9 @@ def test_payment_start_with_utc_offset_is_a_data_error(copied, capsys, stage,
             row[1] += suffix
 
     edit_csv(copied / "city" / "payments.csv", add_offset)
-    config = write_config(copied / "config.json", "city")
-    assert main([stage, "--config", str(config)]) == 3
-    err = capsys.readouterr().err
-    assert_one_line(err)
+    err = run_on_edited_payments(copied, capsys, stage)
+    if err is None:
+        return
     line = 3 if rows_with_offset.stop else 2
     assert f"payments.csv, line {line}: " in err
     try:
@@ -835,16 +854,7 @@ def test_predict_loads_a_matching_session_index(copied, monkeypatch):
     assert availability.read_bytes() == made_by_pipeline
 
 
-def test_predict_without_session_index_parses_the_payments(copied):
-    availability = copied / "out" / "availability.csv"
-    made_with_index = availability.read_bytes()
-    (copied / "out" / "sessions.npz").unlink()
-    availability.unlink()
-    assert main(["predict", "--config", str(write_config(copied / "config.json", "city"))]) == 0
-    assert availability.read_bytes() == made_with_index
-
-
-def test_predict_reads_payments_edited_after_ingest(copied):
+def test_predict_beside_an_index_of_other_payments_is_a_config_error(copied, capsys):
     # sessions moved onto the predicted date change the map; the index that
     # ingest made from the old file must not hide them
     def onto_predict_date(rows):
@@ -855,12 +865,11 @@ def test_predict_reads_payments_edited_after_ingest(copied):
     availability = copied / "out" / "availability.csv"
     before = availability.read_bytes()
     edit_csv(copied / "city" / "payments.csv", onto_predict_date)
+    assert run_on_edited_payments(copied, capsys, "predict") is None
+    assert availability.read_bytes() == before
+    assert main(["ingest", "--config", str(config)]) == 0
     assert main(["predict", "--config", str(config)]) == 0
-    edited = availability.read_bytes()
-    assert edited != before
-    (copied / "out" / "sessions.npz").unlink()
-    assert main(["predict", "--config", str(config)]) == 0
-    assert availability.read_bytes() == edited
+    assert availability.read_bytes() != before
 
 
 def test_ingest_and_predict_without_payments(copied):
@@ -880,15 +889,14 @@ def rewrite_index(index, edit):
         np.savez(fh, **arrays)
 
 
-def test_predict_parses_payments_beside_an_index_of_another_format(copied, monkeypatch):
+def test_predict_beside_an_index_of_another_format_is_a_config_error(copied, capsys):
     # the starts would be malformed, but an index of another format is not read
     rewrite_index(copied / "out" / "sessions.npz", lambda a: {
         **a, "format_version": np.array(2), "starts": a["starts"].astype(float)})
-    parsed = []
-    monkeypatch.setattr(cli, "read_payments",
-                        lambda path: parsed.append(path) or data_ingest.read_payments(path))
-    assert main(["predict", "--config", str(write_config(copied / "config.json", "city"))]) == 0
-    assert parsed == [copied / "city" / "payments.csv"]
+    assert main(["predict", "--config", str(write_config(copied / "config.json", "city"))]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "sessions.npz has format version 2" in err and "run ingest first" in err
 
 
 UNPICKLED = []
@@ -1115,7 +1123,13 @@ def test_count_that_is_no_count_is_a_data_error(copied, capsys, edit, where):
     set_first_edge(meter_count=-1), set_first_edge(length_m=0),
     edit_graph(lambda graph: graph["edges"].append(graph["edges"][0])),
     lambda city: (city / "graph.json").write_text("[]"),
-], ids=["negative_meter_count", "zero_length", "repeated_edge_id", "not_an_object"])
+    set_first_edge(drive_time_s="1" * 24), set_first_edge(length_m="100"),
+    set_first_edge(length_m=True), edit_graph(lambda graph: graph["nodes"][0].update(lat="49.2")),
+    edit_graph(lambda graph: graph["edges"][0].update(id=[graph["edges"][0]["id"]])),
+    edit_graph(lambda graph: graph["edges"][0].update(to=[graph["edges"][0]["to"]])),
+], ids=["negative_meter_count", "zero_length", "repeated_edge_id", "not_an_object",
+        "string_drive_times", "string_length", "bool_length", "string_lat", "list_edge_id",
+        "list_to_node"])
 def test_invalid_graph_is_a_data_error_naming_the_file(copied, capsys, edit):
     edit(copied / "city")
     assert main(["ingest", "--config", str(write_config(copied / "config.json", "city"))]) == 3

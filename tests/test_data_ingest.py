@@ -45,7 +45,7 @@ from parksim.occupancy_model import build_dataset, micros
 from parksim.road_graph import load_graph
 from parksim.synth import BUNDLE_FILES, METERS_PER_BLOCK, SynthConfig, synth_generate
 
-from conftest import PaymentRecord, sessions_of
+from conftest import PaymentRecord, block_sessions, sessions_of
 from oracles import left_gaussian_weights, lot_rates, survey_samples
 
 D = date(2026, 3, 2)  # a Monday
@@ -415,7 +415,7 @@ class TestSynthGenerate:
         g = load_graph(bundle / "graph.json")
         assert len(g.nodes) == 16
         assert len(g.edges) == 4 * 4 * 3  # grid edge count, both directions
-        assert read_payments(bundle / "payments.csv")
+        assert read_payments(bundle / "payments.csv").block_ids
         assert read_surveys(bundle / "surveys.csv")
         assert read_lots(bundle / "lots.json")
         assert read_lot_events(bundle / "lot_events.csv").lot_ids == ("lot1",)
@@ -533,7 +533,7 @@ def write_payment_rows(path, rows):
 
 def session_ends(path):
     """Each session's end in a one-block payments file, in microseconds."""
-    return read_payments(path)["b"][1].tolist()
+    return block_sessions(read_payments(path), "b")[1].tolist()
 
 
 class TestReadPayments:
@@ -544,10 +544,11 @@ class TestReadPayments:
         path = write_payment_rows(tmp_path / "p.csv", (
             [r.block_id, r.start.isoformat(), repr(r.duration_s)] for r in records))
         sessions, expected = read_payments(path), sessions_of(records)
-        assert list(sessions) == list(expected)
-        for block_id, (starts, ends) in expected.items():
-            assert sessions[block_id][0].tolist() == starts.tolist()
-            assert sessions[block_id][1].tolist() == ends.tolist()
+        assert sessions.block_ids == expected.block_ids
+        for block_id in expected.block_ids:
+            starts, ends = block_sessions(expected, block_id)
+            assert block_sessions(sessions, block_id)[0].tolist() == starts.tolist()
+            assert block_sessions(sessions, block_id)[1].tolist() == ends.tolist()
 
     # The fraction's microseconds round half to even, as timedelta rounds
     # them: 3.0000005 s ends at 3,000,001 us, where rint(d * 1e6) gives
@@ -598,7 +599,7 @@ class TestReadPayments:
             with pytest.raises(DataError, match=f"p.csv, line {CHUNK_ROWS + 1}: "):
                 read_payments(path)
         else:
-            assert read_payments(path)["b"][0].tolist() == sorted(
+            assert block_sessions(read_payments(path), "b")[0].tolist() == sorted(
                 [micros(datetime(2026, 3, 2, 8))] * (CHUNK_ROWS - 1) + [micros(start)])
 
 

@@ -92,7 +92,7 @@ class TestExtractFeatures:
     def test_unknown_block(self):
         g = line_graph()
         with pytest.raises(DataError):
-            feature_matrix({}, g, ["missing"], [micros(T0)])
+            feature_matrix(sessions_of([]), g, ["missing"], [micros(T0)])
 
 
 # A payment placed relative to the query time t: (kind, microseconds, paid
@@ -471,7 +471,7 @@ class TestPredict:
     def test_unmetered_block_gets_zero(self):
         g0, payments, model = self.make_trained()
         g = grid_graph(3, meters=0)
-        p = predict_block_probabilities(model, {}, g, (12,), date(2026, 3, 6))
+        p = predict_block_probabilities(model, sessions_of([]), g, (12,), date(2026, 3, 6))
         assert p.shape == (1, len(g.edges))
         assert (p == 0.0).all()
 
@@ -539,7 +539,8 @@ class TestPredict:
         X = rng.normal(0, 1, (3 * len(g.block_ids), 4)) * 10.0 ** rng.integers(-2, 2, (1, 4))
         monkeypatch.setattr(occupancy_model, "feature_matrix", lambda *args: X)
         model = random_model(rng, dims=dims)
-        p = predict_block_probabilities(model, {}, g, (1, 2, 3), date(2026, 3, 4))
+        p = predict_block_probabilities(model, sessions_of([]), g, (1, 2, 3),
+                                        date(2026, 3, 4))
         assert np.array_equal(p.ravel(), [forward(model, x)[0] for x in X])
         assert ((0.0 < p) & (p < 1.0)).mean() > 0.5
 
@@ -550,7 +551,8 @@ class TestPredict:
         X[5, 2] = bad
         monkeypatch.setattr(occupancy_model, "feature_matrix", lambda *args: X)
         with pytest.raises(NumericError, match="non-finite feature input"):
-            predict_block_probabilities(zero_model(), {}, g, (12,), date(2026, 3, 4))
+            predict_block_probabilities(zero_model(), sessions_of([]), g, (12,),
+                                        date(2026, 3, 4))
 
 
 class TestPersistence:
