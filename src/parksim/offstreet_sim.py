@@ -13,29 +13,31 @@ payment-queue sum starts from the lot minimum time.
 
 A task is one (lot, day, hour) with its initial occupancy and its stream.
 The hour is ``ticks = round(3600 / tick_s)`` ticks (at least one), each
-with ``scale = 1 / ticks`` of the hourly rates. Each task's stream draws,
-in lot stream version 2:
+with ``scale = 1 / ticks`` of the hourly rates. Each task's generator
+draws, in lot stream version 3:
 
 1. ``rng.poisson(lam_a * scale, size=(ticks, reps))``, every arrival;
 2. ``rng.poisson(lam_d * scale, size=(ticks, reps))``, every departure;
-3. in tick order, one ``rng.random((reps, capacity))`` of keys in each
-   tick whose departure draws are not all zero; in each repetition the
-   ``min(departures, occupied)`` occupied stalls with the smallest keys leave.
+3. one task key, ``rng.integers(0, 2 ** 64, dtype=np.uint64)``. Car ``j``
+   to leave repetition ``rep`` in tick ``t`` then vacates the ``floor(u *
+   n)``-th of the ``n`` stalls still occupied, in stall order, where ``u =
+   counter_uniform(stream_key(key, rep, t), j)``: uniform, without replacement.
 
 The stream derives from (seed, lot, day, hour), so estimates do not depend
 on task order. All tasks share one tick count, so ``simulate_lot_hours``
 advances the ``reps`` repetitions of every task of a chunk together, as one
 ``occupied[task x rep, stall]`` array padded to the widest lot; a chunk
-holds as many tasks as fit ``SCRATCH_ENTRIES`` entries. A tick touches only
-the rows that move in it: the smallest keys are sought, one car per pass,
-only in rows that lose a car, and free stalls are ranked only in rows that
-gain one; each row's occupied count is kept as it changes. Every task
-still makes its own draws in the order above, and its samples are reduced
-in (tick, rep, stall) order, so its result does not depend on the other
-tasks of its chunk. The scalar reference, one repetition and one tick at a
-time, is ``simulate_lot_hour_scalar`` in ``tests/oracles.py``. A lot-hour
-reports ``arrivals``, the cars that parked, and ``overflow``, the cars that
-found the lot full, both summed over the repetitions.
+holds as many tasks as fit ``SCRATCH_ENTRIES`` entries. One hash per chunk
+gives every drawn departure's uniform. A tick touches only the rows that
+move in it: stalls are vacated, one car per pass, only in rows that lose a
+car, and free stalls are ranked only in rows that gain one; each row's
+occupied count is kept as it changes. A task's draws and uniforms are its
+own, and its samples are reduced in (tick, rep, stall) order, so its
+result does not depend on the other tasks of its chunk. The scalar
+reference on the same draws is ``simulate_lot_hour_scalar`` in
+``tests/oracles.py``. A lot-hour reports ``arrivals``, the cars that
+parked, and ``overflow``, the cars that found the lot full, both summed
+over the repetitions.
 
 End-to-end off-street time adds the drive from the destination block to the
 lot entrance with the smallest drive time and the walk back. One call covers
@@ -55,12 +57,12 @@ import numpy as np
 
 from .errors import DataError, check_fields
 from .road_graph import RoadGraph, drive_tables_to_nodes, walk_tables_from_nodes
-from .seeding import derived_stream
+from .seeding import counter_uniform, derived_stream, stream_key
 
 logger = logging.getLogger(__name__)
 
 DAYS_PER_WEEK = 7
-SCRATCH_ENTRIES = 2 ** 18  # (task x rep, stall) plus (tick, task x rep) entries per lockstep
+SCRATCH_ENTRIES = 2 ** 18  # (task x rep) x (stall + tick) entries plus departures per lockstep
 
 
 @dataclass(frozen=True)
@@ -119,35 +121,33 @@ def lot_wait_times(k: np.ndarray, departures: np.ndarray, stalls_passed: np.ndar
 
 
 def advance_tick(occupied: np.ndarray, count: np.ndarray, n_arrive: np.ndarray,
-                 n_depart: np.ndarray, keys: np.ndarray | None) -> tuple[np.ndarray, ...]:
+                 n_depart: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """Advance every repetition by one tick, updating ``occupied[row, stall]``
     and, in place, ``count``, each row's occupied stalls.
 
-    ``n_arrive``, ``n_depart`` and ``keys[row, stall]`` are the tick's draws
-    (``keys`` may be None when no departure was drawn, and is read only in
-    rows where a car leaves). The ``min(n_depart, count)`` occupied stalls
-    with the smallest keys are vacated; then the k-th arrival takes the
-    k-th lowest free stall, and arrivals beyond the free stalls overflow.
-    Only rows with a departure or an arrival are touched. Returns the
-    stalls vacated per row and, for each car that parked, its row, its
-    stall and its 1-based index k.
+    ``n_arrive`` and ``n_depart`` are the tick's draws; ``u`` holds, row by
+    row, the uniforms of each row's ``n_depart`` cars. Car ``j`` of the
+    ``min(n_depart, count)`` that leave vacates the ``floor(u * n)``-th of
+    the row's ``n = count - j`` occupied stalls, in stall order; then the
+    k-th arrival takes the k-th lowest free stall, and arrivals beyond the
+    free stalls overflow. Only rows with a departure or an arrival are
+    touched. Returns the stalls vacated per row and, for each car that
+    parked, its row, its stall and its 1-based index k.
     """
     departed = np.minimum(n_depart, count)
     rows = np.flatnonzero(departed)
     if rows.size:
-        # one pass per car: in each row still losing cars, the occupied
-        # stall with the smallest key leaves
-        key = np.where(occupied[rows], keys[rows], 2.0)
-        leave = departed[rows]
+        # one pass per car, in the rows still losing one: their m-th occupied stalls
+        at, left, n = (np.cumsum(n_depart) - n_depart)[rows], departed[rows], count[rows]
         while True:
-            stall = key.argmin(axis=1)
-            occupied[rows, stall] = False
-            leave -= 1
-            more = np.flatnonzero(leave)
+            m = (u[at] * n).astype(np.int64)  # below n: u * n rounds below n for u < 1
+            held = np.flatnonzero(occupied[rows])
+            start = np.arange(rows.size) * occupied.shape[1]
+            occupied[rows, held[np.searchsorted(held, start) + m] - start] = False
+            more = np.flatnonzero(left > 1)
             if not more.size:
                 break
-            rows, leave, key = rows[more], leave[more], key[more]
-            key[np.arange(more.size), stall[more]] = 2.0
+            rows, left, at, n = rows[more], left[more] - 1, at[more] + 1, n[more] - 1
         count -= departed
     rows = np.flatnonzero(n_arrive)
     if not rows.size:
@@ -184,23 +184,37 @@ def simulate_lot_hours(tasks: Sequence[LotHourTask], rates: LotRates, day: int,
     repetitions, the tasks of a chunk in one lockstep.
 
     A chunk holds as many tasks as fit ``SCRATCH_ENTRIES`` entries, at
-    least one: (task x rep, stall) entries of keys and occupancy plus
-    (tick, task x rep) entries of draws. Every parked arrival yields one
-    wait-time sample; the mean is absent if no arrival parked in any
-    repetition.
+    least one: (task x rep, stall) entries of occupancy, (tick, task x rep)
+    entries of draws and one entry per expected departure uniform. Every
+    parked arrival yields one wait-time sample; the mean is absent if no
+    arrival parked in any repetition.
     """
     lams = [_task_rates(rates, day, task) for task in tasks]
     ticks = max(1, int(round(3600.0 / cfg.tick_s)))
     stats: list[LotHourStats] = []
-    lo = width = 0
-    for hi, (spec, *_) in enumerate(tasks):
-        width = max(width, spec.capacity)
-        if hi > lo and (hi + 1 - lo) * cfg.reps * (width + ticks) > SCRATCH_ENTRIES:
+    lo = width = leaving = 0
+    for hi, ((spec, *_), (_, lam_d)) in enumerate(zip(tasks, lams)):
+        cars = min(lam_d, spec.capacity * ticks)  # bounds a repetition's expected uniforms
+        width, leaving = max(width, spec.capacity), leaving + cars
+        if hi > lo and cfg.reps * ((hi + 1 - lo) * (width + ticks) + leaving) > SCRATCH_ENTRIES:
             stats += _lockstep(tasks[lo:hi], lams[lo:hi], ticks, cfg)
-            lo, width = hi, spec.capacity
+            lo, width, leaving = hi, spec.capacity, cars
     if lo < len(tasks):
         stats += _lockstep(tasks[lo:], lams[lo:], ticks, cfg)
     return stats
+
+
+def departure_uniforms(keys: np.ndarray, reps: int, cars: np.ndarray) -> np.ndarray:
+    """Car ``j`` of row ``task x reps + rep`` in tick ``t``, for ``j`` below
+    ``cars[t, row]``, takes ``counter_uniform(stream_key(keys[task], rep, t),
+    j)``: these uniforms in (tick, row, car) order, from one hash."""
+    rows = np.arange(keys.size * reps)
+    row_keys = stream_key(keys[rows // reps], rows % reps)
+    cell = np.flatnonzero(cars)
+    n = cars.ravel()[cell]
+    t, row = np.divmod(np.repeat(cell, n), rows.size)
+    j = np.arange(t.size) - np.repeat(np.cumsum(n) - n, n)  # each car's index in its cell
+    return counter_uniform(stream_key(row_keys[row], t), j)
 
 
 def _lockstep(tasks: Sequence[LotHourTask], lams: Sequence[tuple[float, float]], ticks: int,
@@ -214,17 +228,18 @@ def _lockstep(tasks: Sequence[LotHourTask], lams: Sequence[tuple[float, float]],
     for i, ((_, _, _, rng), (lam_a, lam_d)) in enumerate(zip(tasks, lams)):
         arrive[:, i * reps:(i + 1) * reps] = rng.poisson(lam_a * scale, size=(ticks, reps))
         depart[:, i * reps:(i + 1) * reps] = rng.poisson(lam_d * scale, size=(ticks, reps))
-    capacity = [spec.capacity for spec, *_ in tasks]
-    stall = np.arange(max(capacity))
+    keys = np.array([rng.integers(0, 2 ** 64, dtype=np.uint64) for *_, rng in tasks])
+    capacity = np.repeat([spec.capacity for spec, *_ in tasks], reps)
+    stall = np.arange(capacity.max())
     count = np.repeat([occupancy for _, _, occupancy, _ in tasks], reps)
-    occupied = (stall < count[:, None]) | (stall >= np.repeat(capacity, reps)[:, None])
-    keys = np.full(occupied.shape, 2.0)  # padding never has the smallest key
-    draws = depart.reshape(ticks, n, reps).any(axis=2)
+    occupied = (stall < count[:, None]) | (stall >= capacity[:, None])
+    np.minimum(depart, capacity, out=depart)  # no row loses more cars than its lot has stalls
+    u = departure_uniforms(keys, reps, depart)
+    bounds = [0, *np.cumsum(depart.sum(axis=1)).tolist()]  # each tick's slice of u
     parts = [(np.empty(0, dtype=int),) * 4]  # (row, k, vacated, stall) per parked car
     for t in np.flatnonzero(arrive.any(axis=1) | depart.any(axis=1)):
-        for i in np.flatnonzero(draws[t]).tolist():
-            keys[i * reps:(i + 1) * reps, :capacity[i]] = tasks[i][3].random((reps, capacity[i]))
-        departed, row, parked, k = advance_tick(occupied, count, arrive[t], depart[t], keys)
+        departed, row, parked, k = advance_tick(occupied, count, arrive[t], depart[t],
+                                                u[bounds[t]:bounds[t + 1]])
         parts.append((row, k, departed[row], parked))
     row, k, vacated, parked = map(np.concatenate, zip(*parts))
     task = row // reps

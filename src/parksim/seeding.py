@@ -2,10 +2,10 @@
 
 Every draw is a function of the run seed and stable task labels, so results
 do not depend on task scheduling or execution order. ``derived_stream``
-seeds one numpy generator per task (the lot simulation's). ``stream_key``
+seeds a lot-hour's generator (its Poisson arrays and key). ``stream_key``
 and ``counter_uniform`` are counter-based (Salmon et al. 2011): a uniform is
-a hash of the seed, integer labels and a counter, so draws may be made in
-any order and batch, with no generator built (on-street stream version 3).
+a hash of a seed, integer labels and a counter: draws need no generator and
+may be made in any order and batch (on-street and lot stream version 3).
 The hash folds in one label ``x`` at a time with SplitMix64's step and
 finaliser (Steele, Lea & Flood 2014): key ``k`` becomes
 ``mix(k + (x + 1) * GAMMA)`` modulo 2^64.

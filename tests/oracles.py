@@ -6,10 +6,14 @@ shares code with the package (only its exception types), so agreement is
 meaningful. The exceptions are ``fit_split``, which trains one split at a
 time with the package's own gradient: it pins how the splits are stacked,
 gathered and seeded, while ``finite_difference_gradient`` pins the gradient;
-and ``estimate_cells``, which runs the on-street lockstep one (destination,
+``estimate_cells``, which runs the on-street lockstep one (destination,
 hour) cell at a time on the package's tables and uniforms: it pins how cells
 are chunked, while ``simulate_single`` pins the search itself and, through
-the integer ``counter_uniform``, the uniforms.
+the integer ``counter_uniform``, the uniforms; and ``lot_hours_scalar``,
+which reduces the waits of ``simulate_lot_hour_scalar``'s parked cars with
+the package's ``lot_wait_times``: the scalar lot pins the stalls, through
+the integer ``counter_uniform`` the uniforms, and ``lot_wait_time`` the
+waits.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from parksim.errors import DataError, NumericError
 from parksim.occupancy_model import (Network, SplitScore, _accuracy, _glorot_uniform,
                                      gradient, loss)
+from parksim.offstreet_sim import LotHourStats, lot_wait_times
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights
 from parksim.road_graph import RoadGraph, block_distances_to_block, walk_times_to_block
 from parksim.seeding import counter_uniform as uniforms, derived_stream, stream_key
@@ -507,10 +512,19 @@ class TickResult:
     overflow: int                    # arrivals that found no stall
 
 
+def leave_and_park(state: LotState, leaving, n_arrive: int) -> tuple[int, ...]:
+    """Vacate the stalls ``leaving``, then park up to ``n_arrive`` cars in
+    the lowest free stalls; returns those stalls in order."""
+    state.occupied[list(leaving)] = False
+    taken = np.flatnonzero(~state.occupied)[:n_arrive]
+    state.occupied[taken] = True
+    return tuple(int(i) for i in taken)
+
+
 def sample_tick(state: LotState, arrivals_per_hour: float,
                 departures_per_hour: float, cfg,
                 rng: np.random.Generator) -> TickResult:
-    """Advance the lot by one tick, mutating ``state``.
+    """Advance the lot by one tick, mutating ``state``, with its own draws.
 
     Departures vacate before arrivals park. The stall index recorded for an
     arrival equals the number of stalls it drove past.
@@ -523,38 +537,87 @@ def sample_tick(state: LotState, arrivals_per_hour: float,
 
     occupied_idx = np.flatnonzero(state.occupied)
     departed = min(n_depart, occupied_idx.size)
-    if departed:
-        leaving = rng.choice(occupied_idx, size=departed, replace=False)
-        state.occupied[leaving] = False
-
-    free_idx = np.flatnonzero(~state.occupied)
-    parked = min(n_arrive, free_idx.size)
-    taken = free_idx[:parked]
-    state.occupied[taken] = True
+    leaving = rng.choice(occupied_idx, size=departed, replace=False) if departed else ()
+    taken = leave_and_park(state, leaving, n_arrive)
     return TickResult(arrivals=n_arrive, departures=n_depart, departed=departed,
-                      stall_indices=tuple(int(i) for i in taken),
-                      overflow=n_arrive - parked)
+                      stall_indices=taken, overflow=n_arrive - len(taken))
+
+
+# -- which occupied stalls the leaving cars vacate, per lot stream version ---
+
+def lot_departures_v3(rng: np.random.Generator, depart: np.ndarray, capacity: int):
+    """Lot stream version 3: one task key drawn after the Poisson arrays;
+    car ``j`` to leave repetition ``rep`` in tick ``t`` takes ``u =
+    counter_uniform(key, (rep, t), j)`` and vacates the ``floor(u * n)``-th
+    of the ``n`` stalls still occupied, in stall order."""
+    key = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+
+    def leaving(t: int, rep: int, stalls: list[int], n: int) -> list[int]:
+        stalls, left = list(stalls), []
+        for j in range(n):
+            u = counter_uniform(key, (rep, t), j)
+            left.append(stalls.pop(int(u * len(stalls))))
+        return left
+    return leaving
+
+
+def lot_departures_v2(rng: np.random.Generator, depart: np.ndarray, capacity: int):
+    """Lot stream version 2: after the Poisson arrays, one ``random((reps,
+    capacity))`` of keys in each tick where any repetition draws a
+    departure; the occupied stalls with the smallest keys leave."""
+    keys = {t: rng.random((depart.shape[1], capacity))
+            for t in range(len(depart)) if depart[t].any()}
+    return lambda t, rep, stalls, n: sorted(stalls, key=lambda s: keys[t][rep, s])[:n]
 
 
 def simulate_lot_hour_scalar(capacity: int, lam_a: float, lam_d: float, cfg,
-                             initial_occupancy: int, seed: int) -> tuple[list[float], int]:
-    """One hour of lot traffic, repeated ``cfg.reps`` times, each repetition
-    from the initial occupancy on its own child stream of ``seed`` and tick
-    by tick. Returns every parked arrival's wait and the overflow, summed
-    over the repetitions."""
+                             initial_occupancy: int, rng: np.random.Generator,
+                             departures=lot_departures_v3) -> tuple[list[tuple[int, ...]], int]:
+    """One hour of lot traffic, repeated ``cfg.reps`` times from the initial
+    occupancy, one tick and one repetition at a time, on the draws one task
+    of ``simulate_lot_hours`` makes from ``rng``: the (tick, rep) Poisson
+    arrays of arrivals and departures, then those of ``departures(rng,
+    depart, capacity)``, which returns the stalls that ``n`` cars leaving a
+    repetition in a tick vacate. Returns the (k, departed, stall) of every
+    parked car in (tick, rep, stall) order, and the overflow summed over the
+    repetitions."""
     ticks = max(1, int(round(3600.0 / cfg.tick_s)))
-    samples: list[float] = []
+    scale = 1.0 / ticks
+    arrive = rng.poisson(lam_a * scale, size=(ticks, cfg.reps))
+    depart = rng.poisson(lam_d * scale, size=(ticks, cfg.reps))
+    leaving = departures(rng, depart, capacity)
+    states = [LotState.fresh(capacity, initial_occupancy) for _ in range(cfg.reps)]
+    cars: list[tuple[int, ...]] = []
     overflow = 0
-    # SeedSequence.spawn, not Generator.spawn, which numpy 1.24 lacks
-    for child in map(np.random.default_rng, np.random.SeedSequence(seed).spawn(cfg.reps)):
-        state = LotState.fresh(capacity, initial_occupancy)
-        for _ in range(ticks):
-            result = sample_tick(state, lam_a, lam_d, cfg, child)
-            overflow += result.overflow
-            for k, stall in enumerate(result.stall_indices, start=1):
-                samples.append(lot_wait_time(k, result.departed, stall, cfg.min_park_s,
-                                             cfg.per_stall_drive_s, cfg.vacate_wait_s))
-    return samples, overflow
+    for t in range(ticks):
+        for rep, state in enumerate(states):
+            stalls = np.flatnonzero(state.occupied).tolist()
+            departed = min(int(depart[t, rep]), len(stalls))
+            taken = leave_and_park(state, leaving(t, rep, stalls, departed) if departed else (),
+                                   int(arrive[t, rep]))
+            overflow += int(arrive[t, rep]) - len(taken)
+            cars += [(k, departed, stall) for k, stall in enumerate(taken, start=1)]
+    return cars, overflow
+
+
+def lot_hours_scalar(tasks, rates, day: int, cfg, departures=lot_departures_v3):
+    """``simulate_lot_hours`` one task at a time through
+    ``simulate_lot_hour_scalar``. The waits come from the package's
+    ``lot_wait_times`` (pinned against ``lot_wait_time``) and are reduced in
+    the same order, so the statistics match to the bit."""
+    stats = []
+    for spec, hour, occupancy, rng in tasks:
+        lam_a, lam_d = rates[spec.id][day, hour].tolist()
+        cars, overflow = simulate_lot_hour_scalar(spec.capacity, lam_a, lam_d, cfg, occupancy,
+                                                  rng, departures)
+        if not cars:
+            stats.append(LotHourStats(mean_s=None, std_s=None, arrivals=0, overflow=overflow))
+            continue
+        s = lot_wait_times(*np.array(cars).T, cfg)
+        stats.append(LotHourStats(mean_s=float(s.mean()),
+                                  std_s=float(s.std(ddof=1)) if s.size > 1 else 0.0,
+                                  arrivals=s.size, overflow=overflow))
+    return stats
 
 
 # -- availability features by scanning every payment -------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parksim import cli, occupancy_model
+from parksim import cli, occupancy_model, offstreet_sim
 from parksim.cli import main
 from parksim.data_ingest import SmoothingConfig, read_lots
 from parksim.errors import ConfigError
@@ -32,7 +33,7 @@ from parksim.synth import SynthConfig, synth_generate
 
 from conftest import grid_graph
 from oracles import (brute_drive_time_to_node, brute_walk_time_from_node, estimate_cells,
-                     lot_rates, stream_v2)
+                     lot_departures_v2, lot_hours_scalar, lot_rates, stream_v2)
 
 SEED = 5
 HOURS = (8, 13)
@@ -709,27 +710,69 @@ def test_onstreet_stream_version_3_agrees_with_version_2(tmp_path):
 
 # sha256 of the offstreet.csv that sim-off writes for the grid-4 city of
 # seed SEED with three lots of 12 stalls, at HOURS and 20 repetitions, by
-# the numpy version that made it (see ONSTREET_V2_SHA256).
+# the numpy version that made it (see ONSTREET_V2_SHA256). Version 2 drew a
+# (rep, stall) array of keys in each tick with a departure; the scalar lot
+# oracle still makes it.
 OFFSTREET_V2_SHA256 = {
     "2.4": "3beff7efb625ba94cc394a48b5ecedc162b8280e4ed9da807f2303a9cd0c9cc3",
 }
+OFFSTREET_V3_SHA256 = {
+    "2.4": "4d6ab56c972734b85f95b809863d707c620aa6ce2287e7d1a8d705a037e5a980",
+}
 
 
-def test_offstreet_stream_version_2_pinned(tmp_path):
+def grid4_offstreet(tmp_path, reps=20):
+    """The grid-4 city of seed SEED with three lots of 12 stalls, ingested,
+    and a config for sim-off at ``reps`` repetitions."""
     synth_generate(SynthConfig(grid_n=4, days=7, lot_capacity=12,
                                lot_nodes=("n0_0", "n1_2", "n3_3")), SEED, tmp_path / "city")
     config = write_config(tmp_path / "config.json", "city")
     raw = json.loads(config.read_text())
-    raw["offstreet"]["reps"] = 20
+    raw["offstreet"]["reps"] = reps
     config.write_text(json.dumps(raw))
     assert main(["ingest", "--config", str(config)]) == 0
+    return config
+
+
+def test_offstreet_stream_version_3_pinned(tmp_path):
+    config = grid4_offstreet(tmp_path)
     assert main(["sim-off", "--config", str(config)]) == 0
-    version = ".".join(np.__version__.split(".")[:2])
-    if version not in OFFSTREET_V2_SHA256:
-        pytest.skip(f"stream hashes recorded under numpy {sorted(OFFSTREET_V2_SHA256)}, "
-                    f"not {version}")
-    digest = hashlib.sha256((tmp_path / "out" / "offstreet.csv").read_bytes()).hexdigest()
-    assert digest == OFFSTREET_V2_SHA256[version]
+    version = numpy_version(OFFSTREET_V3_SHA256)
+    assert sha256(tmp_path / "out" / "offstreet.csv") == OFFSTREET_V3_SHA256[version]
+
+
+def test_offstreet_stream_version_2_kept_by_oracle(tmp_path, monkeypatch):
+    config = grid4_offstreet(tmp_path)
+    monkeypatch.setattr(offstreet_sim, "simulate_lot_hours",
+                        functools.partial(lot_hours_scalar, departures=lot_departures_v2))
+    assert main(["sim-off", "--config", str(config)]) == 0
+    version = numpy_version(OFFSTREET_V2_SHA256)
+    assert sha256(tmp_path / "out" / "offstreet.csv") == OFFSTREET_V2_SHA256[version]
+
+
+def test_offstreet_stream_version_3_agrees_with_version_2(tmp_path, monkeypatch):
+    # every chosen lot-hour of the grid-4 three-lot city, 100 repetitions:
+    # the same Poisson draws, so the same arrivals and overflow, and the
+    # version 3 mean within 4 combined standard errors of version 2's
+    config = grid4_offstreet(tmp_path, reps=100)
+    runs = {}
+    for version, simulate in (
+            (3, offstreet_sim.simulate_lot_hours),
+            (2, functools.partial(lot_hours_scalar, departures=lot_departures_v2))):
+        def recorded(*args, version=version, simulate=simulate):
+            runs[version] = simulate(*args)
+            return runs[version]
+        monkeypatch.setattr(offstreet_sim, "simulate_lot_hours", recorded)
+        assert main(["sim-off", "--config", str(config)]) == 0
+    assert len(runs[3]) == len(runs[2])
+    assert sum(s.arrivals > 1 for s in runs[3]) >= 5
+    for v3, v2 in zip(runs[3], runs[2]):
+        assert (v3.arrivals, v3.overflow) == (v2.arrivals, v2.overflow)
+        if not v3.arrivals:
+            assert v3 == v2
+            continue
+        se = math.hypot(v3.std_s, v2.std_s) / math.sqrt(v3.arrivals)
+        assert abs(v3.mean_s - v2.mean_s) <= 4 * se
 
 
 @pytest.mark.parametrize("name", ["availability.csv", "onstreet.csv", "offstreet.csv"])

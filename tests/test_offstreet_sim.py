@@ -10,7 +10,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from parksim import offstreet_sim
 from parksim.errors import DataError
 from parksim.offstreet_sim import (
@@ -18,6 +21,7 @@ from parksim.offstreet_sim import (
     LotSimConfig,
     LotSpec,
     advance_tick,
+    departure_uniforms,
     estimate_offstreet_time,
     initial_occupancy,
     lot_wait_times,
@@ -29,7 +33,7 @@ from parksim.seeding import derived_stream
 
 from conftest import grid_graph, make_edge
 from oracles import (LotState, brute_drive_time_to_node, brute_walk_time_from_node,
-                     lot_wait_time, sample_tick, simulate_lot_hour_scalar)
+                     lot_hours_scalar, lot_wait_time, sample_tick, simulate_lot_hour_scalar)
 
 CFG = LotSimConfig()
 
@@ -56,7 +60,7 @@ def lots_flat_rates(lots, lam_a, lam_d):
 
 
 class TestSampleTick:
-    """The scalar reference that the lockstep simulator is compared with."""
+    """The scalar reference's tick, here with its own draws."""
 
     def test_zero_rates_leave_state_unchanged(self):
         state = LotState.fresh(6, 3)
@@ -123,13 +127,15 @@ def lot_rows(capacity, *initially_occupied):
     return occupied
 
 
-def tick(occupied, n_arrive, n_depart, keys=None):
-    """One ``advance_tick`` with the given draws: the stalls vacated and, per
+def tick(occupied, n_arrive, n_depart, u=()):
+    """One ``advance_tick`` with the given draws, ``u[rep]`` the uniforms of
+    a repetition's ``n_depart[rep]`` cars: the stalls vacated and, per
     repetition, the (stall, k) of each car that parked. The count it keeps
     must match the stalls left occupied."""
+    u = np.concatenate([np.empty(0), *u])
     count = occupied.sum(axis=1)
     departed, rep, stall, k = advance_tick(occupied, count, np.array(n_arrive),
-                                           np.array(n_depart), keys)
+                                           np.array(n_depart), u)
     assert np.array_equal(count, occupied.sum(axis=1))
     parked = [list(zip(stall[rep == r].tolist(), k[rep == r].tolist()))
               for r in range(len(occupied))]
@@ -164,21 +170,31 @@ class TestAdvanceTick:
 
     def test_departures_bounded_by_occupancy(self):
         occupied = lot_rows(5, 2)
-        assert tick(occupied, [0], [9], np.random.default_rng(0).random((1, 5)))[0] == [2]
+        assert tick(occupied, [0], [9], np.random.default_rng(0).random((1, 9)))[0] == [2]
         assert occupied.sum() == 0
 
-    def test_smallest_keys_of_occupied_stalls_leave(self):
-        # stall 1 is free, so its smallest key does not count
+    def test_uniforms_pick_among_occupied_stalls(self):
+        # stall 1 is free: the first car takes index floor(0.5 x 4) = 2 of
+        # the occupied stalls [0, 2, 3, 4], the second index 0 of [0, 2, 4];
+        # the arrival then parks in stall 0
         occupied = lot_rows(5, 5)
         occupied[0, 1] = False
-        keys = np.array([[0.5, 0.0, 0.9, 0.3, 0.7]])
-        assert tick(occupied, [1], [2], keys) == ([2], [[(0, 1)]])
+        assert tick(occupied, [1], [2], [[0.5, 0.0]]) == ([2], [[(0, 1)]])
         assert np.flatnonzero(occupied[0]).tolist() == [0, 2, 4]
+
+    def test_largest_uniform_takes_the_last_occupied_stall(self):
+        # (1 - 2^-53) x n rounds to n - 1 or below, never to n
+        top = 1.0 - 2.0 ** -53
+        n = np.concatenate([np.arange(1, 2 ** 16), 2 ** np.arange(16, 53)])
+        n = np.concatenate([n - 1, n, n + 1])[1:]
+        assert ((top * n).astype(np.int64) == n - 1).all()
+        occupied = lot_rows(6, 3, 3)
+        assert tick(occupied, [0, 0], [1, 1], [[top], [0.999]]) == ([1, 1], [[], []])
+        assert occupied.tolist() == [[True, True, False, False, False, False]] * 2
 
     def test_capacity_one(self):
         occupied = np.array([[True], [False], [True]])
-        keys = np.array([[0.3], [0.6], [0.1]])
-        assert tick(occupied, [2, 2, 1], [1, 1, 0], keys) == (
+        assert tick(occupied, [2, 2, 1], [1, 1, 0], [[0.3], [0.6], []]) == (
             [1, 0, 0], [[(0, 1)], [(0, 1)], []])
         assert occupied.all()
 
@@ -186,11 +202,11 @@ class TestAdvanceTick:
         rng = np.random.default_rng(21)
         occupied = rng.random((6, 15)) < 0.6
         n_arrive, n_depart = rng.poisson(3.0, 6), rng.poisson(2.0, 6)
-        keys = rng.random((6, 15))
+        u = [rng.random(d) for d in n_depart]
         alone = [occupied[[r]].copy() for r in range(6)]
-        together = tick(occupied, n_arrive, n_depart, keys)
+        together = tick(occupied, n_arrive, n_depart, u)
         for r in range(6):
-            one = tick(alone[r], n_arrive[[r]], n_depart[[r]], keys[[r]])
+            one = tick(alone[r], n_arrive[[r]], n_depart[[r]], [u[r]])
             assert one == ([together[0][r]], [together[1][r]])
             assert np.array_equal(alone[r][0], occupied[r])
 
@@ -204,7 +220,8 @@ class TestAdvanceTick:
             lam_d = float(rng.uniform(0, 400))
             n_arrive = rng.poisson(lam_a * scale, 3)
             n_depart = rng.poisson(lam_d * scale, 3)
-            departed, parked = tick(occupied, n_arrive, n_depart, rng.random((3, 12)))
+            departed, parked = tick(occupied, n_arrive, n_depart,
+                                    [rng.random(d) for d in n_depart])
             after = occupied.sum(axis=1)
             for r in range(3):
                 assert 0 <= after[r] <= 12
@@ -338,7 +355,7 @@ class TestSimulateLotHour:
         lot = LotSpec("lot1", "n0_0", 10)
         stats = simulate_lot_hour(lot, flat_rates("lot1", 30.0, 0.0), 1, 9, cfg, 10,
                                   np.random.default_rng(3))
-        # lot stream version 2 draws every arrival first
+        # lot stream version 3 draws every arrival first
         draws = np.random.default_rng(3).poisson(30.0 / 60.0, size=(60, cfg.reps))
         assert stats.mean_s is None and stats.arrivals == 0
         assert stats.overflow == draws.sum() > 0
@@ -378,7 +395,11 @@ class TestSimulateLotHour:
         lot = LotSpec("lot1", "n0_0", capacity)
         stats = simulate_lot_hour(lot, flat_rates("lot1", lam_a, lam_d), 4, 12, cfg,
                                   occupancy, np.random.default_rng(11))
-        samples, overflow = simulate_lot_hour_scalar(capacity, lam_a, lam_d, cfg, occupancy, 12)
+        # the scalar reference on an independent stream
+        cars, overflow = simulate_lot_hour_scalar(capacity, lam_a, lam_d, cfg, occupancy,
+                                                  np.random.default_rng(12))
+        samples = [lot_wait_time(k, departed, stall, cfg.min_park_s, cfg.per_stall_drive_s,
+                                 cfg.vacate_wait_s) for k, departed, stall in cars]
         se = math.hypot(stats.std_s / math.sqrt(stats.arrivals),
                         np.std(samples, ddof=1) / math.sqrt(len(samples)))
         assert abs(stats.mean_s - np.mean(samples)) <= 4 * se
@@ -404,10 +425,60 @@ def mixed_tasks(hour, cfg):
     return tasks, rates
 
 
+def lockstep_cars(monkeypatch, tasks, rates, day, cfg):
+    """``simulate_lot_hours``'s statistics and, per task, the (k, departed,
+    stall) of each parked car in the order its waits are reduced."""
+    cars = []
+    waits = offstreet_sim.lot_wait_times
+
+    def recorded(k, departed, stall, cfg):
+        cars.append(np.column_stack([k, departed, stall]))
+        return waits(k, departed, stall, cfg)
+
+    monkeypatch.setattr(offstreet_sim, "lot_wait_times", recorded)
+    stats = simulate_lot_hours(tasks, rates, day, cfg)
+    monkeypatch.undo()
+    bounds = np.cumsum([s.arrivals for s in stats])[:-1]
+    return stats, [c.tolist() for c in np.split(np.concatenate(cars), bounds)]
+
+
 class TestSimulateLotHours:
     """The lockstep over many lot-hours against one lot-hour at a time."""
 
     CFG = LotSimConfig(reps=30, seed=4)
+
+    def test_every_sample_equals_the_scalar_oracle(self, monkeypatch):
+        # one padded chunk: capacity 1, a lot that starts full, a lot
+        # without traffic, ticks where 2+ cars leave
+        tasks, rates = mixed_tasks(9, self.CFG)
+        stats, cars = lockstep_cars(monkeypatch, tasks, rates, 2, self.CFG)
+        tasks, rates = mixed_tasks(9, self.CFG)
+        for (lot, hour, occupancy, rng), s, got in zip(tasks, stats, cars):
+            expected, overflow = simulate_lot_hour_scalar(
+                lot.capacity, *rates[lot.id][2, hour].tolist(), self.CFG, occupancy, rng)
+            assert got == [list(car) for car in expected]
+            assert (s.arrivals, s.overflow) == (len(expected), overflow)
+        assert max(departed for car in cars for _, departed, _ in car) >= 2
+        tasks, rates = mixed_tasks(9, self.CFG)
+        assert stats == lot_hours_scalar(tasks, rates, 2, self.CFG)
+
+    @settings(max_examples=25)
+    @given(lots=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 12),
+                                   st.floats(0.0, 300.0), st.floats(0.0, 300.0)),
+                         min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32), tick_s=st.sampled_from([300.0, 900.0, 3600.0]))
+    def test_random_chunks_equal_the_scalar_oracle(self, lots, seed, tick_s):
+        cfg = LotSimConfig(reps=4, seed=seed, tick_s=tick_s)
+        specs = [(LotSpec(f"lot{i}", "n0_0", capacity), min(occupancy, capacity))
+                 for i, (capacity, occupancy, _, _) in enumerate(lots)]
+        rates = {spec.id: flat_rates(spec.id, lam_a, lam_d)[spec.id]
+                 for (spec, _), (_, _, lam_a, lam_d) in zip(specs, lots)}
+
+        def tasks():
+            return [(spec, 10, occupancy, derived_stream(seed, spec.id, 1, 10))
+                    for spec, occupancy in specs]
+        assert simulate_lot_hours(tasks(), rates, 1, cfg) == lot_hours_scalar(tasks(), rates,
+                                                                              1, cfg)
 
     def test_each_task_equals_its_one_task_call(self):
         tasks, rates = mixed_tasks(9, self.CFG)
@@ -451,8 +522,26 @@ class TestSimulateLotHours:
         finally:
             tracemalloc.stop()
         assert len(set(est.lot_id.ravel())) == len(lots)
-        # at most 16 bytes of draws and keys per entry, plus the samples
+        # 16 bytes of draws per (tick, task x rep) entry, 1 of occupancy
+        # per (task x rep, stall) entry and the departure uniforms with
+        # their hash's temporaries, plus the samples
         assert peak < 40 * offstreet_sim.SCRATCH_ENTRIES
+
+
+def test_departure_uniforms_equal_the_integer_oracle():
+    # task keys at and above 2^63, tick labels past 2^16 and a row of 3,000
+    # cars: under numpy 1.x's value-based casting too, no label may turn
+    # the uint64 hash into float64
+    keys = np.array([2 ** 64 - 1, 2 ** 63, 12345], dtype=np.uint64)
+    reps, ticks = 2, 70_000
+    cars = np.zeros((ticks, keys.size * reps), dtype=np.int64)
+    cars[0, 0], cars[40_000, 1], cars[65_536, 2], cars[69_999, 5] = 2, 4, 1, 3_000
+    cars[69_999, 0] = 7
+    u = departure_uniforms(keys, reps, cars)
+    assert u.dtype == np.float64
+    assert u.tolist() == [oracles.counter_uniform(int(keys[row // reps]),
+                                                  (int(row % reps), int(t)), j)
+                          for t, row in zip(*np.nonzero(cars)) for j in range(cars[t, row])]
 
 
 class TestInitialOccupancy:
