@@ -19,7 +19,8 @@ index is never used. Every session must lie on a block of the graph.
 Ingest also reads ``lot_events.csv`` into dense hourly arrays of each
 lot's entries and departures and averages them into the hourly Poisson
 rates of ``rates.csv``, a row for every (day of week, hour) of every lot,
-which sim-off samples.
+which sim-off samples. Eval exits 2 (run train first) unless the train
+report holds its train config and the sha256 of ``samples.csv``.
 
 The per-cell files ``availability.csv``, ``onstreet.csv``,
 ``offstreet.csv`` and ``diff.csv`` hold one row per (block, hour) of the
@@ -313,11 +314,13 @@ def stage_ingest(cfg: RunConfig) -> None:
 
 
 def stage_train(cfg: RunConfig) -> None:
-    X, y = read_samples_csv(_stage_file(cfg, SAMPLES_FILE, "ingest"))
+    samples = _stage_file(cfg, SAMPLES_FILE, "ingest")
+    samples_sha256, (X, y) = file_sha256(samples), read_samples_csv(samples)
     model, report = train(X, y, cfg.train)
     save_model(model, cfg.out_dir / MODEL_FILE)
     _atomic_write(cfg.out_dir / TRAIN_REPORT_FILE, json.dumps(
-        {**_report_dict(report), "train_config": asdict(cfg.train)}, sort_keys=True))
+        {**_report_dict(report), "train_config": asdict(cfg.train),
+         "samples_sha256": samples_sha256}, sort_keys=True))
 
 
 def stage_eval(cfg: RunConfig) -> None:
@@ -330,13 +333,14 @@ def stage_eval(cfg: RunConfig) -> None:
                 split[name] for split in network["per_split"]
                 for name in ("cross_entropy", "accuracy"))):
             _real(score)
-        trained_under = network.get("train_config")
+        trained_on = network.get("train_config"), network.get("samples_sha256")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed training report {report_path}: {exc!r}") from exc
-    if trained_under != asdict(cfg.train):
-        raise ConfigError(f"{report_path} was made under another train config "
-                          "(run train first)")
-    X, y = read_samples_csv(_stage_file(cfg, SAMPLES_FILE, "ingest"))
+    samples = _stage_file(cfg, SAMPLES_FILE, "ingest")
+    if trained_on != (asdict(cfg.train), file_sha256(samples)):
+        raise ConfigError(f"{report_path} was made under another train config or from "
+                          f"another {samples.name} (run train first)")
+    X, y = read_samples_csv(samples)
     _, base_report = train_baseline(X, y, cfg.train)
     _atomic_write(cfg.out_dir / EVAL_FILE, json.dumps({
         "network": network,

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import partial
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -272,7 +273,8 @@ def read_columns(path: str | os.PathLike, columns: Sequence[str],
                 rows = list(filter(None, text))
                 if not rows:
                     continue
-                n = next((i for i, r in enumerate(rows) if len(r) != len(columns)), len(rows))
+                n = len(rows) if set(map(len, rows)) == {len(columns)} else next(
+                    i for i, r in enumerate(rows) if len(r) != len(columns))
                 fault = _BadRow(n, f"expected {len(columns)} fields") if n < len(rows) else None
                 while n:
                     try:
@@ -331,7 +333,7 @@ def _naive_micros(cells: Sequence[str]) -> np.ndarray:
     without a warning (it reads some suffixes as time zones); otherwise
     ``micros`` does, in about twice the time."""
     times = list(map(datetime.fromisoformat, cells))
-    if any(t.tzinfo is not None for t in times):
+    if any(map(attrgetter("tzinfo"), times)):
         raise ValueError("a time with a UTC offset")
     try:
         with warnings.catch_warnings():

@@ -9,9 +9,9 @@ initialization and one model file format. Training runs repeated random
 train/validation splits of survey-derived availability labels and reports
 validation cross-entropy and accuracy; the baseline is trained under the
 identical protocol. The splits advance together as one stacked network:
-every weight and bias gains a leading split axis, and each SGD step is one
-``gradient`` call over every split's batch. Each split draws from its own
-generator, so its result does not depend on how many splits train with it.
+every weight and bias gains a leading split axis, and each SGD step runs
+``gradient``'s kernel once over every split's batch. Each split draws from
+its own generator, so its result does not depend on the other splits.
 
 Payments enter as one ``SessionIndex``: the int64 microsecond instants
 (naive, from 1970-01-01) at which paid sessions start and at which they
@@ -202,14 +202,13 @@ def _standardize(model, X: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # the two-class max and sum by slices: the bits of reductions, fewer calls
+    e = np.exp(logits - np.maximum(logits[..., :1], logits[..., 1:]))
+    return e / (e[..., :1] + e[..., 1:])
 
 
-def _logits(model: Network, X: np.ndarray):
-    """Output logits and the input of every layer, for the backward pass."""
-    a = _standardize(model, X)
+def _logits(model: Network, a: np.ndarray):
+    """Output logits and the input of every layer, given standardized ``a``."""
     inputs = [a]
     for w, b in model.layers[:-1]:
         a = np.maximum(a @ w + b[..., None, :], 0.0)
@@ -225,7 +224,7 @@ def forward(model, x) -> tuple[float, float]:
         raise DataError(f"expected {N_FEATURES} features, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NumericError("non-finite feature input")
-    logits, _ = _logits(model, arr[None, :])
+    logits, _ = _logits(model, _standardize(model, arr[None, :]))
     p = _softmax(logits)[0]
     return float(p[1]), float(p[0])
 
@@ -234,7 +233,7 @@ def loss(model, features, labels):
     """Mean cross-entropy (nats) of the true labels under the model; one
     per split for a stack."""
     X, y = _as_batch(features, labels)
-    logits, _ = _logits(model, X)
+    logits, _ = _logits(model, _standardize(model, X))
     return _cross_entropy(logits, y)
 
 
@@ -245,6 +244,8 @@ def _as_batch(features, labels) -> tuple[np.ndarray, np.ndarray]:
         raise DataError("batch must be a nonempty 2-D feature array, or a stack of them")
     if y.shape != X.shape[:-1]:
         raise DataError("labels must match the batch length")
+    if not np.isin(y, (0, 1)).all():
+        raise DataError("labels must be 0 or 1")
     return X, y
 
 
@@ -263,15 +264,20 @@ def gradient(model, features, labels) -> list[tuple[np.ndarray, np.ndarray]]:
     where its ReLU output, the next layer's input, is positive.
     """
     X, y = _as_batch(features, labels)
-    logits, inputs = _logits(model, X)
-    delta = _softmax(logits) - np.eye(N_CLASSES)[y]
-    delta /= y.shape[-1]
-    grads = []
+    grads = [tuple(map(np.empty_like, layer)) for layer in model.layers]
+    _backprop(model, _standardize(model, X), y[..., None] == np.arange(N_CLASSES), grads)
+    return grads
+
+
+def _backprop(model, Z: np.ndarray, T: np.ndarray, grads) -> None:
+    """``gradient`` of standardized ``Z`` and one-hot targets ``T``, into ``grads``."""
+    logits, inputs = _logits(model, Z)
+    delta = (_softmax(logits) - T) / T.shape[-2]
     for i in reversed(range(len(model.layers))):
-        grads.append((inputs[i].swapaxes(-1, -2) @ delta, delta.sum(axis=-2)))
+        np.matmul(inputs[i].swapaxes(-1, -2), delta, out=grads[i][0])
+        np.add.reduce(delta, axis=-2, out=grads[i][1])
         if i:
             delta = (delta @ model.layers[i][0].swapaxes(-1, -2)) * (inputs[i] > 0.0)
-    return grads[::-1]
 
 
 # -- training ------------------------------------------------------------------
@@ -295,8 +301,14 @@ def _init_model(dims: tuple[int, ...], rngs: Sequence[np.random.Generator],
     return Network(layers, feature_mean=mean, feature_std=std)
 
 
+def _layer_views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views into ``flat`` shaped like the (W, b) pairs of ``layers``, in order."""
+    parts = iter(np.split(flat, np.cumsum([p.size for layer in layers for p in layer])))
+    return [(next(parts).reshape(w.shape), next(parts).reshape(b.shape)) for w, b in layers]
+
+
 def _accuracy(model, X: np.ndarray, y: np.ndarray):
-    logits, _ = _logits(model, X)
+    logits, _ = _logits(model, _standardize(model, X))
     predicted = (_softmax(logits)[..., 1] > 0.5).astype(np.int64)
     return np.mean(predicted == y, axis=-1)
 
@@ -311,6 +323,8 @@ def _train_protocol(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     epoch's shuffle. So runs with one seed are bit-reproducible, and the
     network and the baseline see identical splits. Every split trains on
     ``n - n_val`` rows, so their batches, a short last one included, line up.
+    Rows are standardized once and gathered once an epoch; a step updates
+    one flat array, of which every weight and bias is a view.
     """
     if len(y) < 50:
         raise DataError(f"need at least 50 samples, got {len(y)}")
@@ -332,14 +346,18 @@ def _train_protocol(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
             raise NumericError("a sample feature overflows its mean or standard deviation")
         std = np.where(std < 1e-12, 1.0, std)  # constant features pass through
         model = _init_model(dims, rngs, mean, std)
+        params = np.concatenate([p.ravel() for layer in model.layers for p in layer])
+        grads = np.empty_like(params)
+        model.layers, grad_views = [_layer_views(a, model.layers) for a in (params, grads)]
+        Z, T = _standardize(model, X_train), y_train[..., None] == np.arange(N_CLASSES)
         for _ in range(cfg.epochs):
             order = np.stack([rng.permutation(n - n_val) for rng in rngs])
+            Z_epoch, T_epoch = Z[split, order], T[split, order]
             for start in range(0, n - n_val, cfg.batch_size):
-                batch = order[:, start:start + cfg.batch_size]
-                grads = gradient(model, X_train[split, batch], y_train[split, batch])
-                for (w, b), (dw, db) in zip(model.layers, grads):
-                    w -= cfg.learning_rate * dw
-                    b -= cfg.learning_rate * db
+                batch = slice(start, start + cfg.batch_size)
+                _backprop(model, Z_epoch[:, batch], T_epoch[:, batch], grad_views)
+                grads *= cfg.learning_rate
+                params -= grads
         X_val, y_val = X[val_idx], y[val_idx]
         ce, accuracy = loss(model, X_val, y_val), _accuracy(model, X_val, y_val)
     diverged = np.flatnonzero(~np.isfinite(ce))
@@ -386,7 +404,7 @@ def predict_block_probabilities(model, sessions: SessionIndex, g: RoadGraph,
                        np.repeat(np.array(times, dtype=np.int64), metered.size))
     if not np.isfinite(X).all():
         raise NumericError("non-finite feature input")
-    logits, _ = _logits(model, X[:, None, :])
+    logits, _ = _logits(model, _standardize(model, X[:, None, :]))
     p = np.zeros((len(hours), len(g.block_ids)))
     p[:, metered] = _softmax(logits)[:, 0, 1].reshape(len(hours), metered.size)
     return p

@@ -5,7 +5,8 @@ formula evaluation, finite differences, one search at a time. None of it
 shares code with the package (only its exception types), so agreement is
 meaningful. The exceptions are ``fit_split``, which trains one split at a
 time with the package's own gradient: it pins how the splits are stacked,
-gathered and seeded, while ``finite_difference_gradient`` pins the gradient;
+gathered and seeded, while ``finite_difference_gradient`` pins the gradient
+and the CLI test ``test_training_pinned`` the bits of a whole training run;
 ``estimate_cells``, which runs the on-street lockstep one (destination,
 hour) cell at a time on the package's tables and uniforms: it pins how cells
 are chunked, while ``simulate_single`` pins the search itself and, through

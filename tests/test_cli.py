@@ -292,6 +292,29 @@ def test_eval_under_another_train_config_is_a_config_error(run, tmp_path, capsys
     assert err.count("\n") == 1 and "run train first" in err
 
 
+@pytest.mark.parametrize("stale", ["resurveyed", "unkeyed"])
+def test_eval_beside_a_report_of_other_samples_is_a_config_error(copied, capsys, stale):
+    config = write_config(copied / "config.json", "city")
+    if stale == "resurveyed":
+        # ingest again from the first 60 % of the survey rows, leaving the
+        # network's report and model as they were
+        surveys = copied / "city" / "surveys.csv"
+        lines = surveys.read_text().splitlines(keepends=True)
+        surveys.write_text("".join(lines[:1 + (len(lines) - 1) * 3 // 5]))
+        assert main(["ingest", "--config", str(config)]) == 0
+        assert json.loads((copied / "out" / "ingest.json").read_text())["samples"] >= 50
+    else:
+        path = copied / "out" / "train_report.json"
+        report = json.loads(path.read_text())
+        del report["samples_sha256"]
+        path.write_text(json.dumps(report))
+    assert main(["eval", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "train_report.json" in err and "run train first" in err
+    assert not (copied / "out" / "eval.json").exists()
+
+
 # the logistic baseline's weights grow only linearly with the learning rate:
 # its validation cross-entropy is a finite 7e298 at 1e300, so eval needs more
 @pytest.mark.parametrize("stage,learning_rate", [("train", 1e300), ("eval", 1.7e308)])
@@ -318,6 +341,10 @@ def test_overflowing_feature_is_a_numeric_error(copied, capsys, stage, outputs):
         rows[1][column], rows[2][column] = "1e308", "-1e308"
 
     edit_csv(copied / "out" / "samples.csv", set_features)
+    # eval fits the baseline only on the samples that the network trained on
+    report_path = copied / "out" / "train_report.json"
+    report_path.write_text(json.dumps({**json.loads(report_path.read_text()),
+                                       "samples_sha256": sha256(copied / "out" / "samples.csv")}))
     for name in outputs:
         (copied / "out" / name).unlink(missing_ok=True)
     assert main([stage, "--config", str(write_config(copied / "config.json", "city"))]) == 4
@@ -773,6 +800,37 @@ def test_offstreet_stream_version_3_agrees_with_version_2(tmp_path, monkeypatch)
             continue
         se = math.hypot(v3.std_s, v2.std_s) / math.sqrt(v3.arrivals)
         assert abs(v3.mean_s - v2.mean_s) <= 4 * se
+
+
+# sha256 of what train and eval make of the grid-4 city of seed SEED with
+# three splits over six epochs, by the numpy version that made it (see
+# ONSTREET_V2_SHA256): the bytes of model.json, then the sorted-key JSON of
+# the network's scores and of the baseline's. They pin training bit for bit,
+# which the one-split-at-a-time oracle cannot, as it shares the gradient.
+TRAINING_SHA256 = {
+    "2.4": ("a4da40bc22c4b8a909206cf2aac9aebf02482a73d8d868094ffc466ef4460453",
+            "00348af7604d79c0f7f2efecd036215618b848b6ec3d002d2dbe66f61a4389a3",
+            "7d49759c537c6eb029fde815a179ea3e565d2d35d97ed250c6e75964b7660ab3"),
+}
+
+
+def test_training_pinned(tmp_path):
+    synth_generate(SynthConfig(grid_n=4, days=7), SEED, tmp_path / "city")
+    config = write_config(tmp_path / "config.json", "city")
+    raw = json.loads(config.read_text())
+    raw["train"] = {"splits": 3, "epochs": 6}
+    config.write_text(json.dumps(raw))
+    for stage in ("ingest", "train", "eval"):
+        assert main([stage, "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    network = json.loads((out / "train_report.json").read_text())
+    scores = {name: network[name]
+              for name in ("mean_val_cross_entropy", "mean_val_accuracy", "per_split")}
+    baseline = json.loads((out / "eval.json").read_text())["baseline"]
+    version = numpy_version(TRAINING_SHA256)
+    assert (sha256(out / "model.json"),
+            *(hashlib.sha256(json.dumps(s, sort_keys=True).encode()).hexdigest()
+              for s in (scores, baseline))) == TRAINING_SHA256[version]
 
 
 @pytest.mark.parametrize("name", ["availability.csv", "onstreet.csv", "offstreet.csv"])

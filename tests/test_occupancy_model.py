@@ -220,6 +220,13 @@ class TestLoss:
         with pytest.raises(DataError):
             loss(zero_model(), np.zeros((0, 4)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_0_1_rejected(self, label):
+        # no output unit stands for such a label, so neither scores it
+        for fn in (loss, gradient):
+            with pytest.raises(DataError, match="labels must be 0 or 1"):
+                fn(zero_model(), np.zeros((3, 4)), np.array([0, label, 1]))
+
 
 class TestGradient:
     def test_matches_finite_differences(self):
