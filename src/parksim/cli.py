@@ -48,6 +48,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +57,9 @@ from .data_ingest import (
     Chunk,
     SmoothingConfig,
     _atomic_write,
-    _count,
-    _real,
+    _counts,
+    _hours,
+    _numbers,
     combine_surveys,
     estimate_rates,
     file_sha256,
@@ -88,7 +90,7 @@ from .occupancy_model import (
 )
 from .offstreet_sim import LotSimConfig, LotSpec, estimate_offstreet_time
 from .onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
-from .road_graph import RoadGraph, _check_hour, load_graph
+from .road_graph import RoadGraph, load_graph
 from .synth import SynthConfig, synth_generate
 
 SAMPLES_FILE = "samples.csv"
@@ -328,13 +330,13 @@ def stage_eval(cfg: RunConfig) -> None:
     report_path = _stage_file(cfg, TRAIN_REPORT_FILE, "train")
     try:
         network = json.loads(report_path.read_text())
-        network_ce = _real(network["mean_val_cross_entropy"])
-        for score in (network["mean_val_accuracy"], *(
-                split[name] for split in network["per_split"]
-                for name in ("cross_entropy", "accuracy"))):
-            _real(score)
+        network_ce = float(_numbers([
+            network["mean_val_cross_entropy"], network["mean_val_accuracy"],
+            *(split[name] for split in network["per_split"]
+              for name in ("cross_entropy", "accuracy"))])[0])
         trained_on = network.get("train_config"), network.get("samples_sha256")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise DataError(f"malformed training report {report_path}: {exc!r}") from exc
     samples = _stage_file(cfg, SAMPLES_FILE, "ingest")
     if trained_on != (asdict(cfg.train), file_sha256(samples)):
@@ -359,18 +361,11 @@ def stage_predict(cfg: RunConfig) -> None:
     _write_cells(cfg.out_dir / AVAILABILITY_FILE, AVAILABILITY_COLUMNS, g, cfg.hours, p)
 
 
-def _probability(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"expected a probability in [0, 1], got {raw!r}")
-    return value
-
-
-# How a stage CSV's cells are parsed; any other column holds a finite float.
-# Lot ids stay unchecked: diff reads no lots file to check them against.
-_CELL_PARSERS = {"block_id": str, "lot_id": str, "p_available": _probability,
-                 "hour": lambda raw: _check_hour(int(raw)),
-                 "n_samples": _count, "arrivals": _count, "overflow": _count}
+# The column parser of each stage CSV column; any other column holds finite
+# floats. Lot ids stay unchecked: diff reads no lots file to check them against.
+_COLUMN_PARSERS = {"block_id": list, "lot_id": list, "hour": _hours,
+                   "p_available": partial(_numbers, lo=0, hi=1, what="a probability in [0, 1]"),
+                   "n_samples": _counts, "arrivals": _counts, "overflow": _counts}
 
 
 def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
@@ -379,9 +374,9 @@ def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
     array, with block ``g.block_ids[j]`` in column ``j``."""
     seen: set[tuple[str, int]] = set()
 
-    def parse(chunk: Chunk) -> tuple[list[tuple[str, int]], list[float]]:
-        cells = {name: chunk.parse(name, _CELL_PARSERS.get(name, _real)) for name in columns}
-        keys = list(zip(cells["block_id"], cells["hour"]))
+    def parse(chunk: Chunk) -> tuple[list[tuple[str, int]], np.ndarray]:
+        cells = {name: chunk.parse(name, _COLUMN_PARSERS.get(name, _numbers)) for name in columns}
+        keys = list(zip(cells["block_id"], cells["hour"].tolist()))
         fresh: set[tuple[str, int]] = set()
         for row, key in enumerate(keys):
             if key[0] not in g.position:

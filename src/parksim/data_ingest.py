@@ -18,10 +18,14 @@ and a timestamp with a UTC offset is malformed.
 
 Every CSV file is read by one column reader, ``read_columns``, in chunks
 of CHUNK_ROWS rows, so a read never holds more than a chunk of text rows.
-Each reader parses a chunk a column at a time, with one numpy call where
-the column is large; the first faulty row is still named by file and
-line. Time cells take exactly ``datetime.fromisoformat``'s formats (survey
-times once stripped). A session ends ``timedelta(seconds=duration_s)``
+Each reader parses a chunk a column at a time, each column by one column
+parser, which maps a sequence of cells to an array: numbers by
+``_numbers`` (one dtype, finite, within a range) or one of its partials,
+times by ``_naive_micros``. A column that fails is parsed again by the
+same parser one cell at a time, so the first faulty row is named by file
+and line, and a column fails exactly when one of its cells does. Time
+cells take exactly ``datetime.fromisoformat``'s formats (survey times
+once stripped). A session ends ``timedelta(seconds=duration_s)``
 after its start: the whole seconds exactly, plus the fraction times 1e6
 rounded half to even (not ``rint(duration_s * 1e6)``, 1 us less for
 3.0000005 s), and no later than ``datetime.max``. Paid lot durations round
@@ -54,7 +58,7 @@ from .errors import ConfigError, DataError, check_fields
 from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples,
                               SessionIndex, micros, session_arrays)
 from .offstreet_sim import DAYS_PER_WEEK, LotRates, LotSpec
-from .road_graph import _atomic_write, _check_hour, _json
+from .road_graph import _atomic_write, _json
 
 WEEK_H = 7 * 24
 SURVEY_WINDOW_US = HOUR_US // 2
@@ -172,8 +176,10 @@ RATE_COLUMNS = ("lot_id", "day_of_week", "hour", "lambda_a_per_hour", "lambda_d_
 SAMPLE_COLUMNS = ("block_id", "time_iso8601", "available") + FEATURE_NAMES
 # Data rows parsed at once: a read holds one chunk of text rows, not the file.
 CHUNK_ROWS = 1024
-# What a cell parser raises for a cell it rejects.
+# What a column parser raises for a cell it rejects.
 _CELL_ERRORS = (DataError, ValueError, OverflowError)
+# The largest float: a number within +-_FLOAT_MAX is finite.
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 _MAX_US = micros(datetime.max)
 # Longer than the whole datetime range, and short enough for int64 microseconds.
 _LONGEST_S = 1e12
@@ -209,27 +215,22 @@ class Chunk:
     path: str | os.PathLike
     columns: dict[str, tuple[str, ...]]
 
-    def parse(self, name: str, cell: Callable[[str], T] | None = None,
-              whole: Callable[[Sequence[str]], np.ndarray] | None = None) -> list[T] | np.ndarray:
-        """Column ``name`` parsed by ``whole`` as one array or, without
-        ``whole``, into a list by ``cell`` on each cell.
+    def parse(self, name: str, parse: Callable[[Sequence[str]], T]) -> T:
+        """Column ``name`` parsed by the column parser ``parse``.
 
-        ``whole`` must accept exactly the columns whose every cell ``cell``
-        accepts; by default ``cell`` parses a column of one cell with
-        ``whole``. When the parse fails, the first cell that ``cell``
-        rejects is raised as a fault of its row.
+        When that fails, ``parse`` runs on each cell alone, as a column of
+        one, and the first cell it rejects is raised as a fault of its row.
         """
         cells = self.columns[name]
-        cell = cell or (lambda raw: whole([raw]))
         try:
-            return list(map(cell, cells)) if whole is None else whole(cells)
+            return parse(cells)
         except _CELL_ERRORS as exc:
             for row, raw in enumerate(cells):
                 try:
-                    cell(raw)
+                    parse([raw])
                 except _CELL_ERRORS as bad:
                     raise self.error(row, bad) from bad
-            raise DataError(f"{self.path}: {exc}") from exc  # ``whole`` is stricter than ``cell``
+            raise DataError(f"{self.path}: {exc}") from exc  # no cell fails alone
 
     def reject(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
         """Raise ``message(row)`` as a fault of the first row where ``bad``
@@ -301,40 +302,40 @@ def _line_of(path: str | os.PathLike, row: int) -> int:
         return reader.line_num
 
 
-def _real(raw: str | float, positive: bool = False) -> float:
-    value = float(raw)
-    if not math.isfinite(value) or (positive and value <= 0):
-        raise ValueError(f"expected a finite{' positive' * positive} number, got {raw!r}")
-    return value
-
-
-def _reals(cells: Sequence[str], positive: bool = False) -> np.ndarray:
-    """``_real`` of every cell, as one array."""
-    values = np.fromiter(map(float, cells), float, len(cells))
-    ok = np.isfinite(values)
-    if positive:
-        ok &= values > 0
-    if not ok.all():
-        raise ValueError(f"expected a finite{' positive' * positive} number, "
-                         f"got {cells[int(np.argmin(ok))]!r}")
+def _numbers(cells: Sequence, kind: type = float, lo: float = -_FLOAT_MAX,
+             hi: float = _FLOAT_MAX, what: str = "a finite number") -> np.ndarray:
+    """Every cell parsed by ``kind``, ``int`` or ``float``, as one int64 or
+    float64 array; each value must lie in [lo, hi], which NaN never does."""
+    values = np.fromiter(map(kind, cells), np.int64 if kind is int else np.float64, len(cells))
+    bad = ~((values >= lo) & (values <= hi))
+    if bad.any():
+        raise ValueError(f"expected {what}, got {cells[int(np.argmax(bad))]!r}")
     return values
 
 
-def _naive(raw: str) -> datetime:
-    value = datetime.fromisoformat(raw)
-    if value.tzinfo is not None:
-        raise ValueError(f"expected a local time without a UTC offset, got {raw!r}")
-    return value
+# math.ulp(0.0) is the least positive float.
+_positive_reals = partial(_numbers, lo=math.ulp(0.0), what="a finite positive number")
+_counts = partial(_numbers, kind=int, lo=0, what="a count")
+_labels = partial(_numbers, kind=int, lo=0, hi=1, what="available to be 0 or 1")
+_days = partial(_numbers, kind=int, lo=0, hi=DAYS_PER_WEEK - 1, what="day_of_week in 0..6")
+_hours = partial(_numbers, kind=int, lo=0, hi=23, what="an hour in 0..23")
+_rates = partial(_numbers, lo=0, what="a finite non-negative rate")
 
 
 def _naive_micros(cells: Sequence[str]) -> np.ndarray:
-    """``micros(_naive(raw))`` of every cell, as one int64 array. numpy's
-    parse gives the microseconds when it yields fromisoformat's times
-    without a warning (it reads some suffixes as time zones); otherwise
-    ``micros`` does, in about twice the time."""
+    """Every cell's ``datetime.fromisoformat`` time, which must have no UTC
+    offset, in int64 microseconds from the naive epoch. Only fromisoformat
+    accepts exactly its own formats, and numpy's parse of the cells is the
+    fastest way to the microseconds: it is taken when it yields the same
+    times without a warning (it reads some suffixes as time zones), and
+    ``micros`` of each time otherwise. On the 40,030 session starts of the
+    city10-3h benchmark city (2-vCPU host, Python 3.11, numpy 2.4, min of
+    7) the two parses took 18 ms, fromisoformat and ``micros`` 34 ms, and
+    fromisoformat and ``np.array`` of the datetimes 107 ms or more."""
     times = list(map(datetime.fromisoformat, cells))
     if any(map(attrgetter("tzinfo"), times)):
-        raise ValueError("a time with a UTC offset")
+        raw = next(raw for raw, t in zip(cells, times) if t.tzinfo)
+        raise ValueError(f"expected a local time without a UTC offset, got {raw!r}")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -355,20 +356,6 @@ def _micros_of_seconds(seconds: np.ndarray) -> np.ndarray:
             + np.rint((seconds - whole) * 1e6).astype(np.int64))
 
 
-def _count(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"expected a count, got {raw!r}")
-    return value
-
-
-def _label(raw: str) -> int:
-    value = int(raw)
-    if value not in (0, 1):
-        raise ValueError(f"available must be 0 or 1, got {raw!r}")
-    return value
-
-
 def read_payments(path: str | os.PathLike) -> SessionIndex:
     """Every paid session of a payments file, indexed by block in order of
     first appearance by ``occupancy_model.session_arrays``. A session lasts
@@ -376,9 +363,8 @@ def read_payments(path: str | os.PathLike) -> SessionIndex:
     end by ``datetime.max``. Only ingest reads the file; later stages read
     the session index it writes."""
     def parse(chunk: Chunk) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        start = chunk.parse("start_iso8601", _naive, _naive_micros)
-        seconds = chunk.parse("duration_s", partial(_real, positive=True),
-                              partial(_reals, positive=True))
+        start = chunk.parse("start_iso8601", _naive_micros)
+        seconds = chunk.parse("duration_s", _positive_reals)
         end = start + _micros_of_seconds(np.minimum(seconds, _LONGEST_S))
         chunk.reject(end > _MAX_US, lambda row: (
             f"a session of {chunk.columns['duration_s'][row]} s ends after {datetime.max}"))
@@ -498,13 +484,9 @@ def write_payments(payments: Mapping[str, tuple[np.ndarray, np.ndarray]],
     write_table(path, PAYMENT_COLUMNS, rows)
 
 
-def _survey_time(raw: str) -> datetime | None:
-    raw = raw.strip()
-    return _naive(raw) if raw else None
-
-
 def _survey_micros(cells: Sequence[str]) -> np.ndarray:
-    """``_survey_time`` of every cell, in int64 microseconds; MISSING_TIME for None."""
+    """``_naive_micros`` of every cell once stripped; MISSING_TIME where it
+    is blank."""
     cells = [raw.strip() for raw in cells]
     times = np.full(len(cells), MISSING_TIME)
     times[[bool(raw) for raw in cells]] = _naive_micros(list(filter(None, cells)))
@@ -515,8 +497,8 @@ def read_surveys(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, np.nd
     """Every check's block id, time (int64 microseconds, MISSING_TIME where
     the cell is blank) and whether a spot was free, in file order."""
     def parse(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        times = chunk.parse("timestamp_iso8601", _survey_time, _survey_micros)
-        free = np.fromiter((n > 0 for n in chunk.parse("free_spots", _count)), bool)
+        times = chunk.parse("timestamp_iso8601", _survey_micros)
+        free = chunk.parse("free_spots", _counts) > 0
         return np.array(chunk.columns["block_id"], dtype=object), times, free
 
     parts = [(np.empty(0, object), np.empty(0, np.int64), np.empty(0, bool))]
@@ -526,7 +508,7 @@ def read_surveys(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def read_lots(path: str | os.PathLike) -> list[LotSpec]:
     """Lots from a JSON list of {id, node, capacity}: each id once, ids and
-    nodes JSON strings, each capacity a positive JSON integer."""
+    nodes JSON strings, each capacity a JSON integer in 1..MAX_CAPACITY."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -554,11 +536,8 @@ def _paid(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     in one array: finite, non-negative seconds shorter than _TIMEDELTA_MAX_S."""
     split = [blob.split(";") if (blob := raw.strip()) else [] for raw in cells]
     tokens = [x for durations in split for x in durations]
-    seconds = _reals(tokens)
-    bad = (seconds < 0) | (seconds >= _TIMEDELTA_MAX_S)
-    if bad.any():
-        raise ValueError(f"paid durations must be non-negative and shorter than "
-                         f"{_TIMEDELTA_MAX_S:g} s, got {tokens[int(np.argmax(bad))]!r}")
+    seconds = _numbers(tokens, lo=0, hi=math.nextafter(_TIMEDELTA_MAX_S, 0),
+                       what=f"a paid duration in [0, {_TIMEDELTA_MAX_S:g}) s")
     return np.fromiter(map(len, split), np.intp, len(split)), seconds
 
 
@@ -572,11 +551,11 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
     number of weeks.
     """
     def parse(chunk: Chunk) -> tuple[np.ndarray, ...]:
-        hours, off = np.divmod(chunk.parse("hour_iso8601", _naive, _naive_micros), HOUR_US)
+        hours, off = np.divmod(chunk.parse("hour_iso8601", _naive_micros), HOUR_US)
         chunk.reject(off != 0, lambda row: (
             f"hour {chunk.columns['hour_iso8601'][row]!r} is not on the hour"))
-        entries = np.array(chunk.parse("entries", lambda raw: float(_count(raw))))
-        n_paid, seconds = chunk.parse("paid_durations_s", whole=_paid)
+        entries = chunk.parse("entries", _counts).astype(np.float64)
+        n_paid, seconds = chunk.parse("paid_durations_s", _paid)
         chunk.reject(n_paid > entries, lambda row: (
             f"{n_paid[row]} paid durations for {chunk.columns['entries'][row]} entries"))
         # whole hours from each car's entry hour to the expiry of its paid time
@@ -613,27 +592,13 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
                     outside)
 
 
-def _day(raw: str) -> int:
-    day = int(raw)
-    if not 0 <= day < DAYS_PER_WEEK:
-        raise ValueError(f"day_of_week must be in 0..6, got {day}")
-    return day
-
-
-def _rate(raw: str) -> float:
-    rate = _real(raw)
-    if rate < 0:
-        raise ValueError(f"rates must be non-negative, got {raw!r}")
-    return rate
-
-
 def read_rates_csv(path: str | os.PathLike) -> LotRates:
     """Each lot's rates; the file needs a row for every (day, hour) of a lot."""
     def parse(chunk: Chunk) -> dict[tuple[str, int, int], tuple[float, float]]:
-        keys = zip(chunk.columns["lot_id"], chunk.parse("day_of_week", _day),
-                   chunk.parse("hour", lambda raw: _check_hour(int(raw))))
-        lams = zip(chunk.parse("lambda_a_per_hour", _rate),
-                   chunk.parse("lambda_d_per_hour", _rate))
+        keys = zip(chunk.columns["lot_id"], chunk.parse("day_of_week", _days).tolist(),
+                   chunk.parse("hour", _hours).tolist())
+        lams = zip(*(chunk.parse(name, _rates).tolist()
+                     for name in ("lambda_a_per_hour", "lambda_d_per_hour")))
         fresh = {}
         for row, (key, lam) in enumerate(zip(keys, lams)):
             if key in rates or key in fresh:
@@ -661,9 +626,8 @@ def write_rates_csv(rates: LotRates, path: str | os.PathLike) -> None:
 def read_samples_csv(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
     """The feature matrix and label vector of a samples file, in file order."""
     def parse(chunk: Chunk) -> tuple[np.ndarray, np.ndarray]:
-        labels = np.array(chunk.parse("available", _label), dtype=np.int64)
-        return np.stack([chunk.parse(name, _real, _reals) for name in FEATURE_NAMES],
-                        axis=1), labels
+        return (np.stack([chunk.parse(name, _numbers) for name in FEATURE_NAMES], axis=1),
+                chunk.parse("available", _labels))
 
     parts = [(np.empty((0, N_FEATURES)), np.empty(0, np.int64))]
     parts += read_columns(path, SAMPLE_COLUMNS, parse)

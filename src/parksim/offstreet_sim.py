@@ -63,6 +63,8 @@ logger = logging.getLogger(__name__)
 
 DAYS_PER_WEEK = 7
 SCRATCH_ENTRIES = 2 ** 18  # (task x rep) x (stall + tick) entries plus departures per lockstep
+# Far more stalls than any lot has; numpy cannot size stall arrays for some larger counts.
+MAX_CAPACITY = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,8 @@ class LotSpec:
     capacity: int   # stalls, ordered 1..capacity from the entrance
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise DataError(f"lot {self.id!r} needs capacity >= 1")
+        if not 1 <= self.capacity <= MAX_CAPACITY:
+            raise DataError(f"lot {self.id!r} needs capacity in 1..{MAX_CAPACITY}")
 
 
 # lot id -> (day of week, hour, (arrival, departure)) hourly Poisson rates

@@ -247,7 +247,7 @@ def load_graph(path: str | os.PathLike) -> RoadGraph:
             for e in raw["edges"]
         ]
         return build_graph(nodes, edges)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed graph record in {path}: {exc}") from exc
     except DataError as exc:
         raise DataError(f"graph file {path}: {exc}") from exc

@@ -354,7 +354,8 @@ def test_overflowing_feature_is_a_numeric_error(copied, capsys, stage, outputs):
     assert not any((copied / "out" / name).exists() for name in outputs)
 
 
-@pytest.mark.parametrize("score", [float("nan"), "inf"], ids=["nan_token", "inf_string"])
+@pytest.mark.parametrize("score", [float("nan"), "inf", 10**400],
+                         ids=["nan_token", "inf_string", "integer_beyond_float"])
 def test_non_finite_training_score_is_a_data_error(copied, capsys, score):
     path = copied / "out" / "train_report.json"
     path.write_text(json.dumps({**json.loads(path.read_text()),
@@ -452,6 +453,7 @@ def test_bad_cell_exits_0_or_3_with_one_line(copied, capsys, name, column):
     ("onstreet.csv", "n_samples", "2.5"),
     ("offstreet.csv", "arrivals", "-1"),
     ("offstreet.csv", "walk_s", "nan"),
+    ("offstreet.csv", "arrivals", "9" * 20),
 ])
 def test_bad_cell_read_by_diff_is_a_data_error(copied, capsys, name, column, value):
     def set_cell(rows):
@@ -557,8 +559,10 @@ def test_lot_without_rates_is_a_data_error(copied, capsys):
     lambda lots: lots[0].update(node="zz"),
     lambda lots: lots[0].update(id=[lots[0]["id"]]),
     lambda lots: lots[0].update(node=[lots[0]["node"]]),
+    lambda lots: lots[0].update(capacity=2**62),
+    lambda lots: lots[0].update(capacity=2**63),
 ], ids=["repeated_id_capacity", "repeated_id_node", "fractional_capacity", "bool_capacity",
-        "unknown_node", "list_id", "list_node"])
+        "unknown_node", "list_id", "list_node", "capacity_2_62", "capacity_2_63"])
 def test_malformed_lots_file_is_a_data_error(copied, capsys, stage, edit):
     lots = json.loads((copied / "city" / "lots.json").read_text())
     edit(lots)
@@ -1211,7 +1215,9 @@ def set_free_spots(value):
     (set_free_spots("-3"), "surveys.csv, line 2: "),
     (set_first_edge(meter_count=2.5), "graph.json"),
     (set_first_edge(meter_count=True), "graph.json"),
-], ids=["negative_free_spots", "fractional_meter_count", "bool_meter_count"])
+    (set_free_spots("9" * 20), "surveys.csv, line 2: "),
+], ids=["negative_free_spots", "fractional_meter_count", "bool_meter_count",
+        "free_spots_beyond_int64"])
 def test_count_that_is_no_count_is_a_data_error(copied, capsys, edit, where):
     edit(copied / "city")
     assert main(["ingest", "--config", str(write_config(copied / "config.json", "city"))]) == 3
@@ -1228,9 +1234,11 @@ def test_count_that_is_no_count_is_a_data_error(copied, capsys, edit, where):
     set_first_edge(length_m=True), edit_graph(lambda graph: graph["nodes"][0].update(lat="49.2")),
     edit_graph(lambda graph: graph["edges"][0].update(id=[graph["edges"][0]["id"]])),
     edit_graph(lambda graph: graph["edges"][0].update(to=[graph["edges"][0]["to"]])),
+    set_first_edge(length_m=10**400),
+    edit_graph(lambda graph: graph["nodes"][0].update(lat=10**400)),
 ], ids=["negative_meter_count", "zero_length", "repeated_edge_id", "not_an_object",
         "string_drive_times", "string_length", "bool_length", "string_lat", "list_edge_id",
-        "list_to_node"])
+        "list_to_node", "length_beyond_float", "lat_beyond_float"])
 def test_invalid_graph_is_a_data_error_naming_the_file(copied, capsys, edit):
     edit(copied / "city")
     assert main(["ingest", "--config", str(write_config(copied / "config.json", "city"))]) == 3
