@@ -511,24 +511,17 @@ def parse_hours(spec: str) -> tuple[int, ...]:
     return tuple(hours)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="parksim",
         description="Estimate per-block on-street vs off-street parking times.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGES:
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None,
-                       help="set the seed of every config section without its own")
-        p.add_argument("--hours", default=None,
-                       help="hours to process, e.g. 8-18 or 8,12,17")
-        p.add_argument("--out", default=None, help="override the output directory")
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser.add_argument("command", choices=STAGES, help="the stage to run")
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="set the seed of every config section without its own")
+    parser.add_argument("--hours", default=None, help="hours to process, e.g. 8-18 or 8,12,17")
+    parser.add_argument("--out", default=None, help="override the output directory")
+    args = parser.parse_args(argv)
     try:
         hours = parse_hours(args.hours) if args.hours is not None else None
         cfg = load_run_config(args.config, seed_override=args.seed,

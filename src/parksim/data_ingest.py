@@ -58,7 +58,7 @@ from .errors import ConfigError, DataError, check_fields
 from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples,
                               SessionIndex, micros, session_arrays)
 from .offstreet_sim import DAYS_PER_WEEK, LotRates, LotSpec
-from .road_graph import _atomic_write, _json
+from .road_graph import _atomic_write, _field
 
 WEEK_H = 7 * 24
 SURVEY_WINDOW_US = HOUR_US // 2
@@ -306,7 +306,11 @@ def _numbers(cells: Sequence, kind: type = float, lo: float = -_FLOAT_MAX,
              hi: float = _FLOAT_MAX, what: str = "a finite number") -> np.ndarray:
     """Every cell parsed by ``kind``, ``int`` or ``float``, as one int64 or
     float64 array; each value must lie in [lo, hi], which NaN never does."""
-    values = np.fromiter(map(kind, cells), np.int64 if kind is int else np.float64, len(cells))
+    try:
+        values = np.fromiter(map(kind, cells), np.int64 if kind is int else np.float64, len(cells))
+    except OverflowError:  # an integer beyond int64
+        raw = next(raw for raw in cells if not -2**63 <= kind(raw) < 2**63)
+        raise ValueError(f"expected {what}, got {raw!r}") from None
     bad = ~((values >= lo) & (values <= hi))
     if bad.any():
         raise ValueError(f"expected {what}, got {cells[int(np.argmax(bad))]!r}")
@@ -514,10 +518,9 @@ def read_lots(path: str | os.PathLike) -> list[LotSpec]:
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read lots file {path}: {exc}") from exc
     try:
-        lots = [LotSpec(id=_json(x["id"], str, "lot id"), node=_json(x["node"], str, "lot node"),
-                        capacity=_json(x["capacity"], int, f"lot {x['id']!r} capacity"))
-                for x in raw]
-        ids = [lot.id for lot in lots]
+        ids = _field(raw, "id", str, "lot id")
+        lots = list(map(LotSpec, ids, _field(raw, "node", str, "lot node"),
+                        _field(raw, "capacity", int, "lot capacity")))
         if len(set(ids)) < len(ids):
             raise ValueError(f"repeated lot ids {sorted({i for i in ids if ids.count(i) > 1})}")
     except (DataError, KeyError, TypeError, ValueError) as exc:

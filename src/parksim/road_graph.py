@@ -23,6 +23,9 @@ forms. Float addition of a positive weight is monotone and never shrinks
 a sum, so both converge to the least such fold over all paths, bit for
 bit. A converged column is a fixed point that the iterations other
 columns still need leave unchanged, so no column depends on its neighbours.
+
+``build_graph`` checks each rule once over all records, names the least id
+breaking the first rule broken, and checks connectivity with this kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -112,113 +115,105 @@ class RoadGraph:
 def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> RoadGraph:
     """Assemble and validate a graph from parts.
 
-    Rejects duplicate ids, dangling or self-loop edges, nonpositive lengths
-    or times, drive tables that do not cover 24 hours, weakly disconnected
-    inputs, and nodes a driver could enter but never leave.
+    Rejects duplicate ids, non-finite coordinates, dangling or self-loop
+    edges, empty graphs, nonpositive or non-finite lengths and times,
+    negative meter counts, drive tables that do not cover 24 hours, nodes a
+    driver could enter but never leave, and weakly disconnected inputs.
+    Each rule is checked once over all records, in the order below, so a
+    faulty input is named by the first rule it breaks, at the least id that
+    breaks it. Connectivity is one ``_relax`` over ``walk_nbr``.
     """
-    node_map: dict[str, Intersection] = {}
-    for n in nodes:
-        if n.id in node_map:
-            raise DataError(f"duplicate node id: {n.id!r}")
-        if not (math.isfinite(n.lat) and math.isfinite(n.lon)):
-            raise DataError(f"node {n.id!r} has non-finite coordinates")
-        node_map[n.id] = n
+    nodes, edges = list(nodes), list(edges)
+    # sorted, so a repeated id equals the next one
+    node_ids = sorted(n.id for n in nodes)
+    _reject(np.array(node_ids[1:]) == node_ids[:-1], "duplicate node id: {!r}", node_ids)
+    node_map = {n.id: n for n in nodes}
+    coords = np.array([(node_map[j].lat, node_map[j].lon) for j in node_ids]).reshape(-1, 2)
+    _reject(~np.isfinite(coords).all(axis=1), "node {!r} has non-finite coordinates", node_ids)
 
-    edge_map: dict[str, BlockFace] = {}
-    for e in edges:
-        if e.id in edge_map:
-            raise DataError(f"duplicate edge id: {e.id!r}")
-        if e.from_node not in node_map or e.to_node not in node_map:
-            raise DataError(f"edge {e.id!r} references unknown node")
-        if e.from_node == e.to_node:
-            raise DataError(f"edge {e.id!r} is a self-loop")
-        if not (math.isfinite(e.length_m) and e.length_m > 0):
-            raise DataError(f"edge {e.id!r} has nonpositive length")
-        if e.meter_count < 0:
-            raise DataError(f"edge {e.id!r} has negative meter count")
-        if not (math.isfinite(e.walk_time_s) and e.walk_time_s > 0):
-            raise DataError(f"edge {e.id!r} has nonpositive walk time")
-        if len(e.drive_time_s) != HOURS:
-            raise DataError(
-                f"edge {e.id!r} needs {HOURS} hourly drive times, got {len(e.drive_time_s)}"
-            )
-        if not all(math.isfinite(t) and t > 0 for t in e.drive_time_s):
-            raise DataError(f"edge {e.id!r} has nonpositive or non-finite drive time")
-        edge_map[e.id] = e
-
-    if not node_map or not edge_map:
+    block_ids = tuple(sorted(e.id for e in edges))
+    _reject(np.array(block_ids[1:]) == block_ids[:-1], "duplicate edge id: {!r}", block_ids)
+    edge_map = {e.id: e for e in edges}
+    blocks = [edge_map[b] for b in block_ids]
+    node_position = {nid: j for j, nid in enumerate(node_ids)}
+    block_from = np.array([node_position.get(e.from_node, -1) for e in blocks], dtype=int)
+    block_to = np.array([node_position.get(e.to_node, -1) for e in blocks], dtype=int)
+    _reject((block_from < 0) | (block_to < 0), "edge {!r} references unknown node", block_ids)
+    if not nodes or not edges:
         raise DataError("graph needs at least one node and one edge")
-
-    out_lists: dict[str, list[str]] = {nid: [] for nid in node_map}
-    walk_lists: dict[str, list[tuple[str, str]]] = {nid: [] for nid in node_map}
-    for e in edge_map.values():
-        out_lists[e.from_node].append(e.id)
-        walk_lists[e.from_node].append((e.id, e.to_node))
-        walk_lists[e.to_node].append((e.id, e.from_node))
+    _reject(block_from == block_to, "edge {!r} is a self-loop", block_ids)
+    length_m = np.array([e.length_m for e in blocks])
+    _reject(~_positive(length_m), "edge {!r} has nonpositive length", block_ids)
+    # a Python int of any size, which numpy compares as an object
+    meter_count = np.array([e.meter_count for e in blocks])
+    _reject(meter_count < 0, "edge {!r} has negative meter count", block_ids)
+    walk_s = np.array([e.walk_time_s for e in blocks])
+    _reject(~_positive(walk_s), "edge {!r} has nonpositive walk time", block_ids)
+    hours = np.array([len(e.drive_time_s) for e in blocks])
+    _reject(hours != HOURS, f"edge {{!r}} needs {HOURS} hourly drive times, got {{}}",
+            block_ids, hours)
+    drive_s = np.array([e.drive_time_s for e in blocks])
+    _reject(~_positive(drive_s).all(axis=1), "edge {!r} has nonpositive or non-finite drive time",
+            block_ids)
 
     # A node that can be entered but not left would strand the search
     # simulator; the U-turn back edge must exist in the input.
-    for e in edge_map.values():
-        if not out_lists[e.to_node]:
-            raise DataError(
-                f"node {e.to_node!r} is a dead end for drivers (no outgoing block)"
-            )
+    n, blocks_at = len(node_ids), np.arange(len(block_ids))
+    out_count, (drive_via,) = _padded(block_from, n, blocks_at)
+    _reject((out_count == 0) & (np.bincount(block_to, minlength=n) > 0),
+            "node {!r} is a dead end for drivers (no outgoing block)", node_ids)
 
-    _check_weakly_connected(node_map, walk_lists)
+    _, (walk_via, walk_nbr) = _padded(np.concatenate([block_from, block_to]), n,
+                                      np.concatenate([blocks_at, blocks_at]),
+                                      np.concatenate([block_to, block_from]))
+    dist = np.full((n, 1), math.inf)
+    dist[node_position[nodes[0].id]] = 0.0
+    unreached = np.flatnonzero(_relax(dist, walk_nbr, np.zeros(walk_nbr.shape)) > 0)
+    if len(unreached):
+        missing = [node_ids[j] for j in unreached[:5]]
+        raise DataError(f"graph is not weakly connected; unreachable nodes include {missing}")
 
-    block_ids = tuple(sorted(edge_map))
-    position = {block: i for i, block in enumerate(block_ids)}
-    node_position = {nid: j for j, nid in enumerate(sorted(node_map))}
-    blocks = [edge_map[b] for b in block_ids]
-    node_of = [node_position[e.to_node] for e in blocks]
-    outs = [sorted(position[b] for b in out_lists[nid]) for nid in sorted(node_map)]
-    next_blocks = _padded([outs[j] for j in node_of])
-    out_degree = np.array([len(outs[j]) for j in node_of])
-    walk = [sorted((position[eid], node_position[other]) for eid, other in walk_lists[nid])
-            for nid in sorted(node_map)]
+    out_degree = out_count[block_to]
+    next_blocks = drive_via[:out_degree.max()].take(block_to, axis=1)
     return RoadGraph(
         nodes=node_map, edges=edge_map,
-        block_ids=block_ids, position=position, node_position=node_position,
-        block_from=np.array([node_position[e.from_node] for e in blocks]),
-        block_to=np.array(node_of),
+        block_ids=block_ids, position={block: i for i, block in enumerate(block_ids)},
+        node_position=node_position, block_from=block_from, block_to=block_to,
         next_blocks=next_blocks,
         next_valid=np.arange(len(next_blocks))[:, None] < out_degree,
-        out_degree=out_degree,
-        drive_s=np.array([e.drive_time_s for e in blocks]).T.copy(),
-        walk_s=np.array([e.walk_time_s for e in blocks]),
-        length_m=np.array([e.length_m for e in blocks]),
-        walk_nbr=_padded([[j for _, j in arcs] for arcs in walk]),
-        walk_via=_padded([[i for i, _ in arcs] for arcs in walk]),
-        drive_via=_padded(outs))
+        out_degree=out_degree, drive_s=drive_s.T.copy(), walk_s=walk_s, length_m=length_m,
+        walk_nbr=walk_nbr, walk_via=walk_via, drive_via=drive_via)
 
 
-def _padded(rows: list[list[int]]) -> np.ndarray:
-    """Rows of unequal length as the columns of one integer array, each
-    padded to the longest by repeating its first entry."""
-    height = max(len(row) for row in rows)
-    return np.array([row + row[:1] * (height - len(row)) for row in rows]).T.copy()
+def _reject(bad: np.ndarray, message: str, *columns: Sequence) -> None:
+    """Raise ``message`` formatted with entry ``i`` of each column, at the
+    first ``i`` where ``bad`` holds, if any does."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(message.format(*(column[i] for column in columns)))
 
 
-def _check_weakly_connected(nodes: dict[str, Intersection],
-                            walk_lists: dict[str, list[tuple[str, str]]]) -> None:
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        current = stack.pop()
-        for _, other in walk_lists[current]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    if len(seen) != len(nodes):
-        missing = sorted(set(nodes) - seen)[:5]
-        raise DataError(f"graph is not weakly connected; unreachable nodes include {missing}")
+def _positive(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (values > 0)
+
+
+def _padded(group: np.ndarray, n: int, *values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each group's entry count, and each of ``values`` as a (k, group) array
+    whose column ``j`` lists group ``j``'s entries by ascending ``values[0]``,
+    padded by repeating its first entry, or if it has none by ``j``."""
+    order = np.lexsort((values[0], group))
+    count = np.bincount(group, minlength=n)
+    k = np.arange(count.max())[:, None]
+    at = order[np.minimum(np.cumsum(count) - count + np.where(k < count, k, 0), len(group) - 1)]
+    return count, [np.where(count > 0, value[at], np.arange(n)) for value in values]
 
 
 def load_graph(path: str | os.PathLike) -> RoadGraph:
     """Load and validate a graph file (JSON with `nodes` and `edges`): ids
     and node references JSON strings, coordinates, lengths and times JSON
-    numbers, ``drive_time_s`` a JSON array and ``meter_count`` an integer."""
+    numbers, ``drive_time_s`` a JSON array and ``meter_count`` an integer.
+    Each field's kinds are checked as one column, field by field, so of
+    several faults the first faulty field is named, at its first record."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -229,23 +224,15 @@ def load_graph(path: str | os.PathLike) -> RoadGraph:
         raise DataError(f"graph file {path} must be an object with 'nodes' and 'edges'")
 
     try:
-        nodes = [Intersection(id=_json(n["id"], str, "node id"),
-                              lat=_json(n["lat"], float, "lat"),
-                              lon=_json(n["lon"], float, "lon"))
-                 for n in raw["nodes"]]
-        edges = [
-            BlockFace(
-                id=_json(e["id"], str, "edge id"),
-                from_node=_json(e["from"], str, "from"),
-                to_node=_json(e["to"], str, "to"),
-                length_m=_json(e["length_m"], float, "length_m"),
-                meter_count=_json(e["meter_count"], int, "meter_count"),
-                walk_time_s=_json(e["walk_time_s"], float, "walk_time_s"),
-                drive_time_s=tuple(_json(t, float, "drive time")
-                                   for t in _json(e["drive_time_s"], list, "drive_time_s")),
-            )
-            for e in raw["edges"]
-        ]
+        nodes, edges = raw["nodes"], raw["edges"]
+        nodes = map(Intersection, _field(nodes, "id", str, "node id"),
+                    _field(nodes, "lat", float), _field(nodes, "lon", float))
+        columns = [_field(edges, "id", str, "edge id"), _field(edges, "from", str),
+                   _field(edges, "to", str), _field(edges, "length_m", float),
+                   _field(edges, "meter_count", int), _field(edges, "walk_time_s", float)]
+        drives = _field(edges, "drive_time_s", list)
+        _json_column([t for times in drives for t in times], float, "drive time")
+        edges = map(BlockFace, *columns, [tuple(map(float, times)) for times in drives])
         return build_graph(nodes, edges)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed graph record in {path}: {exc}") from exc
@@ -279,13 +266,20 @@ _JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                str: ((str,), "a string"), list: ((list,), "an array")}
 
 
-def _json(value, kind: type, what: str):
-    """``value`` as a ``kind`` if it is a JSON value of that kind: ``2.5``
-    is no integer, ``"1"`` no number, ``true`` neither, ``["a"]`` no string."""
+def _json_column(column: list, kind: type, what: str) -> list:
+    """``column`` as ``kind``s if its types, checked as one set, are JSON
+    kinds of ``kind``: ``2.5`` is no integer, ``"1"`` no number, ``true``
+    neither, ``["a"]`` no string. The first value that is not is named."""
     types, name = _JSON_KINDS[kind]
-    if type(value) not in types:
-        raise ValueError(f"{what} {value!r} is not {name}")
-    return kind(value)
+    if not set(map(type, column)).issubset(types):
+        bad = next(value for value in column if type(value) not in types)
+        raise ValueError(f"{what} {bad!r} is not {name}")
+    return list(map(float, column)) if kind is float else column
+
+
+def _field(records: Iterable[dict], key: str, kind: type, what: str | None = None) -> list:
+    """``_json_column`` of field ``key``, named ``what`` (by default ``key``)."""
+    return _json_column([record[key] for record in records], kind, what or key)
 
 
 def _atomic_write(path: str | os.PathLike, content: str | Callable[[BinaryIO], None]) -> None:

@@ -234,6 +234,16 @@ def test_removed_synth_key_is_a_config_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "city").exists()
 
 
+@pytest.mark.parametrize("argv", [[], ["--config", "config.json"],
+                                  ["bogus", "--config", "config.json"], ["sim_on", "--config", "x"]],
+                         ids=["nothing", "no_stage", "unknown_stage", "misspelt_stage"])
+def test_missing_or_unknown_stage_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "usage: parksim" in capsys.readouterr().err
+
+
 SECTIONS = {"train": TrainConfig, "onstreet": OnstreetConfig, "offstreet": LotSimConfig,
             "policy": PolicyWeights, "smoothing": SmoothingConfig, "synth": SynthConfig}
 CONFIG_FIELDS = [(None, name) for name in ("seed", "day_of_week", "hours")] + [
@@ -464,6 +474,8 @@ def test_bad_cell_read_by_diff_is_a_data_error(copied, capsys, name, column, val
     assert code == 3
     assert_one_line(err)
     assert f"{name}, line 2: " in err
+    if value.lstrip("-").isdigit():  # a whole number, so rejected as no count
+        assert f"expected a count, got {value!r}" in err
 
 
 @pytest.mark.parametrize("name", STAGE_CSVS)
@@ -1215,7 +1227,7 @@ def set_free_spots(value):
     (set_free_spots("-3"), "surveys.csv, line 2: "),
     (set_first_edge(meter_count=2.5), "graph.json"),
     (set_first_edge(meter_count=True), "graph.json"),
-    (set_free_spots("9" * 20), "surveys.csv, line 2: "),
+    (set_free_spots("9" * 20), "surveys.csv, line 2: expected a count, got '9999"),
 ], ids=["negative_free_spots", "fractional_meter_count", "bool_meter_count",
         "free_spots_beyond_int64"])
 def test_count_that_is_no_count_is_a_data_error(copied, capsys, edit, where):
@@ -1236,9 +1248,15 @@ def test_count_that_is_no_count_is_a_data_error(copied, capsys, edit, where):
     edit_graph(lambda graph: graph["edges"][0].update(to=[graph["edges"][0]["to"]])),
     set_first_edge(length_m=10**400),
     edit_graph(lambda graph: graph["nodes"][0].update(lat=10**400)),
+    edit_graph(lambda graph: graph["edges"][0].update(to=graph["edges"][0]["from"])),
+    edit_graph(lambda graph: graph["nodes"][0].update(lat=math.nan)),
+    set_first_edge(walk_time_s=math.inf), set_first_edge(drive_time_s=[math.nan] * 24),
+    edit_graph(lambda graph: graph["nodes"].append(graph["nodes"][0])),
+    edit_graph(lambda graph: graph.update(edges=[])),
 ], ids=["negative_meter_count", "zero_length", "repeated_edge_id", "not_an_object",
         "string_drive_times", "string_length", "bool_length", "string_lat", "list_edge_id",
-        "list_to_node", "length_beyond_float", "lat_beyond_float"])
+        "list_to_node", "length_beyond_float", "lat_beyond_float", "self_loop", "nan_lat",
+        "inf_walk_time", "nan_drive_times", "repeated_node_id", "no_edges"])
 def test_invalid_graph_is_a_data_error_naming_the_file(copied, capsys, edit):
     edit(copied / "city")
     assert main(["ingest", "--config", str(write_config(copied / "config.json", "city"))]) == 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,13 @@ class TestLoadGraph:
         with pytest.raises(DataError):
             load_graph(path)
 
+    def test_meter_count_beyond_int64_loads(self, tmp_path):
+        payload = graph_file_payload()
+        payload["edges"][0]["meter_count"] = 10**30
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        assert load_graph(path).edges["e0f"].meter_count == 10**30
+
     def test_save_then_load_round_trip(self, tmp_path):
         g = grid_graph(3)
         path = tmp_path / "g.json"
@@ -115,6 +123,46 @@ class TestValidation:
         edges[0] = BlockFace(**bad)
         with pytest.raises(DataError):
             build_graph(self.nodes(), edges)
+
+    def test_self_loop_rejected(self):
+        edges = self.ring() + [make_edge("loop", "n1", "n1")]
+        with pytest.raises(DataError, match="edge 'loop' is a self-loop"):
+            build_graph(self.nodes(), edges)
+
+    @pytest.mark.parametrize("lat", [math.nan, math.inf])
+    def test_non_finite_coordinates_rejected(self, lat):
+        nodes = self.nodes()
+        nodes[1] = Intersection("n1", lat, -123.0)
+        with pytest.raises(DataError, match="node 'n1' has non-finite coordinates"):
+            build_graph(nodes, self.ring())
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("length_m", math.inf, "nonpositive length"),
+        ("length_m", math.nan, "nonpositive length"),
+        ("walk_time_s", math.inf, "nonpositive walk time"),
+        ("walk_time_s", math.nan, "nonpositive walk time"),
+        ("drive_time_s", (10.0,) * 23 + (math.inf,), "nonpositive or non-finite drive time"),
+        ("drive_time_s", (math.nan,) + (10.0,) * 23, "nonpositive or non-finite drive time"),
+    ])
+    def test_non_finite_edge_values_rejected(self, field, value, message):
+        edges = self.ring()
+        edges[1] = BlockFace(**edges[1].__dict__ | {field: value})
+        with pytest.raises(DataError, match=f"edge 'e1' has {message}"):
+            build_graph(self.nodes(), edges)
+
+    def test_duplicate_node_id_rejected(self):
+        nodes = self.nodes() + [Intersection("n1", 49.5, -123.0)]
+        with pytest.raises(DataError, match="duplicate node id: 'n1'"):
+            build_graph(nodes, self.ring())
+
+    @pytest.mark.parametrize("nodes,edges,message", [
+        (0, 0, "graph needs at least one node and one edge"),
+        (3, 0, "graph needs at least one node and one edge"),
+        (0, 3, "edge 'e0' references unknown node"),
+    ])
+    def test_empty_node_or_edge_list_rejected(self, nodes, edges, message):
+        with pytest.raises(DataError, match=message):
+            build_graph(self.nodes(nodes), self.ring(edges))
 
     def test_wrong_drive_table_length_rejected(self):
         edges = self.ring()
