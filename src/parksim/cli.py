@@ -378,11 +378,11 @@ def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
         cells = {name: chunk.parse(name, _COLUMN_PARSERS.get(name, _numbers)) for name in columns}
         keys = list(zip(cells["block_id"], cells["hour"].tolist()))
         fresh: set[tuple[str, int]] = set()
-        for row, key in enumerate(keys):
+        for key in keys:
             if key[0] not in g.position:
-                raise chunk.error(row, f"block {key[0]!r} is not in the graph")
+                raise DataError(f"block {key[0]!r} is not in the graph")
             if key in seen or key in fresh:
-                raise chunk.error(row, f"duplicate (block, hour) row {key}")
+                raise DataError(f"duplicate (block, hour) row {key}")
             fresh.add(key)
         return keys, cells[value]
 

@@ -21,15 +21,16 @@ of CHUNK_ROWS rows, so a read never holds more than a chunk of text rows.
 Each reader parses a chunk a column at a time, each column by one column
 parser, which maps a sequence of cells to an array: numbers by
 ``_numbers`` (one dtype, finite, within a range) or one of its partials,
-times by ``_naive_micros``. A column that fails is parsed again by the
-same parser one cell at a time, so the first faulty row is named by file
-and line, and a column fails exactly when one of its cells does. Time
-cells take exactly ``datetime.fromisoformat``'s formats (survey times
-once stripped). A session ends ``timedelta(seconds=duration_s)``
-after its start: the whole seconds exactly, plus the fraction times 1e6
-rounded half to even (not ``rint(duration_s * 1e6)``, 1 us less for
-3.0000005 s), and no later than ``datetime.max``. Paid lot durations round
-the same way and must be shorter than ``timedelta.max``.
+times by ``_naive_micros``. A column fails exactly when one of its cells
+does. A chunk that fails is read again row by row, and the first faulty
+row is named by file and line. Its rows are parsed twice, so a reader's
+parse must change nothing outside its chunk. Time cells take exactly
+``datetime.fromisoformat``'s formats (survey times once stripped). A
+session ends ``timedelta(seconds=duration_s)`` after its start: the whole
+seconds exactly, plus the fraction times 1e6 rounded half to even (not
+``rint(duration_s * 1e6)``, 1 us less for 3.0000005 s), and no later than
+``datetime.max``. Paid lot durations round the same way and must be
+shorter than ``timedelta.max``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 from .errors import ConfigError, DataError, check_fields
 from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples,
                               SessionIndex, micros, session_arrays)
-from .offstreet_sim import DAYS_PER_WEEK, LotRates, LotSpec
+from .offstreet_sim import DAYS_PER_WEEK, MAX_RATE, LotRates, LotSpec
 from .road_graph import _atomic_write, _field
 
 WEEK_H = 7 * 24
@@ -152,7 +153,7 @@ def estimate_rates(flows: LotFlows, smoothing: SmoothingConfig) -> LotRates:
     """Average hourly flows into each lot's (day of week, hour) Poisson rates.
 
     Departures are smoothed first. Every slot is then the mean of the
-    ``flows.weeks`` hours that fall on it, added in time order.
+    ``flows.weeks`` hours that fall on it, added in time order, at most MAX_RATE.
     """
     rates = {}
     for lot_id, start, entries, departures in zip(
@@ -161,8 +162,8 @@ def estimate_rates(flows: LotFlows, smoothing: SmoothingConfig) -> LotRates:
         departures = smooth_departures(departures, start.hour, smoothing)
         lams = np.stack([np.bincount(slot, weights=x, minlength=WEEK_H) / flows.weeks
                          for x in (entries, departures)], axis=-1)
-        if not np.isfinite(lams).all():  # entry counts beyond the largest float
-            raise DataError(f"lot {lot_id!r} has entry counts too large to average")
+        if not (lams <= MAX_RATE).all():  # NaN or inf too, where counts overflow
+            raise DataError(f"lot {lot_id!r} has a rate above {MAX_RATE:g} cars per hour")
         rates[lot_id] = lams.reshape(DAYS_PER_WEEK, 24, 2)
     return rates
 
@@ -200,48 +201,21 @@ def write_table(path: str | os.PathLike, columns: Sequence[str],
     _atomic_write(path, buf.getvalue())
 
 
-class _BadRow(DataError):
-    """A fault in data row ``row`` of a chunk."""
-
-    def __init__(self, row: int, fault: Exception | str):
-        super().__init__(str(fault))
-        self.row = row
-
-
 @dataclass(frozen=True)
 class Chunk:
     """Consecutive data rows of a CSV file, as one tuple of cells per column."""
 
-    path: str | os.PathLike
     columns: dict[str, tuple[str, ...]]
 
     def parse(self, name: str, parse: Callable[[Sequence[str]], T]) -> T:
-        """Column ``name`` parsed by the column parser ``parse``.
-
-        When that fails, ``parse`` runs on each cell alone, as a column of
-        one, and the first cell it rejects is raised as a fault of its row.
-        """
-        cells = self.columns[name]
-        try:
-            return parse(cells)
-        except _CELL_ERRORS as exc:
-            for row, raw in enumerate(cells):
-                try:
-                    parse([raw])
-                except _CELL_ERRORS as bad:
-                    raise self.error(row, bad) from bad
-            raise DataError(f"{self.path}: {exc}") from exc  # no cell fails alone
+        """Column ``name`` parsed by the column parser ``parse``."""
+        return parse(self.columns[name])
 
     def reject(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
-        """Raise ``message(row)`` as a fault of the first row where ``bad``
-        holds, if any does."""
+        """Raise ``message(row)`` as a DataError for the first row where
+        ``bad`` holds, if any does."""
         if bad.any():
-            row = int(np.argmax(bad))
-            raise self.error(row, message(row))
-
-    def error(self, row: int, exc: Exception | str) -> DataError:
-        """A fault of row ``row``, for ``read_columns`` to name by its line."""
-        return _BadRow(row, exc)
+            raise DataError(message(int(np.argmax(bad))))
 
 
 def read_columns(path: str | os.PathLike, columns: Sequence[str],
@@ -250,14 +224,21 @@ def read_columns(path: str | os.PathLike, columns: Sequence[str],
     to CHUNK_ROWS rows, each read when the one before it has been parsed.
 
     The header must be exactly ``columns`` and every row must hold one field
-    per column; blank rows are skipped. An unreadable file, a wrong header or
-    field count, malformed CSV and a fault that ``parse`` raises through
-    ``Chunk`` raise a DataError that names the file and the line. The first
-    faulty row of a file is named, as a row-by-row reader would: a chunk
-    with a fault at some row is parsed again up to that row until the rows
-    before the fault parse. So ``parse`` may read, but must not change,
-    anything outside its chunk.
+    per column; blank rows are skipped. An unreadable file, a wrong header
+    and malformed CSV raise a DataError that names the file and the line.
+    A chunk with a row of the wrong field count, or whose ``parse`` raises
+    one of _CELL_ERRORS, is read again row by row: each row is parsed as a
+    chunk of its own and its result yielded before the next row is parsed,
+    and the first row that fails raises a DataError naming the file and its
+    line. So ``parse`` may read, but must not change, anything outside its
+    chunk; a consumer that records each result as it comes finds a repeat
+    within a failed chunk at the repeated row.
     """
+    def parse_rows(rows: list[list[str]]) -> T:
+        if set(map(len, rows)) != {len(columns)}:
+            raise DataError(f"expected {len(columns)} fields")
+        return parse(Chunk(dict(zip(columns, zip(*rows)))))
+
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -271,22 +252,20 @@ def read_columns(path: str | os.PathLike, columns: Sequence[str],
                                 f"{','.join(columns)}, got {','.join(header or ())}")
             done = 0
             while text := list(islice(reader, CHUNK_ROWS)):
-                rows = list(filter(None, text))
-                if not rows:
+                if not (rows := list(filter(None, text))):
                     continue
-                n = len(rows) if set(map(len, rows)) == {len(columns)} else next(
-                    i for i, r in enumerate(rows) if len(r) != len(columns))
-                fault = _BadRow(n, f"expected {len(columns)} fields") if n < len(rows) else None
-                while n:
-                    try:
-                        parsed = parse(Chunk(path, dict(zip(columns, zip(*rows[:n])))))
-                        break
-                    except _BadRow as exc:
-                        n, fault = exc.row, exc
-                if fault:
-                    raise DataError(f"{path}, line {_line_of(path, done + fault.row)}: "
-                                    f"{fault}") from fault
-                yield parsed
+                try:
+                    parsed = parse_rows(rows)
+                except _CELL_ERRORS:
+                    for i, row in enumerate(rows):
+                        try:
+                            parsed = parse_rows([row])
+                        except _CELL_ERRORS as exc:
+                            raise DataError(f"{path}, line {_line_of(path, done + i)}: "
+                                            f"{exc}") from exc
+                        yield parsed
+                else:
+                    yield parsed
                 done += len(rows)
         except csv.Error as exc:
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
@@ -323,7 +302,7 @@ _counts = partial(_numbers, kind=int, lo=0, what="a count")
 _labels = partial(_numbers, kind=int, lo=0, hi=1, what="available to be 0 or 1")
 _days = partial(_numbers, kind=int, lo=0, hi=DAYS_PER_WEEK - 1, what="day_of_week in 0..6")
 _hours = partial(_numbers, kind=int, lo=0, hi=23, what="an hour in 0..23")
-_rates = partial(_numbers, lo=0, what="a finite non-negative rate")
+_rates = partial(_numbers, lo=0, hi=MAX_RATE, what=f"a rate in [0, {MAX_RATE:g}] per hour")
 
 
 def _naive_micros(cells: Sequence[str]) -> np.ndarray:
@@ -596,16 +575,16 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
 
 
 def read_rates_csv(path: str | os.PathLike) -> LotRates:
-    """Each lot's rates; the file needs a row for every (day, hour) of a lot."""
+    """Each lot's rates, in [0, MAX_RATE]; a lot needs a row for every (day, hour)."""
     def parse(chunk: Chunk) -> dict[tuple[str, int, int], tuple[float, float]]:
         keys = zip(chunk.columns["lot_id"], chunk.parse("day_of_week", _days).tolist(),
                    chunk.parse("hour", _hours).tolist())
         lams = zip(*(chunk.parse(name, _rates).tolist()
                      for name in ("lambda_a_per_hour", "lambda_d_per_hour")))
         fresh = {}
-        for row, (key, lam) in enumerate(zip(keys, lams)):
+        for key, lam in zip(keys, lams):
             if key in rates or key in fresh:
-                raise chunk.error(row, f"duplicate rate row for {key}")
+                raise DataError(f"duplicate rate row for {key}")
             fresh[key] = lam
         return fresh
 

@@ -395,7 +395,7 @@ def predict_block_probabilities(model, sessions: SessionIndex, g: RoadGraph,
     forward pass over the stack of every metered cell's one-row batch, which
     gives each cell ``forward``'s bits (see the module docstring). Blocks
     without meters get 0: there is nowhere to park, and the search simulator
-    still needs an entry for them.
+    still needs an entry for them. A non-finite probability is a NumericError.
     """
     day = micros(datetime.combine(on_date, time()))
     times = [day + _check_hour(hour) * HOUR_US + HOUR_US // 2 for hour in hours]
@@ -404,9 +404,12 @@ def predict_block_probabilities(model, sessions: SessionIndex, g: RoadGraph,
                        np.repeat(np.array(times, dtype=np.int64), metered.size))
     if not np.isfinite(X).all():
         raise NumericError("non-finite feature input")
-    logits, _ = _logits(model, _standardize(model, X[:, None, :]))
+    with np.errstate(all="ignore"):  # an extreme model is a NumericError, not a warning
+        probs = _softmax(_logits(model, _standardize(model, X[:, None, :]))[0])[:, 0, 1]
+    if not np.isfinite(probs).all():
+        raise NumericError("the model gives a non-finite probability")
     p = np.zeros((len(hours), len(g.block_ids)))
-    p[:, metered] = _softmax(logits)[:, 0, 1].reshape(len(hours), metered.size)
+    p[:, metered] = probs.reshape(len(hours), metered.size)
     return p
 
 

@@ -65,6 +65,9 @@ DAYS_PER_WEEK = 7
 SCRATCH_ENTRIES = 2 ** 18  # (task x rep) x (stall + tick) entries plus departures per lockstep
 # Far more stalls than any lot has; numpy cannot size stall arrays for some larger counts.
 MAX_CAPACITY = 2 ** 31 - 1
+# Cars per hour, far above any lot's rate: numpy's Poisson sampler and
+# ``initial_occupancy``'s int fail for much larger rates.
+MAX_RATE = 1e12
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parksim import cli, occupancy_model, offstreet_sim
+from parksim import cli, data_ingest, occupancy_model, offstreet_sim
 from parksim.cli import main
 from parksim.data_ingest import SmoothingConfig, read_lots
 from parksim.errors import ConfigError
-from parksim.occupancy_model import FEATURE_NAMES, TrainConfig
+from parksim.occupancy_model import FEATURE_NAMES, N_FEATURES, TrainConfig
 from parksim.offstreet_sim import LotSimConfig
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import load_graph
@@ -869,6 +869,46 @@ def test_duplicate_row_before_bad_cell_is_named(copied, capsys):
     assert "availability.csv, line 3: duplicate" in err
 
 
+def bad_probability(rows):
+    rows[1][2] = "x"
+
+
+def short_row(rows):
+    rows[3].pop()
+
+
+def adjacent_duplicate(rows):
+    rows.insert(2, list(rows[1]))
+
+
+def duplicate_two_rows_on(rows):
+    rows.insert(3, list(rows[1]))
+
+
+def duplicate_before_bad_cell(rows):
+    rows.insert(2, list(rows[1]))
+    rows[-1][2] = "x"
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, data_ingest.CHUNK_ROWS])
+@pytest.mark.parametrize("edit,fault", [
+    (bad_probability, "line 2: could not convert string to float: 'x'"),
+    (short_row, "line 4: expected 3 fields"),
+    (adjacent_duplicate, "line 3: duplicate (block, hour) row"),
+    (duplicate_two_rows_on, "line 4: duplicate (block, hour) row"),
+    (duplicate_before_bad_cell, "line 3: duplicate (block, hour) row"),
+], ids=["bad_probability", "short_row", "adjacent_duplicate", "duplicate_two_rows_on",
+        "duplicate_before_bad_cell"])
+def test_availability_fault_named_at_its_line_in_any_chunk_size(copied, capsys, monkeypatch,
+                                                                 chunk_rows, edit, fault):
+    monkeypatch.setattr(data_ingest, "CHUNK_ROWS", chunk_rows)
+    edit_csv(copied / "out" / "availability.csv", edit)
+    code, err = run_stage(copied, "availability.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert f"availability.csv, {fault}" in err
+
+
 def run_on_edited_payments(root, capsys, stage):
     """Run ``stage`` after payments.csv was edited. Return ingest's one-line
     message of the fault it must find (exit 3), or None for predict, which
@@ -1203,6 +1243,70 @@ def test_rate_that_is_no_rate_is_a_data_error(copied, capsys, row):
     assert code == 3
     assert_one_line(err)
     assert f"rates.csv, line {len(path.read_text().splitlines())}: " in err
+
+
+@pytest.mark.parametrize("rates", [{13: "1e300"}, {11: "1.7e308", 12: "1.7e308"}],
+                         ids=["sampled_rate", "rates_before_the_hour"])
+def test_rate_above_max_rate_is_a_data_error(copied, capsys, rates):
+    # day 4 is the run's day; hour 13's rate is sampled, and the rates of the
+    # hours before it sum to the lot's occupancy at 13:00
+    lines = []
+
+    def edit(rows):
+        for i, row in enumerate(rows):
+            if row[0] == "lot1" and row[1] == "4" and int(row[2]) in rates:
+                row[3] = rates[int(row[2])]
+                lines.append(i + 1)
+
+    edit_csv(copied / "out" / "rates.csv", edit)
+    code, err = run_stage(copied, "rates.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert (f"rates.csv, line {lines[0]}: expected a rate in [0, 1e+12] per hour, "
+            f"got '{rates[min(rates)]}'") in err
+
+
+def test_lot_entries_above_max_rate_are_a_data_error(copied, capsys):
+    # a week of records: one hour's 10**13 entries average to 1e13 an hour
+    rates = (copied / "out" / "rates.csv").read_bytes()
+    lot = []
+
+    def edit(rows):
+        rows[1][rows[0].index("entries")] = str(10**13)
+        lot.append(rows[1][0])
+
+    edit_csv(copied / "city" / "lot_events.csv", edit)
+    code, err = run_stage(copied, "lot_events.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert f"lot {lot[0]!r} has a rate above 1e+12 cars per hour" in err
+    assert (copied / "out" / "rates.csv").read_bytes() == rates
+
+
+def huge_first_layer(model):
+    # every feature is at least 0, so each standardizes to far above 0 and
+    # every first-layer unit overflows to inf
+    model["weights"]["w1"] = [1e308] * len(model["weights"]["w1"])
+    model["feature_norm"]["mean"] = [-1e6] * N_FEATURES
+
+
+def tiny_feature_std(model):
+    model["feature_norm"]["std"] = [1e-320] * N_FEATURES
+
+
+@pytest.mark.parametrize("edit", [huge_first_layer, tiny_feature_std],
+                         ids=["huge_first_layer", "tiny_feature_std"])
+def test_extreme_model_is_a_numeric_error(copied, capsys, edit):
+    path = copied / "out" / "model.json"
+    model = json.loads(path.read_text())
+    edit(model)
+    path.write_text(json.dumps(model))
+    availability = (copied / "out" / "availability.csv").read_bytes()
+    assert main(["predict", "--config", str(write_config(copied / "config.json", "city"))]) == 4
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "non-finite probability" in err
+    assert (copied / "out" / "availability.csv").read_bytes() == availability
 
 
 def edit_graph(edit):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parksim import data_ingest
 from parksim.data_ingest import (
     CHUNK_ROWS,
     LOT_EVENT_COLUMNS,
@@ -643,6 +644,30 @@ class TestFirstFaultyRow:
         with pytest.raises(DataError, match="rates.csv, line 4: duplicate rate row"):
             read_rates_csv(path)
 
+    def test_rate_duplicate_in_a_later_chunk(self, tmp_path):
+        # seven lots' rows fill more than one chunk; data row 1100 repeats row 0
+        path = tmp_path / "rates.csv"
+        write_rates_csv({f"lot{i}": np.ones((7, 24, 2)) for i in range(7)}, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) > CHUNK_ROWS + 1
+        lines[1101] = lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="rates.csv, line 1102: duplicate rate row "
+                                            r"for \('lot0', 0, 0\)"):
+            read_rates_csv(path)
+
+
+@pytest.fixture(params=[1, 2])
+def small_chunks(request, monkeypatch):
+    """Chunks of one or two rows, so that every fault lies at or next to a
+    chunk boundary."""
+    monkeypatch.setattr(data_ingest, "CHUNK_ROWS", request.param)
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestFirstFaultyRowInSmallChunks(TestFirstFaultyRow):
+    """Each fault is named at the line named with the default chunk size."""
+
 
 class TestTable:
     COLUMNS = ("name", "count")
@@ -687,3 +712,8 @@ class TestTable:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             self.read(tmp_path / "none.csv")
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestTableInSmallChunks(TestTable):
+    """Rows, and each fault's line, as with the default chunk size."""
