@@ -20,7 +20,10 @@ Ingest also reads ``lot_events.csv`` into dense hourly arrays of each
 lot's entries and departures and averages them into the hourly Poisson
 rates of ``rates.csv``, a row for every (day of week, hour) of every lot,
 which sim-off samples. Eval exits 2 (run train first) unless the train
-report holds its train config and the sha256 of ``samples.csv``.
+report holds its train config and the sha256 of ``samples.csv``. The
+graph's ids, coordinates, block ends, meter counts, lengths and times, once
+checked, are cached in ``graph.npz`` under the sha256 of the graph bytes; a
+stage that finds no such cache there parses the graph and writes it.
 
 The per-cell files ``availability.csv``, ``onstreet.csv``,
 ``offstreet.csv`` and ``diff.csv`` hold one row per (block, hour) of the
@@ -97,6 +100,7 @@ SAMPLES_FILE = "samples.csv"
 RATES_FILE = "rates.csv"
 INGEST_REPORT_FILE = "ingest.json"
 SESSION_INDEX_FILE = "sessions.npz"
+GRAPH_INDEX_FILE = "graph.npz"
 MODEL_FILE = "model.json"
 TRAIN_REPORT_FILE = "train_report.json"
 EVAL_FILE = "eval.json"
@@ -286,7 +290,7 @@ def stage_synth(cfg: RunConfig) -> None:
 
 
 def stage_ingest(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"))
+    g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
     surveys_path = _require(cfg.surveys, "surveys")
     block_ids, times, free = read_surveys(surveys_path)
     _check_known(surveys_path, "blocks", block_ids, g.edges)
@@ -352,7 +356,7 @@ def stage_eval(cfg: RunConfig) -> None:
 
 
 def stage_predict(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"))
+    g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
     model = load_model(_stage_file(cfg, MODEL_FILE, "train"))
     index = _stage_file(cfg, SESSION_INDEX_FILE, "ingest")
     sessions = read_session_index(index, file_sha256(_require(cfg.payments, "payments")))
@@ -362,10 +366,13 @@ def stage_predict(cfg: RunConfig) -> None:
 
 
 # The column parser of each stage CSV column; any other column holds finite
-# floats. Lot ids stay unchecked: diff reads no lots file to check them against.
-_COLUMN_PARSERS = {"block_id": list, "lot_id": list, "hour": _hours,
+# seconds >= 0, so diff's off - on is finite. Lot ids stay unchecked: diff
+# reads no lots file to check them against.
+_COLUMN_PARSERS = {"block_id": list, "lot_id": list, "hour": _hours, "delta_s": _numbers,
                    "p_available": partial(_numbers, lo=0, hi=1, what="a probability in [0, 1]"),
+                   "censored_fraction": partial(_numbers, lo=0, hi=1, what="a fraction in [0, 1]"),
                    "n_samples": _counts, "arrivals": _counts, "overflow": _counts}
+_seconds = partial(_numbers, lo=0, what="a finite time >= 0 s")
 
 
 def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
@@ -375,7 +382,7 @@ def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
     seen: set[tuple[str, int]] = set()
 
     def parse(chunk: Chunk) -> tuple[list[tuple[str, int]], np.ndarray]:
-        cells = {name: chunk.parse(name, _COLUMN_PARSERS.get(name, _numbers)) for name in columns}
+        cells = {name: chunk.parse(name, _COLUMN_PARSERS.get(name, _seconds)) for name in columns}
         keys = list(zip(cells["block_id"], cells["hour"].tolist()))
         fresh: set[tuple[str, int]] = set()
         for key in keys:
@@ -413,7 +420,7 @@ def _write_cells(path: Path, columns: tuple[str, ...], g: RoadGraph,
 
 
 def stage_sim_on(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"))
+    g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
     p = _read_cells(_stage_file(cfg, AVAILABILITY_FILE, "predict"), AVAILABILITY_COLUMNS,
                     "p_available", g, cfg.hours)
     est = estimate_onstreet_time(g, p, cfg.hours, cfg.onstreet, cfg.policy)
@@ -422,7 +429,7 @@ def stage_sim_on(cfg: RunConfig) -> None:
 
 
 def stage_sim_off(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"))
+    g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
     rates_path = _stage_file(cfg, RATES_FILE, "ingest")
     rates = read_rates_csv(rates_path)
     lots = _read_known_lots(cfg, g, rates_path, rates)
@@ -433,7 +440,7 @@ def stage_sim_off(cfg: RunConfig) -> None:
 
 
 def stage_diff(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"))
+    g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
     on, off = (_read_cells(_stage_file(cfg, name, producer), columns, mean, g, cfg.hours)
                for name, producer, columns, mean in (
                    (ONSTREET_FILE, "sim-on", ONSTREET_COLUMNS, "mean_onstreet_s"),

@@ -43,7 +43,6 @@ import math
 import os
 import statistics
 import warnings
-import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -59,7 +58,7 @@ from .errors import ConfigError, DataError, check_fields
 from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples,
                               SessionIndex, micros, session_arrays)
 from .offstreet_sim import DAYS_PER_WEEK, MAX_RATE, LotRates, LotSpec
-from .road_graph import _atomic_write, _field
+from .road_graph import _atomic_write, _field, _read_index, _write_index
 
 WEEK_H = 7 * 24
 SURVEY_WINDOW_US = HOUR_US // 2
@@ -185,7 +184,7 @@ _MAX_US = micros(datetime.max)
 # Longer than the whole datetime range, and short enough for int64 microseconds.
 _LONGEST_S = 1e12
 # The layout of the session index file; an index of another version is not used.
-SESSION_INDEX_VERSION = 1
+SESSION_INDEX_VERSION = 3
 # Paid durations must be shorter: as a float this is 1e9 days, past timedelta.max.
 _TIMEDELTA_MAX_S = timedelta.max.total_seconds()
 T = TypeVar("T")
@@ -376,26 +375,14 @@ def file_sha256(path: str | os.PathLike) -> str:
 
 
 def write_session_index(sessions: SessionIndex, key: str, path: str | os.PathLike) -> None:
-    """Write ``sessions`` as an uncompressed ``.npz`` archive, each array
-    straight into the file: ``block_ids`` as a str array; the int64
-    ``bounds``, ``starts`` and ``ends``; and two 0-d arrays,
-    ``payments_sha256``, which is ``key``, the sha256 of the payment bytes
-    the sessions were parsed from, and SESSION_INDEX_VERSION as
-    ``format_version``. Every member has the same fixed time, so the file
-    depends on the arrays alone."""
-    arrays = {"format_version": np.array(SESSION_INDEX_VERSION, np.int64),
-              "payments_sha256": np.array(key),
-              "block_ids": np.array(sessions.block_ids, dtype=str),
-              "bounds": sessions.bounds, "starts": sessions.starts, "ends": sessions.ends}
-
-    def write(fh) -> None:
-        with zipfile.ZipFile(fh, "w") as archive:
-            for name, array in arrays.items():
-                info = zipfile.ZipInfo(f"{name}.npy", (1980, 1, 1, 0, 0, 0))
-                with archive.open(info, "w", force_zip64=True) as member:
-                    np.lib.format.write_array(member, array, allow_pickle=False)
-
-    _atomic_write(path, write)
+    """Write ``sessions`` by ``_write_index``: ``block_ids``, the int64
+    ``bounds``, ``starts`` and ``ends``, and two 0-d arrays: ``key``, the
+    sha256 of the payment bytes the sessions were parsed from, as
+    ``payments_sha256``, and SESSION_INDEX_VERSION as ``format_version``."""
+    _write_index(path, {"format_version": np.array(SESSION_INDEX_VERSION, np.int64),
+                        "payments_sha256": np.array(key),
+                        "block_ids": list(sessions.block_ids), "bounds": sessions.bounds,
+                        "starts": sessions.starts, "ends": sessions.ends})
 
 
 def read_session_index(path: str | os.PathLike, key: str) -> SessionIndex:
@@ -408,25 +395,7 @@ def read_session_index(path: str | os.PathLike, key: str) -> SessionIndex:
     delimit the sessions, a repeated block, times unsorted within a block),
     is a DataError. Nothing in it is unpickled.
     """
-    try:
-        npz = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise DataError(f"cannot read session index {path}: {exc}") from exc
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise DataError(f"session index {path} is not an .npz archive")
-
-    def member(name: str, ndim: int, dtype: type | None = None) -> np.ndarray:
-        """Array ``name``: ``ndim``-dimensional, of ``dtype``, or str without one."""
-        try:
-            array = npz[name]
-        except (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise DataError(f"malformed session index {path}: {name}: {exc}") from exc
-        if array.ndim != ndim or (array.dtype != dtype if dtype else array.dtype.kind != "U"):
-            raise DataError(f"malformed session index {path}: {name} is a "
-                            f"{array.ndim}-d {array.dtype} array")
-        return array
-
-    with npz:
+    with _read_index(path, "session index") as member:
         version = int(member("format_version", 0, np.int64))
         if version != SESSION_INDEX_VERSION:
             raise ConfigError(f"session index {path} has format version {version}, not "
@@ -434,8 +403,10 @@ def read_session_index(path: str | os.PathLike, key: str) -> SessionIndex:
         if str(member("payments_sha256", 0)) != key:
             raise ConfigError(f"session index {path} was made from other payments "
                               "(run ingest first)")
-        block_ids = member("block_ids", 1).tolist()
+        block_ids = member("block_ids", 1, np.uint8)
         bounds, starts, ends = (member(name, 1, np.int64) for name in ("bounds", "starts", "ends"))
+    if not isinstance(block_ids, list) or not all(isinstance(b, str) for b in block_ids):
+        raise DataError(f"malformed session index {path}: block ids are not strings")
     for fault, what in (
             (len(bounds) != len(block_ids) + 1 or bounds[0] != 0 or (np.diff(bounds) < 0).any()
              or not bounds[-1] == len(starts) == len(ends),

@@ -26,23 +26,28 @@ columns still need leave unchanged, so no column depends on its neighbours.
 
 ``build_graph`` checks each rule once over all records, names the least id
 breaking the first rule broken, and checks connectivity with this kernel.
+It and a graph index hit share one derivation of the dense arrays, ``_derived``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 
 HOURS = 24
+# The layout of the graph index file; an index of another version is rebuilt.
+GRAPH_INDEX_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -158,30 +163,39 @@ def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> Ro
 
     # A node that can be entered but not left would strand the search
     # simulator; the U-turn back edge must exist in the input.
-    n, blocks_at = len(node_ids), np.arange(len(block_ids))
-    out_count, (drive_via,) = _padded(block_from, n, blocks_at)
-    _reject((out_count == 0) & (np.bincount(block_to, minlength=n) > 0),
+    n = len(node_ids)
+    _reject((np.bincount(block_from, minlength=n) == 0) & (np.bincount(block_to, minlength=n) > 0),
             "node {!r} is a dead end for drivers (no outgoing block)", node_ids)
 
-    _, (walk_via, walk_nbr) = _padded(np.concatenate([block_from, block_to]), n,
-                                      np.concatenate([blocks_at, blocks_at]),
-                                      np.concatenate([block_to, block_from]))
+    g = _derived(node_map, edge_map, node_ids, block_ids, block_from, block_to, length_m,
+                 walk_s, drive_s.T.copy())
     dist = np.full((n, 1), math.inf)
     dist[node_position[nodes[0].id]] = 0.0
-    unreached = np.flatnonzero(_relax(dist, walk_nbr, np.zeros(walk_nbr.shape)) > 0)
+    unreached = np.flatnonzero(_relax(dist, g.walk_nbr, np.zeros(g.walk_nbr.shape)) > 0)
     if len(unreached):
         missing = [node_ids[j] for j in unreached[:5]]
         raise DataError(f"graph is not weakly connected; unreachable nodes include {missing}")
+    return g
 
+
+def _derived(nodes: dict[str, Intersection], edges: dict[str, BlockFace], node_ids: list[str],
+             block_ids: Sequence[str], block_from: np.ndarray, block_to: np.ndarray,
+             length_m: np.ndarray, walk_s: np.ndarray, drive_s: np.ndarray) -> RoadGraph:
+    """The graph of checked parts, from their columns in sorted id order."""
+    n, blocks_at = len(node_ids), np.arange(len(block_ids))
+    out_count, (drive_via,) = _padded(block_from, n, blocks_at)
+    _, (walk_via, walk_nbr) = _padded(np.concatenate([block_from, block_to]), n,
+                                      np.concatenate([blocks_at, blocks_at]),
+                                      np.concatenate([block_to, block_from]))
     out_degree = out_count[block_to]
     next_blocks = drive_via[:out_degree.max()].take(block_to, axis=1)
     return RoadGraph(
-        nodes=node_map, edges=edge_map,
-        block_ids=block_ids, position={block: i for i, block in enumerate(block_ids)},
-        node_position=node_position, block_from=block_from, block_to=block_to,
-        next_blocks=next_blocks,
+        nodes=nodes, edges=edges,
+        block_ids=tuple(block_ids), position={block: i for i, block in enumerate(block_ids)},
+        node_position={nid: j for j, nid in enumerate(node_ids)}, block_from=block_from,
+        block_to=block_to, next_blocks=next_blocks,
         next_valid=np.arange(len(next_blocks))[:, None] < out_degree,
-        out_degree=out_degree, drive_s=drive_s.T.copy(), walk_s=walk_s, length_m=length_m,
+        out_degree=out_degree, drive_s=drive_s, walk_s=walk_s, length_m=length_m,
         walk_nbr=walk_nbr, walk_via=walk_via, drive_via=drive_via)
 
 
@@ -208,17 +222,25 @@ def _padded(group: np.ndarray, n: int, *values: np.ndarray) -> tuple[np.ndarray,
     return count, [np.where(count > 0, value[at], np.arange(n)) for value in values]
 
 
-def load_graph(path: str | os.PathLike) -> RoadGraph:
+def load_graph(path: str | os.PathLike, index: str | os.PathLike | None = None) -> RoadGraph:
     """Load and validate a graph file (JSON with `nodes` and `edges`): ids
     and node references JSON strings, coordinates, lengths and times JSON
     numbers, ``drive_time_s`` a JSON array and ``meter_count`` an integer.
     Each field's kinds are checked as one column, field by field, so of
-    several faults the first faulty field is named, at its first record."""
+    several faults the first faulty field is named, at its first record.
+    An ``index`` holding the file bytes' sha256 and GRAPH_INDEX_VERSION gives
+    the graph with no parse or checks; any other is written anew after them."""
     try:
-        raw = json.loads(Path(path).read_text())
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read graph file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    if index is not None:
+        key = hashlib.sha256(data).hexdigest()
+        with contextlib.suppress(DataError, ValueError, TypeError, IndexError):
+            return _read_graph_index(index, key)
+    try:
+        raw = json.loads(data)
+    except ValueError as exc:
         raise DataError(f"malformed graph file {path}: {exc}") from exc
     if not isinstance(raw, dict) or "nodes" not in raw or "edges" not in raw:
         raise DataError(f"graph file {path} must be an object with 'nodes' and 'edges'")
@@ -233,11 +255,38 @@ def load_graph(path: str | os.PathLike) -> RoadGraph:
         drives = _field(edges, "drive_time_s", list)
         _json_column([t for times in drives for t in times], float, "drive time")
         edges = map(BlockFace, *columns, [tuple(map(float, times)) for times in drives])
-        return build_graph(nodes, edges)
+        g = build_graph(nodes, edges)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed graph record in {path}: {exc}") from exc
     except DataError as exc:
         raise DataError(f"graph file {path}: {exc}") from exc
+    if index is not None:
+        nodes = [(n.id, n.lat, n.lon) for n in map(g.nodes.get, g.node_position)]
+        _write_index(index, {
+            "format_version": np.array(GRAPH_INDEX_VERSION, np.int64),
+            "graph_sha256": np.array(key),
+            "labels": [nodes, g.block_ids, [g.edges[b].meter_count for b in g.block_ids]],
+            "ends": np.stack([g.block_from, g.block_to]),
+            "times": np.vstack([g.length_m, g.walk_s, g.drive_s])})
+    return g
+
+
+def _read_graph_index(path: str | os.PathLike, key: str) -> RoadGraph:
+    """The graph of the index at ``path`` if it holds ``key`` in this version;
+    else a DataError, or another error if its columns do not fit together."""
+    with _read_index(path, "graph index") as member:
+        if (int(member("format_version", 0, np.int64)), str(member("graph_sha256", 0))) != (
+                GRAPH_INDEX_VERSION, key):
+            raise DataError(f"graph index {path} is of another graph or version")
+        nodes, block_ids, meters = member("labels", 1, np.uint8)
+        (block_from, block_to), times = member("ends", 2, np.int64), member("times", 2, np.float64)
+    (node_ids, lat, lon), length_m, walk_s, drive_s = zip(*nodes), times[0], times[1], times[2:]
+    froms, tos = ([node_ids[j] for j in ends] for ends in (block_from.tolist(), block_to.tolist()))
+    edges = map(BlockFace, block_ids, froms, tos, length_m.tolist(), meters, walk_s.tolist(),
+                map(tuple, drive_s.T.tolist()))
+    return _derived(dict(zip(node_ids, map(Intersection, node_ids, lat, lon))),
+                    dict(zip(block_ids, edges)), node_ids, block_ids, block_from, block_to,
+                    length_m, walk_s, drive_s)
 
 
 def save_graph(g: RoadGraph, path: str | os.PathLike) -> None:
@@ -245,18 +294,10 @@ def save_graph(g: RoadGraph, path: str | os.PathLike) -> None:
     payload = {
         "nodes": [{"id": n.id, "lat": n.lat, "lon": n.lon}
                   for n in sorted(g.nodes.values(), key=lambda n: n.id)],
-        "edges": [
-            {
-                "id": e.id,
-                "from": e.from_node,
-                "to": e.to_node,
-                "length_m": e.length_m,
-                "meter_count": e.meter_count,
-                "walk_time_s": e.walk_time_s,
-                "drive_time_s": list(e.drive_time_s),
-            }
-            for e in sorted(g.edges.values(), key=lambda e: e.id)
-        ],
+        "edges": [{"id": e.id, "from": e.from_node, "to": e.to_node, "length_m": e.length_m,
+                   "meter_count": e.meter_count, "walk_time_s": e.walk_time_s,
+                   "drive_time_s": list(e.drive_time_s)}
+                  for e in sorted(g.edges.values(), key=lambda e: e.id)],
     }
     _atomic_write(path, json.dumps(payload, sort_keys=True))
 
@@ -284,22 +325,63 @@ def _field(records: Iterable[dict], key: str, kind: type, what: str | None = Non
 
 def _atomic_write(path: str | os.PathLike, content: str | Callable[[BinaryIO], None]) -> None:
     """Write ``content``, a text or a function that writes a binary file it
-    is given, beside ``path``, creating its directory, then rename the file
-    over ``path``, so no reader sees half a file. Every file the package
-    writes comes here; a path that cannot be written is a ConfigError."""
-    tmp = Path(str(path) + ".tmp")
+    is given, into a new file beside ``path``, creating its directory, then
+    rename it over ``path``: no reader sees half a file, even of racing
+    writers. Every file the package writes comes here; a path that cannot
+    be written is a ConfigError."""
+    tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
     try:
         tmp.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(content, str):
-            tmp.write_text(content)
-        else:
-            with open(tmp, "wb") as fh:
-                content(fh)
+        with open(tmp, "x" if isinstance(content, str) else "xb") as fh:
+            fh.write(content) if isinstance(content, str) else content(fh)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_index(path: str | os.PathLike, arrays: dict[str, np.ndarray | list]) -> None:
+    """Write ``arrays`` straight into an uncompressed ``.npz`` archive whose
+    members have one fixed time, so the file depends on the arrays alone. A
+    list is stored as its JSON text in uint8, since str arrays drop trailing
+    NULs."""
+    def write(fh) -> None:
+        with zipfile.ZipFile(fh, "w") as archive:
+            for name, array in arrays.items():
+                if isinstance(array, list):
+                    array = np.frombuffer(json.dumps(array).encode(), np.uint8)
+                info = zipfile.ZipInfo(f"{name}.npy", (1980, 1, 1, 0, 0, 0))
+                with archive.open(info, "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, array, allow_pickle=False)
+
+    _atomic_write(path, write)
+
+
+@contextlib.contextmanager
+def _read_index(path: str | os.PathLike, what: str) -> Iterator[Callable[..., np.ndarray]]:
+    """Yield ``member(name, ndim, dtype)`` of the ``.npz`` archive at ``path``,
+    a ``what``: its array ``name``, unpickling nothing, and a uint8 one
+    decoded as JSON. An archive that cannot be read, or an array not
+    ``ndim``-d and of ``dtype`` (str if None), is a DataError."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise DataError(f"{what} {path} is not an .npz archive")
+
+    def member(name: str, ndim: int, dtype: type | None = None) -> np.ndarray:
+        try:
+            array = np.asarray(npz[name])  # a member that is no .npy is bytes
+            if array.ndim != ndim or (array.dtype != dtype if dtype else array.dtype.kind != "U"):
+                raise ValueError(f"a {array.ndim}-d {array.dtype} array")
+            return json.loads(array.tobytes()) if dtype is np.uint8 else array
+        except (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise DataError(f"malformed {what} {path}: {name}: {exc}") from exc
+
+    with npz:
+        yield member
 
 
 def _check_hour(hour: int) -> int:

@@ -12,7 +12,9 @@ import math
 import random
 import shutil
 import string
+import sys
 import tempfile
+import zipfile
 from datetime import datetime
 from pathlib import Path
 
@@ -79,8 +81,8 @@ class TestPipeline:
     def test_exit_code_and_files(self, run):
         assert run["code"] == 0
         geojson = {f"diff_h{hour:02d}.geojson" for hour in HOURS}
-        expected = {"samples.csv", "rates.csv", "ingest.json", "sessions.npz", "model.json",
-                    "train_report.json", *PER_CELL_FILES, *geojson}
+        expected = {"samples.csv", "rates.csv", "ingest.json", "sessions.npz", "graph.npz",
+                    "model.json", "train_report.json", *PER_CELL_FILES, *geojson}
         assert {p.name for p in run["out"].iterdir()} == expected
 
     def test_one_row_per_block_and_hour(self, run):
@@ -1108,6 +1110,16 @@ def test_malformed_session_index_with_matching_key_is_a_data_error(copied, capsy
     assert not UNPICKLED
 
 
+def test_session_index_member_that_is_no_npy_is_a_data_error(copied, capsys):
+    # numpy gives such a member as bytes, not as an array
+    with zipfile.ZipFile(copied / "out" / "sessions.npz", "w") as archive:
+        archive.writestr("format_version.npy", b"")
+    assert main(["predict", "--config", str(write_config(copied / "config.json", "city"))]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "malformed session index" in err and "format_version" in err
+
+
 def test_rate_for_unknown_lot_is_a_data_error(copied, capsys):
     def relabel(rows):
         for row in rows:
@@ -1405,9 +1417,11 @@ def test_unusable_output_path_is_a_config_error(copied, capsys, stage, block):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SECONDS = st.floats(min_value=0.0, allow_infinity=False)
 CELL_VALUES = {"p_available": st.floats(0.0, 1.0), "n_samples": st.integers(0, 2**40),
                "arrivals": st.integers(0, 2**40), "overflow": st.integers(0, 2**40),
-               "lot_id": st.text(string.ascii_letters + string.digits + ' ,"_', max_size=6)}
+               "lot_id": st.text(string.ascii_letters + string.digits + ' ,"_', max_size=6),
+               "censored_fraction": st.floats(0.0, 1.0), "delta_s": FINITE}
 
 
 @settings(max_examples=60)
@@ -1420,7 +1434,7 @@ def test_written_cells_read_back_exactly(data):
                                      unique=True)))
     read_hours = tuple(data.draw(st.permutations(hours)))
     shape = len(hours), len(g.block_ids)
-    arrays = {name: np.array(data.draw(st.lists(CELL_VALUES.get(name, FINITE),
+    arrays = {name: np.array(data.draw(st.lists(CELL_VALUES.get(name, SECONDS),
                                                 min_size=math.prod(shape),
                                                 max_size=math.prod(shape)))).reshape(shape)
               for name in columns[2:]}
@@ -1438,3 +1452,132 @@ def test_written_cells_read_back_exactly(data):
             expected = written[row_of].astype(float)
             # bit for bit: -0.0 stays negative, every float keeps its last bit
             assert np.array_equal(back.view(np.int64), expected.view(np.int64)), name
+
+
+def set_first_cells(root, edits):
+    """Set, for each (file, column, value) of ``edits``, that column of the
+    first row of that stage output to that value."""
+    for name, column, value in edits:
+        edit_csv(root / "out" / name,
+                 lambda rows: rows[1].__setitem__(rows[0].index(column), value))
+
+
+@pytest.mark.parametrize("edits,where", [
+    ([("onstreet.csv", "mean_onstreet_s", "-5")],
+     "onstreet.csv, line 2: expected a finite time >= 0 s, got '-5'"),
+    ([("onstreet.csv", "mean_onstreet_s", "1.7e308"),
+      ("offstreet.csv", "mean_offstreet_s", "-1.7e308")],
+     "offstreet.csv, line 2: expected a finite time >= 0 s, got '-1.7e308'"),
+    ([("offstreet.csv", "walk_s", "-0.5")],
+     "offstreet.csv, line 2: expected a finite time >= 0 s, got '-0.5'"),
+    ([("onstreet.csv", "censored_fraction", "1.5")],
+     "onstreet.csv, line 2: expected a fraction in [0, 1], got '1.5'"),
+], ids=["negative_onstreet", "opposite_extremes", "negative_walk", "censored_above_1"])
+def test_negative_time_or_fraction_above_1_read_by_diff_is_a_data_error(copied, capsys, edits,
+                                                                         where):
+    set_first_cells(copied, edits)
+    code, err = run_stage(copied, "onstreet.csv", capsys)
+    assert code == 3
+    assert_one_line(err)
+    assert where in err
+
+
+def test_largest_onstreet_time_against_zero_gives_finite_outputs(copied, capsys):
+    set_first_cells(copied, [("onstreet.csv", "mean_onstreet_s", "1.7e308"),
+                             ("offstreet.csv", "mean_offstreet_s", "0")])
+    code, err = run_stage(copied, "onstreet.csv", capsys)
+    assert code == 0, err
+    first = read_rows(copied / "out" / "diff.csv")[0]
+    assert float(first["delta_s"]) == -1.7e308
+    for path in copied.glob("out/diff_h*.geojson"):
+        json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(name))
+
+
+OUTPUT_GLOBS = ("*.csv", "*.geojson", "*.json")
+
+
+def outputs(out):
+    return {p.name: p.read_bytes() for pattern in OUTPUT_GLOBS for p in out.glob(pattern)}
+
+
+def test_edited_graph_gives_the_outputs_of_a_fresh_run(run, copied):
+    # copied/out holds the graph index of the graph before the edit
+    def slower_at_8(graph):
+        graph["edges"][0]["drive_time_s"][8] *= 1.5
+
+    index = copied / "out" / "graph.npz"
+    before = index.read_bytes()
+    edit_graph(slower_at_8)(copied / "city")
+    config = write_config(copied / "config.json", "city")
+    assert main(["pipeline", "--config", str(config)]) == 0
+    assert main(["pipeline", "--config", str(config), "--out", str(copied / "fresh")]) == 0
+    assert outputs(copied / "out") == outputs(copied / "fresh")
+    assert outputs(copied / "out")["offstreet.csv"] != outputs(run["out"])["offstreet.csv"]
+    assert index.read_bytes() != before
+    assert index.read_bytes() == (copied / "fresh" / "graph.npz").read_bytes()
+
+
+def damage_graph_index(index, damage):
+    if damage == "truncated":
+        index.write_bytes(index.read_bytes()[:index.stat().st_size // 2])
+    elif damage == "garbage":
+        index.write_bytes(b"PK garbage")
+    else:
+        with np.load(index) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        if damage == "other_version":
+            arrays["format_version"] = arrays["format_version"] + 1
+        else:
+            arrays["graph_sha256"] = np.array("0" * 64)
+        np.savez(index, **arrays)
+
+
+@pytest.mark.parametrize("stage,name", [("predict", "availability.csv"),
+                                        ("sim-off", "offstreet.csv")])
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "other_version", "other_key"])
+def test_unusable_graph_index_is_rebuilt(copied, capsys, stage, name, damage):
+    index = copied / "out" / "graph.npz"
+    made_by_pipeline, good = (copied / "out" / name).read_bytes(), index.read_bytes()
+    damage_graph_index(index, damage)
+    assert main([stage, "--config", str(write_config(copied / "config.json", "city"))]) == 0
+    assert capsys.readouterr().err == ""
+    assert (copied / "out" / name).read_bytes() == made_by_pipeline
+    assert index.read_bytes() == good
+
+
+def test_invalid_graph_beside_an_index_of_a_valid_one_is_a_data_error(copied, capsys):
+    set_first_edge(length_m=0)(copied / "city")
+    block = json.loads((copied / "city" / "graph.json").read_text())["edges"][0]["id"]
+    assert main(["predict", "--config", str(write_config(copied / "config.json", "city"))]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert f"graph.json: edge {block!r} has nonpositive length" in err
+
+
+def test_graph_that_is_no_utf8_is_a_data_error(copied, capsys):
+    graph = copied / "city" / "graph.json"
+    graph.write_bytes(graph.read_bytes().replace(b'"id": "', b'"id": "\xff', 1))
+    assert main(["ingest", "--config", str(write_config(copied / "config.json", "city"))]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "malformed graph file" in err and "graph.json" in err
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="csv reads NUL from Python 3.11 on")
+def test_nul_ended_block_id_goes_through_the_pipeline(copied):
+    block = read_rows(copied / "city" / "payments.csv")[0]["block_id"]
+
+    def rename(rows):
+        for row in rows:
+            row[:] = [block + "\x00" if cell == block else cell for cell in row]
+
+    def rename_edge(graph):
+        next(edge for edge in graph["edges"] if edge["id"] == block)["id"] += "\x00"
+
+    for name in ("payments.csv", "surveys.csv"):
+        edit_csv(copied / "city" / name, rename)
+    edit_graph(rename_edge)(copied / "city")
+    config = write_config(copied / "config.json", "city")
+    assert main(["pipeline", "--config", str(config)]) == 0
+    rows = read_rows(copied / "out" / "availability.csv")
+    assert block + "\x00" in {row["block_id"] for row in rows}

@@ -35,14 +35,16 @@ from parksim.data_ingest import (
     read_payments,
     read_rates_csv,
     read_samples_csv,
+    read_session_index,
     read_surveys,
     smooth_departures,
     write_rates_csv,
     write_samples_csv,
+    write_session_index,
     write_table,
 )
 from parksim.errors import DataError
-from parksim.occupancy_model import build_dataset, micros
+from parksim.occupancy_model import build_dataset, micros, session_arrays
 from parksim.road_graph import load_graph
 from parksim.synth import BUNDLE_FILES, METERS_PER_BLOCK, SynthConfig, synth_generate
 
@@ -535,6 +537,18 @@ def write_payment_rows(path, rows):
 def session_ends(path):
     """Each session's end in a one-block payments file, in microseconds."""
     return block_sessions(read_payments(path), "b")[1].tolist()
+
+
+def test_session_index_keeps_nul_ended_block_ids(tmp_path):
+    # numpy str arrays drop trailing NULs, which would make these one block
+    block_ids = ["b\x00", "b", "\x00", "c\x00\x00"]
+    sessions = session_arrays(block_ids, np.array([0, 1, 2, 3, 3]), np.arange(5) * 10,
+                              np.arange(5) * 10 + 5)
+    write_session_index(sessions, "k" * 64, tmp_path / "sessions.npz")
+    back = read_session_index(tmp_path / "sessions.npz", "k" * 64)
+    assert back.block_ids == tuple(block_ids)
+    for name in ("bounds", "starts", "ends"):
+        assert np.array_equal(getattr(back, name), getattr(sessions, name)), name
 
 
 class TestReadPayments:

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
-from parksim.errors import DataError
+from parksim import road_graph
+from parksim.errors import ConfigError, DataError
 from parksim.road_graph import (
+    GRAPH_INDEX_VERSION,
     BlockFace,
     Intersection,
+    RoadGraph,
+    _atomic_write,
     block_distances_to_block,
     build_graph,
     drive_tables_to_nodes,
@@ -26,6 +32,7 @@ from parksim.road_graph import (
     walk_times_from_node,
     walk_times_to_block,
 )
+from parksim.synth import SynthConfig, _grid_faces
 
 from conftest import grid_graph, line_graph, make_edge, random_graph, ring_graph
 from oracles import (brute_distance_m, brute_drive_time_to_node, brute_walk_time,
@@ -440,3 +447,138 @@ class TestTablesToBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < (k + 4) * nodes * dests.size * 8
+
+
+def assert_same_graph(got: RoadGraph, want: RoadGraph):
+    """Every field equal: values, and for arrays also dtype, shape and layout."""
+    for f in dataclasses.fields(RoadGraph):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.flags.c_contiguous, a.flags.f_contiguous) == (
+                b.dtype, b.shape, b.flags.c_contiguous, b.flags.f_contiguous), f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+    for a, b in ((got.nodes, want.nodes), (got.edges, want.edges)):
+        for key, value in b.items():
+            assert [type(x) for x in vars(a[key]).values()] == [
+                type(x) for x in vars(value).values()], key
+
+
+def no_parse(*args):
+    raise AssertionError("the graph file was parsed beside a matching index")
+
+
+def load_miss_then_hit(path, index, monkeypatch):
+    """The graph loaded with no index, then beside a missing index, which
+    writes it, then beside that index, which must not parse the file; all
+    three must be the same."""
+    parsed = load_graph(path)
+    if index.exists():
+        index.unlink()
+    missed = load_graph(path, index)
+    assert index.exists()
+    with monkeypatch.context() as patch:
+        patch.setattr(road_graph, "build_graph", no_parse)
+        patch.setattr(road_graph, "_field", no_parse)
+        hit = load_graph(path, index)
+    assert_same_graph(missed, parsed)
+    assert_same_graph(hit, parsed)
+    return hit
+
+
+# The seed-7 graphs of the benchmark workloads city6-8h, city10-3h and peak-lots.
+WORKLOAD_SYNTH = {"city6-8h": SynthConfig(), "city10-3h": SynthConfig(grid_n=10, days=7),
+                  "peak-lots": SynthConfig(grid_n=6, demand_scale=3.0, lot_capacity=120,
+                                           lot_nodes=("n1_1", "n1_4", "n4_1", "n4_4"))}
+
+
+class TestGraphIndex:
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SYNTH))
+    def test_hit_equals_parse_on_workload_graphs(self, tmp_path, monkeypatch, workload):
+        nodes, faces, _ = _grid_faces(WORKLOAD_SYNTH[workload], np.random.default_rng(7))
+        save_graph(build_graph(nodes, faces), tmp_path / "graph.json")
+        load_miss_then_hit(tmp_path / "graph.json", tmp_path / "graph.npz", monkeypatch)
+
+    def test_hit_equals_parse_on_random_graphs(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            g = random_graph(rng, n_nodes=int(rng.integers(2, 9)), fractional=trial % 2 == 1)
+            save_graph(g, tmp_path / "graph.json")
+            hit = load_miss_then_hit(tmp_path / "graph.json", tmp_path / "graph.npz", monkeypatch)
+            assert hit == g
+
+    def test_meter_count_beyond_int64_survives_miss_and_hit(self, tmp_path, monkeypatch):
+        payload = graph_file_payload()
+        payload["edges"][0]["meter_count"] = 10**30
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        hit = load_miss_then_hit(path, tmp_path / "g.npz", monkeypatch)
+        assert hit.edges["e0f"].meter_count == 10**30
+
+    def test_nul_ended_ids_survive_miss_and_hit(self, tmp_path, monkeypatch):
+        payload = graph_file_payload()
+        for node in payload["nodes"]:
+            node["id"] += "\x00"
+        for edge in payload["edges"]:
+            edge["from"] += "\x00"
+            edge["to"] += "\x00"
+        payload["edges"][0]["id"] = "e0f\x00"
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        hit = load_miss_then_hit(path, tmp_path / "g.npz", monkeypatch)
+        assert set(hit.nodes) == {"a\x00", "b\x00", "c\x00", "d\x00"}
+        assert hit.block_ids[0] == "e0f\x00"
+        assert hit.edges["e0f\x00"].from_node == "a\x00"
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "member_not_npy",
+                                        "other_version", "other_key"])
+    def test_unusable_index_is_rebuilt(self, tmp_path, monkeypatch, damage):
+        path, index = tmp_path / "g.json", tmp_path / "g.npz"
+        path.write_text(json.dumps(graph_file_payload()))
+        load_graph(path, index)
+        good = index.read_bytes()
+        if damage == "truncated":
+            index.write_bytes(good[:len(good) // 2])
+        elif damage == "garbage":
+            index.write_bytes(b"not an index")
+        elif damage == "member_not_npy":
+            with zipfile.ZipFile(index, "w") as archive:
+                archive.writestr("format_version.npy", b"")
+        elif damage == "other_key":
+            other = graph_file_payload()
+            other["edges"][0]["walk_time_s"] = 71.0
+            (tmp_path / "other.json").write_text(json.dumps(other))
+            load_graph(tmp_path / "other.json", index)
+        else:
+            monkeypatch.setattr(road_graph, "GRAPH_INDEX_VERSION", GRAPH_INDEX_VERSION + 1)
+        assert_same_graph(load_graph(path, index), load_graph(path))
+        if damage == "other_version":
+            with np.load(index) as npz:
+                assert npz["format_version"] == GRAPH_INDEX_VERSION + 1
+        else:
+            assert index.read_bytes() == good
+
+    def test_unwritable_index_is_a_config_error(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_file_payload()))
+        (tmp_path / "g.npz").mkdir()
+        with pytest.raises(ConfigError, match="cannot write .*g.npz"):
+            load_graph(path, tmp_path / "g.npz")
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestAtomicWrite:
+    def test_writers_of_one_path_do_not_share_a_file(self, tmp_path):
+        # the inner writer renames its file over the path while the outer
+        # one still writes; each needs a file of its own
+        path = tmp_path / "out.bin"
+
+        def outer(fh):
+            fh.write(b"outer ")
+            _atomic_write(path, "inner")
+            fh.write(b"done")
+
+        _atomic_write(path, outer)
+        assert path.read_bytes() == b"outer done"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
