@@ -21,9 +21,10 @@ lot's entries and departures and averages them into the hourly Poisson
 rates of ``rates.csv``, a row for every (day of week, hour) of every lot,
 which sim-off samples. Eval exits 2 (run train first) unless the train
 report holds its train config and the sha256 of ``samples.csv``. The
-graph's ids, coordinates, block ends, meter counts, lengths and times, once
-checked, are cached in ``graph.npz`` under the sha256 of the graph bytes; a
-stage that finds no such cache there parses the graph and writes it.
+graph's columns, once checked, are cached in ``graph.npz`` (layout version
+2) under the sha256 of the graph bytes: node ids and coordinates, block
+ids, ends, meter counts, lengths and times. A stage that finds no such
+cache there, or one of another version, parses the graph and writes it.
 
 The per-cell files ``availability.csv``, ``onstreet.csv``,
 ``offstreet.csv`` and ``diff.csv`` hold one row per (block, hour) of the
@@ -257,7 +258,7 @@ def _read_known_lots(cfg: RunConfig, g: RoadGraph, path: Path, ids) -> list[LotS
     """The lots file's lots: at nodes of ``g``, and the lots ``ids`` of ``path``."""
     lots_path = _require(cfg.lots, "lots")
     lots = read_lots(lots_path)
-    _check_known(lots_path, "nodes", (lot.node for lot in lots), g.nodes)
+    _check_known(lots_path, "nodes", (lot.node for lot in lots), g.node_position)
     _check_known(path, "lots", ids, (lot.id for lot in lots))
     no_rows = sorted({lot.id for lot in lots} - set(ids))
     if no_rows:
@@ -293,12 +294,12 @@ def stage_ingest(cfg: RunConfig) -> None:
     g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
     surveys_path = _require(cfg.surveys, "surveys")
     block_ids, times, free = read_surveys(surveys_path)
-    _check_known(surveys_path, "blocks", block_ids, g.edges)
+    _check_known(surveys_path, "blocks", block_ids, g.position)
     samples, discarded = combine_surveys(block_ids, times, free)
     payments_path = _require(cfg.payments, "payments")
     payments_sha256 = file_sha256(payments_path)
     sessions = read_payments(payments_path)
-    _check_known(payments_path, "blocks", sessions.block_ids, g.edges)
+    _check_known(payments_path, "blocks", sessions.block_ids, g.position)
     features, _ = build_dataset(samples, sessions, g)
 
     flows = read_lot_events(_require(cfg.lot_events, "lot_events"))
@@ -360,7 +361,7 @@ def stage_predict(cfg: RunConfig) -> None:
     model = load_model(_stage_file(cfg, MODEL_FILE, "train"))
     index = _stage_file(cfg, SESSION_INDEX_FILE, "ingest")
     sessions = read_session_index(index, file_sha256(_require(cfg.payments, "payments")))
-    _check_known(index, "blocks", sessions.block_ids, g.edges)
+    _check_known(index, "blocks", sessions.block_ids, g.position)
     p = predict_block_probabilities(model, sessions, g, cfg.hours, cfg.predict_date)
     _write_cells(cfg.out_dir / AVAILABILITY_FILE, AVAILABILITY_COLUMNS, g, cfg.hours, p)
 
@@ -446,20 +447,16 @@ def stage_diff(cfg: RunConfig) -> None:
                    (ONSTREET_FILE, "sim-on", ONSTREET_COLUMNS, "mean_onstreet_s"),
                    (OFFSTREET_FILE, "sim-off", OFFSTREET_COLUMNS, "mean_offstreet_s")))
     delta = off - on
+    lon, lat = g.lon.tolist(), g.lat.tolist()
+    lines = [{"type": "LineString", "coordinates": [[lon[a], lat[a]], [lon[b], lat[b]]]}
+             for a, b in zip(g.block_from.tolist(), g.block_to.tolist())]
 
     for i, hour in enumerate(cfg.hours):
-        features = []
-        for block_id, t_on, t_off, delta_s in zip(g.block_ids, on[i].tolist(),
-                                                  off[i].tolist(), delta[i].tolist()):
-            e = g.edges[block_id]
-            a, b = g.nodes[e.from_node], g.nodes[e.to_node]
-            features.append({
-                "type": "Feature",
-                "geometry": {"type": "LineString",
-                             "coordinates": [[a.lon, a.lat], [b.lon, b.lat]]},
-                "properties": {"block_id": block_id, "hour": hour, "t_on_s": t_on,
-                               "t_off_s": t_off, "delta_s": delta_s},
-            })
+        features = [{"type": "Feature", "geometry": line,
+                     "properties": {"block_id": block_id, "hour": hour, "t_on_s": t_on,
+                                    "t_off_s": t_off, "delta_s": delta_s}}
+                    for block_id, line, t_on, t_off, delta_s in zip(
+                        g.block_ids, lines, on[i].tolist(), off[i].tolist(), delta[i].tolist())]
         collection = {"type": "FeatureCollection", "features": features}
         _atomic_write(cfg.out_dir / f"diff_h{hour:02d}.geojson",
                       json.dumps(collection, sort_keys=True))

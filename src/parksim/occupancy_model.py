@@ -4,14 +4,15 @@ One ``Network`` type holds a list of affine layers with ReLU between them
 and a 2-way softmax output. The availability model is NETWORK_DIMS (4
 inputs, two hidden layers of 30 units); the baseline is BASELINE_DIMS,
 logistic regression on the same features, which is the same network with
-no hidden layer. Both share one forward pass, one gradient, one
-initialization and one model file format. Training runs repeated random
-train/validation splits of survey-derived availability labels and reports
-validation cross-entropy and accuracy; the baseline is trained under the
-identical protocol. The splits advance together as one stacked network:
-every weight and bias gains a leading split axis, and each SGD step runs
-``gradient``'s kernel once over every split's batch. Each split draws from
-its own generator, so its result does not depend on the other splits.
+no hidden layer. Both share one forward pass, one gradient and one
+initialization; only the network is ever saved, as the model file.
+Training runs repeated random train/validation splits of survey-derived
+availability labels and reports validation cross-entropy and accuracy; the
+baseline is trained under the identical protocol. The splits advance
+together as one stacked network: every weight and bias gains a leading
+split axis, and each SGD step runs ``gradient``'s kernel once over every
+split's batch. Each split draws from its own generator, so its result does
+not depend on the other splits.
 
 Payments enter as one ``SessionIndex``: the int64 microsecond instants
 (naive, from 1970-01-01) at which paid sessions start and at which they
@@ -64,8 +65,8 @@ _MICROSECOND = timedelta(microseconds=1)
 HOUR_US = timedelta(hours=1) // _MICROSECOND
 _WINDOW_US = 3 * HOUR_US  # popularity window
 MODEL_FORMAT_VERSION = 1
-# model file "kind" -> layer widths
-MODEL_KINDS = {"mlp": NETWORK_DIMS, "logistic": BASELINE_DIMS}
+# the model file's one "kind": a network of NETWORK_DIMS
+MODEL_KIND = "mlp"
 
 
 class Samples(NamedTuple):
@@ -399,7 +400,7 @@ def predict_block_probabilities(model, sessions: SessionIndex, g: RoadGraph,
     """
     day = micros(datetime.combine(on_date, time()))
     times = [day + _check_hour(hour) * HOUR_US + HOUR_US // 2 for hour in hours]
-    metered = np.flatnonzero([g.edges[b].meter_count for b in g.block_ids])
+    metered = np.flatnonzero(g.meter_count)
     X = feature_matrix(sessions, g, [g.block_ids[j] for j in metered] * len(hours),
                        np.repeat(np.array(times, dtype=np.int64), metered.size))
     if not np.isfinite(X).all():
@@ -415,24 +416,17 @@ def predict_block_probabilities(model, sessions: SessionIndex, g: RoadGraph,
 
 # -- model persistence ------------------------------------------------------------
 
-def _param_names(kind: str) -> list[tuple[str, str]]:
-    """Model-file names of each layer's (W, b): w1, b1, w2, ... for a
-    network with hidden layers, w and b for the baseline."""
-    n_layers = len(MODEL_KINDS[kind]) - 1
-    if n_layers == 1:
-        return [("w", "b")]
-    return [(f"w{i}", f"b{i}") for i in range(1, n_layers + 1)]
-
-
 def save_model(model: Network, path: str | os.PathLike) -> None:
-    """Write model weights as JSON (row-major arrays plus feature norm)."""
-    kind = {dims: kind for kind, dims in MODEL_KINDS.items()}[model.dims]
+    """Write the availability network as JSON: row-major weights w1, b1, ...
+    w3, b3 and the feature norm. Another network is a DataError."""
+    if model.dims != NETWORK_DIMS:
+        raise DataError(f"only a network of widths {NETWORK_DIMS} is saved, not {model.dims}")
     params = {}
-    for names, layer in zip(_param_names(kind), model.layers):
-        params.update(zip(names, layer))
+    for i, layer in enumerate(model.layers, start=1):
+        params.update(zip((f"w{i}", f"b{i}"), layer))
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
-        "kind": kind,
+        "kind": MODEL_KIND,
         "shapes": {name: list(a.shape) for name, a in params.items()},
         "weights": {name: a.reshape(-1).tolist() for name, a in params.items()},
         "feature_norm": {"mean": model.feature_mean.tolist(),
@@ -444,7 +438,7 @@ def save_model(model: Network, path: str | os.PathLike) -> None:
 def load_model(path: str | os.PathLike) -> Network:
     """Read a model file written by save_model.
 
-    A file that is not a well-formed model of a known kind raises
+    A file that is not a well-formed model of MODEL_KIND raises
     DataError; non-finite values raise NumericError.
     """
     try:
@@ -455,10 +449,8 @@ def load_model(path: str | os.PathLike) -> Network:
         raise DataError(f"model file {path} is not a JSON object")
     if raw.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {raw.get('format_version')!r}")
-    kind = raw.get("kind")
-    if not isinstance(kind, str) or kind not in MODEL_KINDS:
-        raise DataError(f"unknown model kind {kind!r}")
-    dims = MODEL_KINDS[kind]
+    if raw.get("kind") != MODEL_KIND:
+        raise DataError(f"unknown model kind {raw.get('kind')!r}")
 
     def arr(values, shape: tuple[int, ...], what: str) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -477,9 +469,8 @@ def load_model(path: str | os.PathLike) -> Network:
         norm = raw["feature_norm"]
         mean = arr(norm["mean"], (N_FEATURES,), "feature mean")
         std = arr(norm["std"], (N_FEATURES,), "feature std")
-        layers = [(param(w_name, (fan_in, fan_out)), param(b_name, (fan_out,)))
-                  for (w_name, b_name), fan_in, fan_out
-                  in zip(_param_names(kind), dims[:-1], dims[1:])]
+        layers = [(param(f"w{i}", shape), param(f"b{i}", shape[1:]))
+                  for i, shape in enumerate(zip(NETWORK_DIMS, NETWORK_DIMS[1:]), start=1)]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model file {path}: {exc!r}") from exc
     if not np.all(std > 0):

@@ -24,9 +24,12 @@ a sum, so both converge to the least such fold over all paths, bit for
 bit. A converged column is a fixed point that the iterations other
 columns still need leave unchanged, so no column depends on its neighbours.
 
-``build_graph`` checks each rule once over all records, names the least id
-breaking the first rule broken, and checks connectivity with this kernel.
-It and a graph index hit share one derivation of the dense arrays, ``_derived``.
+A ``RoadGraph`` is its columns: node ids and coordinates, block ids, ends,
+meter counts, lengths and times, and the adjacency derived from the ends.
+``Intersection`` and ``BlockFace`` records are only ``build_graph``'s input:
+it checks each rule once over all records, names the least id breaking the
+first rule broken, and checks connectivity with this kernel. It and a graph
+index hit share one derivation of the adjacency, ``_derived``.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ import contextlib
 import hashlib
 import json
 import math
+import operator
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -47,7 +51,7 @@ from .errors import ConfigError, DataError
 
 HOURS = 24
 # The layout of the graph index file; an index of another version is rebuilt.
-GRAPH_INDEX_VERSION = 1
+GRAPH_INDEX_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -70,51 +74,46 @@ class BlockFace:
     drive_time_s: tuple[float, ...]  # exactly 24 entries, one per hour
 
 
-def _derived():
-    return field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RoadGraph:
-    """Validated, immutable road network.
+    """Validated, immutable road network, held as columns only. Nodes are
+    numbered in ``node_ids`` order and blocks in ``block_ids`` order, both
+    ids sorted; ``node_position`` and ``position`` invert them.
 
-    The fields after ``edges`` are dense integer views that ``build_graph``
-    derives and that stay out of ``==`` and ``repr``. Blocks are numbered
-    in ``block_ids`` order and nodes in sorted id order (``node_position``).
-
-    - ``next_blocks[:, i]`` holds the out-blocks at block ``i``'s to-node in
-      id order, padded by repeating the first; ``next_valid`` masks the
-      padding and ``out_degree`` counts the real ones. Candidates run along
-      axis 0, which numpy reduces several times faster than a short axis 1.
-    - ``drive_s[hour, i]``, ``walk_s[i]`` and ``length_m[i]`` weigh block ``i``.
+    - Node ``j`` lies at ``lat[j]``, ``lon[j]``. Block ``i`` runs from node
+      ``block_from[i]`` to node ``block_to[i]``, has ``meter_count[i]``
+      meters, a Python int of any size, and weighs ``drive_s[hour, i]``,
+      ``walk_s[i]`` and ``length_m[i]``.
+    - The fields after ``drive_s`` are the adjacency that ``_derived``
+      builds from the block ends. ``next_blocks[:, i]`` holds the out-blocks
+      at block ``i``'s to-node in id order, padded by repeating the first;
+      ``next_valid`` masks the padding and ``out_degree`` counts the real
+      ones. Candidates run along axis 0, which numpy reduces several times
+      faster than a short axis 1.
     - Node ``walk_nbr[k, v]`` reaches node ``v`` on foot along block
       ``walk_via[k, v]``, and in the reversed drive graph the to-node of
       ``v``'s out-block ``drive_via[k, v]`` reaches ``v``. Padding repeats
       the first entry, which leaves a minimum unchanged.
     """
 
-    nodes: dict[str, Intersection]
-    edges: dict[str, BlockFace]
-    block_ids: tuple[str, ...] = _derived()
-    position: dict[str, int] = _derived()
-    node_position: dict[str, int] = _derived()
-    block_from: np.ndarray = _derived()
-    block_to: np.ndarray = _derived()
-    next_blocks: np.ndarray = _derived()
-    next_valid: np.ndarray = _derived()
-    out_degree: np.ndarray = _derived()
-    drive_s: np.ndarray = _derived()
-    walk_s: np.ndarray = _derived()
-    length_m: np.ndarray = _derived()
-    walk_nbr: np.ndarray = _derived()
-    walk_via: np.ndarray = _derived()
-    drive_via: np.ndarray = _derived()
-
-    def edge(self, edge_id: str) -> BlockFace:
-        try:
-            return self.edges[edge_id]
-        except KeyError:
-            raise DataError(f"unknown block id: {edge_id!r}") from None
+    node_ids: tuple[str, ...]
+    node_position: dict[str, int]
+    lat: np.ndarray
+    lon: np.ndarray
+    block_ids: tuple[str, ...]
+    position: dict[str, int]
+    block_from: np.ndarray
+    block_to: np.ndarray
+    meter_count: tuple[int, ...]
+    length_m: np.ndarray
+    walk_s: np.ndarray
+    drive_s: np.ndarray
+    next_blocks: np.ndarray
+    next_valid: np.ndarray
+    out_degree: np.ndarray
+    walk_nbr: np.ndarray
+    walk_via: np.ndarray
+    drive_via: np.ndarray
 
 
 def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> RoadGraph:
@@ -129,15 +128,19 @@ def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> Ro
     breaks it. Connectivity is one ``_relax`` over ``walk_nbr``.
     """
     nodes, edges = list(nodes), list(edges)
-    # sorted, so a repeated id equals the next one
+    # sorted, so a repeated id equals the next one; compared as Python
+    # strings, since numpy str arrays drop trailing NULs
     node_ids = sorted(n.id for n in nodes)
-    _reject(np.array(node_ids[1:]) == node_ids[:-1], "duplicate node id: {!r}", node_ids)
+    _reject(np.fromiter(map(operator.eq, node_ids[1:], node_ids), bool),
+            "duplicate node id: {!r}", node_ids)
     node_map = {n.id: n for n in nodes}
-    coords = np.array([(node_map[j].lat, node_map[j].lon) for j in node_ids]).reshape(-1, 2)
-    _reject(~np.isfinite(coords).all(axis=1), "node {!r} has non-finite coordinates", node_ids)
+    coords = np.array([[node_map[j].lat for j in node_ids], [node_map[j].lon for j in node_ids]],
+                      dtype=float)
+    _reject(~np.isfinite(coords).all(axis=0), "node {!r} has non-finite coordinates", node_ids)
 
     block_ids = tuple(sorted(e.id for e in edges))
-    _reject(np.array(block_ids[1:]) == block_ids[:-1], "duplicate edge id: {!r}", block_ids)
+    _reject(np.fromiter(map(operator.eq, block_ids[1:], block_ids), bool),
+            "duplicate edge id: {!r}", block_ids)
     edge_map = {e.id: e for e in edges}
     blocks = [edge_map[b] for b in block_ids]
     node_position = {nid: j for j, nid in enumerate(node_ids)}
@@ -149,9 +152,9 @@ def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> Ro
     _reject(block_from == block_to, "edge {!r} is a self-loop", block_ids)
     length_m = np.array([e.length_m for e in blocks])
     _reject(~_positive(length_m), "edge {!r} has nonpositive length", block_ids)
+    meter_count = tuple(e.meter_count for e in blocks)
     # a Python int of any size, which numpy compares as an object
-    meter_count = np.array([e.meter_count for e in blocks])
-    _reject(meter_count < 0, "edge {!r} has negative meter count", block_ids)
+    _reject(np.array(meter_count) < 0, "edge {!r} has negative meter count", block_ids)
     walk_s = np.array([e.walk_time_s for e in blocks])
     _reject(~_positive(walk_s), "edge {!r} has nonpositive walk time", block_ids)
     hours = np.array([len(e.drive_time_s) for e in blocks])
@@ -167,7 +170,7 @@ def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> Ro
     _reject((np.bincount(block_from, minlength=n) == 0) & (np.bincount(block_to, minlength=n) > 0),
             "node {!r} is a dead end for drivers (no outgoing block)", node_ids)
 
-    g = _derived(node_map, edge_map, node_ids, block_ids, block_from, block_to, length_m,
+    g = _derived(node_ids, *coords, block_ids, block_from, block_to, meter_count, length_m,
                  walk_s, drive_s.T.copy())
     dist = np.full((n, 1), math.inf)
     dist[node_position[nodes[0].id]] = 0.0
@@ -178,10 +181,11 @@ def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> Ro
     return g
 
 
-def _derived(nodes: dict[str, Intersection], edges: dict[str, BlockFace], node_ids: list[str],
-             block_ids: Sequence[str], block_from: np.ndarray, block_to: np.ndarray,
+def _derived(node_ids: Sequence[str], lat: np.ndarray, lon: np.ndarray, block_ids: Sequence[str],
+             block_from: np.ndarray, block_to: np.ndarray, meter_count: Sequence[int],
              length_m: np.ndarray, walk_s: np.ndarray, drive_s: np.ndarray) -> RoadGraph:
-    """The graph of checked parts, from their columns in sorted id order."""
+    """The graph of checked columns, nodes and blocks in sorted id order,
+    with its adjacency derived from the block ends."""
     n, blocks_at = len(node_ids), np.arange(len(block_ids))
     out_count, (drive_via,) = _padded(block_from, n, blocks_at)
     _, (walk_via, walk_nbr) = _padded(np.concatenate([block_from, block_to]), n,
@@ -190,12 +194,12 @@ def _derived(nodes: dict[str, Intersection], edges: dict[str, BlockFace], node_i
     out_degree = out_count[block_to]
     next_blocks = drive_via[:out_degree.max()].take(block_to, axis=1)
     return RoadGraph(
-        nodes=nodes, edges=edges,
-        block_ids=tuple(block_ids), position={block: i for i, block in enumerate(block_ids)},
-        node_position={nid: j for j, nid in enumerate(node_ids)}, block_from=block_from,
-        block_to=block_to, next_blocks=next_blocks,
-        next_valid=np.arange(len(next_blocks))[:, None] < out_degree,
-        out_degree=out_degree, drive_s=drive_s, walk_s=walk_s, length_m=length_m,
+        node_ids=tuple(node_ids), node_position={nid: j for j, nid in enumerate(node_ids)},
+        lat=lat, lon=lon, block_ids=tuple(block_ids),
+        position={block: i for i, block in enumerate(block_ids)}, block_from=block_from,
+        block_to=block_to, meter_count=tuple(meter_count), length_m=length_m, walk_s=walk_s,
+        drive_s=drive_s, next_blocks=next_blocks,
+        next_valid=np.arange(len(next_blocks))[:, None] < out_degree, out_degree=out_degree,
         walk_nbr=walk_nbr, walk_via=walk_via, drive_via=drive_via)
 
 
@@ -261,11 +265,11 @@ def load_graph(path: str | os.PathLike, index: str | os.PathLike | None = None) 
     except DataError as exc:
         raise DataError(f"graph file {path}: {exc}") from exc
     if index is not None:
-        nodes = [(n.id, n.lat, n.lon) for n in map(g.nodes.get, g.node_position)]
         _write_index(index, {
             "format_version": np.array(GRAPH_INDEX_VERSION, np.int64),
             "graph_sha256": np.array(key),
-            "labels": [nodes, g.block_ids, [g.edges[b].meter_count for b in g.block_ids]],
+            "labels": [g.node_ids, g.block_ids, g.meter_count],
+            "coords": np.stack([g.lat, g.lon]),
             "ends": np.stack([g.block_from, g.block_to]),
             "times": np.vstack([g.length_m, g.walk_s, g.drive_s])})
     return g
@@ -278,27 +282,24 @@ def _read_graph_index(path: str | os.PathLike, key: str) -> RoadGraph:
         if (int(member("format_version", 0, np.int64)), str(member("graph_sha256", 0))) != (
                 GRAPH_INDEX_VERSION, key):
             raise DataError(f"graph index {path} is of another graph or version")
-        nodes, block_ids, meters = member("labels", 1, np.uint8)
+        node_ids, block_ids, meter_count = member("labels", 1, np.uint8)
+        lat, lon = member("coords", 2, np.float64)
         (block_from, block_to), times = member("ends", 2, np.int64), member("times", 2, np.float64)
-    (node_ids, lat, lon), length_m, walk_s, drive_s = zip(*nodes), times[0], times[1], times[2:]
-    froms, tos = ([node_ids[j] for j in ends] for ends in (block_from.tolist(), block_to.tolist()))
-    edges = map(BlockFace, block_ids, froms, tos, length_m.tolist(), meters, walk_s.tolist(),
-                map(tuple, drive_s.T.tolist()))
-    return _derived(dict(zip(node_ids, map(Intersection, node_ids, lat, lon))),
-                    dict(zip(block_ids, edges)), node_ids, block_ids, block_from, block_to,
-                    length_m, walk_s, drive_s)
+    return _derived(node_ids, lat, lon, block_ids, block_from, block_to, meter_count, times[0],
+                    times[1], times[2:])
 
 
 def save_graph(g: RoadGraph, path: str | os.PathLike) -> None:
-    """Write a graph in the same JSON format accepted by load_graph."""
-    payload = {
-        "nodes": [{"id": n.id, "lat": n.lat, "lon": n.lon}
-                  for n in sorted(g.nodes.values(), key=lambda n: n.id)],
-        "edges": [{"id": e.id, "from": e.from_node, "to": e.to_node, "length_m": e.length_m,
-                   "meter_count": e.meter_count, "walk_time_s": e.walk_time_s,
-                   "drive_time_s": list(e.drive_time_s)}
-                  for e in sorted(g.edges.values(), key=lambda e: e.id)],
-    }
+    """Write a graph in the same JSON format accepted by load_graph: each
+    record zips one entry of every column."""
+    froms, tos = ([g.node_ids[j] for j in ends.tolist()] for ends in (g.block_from, g.block_to))
+    columns = {
+        "nodes": {"id": g.node_ids, "lat": g.lat.tolist(), "lon": g.lon.tolist()},
+        "edges": {"id": g.block_ids, "from": froms, "to": tos, "length_m": g.length_m.tolist(),
+                  "meter_count": g.meter_count, "walk_time_s": g.walk_s.tolist(),
+                  "drive_time_s": g.drive_s.T.tolist()}}
+    payload = {part: [dict(zip(fields, record)) for record in zip(*fields.values())]
+               for part, fields in columns.items()}
     _atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
@@ -390,14 +391,10 @@ def _check_hour(hour: int) -> int:
     return hour
 
 
-def _block(g: RoadGraph, block_id: str) -> int:
-    return g.position[g.edge(block_id).id]
-
-
-def _node(g: RoadGraph, node_id: str) -> int:
-    if node_id not in g.node_position:
-        raise DataError(f"unknown node id: {node_id!r}")
-    return g.node_position[node_id]
+def _position(positions: dict[str, int], key: str, kind: str) -> int:
+    if key not in positions:
+        raise DataError(f"unknown {kind} id: {key!r}")
+    return positions[key]
 
 
 def _relax(dist: np.ndarray, nbr: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -440,18 +437,18 @@ def tables_to_blocks(g: RoadGraph, dests: np.ndarray, weight: np.ndarray) -> np.
 
 def walk_times_to_block(g: RoadGraph, dest_block: str) -> np.ndarray:
     """Walk seconds from every block midpoint to the destination midpoint."""
-    return tables_to_blocks(g, [_block(g, dest_block)], g.walk_s)[:, 0]
+    return tables_to_blocks(g, [_position(g.position, dest_block, "block")], g.walk_s)[:, 0]
 
 
 def block_distances_to_block(g: RoadGraph, dest_block: str) -> np.ndarray:
     """Walking-network meters from every block midpoint to the destination."""
-    return tables_to_blocks(g, [_block(g, dest_block)], g.length_m)[:, 0]
+    return tables_to_blocks(g, [_position(g.position, dest_block, "block")], g.length_m)[:, 0]
 
 
 def _seeded_at(g: RoadGraph, nodes: list[str]) -> np.ndarray:
     """A (node, column) matrix with column ``c`` seeded at ``nodes[c]``."""
     dist = np.full((len(g.node_position), len(nodes)), math.inf)
-    dist[[_node(g, node) for node in nodes], np.arange(len(nodes))] = 0.0
+    dist[[_position(g.node_position, node, "node") for node in nodes], np.arange(len(nodes))] = 0.0
     return dist
 
 
@@ -489,9 +486,9 @@ def drive_times_to_node(g: RoadGraph, node: str, hour: int) -> np.ndarray:
 
 def drive_time_to_node(g: RoadGraph, src_block: str, node: str, hour: int) -> float:
     """Drive seconds from one block midpoint to an intersection."""
-    return float(drive_times_to_node(g, node, hour)[_block(g, src_block)])
+    return float(drive_times_to_node(g, node, hour)[_position(g.position, src_block, "block")])
 
 
 def walk_time_from_node(g: RoadGraph, node: str, dst_block: str) -> float:
     """Walk seconds from an intersection to one block midpoint."""
-    return float(walk_times_from_node(g, node)[_block(g, dst_block)])
+    return float(walk_times_from_node(g, node)[_position(g.position, dst_block, "block")])

@@ -2,11 +2,12 @@
 
 Everything here is deliberately naive: exhaustive enumeration, straight-line
 formula evaluation, finite differences, one search at a time. None of it
-shares code with the package (only its exception types), so agreement is
-meaningful. The exceptions are ``fit_split``, which trains one split at a
-time with the package's own gradient: it pins how the splits are stacked,
-gathered and seeded, while ``finite_difference_gradient`` pins the gradient
-and the CLI test ``test_training_pinned`` the bits of a whole training run;
+shares code with the package (only its exception types and the input
+records of ``build_graph``), so agreement is meaningful. The exceptions
+are ``fit_split``, which trains one split at a time with the package's own
+gradient: it pins how the splits are stacked, gathered and seeded, while
+``finite_difference_gradient`` pins the gradient and the CLI test
+``test_training_pinned`` the bits of a whole training run;
 ``estimate_cells``, which runs the on-street lockstep one (destination,
 hour) cell at a time on the package's tables and uniforms: it pins how cells
 are chunked, while ``simulate_single`` pins the search itself and, through
@@ -15,6 +16,14 @@ which reduces the waits of ``simulate_lot_hour_scalar``'s parked cars with
 the package's ``lot_wait_times``: the scalar lot pins the stalls, through
 the integer ``counter_uniform`` the uniforms, and ``lot_wait_time`` the
 waits.
+
+The graph oracles read only a ``RoadGraph``'s base columns: ``node_ids``,
+``lat``, ``lon``, ``block_ids``, ``block_from``, ``block_to``,
+``length_m``, ``walk_s``, ``drive_s`` and ``meter_count``, through
+``block_records`` and ``node_records`` where records are handier. None
+reads the position maps or the adjacency that the package derives from
+them: ``lockstep_cell`` takes its candidates from ``candidate_table``,
+built from ``out_blocks``.
 """
 
 from __future__ import annotations
@@ -33,8 +42,26 @@ from parksim.occupancy_model import (Network, SplitScore, _accuracy, _glorot_uni
                                      gradient, loss)
 from parksim.offstreet_sim import LotHourStats, lot_wait_times
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights
-from parksim.road_graph import RoadGraph, block_distances_to_block, walk_times_to_block
+from parksim.road_graph import (BlockFace, Intersection, RoadGraph, block_distances_to_block,
+                                walk_times_to_block)
 from parksim.seeding import counter_uniform as uniforms, derived_stream, stream_key
+
+
+# -- the graph's base columns as records --------------------------------------
+
+def block_records(g) -> dict[str, BlockFace]:
+    """Every block of ``g`` by id, zipped from its base columns."""
+    return {block: BlockFace(block, g.node_ids[a], g.node_ids[b], length, meters, walk,
+                             tuple(drive))
+            for block, a, b, length, meters, walk, drive in zip(
+                g.block_ids, g.block_from.tolist(), g.block_to.tolist(), g.length_m.tolist(),
+                g.meter_count, g.walk_s.tolist(), g.drive_s.T.tolist())}
+
+
+def node_records(g) -> dict[str, Intersection]:
+    """Every node of ``g`` by id, zipped from its base columns."""
+    return {node: Intersection(node, lat, lon)
+            for node, lat, lon in zip(g.node_ids, g.lat.tolist(), g.lon.tolist())}
 
 
 # -- shortest paths by exhaustive simple-path enumeration -------------------
@@ -42,7 +69,7 @@ from parksim.seeding import counter_uniform as uniforms, derived_stream, stream_
 def _edges_between(g, directed: bool):
     """Map (node, node) -> edge, honoring or ignoring direction."""
     table = {}
-    for e in g.edges.values():
+    for e in block_records(g).values():
         table.setdefault((e.from_node, e.to_node), []).append(e)
         if not directed:
             table.setdefault((e.to_node, e.from_node), []).append(e)
@@ -72,8 +99,7 @@ def _all_simple_path_costs(g, start, goal, step_cost, directed):
 def brute_drive_time(g, src_block, dst_block, hour):
     if src_block == dst_block:
         return 0.0
-    src = g.edges[src_block]
-    dst = g.edges[dst_block]
+    src, dst = block_records(g)[src_block], block_records(g)[dst_block]
     best = math.inf
     start_cost = src.drive_time_s[hour] / 2.0
     for cost in _all_simple_path_costs(
@@ -88,8 +114,7 @@ def brute_drive_time(g, src_block, dst_block, hour):
 def _brute_undirected(g, src_block, dst_block, weight):
     if src_block == dst_block:
         return 0.0
-    src = g.edges[src_block]
-    dst = g.edges[dst_block]
+    src, dst = block_records(g)[src_block], block_records(g)[dst_block]
     best = math.inf
     for start in (src.from_node, src.to_node):
         for goal in (dst.from_node, dst.to_node):
@@ -122,10 +147,10 @@ def _least_folds_from(start, arcs):
 def brute_drive_time_to_node(g, src_block, node, hour):
     """Drive seconds from a block midpoint to an intersection, enumerating
     every simple path back from the node and folding its cost from there."""
-    back = {}
-    for e in g.edges.values():
+    back, blocks = {}, block_records(g)
+    for e in blocks.values():
         back.setdefault(e.to_node, []).append((e.from_node, e.drive_time_s[hour]))
-    src = g.edges[src_block]
+    src = blocks[src_block]
     return src.drive_time_s[hour] / 2.0 + _least_folds_from(node, back).get(
         src.to_node, math.inf)
 
@@ -133,12 +158,12 @@ def brute_drive_time_to_node(g, src_block, node, hour):
 def brute_walk_time_from_node(g, node, dst_block):
     """Walk seconds from an intersection to a block midpoint over every
     simple path, each folded from the node."""
-    arcs = {}
-    for e in g.edges.values():
+    arcs, blocks = {}, block_records(g)
+    for e in blocks.values():
         arcs.setdefault(e.from_node, []).append((e.to_node, e.walk_time_s))
         arcs.setdefault(e.to_node, []).append((e.from_node, e.walk_time_s))
     dist = _least_folds_from(node, arcs)
-    dst = g.edges[dst_block]
+    dst = blocks[dst_block]
     return dst.walk_time_s / 2.0 + min(dist[dst.from_node], dist[dst.to_node])
 
 
@@ -176,11 +201,23 @@ def trace_total_time(min_park_s, drive_times, walk_times):
 # -- one on-street search, scalar -------------------------------------------
 
 def out_blocks(g) -> dict[str, tuple[str, ...]]:
-    """Each node's outgoing block ids in id order, read from ``g.edges``."""
-    outs = {node: [] for node in g.nodes}
-    for e in g.edges.values():
-        outs[e.from_node].append(e.id)
+    """Each node's outgoing block ids in id order, read from the block ends."""
+    outs = {node: [] for node in g.node_ids}
+    for block, a in zip(g.block_ids, g.block_from.tolist()):
+        outs[g.node_ids[a]].append(block)
     return {node: tuple(sorted(ids)) for node, ids in outs.items()}
+
+
+def candidate_table(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates after each block, its to-node's ``out_blocks``, as a
+    (candidate, block) array of block indices padded by repeating the
+    first; the mask of the real ones; and their count."""
+    outs, index = out_blocks(g), {block: i for i, block in enumerate(g.block_ids)}
+    rows = [[index[block] for block in outs[g.node_ids[b]]] for b in g.block_to.tolist()]
+    width = max(map(len, rows))
+    degree = np.array([len(row) for row in rows])
+    return (np.array([row + row[:1] * (width - len(row)) for row in rows]).T,
+            np.arange(width)[:, None] < degree, degree)
 
 
 def midpoint_table(g, dst_block, weight):
@@ -188,9 +225,9 @@ def midpoint_table(g, dst_block, weight):
 
     Floyd-Warshall over the intersections, then half of each end block.
     """
-    nodes = sorted(g.nodes)
+    nodes, blocks = g.node_ids, block_records(g)
     dist = {(a, b): 0.0 if a == b else math.inf for a in nodes for b in nodes}
-    for e in g.edges.values():
+    for e in blocks.values():
         w = weight(e)
         for a, b in ((e.from_node, e.to_node), (e.to_node, e.from_node)):
             dist[(a, b)] = min(dist[(a, b)], w)
@@ -199,9 +236,9 @@ def midpoint_table(g, dst_block, weight):
             for b in nodes:
                 if dist[(a, k)] + dist[(k, b)] < dist[(a, b)]:
                     dist[(a, b)] = dist[(a, k)] + dist[(k, b)]
-    dst = g.edges[dst_block]
+    dst = blocks[dst_block]
     table = {}
-    for eid, e in g.edges.items():
+    for eid, e in blocks.items():
         if eid == dst_block:
             table[eid] = 0.0
             continue
@@ -296,27 +333,27 @@ def simulate_single(g, probs: Mapping[str, float], dest: str, cfg, weights,
         walk_s = midpoint_table(g, dest, lambda e: e.walk_time_s)
     if dist_m is None:
         dist_m = midpoint_table(g, dest, lambda e: e.length_m)
-    outs = out_blocks(g)
-    state = SearchState(current_node=g.edges[dest].to_node)
+    outs, blocks = out_blocks(g), block_records(g)
+    state = SearchState(current_node=blocks[dest].to_node)
     trace = [dest]
     while True:
         block = trace[-1]
         state.visits[block] = state.visits.get(block, 0) + 1
         if rng.random() < probs.get(block, 0.0):
-            d = [g.edges[eid].drive_time_s[hour] for eid in trace]
+            d = [blocks[eid].drive_time_s[hour] for eid in trace]
             drive_s = 0.0 if len(d) == 1 else d[0] / 2.0 + sum(d[1:]) - d[-1] / 2.0
             return SearchOutcome(
                 parked_block=block, drive_s=drive_s, walk_s=walk_s[block],
                 total_s=cfg.min_park_s + drive_s + walk_s[block],
                 censored=False, trace=tuple(trace))
-        state.elapsed_s += g.edges[block].drive_time_s[hour]
+        state.elapsed_s += blocks[block].drive_time_s[hour]
         state.last_check_s[block] = state.elapsed_s
         if state.elapsed_s > cfg.max_search_s:
             return SearchOutcome(
                 parked_block=block, drive_s=cfg.max_search_s, walk_s=walk_s[block],
                 total_s=cfg.min_park_s + cfg.max_search_s + walk_s[block],
                 censored=True, trace=tuple(trace))
-        state.current_node = g.edges[block].to_node
+        state.current_node = blocks[block].to_node
         candidates = outs[state.current_node]
         scores = block_scores(state, candidates, probs, weights, cfg, dist_m)
         trace.append(candidates[choose_block(scores, rng)])
@@ -392,11 +429,13 @@ def stream_v3(seed: int, dest: str, hour: int, n: int):
 
 def lockstep_cell(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarray,
                   p: np.ndarray, cfg: OnstreetConfig, weights: PolicyWeights, hour: int,
-                  draw, visits: np.ndarray, last_check_s: np.ndarray) -> tuple[np.ndarray, int]:
+                  draw, visits: np.ndarray, last_check_s: np.ndarray,
+                  candidates_at) -> tuple[np.ndarray, int]:
     """Total time of every search, and the number censored. ``draw(live,
     counter)`` returns draw ``counter`` of the searches ``live``: the
     parking check on a search's ``t``-th block is draw ``2 t``, the choice
-    after it ``2 t + 1``."""
+    after it ``2 t + 1``. ``candidates_at`` is ``g``'s ``candidate_table``."""
+    table, real, degree = candidates_at
     drive_s = g.drive_s[hour]
     # The distance and scarcity terms depend only on the candidate block.
     fixed = (weights.distance_weight * (dist_m / 100.0)
@@ -430,7 +469,7 @@ def lockstep_cell(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarra
             live, block, elapsed_s = live[stay], block[stay], elapsed_s[stay]
         if not live.size:
             return totals, censored
-        candidates = g.next_blocks[:, block]       # (candidate, search)
+        candidates = table[:, block]               # (candidate, search)
         cells = candidates + live * len(p)
         since_s = np.minimum(elapsed_s - last_check_s.take(cells), cfg.elapsed_cap_s)
         scores = (fixed[candidates]
@@ -441,10 +480,10 @@ def lockstep_cell(g: RoadGraph, dest: int, walk_s: np.ndarray, dist_m: np.ndarra
         if not np.isfinite(scores).all():
             raise NumericError("non-finite block score")
         weight = np.exp(scores - scores.max(axis=0))
-        weight *= g.next_valid[:, block]
+        weight *= real[:, block]
         cdf = weight.cumsum(axis=0)
         k = np.minimum((cdf <= draw(live, 2 * t + 1) * cdf[-1]).sum(axis=0),
-                       g.out_degree[block] - 1)
+                       degree[block] - 1)
         block = candidates[k, np.arange(live.size)]
 
 
@@ -458,6 +497,7 @@ def estimate_cells(g: RoadGraph, p: np.ndarray, hours, cfg: OnstreetConfig,
     mean, std, censored = np.empty(shape), np.zeros(shape), np.empty(shape)
     visits = np.empty((n, len(g.block_ids)), dtype=np.int64)
     last_check_s = np.empty((n, len(g.block_ids)))
+    candidates_at = candidate_table(g)
     for j, dest in enumerate(g.block_ids):
         walk_s = walk_times_to_block(g, dest)
         dist_m = block_distances_to_block(g, dest)
@@ -465,7 +505,7 @@ def estimate_cells(g: RoadGraph, p: np.ndarray, hours, cfg: OnstreetConfig,
             with np.errstate(over="ignore", invalid="ignore"):
                 totals, n_censored = lockstep_cell(g, j, walk_s, dist_m, p[i], cfg, weights,
                                                    hour, stream(cfg.seed, dest, hour, n),
-                                                   visits, last_check_s)
+                                                   visits, last_check_s, candidates_at)
             mean[i, j] = totals.mean()
             if n > 1:
                 std[i, j] = totals.std(ddof=1)
@@ -630,7 +670,9 @@ def extract_features(payments, block_id, t, g):
     duration); popularity counts sessions by start time in [t - 3h, t).
     Returns (active, popularity, length_m, drive seconds per meter).
     """
-    edge = g.edge(block_id)
+    if block_id not in g.block_ids:
+        raise DataError(f"unknown block id: {block_id!r}")
+    i = g.block_ids.index(block_id)
     active = 0
     recent = 0
     for p in payments:
@@ -640,8 +682,8 @@ def extract_features(payments, block_id, t, g):
             active += 1
         if t - timedelta(hours=3) <= p.start < t:
             recent += 1
-    return (float(active), float(recent), edge.length_m,
-            edge.drive_time_s[t.hour] / edge.length_m)
+    length_m = float(g.length_m[i])
+    return (float(active), float(recent), length_m, float(g.drive_s[t.hour, i]) / length_m)
 
 
 # -- network forward pass with plain loops ------------------------------------

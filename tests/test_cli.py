@@ -86,7 +86,7 @@ class TestPipeline:
         assert {p.name for p in run["out"].iterdir()} == expected
 
     def test_one_row_per_block_and_hour(self, run):
-        cells = [(block, str(hour)) for hour in HOURS for block in sorted(run["graph"].edges)]
+        cells = [(block, str(hour)) for hour in HOURS for block in run["graph"].block_ids]
         for name in PER_CELL_FILES:
             rows = read_rows(run["out"] / name)
             assert [(r["block_id"], r["hour"]) for r in rows] == cells, name
@@ -110,7 +110,7 @@ class TestPipeline:
         for hour in HOURS:
             p = [[probs[hour][block] for block in g.block_ids]]
             est = estimate_onstreet_time(g, np.array(p), (hour,), cfg, PolicyWeights())
-            for block in sorted(g.edges):
+            for block in g.block_ids:
                 j = g.position[block]
                 writer.writerow([block, hour, repr(float(est.mean_s[0, j])),
                                  repr(float(est.std_s[0, j])),
@@ -1581,3 +1581,27 @@ def test_nul_ended_block_id_goes_through_the_pipeline(copied):
     assert main(["pipeline", "--config", str(config)]) == 0
     rows = read_rows(copied / "out" / "availability.csv")
     assert block + "\x00" in {row["block_id"] for row in rows}
+
+
+def test_meter_count_beyond_int64_predicts_as_any_count(copied):
+    # the count only marks a block as metered, so 10**30 predicts as 5 does,
+    # whether predict parses the graph or reads its index
+    def set_count(count):
+        def edit(graph):
+            next(edge for edge in graph["edges"] if edge["meter_count"])["meter_count"] = count
+        return edit
+
+    availability = {}
+    for count in (5, 10**30):
+        city = copied / f"city_{count}"
+        shutil.copytree(copied / "city", city)
+        edit_graph(set_count(count))(city)
+        config, out = write_config(copied / f"{count}.json", city.name), copied / f"out_{count}"
+        for stage in ("ingest", "train", "predict"):
+            assert main([stage, "--config", str(config), "--out", str(out)]) == 0, stage
+        availability[count, "hit"] = (out / "availability.csv").read_bytes()
+        (out / "graph.npz").unlink()
+        assert main(["predict", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "graph.npz").exists()
+        availability[count, "miss"] = (out / "availability.csv").read_bytes()
+    assert len(set(availability.values())) == 1

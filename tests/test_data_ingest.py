@@ -416,8 +416,8 @@ STREAM_V1_SHA256 = {"2.4": {
 class TestSynthGenerate:
     def test_bundle_files_load_through_public_readers(self, bundle):
         g = load_graph(bundle / "graph.json")
-        assert len(g.nodes) == 16
-        assert len(g.edges) == 4 * 4 * 3  # grid edge count, both directions
+        assert len(g.node_ids) == 16
+        assert len(g.block_ids) == 4 * 4 * 3  # grid edge count, both directions
         assert read_payments(bundle / "payments.csv").block_ids
         assert read_surveys(bundle / "surveys.csv")
         assert read_lots(bundle / "lots.json")
@@ -427,8 +427,8 @@ class TestSynthGenerate:
         cfg = SynthConfig(grid_n=10, days=7, demand_scale=0.05)
         synth_generate(cfg, seed=1, out_dir=tmp_path / "big")
         g = load_graph(tmp_path / "big" / "graph.json")
-        assert len(g.nodes) == 100
-        assert len(g.edges) == 360
+        assert len(g.node_ids) == 100
+        assert len(g.block_ids) == 360
 
     def test_fixed_seed_byte_identical(self, tmp_path):
         cfg = SynthConfig(grid_n=3, days=7)
@@ -495,12 +495,11 @@ class TestSynthGenerate:
         hourly = ground_truth(bundle)["hourly_availability"]
         g = load_graph(bundle / "graph.json")
         mids = {}
-        for eid, e in g.edges.items():
-            a, b = g.nodes[e.from_node], g.nodes[e.to_node]
-            mids[eid] = ((a.lat + b.lat) / 2, (a.lon + b.lon) / 2)
+        for eid, a, b in zip(g.block_ids, g.block_from, g.block_to):
+            mids[eid] = ((g.lat[a] + g.lat[b]) / 2, (g.lon[a] + g.lon[b]) / 2)
         center = (sum(m[0] for m in mids.values()) / len(mids),
                   sum(m[1] for m in mids.values()) / len(mids))
-        metered = [eid for eid, e in g.edges.items() if e.meter_count > 0]
+        metered = [eid for eid, meters in zip(g.block_ids, g.meter_count) if meters > 0]
         ranked = sorted(metered, key=lambda eid: math.hypot(
             mids[eid][0] - center[0], (mids[eid][1] - center[1]) * 0.69))
         midday = lambda eid: np.mean(hourly[eid][11:16])

@@ -37,7 +37,8 @@ from parksim.occupancy_model import (
 from parksim.road_graph import build_graph
 
 from conftest import PaymentRecord, grid_graph, line_graph, sessions_of
-from oracles import extract_features, finite_difference_gradient, fit_split, plain_forward
+from oracles import (block_records, extract_features, finite_difference_gradient, fit_split,
+                     node_records, plain_forward)
 
 T0 = datetime(2026, 3, 4, 10, 0)
 
@@ -284,14 +285,14 @@ def build_city_samples(rng, n, rule, *, noise=0.0):
     from conftest import make_edge
     from parksim.road_graph import build_graph
     edges = []
-    for e in sorted(g.edges.values(), key=lambda e: e.id):
+    for e in block_records(g).values():
         length = float(rng.integers(60, 200))
         drive = float(rng.integers(8, 60))
         edges.append(make_edge(e.id, e.from_node, e.to_node, length=length,
                                walk=70.0, drive=drive))
-    g = build_graph(g.nodes.values(), edges)
+    g = build_graph(node_records(g).values(), edges)
 
-    block_ids = sorted(g.edges)
+    block_ids = g.block_ids
     payments = []
     samples = []
     base = datetime(2026, 3, 2)
@@ -479,14 +480,14 @@ class TestPredict:
         g0, payments, model = self.make_trained()
         g = grid_graph(3, meters=0)
         p = predict_block_probabilities(model, sessions_of([]), g, (12,), date(2026, 3, 6))
-        assert p.shape == (1, len(g.edges))
+        assert p.shape == (1, len(g.block_ids))
         assert (p == 0.0).all()
 
     def test_covers_every_edge_in_unit_interval(self):
         g, payments, model = self.make_trained()
         p = predict_block_probabilities(model, sessions_of(payments), g, (10,),
                                         date(2026, 3, 4))
-        assert p.shape == (1, len(g.edges))
+        assert p.shape == (1, len(g.block_ids))
         assert ((0.0 < p) & (p < 1.0)).all()
 
     def test_matches_feature_forward_composition(self):
@@ -494,7 +495,7 @@ class TestPredict:
         on_date = date(2026, 3, 4)
         p = predict_block_probabilities(model, sessions_of(payments), g, (10,), on_date)
         t = datetime(2026, 3, 4, 10, 30)
-        for eid in list(g.edges)[:8]:
+        for eid in g.block_ids[:8]:
             fv = extract_features(payments, eid, t, g)
             assert p[0, g.position[eid]] == forward(model, fv)[0]
 
@@ -517,9 +518,9 @@ class TestPredict:
         rng = np.random.default_rng(len(dims) * 10 + metered)
         grid = grid_graph(4)
         meter_ids = set(grid.block_ids[:metered])
-        g = build_graph(list(grid.nodes.values()), [
+        g = build_graph(node_records(grid).values(), [
             replace(e, meter_count=4 * (e.id in meter_ids), length_m=rng.uniform(20, 300))
-            for e in grid.edges.values()])
+            for e in block_records(grid).values()])
         hours = (9, 13, 0, 18)
         payments = [PaymentRecord(str(rng.choice(g.block_ids)),
                                   T0 + timedelta(hours=float(rng.uniform(-6, 10))),
@@ -584,8 +585,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("dims,names", [
         (NETWORK_DIMS, {"w1", "b1", "w2", "b2", "w3", "b3"}),
-        (BASELINE_DIMS, {"w", "b"}),
-    ], ids=["network", "baseline"])
+    ], ids=["network"])
     def test_each_kind_keeps_its_parameter_names(self, tmp_path, dims, names):
         m = random_model(np.random.default_rng(20), dims=dims)
         path = tmp_path / "model.json"
@@ -597,9 +597,17 @@ class TestPersistence:
         for (w, b), (w2, b2) in zip(m.layers, m2.layers, strict=True):
             assert np.array_equal(w, w2) and np.array_equal(b, b2)
 
+    def test_baseline_is_not_saved(self, tmp_path):
+        # the model file holds the availability network only
+        path = tmp_path / "model.json"
+        with pytest.raises(DataError, match="only a network of widths"):
+            save_model(random_model(np.random.default_rng(20), dims=BASELINE_DIMS), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("edits,error", [
         ({(): [1, 2]}, DataError),
         ({("kind",): ["mlp"]}, DataError),
+        ({("kind",): "logistic"}, DataError),
         ({("feature_norm",): None}, DataError),
         ({("feature_norm",): [0.0, 1.0]}, DataError),
         ({("feature_norm", "std"): "wide"}, DataError),
@@ -614,7 +622,7 @@ class TestPersistence:
         ({("feature_norm", "mean"): [math.nan, 0.0, 0.0, 0.0]}, NumericError),
         ({("feature_norm", "std"): [math.inf, 1.0, 1.0, 1.0]}, NumericError),
         ({("weights", "b2"): [math.nan] * 30}, NumericError),
-    ], ids=["json_list", "kind_list", "no_feature_norm", "feature_norm_list", "std_string",
+    ], ids=["json_list", "kind_list", "kind_logistic", "no_feature_norm", "feature_norm_list", "std_string",
             "mean_too_short", "no_shapes", "shapes_list", "no_weights",
             "weight_object", "bias_wrong_shape", "std_zero", "std_negative",
             "mean_nan", "std_inf", "weight_nan"])

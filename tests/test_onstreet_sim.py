@@ -21,11 +21,13 @@ from conftest import grid_graph, line_graph, ring_graph
 from oracles import (
     SearchDraws,
     SearchState,
+    block_records,
     block_scores,
     cell_labels,
     choose_block,
     estimate_cells,
     midpoint_table,
+    node_records,
     out_blocks,
     simulate_single,
     softmax_probabilities,
@@ -54,8 +56,8 @@ class TestBlockScores:
         g = grid_graph(3)
         state = SearchState(current_node="n1_1")
         cfg = OnstreetConfig()
-        probs = {eid: 0.4 for eid in g.edges}
-        dist = {eid: 250.0 for eid in g.edges}
+        probs = {eid: 0.4 for eid in g.block_ids}
+        dist = {eid: 250.0 for eid in g.block_ids}
         scores = block_scores(state, ["h1_1E", "v1_1S"], probs, W, cfg,
                               distances_m=dist)
         assert scores[0] == scores[1]
@@ -126,7 +128,7 @@ class TestChooseBlock:
 class TestSimulateSingle:
     def test_park_on_destination_block_exact_minimum(self):
         g = grid_graph(3)
-        probs = {eid: 1.0 for eid in g.edges}
+        probs = {eid: 1.0 for eid in g.block_ids}
         out = simulate_single(g, probs, "h0_0E", OnstreetConfig(), W, 12,
                               np.random.default_rng(0))
         assert out.total_s == 210.0
@@ -137,7 +139,7 @@ class TestSimulateSingle:
 
     def test_two_block_trace_matches_straight_line_formula(self):
         g = line_graph(drive_times=(10.0, 20.0, 30.0), walk_times=(30.0, 30.0, 30.0))
-        probs = {eid: 0.0 for eid in g.edges}
+        probs = {eid: 0.0 for eid in g.block_ids}
         probs["e1"] = 1.0
         out = simulate_single(g, probs, "e0", OnstreetConfig(), W, 12,
                               np.random.default_rng(3))
@@ -150,40 +152,40 @@ class TestSimulateSingle:
         g = grid_graph(3)
         rng = np.random.default_rng(17)
         probs = {eid: float(p) for eid, p in
-                 zip(sorted(g.edges), rng.uniform(0.1, 0.9, len(g.edges)))}
+                 zip(g.block_ids, rng.uniform(0.1, 0.9, len(g.block_ids)))}
         for trial in range(30):
             out = simulate_single(g, probs, "h1_1E", OnstreetConfig(), W, 9, rng)
             if out.censored:
                 continue
-            drive = [g.edges[e].drive_time_s[9] for e in out.trace]
+            drive = [g.drive_s[9, g.position[e]] for e in out.trace]
             expected_drive = trace_total_time(0.0, drive, [])
             assert out.drive_s == pytest.approx(expected_drive, abs=1e-9)
             assert out.total_s == pytest.approx(210.0 + out.drive_s + out.walk_s, abs=1e-9)
 
     def test_censoring_at_search_cap(self):
         g = grid_graph(3)
-        probs = {eid: 0.0 for eid in g.edges}
+        probs = {eid: 0.0 for eid in g.block_ids}
         cfg = OnstreetConfig(max_search_s=60.0)
         out = simulate_single(g, probs, "h0_0E", cfg, W, 12, np.random.default_rng(1))
         assert out.censored
         assert out.drive_s == 60.0
         assert out.total_s == 210.0 + 60.0 + out.walk_s
-        walk_table = {eid: 0.0 for eid in g.edges}
+        walk_table = {eid: 0.0 for eid in g.block_ids}
         assert out.walk_s >= 0.0
 
     def test_trace_blocks_are_adjacent(self):
         g = grid_graph(4)
         rng = np.random.default_rng(5)
-        probs = {eid: 0.15 for eid in g.edges}
+        probs = {eid: 0.15 for eid in g.block_ids}
         for _ in range(10):
             out = simulate_single(g, probs, "h2_1E", OnstreetConfig(), W, 8, rng)
             for a, b in zip(out.trace, out.trace[1:]):
-                assert g.edges[b].from_node == g.edges[a].to_node
+                assert g.block_from[g.position[b]] == g.block_to[g.position[a]]
 
     def test_no_revisit_while_unvisited_candidates_exist(self):
         g = grid_graph(4)
         rng = np.random.default_rng(11)
-        probs = {eid: 0.01 for eid in g.edges}
+        probs = {eid: 0.01 for eid in g.block_ids}
         avoid_revisit = PolicyWeights(revisit_weight=-1e6)
         out = simulate_single(g, probs, "h0_0E", OnstreetConfig(max_search_s=600.0),
                               avoid_revisit, 12, rng)
@@ -191,7 +193,7 @@ class TestSimulateSingle:
         visited: set[str] = set()
         for a, b in zip(out.trace, out.trace[1:]):
             visited.add(a)
-            candidates = outs[g.edges[a].to_node]
+            candidates = outs[block_records(g)[a].to_node]
             unvisited = [c for c in candidates if c not in visited]
             if unvisited:
                 assert b in unvisited
@@ -200,7 +202,7 @@ class TestSimulateSingle:
         g = grid_graph(3)
         rng = np.random.default_rng(2)
         probs = {eid: float(p) for eid, p in
-                 zip(sorted(g.edges), rng.uniform(0.0, 1.0, len(g.edges)))}
+                 zip(g.block_ids, rng.uniform(0.0, 1.0, len(g.block_ids)))}
         for _ in range(50):
             out = simulate_single(g, probs, "v0_2S", OnstreetConfig(), W, 15, rng)
             assert out.total_s >= 210.0
@@ -209,7 +211,7 @@ class TestSimulateSingle:
 class TestEstimate:
     def test_certain_parking_mean_exact(self):
         g = grid_graph(3)
-        probs = {eid: 1.0 for eid in g.edges}
+        probs = {eid: 1.0 for eid in g.block_ids}
         est = estimate_onstreet_time(g, availability(g, probs), (12,),
                                      OnstreetConfig(n_samples=64), W)
         j = g.position["h0_0E"]
@@ -219,7 +221,7 @@ class TestEstimate:
 
     def test_fixed_seed_reproducible(self):
         g = grid_graph(3)
-        p = availability(g, {eid: 0.3 for eid in g.edges})
+        p = availability(g, {eid: 0.3 for eid in g.block_ids})
         cfg = OnstreetConfig(n_samples=40, seed=9)
         a = estimate_onstreet_time(g, p, (10,), cfg, W)
         b = estimate_onstreet_time(g, p, (10,), cfg, W)
@@ -243,7 +245,7 @@ class TestEstimate:
         g = grid_graph(3)
         rng = np.random.default_rng(8)
         base = {eid: float(p) for eid, p in
-                zip(sorted(g.edges), rng.uniform(0.05, 0.5, len(g.edges)))}
+                zip(g.block_ids, rng.uniform(0.05, 0.5, len(g.block_ids)))}
         boosted = {eid: min(1.0, p * 1.5) for eid, p in base.items()}
         cfg = OnstreetConfig(n_samples=10_000, seed=4)
         slow = estimate_onstreet_time(g, availability(g, base), (12,), cfg, W)
@@ -256,7 +258,7 @@ class TestEstimate:
 class TestLockstep:
     def test_single_parkable_neighbour_every_sample_exact(self):
         g = line_graph(drive_times=(10.0, 20.0, 30.0), walk_times=(30.0, 30.0, 30.0))
-        probs = {eid: 0.0 for eid in g.edges}
+        probs = {eid: 0.0 for eid in g.block_ids}
         probs["e1"] = 1.0
         est = estimate_onstreet_time(g, availability(g, probs), (12,),
                                      OnstreetConfig(n_samples=200), W)
@@ -268,7 +270,7 @@ class TestLockstep:
 
     def test_never_available_is_all_censored(self):
         g = grid_graph(3)
-        probs = {eid: 0.0 for eid in g.edges}
+        probs = {eid: 0.0 for eid in g.block_ids}
         est = estimate_onstreet_time(g, availability(g, probs), (12,),
                                      OnstreetConfig(n_samples=50, max_search_s=60.0), W)
         j = g.position["h0_0E"]
@@ -279,7 +281,7 @@ class TestLockstep:
         g = grid_graph(3)
         rng = np.random.default_rng(3)
         probs = {eid: float(p) for eid, p in
-                 zip(sorted(g.edges), rng.uniform(0.1, 0.7, len(g.edges)))}
+                 zip(g.block_ids, rng.uniform(0.1, 0.7, len(g.block_ids)))}
         cfg = OnstreetConfig(n_samples=60, seed=11)
         p = availability(g, probs)
         both = estimate_onstreet_time(g, availability(g, probs, probs), (8, 9), cfg, W)
@@ -300,9 +302,9 @@ class TestLockstep:
         probs_by_hour, refs = [], {}
         for hour in hours:
             probs = {eid: float(p) for eid, p in
-                     zip(sorted(g.edges), rng.uniform(0.05, 0.6, len(g.edges)))}
+                     zip(g.block_ids, rng.uniform(0.05, 0.6, len(g.block_ids)))}
             probs_by_hour.append(probs)
-            for dest in sorted(g.edges):
+            for dest in g.block_ids:
                 walk = midpoint_table(g, dest, lambda e: e.walk_time_s)
                 dist = midpoint_table(g, dest, lambda e: e.length_m)
                 refs[hour, dest] = np.array([
@@ -311,7 +313,7 @@ class TestLockstep:
                     for _ in range(n)])
         est = estimate_onstreet_time(g, availability(g, *probs_by_hour), hours, cfg, W)
         for i, hour in enumerate(hours):
-            for dest in sorted(g.edges):
+            for dest in g.block_ids:
                 j, ref = g.position[dest], refs[hour, dest]
                 se = math.hypot(est.std_s[i, j], ref.std(ddof=1)) / math.sqrt(n)
                 assert abs(est.mean_s[i, j] - ref.mean()) <= 4 * se, (dest, hour)
@@ -327,7 +329,7 @@ class TestLockstep:
         #   e1 r1 r0        210 + (10 + 20 + 5) + 70 = 315
         #   e1 e2 r2 r1 r0  210 + (10 + 30 + 30 + 20 + 5) + 70 = 375
         g = line_graph(drive_times=(10.0, 20.0, 30.0), walk_times=(60.0, 80.0, 100.0))
-        probs = {eid: 0.0 for eid in g.edges}
+        probs = {eid: 0.0 for eid in g.block_ids}
         probs["r0"] = 1.0
         p, j = availability(g, probs), g.position["e1"]
         totals = {estimate_onstreet_time(g, p, (12,), OnstreetConfig(n_samples=1, seed=s),
@@ -336,7 +338,7 @@ class TestLockstep:
 
     def test_non_finite_score_rejected(self):
         g = grid_graph(3)
-        probs = {eid: 0.0 for eid in g.edges}
+        probs = {eid: 0.0 for eid in g.block_ids}
         with pytest.raises(NumericError):
             estimate_onstreet_time(g, availability(g, probs), (12,),
                                    OnstreetConfig(n_samples=5),
@@ -344,7 +346,7 @@ class TestLockstep:
 
     def test_unknown_destination_and_hour_rejected(self):
         g = grid_graph(3)
-        p = availability(g, {eid: 0.5 for eid in g.edges})
+        p = availability(g, {eid: 0.5 for eid in g.block_ids})
         for hour in (24, -1):
             with pytest.raises(DataError):
                 estimate_onstreet_time(g, p, (hour,), OnstreetConfig(), W)
@@ -359,9 +361,9 @@ class TestLockstep:
     def test_node_without_out_block_rejected(self):
         # without r2 the search would strand at n3 after e2
         g = line_graph()
-        edges = [e for e in g.edges.values() if e.id != "r2"]
+        edges = [e for e in block_records(g).values() if e.id != "r2"]
         with pytest.raises(DataError, match="dead end"):
-            build_graph(g.nodes.values(), edges)
+            build_graph(node_records(g).values(), edges)
 
 
 class TestChunkedLockstep:
@@ -600,7 +602,7 @@ class TestProbabilityVector:
     ], ids=["missing", "unknown", "above_one", "negative", "nan"])
     def test_rejected(self, tmp_path, edit):
         g = line_graph()
-        probs = {eid: 0.5 for eid in g.edges}
+        probs = {eid: 0.5 for eid in g.block_ids}
         edit(probs)
         with pytest.raises(DataError):
             self.read(tmp_path, g, probs)

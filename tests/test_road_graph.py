@@ -35,8 +35,8 @@ from parksim.road_graph import (
 from parksim.synth import SynthConfig, _grid_faces
 
 from conftest import grid_graph, line_graph, make_edge, random_graph, ring_graph
-from oracles import (brute_distance_m, brute_drive_time_to_node, brute_walk_time,
-                     brute_walk_time_from_node, midpoint_table, out_blocks)
+from oracles import (block_records, brute_distance_m, brute_drive_time_to_node, brute_walk_time,
+                     brute_walk_time_from_node, midpoint_table, node_records, out_blocks)
 
 
 def graph_file_payload(g=None):
@@ -63,8 +63,8 @@ class TestLoadGraph:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(graph_file_payload()))
         g = load_graph(path)
-        assert len(g.nodes) == 4
-        assert len(g.edges) == 8
+        assert len(g.node_ids) == 4
+        assert len(g.block_ids) == 8
 
     def test_unknown_node_rejected(self, tmp_path):
         payload = graph_file_payload()
@@ -85,15 +85,16 @@ class TestLoadGraph:
         payload["edges"][0]["meter_count"] = 10**30
         path = tmp_path / "g.json"
         path.write_text(json.dumps(payload))
-        assert load_graph(path).edges["e0f"].meter_count == 10**30
+        g = load_graph(path)
+        assert g.meter_count[g.position["e0f"]] == 10**30
 
     def test_save_then_load_round_trip(self, tmp_path):
         g = grid_graph(3)
         path = tmp_path / "g.json"
         save_graph(g, path)
         g2 = load_graph(path)
-        assert g2.edges == g.edges
-        assert g2.nodes == g.nodes
+        assert block_records(g2) == block_records(g)
+        assert node_records(g2) == node_records(g)
 
 
 class TestValidation:
@@ -105,7 +106,7 @@ class TestValidation:
 
     def test_valid_ring_accepted(self):
         g = build_graph(self.nodes(), self.ring())
-        assert set(g.nodes) == {"n0", "n1", "n2"}
+        assert g.node_ids == ("n0", "n1", "n2")
         assert g.block_ids == ("e0", "e1", "e2")
 
     def test_disconnected_rejected(self):
@@ -162,6 +163,22 @@ class TestValidation:
         with pytest.raises(DataError, match="duplicate node id: 'n1'"):
             build_graph(nodes, self.ring())
 
+    def test_nul_ended_ids_are_no_duplicates(self, tmp_path, monkeypatch):
+        # numpy str arrays drop trailing NULs, so they must not compare ids
+        nodes = [Intersection(nid, 49.0, -123.0 + k * 1e-3)
+                 for k, nid in enumerate(["n", "n\x00", "m"])]
+        edges = [make_edge("a", "n", "n\x00"), make_edge("a\x00", "n\x00", "m"),
+                 make_edge("b", "m", "n")]
+        g = build_graph(nodes, edges)
+        assert (g.node_ids, g.block_ids) == (("m", "n", "n\x00"), ("a", "a\x00", "b"))
+        save_graph(g, tmp_path / "g.json")
+        hit = load_miss_then_hit(tmp_path / "g.json", tmp_path / "g.npz", monkeypatch)
+        assert_same_graph(hit, g)
+        with pytest.raises(DataError, match="duplicate node id: 'n'"):
+            build_graph(nodes + [Intersection("n", 49.5, -123.0)], edges)
+        with pytest.raises(DataError, match="duplicate edge id: 'a'"):
+            build_graph(nodes, edges + [make_edge("a", "m", "n")])
+
     @pytest.mark.parametrize("nodes,edges,message", [
         (0, 0, "graph needs at least one node and one edge"),
         (3, 0, "graph needs at least one node and one edge"),
@@ -183,8 +200,8 @@ class TestValidation:
         rng = np.random.default_rng(7)
         for trial in range(20):
             g = random_graph(rng)
-            nodes = list(g.nodes.values())
-            edges = list(g.edges.values())
+            nodes = list(node_records(g).values())
+            edges = list(block_records(g).values())
             kind = trial % 4
             if kind == 0:  # dangle an edge
                 e = edges[0].__dict__ | {"to_node": "ghost"}
@@ -212,14 +229,14 @@ class TestDenseIndex:
         outs = out_blocks(g)
         for i, block in enumerate(g.block_ids):
             out = [g.block_ids[k] for k in g.next_blocks[:, i][g.next_valid[:, i]]]
-            assert tuple(out) == outs[g.edges[block].to_node]
+            assert tuple(out) == outs[g.node_ids[g.block_to[i]]]
             assert g.out_degree[i] == len(out)
 
-    def test_derived_fields_left_out_of_equality(self):
+    def test_input_order_irrelevant_to_every_column(self):
         g1 = line_graph()
-        g2 = build_graph(list(g1.nodes.values())[::-1], list(g1.edges.values())[::-1])
-        assert g1 == g2
-        assert "block_ids" not in repr(g1)
+        g2 = build_graph(list(node_records(g1).values())[::-1],
+                         list(block_records(g1).values())[::-1])
+        assert_same_graph(g2, g1)
 
 
 class TestDriveTime:
@@ -235,7 +252,7 @@ class TestDriveTime:
         rng = np.random.default_rng(42)
         for trial in range(40):
             g = random_graph(rng, n_nodes=int(rng.integers(4, 8)), fractional=trial % 2 == 1)
-            node = sorted(g.nodes)[int(rng.integers(len(g.nodes)))]
+            node = g.node_ids[int(rng.integers(len(g.node_ids)))]
             hour = int(rng.integers(24))
             table = drive_times_to_node(g, node, hour)
             assert table.shape == (len(g.block_ids),)
@@ -266,19 +283,19 @@ class TestDriveTime:
         for _ in range(5):
             g = random_graph(rng, n_nodes=6)
             hour = 10
-            nodes = sorted(g.nodes)
+            nodes = g.node_ids
             for _ in range(20):
                 a, b = (g.block_ids[int(rng.integers(len(g.block_ids)))] for _ in range(2))
                 node = nodes[int(rng.integers(len(nodes)))]
                 to_node = drive_times_to_node(g, node, hour)
-                to_b = drive_times_to_node(g, g.edges[b].from_node, hour)
+                to_b = drive_times_to_node(g, g.node_ids[g.block_from[g.position[b]]], hour)
                 i, j = g.position[a], g.position[b]
                 assert to_node[i] <= to_b[i] + g.drive_s[hour, j] / 2 + to_node[j] + 1e-9
 
     def test_insertion_order_irrelevant(self):
         g1 = line_graph()
-        nodes = list(g1.nodes.values())[::-1]
-        edges = list(g1.edges.values())[::-1]
+        nodes = list(node_records(g1).values())[::-1]
+        edges = list(block_records(g1).values())[::-1]
         g2 = build_graph(nodes, edges)
         for hour in (0, 12):
             assert np.array_equal(drive_times_to_node(g1, "n3", hour),
@@ -316,7 +333,7 @@ class TestWalkTime:
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = random_graph(rng, n_nodes=int(rng.integers(4, 8)))
-            ids = sorted(g.edges)
+            ids = g.block_ids
             src = ids[int(rng.integers(len(ids)))]
             dst = ids[int(rng.integers(len(ids)))]
             assert walk_times_to_block(g, dst)[g.position[src]] == brute_walk_time(g, src, dst)
@@ -324,8 +341,8 @@ class TestWalkTime:
     def test_bulk_table_matches_single_queries(self, small_grid):
         dest = "h1_0E"
         table = walk_times_to_block(small_grid, dest)
-        assert table.shape == (len(small_grid.edges),)
-        for eid in small_grid.edges:
+        assert table.shape == (len(small_grid.block_ids),)
+        for eid in small_grid.block_ids:
             assert table[small_grid.position[eid]] == brute_walk_time(small_grid, eid, dest)
 
 
@@ -341,7 +358,7 @@ class TestBlockDistance:
         rng = np.random.default_rng(5)
         for _ in range(15):
             g = random_graph(rng, n_nodes=6)
-            ids = sorted(g.edges)
+            ids = g.block_ids
             src = ids[int(rng.integers(len(ids)))]
             dst = ids[int(rng.integers(len(ids)))]
             table = block_distances_to_block(g, dst)
@@ -349,14 +366,14 @@ class TestBlockDistance:
 
     def test_bulk_table(self, small_grid):
         table = block_distances_to_block(small_grid, "h0_0E")
-        assert table.shape == (len(small_grid.edges),)
-        for eid in small_grid.edges:
+        assert table.shape == (len(small_grid.block_ids),)
+        for eid in small_grid.block_ids:
             assert table[small_grid.position[eid]] == brute_distance_m(small_grid, eid, "h0_0E")
 
 
 class TestNodeAnchoredQueries:
     def test_drive_to_adjacent_node_is_half_block(self, small_grid):
-        e = small_grid.edges["h0_0E"]
+        e = block_records(small_grid)["h0_0E"]
         assert drive_time_to_node(small_grid, "h0_0E", e.to_node, 9) == e.drive_time_s[9] / 2
 
     def test_bulk_drive_table_matches_single(self, small_grid):
@@ -370,13 +387,13 @@ class TestNodeAnchoredQueries:
         rng = np.random.default_rng(13)
         for _ in range(10):
             g = random_graph(rng, n_nodes=int(rng.integers(4, 7)))
-            node = sorted(g.nodes)[int(rng.integers(len(g.nodes)))]
+            node = g.node_ids[int(rng.integers(len(g.node_ids)))]
             table = walk_times_from_node(g, node)
             for eid in g.block_ids:
                 assert table[g.position[eid]] == brute_walk_time_from_node(g, node, eid)
 
     def test_walk_from_node_half_term_on_block_side_only(self, small_grid):
-        e = small_grid.edges["h0_0E"]
+        e = block_records(small_grid)["h0_0E"]
         assert walk_time_from_node(small_grid, e.from_node, "h0_0E") == e.walk_time_s / 2
 
     @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
@@ -384,8 +401,7 @@ class TestNodeAnchoredQueries:
         # every column, a repeated node's too, is its node's one-column table;
         # on the ring, whose paths can be enumerated, also the exact path sums
         g = grid_graph(4) if graph == "grid" else ring_graph()
-        nodes = sorted(g.nodes)
-        nodes = nodes[::3] + nodes[:1]
+        nodes = g.node_ids[::3] + g.node_ids[:1]
         walk = walk_tables_from_nodes(g, nodes)
         assert walk.shape == (len(g.block_ids), len(nodes))
         for c, node in enumerate(nodes):
@@ -459,10 +475,20 @@ def assert_same_graph(got: RoadGraph, want: RoadGraph):
             assert np.array_equal(a, b), f.name
         else:
             assert type(a) is type(b) and a == b, f.name
-    for a, b in ((got.nodes, want.nodes), (got.edges, want.edges)):
-        for key, value in b.items():
-            assert [type(x) for x in vars(a[key]).values()] == [
-                type(x) for x in vars(value).values()], key
+            if isinstance(b, tuple):
+                assert list(map(type, a)) == list(map(type, b)), f.name
+
+
+def assert_columns_only(g: RoadGraph):
+    """No field holds a record: only ids, ints and arrays of numbers."""
+    for f in dataclasses.fields(RoadGraph):
+        value = getattr(g, f.name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype.kind in "bif", f.name
+        else:
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            assert {(type(k), type(v)) for k, v in items} <= {(int, str), (int, int),
+                                                                 (str, int)}, f.name
 
 
 def no_parse(*args):
@@ -471,19 +497,20 @@ def no_parse(*args):
 
 def load_miss_then_hit(path, index, monkeypatch):
     """The graph loaded with no index, then beside a missing index, which
-    writes it, then beside that index, which must not parse the file; all
-    three must be the same."""
+    writes it, then beside that index, which must not parse the file or
+    build a record; all three must be the same, and hold columns only."""
     parsed = load_graph(path)
     if index.exists():
         index.unlink()
     missed = load_graph(path, index)
     assert index.exists()
     with monkeypatch.context() as patch:
-        patch.setattr(road_graph, "build_graph", no_parse)
-        patch.setattr(road_graph, "_field", no_parse)
+        for name in ("build_graph", "_field", "Intersection", "BlockFace"):
+            patch.setattr(road_graph, name, no_parse)
         hit = load_graph(path, index)
     assert_same_graph(missed, parsed)
     assert_same_graph(hit, parsed)
+    assert_columns_only(hit)
     return hit
 
 
@@ -506,7 +533,7 @@ class TestGraphIndex:
             g = random_graph(rng, n_nodes=int(rng.integers(2, 9)), fractional=trial % 2 == 1)
             save_graph(g, tmp_path / "graph.json")
             hit = load_miss_then_hit(tmp_path / "graph.json", tmp_path / "graph.npz", monkeypatch)
-            assert hit == g
+            assert_same_graph(hit, g)
 
     def test_meter_count_beyond_int64_survives_miss_and_hit(self, tmp_path, monkeypatch):
         payload = graph_file_payload()
@@ -514,7 +541,7 @@ class TestGraphIndex:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(payload))
         hit = load_miss_then_hit(path, tmp_path / "g.npz", monkeypatch)
-        assert hit.edges["e0f"].meter_count == 10**30
+        assert hit.meter_count[hit.position["e0f"]] == 10**30
 
     def test_nul_ended_ids_survive_miss_and_hit(self, tmp_path, monkeypatch):
         payload = graph_file_payload()
@@ -527,9 +554,9 @@ class TestGraphIndex:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(payload))
         hit = load_miss_then_hit(path, tmp_path / "g.npz", monkeypatch)
-        assert set(hit.nodes) == {"a\x00", "b\x00", "c\x00", "d\x00"}
+        assert hit.node_ids == ("a\x00", "b\x00", "c\x00", "d\x00")
         assert hit.block_ids[0] == "e0f\x00"
-        assert hit.edges["e0f\x00"].from_node == "a\x00"
+        assert hit.node_ids[hit.block_from[0]] == "a\x00"
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "member_not_npy",
                                         "other_version", "other_key"])
