@@ -23,11 +23,17 @@ Synth stream version 1: one ``numpy.random.default_rng(seed)`` draws, in order,
    car whether it paid until FLAT_RATE_END_HOUR (``random``, only before
    it), and otherwise its paid hours (``choice``).
 
+The ``integers``, ``lognormal`` and ``choice`` draws are numpy's algorithms
+run without its per-call cost: Lemire's bounded integer on PCG64's 32-bit
+words (``_integer_source``, which must draw every integer), ``exp(mean +
+sigma * standard_normal())`` and a search of ``random()`` in ``choice``'s CDF.
+
 Survey answers and the ground truth are read off the sessions.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import math
@@ -43,7 +49,7 @@ from .data_ingest import (LOT_EVENT_COLUMNS, SURVEY_COLUMNS, write_lots, write_p
                           write_table)
 from .errors import DataError, check_fields
 from .occupancy_model import _EPOCH, HOUR_US, feature_matrix, micros, session_arrays
-from .offstreet_sim import LotSpec
+from .offstreet_sim import MAX_CAPACITY, LotSpec
 from .road_graph import BlockFace, Intersection, _atomic_write, build_graph, save_graph
 
 BLOCK_LENGTH_M = 100.0
@@ -56,6 +62,9 @@ SURVEYS_PER_BLOCK = 8
 SURVEY_MISSING_FRACTION = 0.15
 # Lot parkers on the flat rate pay until this hour, so departures spike at it.
 FLAT_RATE_END_HOUR = 18
+MAX_DEMAND_SCALE = 100.0
+_PAID_HOURS_SUMS = np.cumsum([0.35, 0.30, 0.20, 0.15])  # of 1..4 paid hours at a lot
+_PAID_HOURS_CDF = (_PAID_HOURS_SUMS / _PAID_HOURS_SUMS[-1]).tolist()  # normalised as choice does
 _DAY0_S = (datetime.combine(START_DATE, time()) - _EPOCH) // timedelta(seconds=1)
 
 BUNDLE_FILES = ("graph.json", "payments.csv", "surveys.csv", "lots.json",
@@ -82,6 +91,9 @@ class SynthConfig:
     def __post_init__(self):
         check_fields(self, at_least={"grid_n": 2, "days": 7, "lot_capacity": 1,
                                      "demand_scale": 0})
+        for name, bound in (("demand_scale", MAX_DEMAND_SCALE), ("lot_capacity", MAX_CAPACITY)):
+            if getattr(self, name) > bound:
+                raise DataError(f"{name} must be at most {bound}")
         if self.days % 7:
             raise DataError("days must be a positive multiple of 7")
         if not 0.0 < self.observed_fraction <= 1.0:
@@ -92,24 +104,16 @@ class SynthConfig:
                 raise DataError(f"lot node {node!r} not in the {self.grid_n}x{self.grid_n} grid")
 
 
-def _node_id(row: int, column: int) -> str:
-    return f"n{row}_{column}"
-
-
 def _hour_shape(h: int) -> float:
     """Business-hours demand bump peaking early afternoon."""
     return math.exp(-((h - 13.5) / 3.5) ** 2)
-
-
-def _lot_shape(h: int) -> float:
-    return math.exp(-((h - 11.0) / 3.2) ** 2)
 
 
 def _grid_faces(cfg: SynthConfig, rng: np.random.Generator):
     """The grid's intersections, its block faces and each face's centrality:
     1 at the grid center, 0 at the far corners."""
     n = cfg.grid_n
-    nodes = [Intersection(_node_id(r, c), 49.26 + r * 9e-4, -123.13 + c * 1.3e-3)
+    nodes = [Intersection(f"n{r}_{c}", 49.26 + r * 9e-4, -123.13 + c * 1.3e-3)
              for r in range(n) for c in range(n)]
     center = (n - 1) / 2.0
     max_dist = math.hypot(center, center)
@@ -133,38 +137,54 @@ def _grid_faces(cfg: SynthConfig, rng: np.random.Generator):
                 for tag, (u, v) in ((fwd, (a, b)), (rev, (b, a))):
                     metered = rng.random() >= UNMETERED_FRACTION
                     faces.append(BlockFace(
-                        id=f"{base_id}{tag}", from_node=_node_id(*u), to_node=_node_id(*v),
+                        id=f"{base_id}{tag}", from_node="n%d_%d" % u, to_node="n%d_%d" % v,
                         length_m=length, meter_count=METERS_PER_BLOCK if metered else 0,
                         walk_time_s=length / WALK_SPEED_MPS, drive_time_s=drive))
                     centrality.append(central)
     return nodes, faces, centrality
 
 
+def _integer_source(rng: np.random.Generator):
+    """``draw(low, high)``, equal to ``rng.integers(low, high)`` for spans up to
+    2**32 while it draws every integer of ``rng``'s stream: Lemire's bounded
+    integer on PCG64's 32-bit words, a raw output's low half, then its high."""
+    word = (half for raw in iter(rng.bit_generator.random_raw, None)
+            for half in (raw & 0xFFFF_FFFF, raw >> 32)).__next__
+    def draw(low: int, high: int) -> int:
+        span = high - low
+        while span > 1:  # a span of 1 draws nothing
+            scaled = word() * span
+            if scaled & 0xFFFF_FFFF >= (2 ** 32 - span) % span:  # else unevenly mapped
+                return low + (scaled >> 32)
+        return low
+    return draw
+
+
 def _generate_sessions(face: BlockFace, centrality: float, cfg: SynthConfig,
-                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                       rng: np.random.Generator, draw) -> tuple[np.ndarray, np.ndarray]:
     """Admitted sessions' starts (whole seconds from the epoch) and paid
     whole seconds, in start order; at most the meter count run at once."""
-    candidates: list[tuple[int, int]] = []
-    pressure_base = 0.25 + 1.15 * centrality
+    load = face.meter_count * (0.25 + 1.15 * centrality)
+    rates = [load * (0.10 + 1.15 * _hour_shape(h)) * cfg.demand_scale for h in range(24)]
+    mean, normal = math.log(3300.0), rng.standard_normal
+    starts, durations = [], []
     for day in range(cfg.days):
-        for h in range(24):
-            offered = (face.meter_count * pressure_base
-                       * (0.10 + 1.15 * _hour_shape(h)) * cfg.demand_scale)
-            for _ in range(int(rng.poisson(offered))):
-                start = _DAY0_S + day * 86_400 + h * 3600 + int(rng.integers(0, 3600))
-                duration = min(max(rng.lognormal(math.log(3300.0), 0.55), 600.0),
-                               4 * 3600.0)
-                candidates.append((start, round(duration / 60.0) * 60))
-    candidates.sort()
-    admitted: list[tuple[int, int]] = []
-    running: list[int] = []  # a heap of the ends of admitted sessions
-    for start, duration in candidates:
-        while running and running[0] <= start:
+        for h, rate in enumerate(rates):
+            for _ in range(int(rng.poisson(rate))):
+                starts.append(_DAY0_S + day * 86_400 + h * 3600 + draw(0, 3600))
+                durations.append(math.exp(mean + 0.55 * normal()))
+    start = np.array(starts, dtype=np.int64)
+    paid = (np.rint(np.clip(durations, 600.0, 4 * 3600.0) / 60.0) * 60).astype(np.int64)
+    order = np.lexsort((paid, start))
+    start, paid = start[order], paid[order]
+    admitted, running = [], []  # positions; a heap of the ends of admitted sessions
+    for i, (begin, length) in enumerate(zip(start.tolist(), paid.tolist())):
+        while running and running[0] <= begin:
             heapq.heappop(running)
         if len(running) < face.meter_count:
-            admitted.append((start, duration))
-            heapq.heappush(running, start + duration)
-    return tuple(np.array(admitted, dtype=np.int64).reshape(-1, 2).T)
+            admitted.append(i)
+            heapq.heappush(running, begin + length)
+    return start[admitted], paid[admitted]
 
 
 def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> None:
@@ -176,6 +196,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> N
     window for end-to-end checks.
     """
     rng = np.random.default_rng(int(seed))
+    draw = _integer_source(rng)
     out = Path(out_dir)
 
     nodes, faces, centrality = _grid_faces(cfg, rng)
@@ -186,7 +207,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> N
     parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64))]
     payments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for i, (face, c) in enumerate(metered):
-        start_s, paid_s = _generate_sessions(face, c, cfg, rng)
+        start_s, paid_s = _generate_sessions(face, c, cfg, rng, draw)
         parts.append((np.full(start_s.size, i), start_s * 1_000_000,
                       (start_s + paid_s) * 1_000_000))
         observed = rng.random(start_s.size) < cfg.observed_fraction
@@ -200,9 +221,7 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> N
         for visit in range(SURVEYS_PER_BLOCK):
             hours = (9, 12) if visit < SURVEYS_PER_BLOCK // 2 else (13, 17)
             while True:  # ends: a half-day's 4 visits share at least 42 windows
-                day = int(rng.integers(0, cfg.days))
-                hour = int(rng.integers(*hours))
-                minute = int(rng.integers(0, 60))
+                day, hour, minute = draw(0, cfg.days), draw(*hours), draw(0, 60)
                 ts = datetime.combine(START_DATE + timedelta(days=day), time(hour, minute))
                 window = ts.replace(minute=minute - minute % 30)
                 if window not in seen_windows:
@@ -237,19 +256,20 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> N
     # lots and their hourly entry records
     middle = (cfg.grid_n - 1) // 2
     lots = [LotSpec(id=f"lot{i + 1}", node=node, capacity=cfg.lot_capacity)
-            for i, node in enumerate(cfg.lot_nodes or (_node_id(middle, middle),))]
+            for i, node in enumerate(cfg.lot_nodes or (f"n{middle}_{middle}",))]
+    lot_shape = [0.04 + math.exp(-((h - 11.0) / 3.2) ** 2) for h in range(24)]
     events: list[list] = []
     for lot in lots:
         scale = lot.capacity / 3.0
         for day in range(cfg.days):
             weekend = (START_DATE + timedelta(days=day)).weekday() >= 5
             for h in range(24):
-                mean_entries = scale * (0.04 + _lot_shape(h)) * (0.55 if weekend else 1.0)
+                mean_entries = scale * lot_shape[h] * (0.55 if weekend else 1.0)
                 entries = int(rng.poisson(mean_entries))
                 recorded = int(rng.binomial(entries, 0.95)) if entries else 0
                 paid_s = [(FLAT_RATE_END_HOUR - h) * 3600
                           if h < FLAT_RATE_END_HOUR and rng.random() < 0.30
-                          else 3600 * (1 + int(rng.choice(4, p=[0.35, 0.30, 0.20, 0.15])))
+                          else 3600 * (1 + bisect.bisect_right(_PAID_HOURS_CDF, rng.random()))
                           for _ in range(recorded)]
                 hour = datetime.combine(START_DATE + timedelta(days=day), time(h, 0))
                 events.append([lot.id, hour.isoformat(), entries, ";".join(map(str, paid_s))])

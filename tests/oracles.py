@@ -15,7 +15,9 @@ the integer ``counter_uniform``, the uniforms; and ``lot_hours_scalar``,
 which reduces the waits of ``simulate_lot_hour_scalar``'s parked cars with
 the package's ``lot_wait_times``: the scalar lot pins the stalls, through
 the integer ``counter_uniform`` the uniforms, and ``lot_wait_time`` the
-waits.
+waits. ``sessions_v1`` is synth stream version 1's session draw as it
+was first written, one numpy call per draw; it reads the package's
+``_DAY0_S`` and ``_hour_shape``, and pins the draws, not those constants.
 
 The graph oracles read only a ``RoadGraph``'s base columns: ``node_ids``,
 ``lat``, ``lon``, ``block_ids``, ``block_from``, ``block_to``,
@@ -28,6 +30,7 @@ built from ``out_blocks``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import zlib
@@ -45,6 +48,7 @@ from parksim.onstreet_sim import OnstreetConfig, PolicyWeights
 from parksim.road_graph import (BlockFace, Intersection, RoadGraph, block_distances_to_block,
                                 walk_times_to_block)
 from parksim.seeding import counter_uniform as uniforms, derived_stream, stream_key
+from parksim.synth import _DAY0_S, _hour_shape
 
 
 # -- the graph's base columns as records --------------------------------------
@@ -879,3 +883,32 @@ def lot_rates(events, peak_hours, sigma_h, span_h):
         for (dow, h), (total_in, total_out) in sums.items():
             rates[(lot, dow, h)] = (total_in / weeks, total_out / weeks)
     return rates, outside
+
+
+# -- synth stream version 1's sessions, one numpy call per draw ----------------
+
+def sessions_v1(face: BlockFace, centrality: float, cfg,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Admitted sessions' starts (whole seconds from the epoch) and paid
+    whole seconds, in start order; at most the meter count run at once."""
+    candidates: list[tuple[int, int]] = []
+    pressure_base = 0.25 + 1.15 * centrality
+    for day in range(cfg.days):
+        for h in range(24):
+            offered = (face.meter_count * pressure_base
+                       * (0.10 + 1.15 * _hour_shape(h)) * cfg.demand_scale)
+            for _ in range(int(rng.poisson(offered))):
+                start = _DAY0_S + day * 86_400 + h * 3600 + int(rng.integers(0, 3600))
+                duration = min(max(rng.lognormal(math.log(3300.0), 0.55), 600.0),
+                               4 * 3600.0)
+                candidates.append((start, round(duration / 60.0) * 60))
+    candidates.sort()
+    admitted: list[tuple[int, int]] = []
+    running: list[int] = []  # a heap of the ends of admitted sessions
+    for start, duration in candidates:
+        while running and running[0] <= start:
+            heapq.heappop(running)
+        if len(running) < face.meter_count:
+            admitted.append((start, duration))
+            heapq.heappush(running, start + duration)
+    return tuple(np.array(admitted, dtype=np.int64).reshape(-1, 2).T)

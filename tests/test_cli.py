@@ -31,7 +31,7 @@ from parksim.occupancy_model import FEATURE_NAMES, N_FEATURES, TrainConfig
 from parksim.offstreet_sim import LotSimConfig
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import load_graph
-from parksim.synth import SynthConfig, synth_generate
+from parksim.synth import MAX_DEMAND_SCALE, SynthConfig, synth_generate
 
 from conftest import grid_graph
 from oracles import (brute_drive_time_to_node, brute_walk_time_from_node, estimate_cells,
@@ -234,6 +234,28 @@ def test_removed_synth_key_is_a_config_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err and "Traceback" not in err
     assert not (tmp_path / "city").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("demand_scale", 1e300), ("demand_scale", 1e9), ("demand_scale", MAX_DEMAND_SCALE * 1.01),
+    ("lot_capacity", offstreet_sim.MAX_CAPACITY + 1), ("lot_capacity", 10 ** 30),
+], ids=["demand_scale_1e300", "demand_scale_1e9", "demand_scale_above_max",
+        "lot_capacity_above_max", "lot_capacity_beyond_int64"])
+def test_synth_size_knob_above_its_max_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                         key, value):
+    # rejected with the config, before any draw
+    monkeypatch.setattr(np.random, "default_rng", None)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"grid_n": 2, "days": 7, key: value}}))
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "city")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{key} must be at most" in err and "Traceback" not in err
+    assert not (tmp_path / "city").exists()
+
+
+def test_synth_size_knobs_at_their_max_are_accepted():
+    cfg = SynthConfig(demand_scale=MAX_DEMAND_SCALE, lot_capacity=offstreet_sim.MAX_CAPACITY)
+    assert (cfg.demand_scale, cfg.lot_capacity) == (100.0, 2 ** 31 - 1)
 
 
 @pytest.mark.parametrize("argv", [[], ["--config", "config.json"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import json
@@ -46,10 +47,12 @@ from parksim.data_ingest import (
 from parksim.errors import DataError
 from parksim.occupancy_model import build_dataset, micros, session_arrays
 from parksim.road_graph import load_graph
-from parksim.synth import BUNDLE_FILES, METERS_PER_BLOCK, SynthConfig, synth_generate
+from parksim.synth import (_PAID_HOURS_CDF, BUNDLE_FILES, METERS_PER_BLOCK, SynthConfig,
+                           _generate_sessions, _grid_faces, _hour_shape, _integer_source,
+                           synth_generate)
 
 from conftest import PaymentRecord, block_sessions, sessions_of
-from oracles import left_gaussian_weights, lot_rates, survey_samples
+from oracles import left_gaussian_weights, lot_rates, sessions_v1, survey_samples
 
 D = date(2026, 3, 2)  # a Monday
 HOUR = timedelta(hours=1)
@@ -400,17 +403,42 @@ def ground_truth(out):
     return json.loads((out / "ground_truth.json").read_text())
 
 
-# sha256 of each file of the grid-3, 7-day city at seed 77, by the numpy
-# version that made it: numpy does not promise the same Generator streams
-# across versions (NEP 19).
-STREAM_V1_SHA256 = {"2.4": {
+# sha256 of each file of a city's bundle, by the numpy version that made it:
+# numpy does not promise the same Generator streams across versions (NEP 19).
+# "grid-3" is the grid-3, 7-day city at seed 77. "busy" adds two lots and
+# demand_scale 3, so that its central faces draw their arrivals by numpy's
+# Poisson rejection branch (rates of 10 and more) and its lot cars draw
+# paid hours.
+STREAM_V1_CITIES = {
+    "grid-3": SynthConfig(grid_n=3, days=7),
+    "busy": SynthConfig(grid_n=3, days=7, demand_scale=3.0, lot_nodes=("n0_0", "n2_2")),
+}
+STREAM_V1_SHA256 = {"2.4": {"grid-3": {
     "graph.json": "893119c92acca9ee5ac351aec644f571d0db2995ee9366407208dad909883130",
     "payments.csv": "31150953311bae141fed1ae1185660ee98fe51d91c1d25402fded171da338456",
     "surveys.csv": "d2b021f86b8564e48e0bb06f569291bb87a95a692db1f7afd98fd604a24fe75c",
     "lots.json": "711424c3e63a41acec089bbcae691834cd761806e6e656c9f9c1d6f519aabf4e",
     "lot_events.csv": "8762605e5bfbb10b0c575815e8c9e6e8f826515eba8c3d74d2f69a670995dd84",
     "ground_truth.json": "46cabc30f3ec9bfe7ab763436c78d7207574d9f2f3eb753637a43b95a4003802",
-}}
+}, "busy": {
+    "graph.json": "893119c92acca9ee5ac351aec644f571d0db2995ee9366407208dad909883130",
+    "payments.csv": "5ae4fff8e11a921b26483551dfa6b9086897fa4bdfb67274097591ad343c4892",
+    "surveys.csv": "9a39d1e2cabf4ee93cbca59df0d552a72f7abffd8d80050de40ebd29bd3a85da",
+    "lots.json": "04071ac30038c5fd0d7691953ff898e586fabb0cd3ec59c2ba70ab1b2e3a2bb8",
+    "lot_events.csv": "4210d907bb3a4bd273712224a423fbf30d47c00e01aa44f77e8ec4f8e111250b",
+    "ground_truth.json": "993b5154aa8cc89cbe8a16a9edcd133a34e94ac38b1c84b99794f59cf68df4f3",
+}}}
+
+
+def assert_stream_v1_pinned(out: Path, city: str):
+    """The bundle in ``out`` has the pinned hashes of ``city`` at seed 77,
+    or the test skips under a numpy that pinned none."""
+    version = ".".join(np.__version__.split(".")[:2])
+    if version not in STREAM_V1_SHA256:
+        pytest.skip(f"stream hashes recorded under numpy {sorted(STREAM_V1_SHA256)}, "
+                    f"not {version}")
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in BUNDLE_FILES} == STREAM_V1_SHA256[version][city]
 
 
 class TestSynthGenerate:
@@ -431,19 +459,18 @@ class TestSynthGenerate:
         assert len(g.block_ids) == 360
 
     def test_fixed_seed_byte_identical(self, tmp_path):
-        cfg = SynthConfig(grid_n=3, days=7)
+        cfg = STREAM_V1_CITIES["grid-3"]
         synth_generate(cfg, seed=77, out_dir=tmp_path / "a")
         synth_generate(cfg, seed=77, out_dir=tmp_path / "b")
         for name in BUNDLE_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), \
                 name
         # synth stream version 1, pinned
-        version = ".".join(np.__version__.split(".")[:2])
-        if version not in STREAM_V1_SHA256:
-            pytest.skip(f"stream hashes recorded under numpy {sorted(STREAM_V1_SHA256)}, "
-                        f"not {version}")
-        assert {name: hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
-                for name in BUNDLE_FILES} == STREAM_V1_SHA256[version]
+        assert_stream_v1_pinned(tmp_path / "a", "grid-3")
+
+    def test_busy_city_pinned(self, tmp_path):
+        synth_generate(STREAM_V1_CITIES["busy"], seed=77, out_dir=tmp_path)
+        assert_stream_v1_pinned(tmp_path, "busy")
 
     def test_bundle_independent_of_time_zone(self, tmp_path):
         # the default 14-day window crosses the 2026-03-08 DST switch
@@ -525,6 +552,76 @@ class TestSynthGenerate:
         X2, y2 = read_samples_csv(path)
         assert np.array_equal(X2, X) and np.array_equal(y2, y)
         assert y.tolist() == samples.labels.tolist()
+
+
+# spans of the integer draws checked against Generator.integers: 1 draws
+# nothing, 2**31 + 1 rejects about half its words, 3 * 2**30 a quarter, and
+# 2**32 is numpy's unbounded 32-bit path
+INTEGER_SPANS = (1, 3, 7, 60, 3600, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32)
+
+
+class TestStreamV1Exactness:
+    """Synth stream version 1 draws what numpy's own calls draw, under any
+    numpy: each side runs on its own default_rng of the same seed."""
+
+    def test_sessions_equal_the_scalar_reference(self):
+        cfg = SynthConfig(grid_n=5, days=7, demand_scale=3.0)
+        rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        _, faces, centrality = _grid_faces(cfg, rng)
+        _grid_faces(cfg, ref)
+        draw = _integer_source(rng)
+        metered = [(face, c) for face, c in zip(faces, centrality) if face.meter_count]
+        # the central faces draw by numpy's Poisson rejection branch
+        assert max(face.meter_count * (0.25 + 1.15 * c) * (0.10 + 1.15 * _hour_shape(13))
+                   * cfg.demand_scale for face, c in metered) >= 10
+        total = 0
+        for face, c in metered:
+            got, want = _generate_sessions(face, c, cfg, rng, draw), sessions_v1(face, c, cfg, ref)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist(), face.id
+            # synth_generate's observed draw between faces
+            assert rng.random(got[0].size).tolist() == ref.random(want[0].size).tolist()
+            total += got[0].size
+        assert total > 10_000
+        assert draw(0, 2 ** 32) == ref.integers(0, 2 ** 32)
+        # the same raw outputs drawn; only ref's bit generator keeps a half
+        assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 77])
+    def test_integers_equal_numpy_with_other_draws_between(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = _integer_source(rng)
+        plan = np.random.default_rng(seed + 1000)
+        for span, low, other in zip(plan.choice(INTEGER_SPANS, 4000).tolist(),
+                                    plan.choice([0, 9, -7], 4000).tolist(),
+                                    plan.integers(0, 4, 4000).tolist()):
+            assert draw(low, low + span) == ref.integers(low, low + span), (span, low)
+            if other == 1:
+                assert rng.standard_normal() == ref.standard_normal()
+            elif other == 2:
+                assert rng.poisson(14.5) == ref.poisson(14.5)
+            elif other == 3:
+                assert rng.random() == ref.random()
+        for span in INTEGER_SPANS:  # each span again, at either half of a raw output
+            assert [draw(0, span) for _ in range(3)] == ref.integers(0, span, 3).tolist()
+        assert draw(0, 2 ** 32) == ref.integers(0, 2 ** 32)
+        # the same raw outputs drawn; only ref's bit generator keeps a half
+        assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+
+    def test_exp_of_a_normal_equals_lognormal(self):
+        mean = math.log(3300.0)
+        z = np.random.default_rng(5).standard_normal(300_000).tolist()
+        want = np.random.default_rng(5).lognormal(mean, 0.55, 300_000).tolist()
+        assert [math.exp(mean + 0.55 * v) for v in z] == want
+
+    def test_paid_hours_search_equals_choice(self):
+        u = np.random.default_rng(6).random(100_000).tolist()
+        want = np.random.default_rng(6).choice(4, 100_000, p=[0.35, 0.30, 0.20, 0.15])
+        assert [bisect.bisect_right(_PAID_HOURS_CDF, x) for x in u] == want.tolist()
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(2000):  # one-car calls, as choice was called per car
+            assert (bisect.bisect_right(_PAID_HOURS_CDF, rng.random())
+                    == ref.choice(4, p=[0.35, 0.30, 0.20, 0.15]))
 
 
 def write_payment_rows(path, rows):
