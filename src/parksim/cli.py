@@ -413,7 +413,11 @@ def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
 def _write_cells(path: Path, columns: tuple[str, ...], g: RoadGraph,
                  hours: tuple[int, ...], *arrays) -> None:
     """Write a per-cell stage CSV whose columns after ``block_id`` and
-    ``hour`` hold ``arrays``, each (len(hours), blocks) or one value for all."""
+    ``hour`` hold ``arrays``, each (len(hours), blocks) or one value for all.
+    A non-finite float is a NumericError, and nothing is written."""
+    for column, a in zip(columns[2:], arrays):
+        if np.asarray(a).dtype.kind == "f" and not np.isfinite(a).all():
+            raise NumericError(f"{path}: {column} would hold a non-finite value")
     shape = len(hours), len(g.block_ids)
     cells = zip(*(np.broadcast_to(a, shape).ravel().tolist() for a in arrays))
     keys = ((block_id, hour) for hour in hours for block_id in g.block_ids)

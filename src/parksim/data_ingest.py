@@ -91,6 +91,9 @@ class SmoothingConfig:
 
     def __post_init__(self):
         check_fields(self, positive=("sigma_h",), at_least={"span_h": 1})
+        var = 2.0 * self.sigma_h * self.sigma_h  # the weights' denominator, as computed
+        if not (var and math.exp(-1 / var)):  # the largest weight
+            raise DataError(f"sigma_h {self.sigma_h!r} gives every Gaussian weight 0")
         if not all(0 <= h <= 23 for h in self.peak_hours):
             raise DataError("peak_hours must be hours of day")
 
@@ -132,15 +135,16 @@ def smooth_departures(counts: np.ndarray, first_hour: int,
     sigma_h, normalized). Grand totals are conserved.
     """
     values = np.array(counts, dtype=float)
+    peaks = [i for i in range(len(values)) if (first_hour + i) % 24 in cfg.peak_hours]
+    if not peaks:
+        return values
+    if peaks[0] < cfg.span_h:  # checked before a weight is built
+        raise DataError(f"series too short: need {cfg.span_h} hours before "
+                        f"the peak at hour {peaks[0]} of the span")
     raw = [math.exp(-(d * d) / (2.0 * cfg.sigma_h * cfg.sigma_h))
            for d in range(1, cfg.span_h + 1)]
     weights = (np.array(raw) / sum(raw))[::-1]  # of the hours span_h, ..., 1 before a peak
-    for i in range(len(values)):
-        if (first_hour + i) % 24 not in cfg.peak_hours:
-            continue
-        if i < cfg.span_h:
-            raise DataError(f"series too short: need {cfg.span_h} hours before "
-                            f"the peak at hour {i} of the span")
+    for i in peaks:
         neighborhood = values[max(0, i - 3):i].tolist() + values[i + 1:i + 4].tolist()
         excess = max(0.0, values[i] - statistics.median(neighborhood))
         values[i] -= excess

@@ -104,6 +104,8 @@ class LotSimConfig:
         check_fields(self, positive=("min_park_s", "vacate_wait_s", "per_stall_drive_s",
                                      "tick_s"),
                      at_least={"reps": 1, "seed": 0})
+        if np.isinf(3600.0 / self.tick_s):
+            raise DataError(f"tick_s {self.tick_s!r} leaves no finite tick count per hour")
 
 
 @dataclass(frozen=True)
@@ -228,7 +230,10 @@ def _lockstep(tasks: Sequence[LotHourTask], lams: Sequence[tuple[float, float]],
     stall]``, padded to the widest lot by stalls that stay occupied and
     never leave. Each task draws from its own stream as it would alone."""
     n, reps, scale = len(tasks), cfg.reps, 1.0 / ticks  # the ticks span the whole hour
-    arrive = np.empty((ticks, n * reps), dtype=np.int64)
+    try:  # numpy refuses a shape past its size limit outright, not as out of memory
+        arrive = np.empty((ticks, n * reps), dtype=np.int64)
+    except ValueError as exc:
+        raise MemoryError(exc) from exc
     depart = np.empty_like(arrive)
     for i, ((_, _, _, rng), (lam_a, lam_d)) in enumerate(zip(tasks, lams)):
         arrive[:, i * reps:(i + 1) * reps] = rng.poisson(lam_a * scale, size=(ticks, reps))
@@ -301,6 +306,7 @@ class OffstreetEstimate:
     overflow: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf times are refused by their writer
 def estimate_offstreet_time(g: RoadGraph, lots: Sequence[LotSpec], rates: LotRates,
                             day: int, hours: Sequence[int],
                             cfg: LotSimConfig) -> OffstreetEstimate:

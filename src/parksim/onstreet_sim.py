@@ -205,6 +205,7 @@ def _lockstep(g: RoadGraph, dests: np.ndarray, dest_at: np.ndarray, hour_at: np.
     return totals, censored.sum(axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflows are NumericErrors, not warnings
 def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
                            cfg: OnstreetConfig, weights: PolicyWeights) -> OnstreetEstimate:
     """Mean and spread of total on-street time, over seeded search samples,
@@ -221,6 +222,10 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
     if p.shape != shape:
         raise DataError(f"availability array has shape {p.shape}, expected {shape}")
     n, blocks = cfg.n_samples, len(g.block_ids)
+    try:  # numpy refuses a count past its size limit outright, not as out of memory
+        searches = np.arange(n)
+    except ValueError as exc:
+        raise MemoryError(exc) from exc
     mean, std, censored = np.empty(shape), np.zeros(shape), np.empty(shape)
     # One (search, block) pair of scratch arrays for every group of the
     # call, flattened: allocating them per group let the allocator return
@@ -244,11 +249,9 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
         for lo in range(0, column.size, cells):
             c, i = column[lo:lo + cells], row[lo:lo + cells]
             j = dests[c]
-            keys = stream_key(cell_keys[i, j][:, None], np.arange(n)).ravel()
-            # an overflowing score is reported as a NumericError, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                totals, n_censored = _lockstep(g, j, c * blocks, i * blocks, walk_s, dist_m, p,
-                                               drive_s, cfg, weights, keys, visits, last_check_s)
+            keys = stream_key(cell_keys[i, j][:, None], searches).ravel()
+            totals, n_censored = _lockstep(g, j, c * blocks, i * blocks, walk_s, dist_m, p,
+                                           drive_s, cfg, weights, keys, visits, last_check_s)
             mean[i, j] = totals.mean(axis=1)
             if n > 1:
                 std[i, j] = totals.std(axis=1, ddof=1)

@@ -26,10 +26,11 @@ columns still need leave unchanged, so no column depends on its neighbours.
 
 A ``RoadGraph`` is its columns: node ids and coordinates, block ids, ends,
 meter counts, lengths and times, and the adjacency derived from the ends.
-``Intersection`` and ``BlockFace`` records are only ``build_graph``'s input:
-it checks each rule once over all records, names the least id breaking the
-first rule broken, and checks connectivity with this kernel. It and a graph
-index hit share one derivation of the adjacency, ``_derived``.
+``build_graph`` takes the graph file's own records, as ``json.loads`` gives
+them: it checks their fields' JSON kinds as columns, then each rule once
+over the columns, names the least id breaking the first rule broken, and
+checks connectivity with this kernel. It and a graph index hit share one
+derivation of the adjacency, ``_derived``.
 """
 
 from __future__ import annotations
@@ -52,26 +53,6 @@ from .errors import ConfigError, DataError
 HOURS = 24
 # The layout of the graph index file; an index of another version is rebuilt.
 GRAPH_INDEX_VERSION = 2
-
-
-@dataclass(frozen=True)
-class Intersection:
-    id: str
-    lat: float
-    lon: float
-
-
-@dataclass(frozen=True)
-class BlockFace:
-    """One directed side of a street segment between two intersections."""
-
-    id: str
-    from_node: str
-    to_node: str
-    length_m: float
-    meter_count: int
-    walk_time_s: float
-    drive_time_s: tuple[float, ...]  # exactly 24 entries, one per hour
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -116,51 +97,64 @@ class RoadGraph:
     drive_via: np.ndarray
 
 
-def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> RoadGraph:
-    """Assemble and validate a graph from parts.
+def build_graph(graph: dict) -> RoadGraph:
+    """The graph of a graph file's object as ``json.loads`` gives it:
+    ``{"nodes": [{id, lat, lon}], "edges": [{id, from, to, length_m,
+    meter_count, walk_time_s, drive_time_s}]}``.
 
-    Rejects duplicate ids, non-finite coordinates, dangling or self-loop
-    edges, empty graphs, nonpositive or non-finite lengths and times,
-    negative meter counts, drive tables that do not cover 24 hours, nodes a
-    driver could enter but never leave, and weakly disconnected inputs.
-    Each rule is checked once over all records, in the order below, so a
-    faulty input is named by the first rule it breaks, at the least id that
-    breaks it. Connectivity is one ``_relax`` over ``walk_nbr``.
+    Each field's JSON kinds are checked first, as one column, field by field:
+    ids and node references strings, coordinates, lengths and times numbers,
+    ``meter_count`` an integer and ``drive_time_s`` an array. The first
+    faulty field is named at its first record, as a KeyError, TypeError or
+    ValueError. Then duplicate ids, non-finite coordinates, dangling or
+    self-loop edges, empty graphs, nonpositive or non-finite lengths and
+    times, negative meter counts, drive tables that do not cover 24 hours,
+    nodes a driver could enter but never leave, and weakly disconnected
+    inputs are DataErrors. Each rule is checked once over the columns in
+    sorted id order, in the order below, so a faulty input is named by the
+    first rule it breaks, at the least id that breaks it. Connectivity is one
+    ``_relax`` over ``walk_nbr``.
     """
-    nodes, edges = list(nodes), list(edges)
+    nodes, edges = graph["nodes"], graph["edges"]
+    ids = _field(nodes, "id", str, "node id")
+    coords = [_field(nodes, "lat", float), _field(nodes, "lon", float)]
+    edge_ids = _field(edges, "id", str, "edge id")
+    froms, tos = _field(edges, "from", str), _field(edges, "to", str)
+    length_m, meters = _field(edges, "length_m", float), _field(edges, "meter_count", int)
+    walk_s, drives = _field(edges, "walk_time_s", float), _field(edges, "drive_time_s", list)
+    drive_s = _json_column([t for times in drives for t in times], float, "drive time")
+
     # sorted, so a repeated id equals the next one; compared as Python
     # strings, since numpy str arrays drop trailing NULs
-    node_ids = sorted(n.id for n in nodes)
+    node_order = sorted(range(len(ids)), key=ids.__getitem__)
+    node_ids = [ids[j] for j in node_order]
     _reject(np.fromiter(map(operator.eq, node_ids[1:], node_ids), bool),
             "duplicate node id: {!r}", node_ids)
-    node_map = {n.id: n for n in nodes}
-    coords = np.array([[node_map[j].lat for j in node_ids], [node_map[j].lon for j in node_ids]],
-                      dtype=float)
+    coords = np.array([[column[j] for j in node_order] for column in coords], dtype=float)
     _reject(~np.isfinite(coords).all(axis=0), "node {!r} has non-finite coordinates", node_ids)
 
-    block_ids = tuple(sorted(e.id for e in edges))
+    order = sorted(range(len(edge_ids)), key=edge_ids.__getitem__)
+    block_ids = [edge_ids[i] for i in order]
     _reject(np.fromiter(map(operator.eq, block_ids[1:], block_ids), bool),
             "duplicate edge id: {!r}", block_ids)
-    edge_map = {e.id: e for e in edges}
-    blocks = [edge_map[b] for b in block_ids]
     node_position = {nid: j for j, nid in enumerate(node_ids)}
-    block_from = np.array([node_position.get(e.from_node, -1) for e in blocks], dtype=int)
-    block_to = np.array([node_position.get(e.to_node, -1) for e in blocks], dtype=int)
+    block_from, block_to = (np.array([node_position.get(ends[i], -1) for i in order], dtype=int)
+                            for ends in (froms, tos))
     _reject((block_from < 0) | (block_to < 0), "edge {!r} references unknown node", block_ids)
-    if not nodes or not edges:
+    if not ids or not edge_ids:
         raise DataError("graph needs at least one node and one edge")
     _reject(block_from == block_to, "edge {!r} is a self-loop", block_ids)
-    length_m = np.array([e.length_m for e in blocks])
+    length_m = np.array(length_m, dtype=float)[order]
     _reject(~_positive(length_m), "edge {!r} has nonpositive length", block_ids)
-    meter_count = tuple(e.meter_count for e in blocks)
+    meter_count = tuple(meters[i] for i in order)
     # a Python int of any size, which numpy compares as an object
     _reject(np.array(meter_count) < 0, "edge {!r} has negative meter count", block_ids)
-    walk_s = np.array([e.walk_time_s for e in blocks])
+    walk_s = np.array(walk_s, dtype=float)[order]
     _reject(~_positive(walk_s), "edge {!r} has nonpositive walk time", block_ids)
-    hours = np.array([len(e.drive_time_s) for e in blocks])
+    hours = np.array([len(drives[i]) for i in order])
     _reject(hours != HOURS, f"edge {{!r}} needs {HOURS} hourly drive times, got {{}}",
             block_ids, hours)
-    drive_s = np.array([e.drive_time_s for e in blocks])
+    drive_s = np.array(drive_s, dtype=float).reshape(-1, HOURS)[order]
     _reject(~_positive(drive_s).all(axis=1), "edge {!r} has nonpositive or non-finite drive time",
             block_ids)
 
@@ -173,7 +167,7 @@ def build_graph(nodes: Iterable[Intersection], edges: Iterable[BlockFace]) -> Ro
     g = _derived(node_ids, *coords, block_ids, block_from, block_to, meter_count, length_m,
                  walk_s, drive_s.T.copy())
     dist = np.full((n, 1), math.inf)
-    dist[node_position[nodes[0].id]] = 0.0
+    dist[node_position[ids[0]]] = 0.0
     unreached = np.flatnonzero(_relax(dist, g.walk_nbr, np.zeros(g.walk_nbr.shape)) > 0)
     if len(unreached):
         missing = [node_ids[j] for j in unreached[:5]]
@@ -227,12 +221,8 @@ def _padded(group: np.ndarray, n: int, *values: np.ndarray) -> tuple[np.ndarray,
 
 
 def load_graph(path: str | os.PathLike, index: str | os.PathLike | None = None) -> RoadGraph:
-    """Load and validate a graph file (JSON with `nodes` and `edges`): ids
-    and node references JSON strings, coordinates, lengths and times JSON
-    numbers, ``drive_time_s`` a JSON array and ``meter_count`` an integer.
-    Each field's kinds are checked as one column, field by field, so of
-    several faults the first faulty field is named, at its first record.
-    An ``index`` holding the file bytes' sha256 and GRAPH_INDEX_VERSION gives
+    """Load and validate a graph file: ``build_graph`` of its JSON object. An
+    ``index`` holding the file bytes' sha256 and GRAPH_INDEX_VERSION gives
     the graph with no parse or checks; any other is written anew after them."""
     try:
         data = Path(path).read_bytes()
@@ -250,16 +240,7 @@ def load_graph(path: str | os.PathLike, index: str | os.PathLike | None = None) 
         raise DataError(f"graph file {path} must be an object with 'nodes' and 'edges'")
 
     try:
-        nodes, edges = raw["nodes"], raw["edges"]
-        nodes = map(Intersection, _field(nodes, "id", str, "node id"),
-                    _field(nodes, "lat", float), _field(nodes, "lon", float))
-        columns = [_field(edges, "id", str, "edge id"), _field(edges, "from", str),
-                   _field(edges, "to", str), _field(edges, "length_m", float),
-                   _field(edges, "meter_count", int), _field(edges, "walk_time_s", float)]
-        drives = _field(edges, "drive_time_s", list)
-        _json_column([t for times in drives for t in times], float, "drive time")
-        edges = map(BlockFace, *columns, [tuple(map(float, times)) for times in drives])
-        g = build_graph(nodes, edges)
+        g = build_graph(raw)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed graph record in {path}: {exc}") from exc
     except DataError as exc:
@@ -287,20 +268,6 @@ def _read_graph_index(path: str | os.PathLike, key: str) -> RoadGraph:
         (block_from, block_to), times = member("ends", 2, np.int64), member("times", 2, np.float64)
     return _derived(node_ids, lat, lon, block_ids, block_from, block_to, meter_count, times[0],
                     times[1], times[2:])
-
-
-def save_graph(g: RoadGraph, path: str | os.PathLike) -> None:
-    """Write a graph in the same JSON format accepted by load_graph: each
-    record zips one entry of every column."""
-    froms, tos = ([g.node_ids[j] for j in ends.tolist()] for ends in (g.block_from, g.block_to))
-    columns = {
-        "nodes": {"id": g.node_ids, "lat": g.lat.tolist(), "lon": g.lon.tolist()},
-        "edges": {"id": g.block_ids, "from": froms, "to": tos, "length_m": g.length_m.tolist(),
-                  "meter_count": g.meter_count, "walk_time_s": g.walk_s.tolist(),
-                  "drive_time_s": g.drive_s.T.tolist()}}
-    payload = {part: [dict(zip(fields, record)) for record in zip(*fields.values())]
-               for part, fields in columns.items()}
-    _atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
 # The Python types json.loads gives a JSON value of each kind; bool is no int.

@@ -49,8 +49,8 @@ from .data_ingest import (LOT_EVENT_COLUMNS, SURVEY_COLUMNS, write_lots, write_p
                           write_table)
 from .errors import DataError, check_fields
 from .occupancy_model import _EPOCH, HOUR_US, feature_matrix, micros, session_arrays
-from .offstreet_sim import MAX_CAPACITY, LotSpec
-from .road_graph import BlockFace, Intersection, _atomic_write, build_graph, save_graph
+from .offstreet_sim import LotSpec
+from .road_graph import _atomic_write, build_graph
 
 BLOCK_LENGTH_M = 100.0
 METERS_PER_BLOCK = 5
@@ -63,6 +63,8 @@ SURVEY_MISSING_FRACTION = 0.15
 # Lot parkers on the flat rate pay until this hour, so departures spike at it.
 FLAT_RATE_END_HOUR = 18
 MAX_DEMAND_SCALE = 100.0
+# Stalls of a lot: each recorded car's paid hours are drawn one at a time.
+MAX_LOT_CAPACITY = 100_000
 _PAID_HOURS_SUMS = np.cumsum([0.35, 0.30, 0.20, 0.15])  # of 1..4 paid hours at a lot
 _PAID_HOURS_CDF = (_PAID_HOURS_SUMS / _PAID_HOURS_SUMS[-1]).tolist()  # normalised as choice does
 _DAY0_S = (datetime.combine(START_DATE, time()) - _EPOCH) // timedelta(seconds=1)
@@ -91,7 +93,8 @@ class SynthConfig:
     def __post_init__(self):
         check_fields(self, at_least={"grid_n": 2, "days": 7, "lot_capacity": 1,
                                      "demand_scale": 0})
-        for name, bound in (("demand_scale", MAX_DEMAND_SCALE), ("lot_capacity", MAX_CAPACITY)):
+        for name, bound in (("demand_scale", MAX_DEMAND_SCALE),
+                            ("lot_capacity", MAX_LOT_CAPACITY)):
             if getattr(self, name) > bound:
                 raise DataError(f"{name} must be at most {bound}")
         if self.days % 7:
@@ -110,14 +113,15 @@ def _hour_shape(h: int) -> float:
 
 
 def _grid_faces(cfg: SynthConfig, rng: np.random.Generator):
-    """The grid's intersections, its block faces and each face's centrality:
-    1 at the grid center, 0 at the far corners."""
+    """The graph file's records of the grid's intersections and of its block
+    faces, and each face's centrality: 1 at the grid center, 0 at the far
+    corners."""
     n = cfg.grid_n
-    nodes = [Intersection(f"n{r}_{c}", 49.26 + r * 9e-4, -123.13 + c * 1.3e-3)
+    nodes = [{"id": f"n{r}_{c}", "lat": 49.26 + r * 9e-4, "lon": -123.13 + c * 1.3e-3}
              for r in range(n) for c in range(n)]
     center = (n - 1) / 2.0
     max_dist = math.hypot(center, center)
-    faces: list[BlockFace] = []
+    faces: list[dict] = []
     centrality: list[float] = []
     for r in range(n):
         for c in range(n):
@@ -131,15 +135,14 @@ def _grid_faces(cfg: SynthConfig, rng: np.random.Generator):
                 mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
                 central = 1.0 - math.hypot(mid[0] - center, mid[1] - center) / max_dist
                 base_drive = length / DRIVE_SPEED_MPS
-                drive = tuple(
-                    base_drive * (1.0 + (0.25 + 1.55 * central) * _hour_shape(h))
-                    for h in range(24))
+                drive = [base_drive * (1.0 + (0.25 + 1.55 * central) * _hour_shape(h))
+                         for h in range(24)]
                 for tag, (u, v) in ((fwd, (a, b)), (rev, (b, a))):
                     metered = rng.random() >= UNMETERED_FRACTION
-                    faces.append(BlockFace(
-                        id=f"{base_id}{tag}", from_node="n%d_%d" % u, to_node="n%d_%d" % v,
-                        length_m=length, meter_count=METERS_PER_BLOCK if metered else 0,
-                        walk_time_s=length / WALK_SPEED_MPS, drive_time_s=drive))
+                    faces.append({
+                        "id": f"{base_id}{tag}", "from": "n%d_%d" % u, "to": "n%d_%d" % v,
+                        "length_m": length, "meter_count": METERS_PER_BLOCK if metered else 0,
+                        "walk_time_s": length / WALK_SPEED_MPS, "drive_time_s": drive})
                     centrality.append(central)
     return nodes, faces, centrality
 
@@ -160,11 +163,11 @@ def _integer_source(rng: np.random.Generator):
     return draw
 
 
-def _generate_sessions(face: BlockFace, centrality: float, cfg: SynthConfig,
+def _generate_sessions(face: dict, centrality: float, cfg: SynthConfig,
                        rng: np.random.Generator, draw) -> tuple[np.ndarray, np.ndarray]:
     """Admitted sessions' starts (whole seconds from the epoch) and paid
     whole seconds, in start order; at most the meter count run at once."""
-    load = face.meter_count * (0.25 + 1.15 * centrality)
+    load = face["meter_count"] * (0.25 + 1.15 * centrality)
     rates = [load * (0.10 + 1.15 * _hour_shape(h)) * cfg.demand_scale for h in range(24)]
     mean, normal = math.log(3300.0), rng.standard_normal
     starts, durations = [], []
@@ -181,7 +184,7 @@ def _generate_sessions(face: BlockFace, centrality: float, cfg: SynthConfig,
     for i, (begin, length) in enumerate(zip(start.tolist(), paid.tolist())):
         while running and running[0] <= begin:
             heapq.heappop(running)
-        if len(running) < face.meter_count:
+        if len(running) < face["meter_count"]:
             admitted.append(i)
             heapq.heappush(running, begin + length)
     return start[admitted], paid[admitted]
@@ -200,8 +203,9 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> N
     out = Path(out_dir)
 
     nodes, faces, centrality = _grid_faces(cfg, rng)
-    graph = build_graph(nodes, faces)
-    metered = [(face, c) for face, c in zip(faces, centrality) if face.meter_count]
+    records = {"nodes": nodes, "edges": faces}
+    graph = build_graph(records)
+    metered = [(face, c) for face, c in zip(faces, centrality) if face["meter_count"]]
 
     # paid sessions, all of which set the availability, and those observed
     parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64))]
@@ -211,11 +215,12 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> N
         parts.append((np.full(start_s.size, i), start_s * 1_000_000,
                       (start_s + paid_s) * 1_000_000))
         observed = rng.random(start_s.size) < cfg.observed_fraction
-        payments[face.id] = (start_s[observed], paid_s[observed])
-    sessions = session_arrays([face.id for face, _ in metered], *map(np.concatenate, zip(*parts)))
+        payments[face["id"]] = (start_s[observed], paid_s[observed])
+    ids = np.array([face["id"] for face, _ in metered], dtype=object)
+    sessions = session_arrays(ids.tolist(), *map(np.concatenate, zip(*parts)))
 
     # survey visits, each in a half-hour window of its face's own
-    visits: list[tuple[BlockFace, datetime, datetime, bool]] = []
+    visits: list[tuple[dict, datetime, datetime, bool]] = []
     for face, _ in metered:
         seen_windows: set[datetime] = set()
         for visit in range(SURVEYS_PER_BLOCK):
@@ -232,25 +237,25 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> N
     # meter checks, some without a time: (block, time or datetime.min, meter, text, free)
     surveys: list[tuple[str, datetime, str, str, int]] = []
     survey_truth: dict[str, dict[str, int]] = {}
-    active = feature_matrix(sessions, graph, [face.id for face, *_ in visits],
+    active = feature_matrix(sessions, graph, [face["id"] for face, *_ in visits],
                             [micros(ts) for _, ts, _, _ in visits])[:, 0].astype(int)
     for (face, ts, window, missing), n_active in zip(visits, active.tolist()):
-        for i in range(face.meter_count):
-            surveys.append((face.id, datetime.min if missing else ts, f"{face.id}:m{i}",
+        block = face["id"]
+        for i in range(face["meter_count"]):
+            surveys.append((block, datetime.min if missing else ts, f"{block}:m{i}",
                             "" if missing else ts.isoformat(), int(i >= n_active)))
         if not missing:
-            truth = survey_truth.setdefault(face.id, {})
-            truth[window.isoformat()] = int(n_active < face.meter_count)
+            truth = survey_truth.setdefault(block, {})
+            truth[window.isoformat()] = int(n_active < face["meter_count"])
 
     # ground truth availability at half past each hour, averaged over days
     times = (_DAY0_S * 1_000_000 + HOUR_US // 2
              + HOUR_US * (np.arange(24)[:, None] + 24 * np.arange(cfg.days))).ravel()
-    ids = np.array([face.id for face, _ in metered], dtype=object)
     active = feature_matrix(sessions, graph, np.repeat(ids, times.size),
                             np.tile(times, ids.size))[:, 0]
-    meters = np.array([face.meter_count for face, _ in metered])
+    meters = np.array([face["meter_count"] for face, _ in metered])
     free_days = (active.reshape(ids.size, 24, cfg.days) < meters[:, None, None]).sum(axis=2)
-    hourly = {face.id: [0.0] * 24 for face in faces}
+    hourly = {face["id"]: [0.0] * 24 for face in faces}
     hourly.update(zip(ids.tolist(), (free_days / cfg.days).tolist()))
 
     # lots and their hourly entry records
@@ -274,7 +279,8 @@ def synth_generate(cfg: SynthConfig, seed: int, out_dir: str | os.PathLike) -> N
                 hour = datetime.combine(START_DATE + timedelta(days=day), time(h, 0))
                 events.append([lot.id, hour.isoformat(), entries, ";".join(map(str, paid_s))])
 
-    save_graph(graph, out / "graph.json")
+    by_id = {part: sorted(items, key=lambda item: item["id"]) for part, items in records.items()}
+    _atomic_write(out / "graph.json", json.dumps(by_id, sort_keys=True))
     write_payments(payments, out / "payments.csv")
     # by block, then time (missing first), then meter; ties keep visit order
     write_table(out / "surveys.csv", SURVEY_COLUMNS,

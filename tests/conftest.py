@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 from parksim.occupancy_model import micros, session_arrays
-from parksim.road_graph import BlockFace, Intersection, RoadGraph, build_graph
+from parksim.road_graph import RoadGraph, build_graph
 
 # Every property test draws the same examples on every run and never
 # times out, so the suite's result does not vary between runs.
@@ -47,14 +47,16 @@ def block_sessions(sessions, block_id):
     return sessions.starts[lo:hi], sessions.ends[lo:hi]
 
 
-def flat24(value: float) -> tuple[float, ...]:
-    return tuple([float(value)] * 24)
+def make_node(nid, lat, lon):
+    """A graph file's node record."""
+    return {"id": nid, "lat": lat, "lon": lon}
 
 
 def make_edge(eid, a, b, *, length=100.0, meters=4, walk=70.0, drive=12.0):
-    drive_t = flat24(drive) if isinstance(drive, (int, float)) else tuple(drive)
-    return BlockFace(id=eid, from_node=a, to_node=b, length_m=length,
-                     meter_count=meters, walk_time_s=walk, drive_time_s=drive_t)
+    """A graph file's edge record; a number ``drive`` is every hour's."""
+    drive_t = [float(drive)] * 24 if isinstance(drive, (int, float)) else list(drive)
+    return {"id": eid, "from": a, "to": b, "length_m": length, "meter_count": meters,
+            "walk_time_s": walk, "drive_time_s": drive_t}
 
 
 def line_graph(drive_times=(10.0, 20.0, 30.0), walk_times=(60.0, 80.0, 100.0),
@@ -65,19 +67,19 @@ def line_graph(drive_times=(10.0, 20.0, 30.0), walk_times=(60.0, 80.0, 100.0),
     r0, r1, r2 mirror them.
     """
     n = len(drive_times)
-    nodes = [Intersection(f"n{i}", 49.0 + i * 1e-3, -123.0) for i in range(n + 1)]
+    nodes = [make_node(f"n{i}", 49.0 + i * 1e-3, -123.0) for i in range(n + 1)]
     edges = []
     for i in range(n):
         edges.append(make_edge(f"e{i}", f"n{i}", f"n{i+1}", length=lengths[i],
                                walk=walk_times[i], drive=drive_times[i]))
         edges.append(make_edge(f"r{i}", f"n{i+1}", f"n{i}", length=lengths[i],
                                walk=walk_times[i], drive=drive_times[i]))
-    return build_graph(nodes, edges)
+    return build_graph({"nodes": nodes, "edges": edges})
 
 
 def grid_graph(n=3, *, length=100.0, walk=70.0, drive=12.0, meters=4) -> RoadGraph:
     """n x n intersection grid with both directions on every segment."""
-    nodes = [Intersection(f"n{r}_{c}", 49.0 + r * 9e-4, -123.0 + c * 1.3e-3)
+    nodes = [make_node(f"n{r}_{c}", 49.0 + r * 9e-4, -123.0 + c * 1.3e-3)
              for r in range(n) for c in range(n)]
     edges = []
     for r in range(n):
@@ -92,16 +94,16 @@ def grid_graph(n=3, *, length=100.0, walk=70.0, drive=12.0, meters=4) -> RoadGra
                                        length=length, walk=walk, drive=drive, meters=meters))
                 edges.append(make_edge(f"v{r}_{c}N", f"n{r+1}_{c}", f"n{r}_{c}",
                                        length=length, walk=walk, drive=drive, meters=meters))
-    return build_graph(nodes, edges)
+    return build_graph({"nodes": nodes, "edges": edges})
 
 
 def ring_graph(n=5) -> RoadGraph:
     """One-way ring n0 -> n1 -> ... -> n0: block ``e{i}`` leaves ``n{i}``,
     with drive, walk and length distinct per block."""
-    nodes = [Intersection(f"n{i}", 49.0 + i * 1e-3, -123.0) for i in range(n)]
+    nodes = [make_node(f"n{i}", 49.0 + i * 1e-3, -123.0) for i in range(n)]
     edges = [make_edge(f"e{i}", f"n{i}", f"n{(i + 1) % n}", length=100.0 + 20 * i,
                        walk=60.0 + 10 * i, drive=10.0 + 3 * i) for i in range(n)]
-    return build_graph(nodes, edges)
+    return build_graph({"nodes": nodes, "edges": edges})
 
 
 def random_graph(rng: np.random.Generator, n_nodes=6, fractional=False) -> RoadGraph:
@@ -114,7 +116,7 @@ def random_graph(rng: np.random.Generator, n_nodes=6, fractional=False) -> RoadG
     draws non-integer drive times instead, whose sums round, so only an
     oracle that adds them in the same order agrees bit for bit.
     """
-    nodes = [Intersection(f"n{i}", 49.0 + i * 1e-3, -123.0 + i * 1e-3)
+    nodes = [make_node(f"n{i}", 49.0 + i * 1e-3, -123.0 + i * 1e-3)
              for i in range(n_nodes)]
     order = rng.permutation(n_nodes)
     pairs = set()
@@ -137,7 +139,7 @@ def random_graph(rng: np.random.Generator, n_nodes=6, fractional=False) -> RoadG
                                length=length, walk=walk, drive=drive))
         edges.append(make_edge(f"e{b}_{a}", f"n{b}", f"n{a}",
                                length=length, walk=walk, drive=drive))
-    return build_graph(nodes, edges)
+    return build_graph({"nodes": nodes, "edges": edges})
 
 
 @pytest.fixture

@@ -2,12 +2,11 @@
 
 Everything here is deliberately naive: exhaustive enumeration, straight-line
 formula evaluation, finite differences, one search at a time. None of it
-shares code with the package (only its exception types and the input
-records of ``build_graph``), so agreement is meaningful. The exceptions
-are ``fit_split``, which trains one split at a time with the package's own
-gradient: it pins how the splits are stacked, gathered and seeded, while
-``finite_difference_gradient`` pins the gradient and the CLI test
-``test_training_pinned`` the bits of a whole training run;
+shares code with the package (only its exception types), so agreement is
+meaningful. The exceptions are ``fit_split``, which trains one split at a
+time with the package's own gradient: it pins how the splits are stacked,
+gathered and seeded, while ``finite_difference_gradient`` pins the gradient
+and the CLI test ``test_training_pinned`` the bits of a whole training run;
 ``estimate_cells``, which runs the on-street lockstep one (destination,
 hour) cell at a time on the package's tables and uniforms: it pins how cells
 are chunked, while ``simulate_single`` pins the search itself and, through
@@ -15,14 +14,17 @@ the integer ``counter_uniform``, the uniforms; and ``lot_hours_scalar``,
 which reduces the waits of ``simulate_lot_hour_scalar``'s parked cars with
 the package's ``lot_wait_times``: the scalar lot pins the stalls, through
 the integer ``counter_uniform`` the uniforms, and ``lot_wait_time`` the
-waits. ``sessions_v1`` is synth stream version 1's session draw as it
-was first written, one numpy call per draw; it reads the package's
-``_DAY0_S`` and ``_hour_shape``, and pins the draws, not those constants.
+waits. ``sessions_v1`` is synth stream version 1's session draw as it was
+first written, one numpy call per draw, on synth's face record (a graph
+file's edge dict); it reads the package's ``_DAY0_S`` and ``_hour_shape``,
+and pins the draws, not those constants.
 
 The graph oracles read only a ``RoadGraph``'s base columns: ``node_ids``,
 ``lat``, ``lon``, ``block_ids``, ``block_from``, ``block_to``,
 ``length_m``, ``walk_s``, ``drive_s`` and ``meter_count``, through
-``block_records`` and ``node_records`` where records are handier. None
+``block_records`` and ``node_records``, records of this module's own types,
+where records are handier; ``graph_file_records`` gives the graph file's
+object of those columns, as tests write and rebuild graphs from it. None
 reads the position maps or the adjacency that the package derives from
 them: ``lockstep_cell`` takes its candidates from ``candidate_table``,
 built from ``out_blocks``.
@@ -45,27 +47,55 @@ from parksim.occupancy_model import (Network, SplitScore, _accuracy, _glorot_uni
                                      gradient, loss)
 from parksim.offstreet_sim import LotHourStats, lot_wait_times
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights
-from parksim.road_graph import (BlockFace, Intersection, RoadGraph, block_distances_to_block,
-                                walk_times_to_block)
+from parksim.road_graph import RoadGraph, block_distances_to_block, walk_times_to_block
 from parksim.seeding import counter_uniform as uniforms, derived_stream, stream_key
 from parksim.synth import _DAY0_S, _hour_shape
 
 
 # -- the graph's base columns as records --------------------------------------
 
-def block_records(g) -> dict[str, BlockFace]:
+@dataclass(frozen=True)
+class BlockRecord:
+    """One directed block face, as the graph oracles read it."""
+
+    id: str
+    from_node: str
+    to_node: str
+    length_m: float
+    meter_count: int
+    walk_time_s: float
+    drive_time_s: tuple[float, ...]  # one per hour
+
+
+@dataclass(frozen=True)
+class NodeRecord:
+    id: str
+    lat: float
+    lon: float
+
+
+def block_records(g) -> dict[str, BlockRecord]:
     """Every block of ``g`` by id, zipped from its base columns."""
-    return {block: BlockFace(block, g.node_ids[a], g.node_ids[b], length, meters, walk,
-                             tuple(drive))
+    return {block: BlockRecord(block, g.node_ids[a], g.node_ids[b], length, meters, walk,
+                               tuple(drive))
             for block, a, b, length, meters, walk, drive in zip(
                 g.block_ids, g.block_from.tolist(), g.block_to.tolist(), g.length_m.tolist(),
                 g.meter_count, g.walk_s.tolist(), g.drive_s.T.tolist())}
 
 
-def node_records(g) -> dict[str, Intersection]:
+def node_records(g) -> dict[str, NodeRecord]:
     """Every node of ``g`` by id, zipped from its base columns."""
-    return {node: Intersection(node, lat, lon)
+    return {node: NodeRecord(node, lat, lon)
             for node, lat, lon in zip(g.node_ids, g.lat.tolist(), g.lon.tolist())}
+
+
+def graph_file_records(g) -> dict:
+    """The graph file's object of ``g``, as ``json.loads`` gives it: its node
+    and edge records in id order."""
+    return {"nodes": [{"id": n.id, "lat": n.lat, "lon": n.lon} for n in node_records(g).values()],
+            "edges": [{"id": b.id, "from": b.from_node, "to": b.to_node, "length_m": b.length_m,
+                       "meter_count": b.meter_count, "walk_time_s": b.walk_time_s,
+                       "drive_time_s": list(b.drive_time_s)} for b in block_records(g).values()]}
 
 
 # -- shortest paths by exhaustive simple-path enumeration -------------------
@@ -887,7 +917,7 @@ def lot_rates(events, peak_hours, sigma_h, span_h):
 
 # -- synth stream version 1's sessions, one numpy call per draw ----------------
 
-def sessions_v1(face: BlockFace, centrality: float, cfg,
+def sessions_v1(face: dict, centrality: float, cfg,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Admitted sessions' starts (whole seconds from the epoch) and paid
     whole seconds, in start order; at most the meter count run at once."""
@@ -895,7 +925,7 @@ def sessions_v1(face: BlockFace, centrality: float, cfg,
     pressure_base = 0.25 + 1.15 * centrality
     for day in range(cfg.days):
         for h in range(24):
-            offered = (face.meter_count * pressure_base
+            offered = (face["meter_count"] * pressure_base
                        * (0.10 + 1.15 * _hour_shape(h)) * cfg.demand_scale)
             for _ in range(int(rng.poisson(offered))):
                 start = _DAY0_S + day * 86_400 + h * 3600 + int(rng.integers(0, 3600))
@@ -908,7 +938,7 @@ def sessions_v1(face: BlockFace, centrality: float, cfg,
     for start, duration in candidates:
         while running and running[0] <= start:
             heapq.heappop(running)
-        if len(running) < face.meter_count:
+        if len(running) < face["meter_count"]:
             admitted.append((start, duration))
             heapq.heappush(running, start + duration)
     return tuple(np.array(admitted, dtype=np.int64).reshape(-1, 2).T)

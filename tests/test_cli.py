@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -14,6 +15,7 @@ import shutil
 import string
 import sys
 import tempfile
+import types
 import zipfile
 from datetime import datetime
 from pathlib import Path
@@ -31,7 +33,7 @@ from parksim.occupancy_model import FEATURE_NAMES, N_FEATURES, TrainConfig
 from parksim.offstreet_sim import LotSimConfig
 from parksim.onstreet_sim import OnstreetConfig, PolicyWeights, estimate_onstreet_time
 from parksim.road_graph import load_graph
-from parksim.synth import MAX_DEMAND_SCALE, SynthConfig, synth_generate
+from parksim.synth import MAX_DEMAND_SCALE, MAX_LOT_CAPACITY, SynthConfig, synth_generate
 
 from conftest import grid_graph
 from oracles import (brute_drive_time_to_node, brute_walk_time_from_node, estimate_cells,
@@ -238,9 +240,10 @@ def test_removed_synth_key_is_a_config_error(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("demand_scale", 1e300), ("demand_scale", 1e9), ("demand_scale", MAX_DEMAND_SCALE * 1.01),
-    ("lot_capacity", offstreet_sim.MAX_CAPACITY + 1), ("lot_capacity", 10 ** 30),
+    ("lot_capacity", MAX_LOT_CAPACITY + 1), ("lot_capacity", offstreet_sim.MAX_CAPACITY),
+    ("lot_capacity", 10 ** 30),
 ], ids=["demand_scale_1e300", "demand_scale_1e9", "demand_scale_above_max",
-        "lot_capacity_above_max", "lot_capacity_beyond_int64"])
+        "lot_capacity_above_max", "lot_capacity_at_lot_file_max", "lot_capacity_beyond_int64"])
 def test_synth_size_knob_above_its_max_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                          key, value):
     # rejected with the config, before any draw
@@ -254,8 +257,11 @@ def test_synth_size_knob_above_its_max_is_a_config_error(tmp_path, capsys, monke
 
 
 def test_synth_size_knobs_at_their_max_are_accepted():
-    cfg = SynthConfig(demand_scale=MAX_DEMAND_SCALE, lot_capacity=offstreet_sim.MAX_CAPACITY)
-    assert (cfg.demand_scale, cfg.lot_capacity) == (100.0, 2 ** 31 - 1)
+    # synth draws each recorded lot car's paid hours one at a time: a 2 x 2,
+    # 7-day city at the lot bound takes seconds, at the lot file's bound hours
+    cfg = SynthConfig(demand_scale=MAX_DEMAND_SCALE, lot_capacity=MAX_LOT_CAPACITY)
+    assert (cfg.demand_scale, cfg.lot_capacity) == (100.0, 100_000)
+    assert MAX_LOT_CAPACITY < offstreet_sim.MAX_CAPACITY
 
 
 @pytest.mark.parametrize("argv", [[], ["--config", "config.json"],
@@ -537,12 +543,14 @@ def test_train_and_eval_read_neither_graph_nor_payments(copied):
     assert {name: (copied / "out" / name).read_bytes() for name in before} == before
 
 
-def test_unallocatable_search_count_is_a_config_error(copied, capsys):
+@pytest.mark.parametrize("n_samples", [10**15, 10**20], ids=["1e15", "1e20"])
+def test_unallocatable_search_count_is_a_config_error(copied, capsys, n_samples):
     # 10**15 searches need 7 PiB at once, beyond any address space, so the
-    # allocation fails immediately rather than after overcommitted paging
+    # allocation fails immediately rather than after overcommitted paging;
+    # numpy refuses 10**20, past its size limit, before it tries
     config = write_config(copied / "config.json", "city")
     raw = json.loads(config.read_text())
-    raw["onstreet"]["n_samples"] = 10**15
+    raw["onstreet"]["n_samples"] = n_samples
     config.write_text(json.dumps(raw))
     assert main(["sim-on", "--config", str(config)]) == 2
     err = capsys.readouterr().err
@@ -550,10 +558,13 @@ def test_unallocatable_search_count_is_a_config_error(copied, capsys):
     assert "out of memory" in err
 
 
-@pytest.mark.parametrize("offstreet", [{"reps": 10**15}, {"tick_s": 1e-12}],
-                         ids=["reps", "tick_s"])
+@pytest.mark.parametrize("offstreet", [
+    {"reps": 10**15}, {"tick_s": 1e-12}, {"reps": 10**30}, {"reps": 2**63 - 1},
+    {"tick_s": 1e-300},
+], ids=["reps", "tick_s", "reps_1e30", "reps_int64_max", "tick_s_1e-300"])
 def test_unallocatable_lot_simulation_is_a_config_error(copied, capsys, offstreet):
-    # every tick's draws of every repetition are allocated before any tick runs
+    # every tick's draws of every repetition are allocated before any tick
+    # runs; past numpy's size limit the shape is refused before it is tried
     config = write_config(copied / "config.json", "city")
     raw = json.loads(config.read_text())
     raw["offstreet"].update(offstreet)
@@ -562,6 +573,67 @@ def test_unallocatable_lot_simulation_is_a_config_error(copied, capsys, offstree
     err = capsys.readouterr().err
     assert_one_line(err)
     assert "out of memory" in err
+
+
+def test_tick_with_no_finite_count_per_hour_is_a_config_error(copied, capsys):
+    # 3600 / 1e-310 overflows to inf, which no tick count rounds from
+    config = write_config(copied / "config.json", "city")
+    raw = json.loads(config.read_text())
+    raw["offstreet"]["tick_s"] = 1e-310
+    config.write_text(json.dumps(raw))
+    assert main(["sim-off", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "tick_s 1e-310 leaves no finite tick count per hour" in err
+
+
+@pytest.mark.parametrize("stage, section, key, name, column", [
+    ("sim-on", "onstreet", "min_park_s", "onstreet.csv", "mean_onstreet_s"),
+    ("sim-off", "offstreet", "per_stall_drive_s", "offstreet.csv", "mean_offstreet_s"),
+    ("sim-off", "offstreet", "min_park_s", "offstreet.csv", "mean_offstreet_s"),
+], ids=["onstreet_min_park_s", "offstreet_per_stall_drive_s", "offstreet_min_park_s"])
+def test_infinite_time_is_a_numeric_error_and_writes_nothing(copied, capsys, stage, section,
+                                                             key, name, column):
+    # the largest finite time overflows to inf in the simulation's sums; the
+    # suite turns a RuntimeWarning into an error, so none may reach stderr
+    config = write_config(copied / "config.json", "city")
+    raw = json.loads(config.read_text())
+    raw[section][key] = 1e308
+    config.write_text(json.dumps(raw))
+    (copied / "out" / name).unlink()
+    assert main([stage, "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert f"{name}: {column} would hold a non-finite value" in err
+    assert not (copied / "out" / name).exists()
+    assert not list((copied / "out").glob("*.tmp"))
+
+
+@pytest.mark.parametrize("smoothing, code, message", [
+    ({"sigma_h": 1e-200}, 2, "sigma_h 1e-200 gives every Gaussian weight 0"),
+    ({"sigma_h": 0.01}, 2, "sigma_h 0.01 gives every Gaussian weight 0"),
+    ({"span_h": 10**12}, 3, "series too short: need 1000000000000 hours before the peak"),
+], ids=["sigma_h_1e-200", "sigma_h_0.01", "span_h_1e12"])
+def test_unusable_smoothing_is_named_in_one_line(copied, capsys, monkeypatch, smoothing, code,
+                                                message):
+    # a 1e-200 h sigma divides by 0 and a 0.01 h one sums its weights to 0;
+    # 10**12 weights would not fit, so none may be built before the span is
+    # checked: past the config check's one call, exp fails
+    calls = itertools.count()
+
+    def exp(x):
+        assert next(calls) < 1, "a weight was built before the span was checked"
+        return math.exp(x)
+
+    monkeypatch.setattr(data_ingest, "math", types.SimpleNamespace(**vars(math) | {"exp": exp}))
+    config = write_config(copied / "config.json", "city")
+    raw = json.loads(config.read_text())
+    raw["smoothing"] = smoothing
+    config.write_text(json.dumps(raw))
+    assert main(["ingest", "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert message in err
 
 
 def add_lot_without_events(city):

@@ -570,15 +570,15 @@ class TestStreamV1Exactness:
         _, faces, centrality = _grid_faces(cfg, rng)
         _grid_faces(cfg, ref)
         draw = _integer_source(rng)
-        metered = [(face, c) for face, c in zip(faces, centrality) if face.meter_count]
+        metered = [(face, c) for face, c in zip(faces, centrality) if face["meter_count"]]
         # the central faces draw by numpy's Poisson rejection branch
-        assert max(face.meter_count * (0.25 + 1.15 * c) * (0.10 + 1.15 * _hour_shape(13))
+        assert max(face["meter_count"] * (0.25 + 1.15 * c) * (0.10 + 1.15 * _hour_shape(13))
                    * cfg.demand_scale for face, c in metered) >= 10
         total = 0
         for face, c in metered:
             got, want = _generate_sessions(face, c, cfg, rng, draw), sessions_v1(face, c, cfg, ref)
             for a, b in zip(got, want):
-                assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist(), face.id
+                assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist(), face["id"]
             # synth_generate's observed draw between faces
             assert rng.random(got[0].size).tolist() == ref.random(want[0].size).tolist()
             total += got[0].size

@@ -38,7 +38,7 @@ from parksim.road_graph import build_graph
 
 from conftest import PaymentRecord, grid_graph, line_graph, sessions_of
 from oracles import (block_records, extract_features, finite_difference_gradient, fit_split,
-                     node_records, plain_forward)
+                     graph_file_records, plain_forward)
 
 T0 = datetime(2026, 3, 4, 10, 0)
 
@@ -284,13 +284,14 @@ def build_city_samples(rng, n, rule, *, noise=0.0):
     # give blocks varied lengths/congestion by rebuilding with per-edge values
     from conftest import make_edge
     from parksim.road_graph import build_graph
-    edges = []
+    records = graph_file_records(g)
+    records["edges"] = []
     for e in block_records(g).values():
         length = float(rng.integers(60, 200))
         drive = float(rng.integers(8, 60))
-        edges.append(make_edge(e.id, e.from_node, e.to_node, length=length,
-                               walk=70.0, drive=drive))
-    g = build_graph(node_records(g).values(), edges)
+        records["edges"].append(make_edge(e.id, e.from_node, e.to_node, length=length,
+                                          walk=70.0, drive=drive))
+    g = build_graph(records)
 
     block_ids = g.block_ids
     payments = []
@@ -518,9 +519,11 @@ class TestPredict:
         rng = np.random.default_rng(len(dims) * 10 + metered)
         grid = grid_graph(4)
         meter_ids = set(grid.block_ids[:metered])
-        g = build_graph(node_records(grid).values(), [
-            replace(e, meter_count=4 * (e.id in meter_ids), length_m=rng.uniform(20, 300))
-            for e in block_records(grid).values()])
+        records = graph_file_records(grid)
+        records["edges"] = [e | {"meter_count": 4 * (e["id"] in meter_ids),
+                                 "length_m": float(rng.uniform(20, 300))}
+                            for e in records["edges"]]
+        g = build_graph(records)
         hours = (9, 13, 0, 18)
         payments = [PaymentRecord(str(rng.choice(g.block_ids)),
                                   T0 + timedelta(hours=float(rng.uniform(-6, 10))),

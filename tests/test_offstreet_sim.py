@@ -28,10 +28,10 @@ from parksim.offstreet_sim import (
     simulate_lot_hour,
     simulate_lot_hours,
 )
-from parksim.road_graph import Intersection, build_graph
+from parksim.road_graph import build_graph
 from parksim.seeding import derived_stream
 
-from conftest import grid_graph, make_edge
+from conftest import grid_graph, make_edge, make_node
 from oracles import (LotState, brute_drive_time_to_node, brute_walk_time_from_node,
                      lot_hours_scalar, lot_wait_time, sample_tick, simulate_lot_hour_scalar)
 
@@ -646,10 +646,9 @@ class TestEstimateOffstreet:
 
     def test_unreachable_lot_rejected(self):
         # one-way A -> B into the sink cycle B <-> C: nothing drives back to A
-        nodes = [Intersection(n, 49.0, -123.0 + i * 1e-3)
-                 for i, n in enumerate("ABC")]
-        g = build_graph(nodes, [make_edge("ab", "A", "B"), make_edge("bc", "B", "C"),
-                                make_edge("cb", "C", "B")])
+        nodes = [make_node(n, 49.0, -123.0 + i * 1e-3) for i, n in enumerate("ABC")]
+        g = build_graph({"nodes": nodes, "edges": [
+            make_edge("ab", "A", "B"), make_edge("bc", "B", "C"), make_edge("cb", "C", "B")]})
         lots = [LotSpec("lot0", "A", 20)]
         rates = flat_rates("lot0", 1.0, 1.0)
         with pytest.raises(DataError, match="no drive path from 'ab' to node 'A'"):
@@ -658,10 +657,10 @@ class TestEstimateOffstreet:
     def test_first_unreachable_block_and_lot_named(self):
         # A <-> B -> C <-> D: blocks ab and ba reach A, blocks from bc on do not;
         # every block reaches C
-        nodes = [Intersection(n, 49.0, -123.0 + i * 1e-3) for i, n in enumerate("ABCD")]
-        g = build_graph(nodes, [make_edge("ab", "A", "B"), make_edge("ba", "B", "A"),
-                                make_edge("bc", "B", "C"), make_edge("cd", "C", "D"),
-                                make_edge("dc", "D", "C")])
+        nodes = [make_node(n, 49.0, -123.0 + i * 1e-3) for i, n in enumerate("ABCD")]
+        g = build_graph({"nodes": nodes, "edges": [
+            make_edge("ab", "A", "B"), make_edge("ba", "B", "A"), make_edge("bc", "B", "C"),
+            make_edge("cd", "C", "D"), make_edge("dc", "D", "C")]})
         lots = [LotSpec("lot2", "A", 20), LotSpec("lot0", "C", 20), LotSpec("lot1", "A", 20)]
         rates = lots_flat_rates(lots, 1.0, 1.0)
         with pytest.raises(DataError, match="no drive path from 'bc' to node 'A'"):

@@ -26,8 +26,8 @@ from oracles import (
     cell_labels,
     choose_block,
     estimate_cells,
+    graph_file_records,
     midpoint_table,
-    node_records,
     out_blocks,
     simulate_single,
     softmax_probabilities,
@@ -360,10 +360,10 @@ class TestLockstep:
 
     def test_node_without_out_block_rejected(self):
         # without r2 the search would strand at n3 after e2
-        g = line_graph()
-        edges = [e for e in block_records(g).values() if e.id != "r2"]
+        records = graph_file_records(line_graph())
+        records["edges"] = [e for e in records["edges"] if e["id"] != "r2"]
         with pytest.raises(DataError, match="dead end"):
-            build_graph(node_records(g).values(), edges)
+            build_graph(records)
 
 
 class TestChunkedLockstep:

@@ -15,8 +15,6 @@ from parksim import road_graph
 from parksim.errors import ConfigError, DataError
 from parksim.road_graph import (
     GRAPH_INDEX_VERSION,
-    BlockFace,
-    Intersection,
     RoadGraph,
     _atomic_write,
     block_distances_to_block,
@@ -25,7 +23,6 @@ from parksim.road_graph import (
     drive_time_to_node,
     drive_times_to_node,
     load_graph,
-    save_graph,
     tables_to_blocks,
     walk_tables_from_nodes,
     walk_time_from_node,
@@ -34,9 +31,21 @@ from parksim.road_graph import (
 )
 from parksim.synth import SynthConfig, _grid_faces
 
-from conftest import grid_graph, line_graph, make_edge, random_graph, ring_graph
+from conftest import grid_graph, line_graph, make_edge, make_node, random_graph, ring_graph
 from oracles import (block_records, brute_distance_m, brute_drive_time_to_node, brute_walk_time,
-                     brute_walk_time_from_node, midpoint_table, node_records, out_blocks)
+                     brute_walk_time_from_node, graph_file_records, midpoint_table, node_records,
+                     out_blocks)
+
+
+def write_graph_file(g, path):
+    """Write ``g`` as a graph file of its records."""
+    path.write_text(json.dumps(graph_file_records(g), sort_keys=True))
+
+
+def reversed_graph(g):
+    """``g`` built again from its records in reverse order."""
+    records = graph_file_records(g)
+    return build_graph({part: items[::-1] for part, items in records.items()})
 
 
 def graph_file_payload(g=None):
@@ -91,7 +100,7 @@ class TestLoadGraph:
     def test_save_then_load_round_trip(self, tmp_path):
         g = grid_graph(3)
         path = tmp_path / "g.json"
-        save_graph(g, path)
+        write_graph_file(g, path)
         g2 = load_graph(path)
         assert block_records(g2) == block_records(g)
         assert node_records(g2) == node_records(g)
@@ -99,27 +108,27 @@ class TestLoadGraph:
 
 class TestValidation:
     def nodes(self, k=3):
-        return [Intersection(f"n{i}", 49.0, -123.0 + i * 1e-3) for i in range(k)]
+        return [make_node(f"n{i}", 49.0, -123.0 + i * 1e-3) for i in range(k)]
 
     def ring(self, k=3):
         return [make_edge(f"e{i}", f"n{i}", f"n{(i + 1) % k}") for i in range(k)]
 
     def test_valid_ring_accepted(self):
-        g = build_graph(self.nodes(), self.ring())
+        g = build_graph({"nodes": self.nodes(), "edges": self.ring()})
         assert g.node_ids == ("n0", "n1", "n2")
         assert g.block_ids == ("e0", "e1", "e2")
 
     def test_disconnected_rejected(self):
-        nodes = self.nodes(3) + [Intersection("x0", 50.0, -120.0),
-                                 Intersection("x1", 50.0, -119.9)]
+        nodes = self.nodes(3) + [make_node("x0", 50.0, -120.0), make_node("x1", 50.0, -119.9)]
         edges = self.ring() + [make_edge("ex", "x0", "x1"), make_edge("ex2", "x1", "x0")]
         with pytest.raises(DataError, match="connected"):
-            build_graph(nodes, edges)
+            build_graph({"nodes": nodes, "edges": edges})
 
     def test_dead_end_rejected(self):
         edges = self.ring() + [make_edge("dead", "n0", "n3")]
         with pytest.raises(DataError, match="dead end"):
-            build_graph(self.nodes(3) + [Intersection("n3", 49.1, -123.0)], edges)
+            build_graph({"nodes": self.nodes(3) + [make_node("n3", 49.1, -123.0)],
+                         "edges": edges})
 
     @pytest.mark.parametrize("field,value", [
         ("length_m", 0.0), ("length_m", -5.0),
@@ -127,57 +136,56 @@ class TestValidation:
     ])
     def test_bad_edge_values_rejected(self, field, value):
         edges = self.ring()
-        bad = edges[0].__dict__ | {field: value}
-        edges[0] = BlockFace(**bad)
+        edges[0] = edges[0] | {field: value}
         with pytest.raises(DataError):
-            build_graph(self.nodes(), edges)
+            build_graph({"nodes": self.nodes(), "edges": edges})
 
     def test_self_loop_rejected(self):
         edges = self.ring() + [make_edge("loop", "n1", "n1")]
         with pytest.raises(DataError, match="edge 'loop' is a self-loop"):
-            build_graph(self.nodes(), edges)
+            build_graph({"nodes": self.nodes(), "edges": edges})
 
     @pytest.mark.parametrize("lat", [math.nan, math.inf])
     def test_non_finite_coordinates_rejected(self, lat):
         nodes = self.nodes()
-        nodes[1] = Intersection("n1", lat, -123.0)
+        nodes[1] = make_node("n1", lat, -123.0)
         with pytest.raises(DataError, match="node 'n1' has non-finite coordinates"):
-            build_graph(nodes, self.ring())
+            build_graph({"nodes": nodes, "edges": self.ring()})
 
     @pytest.mark.parametrize("field,value,message", [
         ("length_m", math.inf, "nonpositive length"),
         ("length_m", math.nan, "nonpositive length"),
         ("walk_time_s", math.inf, "nonpositive walk time"),
         ("walk_time_s", math.nan, "nonpositive walk time"),
-        ("drive_time_s", (10.0,) * 23 + (math.inf,), "nonpositive or non-finite drive time"),
-        ("drive_time_s", (math.nan,) + (10.0,) * 23, "nonpositive or non-finite drive time"),
+        ("drive_time_s", [10.0] * 23 + [math.inf], "nonpositive or non-finite drive time"),
+        ("drive_time_s", [math.nan] + [10.0] * 23, "nonpositive or non-finite drive time"),
     ])
     def test_non_finite_edge_values_rejected(self, field, value, message):
         edges = self.ring()
-        edges[1] = BlockFace(**edges[1].__dict__ | {field: value})
+        edges[1] = edges[1] | {field: value}
         with pytest.raises(DataError, match=f"edge 'e1' has {message}"):
-            build_graph(self.nodes(), edges)
+            build_graph({"nodes": self.nodes(), "edges": edges})
 
     def test_duplicate_node_id_rejected(self):
-        nodes = self.nodes() + [Intersection("n1", 49.5, -123.0)]
+        nodes = self.nodes() + [make_node("n1", 49.5, -123.0)]
         with pytest.raises(DataError, match="duplicate node id: 'n1'"):
-            build_graph(nodes, self.ring())
+            build_graph({"nodes": nodes, "edges": self.ring()})
 
     def test_nul_ended_ids_are_no_duplicates(self, tmp_path, monkeypatch):
         # numpy str arrays drop trailing NULs, so they must not compare ids
-        nodes = [Intersection(nid, 49.0, -123.0 + k * 1e-3)
+        nodes = [make_node(nid, 49.0, -123.0 + k * 1e-3)
                  for k, nid in enumerate(["n", "n\x00", "m"])]
         edges = [make_edge("a", "n", "n\x00"), make_edge("a\x00", "n\x00", "m"),
                  make_edge("b", "m", "n")]
-        g = build_graph(nodes, edges)
+        g = build_graph({"nodes": nodes, "edges": edges})
         assert (g.node_ids, g.block_ids) == (("m", "n", "n\x00"), ("a", "a\x00", "b"))
-        save_graph(g, tmp_path / "g.json")
+        write_graph_file(g, tmp_path / "g.json")
         hit = load_miss_then_hit(tmp_path / "g.json", tmp_path / "g.npz", monkeypatch)
         assert_same_graph(hit, g)
         with pytest.raises(DataError, match="duplicate node id: 'n'"):
-            build_graph(nodes + [Intersection("n", 49.5, -123.0)], edges)
+            build_graph({"nodes": nodes + [make_node("n", 49.5, -123.0)], "edges": edges})
         with pytest.raises(DataError, match="duplicate edge id: 'a'"):
-            build_graph(nodes, edges + [make_edge("a", "m", "n")])
+            build_graph({"nodes": nodes, "edges": edges + [make_edge("a", "m", "n")]})
 
     @pytest.mark.parametrize("nodes,edges,message", [
         (0, 0, "graph needs at least one node and one edge"),
@@ -186,35 +194,31 @@ class TestValidation:
     ])
     def test_empty_node_or_edge_list_rejected(self, nodes, edges, message):
         with pytest.raises(DataError, match=message):
-            build_graph(self.nodes(nodes), self.ring(edges))
+            build_graph({"nodes": self.nodes(nodes), "edges": self.ring(edges)})
 
     def test_wrong_drive_table_length_rejected(self):
         edges = self.ring()
-        bad = edges[0].__dict__ | {"drive_time_s": tuple([10.0] * 23)}
-        edges[0] = BlockFace(**bad)
+        edges[0] = edges[0] | {"drive_time_s": [10.0] * 23}
         with pytest.raises(DataError):
-            build_graph(self.nodes(), edges)
+            build_graph({"nodes": self.nodes(), "edges": edges})
 
     def test_mutated_valid_graphs_rejected(self):
         # validator property check: every mutation of a good input fails
         rng = np.random.default_rng(7)
         for trial in range(20):
-            g = random_graph(rng)
-            nodes = list(node_records(g).values())
-            edges = list(block_records(g).values())
+            records = graph_file_records(random_graph(rng))
+            nodes, edges = records["nodes"], records["edges"]
             kind = trial % 4
             if kind == 0:  # dangle an edge
-                e = edges[0].__dict__ | {"to_node": "ghost"}
-                edges[0] = BlockFace(**e)
+                edges[0] = edges[0] | {"to": "ghost"}
             elif kind == 1:  # negative drive time somewhere
-                e = edges[0].__dict__ | {"drive_time_s": tuple([-1.0] + [10.0] * 23)}
-                edges[0] = BlockFace(**e)
+                edges[0] = edges[0] | {"drive_time_s": [-1.0] + [10.0] * 23}
             elif kind == 2:  # duplicate an edge id
                 edges.append(edges[0])
             else:  # strand an isolated node
-                nodes.append(Intersection("lonely", 1.0, 1.0))
+                nodes.append(make_node("lonely", 1.0, 1.0))
             with pytest.raises(DataError):
-                build_graph(nodes, edges)
+                build_graph(records)
 
 
 class TestDenseIndex:
@@ -234,9 +238,7 @@ class TestDenseIndex:
 
     def test_input_order_irrelevant_to_every_column(self):
         g1 = line_graph()
-        g2 = build_graph(list(node_records(g1).values())[::-1],
-                         list(block_records(g1).values())[::-1])
-        assert_same_graph(g2, g1)
+        assert_same_graph(reversed_graph(g1), g1)
 
 
 class TestDriveTime:
@@ -261,9 +263,9 @@ class TestDriveTime:
 
     def test_unreachable_block_is_inf(self):
         # one-way A -> B into the sink cycle B <-> C: nothing drives back to A
-        nodes = [Intersection(n, 49.0, -123.0 + i * 1e-3) for i, n in enumerate("ABC")]
-        g = build_graph(nodes, [make_edge("ab", "A", "B"), make_edge("bc", "B", "C"),
-                                make_edge("cb", "C", "B")])
+        nodes = [make_node(n, 49.0, -123.0 + i * 1e-3) for i, n in enumerate("ABC")]
+        g = build_graph({"nodes": nodes, "edges": [
+            make_edge("ab", "A", "B"), make_edge("bc", "B", "C"), make_edge("cb", "C", "B")]})
         assert list(drive_times_to_node(g, "A", 8)) == [np.inf] * 3
         assert drive_times_to_node(g, "C", 8)[g.position["ab"]] == 6.0 + 12.0
 
@@ -294,9 +296,7 @@ class TestDriveTime:
 
     def test_insertion_order_irrelevant(self):
         g1 = line_graph()
-        nodes = list(node_records(g1).values())[::-1]
-        edges = list(block_records(g1).values())[::-1]
-        g2 = build_graph(nodes, edges)
+        g2 = reversed_graph(g1)
         for hour in (0, 12):
             assert np.array_equal(drive_times_to_node(g1, "n3", hour),
                                   drive_times_to_node(g2, "n3", hour))
@@ -314,8 +314,7 @@ class TestWalkTime:
         # square a->b->c->d->a (one-way ring) plus a lone reverse edge c->b;
         # walking from the c->d face to the b->c face may cross any edge
         # freely, driving must keep to edge directions.
-        nodes = [Intersection(x, 49.0, -123.0 + i * 1e-3)
-                 for i, x in enumerate("abcd")]
+        nodes = [make_node(x, 49.0, -123.0 + i * 1e-3) for i, x in enumerate("abcd")]
         edges = [
             make_edge("ab", "a", "b", drive=10.0, walk=10.0),
             make_edge("bc", "b", "c", drive=10.0, walk=10.0),
@@ -323,7 +322,7 @@ class TestWalkTime:
             make_edge("da", "d", "a", drive=10.0, walk=10.0),
             make_edge("cb", "c", "b", drive=10.0, walk=10.0),
         ]
-        g = build_graph(nodes, edges)
+        g = build_graph({"nodes": nodes, "edges": edges})
         # drive cd -> b (where bc starts) must loop via d -> a: 5 + 10 + 10
         assert drive_times_to_node(g, "b", 9)[g.position["cd"]] == 25.0
         # walking can go straight back across cd's own from-node: 5 + 5
@@ -498,14 +497,14 @@ def no_parse(*args):
 def load_miss_then_hit(path, index, monkeypatch):
     """The graph loaded with no index, then beside a missing index, which
     writes it, then beside that index, which must not parse the file or
-    build a record; all three must be the same, and hold columns only."""
+    check a record; all three must be the same, and hold columns only."""
     parsed = load_graph(path)
     if index.exists():
         index.unlink()
     missed = load_graph(path, index)
     assert index.exists()
     with monkeypatch.context() as patch:
-        for name in ("build_graph", "_field", "Intersection", "BlockFace"):
+        for name in ("build_graph", "_field", "_json_column"):
             patch.setattr(road_graph, name, no_parse)
         hit = load_graph(path, index)
     assert_same_graph(missed, parsed)
@@ -524,14 +523,14 @@ class TestGraphIndex:
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_SYNTH))
     def test_hit_equals_parse_on_workload_graphs(self, tmp_path, monkeypatch, workload):
         nodes, faces, _ = _grid_faces(WORKLOAD_SYNTH[workload], np.random.default_rng(7))
-        save_graph(build_graph(nodes, faces), tmp_path / "graph.json")
+        write_graph_file(build_graph({"nodes": nodes, "edges": faces}), tmp_path / "graph.json")
         load_miss_then_hit(tmp_path / "graph.json", tmp_path / "graph.npz", monkeypatch)
 
     def test_hit_equals_parse_on_random_graphs(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(11)
         for trial in range(12):
             g = random_graph(rng, n_nodes=int(rng.integers(2, 9)), fractional=trial % 2 == 1)
-            save_graph(g, tmp_path / "graph.json")
+            write_graph_file(g, tmp_path / "graph.json")
             hit = load_miss_then_hit(tmp_path / "graph.json", tmp_path / "graph.npz", monkeypatch)
             assert_same_graph(hit, g)
 
