@@ -163,11 +163,11 @@ def load_run_config(path: str, *, seed_override: int | None = None,
                     out_override: str | None = None) -> RunConfig:
     cfg_path = Path(path)
     try:
-        raw = json.loads(cfg_path.read_text())
+        raw = json.loads(cfg_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - {f.name for f in fields(RunConfig)}
@@ -334,7 +334,7 @@ def stage_eval(cfg: RunConfig) -> None:
     """Compare the trained network's report with a freshly fitted baseline."""
     report_path = _stage_file(cfg, TRAIN_REPORT_FILE, "train")
     try:
-        network = json.loads(report_path.read_text())
+        network = json.loads(report_path.read_text(encoding="utf-8"))
         network_ce = float(_numbers([
             network["mean_val_cross_entropy"], network["mean_val_accuracy"],
             *(split[name] for split in network["per_split"]

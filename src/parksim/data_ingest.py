@@ -16,18 +16,21 @@ counted, not binned.
 Timestamps are naive local time throughout; CSV columns carry ISO 8601,
 and a timestamp with a UTC offset is malformed.
 
-Every CSV file is read by one column reader, ``read_columns``, in chunks
-of CHUNK_ROWS rows, so a read never holds more than a chunk of text rows.
-Each reader parses a chunk a column at a time, each column by one column
-parser, which maps a sequence of cells to an array: numbers by
-``_numbers`` (one dtype, finite, within a range) or one of its partials,
-times by ``_naive_micros``. A column fails exactly when one of its cells
-does. A chunk that fails is read again row by row, and the first faulty
-row is named by file and line. Its rows are parsed twice, so a reader's
-parse must change nothing outside its chunk. Time cells take exactly
-``datetime.fromisoformat``'s formats (survey times once stripped). A
-session ends ``timedelta(seconds=duration_s)`` after its start: the whole
-seconds exactly, plus the fraction times 1e6 rounded half to even (not
+Every text file is read and written as UTF-8. Every CSV file is read by
+one column reader, ``read_columns``, in chunks of CHUNK_ROWS rows, so a
+read holds at most a chunk of text rows. A reader parses a chunk a column
+at a time, each column by a column parser mapping cells to an array:
+numbers by ``_numbers`` (one dtype, finite, within a range) or a partial
+of it, times by ``_naive_micros``. A column fails exactly when one of its
+cells does. A chunk that fails is parsed again row by row, so a parse must
+change nothing outside its chunk, and the first faulty row is named by
+file and line. A payments file of plain rows only, each
+``block_id,YYYY-MM-DDTHH:MM:SS,digits`` in ASCII, is parsed as bytes
+instead, PLAIN_BLOCK_BYTES at a time, to the sessions ``read_columns``
+gives. Time cells take exactly ``datetime.fromisoformat``'s formats
+(survey times once stripped). A session ends
+``timedelta(seconds=duration_s)`` after its start: the whole seconds
+exactly, plus the fraction times 1e6 rounded half to even (not
 ``rint(duration_s * 1e6)``, 1 us less for 3.0000005 s), and no later than
 ``datetime.max``. Paid lot durations round the same way and must be
 shorter than ``timedelta.max``.
@@ -42,7 +45,6 @@ import json
 import math
 import os
 import statistics
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -53,6 +55,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, check_fields
 from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples,
@@ -180,6 +183,16 @@ RATE_COLUMNS = ("lot_id", "day_of_week", "hour", "lambda_a_per_hour", "lambda_d_
 SAMPLE_COLUMNS = ("block_id", "time_iso8601", "available") + FEATURE_NAMES
 # Data rows parsed at once: a read holds one chunk of text rows, not the file.
 CHUNK_ROWS = 1024
+# Payment bytes read at once by ``_read_payments_plain``: a plain row is 102 or less.
+PLAIN_BLOCK_BYTES = 1 << 17
+_PLAIN_HEADERS = tuple(",".join(PAYMENT_COLUMNS).encode() + end for end in (b"\n", b"\r\n"))
+# A plain row's longest block id, and most duration digits (exact as floats).
+_PLAIN_ID_BYTES = 64
+_PLAIN_DIGITS = 15
+# A plain start: a digit where _STAMP has 0, and _STAMP's byte elsewhere.
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
+_STAMP_SPAN = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint8)
+_PLACE_VALUES = 10 ** np.arange(_PLAIN_DIGITS - 1, -1, -1, dtype=np.int64)
 # What a column parser raises for a cell it rejects.
 _CELL_ERRORS = (DataError, ValueError, OverflowError)
 # The largest float: a number within +-_FLOAT_MAX is finite.
@@ -227,15 +240,15 @@ def read_columns(path: str | os.PathLike, columns: Sequence[str],
     to CHUNK_ROWS rows, each read when the one before it has been parsed.
 
     The header must be exactly ``columns`` and every row must hold one field
-    per column; blank rows are skipped. An unreadable file, a wrong header
-    and malformed CSV raise a DataError that names the file and the line.
-    A chunk with a row of the wrong field count, or whose ``parse`` raises
-    one of _CELL_ERRORS, is read again row by row: each row is parsed as a
-    chunk of its own and its result yielded before the next row is parsed,
-    and the first row that fails raises a DataError naming the file and its
-    line. So ``parse`` may read, but must not change, anything outside its
-    chunk; a consumer that records each result as it comes finds a repeat
-    within a failed chunk at the repeated row.
+    per column; blank rows are skipped. An unreadable file, a wrong header,
+    malformed CSV and bytes not UTF-8 raise a DataError naming the file and
+    the line. A chunk with a row of the wrong field count, or whose
+    ``parse`` raises one of _CELL_ERRORS, is read again row by row: each
+    row is parsed as a chunk of its own and its result yielded before the
+    next row is parsed, and the first row that fails raises a DataError
+    naming the file and its line. So ``parse`` may read, but must not
+    change, anything outside its chunk; a consumer that records each result
+    as it comes finds a repeat within a failed chunk at the repeated row.
     """
     def parse_rows(rows: list[list[str]]) -> T:
         if set(map(len, rows)) != {len(columns)}:
@@ -243,7 +256,7 @@ def read_columns(path: str | os.PathLike, columns: Sequence[str],
         return parse(Chunk(dict(zip(columns, zip(*rows)))))
 
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -272,16 +285,28 @@ def read_columns(path: str | os.PathLike, columns: Sequence[str],
                 done += len(rows)
         except csv.Error as exc:
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}, line {_line_of_bad_byte(path)}: "
+                            f"not UTF-8 ({exc.reason})") from exc
 
 
 def _line_of(path: str | os.PathLike, row: int) -> int:
     """The line on which data row ``row`` of a CSV file ends, counting rows
     from 0 as ``read_columns`` does. Read again, for error messages only."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         next(islice(filter(None, reader), row, None))
         return reader.line_num
+
+
+def _line_of_bad_byte(path: str | os.PathLike) -> int:
+    """The line of a file's first byte that is not UTF-8, for error messages."""
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len((exc.object[:exc.start] + b".").splitlines())
+    return 0
 
 
 def _numbers(cells: Sequence, kind: type = float, lo: float = -_FLOAT_MAX,
@@ -310,26 +335,11 @@ _rates = partial(_numbers, lo=0, hi=MAX_RATE, what=f"a rate in [0, {MAX_RATE:g}]
 
 def _naive_micros(cells: Sequence[str]) -> np.ndarray:
     """Every cell's ``datetime.fromisoformat`` time, which must have no UTC
-    offset, in int64 microseconds from the naive epoch. Only fromisoformat
-    accepts exactly its own formats, and numpy's parse of the cells is the
-    fastest way to the microseconds: it is taken when it yields the same
-    times without a warning (it reads some suffixes as time zones), and
-    ``micros`` of each time otherwise. On the 40,030 session starts of the
-    city10-3h benchmark city (2-vCPU host, Python 3.11, numpy 2.4, min of
-    7) the two parses took 18 ms, fromisoformat and ``micros`` 34 ms, and
-    fromisoformat and ``np.array`` of the datetimes 107 ms or more."""
+    offset, in int64 microseconds from the naive epoch."""
     times = list(map(datetime.fromisoformat, cells))
     if any(map(attrgetter("tzinfo"), times)):
         raw = next(raw for raw, t in zip(cells, times) if t.tzinfo)
         raise ValueError(f"expected a local time without a UTC offset, got {raw!r}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            parsed = np.array(cells, dtype="datetime64[us]")
-        if parsed.tolist() == times:
-            return parsed.view(np.int64)
-    except (ValueError, Warning):
-        pass
     return np.fromiter(map(micros, times), np.int64, len(times))
 
 
@@ -347,7 +357,14 @@ def read_payments(path: str | os.PathLike) -> SessionIndex:
     first appearance by ``occupancy_model.session_arrays``. A session lasts
     ``timedelta(seconds=duration_s)`` (see ``_micros_of_seconds``) and must
     end by ``datetime.max``. Only ingest reads the file; later stages read
-    the session index it writes."""
+    the session index it writes. A file of plain rows (see ``_plain_sessions``)
+    is parsed as bytes; any other, or one that fails a check, is read by
+    ``read_columns``, which names the fault. Both give the same sessions."""
+    return _read_payments_plain(path) or _read_payments_csv(path)
+
+
+def _read_payments_csv(path: str | os.PathLike) -> SessionIndex:
+    """``read_payments`` of any payments file, by ``read_columns``."""
     def parse(chunk: Chunk) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         start = chunk.parse("start_iso8601", _naive_micros)
         seconds = chunk.parse("duration_s", _positive_reals)
@@ -364,6 +381,84 @@ def read_payments(path: str | os.PathLike) -> SessionIndex:
         parts.append((np.fromiter(map(codes.__getitem__, blocks), np.intp, len(blocks)),
                       start, end))
     return session_arrays(list(codes), *map(np.concatenate, zip(*parts)))
+
+
+def _read_payments_plain(path: str | os.PathLike) -> SessionIndex | None:
+    """``read_payments`` of the exact header and plain rows only; else None."""
+    codes: dict[str, int] = {}
+    parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64))]
+    try:
+        with open(path, "rb") as fh:
+            if fh.readline(len(_PLAIN_HEADERS[1])) not in _PLAIN_HEADERS:
+                return None
+            rest = b""
+            while data := fh.read(PLAIN_BLOCK_BYTES):
+                text = rest + data
+                cut = text.rfind(b"\n") + 1
+                if not cut or (part := _plain_sessions(text[:cut], codes)) is None:
+                    return None
+                parts.append(part)
+                rest = text[cut:]
+    except OSError:
+        return None
+    block, start, end = map(np.concatenate, zip(*parts))
+    del parts  # freed before the sorts
+    return None if rest else session_arrays(list(codes), block, start, end)
+
+
+def _plain_sessions(text: bytes, codes: dict[str, int]) -> tuple[np.ndarray, ...] | None:
+    """The block codes (``codes`` gives a new id the next), starts and ends of
+    ``text``, lines each ``block_id,YYYY-MM-DDTHH:MM:SS,digits`` and LF or CRLF:
+    ASCII with no ``"`` or NUL, an id of 1 to _PLAIN_ID_BYTES bytes and 1 to
+    _PLAIN_DIGITS digits. None if a row is not so or fails a session check."""
+    padded = np.frombuffer(text + bytes(_PLAIN_ID_BYTES), np.uint8)
+    chars = padded[:len(text)]
+    line_end, comma = (np.flatnonzero(chars == ord(c)) for c in "\n,")
+    crlf = chars[line_end - 1] == ord("\r")
+    if (chars.max() >= 128 or (chars == 0).any() or (chars == ord('"')).any()
+            or np.count_nonzero(chars == ord("\r")) != crlf.sum()
+            or comma.size != 2 * line_end.size):
+        return None
+    row, row_end = np.concatenate(([0], line_end[:-1] + 1)), line_end - crlf
+    first, second = comma[0::2], comma[1::2]
+    id_len, digits = first - row, row_end - second - 1
+    if not ((id_len >= 1) & (id_len <= _PLAIN_ID_BYTES) & (second == first + 20)
+            & (digits >= 1) & (digits <= _PLAIN_DIGITS)).all():
+        return None
+    stamps = sliding_window_view(chars, _STAMP.size)[first + 1]
+    # each duration right-aligned at its row end, a digit's value in its place
+    durations = sliding_window_view(chars, _PLAIN_DIGITS)[row_end - _PLAIN_DIGITS] - ord("0")
+    before = np.arange(_PLAIN_DIGITS) < _PLAIN_DIGITS - digits[:, None]
+    if not (((stamps - _STAMP) <= _STAMP_SPAN).all() and (before | (durations <= 9)).all()):
+        return None
+    durations[before] = 0
+    # each start's year, and its month, day, hour, minute and second; numpy's
+    # parse of the text is not used, as it may crash on an invalid date
+    digit = stamps - ord("0")
+    year = digit[:, :4].astype(np.int64) @ _PLACE_VALUES[-4:]
+    fields = (digit[:, 5::3] * 10 + digit[:, 6::3]).astype(np.int64)
+    month = (year - 1970) * 12 + fields[:, 0] - 1
+    day0, next_day0 = ((month + k).astype("datetime64[M]").astype("datetime64[D]").view(np.int64)
+                       for k in (0, 1))  # the first days of its month and the next
+    start = ((day0 + fields[:, 1] - 1) * 86_400 + fields[:, 2:] @ [3600, 60, 1]) * 1_000_000
+    seconds = (durations @ _PLACE_VALUES).astype(np.float64)
+    end = start + _micros_of_seconds(np.minimum(seconds, _LONGEST_S))
+    if not (year.min() >= 1 and (fields.min(0) >= (1, 1, 0, 0, 0)).all()
+            and (fields.max(0) <= (12, 31, 23, 59, 59)).all()
+            and ((fields[:, 1] <= next_day0 - day0) & (seconds >= math.ulp(0.0))
+                 & (end <= _MAX_US)).all()):
+        return None
+    width = int(id_len.max())
+    ids = sliding_window_view(padded, width)[row]
+    ids[np.arange(width) >= id_len[:, None]] = 0
+    # one id per run of equal ids: rows grouped by block hold few runs
+    head = np.flatnonzero(np.concatenate(([True], (ids[1:] != ids[:-1]).any(axis=1))))
+    names, seen, run = np.unique(ids[head].view(f"S{width}").ravel(), return_index=True,
+                                 return_inverse=True)
+    for i in np.argsort(seen).tolist():
+        codes.setdefault(names[i].decode(), len(codes))
+    code = np.array([codes[name.decode()] for name in names.tolist()], np.intp)[run.ravel()]
+    return np.repeat(code, np.diff(np.append(head, row.size))), start, end
 
 
 def file_sha256(path: str | os.PathLike) -> str:
@@ -468,8 +563,8 @@ def read_lots(path: str | os.PathLike) -> list[LotSpec]:
     """Lots from a JSON list of {id, node, capacity}: each id once, ids and
     nodes JSON strings, each capacity a JSON integer in 1..MAX_CAPACITY."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # not UTF-8, or not JSON
         raise DataError(f"cannot read lots file {path}: {exc}") from exc
     try:
         ids = _field(raw, "id", str, "lot id")

@@ -150,13 +150,16 @@ def session_arrays(block_ids: Sequence[str], block: np.ndarray, starts: np.ndarr
     """Index sessions by block: session ``i`` is on block
     ``block_ids[block[i]]`` and active over [``starts[i]``, ``ends[i]``).
 
-    One sort by (block, start) and one by (block, end) order every session;
-    each block's starts and ends are slices of the two sorted arrays.
+    The starts and the ends are each sorted by time, then stably by block
+    (a radix sort of 8- or 16-bit codes up to 65,536 blocks); each block's
+    starts and ends are slices of the two sorted arrays.
     """
     bounds = np.zeros(len(block_ids) + 1, np.int64)
     np.cumsum(np.bincount(block, minlength=len(block_ids)), out=bounds[1:])
-    return SessionIndex(tuple(block_ids), bounds, starts[np.lexsort((starts, block))],
-                        ends[np.lexsort((ends, block))])
+    code = block.astype(np.min_scalar_type(len(block_ids) - 1))
+    by_time = ((times, np.argsort(times)) for times in (starts, ends))
+    return SessionIndex(tuple(block_ids), bounds, *(
+        times[order[np.argsort(code[order], kind="stable")]] for times, order in by_time))
 
 
 def feature_matrix(sessions: SessionIndex, g: RoadGraph, blocks: Sequence[str],
@@ -442,8 +445,8 @@ def load_model(path: str | os.PathLike) -> Network:
     DataError; non-finite values raise NumericError.
     """
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # not UTF-8, or not JSON
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError(f"model file {path} is not a JSON object")

@@ -296,14 +296,16 @@ def _atomic_write(path: str | os.PathLike, content: str | Callable[[BinaryIO], N
     is given, into a new file beside ``path``, creating its directory, then
     rename it over ``path``: no reader sees half a file, even of racing
     writers. Every file the package writes comes here; a path that cannot
-    be written is a ConfigError."""
+    be written, or a text that is not UTF-8 (a lone surrogate), is a
+    ConfigError."""
     tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
+    text = isinstance(content, str)
     try:
         tmp.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "x" if isinstance(content, str) else "xb") as fh:
-            fh.write(content) if isinstance(content, str) else content(fh)
+        with open(tmp, "x" if text else "xb", encoding="utf-8" if text else None) as fh:
+            fh.write(content) if text else content(fh)
         os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc}") from exc

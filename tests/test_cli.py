@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
 import functools
@@ -10,9 +11,11 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import shutil
 import string
+import subprocess
 import sys
 import tempfile
 import types
@@ -1699,3 +1702,63 @@ def test_meter_count_beyond_int64_predicts_as_any_count(copied):
         assert (out / "graph.npz").exists()
         availability[count, "miss"] = (out / "availability.csv").read_bytes()
     assert len(set(availability.values())) == 1
+
+
+# -- every text file is UTF-8, whatever the locale -----------------------------------
+
+@pytest.mark.parametrize("name,where,stage", [
+    *[(name, where, stage) for name, (stage, where, _) in STAGE_CSVS.items()],
+    ("lots.json", "city", "sim-off"), ("config.json", ".", "ingest")])
+def test_text_that_is_not_utf8_exits_with_one_line(copied, capsys, name, where, stage):
+    config = write_config(copied / "config.json", "city")
+    path = copied / where / name
+    data = path.read_bytes()
+    if name.endswith(".csv"):  # at the start of the second data row
+        at = data.index(b"\n", data.index(b"\n") + 1) + 1
+    else:  # into the first lot's "id" key, or the config's "seed" key
+        at = data.index(b'"id"' if name == "lots.json" else b'"seed"') + 2
+    path.write_bytes(data[:at] + b"\xe9" + data[at:])  # no UTF-8 byte
+    code = main([stage, "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == (2 if name == "config.json" else 3)
+    assert_one_line(err)
+    assert name in err
+    if name.endswith(".csv"):
+        assert f"{name}, line 3: not UTF-8" in err
+    assert not list(copied.rglob("*.tmp"))
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_ingest_under_an_ascii_locale_writes_the_bytes_of_utf8(copied):
+    probe = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        capture_output=True, text=True, check=True, env={**os.environ, **ASCII_LOCALE})
+    assert codecs.lookup(probe.stdout.strip()).name == "ascii"  # the locale is ASCII
+    # a meter id and a lot id that are not ASCII; rates.csv repeats the lot id
+    city = copied / "city"
+    surveys = city / "surveys.csv"
+    lines = surveys.read_text(encoding="utf-8").split("\n")
+    lines[1] = "m\u00e9ter" + lines[1][lines[1].index(","):]
+    surveys.write_text("\n".join(lines), encoding="utf-8")
+    lots = json.loads((city / "lots.json").read_text(encoding="utf-8"))
+    old, new = lots[0]["id"], lots[0]["id"] + "\u00f6"
+    lots[0]["id"] = new
+    (city / "lots.json").write_text(json.dumps(lots, ensure_ascii=False), encoding="utf-8")
+    events = city / "lot_events.csv"
+    events.write_text(events.read_text(encoding="utf-8").replace(f"\n{old},", f"\n{new},"),
+                      encoding="utf-8")
+    config = write_config(copied / "config.json", "city")
+    src = Path(cli.__file__).parents[1]
+    for out, env in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", ASCII_LOCALE)):
+        done = subprocess.run(
+            [sys.executable, "-m", "parksim.cli", "ingest", "--config", str(config),
+             "--out", str(copied / out)],
+            capture_output=True, env={**os.environ, "PYTHONPATH": str(src), **env}, check=False)
+        assert done.returncode == 0, done.stderr
+    names = sorted(p.name for p in (copied / "utf8").iterdir())
+    assert names == sorted(p.name for p in (copied / "ascii").iterdir())
+    for name in names:
+        assert (copied / "ascii" / name).read_bytes() == (copied / "utf8" / name).read_bytes()
+    assert f"\r\n{new},".encode() in (copied / "ascii" / "rates.csv").read_bytes()

@@ -8,11 +8,13 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from collections import Counter
 from datetime import date, datetime, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,8 +46,9 @@ from parksim.data_ingest import (
     write_session_index,
     write_table,
 )
+from parksim.data_ingest import _read_payments_csv, _read_payments_plain
 from parksim.errors import DataError
-from parksim.occupancy_model import build_dataset, micros, session_arrays
+from parksim.occupancy_model import SessionIndex, build_dataset, micros, session_arrays
 from parksim.road_graph import load_graph
 from parksim.synth import (_PAID_HOURS_CDF, BUNDLE_FILES, METERS_PER_BLOCK, SynthConfig,
                            _generate_sessions, _grid_faces, _hour_shape, _integer_source,
@@ -827,3 +830,138 @@ class TestTable:
 @pytest.mark.usefixtures("small_chunks")
 class TestTableInSmallChunks(TestTable):
     """Rows, and each fault's line, as with the default chunk size."""
+
+
+# -- the plain payments reader against the csv one --------------------------------
+
+def read_either(read, path):
+    """``read(path)``, or the message of the DataError it raises."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_same_sessions(got, want):
+    """Equal session indexes, dtypes included, or equal error messages."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.block_ids == want.block_ids
+    for name in ("bounds", "starts", "ends"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
+PLAIN_IDS = st.sampled_from(["b", "h0_0E", "c", "x y", "a" * 64, "\t~"])
+PLAIN_STAMPS = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(
+    lambda t: t.isoformat(timespec="seconds"))
+PLAIN_DURATIONS = st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 15 - 1)).map(str)
+PLAIN_ROWS = st.lists(st.tuples(PLAIN_IDS, PLAIN_STAMPS, PLAIN_DURATIONS,
+                                st.sampled_from(["\n", "\r\n"])), min_size=1, max_size=40)
+CELLS = ("id", "start", "duration")
+# What the plain reader must hand over to the csv one, or parse as the csv
+# one does: (where it goes, its text, whether a row with it is still plain).
+ODD_CASES = [
+    *(("id", text, False) for text in ['"b"', '"b,c"', "b\u00e9", "b\x00", "b\rc", "a" * 65, ""]),
+    ("start", "2024-02-29T08:00:00", True), ("start", "9999-12-31T23:59:59", True),
+    *(("start", text, False) for text in [
+        "0000-01-01T00:00:00", "2026-02-29T08:00:00", "2026-03-02T24:00:00",
+        "2026-03-02T23:59:60", "2026-03-02 08:00:00", "2026-03-02T08:00:00.5"]),
+    ("duration", "0003360", True), ("duration", "999999999999999", True),
+    *(("duration", text, False) for text in ["0", "3_360", " 3360", "1e3", "1234567890123456",
+                                             "inf"]),
+    ("line end", "\r", False), ("blank line", "\n", False), ("blank line", "\r\n", False),
+    ("no final line end", "", False)]
+
+
+def ends_by_the_last_datetime(stamp, duration):
+    """Whether the session of a start and a duration ends by ``datetime.max``;
+    False for cells of no such session."""
+    try:
+        return datetime.fromisoformat(stamp) + timedelta(seconds=int(duration)) <= datetime.max
+    except (OverflowError, ValueError):
+        return False
+
+
+@pytest.mark.parametrize("odd", [None, *ODD_CASES],
+                         ids=lambda odd: "plain" if odd is None else f"{odd[0]}:{odd[1]!r}")
+@settings(max_examples=15)
+@given(rows=PLAIN_ROWS, at=st.integers(0, 39), header_end=st.sampled_from(["\n", "\r\n"]),
+       block_bytes=st.sampled_from([103, 160, 257, 1 << 17]))
+def test_plain_payments_read_as_the_csv_reader_reads_them(tmp_path_factory, odd, rows, at,
+                                                          header_end, block_bytes):
+    # plain rows and one odd thing put in at row ``at``; small blocks put it
+    # in a later block, after plain blocks parsed
+    rows = [list(row) for row in rows]
+    row, plain = rows[at % len(rows)], True
+    if odd is not None:
+        where, text, plain = odd
+        if where in CELLS:
+            row[CELLS.index(where)] = text
+        elif where == "no final line end":
+            rows[-1][3] = ""
+        else:  # a lone CR, or a blank line after the row
+            row[3] = text if where == "line end" else row[3] + text
+    plain &= all(ends_by_the_last_datetime(stamp, duration) for _, stamp, duration, _ in rows)
+    path = tmp_path_factory.getbasetemp() / "mixed_payments.csv"
+    path.write_bytes((",".join(PAYMENT_COLUMNS) + header_end
+                      + "".join(",".join(row[:3]) + row[3] for row in rows)).encode())
+    with mock.patch.object(data_ingest, "PLAIN_BLOCK_BYTES", block_bytes):
+        got = read_either(read_payments, path)
+        assert plain == (_read_payments_plain(path) is not None)
+    assert_same_sessions(got, read_either(_read_payments_csv, path))
+
+
+def test_plain_payment_faults_are_named_by_the_csv_reader(tmp_path):
+    # a date numpy's parse of bytes may crash on, in a block of many rows
+    rows = [GOOD] * (CHUNK_ROWS + 5)
+    rows[CHUNK_ROWS + 3] = ["b", "2026-02-29T08:00:00", "60"]
+    path = write_payment_rows(tmp_path / "p.csv", rows)
+    with pytest.raises(DataError, match=f"p.csv, line {CHUNK_ROWS + 5}: day is out of range"):
+        read_payments(path)
+
+
+def benchmark_synth_configs():
+    """The synth config and seed of each workload of the benchmark."""
+    workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+    return {name: (SynthConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in w.synth.items()}), workloads["FIXTURE_SEED"])
+            for name, w in workloads["WORKLOADS"].items() if name != "smoke"}
+
+
+@pytest.mark.parametrize("name", ["city6-8h", "city10-3h", "peak-lots", "quick-start"])
+def test_synth_payments_take_the_plain_path(tmp_path, monkeypatch, name):
+    # the README quick start's city: the default config at seed 7
+    cfg, seed = {**benchmark_synth_configs(), "quick-start": (SynthConfig(), 7)}[name]
+    synth_generate(cfg, seed, tmp_path)
+    path = tmp_path / "payments.csv"
+    want = _read_payments_csv(path)
+
+    def no_csv(*args):
+        raise AssertionError("the payments took the csv path")
+
+    monkeypatch.setattr(data_ingest, "read_columns", no_csv)
+    assert_same_sessions(read_payments(path), want)
+
+
+# -- session_arrays against a lexsort ------------------------------------------------
+
+@pytest.mark.parametrize("n_blocks", [0, 1, 256, 65_536, 65_537])
+@pytest.mark.parametrize("order", ["random", "by_time", "by_block"])
+def test_session_arrays_equal_a_lexsort_of_block_and_time(n_blocks, order):
+    rng = np.random.default_rng(n_blocks)
+    n = 0 if n_blocks == 0 else 3 * n_blocks + 1000
+    block = rng.integers(0, max(n_blocks, 1), n).astype(np.intp)
+    starts = rng.integers(-50, 50, n) * 10 ** 12  # many repeated times
+    ends = starts + rng.integers(0, 5, n)
+    if order != "random":
+        keep = np.lexsort((starts, block)) if order == "by_block" else np.argsort(starts)
+        block, starts, ends = block[keep], starts[keep], ends[keep]
+    block_ids = [f"b{i}" for i in range(n_blocks)]
+    got = session_arrays(block_ids, block, starts, ends)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(block, minlength=n_blocks))))
+    want = SessionIndex(tuple(block_ids), bounds, starts[np.lexsort((starts, block))],
+                        ends[np.lexsort((ends, block))])
+    assert_same_sessions(got, want)

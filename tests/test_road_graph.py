@@ -595,6 +595,18 @@ class TestGraphIndex:
 
 
 class TestAtomicWrite:
+    def test_text_that_cannot_be_utf8_is_a_config_error_and_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old")
+        with pytest.raises(ConfigError, match="cannot write .*out.csv.*surrogates"):
+            _atomic_write(path, "block \ud800")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert path.read_text() == "old"
+
+    def test_text_is_written_as_utf8(self, tmp_path):
+        _atomic_write(tmp_path / "out.csv", "m\u00e9ter")
+        assert (tmp_path / "out.csv").read_bytes() == "m\u00e9ter".encode("utf-8")
+
     def test_writers_of_one_path_do_not_share_a_file(self, tmp_path):
         # the inner writer renames its file over the path while the outer
         # one still writes; each needs a file of its own
