@@ -38,26 +38,28 @@ does not depend on which searches run beside it, so a cell's estimate does
 not depend on which other cells a call covers, on their order or on how
 they are chunked. ``estimate_onstreet_time`` covers every block at every
 hour of a run in one call. It builds the walk and distance tables of
-``TABLE_CHUNK`` destinations per relaxation and runs the chunk's cells in
-batches, each in two parts:
+``TABLE_CHUNK`` destinations per relaxation and runs the chunk's cells
+through one pool of scratch rows:
 
-- The first check of every search of the batch (steps 1 and 2 on the
-  destination) uses no scratch. A search's state there is known: its
-  destination visited once, and no candidate visited or checked, since
-  self-loops are rejected and so a block is never its own candidate.
-- Only the searches that survive it get scratch rows: (search, block)
-  visit counts and last-check times, at most ``SCRATCH_ENTRIES`` entries.
-  A row is seeded with the one visit and the check at its destination.
-  The survivors run steps 3, 4, 1 and 2 in groups: consecutive slices of
-  as many searches as there are rows, so a cell may span groups.
+- A search's first check (steps 1 and 2 on its destination) uses no
+  scratch: self-loops are rejected, so no candidate has been visited or
+  checked. First checks run in batches of consecutive cells.
+- A survivor queues for a scratch row, its (search, block) visit counts
+  and last-check times, seeded with the one visit and check at its
+  destination. Each step runs steps 3, 4, 1 and 2 for every search that
+  holds a row, at the search's own step number. A search that parks or
+  passes the cap frees its row for the head of the queue, and the next
+  batch's first checks run once the queue is shorter than the free rows.
 
-A batch covers at most four times as many searches as the scratch has
-rows (at least one cell), so its per-search arrays follow the scratch, not
-the cells of a run; it has no (cell, block) tables, since a cell reads the
-chunk's destination tables and the call's hour tables at its own offsets.
-The scalar reference for one search is ``simulate_single`` in
-``tests/oracles.py``; ``estimate_cells`` there runs the lockstep one cell at
-a time.
+Three limits bound the memory by the scratch, not by the cells of a run:
+a batch has at most four searches a scratch row (at least one cell), and
+keeps its (cell, sample) totals until its last search ends; at most
+``BATCHES`` batches are in flight; a freed row is reset on the entries its
+search touched, kept in a trail of an eighth of a row, or whole after a
+longer search. A cell reads the chunk's destination tables and the call's
+hour tables at its own offsets, so no table is per (cell, block). The
+scalar reference for one search is ``simulate_single`` in
+``tests/oracles.py``; ``estimate_cells`` there runs the lockstep by cell.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ from .road_graph import RoadGraph, _check_hour, tables_to_blocks
 from .seeding import counter_uniform, stream_key
 
 TABLE_CHUNK = 64            # destinations per table relaxation
-SCRATCH_ENTRIES = 3 * 2 ** 16  # (survivor, block) scratch entries, 2.25 MiB; sizes batches too
+SCRATCH_ENTRIES = 3 * 2 ** 16  # (search, block) entries of the pool's rows, 2.25 MiB; sizes batches
+BATCHES = 4                 # first-check batches in flight, each holding its totals
 
 
 @dataclass(frozen=True)
@@ -116,93 +119,123 @@ class OnstreetEstimate:
     n_samples: int
 
 
-def _lockstep(g: RoadGraph, dests: np.ndarray, dest_at: np.ndarray, hour_at: np.ndarray,
+def _lockstep(g: RoadGraph, hour_of: np.ndarray, dest_of: np.ndarray, batch_cells: int,
               walk_s: np.ndarray, dist_m: np.ndarray, p: np.ndarray, drive_s: np.ndarray,
-              cfg: OnstreetConfig, weights: PolicyWeights, keys: np.ndarray,
-              visits: np.ndarray, last_check_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Total time of every search of a batch of cells, as (cell, sample),
-    and the number censored in each cell.
-
-    Cell ``c`` is the destination ``dests[c]``. Its tables over the blocks
-    start at flat offset ``dest_at[c]`` of the destination tables
-    ``walk_s`` and ``dist_m``, and at ``hour_at[c]`` of the hour tables
-    ``p`` and ``drive_s``. ``keys`` holds every search's stream key, as
-    (cell, sample). ``visits`` and ``last_check_s`` hold
-    ``visits.size // blocks`` scratch rows.
-    """
+              cell_keys: np.ndarray, cfg: OnstreetConfig, weights: PolicyWeights,
+              visits: np.ndarray, last_check_s: np.ndarray):
+    """For each batch of ``batch_cells`` consecutive cells of a table chunk,
+    once its last search ends, yield the cells' hour rows and destinations,
+    a view of every search's total time as (cell, sample), valid until the
+    generator resumes, and each cell's censored count. Cell ``c`` reads row
+    ``hour_of[c]`` of ``p`` and ``drive_s``, row ``dest_of[c] - dest_of[0]``
+    of ``walk_s`` and ``dist_m``, and key ``cell_keys[hour_of[c], dest_of[c]]``.
+    ``visits`` and ``last_check_s`` hold ``visits.size // blocks`` reset rows."""
     blocks, n = len(g.block_ids), cfg.n_samples
-    half_first_s = drive_s.take(hour_at + dests) / 2.0
-    totals = np.empty((len(dests), n))
-    censored = np.zeros((len(dests), n), dtype=bool)
+    dest_at, hour_at = (dest_of - dest_of[0]) * blocks, hour_of * blocks
+    half_first_s = drive_s.take(hour_at + dest_of) / 2.0
+    slots, size = min(BATCHES, -(-dest_of.size // batch_cells)), batch_cells * n
+    try:  # numpy refuses a count past its size limit outright, not as out of memory
+        totals = np.empty((slots, size))            # search slot * size + s of a batch
+    except ValueError as exc:
+        raise MemoryError(exc) from exc
+    censored, pending = np.zeros(totals.shape, dtype=bool), np.zeros(slots, dtype=np.intp)
 
-    def check(live, cell, block, elapsed_s, u):
-        """Parking checks of the (cell, sample) searches ``live`` on their
-        blocks: record the totals of those that park or pass the cap;
-        return every search's elapsed time and whether it goes on."""
+    def check(search, cell, block, elapsed_s, u):
+        """Check ``search`` on ``block``: record the totals of those that park
+        or pass the cap; return every elapsed time and which searches go on."""
         at_hour, at_dest = hour_at[cell] + block, dest_at[cell] + block
         parked = u < p.take(at_hour)
         drive = (elapsed_s[parked] - half_first_s[cell[parked]]
                  + drive_s.take(at_hour[parked]) / 2.0)
-        totals.flat[live[parked]] = cfg.min_park_s + drive + walk_s.take(at_dest[parked])
+        totals.flat[search[parked]] = cfg.min_park_s + drive + walk_s.take(at_dest[parked])
         elapsed_s = elapsed_s + drive_s.take(at_hour)
         over = (elapsed_s > cfg.max_search_s) & ~parked
         if over.any():
-            totals.flat[live[over]] = (cfg.min_park_s + cfg.max_search_s
-                                       + walk_s.take(at_dest[over]))
-            censored.flat[live[over]] = True
+            totals.flat[search[over]] = (cfg.min_park_s + cfg.max_search_s
+                                         + walk_s.take(at_dest[over]))
+            censored.flat[search[over]] = True
             parked |= over
         return elapsed_s, ~parked
 
-    # First checks, at the destinations: one visit there and no other, so
-    # no scratch is read or written.
-    live = np.arange(totals.size)                   # (cell, sample) ids still searching
-    cell = live // n
-    block = dests[cell]
-    elapsed_s, stay = check(live, cell, block, np.zeros(live.size), counter_uniform(keys, 0))
-    survivors = [a[stay] for a in (live, cell, block, elapsed_s, keys)]
-    # The survivors in groups of at most the scratch rows: draws are
-    # labelled by search and step, so a cell may span groups.
-    rows = visits.size // blocks
-    for lo in range(0, survivors[0].size, rows):
-        live, cell, block, elapsed_s, key = (a[lo:lo + rows] for a in survivors)
-        row = np.arange(live.size)                  # scratch row of each search
-        entry = row * blocks + block
+    rows, width = visits.size // blocks, max(1, blocks // 8)
+    # a row's trail: its search's entry of step t in column min(t, width - 1)
+    trail = np.repeat(np.arange(rows, dtype=np.int32) * blocks, width).reshape(rows, width)
+    free, flight, starts = np.arange(rows), {}, iter(range(0, dest_of.size, batch_cells))
+    # (search, cell, block, elapsed_s, key) of the first-check survivors
+    # waiting for a row; the pool adds each search's row and step
+    queue = [np.empty(0, dtype) for dtype in (np.intp, np.intp, np.intp, float, np.uint64)]
+    pool = queue + [np.empty(0, np.intp)] * 2
+    while True:
+        for s in [s for s in flight if not pending[s]]:     # every search of batch s ended
+            c = flight.pop(s)                       # totals a view: slot s is refilled next
+            yield (hour_of[c], dest_of[c], totals[s].reshape(-1, n)[:c.stop - c.start],
+                   censored[s].reshape(-1, n)[:c.stop - c.start].sum(axis=1))
+        # First checks, at the destinations, of batches while rows would go
+        # unused: one visit there and no other, so no scratch is read.
+        while (queue[0].size < free.size and len(flight) < slots
+               and (lo := next(starts, None)) is not None):
+            s = min(set(range(slots)) - set(flight))
+            flight[s] = slice(lo, min(lo + batch_cells, dest_of.size))
+            cell = np.arange(lo, flight[s].stop)
+            key = stream_key(cell_keys[hour_of[cell], dest_of[cell]][:, None], np.arange(n)).ravel()
+            cell, search = cell.repeat(n), s * size + np.arange(key.size)
+            censored[s] = False
+            elapsed_s, stay = check(search, cell, dest_of[cell], np.zeros(cell.size),
+                                    counter_uniform(key, 0))
+            pending[s] = np.count_nonzero(stay)
+            queue = [np.concatenate((q, a[stay])) for q, a in
+                     zip(queue, (search, cell, dest_of[cell], elapsed_s, key))]
+            del cell, key, search, elapsed_s, stay  # freed before the next batch's checks
+        # the queue's head takes the free rows, seeded with its destination's visit and check
+        k = min(free.size, queue[0].size)
+        row, free = free[:k], free[k:]
+        entry = row * blocks + queue[2][:k]
         visits[entry] = 1
+        last_check_s[entry] = queue[3][:k]
+        trail[row, 0] = entry
+        pool = [np.concatenate((a, b)) for a, b in
+                zip(pool, [q[:k] for q in queue] + [row, np.zeros(k, np.intp)])]
+        queue = [q[k:] for q in queue]
+        search, cell, block, elapsed_s, key, row, step = pool
+        if not search.size:
+            if flight:
+                continue
+            return
+        step = step + 1                             # draws 2 step - 1 and 2 step
+        candidates = g.next_blocks[:, block]       # (candidate, search)
+        entries = candidates + row * blocks
+        since_s = np.minimum(elapsed_s - last_check_s.take(entries), cfg.elapsed_cap_s)
+        scores = (weights.distance_weight * (dist_m.take(candidates + dest_at[cell]) / 100.0)
+                  + weights.scarcity_weight / np.maximum(p.take(candidates + hour_at[cell]),
+                                                         cfg.p_floor)
+                  + weights.revisit_weight * visits.take(entries)
+                  + weights.elapsed_weight * (since_s / 60.0))
+        # Padding repeats a search's first candidate, so checks and maxima
+        # over all rows see only real candidates' values.
+        if not np.isfinite(scores).all():
+            raise NumericError("non-finite block score")
+        weight = np.exp(scores - scores.max(axis=0))
+        weight *= g.next_valid[:, block]
+        cdf = weight.cumsum(axis=0)
+        k = np.minimum((cdf <= counter_uniform(key, 2 * step - 1) * cdf[-1]).sum(axis=0),
+                       g.out_degree[block] - 1)
+        block = candidates[k, np.arange(search.size)]
+        entry = row * blocks + block
+        trail[row, np.minimum(step, width - 1)] = entry
+        visits[entry] += 1
+        elapsed_s, stay = check(search, cell, block, elapsed_s, counter_uniform(key, 2 * step))
         last_check_s[entry] = elapsed_s
-        touched, n_touched, used, step = [entry], entry.size, live.size * blocks, 0
-        while live.size:
-            step += 1                               # draws 2 step - 1 and 2 step
-            candidates = g.next_blocks[:, block]   # (candidate, search)
-            entries = candidates + row * blocks
-            since_s = np.minimum(elapsed_s - last_check_s.take(entries), cfg.elapsed_cap_s)
-            scores = (weights.distance_weight * (dist_m.take(candidates + dest_at[cell]) / 100.0)
-                      + weights.scarcity_weight / np.maximum(p.take(candidates + hour_at[cell]),
-                                                             cfg.p_floor)
-                      + weights.revisit_weight * visits.take(entries)
-                      + weights.elapsed_weight * (since_s / 60.0))
-            # Padding repeats a search's first candidate, so checks and maxima
-            # over all rows see only real candidates' values.
-            if not np.isfinite(scores).all():
-                raise NumericError("non-finite block score")
-            weight = np.exp(scores - scores.max(axis=0))
-            weight *= g.next_valid[:, block]
-            cdf = weight.cumsum(axis=0)
-            k = np.minimum((cdf <= counter_uniform(key, 2 * step - 1) * cdf[-1]).sum(axis=0),
-                           g.out_degree[block] - 1)
-            block = candidates[k, np.arange(live.size)]
-            entry = row * blocks + block
-            if n_touched <= used // 8:              # past that, refill the rows used
-                touched.append(entry)
-            n_touched += entry.size
-            visits[entry] += 1
-            elapsed_s, stay = check(live, cell, block, elapsed_s, counter_uniform(key, 2 * step))
-            last_check_s[entry] = elapsed_s         # a parked search's row is not read again
-            live, cell, block, elapsed_s, row, key = (a[stay] for a in
-                                                      (live, cell, block, elapsed_s, row, key))
-        touched = slice(used) if n_touched > used // 8 else np.concatenate(touched)
-        visits[touched] = 0
-        last_check_s[touched] = -np.inf
-    return totals, censored.sum(axis=1)
+        # reset and free the rows of the searches that ended; stale trail columns are in-row
+        done, long = row[~stay], step[~stay] >= width
+        reset = np.concatenate((trail[done[~long], :step[~stay].max(initial=0) + 1].ravel(),
+                                (done[long, None] * blocks + np.arange(blocks)).ravel()))
+        visits[reset] = 0
+        last_check_s[reset] = -np.inf
+        free = np.append(free, done)
+        pending -= np.bincount(search[~stay] // size, minlength=slots)
+        search, cell, block, elapsed_s, key, row, step = pool = [
+            a[stay] for a in (search, cell, block, elapsed_s, key, row, step)]
+        del candidates, entries, since_s, scores, weight, cdf, reset    # freed before first checks
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflows are NumericErrors, not warnings
@@ -222,16 +255,10 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
     if p.shape != shape:
         raise DataError(f"availability array has shape {p.shape}, expected {shape}")
     n, blocks = cfg.n_samples, len(g.block_ids)
-    try:  # numpy refuses a count past its size limit outright, not as out of memory
-        searches = np.arange(n)
-    except ValueError as exc:
-        raise MemoryError(exc) from exc
     mean, std, censored = np.empty(shape), np.zeros(shape), np.empty(shape)
-    # One (search, block) pair of scratch arrays for every group of the
-    # call, flattened: allocating them per group let the allocator return
-    # their pages and fault them back in. A group resets only the entries
-    # its searches touched, since a refill grows with the blocks; past an
-    # eighth of its rows it stops listing and refills them.
+    # One (search, block) pair of scratch arrays for every table chunk of
+    # the call, flattened: allocating them per chunk let the allocator
+    # return their pages and fault them back in.
     rows = max(1, SCRATCH_ENTRIES // blocks)
     cells = max(1, min(4 * rows // n, min(TABLE_CHUNK, blocks) * len(hours)))
     visits = np.zeros(min(rows, cells * n) * blocks, dtype=np.int32)
@@ -246,15 +273,13 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
         dist_m = tables_to_blocks(g, dests, g.length_m).T.copy()
         # the chunk's cells in (destination, hour) order
         column, row = np.divmod(np.arange(dests.size * len(hours)), len(hours))
-        for lo in range(0, column.size, cells):
-            c, i = column[lo:lo + cells], row[lo:lo + cells]
-            j = dests[c]
-            keys = stream_key(cell_keys[i, j][:, None], searches).ravel()
-            totals, n_censored = _lockstep(g, j, c * blocks, i * blocks, walk_s, dist_m, p,
-                                           drive_s, cfg, weights, keys, visits, last_check_s)
+        for i, j, totals, n_censored in _lockstep(g, row, dests[column], cells, walk_s, dist_m,
+                                                  p, drive_s, cell_keys, cfg, weights, visits,
+                                                  last_check_s):
             mean[i, j] = totals.mean(axis=1)
             if n > 1:
                 std[i, j] = totals.std(axis=1, ddof=1)
             censored[i, j] = n_censored / n
+        del totals  # a view: the lockstep's totals go before the next chunk's
     return OnstreetEstimate(mean_s=mean, std_s=std, censored_fraction=censored,
                             n_samples=n)

@@ -51,8 +51,9 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 HOURS = 24
-# The layout of the graph index file; an index of another version is rebuilt.
-GRAPH_INDEX_VERSION = 2
+# The layout of the graph index file, and the set of graph files it may
+# stand for; an index of another version is rebuilt. 3: ids are UTF-8.
+GRAPH_INDEX_VERSION = 3
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -232,9 +233,9 @@ def load_graph(path: str | os.PathLike, index: str | os.PathLike | None = None) 
         key = hashlib.sha256(data).hexdigest()
         with contextlib.suppress(DataError, ValueError, TypeError, IndexError):
             return _read_graph_index(index, key)
-    try:
-        raw = json.loads(data)
-    except ValueError as exc:
+    try:  # strict UTF-8: json.loads of bytes would take UTF-16 and UTF-32 too
+        raw = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"malformed graph file {path}: {exc}") from exc
     if not isinstance(raw, dict) or "nodes" not in raw or "edges" not in raw:
         raise DataError(f"graph file {path} must be an object with 'nodes' and 'edges'")
@@ -278,12 +279,25 @@ _JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 def _json_column(column: list, kind: type, what: str) -> list:
     """``column`` as ``kind``s if its types, checked as one set, are JSON
     kinds of ``kind``: ``2.5`` is no integer, ``"1"`` no number, ``true``
-    neither, ``["a"]`` no string. The first value that is not is named."""
+    neither, ``["a"]`` no string. Strings must be UTF-8, so a JSON escape of
+    a lone surrogate is no string either. The first value that is not is
+    named."""
     types, name = _JSON_KINDS[kind]
     if not set(map(type, column)).issubset(types):
         bad = next(value for value in column if type(value) not in types)
         raise ValueError(f"{what} {bad!r} is not {name}")
+    if kind is str and not _utf8("".join(column)):
+        raise ValueError(f"{what} {next(filter(lambda v: not _utf8(v), column))!r} is not UTF-8")
     return list(map(float, column)) if kind is float else column
+
+
+def _utf8(text: str) -> bool:
+    """Whether ``text`` has a UTF-8 encoding: it holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _field(records: Iterable[dict], key: str, kind: type, what: str | None = None) -> list:

@@ -1728,6 +1728,23 @@ def test_text_that_is_not_utf8_exits_with_one_line(copied, capsys, name, where, 
     assert not list(copied.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("name,stage", [("graph.json", "ingest"), ("lots.json", "sim-off")])
+def test_id_with_a_lone_surrogate_exits_3_naming_it(copied, capsys, name, stage):
+    # a JSON escape of a lone surrogate ends the first block or lot id; the
+    # input is named, not an output that cannot hold the id, and the graph
+    # index is not rewritten
+    config = write_config(copied / "config.json", "city")
+    path, index = copied / "city" / name, copied / "out" / "graph.npz"
+    raw, before = json.loads(path.read_text(encoding="utf-8")), index.read_bytes()
+    (raw["edges"] if name == "graph.json" else raw)[0]["id"] += "\ud800"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main([stage, "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert name in err and "\\ud800' is not UTF-8" in err
+    assert index.read_bytes() == before
+
+
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 

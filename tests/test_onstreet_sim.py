@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -367,10 +368,11 @@ class TestLockstep:
 
 
 class TestChunkedLockstep:
-    """One lockstep runs a batch of cells: every first check with no
-    scratch, then the survivors in scratch groups of consecutive searches.
-    ``estimate_cells`` runs the same searches one cell at a time. Every
-    cell agrees exactly."""
+    """One lockstep runs a table chunk's cells: the first checks of a batch
+    of cells with no scratch, then the survivors through a pool of scratch
+    rows, where a search that ends frees its row for the next survivor in
+    the queue. ``estimate_cells`` runs the same searches one cell at a
+    time. Every cell agrees exactly."""
 
     HOURS = (8, 17)
 
@@ -436,18 +438,18 @@ class TestChunkedLockstep:
         # Search s of a cell draws the same uniforms in simulate_single,
         # through the integer reference, as in the lockstep; the graphs'
         # times are integers, so the totals agree bit for bit. With 7
-        # scratch rows for 12 searches a cell, groups split cells.
+        # scratch rows for 12 searches a cell, a row serves several cells.
         g = self.graph(graph)
         cfg = OnstreetConfig(n_samples=12, seed=6)
         monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES", 7 * len(g.block_ids))
         totals = {}
         lockstep = onstreet_sim._lockstep
 
-        def spy(g, dests, dest_at, hour_at, *args):
-            result = lockstep(g, dests, dest_at, hour_at, *args)
-            for c, (j, at) in enumerate(zip(dests.tolist(), hour_at.tolist())):
-                totals[g.block_ids[j], self.HOURS[at // len(g.block_ids)]] = result[0][c]
-            return result
+        def spy(g, hour_of, dest_of, *args):
+            for i, j, *result in lockstep(g, hour_of, dest_of, *args):
+                for c, (at, dest) in enumerate(zip(i.tolist(), j.tolist())):
+                    totals[g.block_ids[dest], self.HOURS[at]] = result[0][c].tolist()
+                yield i, j, *result
 
         monkeypatch.setattr(onstreet_sim, "_lockstep", spy)
         p = np.random.default_rng(14).uniform(0.05, 0.6, (len(self.HOURS), len(g.block_ids)))
@@ -462,33 +464,58 @@ class TestChunkedLockstep:
                                           SearchDraws(cfg.seed, dest, hour, sample),
                                           walk_s=walk, dist_m=dist).total_s
                           for sample in range(cfg.n_samples)]
-                assert scalar == totals[dest, hour].tolist(), (dest, hour)
+                assert scalar == totals[dest, hour], (dest, hour)
 
     @staticmethod
-    def spy_groups(monkeypatch):
-        """Record every draw call of the lockstep as (counter, set of search
-        keys). A batch's first checks are draw 0; each scratch group then
-        makes one call per draw number from 1 on."""
+    def spy_draws(monkeypatch):
+        """Record every draw call of the lockstep as {search key: draw
+        number}. A batch's first checks are draw 0; each step of the pool
+        then makes a choice call (odd numbers) and a check call over the
+        searches that hold rows, each at its own step."""
         calls = []
 
         def spy(keys, counter):
-            calls.append((counter, set(keys.tolist())))
+            calls.append(dict(zip(keys.tolist(), np.broadcast_to(counter, keys.shape).tolist())))
             return counter_uniform(keys, counter)
 
         monkeypatch.setattr(onstreet_sim, "counter_uniform", spy)
         return calls
 
-    def cell_keys(self, g, cfg, dest, hour):
-        """The stream keys of the searches of cell (dest, hour)."""
-        cell_key = stream_key(cfg.seed, *cell_labels(dest, hour))
-        return set(stream_key(cell_key, np.arange(cfg.n_samples)).tolist())
+    def cell_of(self, g, cfg):
+        """The (destination, hour) cell of every search key."""
+        cell_keys = {}
+        for dest, hour in itertools.product(g.block_ids, self.HOURS):
+            cell_key = stream_key(cfg.seed, *cell_labels(dest, hour))
+            cell_keys.update(dict.fromkeys(stream_key(cell_key, np.arange(cfg.n_samples)).tolist(),
+                                           (dest, hour)))
+        return cell_keys
 
-    def split_cells(self, g, cfg, calls):
-        """The cells whose searches drew their first choice in more than
-        one scratch group."""
-        groups = [keys for counter, keys in calls if counter == 1]
-        return [(dest, hour) for dest in g.block_ids for hour in self.HOURS
-                if sum(bool(self.cell_keys(g, cfg, dest, hour) & keys) for keys in groups) > 1]
+    def admitted_over_steps(self, g, cfg, calls):
+        """The cells whose searches drew their first choice (draw 1), and so
+        took a scratch row, in more than one step."""
+        cell, steps = self.cell_of(g, cfg), {}
+        for k, call in enumerate(calls):
+            for key in (key for key, counter in call.items() if counter == 1):
+                steps.setdefault(cell[key], set()).add(k)
+        return [c for c, ks in steps.items() if len(ks) > 1]
+
+    def row_passed_between_cells(self, g, cfg, rows, calls):
+        """Whether, between two steps while other searches went on, a search
+        of one cell must have taken a row that a search of another cell
+        freed: more searches took rows than were free before the step's
+        searches ended, by more than the searches that ended and took rows
+        could pair within their cells. Asserts that no step has more
+        searches than rows."""
+        cell = self.cell_of(g, cfg)
+        steps = [call for call in calls if call and min(call.values()) % 2]   # choice calls
+        assert max(map(len, steps)) <= rows
+        for before, after in zip(steps, steps[1:]):
+            admitted = collections.Counter(cell[key] for key, n in after.items() if n == 1)
+            ended = collections.Counter(cell[key] for key in before.keys() - after.keys())
+            recycled = sum(admitted.values()) - (rows - len(before))
+            if before.keys() & after.keys() and recycled > sum((admitted & ended).values()):
+                return True
+        return False
 
     @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
     @pytest.mark.parametrize("weights", [W, PolicyWeights(0.0, -30.0, 0.0, 0.0)],
@@ -496,29 +523,26 @@ class TestChunkedLockstep:
     def test_few_survivors_split_into_groups(self, monkeypatch, graph, weights):
         # Scratch rows for one cell's searches and a batch of four cells.
         # At availability 0.55 to 0.75 a cell keeps about a third of its
-        # searches after the first check, so a batch's survivors outgrow
-        # the rows and split between groups, and a cell may span two. With
-        # the visit term alone, a row's seeded visit to its destination
-        # steers the choices.
+        # searches after the first check, so a batch's survivors outnumber
+        # the rows: they queue, a cell's survivors take rows over several
+        # steps, and a row freed by one cell's search goes to another's.
+        # With the visit term alone, a row's seeded visit to its
+        # destination steers the choices.
         g = self.graph(graph)
         cfg = OnstreetConfig(n_samples=30, seed=12)
         monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES", cfg.n_samples * len(g.block_ids))
-        calls = self.spy_groups(monkeypatch)
+        calls = self.spy_draws(monkeypatch)
         p = np.random.default_rng(11).uniform(0.55, 0.75, (len(self.HOURS), len(g.block_ids)))
         self.assert_cells_equal(g, p, cfg, weights)
-        # one batch (the calls from one draw 0 to the next) drew its first
-        # choices in two groups, over disjoint searches
-        batches = np.cumsum([counter == 0 for counter, _ in calls])
-        assert any(a == b and not (x & y)
-                   for (a, (c, x)), (b, (d, y)) in itertools.combinations(
-                       zip(batches, calls), 2) if c == d == 1)
-        assert self.split_cells(g, cfg, calls)
+        assert self.admitted_over_steps(g, cfg, calls)
+        assert self.row_passed_between_cells(g, cfg, cfg.n_samples, calls)
 
     @pytest.mark.parametrize("table_chunk", [1, 5, 64])
     @pytest.mark.parametrize("rows", [None, 7], ids=["default_scratch", "7_rows"])
     def test_outputs_do_not_depend_on_chunking(self, monkeypatch, table_chunk, rows):
-        # 7 scratch rows for 20 searches a cell: a cell's survivors span
-        # several groups
+        # 7 scratch rows for 20 searches a cell: a cell's survivors take
+        # rows over several steps, freed by searches of other cells. With
+        # the default scratch every survivor of a batch takes a row at once.
         g = self.graph("grid")
         cfg = OnstreetConfig(n_samples=20, seed=5)
         p = np.random.default_rng(9).uniform(0.05, 0.6, (len(self.HOURS), len(g.block_ids)))
@@ -526,11 +550,48 @@ class TestChunkedLockstep:
         monkeypatch.setattr(onstreet_sim, "TABLE_CHUNK", table_chunk)
         if rows:
             monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES", rows * len(g.block_ids))
-        calls = self.spy_groups(monkeypatch)
+        calls = self.spy_draws(monkeypatch)
         est = estimate_onstreet_time(g, p, self.HOURS, cfg, W)
         for name in ("mean_s", "std_s", "censored_fraction"):
             assert np.array_equal(getattr(est, name), getattr(default, name)), name
-        assert bool(self.split_cells(g, cfg, calls)) == bool(rows)
+        assert bool(self.admitted_over_steps(g, cfg, calls)) == bool(rows)
+        if rows:
+            assert self.row_passed_between_cells(g, cfg, rows, calls)
+
+    @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
+    def test_three_rows_serve_every_cell(self, monkeypatch, graph):
+        # 3 scratch rows for 20 searches a cell at availability 0.05 to
+        # 0.3, and a cap that censors some searches but not all: every row
+        # serves many searches of many cells, some parked, some censored
+        g = self.graph(graph)
+        cfg = OnstreetConfig(n_samples=20, seed=15, max_search_s=150.0)
+        monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES", 3 * len(g.block_ids))
+        calls = self.spy_draws(monkeypatch)
+        p = np.random.default_rng(16).uniform(0.05, 0.3, (len(self.HOURS), len(g.block_ids)))
+        est = self.assert_cells_equal(g, p, cfg)
+        assert 0 < est.censored_fraction.mean() < 1
+        assert self.row_passed_between_cells(g, cfg, 3, calls)
+
+    @pytest.mark.parametrize("graph", ["grid", "one_way_ring"])
+    def test_later_batch_does_not_wait_for_the_slowest_search(self, monkeypatch, graph):
+        # One destination a table chunk and 9 rows for 20 searches a cell:
+        # a batch is one cell, first the destination at 8:00, where no block
+        # is ever available, so all its searches run to the cap. Rows freed
+        # as they end take the next batch's searches, the destination at
+        # 17:00, before the last of them ends.
+        g = self.graph(graph)
+        cfg = OnstreetConfig(n_samples=20, seed=17)
+        monkeypatch.setattr(onstreet_sim, "TABLE_CHUNK", 1)
+        monkeypatch.setattr(onstreet_sim, "SCRATCH_ENTRIES", 9 * len(g.block_ids))
+        calls = self.spy_draws(monkeypatch)
+        p = np.random.default_rng(18).uniform(0.05, 0.6, (len(self.HOURS), len(g.block_ids)))
+        p[0] = 0.0
+        est = self.assert_cells_equal(g, p, cfg)
+        assert (est.censored_fraction[0] == 1.0).all() and (est.censored_fraction[1] < 1.0).all()
+        cell, dest = self.cell_of(g, cfg), g.block_ids[0]
+        drew = [{cell[key] for key in call} for call in calls]
+        slow_last = max(k for k, cells in enumerate(drew) if (dest, self.HOURS[0]) in cells)
+        assert min(k for k, cells in enumerate(drew) if (dest, self.HOURS[1]) in cells) < slow_last
 
     @staticmethod
     def peak_bytes(g, p, cfg, hours=(12,)):

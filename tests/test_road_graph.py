@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import zipfile
 
@@ -88,6 +89,55 @@ class TestLoadGraph:
         path.write_text("{not json")
         with pytest.raises(DataError):
             load_graph(path)
+
+    @pytest.mark.parametrize("record,field", [("nodes", "id"), ("edges", "id"),
+                                              ("edges", "to")])
+    def test_id_with_a_lone_surrogate_is_a_data_error(self, tmp_path, record, field):
+        # a JSON escape of a lone surrogate: no UTF-8 file could hold the id
+        payload = graph_file_payload()
+        payload[record][0][field] += "\udc80"
+        path, index = tmp_path / "g.json", tmp_path / "g.npz"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert "\\udc80" in path.read_text(encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{payload[record][0][field]!r} is not UTF-8")):
+            load_graph(path, index)
+        assert not index.exists()
+
+    def test_index_of_a_version_2_graph_with_a_surrogate_id_is_not_reused(self, tmp_path,
+                                                                          monkeypatch):
+        # Version 2 took ids holding a lone surrogate and indexed them, with
+        # the JSON escape in its labels. Such an index names the very bytes
+        # of the file, so only its version keeps it from standing for them.
+        payload = graph_file_payload()
+        payload["edges"][0]["id"] += "\ud800"
+        path, index = tmp_path / "g.json", tmp_path / "g.npz"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with monkeypatch.context() as patch:
+            patch.setattr(road_graph, "GRAPH_INDEX_VERSION", 2)
+            patch.setattr(road_graph, "_utf8", lambda text: True)
+            assert payload["edges"][0]["id"] in load_graph(path, index).block_ids
+        with np.load(index) as npz:
+            assert npz["format_version"] == 2
+        with pytest.raises(DataError, match="'.*\\\\ud800' is not UTF-8"):
+            load_graph(path, index)
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32", "utf-32-be",
+                                          "utf-8-sig"])
+    def test_file_that_is_not_utf8_is_a_data_error(self, tmp_path, encoding):
+        # json.loads of the bytes would detect each of these; a BOM is no
+        # part of UTF-8 JSON either
+        path, index = tmp_path / "g.json", tmp_path / "g.npz"
+        path.write_bytes(json.dumps(graph_file_payload()).encode(encoding))
+        with pytest.raises(DataError, match="malformed graph file"):
+            load_graph(path, index)
+        assert not index.exists()
+
+    def test_non_ascii_ids_load(self, tmp_path):
+        payload = graph_file_payload()
+        payload["edges"][0]["id"] = "\u00e9\U0001f697"
+        path = tmp_path / "g.json"
+        path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+        assert "\u00e9\U0001f697" in load_graph(path).block_ids
 
     def test_meter_count_beyond_int64_loads(self, tmp_path):
         payload = graph_file_payload()
