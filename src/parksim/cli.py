@@ -22,7 +22,7 @@ rates of ``rates.csv``, a row for every (day of week, hour) of every lot,
 which sim-off samples. Eval exits 2 (run train first) unless the train
 report holds its train config and the sha256 of ``samples.csv``. The
 graph's columns, once checked, are cached in ``graph.npz`` (layout version
-2) under the sha256 of the graph bytes: node ids and coordinates, block
+3) under the sha256 of the graph bytes: node ids and coordinates, block
 ids, ends, meter counts, lengths and times. A stage that finds no such
 cache there, or one of another version, parses the graph and writes it.
 
@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_ingest import (
-    Chunk,
+    Cells,
     SmoothingConfig,
     _atomic_write,
     _counts,
@@ -83,7 +83,6 @@ from .data_ingest import (
 from .errors import ConfigError, DataError, NumericError, ParksimError, check_fields
 from .occupancy_model import (
     _EPOCH,
-    EvalReport,
     TrainConfig,
     build_dataset,
     load_model,
@@ -115,6 +114,12 @@ ONSTREET_COLUMNS = ("block_id", "hour", "mean_onstreet_s", "std_onstreet_s",
 OFFSTREET_COLUMNS = ("block_id", "hour", "mean_offstreet_s", "std_offstreet_s",
                      "lot_id", "drive_s", "lot_s", "walk_s", "arrivals", "overflow")
 DIFF_COLUMNS = ("block_id", "hour", "mean_onstreet_s", "mean_offstreet_s", "delta_s")
+# The config keys of the input files, each a path relative to the config file.
+PATH_KEYS = ("graph", "payments", "surveys", "lots", "lot_events")
+# Each config section and the dataclass it builds. A JSON list in a section
+# stands for a tuple; the dataclass rejects one where no tuple is wanted.
+SECTIONS = {"train": TrainConfig, "onstreet": OnstreetConfig, "offstreet": LotSimConfig,
+            "policy": PolicyWeights, "smoothing": SmoothingConfig, "synth": SynthConfig}
 
 
 @dataclass(frozen=True)
@@ -144,16 +149,19 @@ class RunConfig:
             raise ConfigError(f"day_of_week must be in 0..6, got {self.day_of_week}")
 
 
-def _build_section(cls, raw: dict, section: str, defaults: dict):
-    merged = dict(defaults)
+def _build_section(section: str, raw, seed: int):
+    """The dataclass of config section ``section`` from its JSON value ``raw``;
+    the run ``seed`` is the default of its ``seed`` field, if it has one."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section '{section}' must be a JSON object")
+    cls = SECTIONS[section]
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
-    merged.update(raw)
+    merged = {"seed": seed} if "seed" in cls.__dataclass_fields__ else {}
+    merged.update((key, tuple(v) if isinstance(v, list) else v) for key, v in raw.items())
     try:
         return cls(**merged)
-    except ParksimError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad '{section}' section: {exc}") from exc
 
@@ -176,52 +184,33 @@ def load_run_config(path: str, *, seed_override: int | None = None,
 
     base = cfg_path.parent
 
-    def path_of(key: str) -> Path | None:
-        value = raw.get(key)
-        return None if value is None else (base / str(value))
+    def path_of(key: str, default: str | None = None) -> Path | None:
+        value = raw.get(key, default)
+        if value is None and default is None:  # an input path not set
+            return None
+        if not isinstance(value, str):
+            raise ConfigError(f"config key '{key}' must be a string, got {value!r}")
+        return base / value
 
     try:
         seed = raw.get("seed", 0) if seed_override is None else seed_override
-        hours = hours_override if hours_override is not None else raw.get(
-            "hours", list(range(24)))
-        hours = tuple(dict.fromkeys(hours))
+        hours = raw.get("hours", range(24)) if hours_override is None else hours_override
 
         try:
             predict_date = date.fromisoformat(str(raw.get("predict_date", "2026-03-13")))
         except ValueError as exc:
             raise ConfigError(f"bad predict_date: {exc}") from exc
 
-        out_dir = (Path(out_override) if out_override is not None
-                   else base / str(raw.get("out_dir", "out")))
-
-        synth_raw = dict(raw.get("synth", {}))
-        smoothing_raw = dict(raw.get("smoothing", {}))
-        # a JSON list stands for a tuple; the section rejects anything else
-        for section, key in ((synth_raw, "lot_nodes"), (smoothing_raw, "peak_hours")):
-            if isinstance(section.get(key), list):
-                section[key] = tuple(section[key])
-
+        out_dir = path_of("out_dir", "out")
         return RunConfig(
-            out_dir=out_dir,
-            graph=path_of("graph"),
-            payments=path_of("payments"),
-            surveys=path_of("surveys"),
-            lots=path_of("lots"),
-            lot_events=path_of("lot_events"),
-            hours=hours,
+            out_dir=out_dir if out_override is None else Path(out_override),
+            **{key: path_of(key) for key in PATH_KEYS},
+            hours=tuple(dict.fromkeys(hours)),
             day_of_week=raw.get("day_of_week", 4),
             predict_date=predict_date,
             seed=seed,
-            train=_build_section(TrainConfig, dict(raw.get("train", {})), "train",
-                                 {"seed": seed}),
-            onstreet=_build_section(OnstreetConfig, dict(raw.get("onstreet", {})),
-                                    "onstreet", {"seed": seed}),
-            offstreet=_build_section(LotSimConfig, dict(raw.get("offstreet", {})),
-                                     "offstreet", {"seed": seed}),
-            policy=_build_section(PolicyWeights, dict(raw.get("policy", {})),
-                                  "policy", {}),
-            smoothing=_build_section(SmoothingConfig, smoothing_raw, "smoothing", {}),
-            synth=_build_section(SynthConfig, synth_raw, "synth", {}),
+            **{section: _build_section(section, raw.get(section, {}), seed)
+               for section in SECTIONS},
         )
     except DataError as exc:
         # section validation failures are configuration mistakes here
@@ -229,6 +218,11 @@ def load_run_config(path: str, *, seed_override: int | None = None,
     except (TypeError, ValueError, OverflowError) as exc:
         # a value of the wrong type for its key
         raise ConfigError(f"bad config value: {exc}") from exc
+
+
+def _graph(cfg: RunConfig) -> RoadGraph:
+    """The run's graph, by way of the graph index in the output directory."""
+    return load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
 
 
 def _require(value: Path | None, key: str) -> Path:
@@ -275,15 +269,6 @@ def _first_and_last_date(times: np.ndarray) -> list[str] | None:
             for t in (times.min(), times.max())]
 
 
-def _report_dict(report: EvalReport) -> dict:
-    return {
-        "mean_val_cross_entropy": report.mean_val_cross_entropy,
-        "mean_val_accuracy": report.mean_val_accuracy,
-        "per_split": [{"cross_entropy": s.cross_entropy, "accuracy": s.accuracy}
-                      for s in report.per_split],
-    }
-
-
 # -- stages ----------------------------------------------------------------------
 
 def stage_synth(cfg: RunConfig) -> None:
@@ -291,7 +276,7 @@ def stage_synth(cfg: RunConfig) -> None:
 
 
 def stage_ingest(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
+    g = _graph(cfg)
     surveys_path = _require(cfg.surveys, "surveys")
     block_ids, times, free = read_surveys(surveys_path)
     _check_known(surveys_path, "blocks", block_ids, g.position)
@@ -326,7 +311,7 @@ def stage_train(cfg: RunConfig) -> None:
     model, report = train(X, y, cfg.train)
     save_model(model, cfg.out_dir / MODEL_FILE)
     _atomic_write(cfg.out_dir / TRAIN_REPORT_FILE, json.dumps(
-        {**_report_dict(report), "train_config": asdict(cfg.train),
+        {**asdict(report), "train_config": asdict(cfg.train),
          "samples_sha256": samples_sha256}, sort_keys=True))
 
 
@@ -351,13 +336,13 @@ def stage_eval(cfg: RunConfig) -> None:
     _, base_report = train_baseline(X, y, cfg.train)
     _atomic_write(cfg.out_dir / EVAL_FILE, json.dumps({
         "network": network,
-        "baseline": _report_dict(base_report),
+        "baseline": asdict(base_report),
         "cross_entropy_improvement": base_report.mean_val_cross_entropy - network_ce,
     }, sort_keys=True))
 
 
 def stage_predict(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
+    g = _graph(cfg)
     model = load_model(_stage_file(cfg, MODEL_FILE, "train"))
     index = _stage_file(cfg, SESSION_INDEX_FILE, "ingest")
     sessions = read_session_index(index, file_sha256(_require(cfg.payments, "payments")))
@@ -382,9 +367,9 @@ def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
     array, with block ``g.block_ids[j]`` in column ``j``."""
     seen: set[tuple[str, int]] = set()
 
-    def parse(chunk: Chunk) -> tuple[list[tuple[str, int]], np.ndarray]:
-        cells = {name: chunk.parse(name, _COLUMN_PARSERS.get(name, _seconds)) for name in columns}
-        keys = list(zip(cells["block_id"], cells["hour"].tolist()))
+    def parse(cells: Cells) -> tuple[list[tuple[str, int]], np.ndarray]:
+        parsed = {name: _COLUMN_PARSERS.get(name, _seconds)(cells[name]) for name in columns}
+        keys = list(zip(parsed["block_id"], parsed["hour"].tolist()))
         fresh: set[tuple[str, int]] = set()
         for key in keys:
             if key[0] not in g.position:
@@ -392,7 +377,7 @@ def _read_cells(path: Path, columns: tuple[str, ...], value: str, g: RoadGraph,
             if key in seen or key in fresh:
                 raise DataError(f"duplicate (block, hour) row {key}")
             fresh.add(key)
-        return keys, cells[value]
+        return keys, parsed[value]
 
     row_of = {hour: i for i, hour in enumerate(hours)}
     # every parsed value is finite, so NaN marks a cell no row has filled
@@ -425,7 +410,7 @@ def _write_cells(path: Path, columns: tuple[str, ...], g: RoadGraph,
 
 
 def stage_sim_on(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
+    g = _graph(cfg)
     p = _read_cells(_stage_file(cfg, AVAILABILITY_FILE, "predict"), AVAILABILITY_COLUMNS,
                     "p_available", g, cfg.hours)
     est = estimate_onstreet_time(g, p, cfg.hours, cfg.onstreet, cfg.policy)
@@ -434,7 +419,7 @@ def stage_sim_on(cfg: RunConfig) -> None:
 
 
 def stage_sim_off(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
+    g = _graph(cfg)
     rates_path = _stage_file(cfg, RATES_FILE, "ingest")
     rates = read_rates_csv(rates_path)
     lots = _read_known_lots(cfg, g, rates_path, rates)
@@ -445,7 +430,7 @@ def stage_sim_off(cfg: RunConfig) -> None:
 
 
 def stage_diff(cfg: RunConfig) -> None:
-    g = load_graph(_require(cfg.graph, "graph"), cfg.out_dir / GRAPH_INDEX_FILE)
+    g = _graph(cfg)
     on, off = (_read_cells(_stage_file(cfg, name, producer), columns, mean, g, cfg.hours)
                for name, producer, columns, mean in (
                    (ONSTREET_FILE, "sim-on", ONSTREET_COLUMNS, "mean_onstreet_s"),
@@ -480,17 +465,7 @@ def cmd_pipeline(cfg: RunConfig) -> None:
             raise type(exc)(f"{name}: {exc}") from exc
 
 
-STAGES = {
-    "synth": stage_synth,
-    "ingest": stage_ingest,
-    "train": stage_train,
-    "eval": stage_eval,
-    "predict": stage_predict,
-    "sim-on": stage_sim_on,
-    "sim-off": stage_sim_off,
-    "diff": stage_diff,
-    "pipeline": cmd_pipeline,
-}
+STAGES = {"synth": stage_synth, **dict(PIPELINE), "eval": stage_eval, "pipeline": cmd_pipeline}
 
 
 def parse_hours(spec: str) -> tuple[int, ...]:

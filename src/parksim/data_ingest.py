@@ -61,7 +61,7 @@ from .errors import ConfigError, DataError, check_fields
 from .occupancy_model import (_EPOCH, FEATURE_NAMES, HOUR_US, N_FEATURES, Samples,
                               SessionIndex, micros, session_arrays)
 from .offstreet_sim import DAYS_PER_WEEK, MAX_RATE, LotRates, LotSpec
-from .road_graph import _atomic_write, _field, _read_index, _write_index
+from .road_graph import _atomic_write, _field, _read_index, _reject, _write_index
 
 WEEK_H = 7 * 24
 SURVEY_WINDOW_US = HOUR_US // 2
@@ -205,6 +205,8 @@ SESSION_INDEX_VERSION = 3
 # Paid durations must be shorter: as a float this is 1e9 days, past timedelta.max.
 _TIMEDELTA_MAX_S = timedelta.max.total_seconds()
 T = TypeVar("T")
+# Consecutive data rows of a CSV file, as one tuple of cells per column.
+Cells = dict[str, tuple[str, ...]]
 
 
 def write_table(path: str | os.PathLike, columns: Sequence[str],
@@ -217,27 +219,11 @@ def write_table(path: str | os.PathLike, columns: Sequence[str],
     _atomic_write(path, buf.getvalue())
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """Consecutive data rows of a CSV file, as one tuple of cells per column."""
-
-    columns: dict[str, tuple[str, ...]]
-
-    def parse(self, name: str, parse: Callable[[Sequence[str]], T]) -> T:
-        """Column ``name`` parsed by the column parser ``parse``."""
-        return parse(self.columns[name])
-
-    def reject(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
-        """Raise ``message(row)`` as a DataError for the first row where
-        ``bad`` holds, if any does."""
-        if bad.any():
-            raise DataError(message(int(np.argmax(bad))))
-
-
 def read_columns(path: str | os.PathLike, columns: Sequence[str],
-                 parse: Callable[[Chunk], T]) -> Iterator[T]:
-    """Yield ``parse(chunk)`` for the data rows of a CSV file in chunks of up
-    to CHUNK_ROWS rows, each read when the one before it has been parsed.
+                 parse: Callable[[Cells], T]) -> Iterator[T]:
+    """Yield ``parse(cells)`` for the data rows of a CSV file in chunks of up
+    to CHUNK_ROWS rows, each read when the one before it has been parsed;
+    ``cells`` maps each column to the tuple of its cells in the chunk.
 
     The header must be exactly ``columns`` and every row must hold one field
     per column; blank rows are skipped. An unreadable file, a wrong header,
@@ -253,7 +239,7 @@ def read_columns(path: str | os.PathLike, columns: Sequence[str],
     def parse_rows(rows: list[list[str]]) -> T:
         if set(map(len, rows)) != {len(columns)}:
             raise DataError(f"expected {len(columns)} fields")
-        return parse(Chunk(dict(zip(columns, zip(*rows)))))
+        return parse(dict(zip(columns, zip(*rows))))
 
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -365,13 +351,13 @@ def read_payments(path: str | os.PathLike) -> SessionIndex:
 
 def _read_payments_csv(path: str | os.PathLike) -> SessionIndex:
     """``read_payments`` of any payments file, by ``read_columns``."""
-    def parse(chunk: Chunk) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        start = chunk.parse("start_iso8601", _naive_micros)
-        seconds = chunk.parse("duration_s", _positive_reals)
+    def parse(cells: Cells) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        start = _naive_micros(cells["start_iso8601"])
+        seconds = _positive_reals(cells["duration_s"])
         end = start + _micros_of_seconds(np.minimum(seconds, _LONGEST_S))
-        chunk.reject(end > _MAX_US, lambda row: (
-            f"a session of {chunk.columns['duration_s'][row]} s ends after {datetime.max}"))
-        return chunk.columns["block_id"], start, end
+        _reject(end > _MAX_US, f"a session of {{}} s ends after {datetime.max}",
+                cells["duration_s"])
+        return cells["block_id"], start, end
 
     codes: dict[str, int] = {}  # block id -> index, in order of first appearance
     parts = [(np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64))]
@@ -549,10 +535,10 @@ def _survey_micros(cells: Sequence[str]) -> np.ndarray:
 def read_surveys(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every check's block id, time (int64 microseconds, MISSING_TIME where
     the cell is blank) and whether a spot was free, in file order."""
-    def parse(chunk: Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        times = chunk.parse("timestamp_iso8601", _survey_micros)
-        free = chunk.parse("free_spots", _counts) > 0
-        return np.array(chunk.columns["block_id"], dtype=object), times, free
+    def parse(cells: Cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        times = _survey_micros(cells["timestamp_iso8601"])
+        free = _counts(cells["free_spots"]) > 0
+        return np.array(cells["block_id"], dtype=object), times, free
 
     parts = [(np.empty(0, object), np.empty(0, np.int64), np.empty(0, bool))]
     parts += read_columns(path, SURVEY_COLUMNS, parse)
@@ -602,18 +588,16 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
     its first to its last, whole weeks of them, and every lot the same
     number of weeks.
     """
-    def parse(chunk: Chunk) -> tuple[np.ndarray, ...]:
-        hours, off = np.divmod(chunk.parse("hour_iso8601", _naive_micros), HOUR_US)
-        chunk.reject(off != 0, lambda row: (
-            f"hour {chunk.columns['hour_iso8601'][row]!r} is not on the hour"))
-        entries = chunk.parse("entries", _counts).astype(np.float64)
-        n_paid, seconds = chunk.parse("paid_durations_s", _paid)
-        chunk.reject(n_paid > entries, lambda row: (
-            f"{n_paid[row]} paid durations for {chunk.columns['entries'][row]} entries"))
+    def parse(cells: Cells) -> tuple[np.ndarray, ...]:
+        hours, off = np.divmod(_naive_micros(cells["hour_iso8601"]), HOUR_US)
+        _reject(off != 0, "hour {!r} is not on the hour", cells["hour_iso8601"])
+        entries = _counts(cells["entries"]).astype(np.float64)
+        n_paid, seconds = _paid(cells["paid_durations_s"])
+        _reject(n_paid > entries, "{} paid durations for {} entries", n_paid, cells["entries"])
         # whole hours from each car's entry hour to the expiry of its paid time
         expiry = np.repeat(hours, n_paid) + _micros_of_seconds(
             np.minimum(seconds, _LONGEST_S)) // HOUR_US
-        return (np.array(chunk.columns["lot_id"], dtype=object), hours, entries, n_paid, expiry)
+        return np.array(cells["lot_id"], dtype=object), hours, entries, n_paid, expiry
 
     parts = list(read_columns(path, LOT_EVENT_COLUMNS, parse))
     if not parts:
@@ -646,10 +630,10 @@ def read_lot_events(path: str | os.PathLike) -> LotFlows:
 
 def read_rates_csv(path: str | os.PathLike) -> LotRates:
     """Each lot's rates, in [0, MAX_RATE]; a lot needs a row for every (day, hour)."""
-    def parse(chunk: Chunk) -> dict[tuple[str, int, int], tuple[float, float]]:
-        keys = zip(chunk.columns["lot_id"], chunk.parse("day_of_week", _days).tolist(),
-                   chunk.parse("hour", _hours).tolist())
-        lams = zip(*(chunk.parse(name, _rates).tolist()
+    def parse(cells: Cells) -> dict[tuple[str, int, int], tuple[float, float]]:
+        keys = zip(cells["lot_id"], _days(cells["day_of_week"]).tolist(),
+                   _hours(cells["hour"]).tolist())
+        lams = zip(*(_rates(cells[name]).tolist()
                      for name in ("lambda_a_per_hour", "lambda_d_per_hour")))
         fresh = {}
         for key, lam in zip(keys, lams):
@@ -677,9 +661,9 @@ def write_rates_csv(rates: LotRates, path: str | os.PathLike) -> None:
 
 def read_samples_csv(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
     """The feature matrix and label vector of a samples file, in file order."""
-    def parse(chunk: Chunk) -> tuple[np.ndarray, np.ndarray]:
-        return (np.stack([chunk.parse(name, _numbers) for name in FEATURE_NAMES], axis=1),
-                chunk.parse("available", _labels))
+    def parse(cells: Cells) -> tuple[np.ndarray, np.ndarray]:
+        return (np.stack([_numbers(cells[name]) for name in FEATURE_NAMES], axis=1),
+                _labels(cells["available"]))
 
     parts = [(np.empty((0, N_FEATURES)), np.empty(0, np.int64))]
     parts += read_columns(path, SAMPLE_COLUMNS, parse)

@@ -280,6 +280,6 @@ def estimate_onstreet_time(g: RoadGraph, p: np.ndarray, hours: tuple[int, ...],
             if n > 1:
                 std[i, j] = totals.std(axis=1, ddof=1)
             censored[i, j] = n_censored / n
-        del totals  # a view: the lockstep's totals go before the next chunk's
+        del totals, walk_s, dist_m  # the totals view and tables go before the next chunk's
     return OnstreetEstimate(mean_s=mean, std_s=std, censored_fraction=censored,
                             n_samples=n)

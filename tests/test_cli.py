@@ -227,6 +227,19 @@ def test_ill_typed_config_value_is_a_config_error(tmp_path, capsys, raw):
     assert "required for this stage" not in err
 
 
+@pytest.mark.parametrize("value", [[["epochs", 2]], None, 5, "x"],
+                         ids=["pairs", "null", "number", "string"])
+@pytest.mark.parametrize("section", ["train", "onstreet", "offstreet", "policy", "smoothing",
+                                     "synth"])
+def test_section_that_is_no_object_is_a_config_error(tmp_path, capsys, section, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: value}))
+    assert main(["predict", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert f"config section '{section}' must be a JSON object" in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("block_length_m", 100.0), ("meters_per_block", 5), ("unmetered_fraction", 0.12),
     ("drive_speed_mps", 8.0), ("walk_speed_mps", 1.4), ("start_date", "2026-03-02"),
@@ -948,6 +961,40 @@ def test_training_pinned(tmp_path):
               for s in (scores, baseline))) == TRAINING_SHA256[version]
 
 
+# sha256 of every file in out/ after ingest, train, eval, predict, sim-on,
+# sim-off and diff on the grid-4 city of seed SEED, by the numpy version that
+# made it (see ONSTREET_V2_SHA256). Beyond the files pinned above, they pin
+# the reports, availability.csv, diff.csv, the maps and both indexes.
+WHOLE_RUN_SHA256 = {
+    "2.4": {
+        "availability.csv": "817b6ba9e119132ff58eae6b0844de653057d282f55cbc76adf9bed2094b6133",
+        "diff.csv": "436807593c437830d0b9c6fc5f332cd8f5887c7ff3389d14e88ce0e1f7b115e7",
+        "diff_h08.geojson": "25488801d7df69db0ee8c2864321b17505efc60b366e78627dbf4b8154b478d7",
+        "diff_h13.geojson": "771a811a2e44f1e66b227df625bd4693e6b637e35d215a6bf5efb6f4398fc3e6",
+        "eval.json": "54ce3e945f63e2dbcf870ad7ef4c0a224ffb3f82fb0423bd31a96630d9262ae8",
+        "graph.npz": "1e58dc9a5ab14701e7d6aa1da3f06cad84610dbdbecbabae312cecd5bf4f6367",
+        "ingest.json": "c974602ea99962dc59969e7b3649a88320941420ed5c3270b50981a7ee80bad4",
+        "model.json": "9a13251ff835cf109a4f7588a613c7acbba3aebb898a3963818ad233e07a70b7",
+        "offstreet.csv": "56f0856be4a6fb67d84681e1d33cbda42344c6956ac1860a2e952c5a441a2719",
+        "onstreet.csv": "2fc01957fe91770c0881120832589f6bbf94c818f87a8f87f604b7e67f41e6e4",
+        "rates.csv": "a2d682b09a66fdf1d49a0e84b9b8ff5d7c74c4ad91755cf146d2df79fe8e9f61",
+        "samples.csv": "69e5f36c888b3382c09758e83c28affca8a53fb8f5866d303f60461f4cce02f5",
+        "sessions.npz": "21de6fe4b33eabca2e32a08167a801d652354deb057abe83a3746bc0d9dacb1f",
+        "train_report.json": "ab3a35173ab051a0dd39ea36bbfd7421248df2a81bc1e7bb894bfb04239349d0",
+    },
+}
+
+
+def test_whole_run_pinned(tmp_path):
+    synth_generate(SynthConfig(grid_n=4, days=7), SEED, tmp_path / "city")
+    config = write_config(tmp_path / "config.json", "city")
+    for stage in ("ingest", "train", "eval", "predict", "sim-on", "sim-off", "diff"):
+        assert main([stage, "--config", str(config)]) == 0
+    version = numpy_version(WHOLE_RUN_SHA256)
+    assert {path.name: sha256(path) for path in sorted((tmp_path / "out").iterdir())} == (
+        WHOLE_RUN_SHA256[version])
+
+
 @pytest.mark.parametrize("name", ["availability.csv", "onstreet.csv", "offstreet.csv"])
 def test_duplicate_block_hour_row_is_a_data_error(copied, capsys, name):
     edit_csv(copied / "out" / name, lambda rows: rows.append(list(rows[1])))
@@ -1126,6 +1173,33 @@ def test_predict_beside_an_index_of_other_payments_is_a_config_error(copied, cap
     assert main(["ingest", "--config", str(config)]) == 0
     assert main(["predict", "--config", str(config)]) == 0
     assert availability.read_bytes() != before
+
+PATH_KEYS = ("graph", "payments", "surveys", "lots", "lot_events")
+
+
+@pytest.mark.parametrize("key, value", [
+    *((key, value) for key in ("out_dir", *PATH_KEYS) for value in (["x", 1], 5)),
+    ("out_dir", None), ("graph", True), ("surveys", {"a": "b"}),
+])
+def test_config_path_that_is_no_string_is_a_config_error(copied, capsys, key, value):
+    config = write_config(copied / "config.json", "city")
+    config.write_text(json.dumps({**json.loads(config.read_text()), key: value}))
+    before = sorted(copied.rglob("*"))
+    assert main(["ingest", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert f"'{key}' must be a string" in err
+    assert sorted(copied.rglob("*")) == before
+
+
+@pytest.mark.parametrize("key", PATH_KEYS)
+def test_null_input_path_is_an_unset_key(copied, capsys, key):
+    config = write_config(copied / "config.json", "city")
+    config.write_text(json.dumps({**json.loads(config.read_text()), key: None}))
+    assert main(["ingest", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert f"config key '{key}' is required for this stage" in err
 
 
 def test_ingest_and_predict_without_payments(copied):

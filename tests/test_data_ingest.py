@@ -787,8 +787,8 @@ class TestTable:
 
     def read(self, path):
         """The (name, count) rows of a file, read a column at a time."""
-        return [row for rows in read_columns(path, self.COLUMNS, lambda chunk: list(
-                    zip(chunk.columns["name"], chunk.parse("count", lambda c: [*map(int, c)]))))
+        return [row for rows in read_columns(path, self.COLUMNS, lambda cells: list(
+                    zip(cells["name"], [*map(int, cells["count"])])))
                 for row in rows]
 
     def test_round_trip(self, tmp_path):
