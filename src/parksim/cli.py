@@ -1,9 +1,10 @@
 """Command-line pipeline: ingest, train, predict, simulate, map export.
 
-One JSON config fully specifies a run; --seed, --hours, and --out override
-it for quick experiments (--seed sets the seed of every section without its
-own). Stages communicate through files in the output directory, so each
-subcommand can also be run alone against intermediate results.
+One JSON config fully specifies a run, its hours included (``hours``);
+--seed and --out override it for quick experiments (--seed sets the seed of
+every section without its own). Stages communicate through files in the
+output directory, so each subcommand can also be run alone against
+intermediate results.
 
 Only ingest parses ``payments.csv``: it combines the survey checks, read
 as columns, into one sample per (block, half-hour window), computes the
@@ -39,7 +40,8 @@ a block the graph does not have, an hour outside 0..23 and a repeated
 
 Exit codes, with a one-line message on stderr for every failure:
 0 success; 2 when a config key, an input file or an earlier stage's output
-is missing, an earlier stage's output was made from other inputs, the
+is missing (a path that is no file, such as a directory, counts as
+missing), an earlier stage's output was made from other inputs, the
 config itself is invalid, an output cannot be written, or the config asks
 for more memory than can be allocated; 3 when a file is present but
 malformed; 4 on a numeric failure.
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
@@ -167,7 +170,6 @@ def _build_section(section: str, raw, seed: int):
 
 
 def load_run_config(path: str, *, seed_override: int | None = None,
-                    hours_override: tuple[int, ...] | None = None,
                     out_override: str | None = None) -> RunConfig:
     cfg_path = Path(path)
     try:
@@ -194,18 +196,19 @@ def load_run_config(path: str, *, seed_override: int | None = None,
 
     try:
         seed = raw.get("seed", 0) if seed_override is None else seed_override
-        hours = raw.get("hours", range(24)) if hours_override is None else hours_override
-
-        try:
-            predict_date = date.fromisoformat(str(raw.get("predict_date", "2026-03-13")))
-        except ValueError as exc:
-            raise ConfigError(f"bad predict_date: {exc}") from exc
+        predict_date = raw.get("predict_date", "2026-03-13")
+        try:  # fromisoformat would take 20260313 and 2026-W11-5 on Python 3.11
+            if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", predict_date):
+                raise ValueError("not of the form YYYY-MM-DD")
+            predict_date = date.fromisoformat(predict_date)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad predict_date {predict_date!r}: {exc}") from exc
 
         out_dir = path_of("out_dir", "out")
         return RunConfig(
             out_dir=out_dir if out_override is None else Path(out_override),
             **{key: path_of(key) for key in PATH_KEYS},
-            hours=tuple(dict.fromkeys(hours)),
+            hours=tuple(dict.fromkeys(raw.get("hours", range(24)))),
             day_of_week=raw.get("day_of_week", 4),
             predict_date=predict_date,
             seed=seed,
@@ -228,15 +231,15 @@ def _graph(cfg: RunConfig) -> RoadGraph:
 def _require(value: Path | None, key: str) -> Path:
     if value is None:
         raise ConfigError(f"config key '{key}' is required for this stage")
-    if not value.exists():
+    if not value.is_file():
         raise ConfigError(f"file for '{key}' not found: {value}")
     return value
 
 
 def _stage_file(cfg: RunConfig, name: str, producer: str) -> Path:
-    """An earlier stage's output; missing is a config error, like an input."""
+    """An earlier stage's output; missing or no file is a config error, as for an input."""
     path = cfg.out_dir / name
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"{path} not found (run {producer} first)")
     return path
 
@@ -468,32 +471,6 @@ def cmd_pipeline(cfg: RunConfig) -> None:
 STAGES = {"synth": stage_synth, **dict(PIPELINE), "eval": stage_eval, "pipeline": cmd_pipeline}
 
 
-def parse_hours(spec: str) -> tuple[int, ...]:
-    """Parse an hours argument like '8-18' or '8,12,17' or '6-9,15'."""
-    hours: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError as exc:
-                raise ConfigError(f"bad hours range {part!r}") from exc
-            if lo_i > hi_i:
-                raise ConfigError(f"bad hours range {part!r}")
-            hours.extend(range(lo_i, hi_i + 1))
-        else:
-            try:
-                hours.append(int(part))
-            except ValueError as exc:
-                raise ConfigError(f"bad hour {part!r}") from exc
-    if not hours:
-        raise ConfigError(f"no hours in {spec!r}")
-    return tuple(hours)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="parksim",
@@ -502,13 +479,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--seed", type=int, default=None,
                         help="set the seed of every config section without its own")
-    parser.add_argument("--hours", default=None, help="hours to process, e.g. 8-18 or 8,12,17")
     parser.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
     try:
-        hours = parse_hours(args.hours) if args.hours is not None else None
-        cfg = load_run_config(args.config, seed_override=args.seed,
-                              hours_override=hours, out_override=args.out)
+        cfg = load_run_config(args.config, seed_override=args.seed, out_override=args.out)
         STAGES[args.command](cfg)
     except ConfigError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -347,14 +347,8 @@ def _read_index(path: str | os.PathLike, what: str) -> Iterator[Callable[..., np
     """Yield ``member(name, ndim, dtype)`` of the ``.npz`` archive at ``path``,
     a ``what``: its array ``name``, unpickling nothing, and a uint8 one
     decoded as JSON. An archive that cannot be read, or an array not
-    ``ndim``-d and of ``dtype`` (str if None), is a DataError."""
-    try:
-        npz = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise DataError(f"{what} {path} is not an .npz archive")
-
+    ``ndim``-d and of ``dtype`` (str if None), is a DataError. The file is
+    opened here: np.load of a path leaves it open if zipfile rejects it."""
     def member(name: str, ndim: int, dtype: type | None = None) -> np.ndarray:
         try:
             array = np.asarray(npz[name])  # a member that is no .npy is bytes
@@ -364,7 +358,13 @@ def _read_index(path: str | os.PathLike, what: str) -> Iterator[Callable[..., np
         except (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise DataError(f"malformed {what} {path}: {name}: {exc}") from exc
 
-    with npz:
+    with contextlib.ExitStack() as stack:
+        try:
+            npz = np.load(stack.enter_context(open(path, "rb")), allow_pickle=False)
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise DataError(f"cannot read {what} {path}: {exc}") from exc
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise DataError(f"{what} {path} is not an .npz archive")
         yield member
 
 

@@ -6,6 +6,7 @@ import codecs
 import csv
 import dataclasses
 import functools
+import gc
 import hashlib
 import io
 import itertools
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import warnings
 import zipfile
 from datetime import datetime
 from pathlib import Path
@@ -281,8 +283,10 @@ def test_synth_size_knobs_at_their_max_are_accepted():
 
 
 @pytest.mark.parametrize("argv", [[], ["--config", "config.json"],
-                                  ["bogus", "--config", "config.json"], ["sim_on", "--config", "x"]],
-                         ids=["nothing", "no_stage", "unknown_stage", "misspelt_stage"])
+                                  ["bogus", "--config", "config.json"], ["sim_on", "--config", "x"],
+                                  ["sim-on", "--config", "x", "--hours", "8"]],
+                         ids=["nothing", "no_stage", "unknown_stage", "misspelt_stage",
+                              "hours_flag"])
 def test_missing_or_unknown_stage_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as stop:
         main(argv)
@@ -720,7 +724,7 @@ def test_sample_label_outside_0_1_is_a_data_error(copied, capsys):
     assert "samples.csv, line 2" in err
 
 
-@pytest.mark.parametrize("stage,name,producer", [
+STAGE_OUTPUTS = [
     ("train", "samples.csv", "ingest"),
     ("eval", "train_report.json", "train"),
     ("eval", "samples.csv", "ingest"),
@@ -730,9 +734,23 @@ def test_sample_label_outside_0_1_is_a_data_error(copied, capsys):
     ("sim-off", "rates.csv", "ingest"),
     ("diff", "onstreet.csv", "sim-on"),
     ("diff", "offstreet.csv", "sim-off"),
-])
+]
+
+
+@pytest.mark.parametrize("stage,name,producer", STAGE_OUTPUTS)
 def test_missing_stage_output_is_a_config_error(copied, capsys, stage, name, producer):
     (copied / "out" / name).unlink()
+    config = write_config(copied / "config.json", "city")
+    assert main([stage, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert name in err and f"run {producer} first" in err
+
+
+@pytest.mark.parametrize("stage,name,producer", STAGE_OUTPUTS)
+def test_stage_output_that_is_a_directory_is_missing(copied, capsys, stage, name, producer):
+    (copied / "out" / name).unlink()
+    (copied / "out" / name).mkdir()
     config = write_config(copied / "config.json", "city")
     assert main([stage, "--config", str(config)]) == 2
     err = capsys.readouterr().err
@@ -789,7 +807,9 @@ def test_onstreet_cells_do_not_depend_on_run_shape(copied):
     header, body = expected.split(b"\n", 1)
     bodies = []
     for hour in HOURS:
-        assert main(["sim-on", "--config", config, "--hours", str(hour)]) == 0
+        one_hour = copied / f"config_h{hour}.json"
+        one_hour.write_text(json.dumps({**json.loads(Path(config).read_text()), "hours": [hour]}))
+        assert main(["sim-on", "--config", str(one_hour)]) == 0
         one_header, one_body = onstreet.read_bytes().split(b"\n", 1)
         assert one_header == header
         bodies.append(one_body)
@@ -1200,6 +1220,32 @@ def test_null_input_path_is_an_unset_key(copied, capsys, key):
     err = capsys.readouterr().err
     assert_one_line(err)
     assert f"config key '{key}' is required for this stage" in err
+
+
+@pytest.mark.parametrize("value", ["", "a_directory"], ids=["config_directory", "directory"])
+@pytest.mark.parametrize("stage,key", [*(("ingest", key) for key in PATH_KEYS),
+                                       ("sim-on", "graph"), ("sim-off", "lots")])
+def test_input_path_that_is_no_file_is_missing(copied, capsys, stage, key, value):
+    (copied / "a_directory").mkdir()
+    config = write_config(copied / "config.json", "city")
+    config.write_text(json.dumps({**json.loads(config.read_text()), key: value}))
+    assert main([stage, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert f"file for '{key}' not found" in err
+
+
+@pytest.mark.parametrize("value", [20260313, "20260313", "2026-W11-5"],
+                         ids=["number", "basic_format", "week_date"])
+def test_predict_date_not_written_yyyy_mm_dd_is_a_config_error(tmp_path, capsys, value):
+    # Python 3.11's date.fromisoformat takes each of these as 2026-03-13
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"predict_date": value, "synth": {"grid_n": 2, "days": 7}}))
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "city")]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err)
+    assert "predict_date" in err
+    assert not (tmp_path / "city").exists()
 
 
 def test_ingest_and_predict_without_payments(copied):
@@ -1714,6 +1760,19 @@ def test_unusable_graph_index_is_rebuilt(copied, capsys, stage, name, damage):
     assert capsys.readouterr().err == ""
     assert (copied / "out" / name).read_bytes() == made_by_pipeline
     assert index.read_bytes() == good
+
+
+@pytest.mark.parametrize("stage,name,code", [("predict", "sessions.npz", 3),
+                                             ("sim-off", "graph.npz", 0)])
+def test_truncated_index_leaves_no_file_open(copied, stage, name, code):
+    index = copied / "out" / name
+    index.write_bytes(index.read_bytes()[:index.stat().st_size // 2])
+    config = write_config(copied / "config.json", "city")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([stage, "--config", str(config)]) == code
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_invalid_graph_beside_an_index_of_a_valid_one_is_a_data_error(copied, capsys):
